@@ -13,11 +13,17 @@
 //     options.partitions > 0 map copies records into a PartitionedContainer
 //     (splitters sampled from the first chunk), so the merge phase is P
 //     independent per-partition merges with no global round at all.
-// All modes sort indices/pointers by key then materialize permuted records.
+// All modes sort 16-byte entries — the first 8 key bytes as a big-endian
+// integer plus the record's address, comparing the rest of the key only
+// when those 8 bytes tie — then gather the records in entry order and free
+// the container (docs/merge.md §6).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "containers/array_container.hpp"
@@ -27,6 +33,8 @@
 namespace supmr::apps {
 
 struct TeraSortOptions {
+  // 1 <= key_bytes <= record_bytes - 2 (core::check_sort_geometry);
+  // prepare_round, reduce and merge reject anything else.
   std::uint32_t key_bytes = 10;
   std::uint32_t record_bytes = 100;  // includes the trailing "\r\n"
   bool validate_terminators = true;
@@ -38,7 +46,7 @@ struct TeraSortOptions {
 
 class TeraSortApp final : public core::Application {
  public:
-  explicit TeraSortApp(TeraSortOptions options = {}) : options_(options) {}
+  explicit TeraSortApp(TeraSortOptions options = {});
 
   void init(std::size_t num_map_threads) override;
   Status prepare_round(const ingest::IngestChunk& chunk) override;
@@ -47,9 +55,7 @@ class TeraSortApp final : public core::Application {
   Status reduce(ThreadPool& pool, std::size_t num_partitions) override;
   Status merge(ThreadPool& pool, const core::MergePlan& plan,
                merge::MergeStats* stats) override;
-  std::uint64_t result_count() const override {
-    return partitioned() ? pcontainer_.total_records() : container_.size();
-  }
+  std::uint64_t result_count() const override { return sorted_records_; }
   std::string canonical_output() const override;
 
   // canonical_output() normalizes equal-key ties by full record bytes, so
@@ -60,7 +66,10 @@ class TeraSortApp final : public core::Application {
   }
 
   // Sorted output (result_count() * record_bytes bytes), valid after merge.
-  const std::vector<char>& sorted_data() const { return sorted_; }
+  std::string_view sorted_data() const {
+    return std::string_view(sorted_.get(),
+                            sorted_records_ * options_.record_bytes);
+  }
 
   // Sum over all keys' first 8 bytes — computed by reduce; order-invariant,
   // so it must match between chunked and unchunked runs.
@@ -72,30 +81,30 @@ class TeraSortApp final : public core::Application {
 
   const TeraSortOptions& options() const { return options_; }
 
-  // Map-time partitioned container (options.partitions > 0), read-only view
-  // for tests and the partition property suite.
+  // Map-time partitioned container (options.partitions > 0).
   bool partitioned() const { return options_.partitions > 0; }
-  const containers::PartitionedContainer& partitioned_container() const {
-    return pcontainer_;
-  }
 
  private:
   struct RoundTask {
-    const char* src = nullptr;       // first record's bytes in the chunk
-    std::uint64_t first_slot = 0;    // destination slot in the container
+    const char* src = nullptr;  // first record's bytes in the chunk
+    char* dst = nullptr;        // its claimed slot (flat container only)
     std::uint64_t num_records = 0;
   };
 
-  Status merge_partitioned(ThreadPool& pool, merge::MergeStats* stats);
+  // The records the map phase wrote, one span of whole records per flat
+  // container segment or per (partition, thread) stripe, in that order.
+  std::vector<std::span<const char>> record_spans() const;
 
   TeraSortOptions options_;
+  Status geometry_;  // whether options_ pass core::check_sort_geometry
   std::size_t num_mappers_ = 0;
   containers::ArrayContainer container_;
   containers::PartitionedContainer pcontainer_;
   std::vector<RoundTask> tasks_;
   std::uint64_t checksum_ = 0;
   std::atomic<std::uint64_t> malformed_{0};
-  std::vector<char> sorted_;
+  std::unique_ptr<char[]> sorted_;
+  std::uint64_t sorted_records_ = 0;
 };
 
 }  // namespace supmr::apps

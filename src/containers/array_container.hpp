@@ -2,21 +2,30 @@
 //
 // Sort transforms the input into an equal-sized intermediate set with unique
 // keys, so hashing is pure overhead (paper §V.B). Instead, all threads write
-// fixed-width records into one contiguous array without synchronization:
-// before each map round the coordinator claims a slot range for the round's
-// records (one atomic extend, resizing while no mappers run), then each
-// mapper writes its own disjoint sub-range.
+// fixed-width records into claimed slots without synchronization: before
+// each map round the coordinator claims a slot range for the round's
+// records, then each mapper writes its own disjoint sub-range.
+//
+// Slots live in segments whose capacity doubles. A claim that does not fit
+// in the last segment's free tail opens a new segment, so the slots of one
+// claim are always contiguous, records already written are never copied,
+// and nothing is zero-filled: a page is first touched by the mapper that
+// writes it, not by the coordinator. The free tail a new segment leaves
+// behind is never touched.
 //
 // Records are copied in, so the container owns the data and chunk buffers
 // can be recycled — which is what lets the persistent container span the
 // whole ingest stream while only two chunks stay resident.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace supmr::containers {
@@ -24,7 +33,7 @@ namespace supmr::containers {
 class ArrayContainer {
  public:
   // Idempotent across map rounds (persistence, paper §III.C).
-  void init(std::uint64_t record_bytes, std::uint64_t expected_records = 0) {
+  void init(std::uint64_t record_bytes) {
     if (initialized_) {
       if (record_bytes_ != record_bytes)
         throw std::logic_error(
@@ -33,7 +42,7 @@ class ArrayContainer {
       return;
     }
     record_bytes_ = record_bytes;
-    data_.reserve(expected_records * record_bytes);
+    segments_.clear();
     used_records_ = 0;
     initialized_ = true;
   }
@@ -42,45 +51,82 @@ class ArrayContainer {
   std::uint64_t record_bytes() const { return record_bytes_; }
   std::uint64_t size() const { return used_records_; }
 
+  // Frees every segment; init() may then pick a new record width.
   void reset() {
-    data_.clear();
+    segments_.clear();
     used_records_ = 0;
     initialized_ = false;
   }
 
   // Claims `n` record slots and returns the first slot index. Must be called
-  // between map waves (it may reallocate); mappers then fill their disjoint
-  // sub-ranges concurrently via write_record().
+  // between map waves; mappers then fill their disjoint sub-ranges
+  // concurrently via write_record(), or through mutable_record(first): the
+  // `n` slots are contiguous in memory. They hold indeterminate bytes until
+  // written.
   std::uint64_t claim(std::uint64_t n) {
     assert(initialized_);
     const std::uint64_t base = used_records_;
+    if (n == 0) return base;
+    if (segments_.empty() ||
+        segments_.back().capacity - segments_.back().count < n) {
+      const std::uint64_t capacity = std::max(
+          n, segments_.empty() ? 0 : 2 * segments_.back().capacity);
+      segments_.push_back(Segment{
+          std::make_unique_for_overwrite<char[]>(capacity * record_bytes_),
+          base, capacity, 0});
+    }
+    segments_.back().count += n;
     used_records_ += n;
-    data_.resize(used_records_ * record_bytes_);
     return base;
   }
 
   // Unsynchronized write into a claimed slot (each mapper owns its slots).
   void write_record(std::uint64_t slot, std::span<const char> record) {
-    assert(slot < used_records_ && record.size() == record_bytes_);
-    std::memcpy(data_.data() + slot * record_bytes_, record.data(),
-                record_bytes_);
+    assert(record.size() == record_bytes_);
+    std::memcpy(mutable_record(slot), record.data(), record_bytes_);
   }
 
   std::span<const char> record(std::uint64_t slot) const {
     assert(slot < used_records_);
-    return std::span<const char>(data_.data() + slot * record_bytes_,
-                                 record_bytes_);
+    const Segment& s = segment_of(slot);
+    return std::span<const char>(
+        s.bytes.get() + (slot - s.first) * record_bytes_, record_bytes_);
   }
   char* mutable_record(std::uint64_t slot) {
     assert(slot < used_records_);
-    return data_.data() + slot * record_bytes_;
+    const Segment& s = segment_of(slot);
+    return s.bytes.get() + (slot - s.first) * record_bytes_;
   }
 
-  const char* data() const { return data_.data(); }
-  char* data() { return data_.data(); }
+  // The claimed records in slot order: one span of whole records per
+  // segment.
+  std::vector<std::span<const char>> segments() const {
+    std::vector<std::span<const char>> spans;
+    spans.reserve(segments_.size());
+    for (const Segment& s : segments_)
+      spans.emplace_back(s.bytes.get(), s.count * record_bytes_);
+    return spans;
+  }
 
  private:
-  std::vector<char> data_;
+  struct Segment {
+    std::unique_ptr<char[]> bytes;  // capacity * record_bytes_
+    std::uint64_t first = 0;        // slot index of the first record
+    std::uint64_t capacity = 0;     // in records
+    std::uint64_t count = 0;        // records claimed so far
+  };
+
+  // The segment holding `slot`: the last one whose first slot is <= slot.
+  // Every segment holds at least one claimed record, so first slots are
+  // strictly increasing.
+  const Segment& segment_of(std::uint64_t slot) const {
+    const auto after = std::upper_bound(
+        segments_.begin(), segments_.end(), slot,
+        [](std::uint64_t s, const Segment& seg) { return s < seg.first; });
+    return *std::prev(after);
+  }
+
+  std::vector<Segment> segments_;
   std::uint64_t record_bytes_ = 0;
   std::uint64_t used_records_ = 0;
   bool initialized_ = false;

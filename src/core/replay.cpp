@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "common/json.hpp"
@@ -39,6 +40,27 @@ StatusOr<ContainerMode> container_mode_from_name(std::string_view name) {
 bool app_has_combiner(std::string_view app) {
   return app == "wordcount" || app == "histogram" || app == "index" ||
          app == "paircount" || app == "doctermcount";
+}
+
+Status check_sort_geometry(std::uint64_t key_bytes, std::uint64_t record_bytes,
+                           std::string_view key_name,
+                           std::string_view record_name) {
+  constexpr std::uint64_t kMaxRecordBytes =
+      std::numeric_limits<std::uint32_t>::max();
+  if (record_bytes < 3 || record_bytes > kMaxRecordBytes) {
+    return Status::InvalidArgument(
+        std::string(record_name) + " must be in [3, " +
+        std::to_string(kMaxRecordBytes) + "], got " +
+        std::to_string(record_bytes));
+  }
+  if (key_bytes < 1 || key_bytes > record_bytes - 2) {
+    return Status::InvalidArgument(
+        std::string(key_name) + " must be in [1, " +
+        std::to_string(record_bytes - 2) + "] for " +
+        std::string(record_name) + "=" + std::to_string(record_bytes) +
+        ", got " + std::to_string(key_bytes));
+  }
+  return Status::Ok();
 }
 
 std::string ReplaySpec::to_json() const {
@@ -390,6 +412,14 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(std::string_view text) {
     return Status::InvalidArgument(
         "replay spec: container=combining: app " + spec.app +
         " declares no combiner");
+  }
+  if (spec.app == "sort" || spec.app == "msort") {
+    const Status geometry =
+        check_sort_geometry(spec.key_bytes, spec.record_bytes,
+                            "params.key_bytes", "params.record_bytes");
+    if (!geometry.ok()) {
+      return Status::InvalidArgument("replay spec: " + geometry.message());
+    }
   }
   SUPMR_RETURN_IF_ERROR(spec.corpus.parsed_kind().status());
   if (spec.threads == 0) {

@@ -143,4 +143,14 @@ StatusOr<ContainerMode> container_mode_from_name(std::string_view name);
 // same set.
 bool app_has_combiner(std::string_view app);
 
+// Whether key_bytes and record_bytes describe records the sort apps (sort,
+// msort) can handle: a key of at least one byte that ends before the
+// record's "\r\n" terminator (1 <= key_bytes <= record_bytes - 2), in a
+// record that fits their 32-bit options. The error names the two values
+// `key_name` and `record_name`, so the CLI reports its flags and from_json
+// its keys.
+Status check_sort_geometry(std::uint64_t key_bytes, std::uint64_t record_bytes,
+                           std::string_view key_name,
+                           std::string_view record_name);
+
 }  // namespace supmr::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <map>
 
@@ -11,7 +12,9 @@
 #include "apps/tera_sort.hpp"
 #include "apps/tokenize.hpp"
 #include "apps/word_count.hpp"
+#include "common/rng.hpp"
 #include "core/job.hpp"
+#include "core/replay.hpp"
 #include "storage/mem_device.hpp"
 #include "wload/teragen.hpp"
 #include "wload/text_corpus.hpp"
@@ -297,6 +300,101 @@ TEST(TeraSort, CountsMalformedRecords) {
   MapReduceJob job(app, src, small_config());
   ASSERT_TRUE(job.run(core::ExecMode::kOriginal).ok());
   EXPECT_EQ(app.malformed_records(), 1u);
+}
+
+// 100-byte records whose keys start with one of four random 8-byte
+// prefixes and differ only in key bytes 8 and 9, with bytes >= 0x80
+// throughout. Within a group every 8-byte prefix ties, so at key_bytes 10
+// the order comes from the bytes past the prefix alone, while at key_bytes
+// 4 and 8 the groups' own order checks how the prefix is compared. TeraGen
+// keys almost never tie on 8 bytes, so its inputs exercise neither.
+std::string shared_prefix_records(std::size_t records, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  char prefixes[4][8];
+  for (auto& prefix : prefixes) {
+    for (char& b : prefix) b = static_cast<char>(rng.uniform(256));
+  }
+  std::string data(records * 100, 'x');
+  for (std::size_t r = 0; r < records; ++r) {
+    char* rec = data.data() + r * 100;
+    std::memcpy(rec, prefixes[rng.uniform(4)], 8);
+    rec[8] = static_cast<char>(rng.uniform(256));
+    rec[9] = static_cast<char>(rng.uniform(256));
+    std::snprintf(rec + 10, 11, "%010zu", r);  // distinct payloads
+    rec[98] = '\r';
+    rec[99] = '\n';
+  }
+  return data;
+}
+
+TEST(TeraSort, OrdersKeysThatTieOnTheirFirstEightBytes) {
+  struct Cell {
+    MergeMode merge;
+    std::size_t app_partitions;
+  };
+  const Cell cells[] = {{MergeMode::kPWay, 0},
+                        {MergeMode::kPairwise, 0},
+                        {MergeMode::kPartitioned, 0},
+                        {MergeMode::kPartitioned, 4}};
+  constexpr std::size_t kRecords = 3000;
+  const std::string input = shared_prefix_records(kRecords, 11);
+  for (const std::uint32_t kb : {4u, 8u, 10u}) {
+    for (const Cell& cell : cells) {
+      SCOPED_TRACE("key_bytes=" + std::to_string(kb) + " merge=" +
+                   std::string(core::merge_mode_name(cell.merge)) +
+                   " app_partitions=" + std::to_string(cell.app_partitions));
+      TeraSortOptions opt;
+      opt.key_bytes = kb;
+      opt.partitions = cell.app_partitions;
+      TeraSortApp app(opt);
+      // Several chunks, so the flat container fills more than one segment.
+      SingleDeviceSource src(mem(input),
+                             std::make_shared<ingest::FixedFormat>(100),
+                             /*chunk_bytes=*/37700);
+      JobConfig jc = small_config();
+      jc.merge_mode = cell.merge;
+      MapReduceJob job(app, src, jc);
+      auto result = job.run(core::ExecMode::kIngestMR);
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+      wload::TeraGenConfig cfg;
+      cfg.num_records = kRecords;
+      cfg.key_bytes = kb;
+      expect_terasorted(app, input, cfg);
+    }
+  }
+}
+
+TEST(TeraSort, RejectsImpossibleGeometry) {
+  struct Case {
+    std::uint32_t key_bytes;
+    std::uint32_t record_bytes;
+    std::string message;
+  };
+  const Case cases[] = {
+      {10, 0, "terasort: record_bytes must be in [3, 4294967295], got 0"},
+      {1, 1, "terasort: record_bytes must be in [3, 4294967295], got 1"},
+      {400, 100,
+       "terasort: key_bytes must be in [1, 98] for record_bytes=100, got 400"},
+      {0, 100,
+       "terasort: key_bytes must be in [1, 98] for record_bytes=100, got 0"},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t partitions : {std::size_t{0}, std::size_t{4}}) {
+      SCOPED_TRACE(c.message + " partitions=" + std::to_string(partitions));
+      TeraSortOptions opt;
+      opt.key_bytes = c.key_bytes;
+      opt.record_bytes = c.record_bytes;
+      opt.partitions = partitions;
+      TeraSortApp app(opt);
+      SingleDeviceSource src(mem(std::string(1000, 'x')),
+                             std::make_shared<ingest::FixedFormat>(100), 0);
+      MapReduceJob job(app, src, small_config());
+      auto result = job.run(core::ExecMode::kOriginal);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(result.status().message(), c.message);
+    }
+  }
 }
 
 // -------------------------------------------------------------------- grep

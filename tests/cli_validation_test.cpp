@@ -48,6 +48,65 @@ TEST(CliValidation, PartitionsRequirePartitionedMerge) {
                   "--partitions requires --merge=partitioned");
 }
 
+TEST(CliValidation, SortRejectsImpossibleGeometry) {
+  // Accepted, each would crash or read past a record: record_bytes 0
+  // divides by zero, 1 reads rec[-1] in the terminator check, and a key
+  // longer than the record overruns every comparison.
+  expect_rejected("sort nonexistent.dat --record-bytes=0",
+                  "--record-bytes must be in [3, 4294967295], got 0");
+  expect_rejected("sort nonexistent.dat --record-bytes=1",
+                  "--record-bytes must be in [3, 4294967295], got 1");
+  expect_rejected("sort nonexistent.dat --record-bytes=4294967296",
+                  "--record-bytes must be in [3, 4294967295], got 4294967296");
+  expect_rejected(
+      "sort nonexistent.dat --key-bytes=400",
+      "--key-bytes must be in [1, 98] for --record-bytes=100, got 400");
+  expect_rejected(
+      "sort nonexistent.dat --key-bytes=99",
+      "--key-bytes must be in [1, 98] for --record-bytes=100, got 99");
+  expect_rejected(
+      "sort nonexistent.dat --key-bytes=0 --record-bytes=12",
+      "--key-bytes must be in [1, 10] for --record-bytes=12, got 0");
+}
+
+// A sort spec with the given params; the rest is a valid cell.
+std::string write_sort_spec(const std::string& name, const std::string& key,
+                            const std::string& record) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  FILE* f = std::fopen(path.c_str(), "w");
+  EXPECT_NE(f, nullptr);
+  const std::string spec =
+      "{\"app\": \"sort\",\n"
+      " \"corpus\": {\"kind\": \"terasort\", \"bytes\": 10000, \"seed\": 1,"
+      " \"num_files\": 6},\n"
+      " \"params\": {\"key_bytes\": " + key + ", \"record_bytes\": " + record +
+      ", \"app_partitions\": 0, \"hist_lo\": 0, \"hist_hi\": 256,"
+      " \"hist_bins\": 32, \"grep_patterns\": \"th\","
+      " \"memory_budget\": 0},\n"
+      " \"cell\": {\"mode\": \"supmr\", \"merge\": \"pway\", \"threads\": 2,"
+      " \"merge_partitions\": 0, \"chunk_bytes\": 16384, \"files_per_chunk\":"
+      " 3, \"degrade\": false, \"fault_plan\": \"\", \"retry_attempts\": 1}}";
+  std::fputs(spec.c_str(), f);
+  std::fclose(f);
+  return path;
+}
+
+TEST(CliValidation, ReplaySpecRejectsImpossibleSortGeometry) {
+  // The sort apps take both params as 32-bit options.
+  const std::string long_key =
+      write_sort_spec("long_key_spec.json", "400", "100");
+  expect_rejected("replay " + long_key,
+                  "replay spec: params.key_bytes must be in [1, 98] for "
+                  "params.record_bytes=100, got 400");
+  std::remove(long_key.c_str());
+  const std::string wide =
+      write_sort_spec("wide_record_spec.json", "10", "4294967396");
+  expect_rejected("replay " + wide,
+                  "replay spec: params.record_bytes must be in "
+                  "[3, 4294967295], got 4294967396");
+  std::remove(wide.c_str());
+}
+
 TEST(CliValidation, DegradeRequiresFaultPlan) {
   expect_rejected("wordcount nonexistent.txt --degrade",
                   "--degrade requires --fault-plan");

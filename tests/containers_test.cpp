@@ -336,6 +336,54 @@ TEST(ArrayContainer, InitIdempotentPersistence) {
   EXPECT_EQ(std::string(c.record(0).data(), 4), "r0r0");  // survived
 }
 
+TEST(ArrayContainer, NewSegmentKeepsEarlierRecords) {
+  ArrayContainer c;
+  c.init(4);
+  EXPECT_EQ(c.claim(2), 0u);  // segment 0 holds exactly two slots
+  c.write_record(0, std::span<const char>("r0r0", 4));
+  c.write_record(1, std::span<const char>("r1r1", 4));
+  EXPECT_EQ(c.claim(3), 2u);  // does not fit: opens segment 1
+  ASSERT_EQ(c.segments().size(), 2u);
+  c.write_record(2, std::span<const char>("r2r2", 4));
+  c.write_record(3, std::span<const char>("r3r3", 4));
+  c.write_record(4, std::span<const char>("r4r4", 4));
+  // Both sides of the segment boundary, and the records written before the
+  // new segment opened.
+  EXPECT_EQ(std::string(c.record(0).data(), 4), "r0r0");
+  EXPECT_EQ(std::string(c.record(1).data(), 4), "r1r1");
+  EXPECT_EQ(std::string(c.record(2).data(), 4), "r2r2");
+  EXPECT_EQ(std::string(c.record(4).data(), 4), "r4r4");
+  // Segment 1 doubled to four slots, so one more claim fits in its tail.
+  EXPECT_EQ(c.claim(1), 5u);
+  c.write_record(5, std::span<const char>("r5r5", 4));
+  EXPECT_EQ(c.segments().size(), 2u);
+  std::string all;
+  for (const std::span<const char> s : c.segments())
+    all.append(s.data(), s.size());
+  EXPECT_EQ(all, "r0r0r1r1r2r2r3r3r4r4r5r5");
+}
+
+TEST(ArrayContainer, ClaimedSlotsAreContiguous) {
+  ArrayContainer c;
+  c.init(4);
+  c.claim(1);
+  const std::uint64_t base = c.claim(3);  // opens a segment of its own
+  for (std::uint64_t i = 0; i < 3; ++i)
+    EXPECT_EQ(c.mutable_record(base + i), c.mutable_record(base) + i * 4);
+}
+
+TEST(ArrayContainer, ClaimZeroClaimsNothing) {
+  ArrayContainer c;
+  c.init(4);
+  EXPECT_EQ(c.claim(0), 0u);
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_TRUE(c.segments().empty());
+  c.claim(2);
+  EXPECT_EQ(c.claim(0), 2u);
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.segments().size(), 1u);
+}
+
 TEST(ArrayContainer, ConcurrentDisjointWrites) {
   constexpr std::uint64_t kRecords = 10000;
   ArrayContainer c;

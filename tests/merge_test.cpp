@@ -348,7 +348,7 @@ TEST(FormRuns, MoreRunsThanElements) {
   EXPECT_LE(runs.size(), 2u);
 }
 
-// Variable-width record sort through an index array — the TeraSort pattern.
+// Fixed-width record sort through an index array.
 TEST(IndexSort, RecordsByKeyPrefix) {
   constexpr std::size_t kRecords = 2000, kWidth = 20, kKey = 5;
   Xoshiro256 rng(13);

@@ -44,6 +44,12 @@
 #               (N worker nodes run concurrently on private pools), then
 #               the checked-in cluster spec through the instrumented
 #               `supmr cluster` CLI — must report "conformance: PASS"
+#   perf-smoke — the benchmark (perfbench/, a CMake package of its own over
+#               src/ that no other stage compiles): every workload runs for
+#               one second and must exit 0 with "correct": true on its
+#               result line; terasort must exit 1 under
+#               SUPMR_TEST_MUTATION=pway-comparator (the oracle gate is
+#               live); then the span-arithmetic unit test
 #
 # Usage:
 #   tools/check.sh            # all stages
@@ -61,7 +67,7 @@ SUPP="${ROOT}/tools/sanitizers"
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] &&
   STAGES=(plain tsan asan obs-smoke fault-smoke coverage harness harness-asan
-    jobmix-smoke graph-smoke combining-smoke cluster-smoke)
+    jobmix-smoke graph-smoke combining-smoke cluster-smoke perf-smoke)
 
 # Branch-point line-coverage floors for the merge-critical layers (the
 # coverage stage fails if a change lets these regress).
@@ -338,8 +344,29 @@ run_stage() {
         { echo "cluster-smoke: checked-in cluster spec is not conformant" >&2
           return 1; }
       ;;
+    perf-smoke)
+      # run.py builds .bench_build/perfbench (RelWithDebInfo) on first use.
+      local bench="${ROOT}/perfbench/run.py" workload out status
+      for workload in wordcount terasort pmi cluster_sort; do
+        out="$(python3 "${bench}" --workload "${workload}" --seconds 1 \
+          --trace 0)" ||
+          { echo "perf-smoke: ${workload} failed" >&2; return 1; }
+        tail -n1 <<<"${out}" | grep -q '"correct": true' ||
+          { echo "perf-smoke: ${workload} is not correct" >&2; return 1; }
+      done
+      status=0
+      SUPMR_TEST_MUTATION=pway-comparator python3 "${bench}" \
+        --workload terasort --seconds 1 --trace 0 >/dev/null 2>&1 ||
+        status=$?
+      [ "${status}" -eq 1 ] ||
+        { echo "perf-smoke: pway-comparator mutation not caught on" \
+            "terasort (exit ${status}, want 1)" >&2; return 1; }
+      cmake --build "${ROOT}/.bench_build/perfbench" \
+        --target perfbench_spans_test -j "${JOBS}"
+      "${ROOT}/.bench_build/perfbench/perfbench_spans_test"
+      ;;
     *)
-      echo "unknown stage '${stage}' (want plain, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, or cluster-smoke)" >&2
+      echo "unknown stage '${stage}' (want plain, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, cluster-smoke, or perf-smoke)" >&2
       return 2
       ;;
   esac

@@ -309,6 +309,12 @@ StatusOr<std::shared_ptr<const storage::Device>> open_input(
   return dev;
 }
 
+// Where a subcommand's human-readable lines go: stderr under --json, so
+// stdout carries exactly one JSON document.
+std::FILE* human_out(const CommonConfig& cfg) {
+  return cfg.json ? stderr : stdout;
+}
+
 // Runs `app` over `source` honoring --mode; prints the phase row.
 StatusOr<core::JobResult> run_app(core::Application& app,
                                   const ingest::IngestSource& source,
@@ -340,8 +346,8 @@ StatusOr<core::JobResult> run_app(core::Application& app,
   if (tracing) {
     TimeSeries trace = sampler.stop();
     trace.write_csv(*cfg.trace_path);
-    std::printf("utilization trace (%zu samples) -> %s\n", trace.samples(),
-                cfg.trace_path->c_str());
+    std::fprintf(human_out(cfg), "utilization trace (%zu samples) -> %s\n",
+                 trace.samples(), cfg.trace_path->c_str());
   }
   if (!result.ok()) {
     // Machine-readable failure report: with --json, stdout carries a
@@ -472,7 +478,7 @@ Status cmd_wordcount(const Flags& flags) {
         core::JobResult result,
         run_app(app, source, dev.get(), format.get(), cfg));
     (void)result;
-    std::printf("spilled runs: %zu\n", app.runs_spilled());
+    std::fprintf(human_out(cfg), "spilled runs: %zu\n", app.runs_spilled());
     words = app.results();
   } else {
     apps::WordCountApp app;
@@ -489,8 +495,8 @@ Status cmd_wordcount(const Flags& flags) {
                       return a.second > b.second;
                     });
   for (std::size_t i = 0; i < n; ++i)
-    std::printf("%10llu  %s\n", (unsigned long long)words[i].second,
-                words[i].first.c_str());
+    std::fprintf(human_out(cfg), "%10llu  %s\n",
+                 (unsigned long long)words[i].second, words[i].first.c_str());
   return Status::Ok();
 }
 
@@ -503,6 +509,8 @@ Status cmd_sort(const Flags& flags) {
                          flags.get_int("key-bytes", 10));
   SUPMR_ASSIGN_OR_RETURN(std::uint64_t record_bytes,
                          flags.get_int("record-bytes", 100));
+  SUPMR_RETURN_IF_ERROR(core::check_sort_geometry(
+      key_bytes, record_bytes, "--key-bytes", "--record-bytes"));
   apps::TeraSortOptions opt;
   opt.key_bytes = static_cast<std::uint32_t>(key_bytes);
   opt.record_bytes = static_cast<std::uint32_t>(record_bytes);
@@ -541,19 +549,19 @@ Status cmd_sort(const Flags& flags) {
                          run_app(app, source, dev.get(), format.get(), cfg));
   (void)result;
   if (app.malformed_records() > 0) {
-    std::printf("warning: %llu malformed records\n",
-                (unsigned long long)app.malformed_records());
+    std::fprintf(human_out(cfg), "warning: %llu malformed records\n",
+                 (unsigned long long)app.malformed_records());
   }
   if (auto out = flags.get("out")) {
     std::FILE* f = std::fopen(out->c_str(), "wb");
     if (f == nullptr) return Status::IoError("cannot create " + *out);
-    const auto& sorted = app.sorted_data();
+    const std::string_view sorted = app.sorted_data();
     const bool ok =
         std::fwrite(sorted.data(), 1, sorted.size(), f) == sorted.size();
     std::fclose(f);
     if (!ok) return Status::IoError("short write to " + *out);
-    std::printf("sorted output (%s) -> %s\n",
-                format_bytes(sorted.size()).c_str(), out->c_str());
+    std::fprintf(human_out(cfg), "sorted output (%s) -> %s\n",
+                 format_bytes(sorted.size()).c_str(), out->c_str());
   }
   return Status::Ok();
 }
@@ -591,9 +599,10 @@ Status cmd_grep(const Flags& flags) {
                          run_app(app, source, dev.get(), format.get(), cfg));
   (void)result;
   for (const auto& [pattern, hits] : app.results())
-    std::printf("%10llu  %s\n", (unsigned long long)hits, pattern.c_str());
-  std::printf("lines scanned: %llu\n",
-              (unsigned long long)app.lines_scanned());
+    std::fprintf(human_out(cfg), "%10llu  %s\n", (unsigned long long)hits,
+                 pattern.c_str());
+  std::fprintf(human_out(cfg), "lines scanned: %llu\n",
+               (unsigned long long)app.lines_scanned());
   return Status::Ok();
 }
 
@@ -628,17 +637,17 @@ Status cmd_histogram(const Flags& flags) {
   for (auto c : app.counts()) peak = std::max(peak, c);
   for (std::size_t b = 0; b < app.counts().size(); ++b) {
     const int bar = int(double(app.counts()[b]) / double(peak) * 50.0);
-    std::printf("[%6lld,%6lld) %10llu |%.*s\n",
-                (long long)(opt.lo + (opt.hi - opt.lo) * (long long)b /
-                                         (long long)opt.bins),
-                (long long)(opt.lo + (opt.hi - opt.lo) * (long long)(b + 1) /
-                                         (long long)opt.bins),
-                (unsigned long long)app.counts()[b], bar,
-                "##################################################");
+    std::fprintf(human_out(cfg), "[%6lld,%6lld) %10llu |%.*s\n",
+                 (long long)(opt.lo + (opt.hi - opt.lo) * (long long)b /
+                                          (long long)opt.bins),
+                 (long long)(opt.lo + (opt.hi - opt.lo) * (long long)(b + 1) /
+                                          (long long)opt.bins),
+                 (unsigned long long)app.counts()[b], bar,
+                 "##################################################");
   }
-  std::printf("parsed=%llu out-of-range=%llu\n",
-              (unsigned long long)app.values_parsed(),
-              (unsigned long long)app.values_out_of_range());
+  std::fprintf(human_out(cfg), "parsed=%llu out-of-range=%llu\n",
+               (unsigned long long)app.values_parsed(),
+               (unsigned long long)app.values_out_of_range());
   return Status::Ok();
 }
 
@@ -659,8 +668,8 @@ Status cmd_index(const Flags& flags) {
   SUPMR_ASSIGN_OR_RETURN(core::JobResult result,
                          run_app(app, source, nullptr, nullptr, cfg));
   (void)result;
-  std::printf("%llu words indexed across %zu files\n",
-              (unsigned long long)app.index().size(), files.size());
+  std::fprintf(human_out(cfg), "%llu words indexed across %zu files\n",
+               (unsigned long long)app.index().size(), files.size());
   return Status::Ok();
 }
 
