@@ -42,20 +42,18 @@ double run_adaptive(const std::string& text, double bw,
                     std::uint64_t* chunks_out) {
   auto base = std::make_shared<storage::MemDevice>(text, "corpus");
   auto limiter = std::make_shared<storage::RateLimiter>(bw, 16 * 1024);
-  storage::ThrottledDevice dev(base.get(), limiter.get());
+  auto dev = std::make_shared<storage::ThrottledDevice>(base, limiter);
   apps::WordCountApp app;
-  ingest::SingleDeviceSource unused(base,
-                                    std::make_shared<ingest::LineFormat>(),
-                                    0);
-  ingest::LineFormat format;
+  ingest::SingleDeviceSource src(dev, std::make_shared<ingest::LineFormat>(),
+                                 0);
   ingest::RateMatchingController::Options opt;
   opt.initial_bytes = 4 * kMB;  // deliberately far from optimal
   opt.min_bytes = 64 * kKiB;
   opt.max_bytes = 16 * kMB;
   opt.round_floor_s = 0.02;
   ingest::RateMatchingController controller(opt);
-  core::MapReduceJob job(app, unused, config());
-  job.set_adaptive(dev, format, controller);
+  core::MapReduceJob job(app, src, config());
+  job.set_chunk_controller(controller);
   auto r = job.run(core::ExecMode::kAdaptive);
   if (!r.ok()) return -1.0;
   if (chunks_out) *chunks_out = r->chunks;

@@ -77,8 +77,6 @@ Status run_node(const ClusterJob& job, std::string slice,
       {cfg.num_map_threads, cfg.num_reduce_threads, 1}));
   core::MapReduceJob mr(*app, source, cfg);
   mr.attach_runtime(pool);
-  // kAdaptive needs no extra wiring: the device and format auto-derive from
-  // the node's SingleDeviceSource.
   SUPMR_ASSIGN_OR_RETURN(out.stats.job, mr.run(cfg.mode));
   out.canonical = app->canonical_output();
   out.stats.map_output_bytes = out.canonical.size();

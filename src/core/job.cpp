@@ -135,12 +135,9 @@ void MapReduceJob::finish_obs(JobResult& result) {
   }
 }
 
-void MapReduceJob::set_adaptive(const storage::Device& device,
-                                const ingest::RecordFormat& format,
-                                ingest::ChunkSizeController& controller) {
-  adaptive_device_ = &device;
-  adaptive_format_ = &format;
-  adaptive_controller_ = &controller;
+void MapReduceJob::set_chunk_controller(
+    ingest::ChunkSizeController& controller) {
+  chunk_controller_ = &controller;
 }
 
 StatusOr<JobResult> MapReduceJob::run(ExecMode mode) {
@@ -223,25 +220,6 @@ StatusOr<JobResult> MapReduceJob::run_pipelined(ExecMode mode) {
   begin_obs();
   clock.start_total();
 
-  // Adaptive mode needs a device + record format. Honor set_adaptive() if it
-  // was called; otherwise derive both from a SingleDeviceSource and size
-  // chunks with an internally-owned rate-matching controller.
-  const storage::Device* adaptive_device = adaptive_device_;
-  const ingest::RecordFormat* adaptive_format = adaptive_format_;
-  ingest::ChunkSizeController* adaptive_controller = adaptive_controller_;
-  ingest::RateMatchingController owned_controller;
-  if (mode == ExecMode::kAdaptive && adaptive_device == nullptr) {
-    const auto* single =
-        dynamic_cast<const ingest::SingleDeviceSource*>(&source_);
-    if (single == nullptr) {
-      return Status::InvalidArgument(
-          "adaptive mode needs set_adaptive() or a SingleDeviceSource");
-    }
-    adaptive_device = &single->device();
-    adaptive_format = &single->format();
-    adaptive_controller = &owned_controller;
-  }
-
   clock.start(Phase::kSetup);
   app_.init(config_.num_map_threads);
   std::vector<ingest::ChunkExtent> plan;
@@ -258,16 +236,17 @@ StatusOr<JobResult> MapReduceJob::run_pipelined(ExecMode mode) {
   };
   auto pipeline_result = [&]() -> StatusOr<ingest::PipelineStats> {
     SUPMR_TRACE_SCOPE("phase", "readmap");
+    ingest::IngestPipeline pipeline(source_, config_.recovery,
+                                    shared_buffers_);
     if (mode == ExecMode::kIngestMR) {
       SUPMR_LOG_INFO("run(supmr): %zu ingest chunks over %s", plan.size(),
                      format_bytes(source_.total_bytes()).c_str());
-      ingest::IngestPipeline pipeline(source_, config_.recovery,
-                                      shared_buffers_);
       return pipeline.run_planned(plan, process);
     }
-    ingest::AdaptivePipeline pipeline(*adaptive_device, *adaptive_format,
-                                      *adaptive_controller, config_.recovery);
-    return pipeline.run(process);
+    ingest::RateMatchingController owned_controller;
+    return pipeline.run_adaptive(
+        chunk_controller_ != nullptr ? *chunk_controller_ : owned_controller,
+        process);
   }();
   clock.stop(Phase::kRead);
   if (!pipeline_result.ok()) return pipeline_result.status();
@@ -283,9 +262,7 @@ StatusOr<JobResult> MapReduceJob::run_pipelined(ExecMode mode) {
   result.phases.readmap_s = result.phases.read_s;
   result.phases.read_s = result.pipeline.consumer_wait_s;
   result.phases.map_s = result.pipeline.process_busy_s;
-  result.phases.input_bytes = mode == ExecMode::kAdaptive
-                                  ? adaptive_device->size()
-                                  : source_.total_bytes();
+  result.phases.input_bytes = source_.total_bytes();
   result.phases.num_chunks = result.pipeline.chunks.size();
   result.phases.chunked = true;
   result.phases.map_rounds = rounds_;

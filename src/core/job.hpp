@@ -10,11 +10,10 @@
 //                               mapping c_i across n+1 rounds; read+map
 //                               become one combined phase.
 //   run(ExecMode::kAdaptive)  — SupMR with the adaptive chunk-size feedback
-//                               loop (paper future work, §VIII). Needs a
-//                               device + record format: either call
-//                               set_adaptive() first, or run over a
-//                               SingleDeviceSource and the job derives them
-//                               (with an internal RateMatchingController).
+//                               loop (paper future work, §VIII): the same
+//                               pipeline, with each chunk sized by a
+//                               RateMatchingController instead of a plan.
+//                               Needs a SingleDeviceSource.
 //
 // All modes share reduce/merge (JobConfig::merge_mode selects the merge
 // algorithm) and the fault layer: JobConfig::recovery gives the ingest path
@@ -83,13 +82,9 @@ class MapReduceJob {
   void attach_runtime(ThreadPool& pool,
                       ingest::ChunkBufferPool* buffers = nullptr);
 
-  // Adaptive-mode inputs. Optional: when unset and the job's source is a
-  // SingleDeviceSource, the device and record format derive from it and an
-  // internally-owned RateMatchingController sizes the chunks. All three
-  // referents must outlive the job.
-  void set_adaptive(const storage::Device& device,
-                    const ingest::RecordFormat& format,
-                    ingest::ChunkSizeController& controller);
+  // Adaptive mode sizes chunks with `controller` instead of an internally
+  // owned default RateMatchingController. `controller` must outlive the job.
+  void set_chunk_controller(ingest::ChunkSizeController& controller);
 
   const JobConfig& config() const { return config_; }
 
@@ -112,11 +107,7 @@ class MapReduceJob {
   ingest::ChunkBufferPool* shared_buffers_ = nullptr;
   std::uint64_t rounds_ = 0;
   merge::MergeStats merge_stats_;
-
-  // Adaptive-mode wiring (set_adaptive or derived from the source).
-  const storage::Device* adaptive_device_ = nullptr;
-  const ingest::RecordFormat* adaptive_format_ = nullptr;
-  ingest::ChunkSizeController* adaptive_controller_ = nullptr;
+  ingest::ChunkSizeController* chunk_controller_ = nullptr;
 };
 
 }  // namespace supmr::core

@@ -1,24 +1,11 @@
 #include "ingest/adaptive.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <thread>
-
-#include "common/logging.hpp"
-#include "ingest/producer_guard.hpp"
-#include "obs/macros.hpp"
-#include "threading/double_buffer.hpp"
 
 namespace supmr::ingest {
 
 namespace {
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 double ewma(double current, double sample, double alpha) {
   return current == 0.0 ? sample : (1.0 - alpha) * current + alpha * sample;
 }
@@ -80,173 +67,6 @@ double RateMatchingController::ingest_bw_estimate() const {
 double RateMatchingController::process_bw_estimate() const {
   std::lock_guard<std::mutex> lock(mu_);
   return process_bw_;
-}
-
-StatusOr<PipelineStats> AdaptivePipeline::run(
-    const std::function<Status(IngestChunk&)>& process) {
-  PipelineStats stats;
-  const std::uint64_t size = device_.size();
-  if (size == 0) return stats;
-
-  DoubleBuffer<IngestChunk> buffer;
-  std::atomic<bool> cancel{false};
-  Status producer_status;
-  std::mutex timings_mu;  // guards stats.chunks growth across threads
-  const auto run_start = std::chrono::steady_clock::now();
-
-  std::thread producer([&] {
-    SUPMR_TRACE_THREAD_NAME("ingest.producer");
-    std::uint64_t offset = 0;
-    std::uint64_t index = 0;
-    std::uint64_t want = std::max<std::uint64_t>(
-        1, controller_.initial_chunk_bytes());
-    while (offset < size && !cancel.load(std::memory_order_acquire)) {
-      SUPMR_GAUGE_SET("ingest.adaptive.chunk_bytes", want);
-      auto end = format_.adjust_split(device_, offset + want);
-      if (!end.ok()) {
-        producer_status = end.status();
-        break;
-      }
-      if (*end <= offset) {
-        producer_status =
-            Status::Internal("adaptive plan did not advance");
-        break;
-      }
-      IngestChunk chunk;
-      chunk.index = index;
-      chunk.offset = offset;
-      chunk.data.resize(*end - offset);
-      const auto t0 = std::chrono::steady_clock::now();
-      // Chunk-level recovery: same retry/degrade discipline as
-      // IngestPipeline::run_planned.
-      fault::RetrySession session(recovery_.policy, index);
-      std::uint32_t attempts = 1;
-      Status read_status;
-      while (true) {
-        StatusOr<std::size_t> n = [&] {
-          SUPMR_TRACE_SCOPE_VAR(span, "ingest", "ingest.read_chunk");
-          SUPMR_TRACE_SET_ARG(span, "chunk", index);
-          SUPMR_TRACE_SET_ARG2(span, "bytes", chunk.data.size());
-          return device_.read_at(
-              offset, std::span<char>(chunk.data.data(), chunk.data.size()));
-        }();
-        read_status = n.ok() && *n != chunk.data.size()
-                          ? Status::IoError("short adaptive read")
-                          : n.status();
-        if (read_status.ok() || cancel.load(std::memory_order_acquire)) break;
-        const std::optional<double> wait = session.next_backoff(read_status);
-        if (!wait.has_value()) {
-          read_status = session.annotate(read_status);
-          break;
-        }
-        ++attempts;
-        ++stats.chunk_retries;
-        SUPMR_COUNTER_ADD("ingest.chunk_retries", 1);
-        SUPMR_HIST_OBSERVE("ingest.backoff_wait_us", *wait * 1e6);
-        SUPMR_TRACE_INSTANT_ARG("fault", "ingest.chunk_retry", "chunk",
-                                index);
-        fault::backoff_sleep(*wait, &cancel);
-      }
-      const double ingest_s = seconds_since(t0);
-      SUPMR_HIST_OBSERVE("ingest.read_us", ingest_s * 1e6);
-      {
-        std::lock_guard<std::mutex> lock(timings_mu);
-        stats.chunks.resize(
-            std::max<std::size_t>(stats.chunks.size(), index + 1));
-        stats.chunks[index].index = index;
-        stats.chunks[index].bytes = chunk.data.size();
-        stats.chunks[index].ingest_s = ingest_s;
-        stats.chunks[index].attempts = attempts;
-      }
-      if (!read_status.ok()) {
-        if (recovery_.degrade && fault::retryable(read_status) &&
-            !cancel.load(std::memory_order_acquire)) {
-          const std::uint64_t lost = chunk.data.size();
-          {
-            std::lock_guard<std::mutex> lock(timings_mu);
-            stats.chunks[index].skipped = true;
-          }
-          ++stats.chunks_skipped;
-          stats.bytes_skipped += lost;
-          SUPMR_COUNTER_ADD("ingest.chunks_skipped", 1);
-          SUPMR_COUNTER_ADD("ingest.bytes_skipped", lost);
-          SUPMR_LOG_WARN("adaptive: skipping poisoned chunk %llu "
-                         "(%llu bytes): %s",
-                         static_cast<unsigned long long>(index),
-                         static_cast<unsigned long long>(lost),
-                         read_status.to_string().c_str());
-          offset = *end;
-          ++index;
-          want = std::max<std::uint64_t>(1, controller_.next_chunk_bytes());
-          continue;
-        }
-        producer_status = std::move(read_status);
-        break;
-      }
-      controller_.observe(ChunkFeedback{index, chunk.data.size(), ingest_s,
-                                        0.0});
-      SUPMR_COUNTER_ADD("ingest.chunks", 1);
-      SUPMR_COUNTER_ADD("ingest.bytes", chunk.data.size());
-      SUPMR_LOG_DEBUG("adaptive: chunk %llu = %zu bytes (ingest %.4fs)",
-                      static_cast<unsigned long long>(index),
-                      chunk.data.size(), ingest_s);
-      if (!buffer.produce(std::move(chunk))) break;
-      offset = *end;
-      ++index;
-      want = std::max<std::uint64_t>(1, controller_.next_chunk_bytes());
-    }
-    buffer.close();
-  });
-
-  Status consumer_status;
-  {
-    // Same exit discipline as IngestPipeline::run_planned — cancel + close
-    // must precede the join on every path (error or exception), or a
-    // producer blocked in produce() deadlocks the join.
-    internal::ProducerJoinGuard guard(buffer, cancel, producer);
-    IngestChunk chunk;
-    while (true) {
-      const auto t_wait = std::chrono::steady_clock::now();
-      bool drained;
-      {
-        SUPMR_TRACE_SCOPE("ingest", "ingest.wait");
-        drained = !buffer.consume(chunk);
-      }
-      if (drained) break;
-      const double waited = seconds_since(t_wait);
-      SUPMR_HIST_OBSERVE("ingest.wait_us", waited * 1e6);
-      const auto t_proc = std::chrono::steady_clock::now();
-      Status st;
-      {
-        SUPMR_TRACE_SCOPE_VAR(span, "ingest", "ingest.process_chunk");
-        SUPMR_TRACE_SET_ARG(span, "chunk", chunk.index);
-        SUPMR_TRACE_SET_ARG2(span, "bytes", chunk.data.size());
-        st = process(chunk);
-      }
-      const double processed = seconds_since(t_proc);
-      SUPMR_HIST_OBSERVE("ingest.process_us", processed * 1e6);
-      {
-        std::lock_guard<std::mutex> lock(timings_mu);
-        stats.chunks[chunk.index].wait_s = waited;
-        stats.chunks[chunk.index].process_s = processed;
-      }
-      stats.consumer_wait_s += waited;
-      stats.process_busy_s += processed;
-      stats.total_bytes += chunk.data.size();
-      controller_.observe(ChunkFeedback{chunk.index, chunk.data.size(), 0.0,
-                                        processed});
-      if (!st.ok()) {
-        consumer_status = std::move(st);
-        break;
-      }
-    }
-  }
-  stats.total_s = seconds_since(run_start);
-  for (const auto& c : stats.chunks) stats.ingest_busy_s += c.ingest_s;
-
-  if (!consumer_status.ok()) return consumer_status;
-  if (!producer_status.ok()) return producer_status;
-  return stats;
 }
 
 }  // namespace supmr::ingest

@@ -16,19 +16,13 @@
 // starved anyway); on a map-bound job it grows chunks until ingest stays
 // just ahead of the mappers.
 //
-// AdaptivePipeline is the double-buffered pipeline with incremental
-// planning: the producer asks the controller for each next chunk size and
-// adjusts the split to a record boundary on the fly, so no full plan is
-// needed up front.
+// IngestPipeline::run_adaptive drives a controller: the producer asks it for
+// each next chunk size and cuts the chunk at a record boundary on the fly,
+// so no full plan is needed up front.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-
-#include "common/status.hpp"
-#include "ingest/pipeline.hpp"
-#include "ingest/record_format.hpp"
-#include "storage/device.hpp"
 
 namespace supmr::ingest {
 
@@ -93,29 +87,6 @@ class RateMatchingController final : public ChunkSizeController {
   mutable std::mutex mu_;
   double ingest_bw_ = 0.0;   // bytes/s
   double process_bw_ = 0.0;  // bytes/s
-};
-
-// Double-buffered pipeline with controller-driven incremental planning over
-// one device. Produces the same PipelineStats as IngestPipeline, and honors
-// the same chunk-level Recovery (retry with backoff; degrade-mode skip).
-class AdaptivePipeline {
- public:
-  AdaptivePipeline(const storage::Device& device, const RecordFormat& format,
-                   ChunkSizeController& controller,
-                   fault::Recovery recovery = {})
-      : device_(device),
-        format_(format),
-        controller_(controller),
-        recovery_(recovery) {}
-
-  StatusOr<PipelineStats> run(
-      const std::function<Status(IngestChunk&)>& process);
-
- private:
-  const storage::Device& device_;
-  const RecordFormat& format_;
-  ChunkSizeController& controller_;
-  fault::Recovery recovery_;
 };
 
 }  // namespace supmr::ingest

@@ -11,7 +11,7 @@
 // ChunkBufferPool recycles owned buffers between pipeline rounds so the
 // copying path's steady-state allocation rate drops to zero: the producer
 // acquires a buffer before each read, the consumer releases it after the map
-// round, and the double-buffer depth bounds how many are ever in flight.
+// round, and kMaxLiveChunks bounds how many are ever in flight.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +44,10 @@ inline constexpr EnumName<IoMode> kIoModeNames[] = {
 inline std::string_view io_mode_name(IoMode mode) {
   return enum_to_name(kIoModeNames, mode);
 }
+
+// Chunks one pipeline keeps live at once: the one being mapped and the one
+// being read (paper Fig. 4).
+inline constexpr std::size_t kMaxLiveChunks = 2;
 
 // A contiguous region of one source file placed inside a chunk.
 struct FileSpan {
@@ -105,14 +109,13 @@ struct IngestChunk {
 // no-op (nothing to recycle), keeping 0-byte chunks well-defined.
 class ChunkBufferPool {
  public:
-  // A single pipeline needs ingest depth + 1 retained buffers (the double
-  // buffer holds one, the producer fills one, the consumer drains one);
-  // kBuffersPerPipeline rounds that up with one slack slot. When N jobs
-  // share one pool (JobManager), size the cap from the lease:
-  // N * kBuffersPerPipeline — a cap sized for one pipeline would thrash,
-  // with concurrent pipelines stealing each other's warm buffers and
-  // re-allocating every round.
-  static constexpr std::size_t kBuffersPerPipeline = 4;
+  // A single pipeline holds at most kMaxLiveChunks owned buffers, and its
+  // consumer returns one before the producer may take the next, so a warm
+  // pool of that many never misses. When N jobs share one pool
+  // (JobManager), size the cap from the lease: N * kBuffersPerPipeline — a
+  // cap sized for one pipeline would thrash, with concurrent pipelines
+  // stealing each other's warm buffers and re-allocating every round.
+  static constexpr std::size_t kBuffersPerPipeline = kMaxLiveChunks;
 
   explicit ChunkBufferPool(std::size_t max_buffers = kBuffersPerPipeline)
       : max_buffers_(max_buffers) {}

@@ -1,12 +1,14 @@
 #include "ingest/pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <semaphore>
 #include <thread>
 
 #include "common/logging.hpp"
-#include "ingest/producer_guard.hpp"
+#include "ingest/adaptive.hpp"
 #include "obs/macros.hpp"
 #include "threading/double_buffer.hpp"
 
@@ -17,6 +19,34 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+// Every exit from the consumer loop — clean drain, processing error, or an
+// exception thrown by process() — must cancel the producer, give back a
+// live-chunk slot (the producer may be waiting for one), close the buffer,
+// and join, in that order. Without the slot the join deadlocks; without the
+// join, the exception path destroys a joinable std::thread, which is
+// std::terminate.
+class ProducerJoinGuard {
+ public:
+  ProducerJoinGuard(std::atomic<bool>& cancel, std::counting_semaphore<>& slots,
+                    DoubleBuffer<IngestChunk>& buffer, std::thread& producer)
+      : cancel_(cancel), slots_(slots), buffer_(buffer), producer_(producer) {}
+  ProducerJoinGuard(const ProducerJoinGuard&) = delete;
+  ProducerJoinGuard& operator=(const ProducerJoinGuard&) = delete;
+
+  ~ProducerJoinGuard() {
+    cancel_.store(true, std::memory_order_release);
+    slots_.release();  // the producer re-checks cancel after each slot
+    buffer_.close();   // idempotent; a later produce() returns false
+    producer_.join();
+  }
+
+ private:
+  std::atomic<bool>& cancel_;
+  std::counting_semaphore<>& slots_;
+  DoubleBuffer<IngestChunk>& buffer_;
+  std::thread& producer_;
+};
 }  // namespace
 
 StatusOr<PipelineStats> IngestPipeline::run(
@@ -28,23 +58,72 @@ StatusOr<PipelineStats> IngestPipeline::run(
 StatusOr<PipelineStats> IngestPipeline::run_planned(
     const std::vector<ChunkExtent>& plan,
     const std::function<Status(IngestChunk&)>& process) {
-  PipelineStats stats;
-  stats.chunks.resize(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    stats.chunks[i].index = plan[i].index;
-    stats.chunks[i].bytes = plan[i].length;
-  }
-  if (plan.empty()) return stats;
+  if (plan.empty()) return PipelineStats{};
+  std::size_t next = 0;
+  return run_extents(
+      [&](ChunkExtent& out) -> StatusOr<bool> {
+        if (next == plan.size()) return false;
+        out = plan[next++];
+        return true;
+      },
+      nullptr, process);
+}
 
+StatusOr<PipelineStats> IngestPipeline::run_adaptive(
+    ChunkSizeController& controller,
+    const std::function<Status(IngestChunk&)>& process) {
+  const auto* single = dynamic_cast<const SingleDeviceSource*>(&source_);
+  if (single == nullptr) {
+    return Status::InvalidArgument(
+        "adaptive mode requires a single-device input");
+  }
+  std::uint64_t offset = 0;
+  std::uint64_t index = 0;
+  return run_extents(
+      [&](ChunkExtent& out) -> StatusOr<bool> {
+        if (offset >= single->total_bytes()) return false;
+        const std::uint64_t want = std::max<std::uint64_t>(
+            1, index == 0 ? controller.initial_chunk_bytes()
+                          : controller.next_chunk_bytes());
+        SUPMR_GAUGE_SET("ingest.adaptive.chunk_bytes", want);
+        SUPMR_ASSIGN_OR_RETURN(out, single->extent_at(index, offset, want));
+        offset += out.length;
+        ++index;
+        return true;
+      },
+      &controller, process);
+}
+
+StatusOr<PipelineStats> IngestPipeline::run_extents(
+    const NextExtent& next_extent, ChunkSizeController* controller,
+    const std::function<Status(IngestChunk&)>& process) {
+  PipelineStats stats;
+  std::mutex chunks_mu;  // stats.chunks: the producer appends, the consumer
+                         // fills in wait_s/process_s
   DoubleBuffer<IngestChunk> buffer;
+  // The live-chunk bound: the producer takes a slot before each read, and
+  // the consumer gives it back after each map round, once the chunk's
+  // buffer is back in the pool.
+  std::counting_semaphore<> slots(kMaxLiveChunks);
   std::atomic<bool> cancel{false};
   Status producer_status;  // written by producer before close(), read after join
   const auto run_start = std::chrono::steady_clock::now();
 
   std::thread producer([&] {
     SUPMR_TRACE_THREAD_NAME("ingest.producer");
-    for (const ChunkExtent& extent : plan) {
+    ChunkExtent extent;
+    while (true) {
+      // Find the end of input before waiting for a slot, so the producer
+      // exits as soon as it has read the last chunk.
+      StatusOr<bool> more = next_extent(extent);
+      if (!more.ok()) {
+        producer_status = more.status();
+        break;
+      }
+      if (!*more) break;
+      slots.acquire();
       if (cancel.load(std::memory_order_acquire)) break;
+      ChunkTiming timing{extent.index, extent.length};
       IngestChunk chunk;
       // Recycle a drained buffer so the copying path's resize() is
       // allocation-free once the pool is warm (the zero-copy path never
@@ -68,7 +147,7 @@ StatusOr<PipelineStats> IngestPipeline::run_planned(
           st = session.annotate(st);
           break;
         }
-        stats.chunks[extent.index].attempts += 1;
+        ++timing.attempts;
         ++stats.chunk_retries;
         SUPMR_COUNTER_ADD("ingest.chunk_retries", 1);
         SUPMR_HIST_OBSERVE("ingest.backoff_wait_us", *wait * 1e6);
@@ -76,27 +155,36 @@ StatusOr<PipelineStats> IngestPipeline::run_planned(
                                 extent.index);
         fault::backoff_sleep(*wait, &cancel);
       }
-      const double ingest_s = seconds_since(t0);
-      stats.chunks[extent.index].ingest_s = ingest_s;
-      SUPMR_HIST_OBSERVE("ingest.read_us", ingest_s * 1e6);
+      timing.ingest_s = seconds_since(t0);
+      SUPMR_HIST_OBSERVE("ingest.read_us", timing.ingest_s * 1e6);
+      // Degrade mode: account for a poisoned chunk and move on.
+      timing.skipped = !st.ok() && recovery_.degrade && fault::retryable(st) &&
+                       !cancel.load(std::memory_order_acquire);
+      {
+        std::lock_guard<std::mutex> lock(chunks_mu);
+        stats.chunks.push_back(timing);
+      }
+      if (timing.skipped) {
+        ++stats.chunks_skipped;
+        stats.bytes_skipped += extent.length;
+        SUPMR_COUNTER_ADD("ingest.chunks_skipped", 1);
+        SUPMR_COUNTER_ADD("ingest.bytes_skipped", extent.length);
+        SUPMR_LOG_WARN("ingest: skipping poisoned chunk %llu (%llu bytes): "
+                       "%s",
+                       static_cast<unsigned long long>(extent.index),
+                       static_cast<unsigned long long>(extent.length),
+                       st.to_string().c_str());
+        pool_->release(std::move(chunk.data));
+        slots.release();
+        continue;
+      }
       if (!st.ok()) {
-        if (recovery_.degrade && fault::retryable(st) &&
-            !cancel.load(std::memory_order_acquire)) {
-          // Degrade mode: account for the poisoned chunk and move on.
-          stats.chunks[extent.index].skipped = true;
-          ++stats.chunks_skipped;
-          stats.bytes_skipped += extent.length;
-          SUPMR_COUNTER_ADD("ingest.chunks_skipped", 1);
-          SUPMR_COUNTER_ADD("ingest.bytes_skipped", extent.length);
-          SUPMR_LOG_WARN("ingest: skipping poisoned chunk %llu (%llu bytes): "
-                         "%s",
-                         static_cast<unsigned long long>(extent.index),
-                         static_cast<unsigned long long>(extent.length),
-                         st.to_string().c_str());
-          continue;
-        }
         producer_status = std::move(st);
         break;
+      }
+      if (controller != nullptr) {
+        controller->observe(
+            ChunkFeedback{extent.index, chunk.size(), timing.ingest_s, 0.0});
       }
       SUPMR_COUNTER_ADD("ingest.chunks", 1);
       SUPMR_COUNTER_ADD("ingest.bytes", chunk.size());
@@ -115,10 +203,7 @@ StatusOr<PipelineStats> IngestPipeline::run_planned(
 
   Status consumer_status;
   {
-    // Cancels, closes, and joins on every consumer exit — including an
-    // exception escaping process(), which previously left the producer
-    // blocked in produce() and terminated on the joinable thread.
-    internal::ProducerJoinGuard guard(buffer, cancel, producer);
+    ProducerJoinGuard guard(cancel, slots, buffer, producer);
     IngestChunk chunk;
     while (true) {
       const auto t_wait = std::chrono::steady_clock::now();
@@ -129,7 +214,6 @@ StatusOr<PipelineStats> IngestPipeline::run_planned(
       }
       if (drained) break;  // closed and drained
       const double waited = seconds_since(t_wait);
-      stats.chunks[chunk.index].wait_s = waited;
       stats.consumer_wait_s += waited;
       SUPMR_HIST_OBSERVE("ingest.wait_us", waited * 1e6);
 
@@ -142,16 +226,25 @@ StatusOr<PipelineStats> IngestPipeline::run_planned(
         st = process(chunk);
       }
       const double processed = seconds_since(t_proc);
-      stats.chunks[chunk.index].process_s = processed;
       stats.process_busy_s += processed;
       stats.total_bytes += chunk.size();
       SUPMR_HIST_OBSERVE("ingest.process_us", processed * 1e6);
+      {
+        std::lock_guard<std::mutex> lock(chunks_mu);
+        stats.chunks[chunk.index].wait_s = waited;
+        stats.chunks[chunk.index].process_s = processed;
+      }
+      if (controller != nullptr) {
+        controller->observe(
+            ChunkFeedback{chunk.index, chunk.size(), 0.0, processed});
+      }
       if (!chunk.borrowed()) pool_->release(std::move(chunk.data));
       chunk.data = {};
+      slots.release();
 
       if (!st.ok()) {
         consumer_status = std::move(st);
-        break;  // guard cancels + closes before the join, so no deadlock
+        break;  // the guard cancels and wakes the producer before the join
       }
     }
   }

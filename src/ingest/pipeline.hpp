@@ -2,8 +2,10 @@
 //
 // One producer (ingest) thread reads chunk c_{i+1} from the source while the
 // consumer — the caller's thread, which runs the map waves — processes c_i.
-// A DoubleBuffer bounds residency to two chunks, which is the paper's
-// double-buffering scheme: the pipeline never gets more than one chunk ahead.
+// At most kMaxLiveChunks (two) chunks are live, the one being mapped and the
+// one being read, which is the paper's double-buffering scheme: the pipeline
+// never gets more than one chunk ahead. Extents come either from a plan or,
+// in adaptive mode, from a ChunkSizeController (ingest/adaptive.hpp).
 //
 // The run is the paper's n+1 rounds: the first chunk is ingested with no
 // compute overlapped (the consumer just waits), the middle rounds overlap
@@ -29,6 +31,8 @@
 #include "ingest/source.hpp"
 
 namespace supmr::ingest {
+
+class ChunkSizeController;
 
 struct ChunkTiming {
   std::uint64_t index = 0;
@@ -81,12 +85,27 @@ class IngestPipeline {
       const std::vector<ChunkExtent>& plan,
       const std::function<Status(IngestChunk&)>& process);
 
+  // Runs with no plan (paper §VIII's feedback loop): each next chunk is
+  // `controller`'s byte target from the end of the last one, cut at a
+  // record boundary, and every read and map time is fed back to it. The
+  // source must be a SingleDeviceSource.
+  StatusOr<PipelineStats> run_adaptive(
+      ChunkSizeController& controller,
+      const std::function<Status(IngestChunk&)>& process);
+
   // Owned-buffer recycling across rounds (see ChunkBufferPool): exposed so
   // tests and benchmarks can assert steady-state reuse. Resolves to the
   // shared pool when one was attached.
   const ChunkBufferPool& buffer_pool() const { return *pool_; }
 
  private:
+  // Sets `out` to the next extent to read; false once the input is done.
+  using NextExtent = std::function<StatusOr<bool>(ChunkExtent& out)>;
+
+  StatusOr<PipelineStats> run_extents(
+      const NextExtent& next_extent, ChunkSizeController* controller,
+      const std::function<Status(IngestChunk&)>& process);
+
   const IngestSource& source_;
   fault::Recovery recovery_;
   ChunkBufferPool owned_pool_;

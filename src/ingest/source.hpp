@@ -51,8 +51,13 @@ class SingleDeviceSource final : public IngestSource {
   std::uint64_t total_bytes() const override { return device_->size(); }
   storage::DeviceModel model() const override { return device_->model(); }
 
-  const storage::Device& device() const { return *device_; }
-  const RecordFormat& format() const { return *format_; }
+  // One planning step: chunk `index` starts at `offset` and ends at the
+  // first record boundary at or after offset + bytes (`bytes` >= 1). plan()
+  // repeats it at chunk_bytes(); adaptive ingest sizes each step by
+  // feedback instead.
+  StatusOr<ChunkExtent> extent_at(std::uint64_t index, std::uint64_t offset,
+                                  std::uint64_t bytes) const;
+
   std::uint64_t chunk_bytes() const { return chunk_bytes_; }
   IoMode io() const { return io_; }
 

@@ -184,6 +184,17 @@ TEST(CliValidation, CombiningAcceptedForWordCount) {
   std::remove(corpus.c_str());
 }
 
+TEST(CliValidation, AdaptiveModeRejectsMultiFileInput) {
+  // Adaptive chunk sizing cuts one device at record boundaries; a
+  // multi-file index job has no single device to cut.
+  const std::string a = write_temp_corpus("cli_adaptive_a.txt");
+  const std::string b = write_temp_corpus("cli_adaptive_b.txt");
+  expect_rejected("index " + a + " " + b + " --mode=adaptive",
+                  "adaptive mode requires a single-device input");
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
 TEST(CliValidation, ReplaySpecRejectsCombiningForCombinerlessApp) {
   const std::string path = ::testing::TempDir() + "/combining_sort_spec.json";
   FILE* f = std::fopen(path.c_str(), "w");

@@ -23,12 +23,13 @@
 namespace supmr {
 namespace {
 
-using ingest::AdaptivePipeline;
 using ingest::ChunkFeedback;
 using ingest::HybridFileSource;
 using ingest::IngestChunk;
+using ingest::IngestPipeline;
 using ingest::LineFormat;
 using ingest::RateMatchingController;
+using ingest::SingleDeviceSource;
 using storage::MemDevice;
 
 std::shared_ptr<const storage::Device> mem(std::string s,
@@ -158,7 +159,7 @@ TEST(HybridSource, WordCountOverHybridMatchesReference) {
   EXPECT_EQ(hybrid_app.results(), plain_app.results());
 }
 
-// ------------------------------------------------------ adaptive pipeline
+// ------------------------------------------------------- adaptive ingest
 
 TEST(RateMatchingController, LearnsBandwidths) {
   RateMatchingController ctl;
@@ -196,25 +197,29 @@ TEST(RateMatchingController, IgnoresEmptyFeedback) {
   EXPECT_EQ(ctl.ingest_bw_estimate(), 0.0);
 }
 
-TEST(AdaptivePipeline, DeliversAllBytesInOrder) {
+// Adaptive mode ignores the source's chunk_bytes; 0 marks it unused.
+SingleDeviceSource adaptive_source(std::shared_ptr<const storage::Device> dev) {
+  return SingleDeviceSource(std::move(dev), std::make_shared<LineFormat>(), 0);
+}
+
+TEST(AdaptiveIngest, DeliversAllBytesInOrder) {
   wload::TextCorpusConfig cfg;
   cfg.total_bytes = 300 * 1024;
   const std::string text = wload::generate_text(cfg);
-  MemDevice dev(text);
-  LineFormat format;
+  const SingleDeviceSource src = adaptive_source(mem(text));
   RateMatchingController::Options opt;
   opt.initial_bytes = 8 * 1024;
   opt.min_bytes = 1024;
   opt.max_bytes = 64 * 1024;
   opt.round_floor_s = 0.001;
   RateMatchingController ctl(opt);
-  AdaptivePipeline pipeline(dev, format, ctl);
+  IngestPipeline pipeline(src);
   std::string rebuilt;
   std::uint64_t last_index = 0;
-  auto stats = pipeline.run([&](IngestChunk& c) {
+  auto stats = pipeline.run_adaptive(ctl, [&](IngestChunk& c) {
     EXPECT_GE(c.index, last_index);
     last_index = c.index;
-    rebuilt.append(c.data.data(), c.data.size());
+    rebuilt.append(c.bytes().data(), c.size());
     return Status::Ok();
   });
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
@@ -223,23 +228,24 @@ TEST(AdaptivePipeline, DeliversAllBytesInOrder) {
   EXPECT_GE(stats->chunks.size(), 4u);
 }
 
-TEST(AdaptivePipeline, ShrinksChunksWhenIngestSlow) {
+TEST(AdaptiveIngest, ShrinksChunksWhenIngestSlow) {
   // Throttled device (slow ingest) + instant processing: the controller
   // should converge to small chunks (ingest paces the pipeline).
   auto base = std::make_shared<MemDevice>(
       wload::generate_text({.total_bytes = 1024 * 1024}), "slow");
   auto limiter =
       std::make_shared<storage::RateLimiter>(8.0e6, /*burst=*/16 * 1024);
-  storage::ThrottledDevice dev(base, limiter);
-  LineFormat format;
+  const SingleDeviceSource src = adaptive_source(
+      std::make_shared<storage::ThrottledDevice>(base, limiter));
   RateMatchingController::Options opt;
   opt.initial_bytes = 256 * 1024;  // start far too big
   opt.min_bytes = 4 * 1024;
   opt.max_bytes = 1 << 20;
   opt.round_floor_s = 0.002;  // 2 ms rounds at 8 MB/s -> ~16 KB chunks
   RateMatchingController ctl(opt);
-  AdaptivePipeline pipeline(dev, format, ctl);
-  auto stats = pipeline.run([](IngestChunk&) { return Status::Ok(); });
+  IngestPipeline pipeline(src);
+  auto stats =
+      pipeline.run_adaptive(ctl, [](IngestChunk&) { return Status::Ok(); });
   ASSERT_TRUE(stats.ok());
   ASSERT_GE(stats->chunks.size(), 3u);
   // Later chunks must be much smaller than the oversized initial chunk.
@@ -252,26 +258,25 @@ TEST(AdaptivePipeline, ShrinksChunksWhenIngestSlow) {
   EXPECT_LT(chunks[chunks.size() / 2].bytes, stats->chunks[0].bytes);
 }
 
-TEST(AdaptivePipeline, ConsumerErrorCancels) {
-  MemDevice dev(wload::generate_text({.total_bytes = 200 * 1024}));
-  LineFormat format;
+TEST(AdaptiveIngest, ConsumerErrorCancels) {
+  const SingleDeviceSource src =
+      adaptive_source(mem(wload::generate_text({.total_bytes = 200 * 1024})));
   ingest::FixedChunkController ctl(8 * 1024);
-  AdaptivePipeline pipeline(dev, format, ctl);
+  IngestPipeline pipeline(src);
   int calls = 0;
-  auto stats = pipeline.run([&](IngestChunk&) {
+  auto stats = pipeline.run_adaptive(ctl, [&](IngestChunk&) {
     return ++calls == 2 ? Status::Internal("stop") : Status::Ok();
   });
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(calls, 2);
 }
 
-TEST(AdaptivePipeline, EmptyDevice) {
-  MemDevice dev("");
-  LineFormat format;
+TEST(AdaptiveIngest, EmptyDevice) {
+  const SingleDeviceSource src = adaptive_source(mem(""));
   ingest::FixedChunkController ctl(1024);
-  AdaptivePipeline pipeline(dev, format, ctl);
+  IngestPipeline pipeline(src);
   int calls = 0;
-  auto stats = pipeline.run([&](IngestChunk&) {
+  auto stats = pipeline.run_adaptive(ctl, [&](IngestChunk&) {
     ++calls;
     return Status::Ok();
   });
@@ -294,13 +299,10 @@ TEST(MapReduceJob, AdaptiveRunMatchesFixedRun) {
   ASSERT_TRUE(fixed_job.run(core::ExecMode::kIngestMR).ok());
 
   apps::WordCountApp adaptive_app;
-  MemDevice dev(text);
-  LineFormat format;
   RateMatchingController ctl;
-  // The job still needs a source for construction; it is unused by the
-  // adaptive entry point.
+  // Adaptive mode plans over the same source, ignoring its chunk size.
   core::MapReduceJob adaptive_job(adaptive_app, src, jc);
-  adaptive_job.set_adaptive(dev, format, ctl);
+  adaptive_job.set_chunk_controller(ctl);
   auto r = adaptive_job.run(core::ExecMode::kAdaptive);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_TRUE(r->phases.has_combined_readmap);

@@ -479,8 +479,8 @@ TEST(UnifiedRun, AllModesAgreeOnWordCounts) {
     config.num_map_threads = 2;
     config.num_reduce_threads = 2;
     core::MapReduceJob job(app, src, config);
-    // kAdaptive with no set_adaptive(): derived from the
-    // SingleDeviceSource with an internal controller.
+    // kAdaptive with no set_chunk_controller(): the job's own
+    // RateMatchingController sizes the chunks.
     auto result = job.run(config.mode);
     ASSERT_TRUE(result.ok())
         << core::exec_mode_name(mode) << ": " << result.status().to_string();

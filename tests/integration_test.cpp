@@ -10,7 +10,6 @@
 #include "apps/tera_sort.hpp"
 #include "apps/word_count.hpp"
 #include "core/job.hpp"
-#include "ingest/adaptive.hpp"
 #include "ingest/hybrid_source.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
@@ -177,9 +176,6 @@ TEST(Integration, AllModesAgreeOnGrep) {
     } else if (mode == 1) {
       EXPECT_TRUE(job.run(core::ExecMode::kIngestMR).ok());
     } else {
-      LineFormat format;
-      ingest::RateMatchingController ctl;
-      job.set_adaptive(*dev, format, ctl);
       EXPECT_TRUE(job.run(core::ExecMode::kAdaptive).ok());
     }
     return app.results();

@@ -28,6 +28,7 @@
 #include "common/scan.hpp"
 #include "core/job.hpp"
 #include "fault/retrying_device.hpp"
+#include "ingest/adaptive.hpp"
 #include "ingest/chunk.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/record_format.hpp"
@@ -374,34 +375,41 @@ TEST(MultiFileSource, MmapBorrowsOnlySingleFileChunks) {
   }
 }
 
-// Pipeline-level: the copying path recycles buffers (steady-state
-// allocation drops to zero), the mmap path streams borrowed chunks.
+// Pipeline-level, over planned and controller-sized extents: the copying
+// path recycles buffers (steady-state allocation drops to zero), the mmap
+// path streams borrowed chunks.
 TEST(IngestPipeline, PoolRecyclesOnCopyPathBorrowsOnMmapPath) {
   const std::string data = corpus(128 * 1024, 9);
   auto dev = std::make_shared<storage::MemDevice>(data, "mem");
   auto format = std::make_shared<ingest::LineFormat>();
 
   for (core::IoMode io : {core::IoMode::kRead, core::IoMode::kMmap}) {
-    ingest::SingleDeviceSource src(dev, format, 8 * 1024, io);
-    ingest::IngestPipeline pipeline(src);
-    std::size_t chunks = 0, borrowed = 0;
-    std::uint64_t bytes = 0;
-    auto stats = pipeline.run([&](ingest::IngestChunk& chunk) {
-      ++chunks;
-      if (chunk.borrowed()) ++borrowed;
-      bytes += chunk.size();
-      return Status::Ok();
-    });
-    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-    EXPECT_EQ(bytes, data.size());
-    EXPECT_GT(chunks, 4u);
-    if (io == core::IoMode::kRead) {
-      EXPECT_EQ(borrowed, 0u);
-      // The producer runs at most one chunk ahead of the consumer, so only
-      // the first few acquires can miss the freelist.
-      EXPECT_GE(pipeline.buffer_pool().reuses(), chunks - 3);
-    } else {
-      EXPECT_EQ(borrowed, chunks);
+    for (bool adaptive : {false, true}) {
+      ingest::SingleDeviceSource src(dev, format, 8 * 1024, io);
+      ingest::IngestPipeline pipeline(src);
+      ingest::FixedChunkController controller(8 * 1024);
+      std::size_t chunks = 0, borrowed = 0;
+      std::uint64_t bytes = 0;
+      const auto count = [&](ingest::IngestChunk& chunk) {
+        ++chunks;
+        if (chunk.borrowed()) ++borrowed;
+        bytes += chunk.size();
+        return Status::Ok();
+      };
+      auto stats = adaptive ? pipeline.run_adaptive(controller, count)
+                            : pipeline.run(count);
+      ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+      EXPECT_EQ(bytes, data.size());
+      EXPECT_GT(chunks, 4u);
+      if (io == core::IoMode::kRead) {
+        EXPECT_EQ(borrowed, 0u);
+        // At most two chunks are live, and the consumer returns a chunk's
+        // buffer before the producer may read the next one, so only the
+        // first two acquires can miss the freelist.
+        EXPECT_GE(pipeline.buffer_pool().reuses(), chunks - 2);
+      } else {
+        EXPECT_EQ(borrowed, chunks);
+      }
     }
   }
 }

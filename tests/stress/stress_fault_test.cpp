@@ -1,9 +1,10 @@
-// Fault-injection stress: the chunk-recovery paths of both pipelines under
-// seeded probabilistic faults. The hang risks hunted here: a permanent fault
-// must surface as a clean Status with the producer joined (not a wedged
-// double buffer), backoff sleeps must honor pipeline cancellation, and
-// degrade-mode skips must keep the stream advancing. Each TEST_P runs per
-// seed in kStressSeeds; sanitizer builds run this suite under TSan/ASan.
+// Fault-injection stress: the pipeline's chunk-recovery paths, over planned
+// and controller-sized extents, under seeded probabilistic faults. The hang
+// risks hunted here: a permanent fault must surface as a clean Status with
+// the producer joined (not a wedged double buffer), backoff sleeps must
+// honor pipeline cancellation, and degrade-mode skips must keep the stream
+// advancing. Each TEST_P runs per seed in kStressSeeds; sanitizer builds run
+// this suite under TSan/ASan.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -157,7 +158,7 @@ TEST_P(FaultStress, DegradeModeAccountsForEveryChunk) {
   EXPECT_EQ(bytes + stats->bytes_skipped, text.size());
 }
 
-// Adaptive pipeline: same degrade discipline with controller-driven chunk
+// Adaptive ingest: same degrade discipline with controller-driven chunk
 // sizing — skips must advance the stream, not stall or re-read forever.
 TEST_P(FaultStress, AdaptiveDegradeAdvancesPastPoison) {
   test::SchedFuzz fuzz(GetParam());
@@ -170,18 +171,18 @@ TEST_P(FaultStress, AdaptiveDegradeAdvancesPastPoison) {
   const std::uint64_t lo = 2000 + sched.rand() % 4000;
   plan.permanent.emplace_back(lo, lo + 500);
   storage::FaultDevice fault(&base, plan);
-  ingest::FixedFormat format(100);
+  ingest::SingleDeviceSource src(
+      borrow(&fault), std::make_shared<ingest::FixedFormat>(100), 0);
   ingest::RateMatchingController::Options copt;
   copt.initial_bytes = 1024;
   copt.min_bytes = 256;
   copt.max_bytes = 4096;
   ingest::RateMatchingController controller(copt);
-  ingest::AdaptivePipeline pipeline(fault, format, controller,
-                                    fast_recovery(2, /*degrade=*/true));
+  ingest::IngestPipeline pipeline(src, fast_recovery(2, /*degrade=*/true));
   std::uint64_t bytes = 0;
-  auto stats = pipeline.run([&](IngestChunk& chunk) {
+  auto stats = pipeline.run_adaptive(controller, [&](IngestChunk& chunk) {
     sched.yield_point();
-    bytes += chunk.data.size();
+    bytes += chunk.size();
     return Status::Ok();
   });
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();

@@ -1,9 +1,9 @@
-// Ingest pipeline error-path and cancellation stress, for both the planned
-// IngestPipeline and the AdaptivePipeline. The key interleaving: when the
+// Ingest pipeline error-path and cancellation stress, over planned and
+// controller-sized (adaptive) extents. The key interleaving: when the
 // consumer fails (or throws) on an early chunk, the producer is usually
-// blocked inside DoubleBuffer::produce() on a full buffer — the run must
-// close the buffer before joining or it deadlocks (the ctest TIMEOUT turns
-// that hang into a failure). Each TEST_P runs per seed in kStressSeeds.
+// blocked waiting for a live-chunk slot — the run must wake it before
+// joining or it deadlocks (the ctest TIMEOUT turns that hang into a
+// failure). Each TEST_P runs per seed in kStressSeeds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,8 +43,8 @@ ingest::SingleDeviceSource make_source(
 class PipelineStress : public ::testing::TestWithParam<std::uint64_t> {};
 
 // The satellite scenario: processing fails on chunk 0 while the producer
-// races ahead and blocks on the full double buffer. Pre-fix pipelines that
-// joined without closing the buffer hang here forever.
+// races ahead and blocks waiting for a live-chunk slot. A pipeline that
+// joins without waking it hangs here forever.
 TEST_P(PipelineStress, ConsumerErrorOnChunk0DoesNotDeadlock) {
   test::SchedFuzz fuzz(GetParam());
   auto dev = std::make_shared<MemDevice>(make_text(400), "m");
@@ -53,7 +53,7 @@ TEST_P(PipelineStress, ConsumerErrorOnChunk0DoesNotDeadlock) {
 
   test::SchedFuzz::Stream sched(fuzz, 0);
   auto result = pipeline.run([&](IngestChunk& chunk) -> Status {
-    // Give the producer time to fill both slots and block in produce().
+    // Give the producer time to read chunk 1 and block on a slot.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     sched.yield_point();
     EXPECT_EQ(chunk.index, 0u);
@@ -86,9 +86,9 @@ TEST_P(PipelineStress, ConsumerErrorOnRandomChunkDoesNotDeadlock) {
   EXPECT_EQ(processed, fail_at);  // chunks arrive in stream order
 }
 
-// Regression for the ProducerJoinGuard: an exception escaping process() used
-// to destroy the (joinable, possibly produce()-blocked) producer thread,
-// i.e. std::terminate. Now it propagates after a clean cancel + join.
+// Regression for the producer join guard: an exception escaping process()
+// used to destroy the (joinable, possibly blocked) producer thread, i.e.
+// std::terminate. Now it propagates after a clean cancel + join.
 TEST_P(PipelineStress, ProcessThrowingPropagatesWithoutTerminate) {
   test::SchedFuzz fuzz(GetParam());
   auto dev = std::make_shared<MemDevice>(make_text(400), "m");
@@ -145,7 +145,7 @@ TEST_P(PipelineStress, HappyPathDeliversAllBytesInOrderUnderFuzz) {
   EXPECT_EQ(result->total_bytes, text.size());
 }
 
-// ------------------------------------------------------ adaptive pipeline
+// ------------------------------------------------------- adaptive ingest
 
 ingest::RateMatchingController::Options small_chunks() {
   ingest::RateMatchingController::Options opt;
@@ -158,12 +158,12 @@ ingest::RateMatchingController::Options small_chunks() {
 
 TEST_P(PipelineStress, AdaptiveConsumerErrorOnChunk0DoesNotDeadlock) {
   test::SchedFuzz fuzz(GetParam());
-  MemDevice dev(make_text(400));
-  ingest::LineFormat format;
+  auto src = make_source(std::make_shared<MemDevice>(make_text(400), "m"));
   ingest::RateMatchingController controller(small_chunks());
-  ingest::AdaptivePipeline pipeline(dev, format, controller);
+  ingest::IngestPipeline pipeline(src);
 
-  auto result = pipeline.run([&](IngestChunk& chunk) -> Status {
+  auto result =
+      pipeline.run_adaptive(controller, [&](IngestChunk& chunk) -> Status {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     EXPECT_EQ(chunk.index, 0u);
     return Status::Internal("chunk 0 processing failed");
@@ -174,12 +174,11 @@ TEST_P(PipelineStress, AdaptiveConsumerErrorOnChunk0DoesNotDeadlock) {
 
 TEST_P(PipelineStress, AdaptiveProcessThrowingPropagatesWithoutTerminate) {
   test::SchedFuzz fuzz(GetParam());
-  MemDevice dev(make_text(400));
-  ingest::LineFormat format;
+  auto src = make_source(std::make_shared<MemDevice>(make_text(400), "m"));
   ingest::RateMatchingController controller(small_chunks());
-  ingest::AdaptivePipeline pipeline(dev, format, controller);
+  ingest::IngestPipeline pipeline(src);
   EXPECT_THROW(
-      pipeline.run([&](IngestChunk&) -> Status {
+      pipeline.run_adaptive(controller, [&](IngestChunk&) -> Status {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         throw std::runtime_error("mapper exploded");
       }),
@@ -190,14 +189,14 @@ TEST_P(PipelineStress, AdaptiveHappyPathReassemblesInput) {
   test::SchedFuzz fuzz(GetParam());
   test::SchedFuzz::Stream sched(fuzz, 0);
   const std::string text = make_text(400);
-  MemDevice dev(text);
-  ingest::LineFormat format;
+  auto src = make_source(std::make_shared<MemDevice>(text, "m"));
   ingest::RateMatchingController controller(small_chunks());
-  ingest::AdaptivePipeline pipeline(dev, format, controller);
+  ingest::IngestPipeline pipeline(src);
 
   std::string reassembled;
-  auto result = pipeline.run([&](IngestChunk& chunk) -> Status {
-    reassembled.append(chunk.data.data(), chunk.data.size());
+  auto result =
+      pipeline.run_adaptive(controller, [&](IngestChunk& chunk) -> Status {
+    reassembled.append(chunk.bytes().data(), chunk.size());
     sched.yield_point();
     return Status::Ok();
   });

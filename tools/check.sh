@@ -3,6 +3,9 @@
 #
 # Stages:
 #   plain     — full build, full ctest (the tier-1 gate from ROADMAP.md)
+#   flake     — the plain build's unit and stress tests, each rerun until
+#               it fails, up to FLAKE_REPEATS times: a timing-sensitive
+#               assertion fails in the change that adds it
 #   tsan      — -DSUPMR_SANITIZE=thread,           ctest -L sanitizer
 #   asan      — -DSUPMR_SANITIZE=address,undefined, ctest -L sanitizer
 #   obs-smoke — run the quickstart with --metrics-json/--trace-out and
@@ -66,8 +69,14 @@ JOBS="${JOBS:-$(nproc)}"
 SUPP="${ROOT}/tools/sanitizers"
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] &&
-  STAGES=(plain tsan asan obs-smoke fault-smoke coverage harness harness-asan
-    jobmix-smoke graph-smoke combining-smoke cluster-smoke perf-smoke)
+  STAGES=(plain flake tsan asan obs-smoke fault-smoke coverage harness
+    harness-asan jobmix-smoke graph-smoke combining-smoke cluster-smoke
+    perf-smoke)
+
+# Repeats per test in the flake stage. 50 repeats of `ctest -L
+# 'unit|stress'` take 5 to 7 minutes on a 4-core machine and catch an
+# assertion that fails one run in 20 with probability 1 - 0.95^50 = 0.92.
+readonly FLAKE_REPEATS=50
 
 # Branch-point line-coverage floors for the merge-critical layers (the
 # coverage stage fails if a change lets these regress).
@@ -161,6 +170,12 @@ run_stage() {
     plain)
       configure_and_build "${ROOT}/build-check-plain"
       (cd "${ROOT}/build-check-plain" && ctest --output-on-failure -j "${JOBS}")
+      ;;
+    flake)
+      configure_and_build "${ROOT}/build-check-plain"
+      (cd "${ROOT}/build-check-plain" &&
+        ctest -L 'unit|stress' --repeat "until-fail:${FLAKE_REPEATS}" \
+          --output-on-failure -j "${JOBS}")
       ;;
     tsan)
       configure_and_build "${ROOT}/build-check-tsan" \
@@ -366,7 +381,7 @@ run_stage() {
       "${ROOT}/.bench_build/perfbench/perfbench_spans_test"
       ;;
     *)
-      echo "unknown stage '${stage}' (want plain, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, cluster-smoke, or perf-smoke)" >&2
+      echo "unknown stage '${stage}' (want plain, flake, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, cluster-smoke, or perf-smoke)" >&2
       return 2
       ;;
   esac

@@ -112,7 +112,6 @@
 #include "runtime/serve_spec.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/retrying_device.hpp"
-#include "ingest/adaptive.hpp"
 #include "ingest/hybrid_source.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
@@ -318,8 +317,6 @@ std::FILE* human_out(const CommonConfig& cfg) {
 // Runs `app` over `source` honoring --mode; prints the phase row.
 StatusOr<core::JobResult> run_app(core::Application& app,
                                   const ingest::IngestSource& source,
-                                  const storage::Device* device,
-                                  const ingest::RecordFormat* format,
                                   const CommonConfig& cfg) {
   // Container selection before init: apps without a combiner reject
   // --container=combining here instead of silently falling back.
@@ -334,14 +331,6 @@ StatusOr<core::JobResult> run_app(core::Application& app,
   // --mode asked for a pipelined runtime (there is nothing to pipeline).
   core::ExecMode mode = cfg.job.mode;
   if (cfg.chunk_bytes == 0) mode = core::ExecMode::kOriginal;
-  ingest::RateMatchingController controller;
-  if (mode == core::ExecMode::kAdaptive) {
-    if (device == nullptr || format == nullptr) {
-      return Status::InvalidArgument(
-          "--mode=adaptive requires a single-device input");
-    }
-    job.set_adaptive(*device, *format, controller);
-  }
   StatusOr<core::JobResult> result = job.run(mode);
   if (tracing) {
     TimeSeries trace = sampler.stop();
@@ -474,17 +463,13 @@ Status cmd_wordcount(const Flags& flags) {
     containers::SpillingHashContainer::Options opt;
     opt.memory_budget_bytes = budget;
     apps::ExternalWordCountApp app(opt);
-    SUPMR_ASSIGN_OR_RETURN(
-        core::JobResult result,
-        run_app(app, source, dev.get(), format.get(), cfg));
+    SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
     (void)result;
     std::fprintf(human_out(cfg), "spilled runs: %zu\n", app.runs_spilled());
     words = app.results();
   } else {
     apps::WordCountApp app;
-    SUPMR_ASSIGN_OR_RETURN(
-        core::JobResult result,
-        run_app(app, source, dev.get(), format.get(), cfg));
+    SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
     (void)result;
     words = app.results();
   }
@@ -545,8 +530,7 @@ Status cmd_sort(const Flags& flags) {
   ingest::SingleDeviceSource source(dev, format, cfg.chunk_bytes,
                                     cfg.job.io);
   apps::TeraSortApp app(opt);
-  SUPMR_ASSIGN_OR_RETURN(core::JobResult result,
-                         run_app(app, source, dev.get(), format.get(), cfg));
+  SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
   (void)result;
   if (app.malformed_records() > 0) {
     std::fprintf(human_out(cfg), "warning: %llu malformed records\n",
@@ -595,8 +579,7 @@ Status cmd_grep(const Flags& flags) {
   ingest::SingleDeviceSource source(dev, format, cfg.chunk_bytes,
                                     cfg.job.io);
   apps::GrepApp app(patterns);
-  SUPMR_ASSIGN_OR_RETURN(core::JobResult result,
-                         run_app(app, source, dev.get(), format.get(), cfg));
+  SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
   (void)result;
   for (const auto& [pattern, hits] : app.results())
     std::fprintf(human_out(cfg), "%10llu  %s\n", (unsigned long long)hits,
@@ -630,8 +613,7 @@ Status cmd_histogram(const Flags& flags) {
   ingest::SingleDeviceSource source(dev, format, cfg.chunk_bytes,
                                     cfg.job.io);
   apps::HistogramApp app(opt);
-  SUPMR_ASSIGN_OR_RETURN(core::JobResult result,
-                         run_app(app, source, dev.get(), format.get(), cfg));
+  SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
   (void)result;
   std::uint64_t peak = 1;
   for (auto c : app.counts()) peak = std::max(peak, c);
@@ -665,8 +647,7 @@ Status cmd_index(const Flags& flags) {
                          flags.get_int("files-per-chunk", 4));
   ingest::MultiFileSource source(files, per_chunk, cfg.job.io);
   apps::InvertedIndexApp app;
-  SUPMR_ASSIGN_OR_RETURN(core::JobResult result,
-                         run_app(app, source, nullptr, nullptr, cfg));
+  SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
   (void)result;
   std::fprintf(human_out(cfg), "%llu words indexed across %zu files\n",
                (unsigned long long)app.index().size(), files.size());
