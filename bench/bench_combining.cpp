@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "apps/pair_count.hpp"
+#include "apps/split.hpp"
+#include "apps/tokenize.hpp"
 #include "apps/word_count.hpp"
 #include "bench/bench_util.hpp"
 #include "containers/hash.hpp"
@@ -64,7 +66,7 @@ class RawWordCountApp final : public core::Application {
   std::size_t round_tasks() const override { return splits_.size(); }
   void map_task(std::size_t task, std::size_t thread_id) override {
     auto& log = logs_[thread_id];
-    apps::for_each_word(splits_[task], [&](std::string_view word) {
+    apps::tokenize_words(splits_[task], [&](std::string_view word) {
       log.emplace_back(word, 1);
       bytes_logged_[thread_id] += word.size() + sizeof(std::uint64_t);
     });

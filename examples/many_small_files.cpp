@@ -59,15 +59,16 @@ int main(int argc, char** argv) {
   const auto* widest = &index[0];
   const auto* narrowest = &index[0];
   for (const auto& posting : index) {
-    if (posting.files.size() > widest->files.size()) widest = &posting;
-    if (posting.files.size() < narrowest->files.size()) narrowest = &posting;
+    if (posting.second.size() > widest->second.size()) widest = &posting;
+    if (posting.second.size() < narrowest->second.size()) narrowest = &posting;
   }
   auto show = [&](const char* tag, const apps::InvertedIndexApp::Posting& p) {
-    std::printf("%s '%s' appears in %zu files: [", tag, p.word.c_str(),
-                p.files.size());
-    for (std::size_t i = 0; i < std::min<std::size_t>(8, p.files.size()); ++i)
-      std::printf("%s%u", i ? ", " : "", p.files[i]);
-    std::printf("%s]\n", p.files.size() > 8 ? ", ..." : "");
+    const auto& [word, files] = p;
+    std::printf("%s '%s' appears in %zu files: [", tag, word.c_str(),
+                files.size());
+    for (std::size_t i = 0; i < std::min<std::size_t>(8, files.size()); ++i)
+      std::printf("%s%u", i ? ", " : "", files[i]);
+    std::printf("%s]\n", files.size() > 8 ? ", ..." : "");
   };
   show("most widespread:", *widest);
   show("rarest:         ", *narrowest);

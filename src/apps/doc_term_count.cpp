@@ -2,43 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
+#include <cstdio>
 
 #include "apps/tokenize.hpp"
-#include "merge/introsort.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
 
 namespace supmr::apps {
 
 void DocTermCountApp::init(std::size_t num_map_threads) {
-  num_mappers_ = num_map_threads;
-  container_.init(num_map_threads, /*capacity_hint=*/4096);
-  results_.clear();
-  partitions_.clear();
+  init_container(num_map_threads, /*capacity_hint=*/4096);
 }
 
 Status DocTermCountApp::prepare_round(const ingest::IngestChunk& chunk) {
-  if (chunk.files.empty()) {
-    return Status::InvalidArgument(
-        "doc term count requires intra-file chunking (MultiFileSource): "
-        "chunk carries no file spans");
-  }
-  tasks_.assign(std::min(num_mappers_, chunk.files.size()), {});
-  std::size_t next = 0;
-  for (const ingest::FileSpan& span : chunk.files) {
-    tasks_[next].push_back(FileTask{
-        chunk.bytes().subspan(span.offset_in_chunk, span.length),
-        static_cast<std::uint32_t>(span.file_index)});
-    next = (next + 1) % tasks_.size();
-  }
+  SUPMR_ASSIGN_OR_RETURN(tasks_,
+                         deal_files(chunk, num_mappers_, "doc term count"));
   return Status::Ok();
 }
 
 void DocTermCountApp::map_task(std::size_t task, std::size_t thread_id) {
   assert(task < tasks_.size());
   char key[kMaxWord + 16];
-  for (const FileTask& file : tasks_[task]) {
+  for (const FileSplit& file : tasks_[task]) {
     // Composite key prefix "<file_id>\t" shared by every word of the file.
     const int prefix = std::snprintf(key, sizeof(key), "%u\t", file.file_id);
     tokenize_words(file.text, [&](std::string_view word) {
@@ -49,80 +32,6 @@ void DocTermCountApp::map_task(std::size_t task, std::size_t thread_id) {
           std::uint64_t{1});
     });
   }
-}
-
-Status DocTermCountApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  partitions_.assign(num_partitions, {});
-  std::vector<std::function<void(std::size_t)>> tasks;
-  tasks.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    tasks.push_back([this, p, num_partitions](std::size_t) {
-      partitions_[p] = container_.reduce_partition(p, num_partitions);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
-  return Status::Ok();
-}
-
-Status DocTermCountApp::merge(ThreadPool& pool, const core::MergePlan& plan,
-                              merge::MergeStats* stats) {
-  auto by_key = [](const Result& a, const Result& b) {
-    return a.first < b.first;
-  };
-  std::vector<std::function<void(std::size_t)>> sort_tasks;
-  for (auto& part : partitions_) {
-    sort_tasks.push_back([&part, &by_key](std::size_t) {
-      merge::introsort(part.begin(), part.end(), by_key);
-    });
-  }
-  if (!pool.run_wave(sort_tasks))
-    return Status::Internal("merge sort wave dropped: thread pool shut down");
-
-  std::uint64_t total = 0;
-  for (const auto& part : partitions_) total += part.size();
-  results_.resize(total);
-
-  merge::MergeStats local;
-  if (plan.mode != core::MergeMode::kPairwise) {
-    std::vector<std::span<const Result>> runs;
-    runs.reserve(partitions_.size());
-    for (const auto& part : partitions_)
-      runs.push_back(std::span<const Result>(part.data(), part.size()));
-    const std::size_t p = plan.mode == core::MergeMode::kPartitioned
-                              ? plan.partitions
-                              : 0;
-    local = merge::parallel_pway_merge(pool, std::move(runs),
-                                       results_.data(), by_key, p);
-  } else {
-    std::vector<std::span<Result>> runs;
-    std::size_t offset = 0;
-    for (auto& part : partitions_) {
-      std::copy(part.begin(), part.end(), results_.begin() + offset);
-      runs.push_back(std::span<Result>(results_.data() + offset, part.size()));
-      offset += part.size();
-    }
-    local = merge::pairwise_merge(
-        pool, std::move(runs),
-        std::span<Result>(results_.data(), results_.size()), by_key);
-  }
-  partitions_.clear();
-  if (stats != nullptr) *stats = std::move(local);
-  return Status::Ok();
-}
-
-std::string DocTermCountApp::canonical_output() const {
-  // The key already contains "<file_id>\t<word>"; appending "\t<count>"
-  // yields three-field lines the TF-IDF join tells apart from the
-  // two-field inverted-index lines by tab count.
-  std::string out;
-  for (const auto& [key, count] : results_) {
-    out += key;
-    out += '\t';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace supmr::apps

@@ -7,60 +7,35 @@
 // table. Like the inverted index it REQUIRES intra-file chunking
 // (MultiFileSource): file identity comes from the chunk's FileSpans and
 // must survive coalescing. Canonical lines are "<file_id>\t<word>\t<count>"
-// in composite-key order.
+// in composite-key order; the TF-IDF join tells them apart from the
+// two-field inverted-index lines by tab count.
 #pragma once
 
-#include <span>
-#include <string>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
+#include "apps/keyed_app.hpp"
+#include "apps/split.hpp"
 #include "containers/combiners.hpp"
 #include "containers/combining.hpp"
-#include "core/application.hpp"
 
 namespace supmr::apps {
 
-class DocTermCountApp final : public core::Application {
+class DocTermCountApp final
+    : public KeyedApp<containers::SwitchedContainer<
+          containers::SumCombiner<std::uint64_t>>> {
  public:
-  using Result = std::pair<std::string, std::uint64_t>;
-
   void init(std::size_t num_map_threads) override;
   Status prepare_round(const ingest::IngestChunk& chunk) override;
   std::size_t round_tasks() const override { return tasks_.size(); }
   void map_task(std::size_t task, std::size_t thread_id) override;
-  Status reduce(ThreadPool& pool, std::size_t num_partitions) override;
-  Status merge(ThreadPool& pool, const core::MergePlan& plan,
-               merge::MergeStats* stats) override;
-  std::uint64_t result_count() const override { return results_.size(); }
-  std::string canonical_output() const override;
 
   core::CombinerKind combiner_kind() const override {
     return core::CombinerKind::kSum;
   }
-  Status use_container(core::ContainerMode mode) override {
-    container_.select(mode);
-    return Status::Ok();
-  }
-  core::CombineStats combine_stats() const override {
-    return container_.stats();
-  }
-
-  // ("<file_id>\t<word>", count) sorted by the composite key.
-  const std::vector<Result>& results() const { return results_; }
 
  private:
-  struct FileTask {
-    std::span<const char> text;
-    std::uint32_t file_id = 0;
-  };
-
-  std::size_t num_mappers_ = 0;
-  containers::SwitchedContainer<containers::SumCombiner<std::uint64_t>>
-      container_;
-  std::vector<std::vector<FileTask>> tasks_;
-  std::vector<std::vector<Result>> partitions_;
-  std::vector<Result> results_;
+  std::vector<std::vector<FileSplit>> tasks_;
 };
 
 }  // namespace supmr::apps

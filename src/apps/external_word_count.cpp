@@ -1,7 +1,8 @@
 #include "apps/external_word_count.hpp"
 
+#include "apps/keyed_app.hpp"
+#include "apps/split.hpp"
 #include "apps/tokenize.hpp"
-#include "apps/word_count.hpp"
 
 namespace supmr::apps {
 
@@ -45,14 +46,7 @@ std::string ExternalWordCountApp::canonical_output() const {
   // Same encoding as WordCountApp — the spilling container promises
   // byte-identical output at any budget, and the conformance harness holds
   // it to that.
-  std::string out;
-  for (const auto& [word, count] : results_) {
-    out += word;
-    out += '\t';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
+  return keyed_output(results_);
 }
 
 }  // namespace supmr::apps

@@ -1,12 +1,9 @@
 #include "apps/grep.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
-#include "merge/introsort.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
+#include "apps/split.hpp"
 
 namespace supmr::apps {
 
@@ -22,33 +19,9 @@ std::uint64_t count_occurrences(std::string_view haystack,
   return count;
 }
 
-namespace {
-
-// Splits text into at most `max_splits` pieces at line boundaries, so a line
-// is never scanned by two mappers.
-std::vector<std::span<const char>> split_lines(std::span<const char> text,
-                                               std::size_t max_splits) {
-  std::vector<std::span<const char>> splits;
-  if (text.empty() || max_splits == 0) return splits;
-  const std::size_t target = (text.size() + max_splits - 1) / max_splits;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = std::min(begin + target, text.size());
-    while (end < text.size() && text[end - 1] != '\n') ++end;
-    splits.push_back(text.subspan(begin, end - begin));
-    begin = end;
-  }
-  return splits;
-}
-
-}  // namespace
-
 void GrepApp::init(std::size_t num_map_threads) {
-  num_mappers_ = num_map_threads;
-  container_.init(num_map_threads, /*capacity_hint=*/64);
+  init_container(num_map_threads, /*capacity_hint=*/64);
   lines_per_thread_.assign(num_map_threads, 0);
-  results_.clear();
-  partitions_.clear();
 }
 
 Status GrepApp::prepare_round(const ingest::IngestChunk& chunk) {
@@ -79,50 +52,10 @@ void GrepApp::map_task(std::size_t task, std::size_t thread_id) {
   lines_per_thread_[thread_id] += lines;
 }
 
-Status GrepApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  partitions_.assign(num_partitions, {});
-  std::vector<std::function<void(std::size_t)>> tasks;
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    tasks.push_back([this, p, num_partitions](std::size_t) {
-      partitions_[p] = container_.reduce_partition(p, num_partitions);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
-  return Status::Ok();
-}
-
-Status GrepApp::merge(ThreadPool& pool, const core::MergePlan& plan,
-                      merge::MergeStats* stats) {
-  (void)pool;
-  (void)plan;  // a handful of patterns: a single sequential sort suffices
-  results_.clear();
-  for (auto& part : partitions_)
-    results_.insert(results_.end(), part.begin(), part.end());
-  merge::introsort(results_.begin(), results_.end(),
-                   [](const Result& a, const Result& b) {
-                     return a.first < b.first;
-                   });
-  partitions_.clear();
-  if (stats != nullptr) *stats = merge::MergeStats{};
-  return Status::Ok();
-}
-
 std::uint64_t GrepApp::lines_scanned() const {
   std::uint64_t n = 0;
   for (auto l : lines_per_thread_) n += l;
   return n;
-}
-
-std::string GrepApp::canonical_output() const {
-  std::string out;
-  for (const auto& [pattern, hits] : results_) {
-    out += pattern;
-    out += '\t';
-    out += std::to_string(hits);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace supmr::apps

@@ -4,23 +4,29 @@
 // scans each line for every pattern and emits (pattern, occurrences); the
 // intermediate set is tiny (one key per pattern), the opposite extreme from
 // sort. Included as a third application point on the "job phase complexity"
-// spectrum Conclusion 1 describes.
+// spectrum Conclusion 1 describes. Grep declares no combiner: its plain
+// HashContainer rejects ContainerMode::kCombining.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "apps/keyed_app.hpp"
 #include "containers/combiners.hpp"
 #include "containers/hash_container.hpp"
-#include "core/application.hpp"
 
 namespace supmr::apps {
 
-class GrepApp final : public core::Application {
+// Results are (pattern, total occurrences), sorted by pattern; patterns
+// with zero matches are absent.
+class GrepApp final
+    : public KeyedApp<
+          containers::HashContainer<containers::SumCombiner<std::uint64_t>>> {
  public:
-  using Result = std::pair<std::string, std::uint64_t>;
-
   explicit GrepApp(std::vector<std::string> patterns)
       : patterns_(std::move(patterns)) {}
 
@@ -28,32 +34,18 @@ class GrepApp final : public core::Application {
   Status prepare_round(const ingest::IngestChunk& chunk) override;
   std::size_t round_tasks() const override { return splits_.size(); }
   void map_task(std::size_t task, std::size_t thread_id) override;
-  Status reduce(ThreadPool& pool, std::size_t num_partitions) override;
-  Status merge(ThreadPool& pool, const core::MergePlan& plan,
-               merge::MergeStats* stats) override;
-  std::uint64_t result_count() const override { return results_.size(); }
-  std::string canonical_output() const override;
 
   core::ShardKind shard_kind() const override {
     return core::ShardKind::kSortedKeys;
   }
-
-  // (pattern, total occurrences), sorted by pattern; patterns with zero
-  // matches are absent.
-  const std::vector<Result>& results() const { return results_; }
 
   // Count of input lines scanned (all rounds).
   std::uint64_t lines_scanned() const;
 
  private:
   std::vector<std::string> patterns_;
-  std::size_t num_mappers_ = 0;
-  containers::HashContainer<containers::SumCombiner<std::uint64_t>>
-      container_;
   std::vector<std::span<const char>> splits_;
   std::vector<std::uint64_t> lines_per_thread_;
-  std::vector<std::vector<Result>> partitions_;
-  std::vector<Result> results_;
 };
 
 // Counts non-overlapping occurrences of `needle` in `haystack` (memmem-style

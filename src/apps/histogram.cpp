@@ -4,25 +4,11 @@
 #include <charconv>
 #include <cstring>
 
+#include "apps/split.hpp"
+
 namespace supmr::apps {
 
 namespace {
-
-// Splits at line boundaries, like grep.
-std::vector<std::span<const char>> split_lines(std::span<const char> text,
-                                               std::size_t max_splits) {
-  std::vector<std::span<const char>> splits;
-  if (text.empty() || max_splits == 0) return splits;
-  const std::size_t target = (text.size() + max_splits - 1) / max_splits;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = std::min(begin + target, text.size());
-    while (end < text.size() && text[end - 1] != '\n') ++end;
-    splits.push_back(text.subspan(begin, end - begin));
-    begin = end;
-  }
-  return splits;
-}
 
 // Fixed-width big-endian bin keys: unique per bin, lossless to decode, and
 // ordered the same way as the bin indices.

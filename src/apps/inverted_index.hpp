@@ -3,66 +3,46 @@
 // The many-small-files application: it requires intra-file chunking
 // (MultiFileSource), because file identity must survive chunk coalescing —
 // the chunk's FileSpans say which file each byte came from. Map emits
-// (word, file_id) with an append combiner; reduce merges and de-duplicates
-// the posting lists; merge sorts the dictionary.
+// (word, file_id) with an append combiner; each reduce partition sorts and
+// de-duplicates its posting lists; the merge sorts the dictionary.
+// Canonical lines are "word\tf1,f2,...".
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "apps/keyed_app.hpp"
+#include "apps/split.hpp"
 #include "containers/combiners.hpp"
 #include "containers/combining.hpp"
-#include "core/application.hpp"
 
 namespace supmr::apps {
 
-class InvertedIndexApp final : public core::Application {
+class InvertedIndexApp final
+    : public KeyedApp<containers::SwitchedContainer<
+          containers::AppendCombiner<std::uint32_t>>> {
  public:
-  struct Posting {
-    std::string word;
-    std::vector<std::uint32_t> files;  // sorted, unique
-  };
+  // (word, ids of the files containing it), ids sorted and unique.
+  using Posting = Result;
 
   void init(std::size_t num_map_threads) override;
   Status prepare_round(const ingest::IngestChunk& chunk) override;
   std::size_t round_tasks() const override { return tasks_.size(); }
   void map_task(std::size_t task, std::size_t thread_id) override;
-  Status reduce(ThreadPool& pool, std::size_t num_partitions) override;
-  Status merge(ThreadPool& pool, const core::MergePlan& plan,
-               merge::MergeStats* stats) override;
-  std::uint64_t result_count() const override { return index_.size(); }
-  std::string canonical_output() const override;
 
   core::CombinerKind combiner_kind() const override {
     return core::CombinerKind::kAppend;
   }
-  Status use_container(core::ContainerMode mode) override {
-    container_.select(mode);
-    return Status::Ok();
-  }
-  core::CombineStats combine_stats() const override {
-    return container_.stats();
-  }
 
   // The index, sorted by word.
-  const std::vector<Posting>& index() const { return index_; }
+  const std::vector<Posting>& index() const { return results(); }
 
  private:
-  struct FileTask {
-    std::span<const char> text;
-    std::uint32_t file_id = 0;
-  };
+  void finish_partition(std::vector<Posting>& partition) override;
 
-  std::size_t num_mappers_ = 0;
-  containers::SwitchedContainer<containers::AppendCombiner<std::uint32_t>>
-      container_;
-  // Each round task covers one or more whole files (file identity must not
-  // be split across mappers mid-file for position-free postings; the span
-  // granularity is the file).
-  std::vector<std::vector<FileTask>> tasks_;
-  std::vector<Posting> index_;
-  std::vector<std::vector<Posting>> partitions_;
+  // Each round task covers one or more whole files (postings are
+  // position-free, so the span granularity is the file).
+  std::vector<std::vector<FileSplit>> tasks_;
 };
 
 }  // namespace supmr::apps

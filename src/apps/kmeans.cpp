@@ -1,5 +1,6 @@
 #include "apps/kmeans.hpp"
 
+#include "apps/split.hpp"
 #include "core/job.hpp"
 
 #include <cassert>
@@ -12,21 +13,6 @@
 namespace supmr::apps {
 
 namespace {
-
-std::vector<std::span<const char>> split_lines(std::span<const char> text,
-                                               std::size_t max_splits) {
-  std::vector<std::span<const char>> splits;
-  if (text.empty() || max_splits == 0) return splits;
-  const std::size_t target = (text.size() + max_splits - 1) / max_splits;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = std::min(begin + target, text.size());
-    while (end < text.size() && text[end - 1] != '\n') ++end;
-    splits.push_back(text.subspan(begin, end - begin));
-    begin = end;
-  }
-  return splits;
-}
 
 // Parses `dim` doubles from [begin, end); returns false on malformed lines.
 bool parse_point(const char* begin, const char* end, std::size_t dim,

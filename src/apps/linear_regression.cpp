@@ -5,28 +5,10 @@
 #include <cstdio>
 #include <cstring>
 
+#include "apps/split.hpp"
 #include "common/rng.hpp"
 
 namespace supmr::apps {
-
-namespace {
-
-std::vector<std::span<const char>> split_lines(std::span<const char> text,
-                                               std::size_t max_splits) {
-  std::vector<std::span<const char>> splits;
-  if (text.empty() || max_splits == 0) return splits;
-  const std::size_t target = (text.size() + max_splits - 1) / max_splits;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = std::min(begin + target, text.size());
-    while (end < text.size() && text[end - 1] != '\n') ++end;
-    splits.push_back(text.subspan(begin, end - begin));
-    begin = end;
-  }
-  return splits;
-}
-
-}  // namespace
 
 void LinearRegressionApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;

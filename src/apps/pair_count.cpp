@@ -2,31 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 
+#include "apps/split.hpp"
 #include "apps/tokenize.hpp"
-#include "merge/introsort.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
 
 namespace supmr::apps {
-
-std::vector<std::span<const char>> split_lines(std::span<const char> text,
-                                               std::size_t max_splits) {
-  std::vector<std::span<const char>> splits;
-  if (text.empty() || max_splits == 0) return splits;
-  const std::size_t target = (text.size() + max_splits - 1) / max_splits;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = std::min(begin + target, text.size());
-    // Cut only after a newline so no pair is torn between splits; the tail
-    // split takes whatever remains (possibly without a trailing '\n').
-    while (end < text.size() && text[end - 1] != '\n') ++end;
-    splits.push_back(text.subspan(begin, end - begin));
-    begin = end;
-  }
-  return splits;
-}
 
 void for_each_pair(std::span<const char> text,
                    const std::function<void(std::string_view)>& fn) {
@@ -50,10 +30,7 @@ void for_each_pair(std::span<const char> text,
 }
 
 void PairCountApp::init(std::size_t num_map_threads) {
-  num_mappers_ = num_map_threads;
-  container_.init(num_map_threads, /*capacity_hint=*/4096);
-  results_.clear();
-  partitions_.clear();
+  init_container(num_map_threads, /*capacity_hint=*/4096);
 }
 
 Status PairCountApp::prepare_round(const ingest::IngestChunk& chunk) {
@@ -66,80 +43,6 @@ void PairCountApp::map_task(std::size_t task, std::size_t thread_id) {
   for_each_pair(splits_[task], [&](std::string_view pair) {
     container_.emit(thread_id, pair, std::uint64_t{1});
   });
-}
-
-Status PairCountApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  partitions_.assign(num_partitions, {});
-  std::vector<std::function<void(std::size_t)>> tasks;
-  tasks.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    tasks.push_back([this, p, num_partitions](std::size_t) {
-      partitions_[p] = container_.reduce_partition(p, num_partitions);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
-  return Status::Ok();
-}
-
-Status PairCountApp::merge(ThreadPool& pool, const core::MergePlan& plan,
-                           merge::MergeStats* stats) {
-  auto by_key = [](const Result& a, const Result& b) {
-    return a.first < b.first;
-  };
-  std::vector<std::function<void(std::size_t)>> sort_tasks;
-  for (auto& part : partitions_) {
-    sort_tasks.push_back([&part, &by_key](std::size_t) {
-      merge::introsort(part.begin(), part.end(), by_key);
-    });
-  }
-  if (!pool.run_wave(sort_tasks))
-    return Status::Internal("merge sort wave dropped: thread pool shut down");
-
-  std::uint64_t total = 0;
-  for (const auto& part : partitions_) total += part.size();
-  results_.resize(total);
-
-  merge::MergeStats local;
-  if (plan.mode != core::MergeMode::kPairwise) {
-    std::vector<std::span<const Result>> runs;
-    runs.reserve(partitions_.size());
-    for (const auto& part : partitions_)
-      runs.push_back(std::span<const Result>(part.data(), part.size()));
-    const std::size_t p = plan.mode == core::MergeMode::kPartitioned
-                              ? plan.partitions
-                              : 0;
-    local = merge::parallel_pway_merge(pool, std::move(runs),
-                                       results_.data(), by_key, p);
-  } else {
-    std::vector<std::span<Result>> runs;
-    std::size_t offset = 0;
-    for (auto& part : partitions_) {
-      std::copy(part.begin(), part.end(), results_.begin() + offset);
-      runs.push_back(std::span<Result>(results_.data() + offset, part.size()));
-      offset += part.size();
-    }
-    local = merge::pairwise_merge(
-        pool, std::move(runs),
-        std::span<Result>(results_.data(), results_.size()), by_key);
-  }
-  partitions_.clear();
-  if (stats != nullptr) *stats = std::move(local);
-  return Status::Ok();
-}
-
-std::string PairCountApp::canonical_output() const {
-  // Pair keys are unique, so merge order is canonical order. The key
-  // contains a space but never a tab, keeping "key\tcount" parseable by the
-  // downstream PMI join.
-  std::string out;
-  for (const auto& [pair, count] : results_) {
-    out += pair;
-    out += '\t';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace supmr::apps

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <string_view>
 
-#include "apps/pair_count.hpp"  // split_lines
+#include "apps/split.hpp"
 #include "merge/introsort.hpp"
 
 namespace supmr::apps {

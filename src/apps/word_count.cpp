@@ -1,42 +1,15 @@
 #include "apps/word_count.hpp"
 
-#include <algorithm>
 #include <cassert>
 
+#include "apps/split.hpp"
 #include "apps/tokenize.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
-#include "merge/introsort.hpp"
 
 namespace supmr::apps {
 
-std::vector<std::span<const char>> split_text(std::span<const char> text,
-                                              std::size_t max_splits) {
-  std::vector<std::span<const char>> splits;
-  if (text.empty() || max_splits == 0) return splits;
-  const std::size_t target = (text.size() + max_splits - 1) / max_splits;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = std::min(begin + target, text.size());
-    // Never split mid-word: advance to the next non-word byte.
-    while (end < text.size() && is_word_char(text[end])) ++end;
-    splits.push_back(text.subspan(begin, end - begin));
-    begin = end;
-  }
-  return splits;
-}
-
-void for_each_word(std::span<const char> text,
-                   const std::function<void(std::string_view)>& fn) {
-  tokenize_words(text, fn);
-}
-
 void WordCountApp::init(std::size_t num_map_threads) {
-  num_mappers_ = num_map_threads;
-  container_.init(num_map_threads, /*capacity_hint=*/4096);
+  init_container(num_map_threads, /*capacity_hint=*/4096);
   words_per_thread_.assign(num_map_threads, 0);
-  results_.clear();
-  partitions_.clear();
 }
 
 Status WordCountApp::prepare_round(const ingest::IngestChunk& chunk) {
@@ -54,92 +27,10 @@ void WordCountApp::map_task(std::size_t task, std::size_t thread_id) {
   words_per_thread_[thread_id] += words;
 }
 
-Status WordCountApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  partitions_.assign(num_partitions, {});
-  std::vector<std::function<void(std::size_t)>> tasks;
-  tasks.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    tasks.push_back([this, p, num_partitions](std::size_t) {
-      partitions_[p] = container_.reduce_partition(p, num_partitions);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
-  return Status::Ok();
-}
-
-Status WordCountApp::merge(ThreadPool& pool, const core::MergePlan& plan,
-                           merge::MergeStats* stats) {
-  auto by_key = [](const Result& a, const Result& b) {
-    return a.first < b.first;
-  };
-
-  // Sort each partition in parallel (run formation), partitions become the
-  // sorted runs, then merge with the configured algorithm.
-  std::vector<std::function<void(std::size_t)>> sort_tasks;
-  for (auto& part : partitions_) {
-    sort_tasks.push_back([&part, &by_key](std::size_t) {
-      merge::introsort(part.begin(), part.end(), by_key);
-    });
-  }
-  if (!pool.run_wave(sort_tasks))
-    return Status::Internal("merge sort wave dropped: thread pool shut down");
-
-  std::uint64_t total = 0;
-  for (const auto& part : partitions_) total += part.size();
-  results_.resize(total);
-
-  merge::MergeStats local;
-  if (plan.mode != core::MergeMode::kPairwise) {
-    // kPWay and kPartitioned share the single-round p-way kernel: the hash
-    // partitions are the sorted runs, and the key-space split happens inside
-    // parallel_pway_merge. kPartitioned pins the worker count to the plan's
-    // partition count (its reduce partitions are hash-sharded, not
-    // key-range-sharded, so merge-time splitting is the partitioned path).
-    std::vector<std::span<const Result>> runs;
-    runs.reserve(partitions_.size());
-    for (const auto& part : partitions_)
-      runs.push_back(std::span<const Result>(part.data(), part.size()));
-    const std::size_t p = plan.mode == core::MergeMode::kPartitioned
-                              ? plan.partitions
-                              : 0;  // 0 = pool-sized
-    local = merge::parallel_pway_merge(pool, std::move(runs),
-                                       results_.data(), by_key, p);
-  } else {
-    // Pairwise baseline: pack runs back-to-back into results_, then merge.
-    std::vector<std::span<Result>> runs;
-    std::size_t offset = 0;
-    for (auto& part : partitions_) {
-      std::copy(part.begin(), part.end(), results_.begin() + offset);
-      runs.push_back(std::span<Result>(results_.data() + offset, part.size()));
-      offset += part.size();
-    }
-    local = merge::pairwise_merge(
-        pool, std::move(runs),
-        std::span<Result>(results_.data(), results_.size()), by_key);
-  }
-  partitions_.clear();
-  if (stats != nullptr) *stats = std::move(local);
-  return Status::Ok();
-}
-
 std::uint64_t WordCountApp::words_mapped() const {
   std::uint64_t n = 0;
   for (auto w : words_per_thread_) n += w;
   return n;
-}
-
-std::string WordCountApp::canonical_output() const {
-  // Keys are unique, so the merge order IS the canonical order: one
-  // "word\tcount\n" line per result, in results_ order.
-  std::string out;
-  for (const auto& [word, count] : results_) {
-    out += word;
-    out += '\t';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace supmr::apps

@@ -1,8 +1,9 @@
 // Minimal JSON writer.
 //
 // Benches and the CLI export structured results (phase breakdowns, traces)
-// for downstream tooling. Writer-only — the repo never parses JSON — with
-// proper string escaping and locale-independent number formatting.
+// for downstream tooling, with proper string escaping and locale-independent
+// number formatting. This header only writes JSON; the replay and serve
+// spec readers (core/replay.cpp, runtime/serve_spec.cpp) parse it.
 #pragma once
 
 #include <cstdint>

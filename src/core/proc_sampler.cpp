@@ -5,8 +5,14 @@
 
 namespace supmr::core {
 
+namespace {
+
+TimeSeries empty_trace() { return TimeSeries({"user", "sys", "iowait"}); }
+
+}  // namespace
+
 ProcStatSampler::ProcStatSampler(double interval_s)
-    : interval_s_(interval_s), series_({"user", "sys", "iowait"}) {}
+    : interval_s_(interval_s), series_(empty_trace()) {}
 
 ProcStatSampler::~ProcStatSampler() {
   running_.store(false);
@@ -34,6 +40,9 @@ void ProcStatSampler::start() {
   // std::thread, which is std::terminate. (Restart after stop() is fine —
   // stop() leaves thread_ joined.)
   if (running_.exchange(true)) return;
+  // A restart begins a new trace: loop() times samples from its own start,
+  // so appending them to the old series would send t backwards.
+  series_ = empty_trace();
   thread_ = std::thread([this] { loop(); });
 }
 

@@ -22,9 +22,10 @@ class ProcStatSampler {
   ProcStatSampler& operator=(const ProcStatSampler&) = delete;
 
   // Lifecycle contract: start/stop/dtor must be driven from one controlling
-  // thread. start() is idempotent while running; stop() without start() (or
-  // called twice) is a no-op that returns the trace collected so far;
-  // destruction while running stops and joins the sampler.
+  // thread. start() is idempotent while running, and a start() after stop()
+  // begins a new trace; stop() without start() (or called twice) is a no-op
+  // that returns the trace collected so far; destruction while running
+  // stops and joins the sampler.
   void start();
   // Stops sampling and returns the trace (channels: user, sys, iowait; t in
   // seconds since start()).

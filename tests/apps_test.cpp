@@ -5,10 +5,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <memory>
 
+#include "apps/doc_term_count.hpp"
 #include "apps/grep.hpp"
 #include "apps/inverted_index.hpp"
+#include "apps/pair_count.hpp"
+#include "apps/split.hpp"
 #include "apps/tera_sort.hpp"
 #include "apps/tokenize.hpp"
 #include "apps/word_count.hpp"
@@ -448,12 +453,12 @@ TEST(InvertedIndex, BuildsPostings) {
   auto result = job.run(core::ExecMode::kIngestMR);
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   ASSERT_EQ(app.index().size(), 3u);
-  EXPECT_EQ(app.index()[0].word, "apple");
-  EXPECT_EQ(app.index()[0].files, (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_EQ(app.index()[1].word, "banana");
-  EXPECT_EQ(app.index()[1].files, (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(app.index()[2].word, "cherry");
-  EXPECT_EQ(app.index()[2].files, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(app.index()[0].first, "apple");
+  EXPECT_EQ(app.index()[0].second, (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(app.index()[1].first, "banana");
+  EXPECT_EQ(app.index()[1].second, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(app.index()[2].first, "cherry");
+  EXPECT_EQ(app.index()[2].second, (std::vector<std::uint32_t>{1}));
 }
 
 TEST(InvertedIndex, RequiresFileSpans) {
@@ -481,8 +486,8 @@ TEST(InvertedIndex, ChunkingInvariantToFilesPerChunk) {
   for (std::size_t i = 1; i < outputs.size(); ++i) {
     ASSERT_EQ(outputs[i].size(), outputs[0].size());
     for (std::size_t j = 0; j < outputs[0].size(); ++j) {
-      EXPECT_EQ(outputs[i][j].word, outputs[0][j].word);
-      EXPECT_EQ(outputs[i][j].files, outputs[0][j].files);
+      EXPECT_EQ(outputs[i][j].first, outputs[0][j].first);
+      EXPECT_EQ(outputs[i][j].second, outputs[0][j].second);
     }
   }
 }
@@ -495,7 +500,66 @@ TEST(InvertedIndex, DuplicateWordsInOneFileDeduplicated) {
   MapReduceJob job(app, src, small_config());
   ASSERT_TRUE(job.run(core::ExecMode::kIngestMR).ok());
   ASSERT_EQ(app.index().size(), 1u);
-  EXPECT_EQ(app.index()[0].files, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(app.index()[0].second, (std::vector<std::uint32_t>{0}));
+}
+
+// ------------------------------------------------------ keyed-app skeleton
+
+// Every string-keyed app runs the merge the plan asks for and reports its
+// rounds: one p-way round, or log2(R) pairwise rounds over small_config()'s
+// 8 reduce partitions. Both merges must produce the same bytes.
+TEST(KeyedApps, ReportTheMergeTheyRan) {
+  wload::TextCorpusConfig corpus;
+  corpus.total_bytes = 16 * 1024;
+  const std::string text = wload::generate_text(corpus);
+  const auto files = wload::generate_text_files(corpus, 6, 2048);
+  // The two most frequent vocabulary words: grep is sure to match them.
+  const std::vector<std::string> patterns = {
+      wload::make_word(0, corpus.min_word_len, corpus.max_word_len),
+      wload::make_word(1, corpus.min_word_len, corpus.max_word_len)};
+
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<core::Application>()> make;
+    bool multi_file;
+  };
+  const Case cases[] = {
+      {"grep", [&] { return std::make_unique<GrepApp>(patterns); }, false},
+      {"invertedindex", [] { return std::make_unique<InvertedIndexApp>(); },
+       true},
+      {"wordcount", [] { return std::make_unique<WordCountApp>(); }, false},
+      {"paircount", [] { return std::make_unique<PairCountApp>(); }, false},
+      {"doctermcount", [] { return std::make_unique<DocTermCountApp>(); },
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string outputs[2];
+    for (MergeMode mode : {MergeMode::kPWay, MergeMode::kPairwise}) {
+      JobConfig cfg = small_config();
+      cfg.merge_mode = mode;
+      ASSERT_EQ(cfg.reduce_partitions(), 8u);
+      std::unique_ptr<core::Application> app = c.make();
+      std::unique_ptr<ingest::IngestSource> src;
+      if (c.multi_file) {
+        src = std::make_unique<MultiFileSource>(files, 2);
+      } else {
+        src = std::make_unique<SingleDeviceSource>(
+            mem(text), std::make_shared<LineFormat>(), 4096);
+      }
+      MapReduceJob job(*app, *src, cfg);
+      auto result = job.run(core::ExecMode::kIngestMR);
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+      ASSERT_GT(app->result_count(), 0u);
+      if (mode == MergeMode::kPWay) {
+        EXPECT_EQ(result->merge_stats.num_rounds(), 1u);
+      } else {
+        EXPECT_GT(result->merge_stats.num_rounds(), 1u);
+      }
+      outputs[mode == MergeMode::kPairwise] = app->canonical_output();
+    }
+    EXPECT_EQ(outputs[0], outputs[1]);
+  }
 }
 
 }  // namespace

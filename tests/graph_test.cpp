@@ -11,6 +11,7 @@
 
 #include "apps/chains.hpp"
 #include "apps/pair_count.hpp"
+#include "apps/split.hpp"
 #include "apps/word_count.hpp"
 #include "core/replay.hpp"
 #include "graph/job_graph.hpp"

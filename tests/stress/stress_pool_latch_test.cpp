@@ -166,7 +166,9 @@ TEST_P(PoolStress, BarrierGenerationsStayInLockstep) {
 
 // Lifecycle hardening: double start() used to assign over a joinable
 // std::thread (std::terminate); stop() without start(), double stop(), and
-// stop-then-restart must all be safe.
+// stop-then-restart must all be safe. A restart begins a new trace, so its
+// times never go backwards (they used to restart from 0 partway through the
+// old series).
 TEST(ProcSamplerLifecycle, StartStopEdgeCasesDoNotCrash) {
   {
     core::ProcStatSampler sampler(0.001);
@@ -176,12 +178,14 @@ TEST(ProcSamplerLifecycle, StartStopEdgeCasesDoNotCrash) {
     core::ProcStatSampler sampler(0.001);
     sampler.start();
     sampler.start();  // idempotent while running (pre-fix: terminate)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
     (void)sampler.stop();
     (void)sampler.stop();  // double stop: no-op
     sampler.start();       // restart after stop
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    (void)sampler.stop();
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    const TimeSeries trace = sampler.stop();
+    for (std::size_t i = 1; i < trace.samples(); ++i)
+      EXPECT_LE(trace.time(i - 1), trace.time(i)) << "sample " << i;
   }
   {
     core::ProcStatSampler sampler(0.001);

@@ -50,9 +50,10 @@
 #   perf-smoke — the benchmark (perfbench/, a CMake package of its own over
 #               src/ that no other stage compiles): every workload runs for
 #               one second and must exit 0 with "correct": true on its
-#               result line; terasort must exit 1 under
-#               SUPMR_TEST_MUTATION=pway-comparator (the oracle gate is
-#               live); then the span-arithmetic unit test
+#               result line; terasort and wordcount must each exit 1
+#               under SUPMR_TEST_MUTATION=pway-comparator (the oracle gate
+#               is live over TeraSort's merge and the keyed-app
+#               skeleton's); then the span-arithmetic unit test
 #
 # Usage:
 #   tools/check.sh            # all stages
@@ -369,13 +370,15 @@ run_stage() {
         tail -n1 <<<"${out}" | grep -q '"correct": true' ||
           { echo "perf-smoke: ${workload} is not correct" >&2; return 1; }
       done
-      status=0
-      SUPMR_TEST_MUTATION=pway-comparator python3 "${bench}" \
-        --workload terasort --seconds 1 --trace 0 >/dev/null 2>&1 ||
-        status=$?
-      [ "${status}" -eq 1 ] ||
-        { echo "perf-smoke: pway-comparator mutation not caught on" \
-            "terasort (exit ${status}, want 1)" >&2; return 1; }
+      for workload in terasort wordcount; do
+        status=0
+        SUPMR_TEST_MUTATION=pway-comparator python3 "${bench}" \
+          --workload "${workload}" --seconds 1 --trace 0 >/dev/null 2>&1 ||
+          status=$?
+        [ "${status}" -eq 1 ] ||
+          { echo "perf-smoke: pway-comparator mutation not caught on" \
+              "${workload} (exit ${status}, want 1)" >&2; return 1; }
+      done
       cmake --build "${ROOT}/.bench_build/perfbench" \
         --target perfbench_spans_test -j "${JOBS}"
       "${ROOT}/.bench_build/perfbench/perfbench_spans_test"
