@@ -7,6 +7,16 @@
 
 namespace supmr::apps {
 
+std::vector<std::string> split_patterns(std::string_view csv) {
+  std::vector<std::string> patterns;
+  while (true) {
+    const std::size_t comma = csv.find(',');
+    patterns.emplace_back(csv.substr(0, comma));
+    if (comma == std::string_view::npos) return patterns;
+    csv.remove_prefix(comma + 1);
+  }
+}
+
 std::uint64_t count_occurrences(std::string_view haystack,
                                 std::string_view needle) {
   if (needle.empty() || haystack.size() < needle.size()) return 0;

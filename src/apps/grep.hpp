@@ -48,6 +48,10 @@ class GrepApp final
   std::vector<std::uint64_t> lines_per_thread_;
 };
 
+// Splits a comma-separated pattern list ("th,he,zz"), the form the CLI and
+// replay specs give; empty entries are kept and never match.
+std::vector<std::string> split_patterns(std::string_view csv);
+
 // Counts non-overlapping occurrences of `needle` in `haystack` (memmem-style
 // scan). Exposed for tests.
 std::uint64_t count_occurrences(std::string_view haystack,

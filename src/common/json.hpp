@@ -1,14 +1,22 @@
-// Minimal JSON writer.
+// JSON writer and strict reader.
 //
-// Benches and the CLI export structured results (phase breakdowns, traces)
-// for downstream tooling, with proper string escaping and locale-independent
-// number formatting. This header only writes JSON; the replay and serve
-// spec readers (core/replay.cpp, runtime/serve_spec.cpp) parse it.
+// JsonWriter exports structured results (phase breakdowns, traces, repro
+// specs) with proper string escaping and locale-independent number
+// formatting. parse_json reads one document back: the RFC 8259 grammar (no
+// trailing commas, comments, bare NaN/Infinity or leading zeros) with
+// \uXXXX escapes decoded to UTF-8, and duplicate object keys, unpaired
+// surrogates and nesting deeper than kMaxJsonDepth rejected. It is the one
+// JSON reader: the replay and serve specs (core/replay.cpp,
+// runtime/serve_spec.cpp) and the tests' document checks all use it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
+
+#include "common/status.hpp"
 
 namespace supmr {
 
@@ -76,5 +84,45 @@ class JsonWriter {
   bool need_comma_ = false;
   bool just_keyed_ = false;
 };
+
+// Arrays and objects nested deeper than this are rejected; the top-level
+// value is depth 1.
+inline constexpr int kMaxJsonDepth = 64;
+
+// One parsed JSON value. Numbers keep their literal text, so an integer read
+// is exact at any width and a fraction never passes as an integer.
+class JsonValue {
+ public:
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  using Member = std::pair<std::string, JsonValue>;
+
+  Type type() const { return type_; }
+
+  // Typed read: InvalidArgument unless the value has the matching JSON
+  // type. T is bool, std::string, int, std::int64_t or std::uint64_t; an
+  // integer read also needs an integer literal inside T's range.
+  template <typename T>
+  StatusOr<T> as() const;
+
+  // An array's elements; empty for any other type.
+  const std::vector<JsonValue>& items() const { return items_; }
+  // An object's members in document order, keys unique; empty for any
+  // other type.
+  const std::vector<Member>& members() const { return members_; }
+
+ private:
+  friend class JsonParser;
+
+  Status mismatch(const std::string& expected) const;
+
+  Type type_ = Type::kNull;
+  std::string text_;  // a string's decoded bytes, else the literal's text
+  std::vector<JsonValue> items_;
+  std::vector<Member> members_;
+};
+
+// Parses `text` as exactly one JSON document. Errors are InvalidArgument
+// and name the byte offset of the first offending byte.
+StatusOr<JsonValue> parse_json(std::string_view text);
 
 }  // namespace supmr

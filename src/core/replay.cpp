@@ -1,9 +1,8 @@
 #include "core/replay.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <limits>
 #include <map>
+#include <type_traits>
 
 #include "common/json.hpp"
 
@@ -122,196 +121,50 @@ std::string ReplaySpec::to_json() const {
 
 namespace {
 
-// Minimal strict JSON reader for the spec shape: objects of string /
-// number / bool values, nested objects flattened to dotted keys
-// ("cell.mode"). No arrays, no null — the spec never emits them.
-class SpecParser {
- public:
-  explicit SpecParser(std::string_view text) : text_(text) {}
-
-  Status parse(std::map<std::string, std::string>& out) {
-    SUPMR_RETURN_IF_ERROR(parse_object("", out));
-    skip_ws();
-    if (pos_ != text_.size()) {
-      return error("trailing characters after the top-level object");
-    }
-    return Status::Ok();
-  }
-
- private:
-  Status parse_object(const std::string& prefix,
-                      std::map<std::string, std::string>& out) {
-    SUPMR_RETURN_IF_ERROR(expect('{'));
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return Status::Ok();
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      SUPMR_RETURN_IF_ERROR(parse_string(key));
-      skip_ws();
-      SUPMR_RETURN_IF_ERROR(expect(':'));
-      skip_ws();
-      const std::string full = prefix.empty() ? key : prefix + "." + key;
-      if (peek() == '{') {
-        SUPMR_RETURN_IF_ERROR(parse_object(full, out));
-      } else if (peek() == '"') {
-        std::string value;
-        SUPMR_RETURN_IF_ERROR(parse_string(value));
-        out[full] = value;
-      } else {
-        SUPMR_RETURN_IF_ERROR(parse_scalar(full, out));
-      }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return expect('}');
-    }
-  }
-
-  Status parse_string(std::string& out) {
-    SUPMR_RETURN_IF_ERROR(expect('"'));
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          default:
-            return error(std::string("unsupported escape \\") + esc);
-        }
-      } else {
-        out += c;
-      }
-    }
-    return error("unterminated string");
-  }
-
-  // Numbers and booleans, stored as their literal text.
-  Status parse_scalar(const std::string& key,
-                      std::map<std::string, std::string>& out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.')) {
-      ++pos_;
-    }
-    if (pos_ == start) return error("expected a value");
-    out[key] = std::string(text_.substr(start, pos_ - start));
-    return Status::Ok();
-  }
-
-  Status expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return error(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return Status::Ok();
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  Status error(const std::string& what) const {
-    return Status::InvalidArgument("replay spec: " + what + " at byte " +
-                                   std::to_string(pos_));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-// Typed field extraction. Every key the spec writes must be consumed, and
-// every consumed key must exist — schema drift fails loudly in both
-// directions.
+// Typed field extraction over the spec's leaves, keyed by dotted path
+// ("cell.mode"). Every key the spec writes must be consumed, and every
+// consumed key must exist — schema drift fails loudly in both directions.
 class Fields {
  public:
-  explicit Fields(std::map<std::string, std::string> values)
-      : values_(std::move(values)) {}
-
-  Status take_string(const std::string& key, std::string& out) {
-    SUPMR_ASSIGN_OR_RETURN(std::string raw, take(key));
-    out = std::move(raw);
-    return Status::Ok();
-  }
-
-  Status take_u64(const std::string& key, std::uint64_t& out) {
-    SUPMR_ASSIGN_OR_RETURN(std::string raw, take(key));
-    char* end = nullptr;
-    out = std::strtoull(raw.c_str(), &end, 10);
-    if (end == raw.c_str() || *end != '\0') {
-      return Status::InvalidArgument("replay spec: bad integer for " + key +
-                                     ": " + raw);
+  // Adds the leaves of `object`; nested objects extend the path.
+  Status add(const JsonValue& object, const std::string& prefix) {
+    for (const auto& [key, value] : object.members()) {
+      const std::string path = prefix.empty() ? key : prefix + "." + key;
+      if (value.type() == JsonValue::Type::kObject) {
+        SUPMR_RETURN_IF_ERROR(add(value, path));
+      } else if (!values_.emplace(path, &value).second) {
+        return Status::InvalidArgument("replay spec: duplicate key " + path);
+      }
     }
     return Status::Ok();
   }
 
-  Status take_i64(const std::string& key, std::int64_t& out) {
-    SUPMR_ASSIGN_OR_RETURN(std::string raw, take(key));
-    char* end = nullptr;
-    out = std::strtoll(raw.c_str(), &end, 10);
-    if (end == raw.c_str() || *end != '\0') {
-      return Status::InvalidArgument("replay spec: bad integer for " + key +
-                                     ": " + raw);
+  template <typename T>
+  Status take(const std::string& key, T& out) {
+    const auto it = values_.find(key);
+    if (it == values_.end()) {
+      return Status::InvalidArgument("replay spec: missing key " + key);
     }
+    StatusOr<T> value = it->second->as<T>();
+    values_.erase(it);
+    if (!value.ok()) {
+      return Status::InvalidArgument("replay spec: " + key + ": " +
+                                     value.status().message());
+    }
+    out = std::move(*value);
     return Status::Ok();
   }
 
-  Status take_bool(const std::string& key, bool& out) {
-    SUPMR_ASSIGN_OR_RETURN(std::string raw, take(key));
-    if (raw == "true") {
-      out = true;
-    } else if (raw == "false") {
-      out = false;
-    } else {
-      return Status::InvalidArgument("replay spec: bad bool for " + key +
-                                     ": " + raw);
-    }
-    return Status::Ok();
-  }
-
-  // Like take_string, but a missing key yields `def` instead of an error —
-  // for fields added after specs were already checked in (schema growth
-  // stays backward-compatible; unknown keys still fail via check_empty).
-  Status take_string_or(const std::string& key, std::string& out,
-                        std::string_view def) {
-    if (values_.find(key) == values_.end()) {
-      out = std::string(def);
-      return Status::Ok();
-    }
-    return take_string(key, out);
-  }
-
-  // take_u64, but a missing key yields `def` (same backward-compat contract
-  // as take_string_or).
-  Status take_u64_or(const std::string& key, std::uint64_t& out,
-                     std::uint64_t def) {
-    if (values_.find(key) == values_.end()) {
+  // take(), but a missing key yields `def` instead of an error — for
+  // fields added after specs were already checked in (schema growth stays
+  // backward-compatible; unknown keys still fail via check_empty).
+  template <typename T>
+  Status take_or(const std::string& key, T& out, std::type_identity_t<T> def) {
+    if (values_.count(key) == 0) {
       out = def;
       return Status::Ok();
     }
-    return take_u64(key, out);
+    return take(key, out);
   }
 
   Status check_empty() const {
@@ -321,84 +174,77 @@ class Fields {
   }
 
  private:
-  StatusOr<std::string> take(const std::string& key) {
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      return Status::InvalidArgument("replay spec: missing key " + key);
-    }
-    std::string value = std::move(it->second);
-    values_.erase(it);
-    return value;
-  }
-
-  std::map<std::string, std::string> values_;
+  std::map<std::string, const JsonValue*> values_;
 };
 
 }  // namespace
 
 StatusOr<ReplaySpec> ReplaySpec::from_json(std::string_view text) {
-  std::map<std::string, std::string> raw;
-  SpecParser parser(text);
-  SUPMR_RETURN_IF_ERROR(parser.parse(raw));
-  Fields fields(std::move(raw));
+  StatusOr<JsonValue> doc = parse_json(text);
+  if (!doc.ok()) {
+    return Status::InvalidArgument("replay spec: " + doc.status().message());
+  }
+  return from_json(*doc);
+}
+
+StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
+  if (doc.type() != JsonValue::Type::kObject) {
+    return Status::InvalidArgument("replay spec: expected an object");
+  }
+  Fields fields;
+  SUPMR_RETURN_IF_ERROR(fields.add(doc, ""));
 
   ReplaySpec spec;
-  SUPMR_RETURN_IF_ERROR(fields.take_string("app", spec.app));
-  SUPMR_RETURN_IF_ERROR(fields.take_string("corpus.kind", spec.corpus.kind));
-  SUPMR_RETURN_IF_ERROR(fields.take_u64("corpus.bytes", spec.corpus.bytes));
-  SUPMR_RETURN_IF_ERROR(fields.take_u64("corpus.seed", spec.corpus.seed));
+  SUPMR_RETURN_IF_ERROR(fields.take("app", spec.app));
+  SUPMR_RETURN_IF_ERROR(fields.take("corpus.kind", spec.corpus.kind));
+  SUPMR_RETURN_IF_ERROR(fields.take("corpus.bytes", spec.corpus.bytes));
+  SUPMR_RETURN_IF_ERROR(fields.take("corpus.seed", spec.corpus.seed));
+  SUPMR_RETURN_IF_ERROR(fields.take("corpus.num_files", spec.corpus.num_files));
+  SUPMR_RETURN_IF_ERROR(fields.take("params.key_bytes", spec.key_bytes));
+  SUPMR_RETURN_IF_ERROR(fields.take("params.record_bytes", spec.record_bytes));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64("corpus.num_files", spec.corpus.num_files));
-  SUPMR_RETURN_IF_ERROR(fields.take_u64("params.key_bytes", spec.key_bytes));
+      fields.take("params.app_partitions", spec.app_partitions));
+  SUPMR_RETURN_IF_ERROR(fields.take("params.hist_lo", spec.hist_lo));
+  SUPMR_RETURN_IF_ERROR(fields.take("params.hist_hi", spec.hist_hi));
+  SUPMR_RETURN_IF_ERROR(fields.take("params.hist_bins", spec.hist_bins));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64("params.record_bytes", spec.record_bytes));
+      fields.take("params.grep_patterns", spec.grep_patterns));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64("params.app_partitions", spec.app_partitions));
-  SUPMR_RETURN_IF_ERROR(fields.take_i64("params.hist_lo", spec.hist_lo));
-  SUPMR_RETURN_IF_ERROR(fields.take_i64("params.hist_hi", spec.hist_hi));
-  SUPMR_RETURN_IF_ERROR(fields.take_u64("params.hist_bins", spec.hist_bins));
-  SUPMR_RETURN_IF_ERROR(
-      fields.take_string("params.grep_patterns", spec.grep_patterns));
-  SUPMR_RETURN_IF_ERROR(
-      fields.take_u64("params.memory_budget", spec.memory_budget));
+      fields.take("params.memory_budget", spec.memory_budget));
 
   std::string mode, merge, io, container;
-  SUPMR_RETURN_IF_ERROR(fields.take_string("cell.mode", mode));
-  SUPMR_RETURN_IF_ERROR(fields.take_string("cell.merge", merge));
-  SUPMR_RETURN_IF_ERROR(fields.take_string_or("cell.io", io, "read"));
-  SUPMR_RETURN_IF_ERROR(
-      fields.take_string_or("cell.container", container, "default"));
+  SUPMR_RETURN_IF_ERROR(fields.take("cell.mode", mode));
+  SUPMR_RETURN_IF_ERROR(fields.take("cell.merge", merge));
+  SUPMR_RETURN_IF_ERROR(fields.take_or("cell.io", io, "read"));
+  SUPMR_RETURN_IF_ERROR(fields.take_or("cell.container", container, "default"));
   SUPMR_ASSIGN_OR_RETURN(spec.mode, exec_mode_from_name(mode));
   SUPMR_ASSIGN_OR_RETURN(spec.merge_mode, merge_mode_from_name(merge));
   SUPMR_ASSIGN_OR_RETURN(spec.io, io_mode_from_name(io));
   SUPMR_ASSIGN_OR_RETURN(spec.container, container_mode_from_name(container));
-  SUPMR_RETURN_IF_ERROR(fields.take_u64("cell.threads", spec.threads));
+  SUPMR_RETURN_IF_ERROR(fields.take("cell.threads", spec.threads));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64("cell.merge_partitions", spec.merge_partitions));
-  SUPMR_RETURN_IF_ERROR(fields.take_u64("cell.chunk_bytes", spec.chunk_bytes));
+      fields.take("cell.merge_partitions", spec.merge_partitions));
+  SUPMR_RETURN_IF_ERROR(fields.take("cell.chunk_bytes", spec.chunk_bytes));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64("cell.files_per_chunk", spec.files_per_chunk));
-  SUPMR_RETURN_IF_ERROR(fields.take_bool("cell.degrade", spec.degrade));
-  SUPMR_RETURN_IF_ERROR(fields.take_string("cell.fault_plan", spec.fault_plan));
+      fields.take("cell.files_per_chunk", spec.files_per_chunk));
+  SUPMR_RETURN_IF_ERROR(fields.take("cell.degrade", spec.degrade));
+  SUPMR_RETURN_IF_ERROR(fields.take("cell.fault_plan", spec.fault_plan));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64("cell.retry_attempts", spec.retry_attempts));
+      fields.take("cell.retry_attempts", spec.retry_attempts));
 
   std::string handoff;
-  SUPMR_RETURN_IF_ERROR(
-      fields.take_string_or("graph.handoff", handoff, "memory"));
+  SUPMR_RETURN_IF_ERROR(fields.take_or("graph.handoff", handoff, "memory"));
   SUPMR_ASSIGN_OR_RETURN(spec.graph_handoff, graph_handoff_from_name(handoff));
+  SUPMR_RETURN_IF_ERROR(fields.take_or("graph.budget", spec.graph_budget, 0));
+  SUPMR_RETURN_IF_ERROR(fields.take_or("cluster.nodes", spec.cluster_nodes, 0));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64_or("graph.budget", spec.graph_budget, 0));
+      fields.take_or("cluster.link_bps", spec.cluster_link_bps, 0));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64_or("cluster.nodes", spec.cluster_nodes, 0));
+      fields.take_or("cluster.uplink_bps", spec.cluster_uplink_bps, 0));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64_or("cluster.link_bps", spec.cluster_link_bps, 0));
+      fields.take_or("cluster.disk_bps", spec.cluster_disk_bps, 0));
   SUPMR_RETURN_IF_ERROR(
-      fields.take_u64_or("cluster.uplink_bps", spec.cluster_uplink_bps, 0));
-  SUPMR_RETURN_IF_ERROR(
-      fields.take_u64_or("cluster.disk_bps", spec.cluster_disk_bps, 0));
-  SUPMR_RETURN_IF_ERROR(
-      fields.take_u64_or("cluster.budget", spec.cluster_budget, 0));
+      fields.take_or("cluster.budget", spec.cluster_budget, 0));
   SUPMR_RETURN_IF_ERROR(fields.check_empty());
 
   if (spec.app != "wordcount" && spec.app != "xwordcount" &&

@@ -6,14 +6,16 @@
 // threads, chunking, fault plan). The harness writes one of these as JSON
 // when a cell diverges from the reference runtime; `supmr replay <file>`
 // re-runs exactly that cell (src/ref/conformance.hpp). to_json/from_json
-// round-trip, and from_json is the repo's only JSON *parser* — a minimal,
-// strict reader for the flat spec shape, not a general-purpose one.
+// round-trip byte for byte; from_json reads through the strict parse_json
+// (common/json.hpp), so a wrong JSON type, an out-of-range integer or a
+// repeated key is an error, not a silently coerced value.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "common/json.hpp"
 #include "common/status.hpp"
 #include "core/job_config.hpp"
 
@@ -121,9 +123,12 @@ struct ReplaySpec {
 
   std::string to_json() const;
   // Strict parse of a spec produced by to_json (or hand-written in the same
-  // shape). Unknown keys, malformed JSON, and out-of-range enum names are
-  // errors — a repro file that drifted from the schema fails loudly.
+  // shape). Unknown keys, malformed JSON, wrong value types, integers
+  // outside their field's range and out-of-range enum names are errors — a
+  // repro file that drifted from the schema fails loudly.
   static StatusOr<ReplaySpec> from_json(std::string_view text);
+  // The same over a parsed document (a serve spec's job "spec").
+  static StatusOr<ReplaySpec> from_json(const JsonValue& doc);
 };
 
 // Enum <-> name helpers shared by the spec parsers and the CLI — thin

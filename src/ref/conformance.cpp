@@ -40,19 +40,6 @@
 namespace supmr::ref {
 namespace {
 
-std::vector<std::string> split_patterns(const std::string& csv) {
-  std::vector<std::string> patterns;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    patterns.push_back(csv.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return patterns;
-}
-
 // The SUT app for the cell; `for_ref` builds the oracle twin instead. The
 // twin is deliberately the boring variant: no map-time partitioning for
 // sort, and the in-memory (non-spilling) container for xwordcount — the
@@ -78,7 +65,7 @@ StatusOr<std::unique_ptr<core::Application>> make_app(
   }
   if (spec.app == "grep") {
     return std::unique_ptr<core::Application>(
-        new apps::GrepApp(split_patterns(spec.grep_patterns)));
+        new apps::GrepApp(apps::split_patterns(spec.grep_patterns)));
   }
   if (spec.app == "histogram") {
     apps::HistogramOptions opt;

@@ -1,214 +1,75 @@
 #include "runtime/serve_spec.hpp"
 
-#include <cctype>
-
 namespace supmr::runtime {
 namespace {
 
-// Minimal strict cursor over the serve-spec JSON shape. Like
-// core/replay.cpp's SpecParser this is not a general JSON reader: it knows
-// strings, unsigned/signed integers, one array ("jobs"), and captures the
-// nested "spec" object verbatim for ReplaySpec::from_json.
-class Cursor {
- public:
-  explicit Cursor(std::string_view text) : text_(text) {}
+Status serve_error(const std::string& what) {
+  return Status::InvalidArgument("serve spec: " + what);
+}
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+// Reads the member `key` of a serve-spec object into `out`.
+template <typename T>
+Status read_field(const JsonValue& value, const std::string& key, T& out) {
+  StatusOr<T> parsed = value.as<T>();
+  if (!parsed.ok()) return serve_error(key + ": " + parsed.status().message());
+  out = std::move(*parsed);
+  return Status::Ok();
+}
+
+StatusOr<ServeJobSpec> parse_job(const JsonValue& doc) {
+  if (doc.type() != JsonValue::Type::kObject) {
+    return serve_error("each job must be an object");
   }
-
-  bool eof() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  Status expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return err(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return Status::Ok();
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  StatusOr<std::string> parse_string() {
-    SUPMR_RETURN_IF_ERROR(expect('"'));
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return err("dangling escape in string");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: return err(std::string("unsupported escape \\") + esc);
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= text_.size()) return err("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  StatusOr<std::int64_t> parse_int() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start || (text_[start] == '-' && pos_ == start + 1)) {
-      return err("expected integer");
-    }
-    return std::stoll(std::string(text_.substr(start, pos_ - start)));
-  }
-
-  // Captures one balanced {...} object verbatim, honoring strings (a brace
-  // inside a quoted value must not count).
-  StatusOr<std::string> capture_object() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '{') {
-      return err("expected object");
-    }
-    const std::size_t start = pos_;
-    int depth = 0;
-    bool in_string = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (in_string) {
-        if (c == '\\') {
-          ++pos_;  // skip the escaped character too
-        } else if (c == '"') {
-          in_string = false;
-        }
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        --depth;
-        if (depth == 0) {
-          ++pos_;
-          return std::string(text_.substr(start, pos_ - start));
-        }
-      }
-      ++pos_;
-    }
-    return err("unbalanced object");
-  }
-
-  Status err(const std::string& what) const {
-    return Status::InvalidArgument("serve spec: " + what + " at byte " +
-                                   std::to_string(pos_));
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-StatusOr<ServeJobSpec> parse_job(Cursor& cur) {
   ServeJobSpec job;
   bool has_spec = false;
-  SUPMR_RETURN_IF_ERROR(cur.expect('{'));
-  if (!cur.consume('}')) {
-    while (true) {
-      SUPMR_ASSIGN_OR_RETURN(std::string key, cur.parse_string());
-      SUPMR_RETURN_IF_ERROR(cur.expect(':'));
-      if (key == "name") {
-        SUPMR_ASSIGN_OR_RETURN(job.name, cur.parse_string());
-      } else if (key == "priority") {
-        SUPMR_ASSIGN_OR_RETURN(std::int64_t v, cur.parse_int());
-        job.priority = static_cast<int>(v);
-      } else if (key == "threads" || key == "memory_bytes" ||
-                 key == "repeat") {
-        SUPMR_ASSIGN_OR_RETURN(std::int64_t v, cur.parse_int());
-        if (v < 0) return cur.err("negative value for " + key);
-        const auto u = static_cast<std::size_t>(v);
-        if (key == "threads") job.threads = u;
-        if (key == "memory_bytes") job.memory_bytes = u;
-        if (key == "repeat") job.repeat = u;
-      } else if (key == "spec") {
-        SUPMR_ASSIGN_OR_RETURN(std::string raw, cur.capture_object());
-        SUPMR_ASSIGN_OR_RETURN(job.spec, core::ReplaySpec::from_json(raw));
-        has_spec = true;
-      } else {
-        return cur.err("unknown job key \"" + key + "\"");
-      }
-      if (cur.consume(',')) continue;
-      SUPMR_RETURN_IF_ERROR(cur.expect('}'));
-      break;
+  for (const auto& [key, value] : doc.members()) {
+    if (key == "spec") {
+      SUPMR_ASSIGN_OR_RETURN(job.spec, core::ReplaySpec::from_json(value));
+      has_spec = true;
+      continue;
     }
+    SUPMR_RETURN_IF_ERROR(
+        key == "name"           ? read_field(value, key, job.name)
+        : key == "priority"     ? read_field(value, key, job.priority)
+        : key == "threads"      ? read_field(value, key, job.threads)
+        : key == "memory_bytes" ? read_field(value, key, job.memory_bytes)
+        : key == "repeat"
+            ? read_field(value, key, job.repeat)
+            : serve_error("unknown job key \"" + key + "\""));
   }
-  if (!has_spec) return cur.err("job missing \"spec\"");
-  if (job.repeat == 0) return cur.err("job repeat must be >= 1");
+  if (!has_spec) return serve_error("job missing \"spec\"");
+  if (job.repeat == 0) return serve_error("job repeat must be >= 1");
   return job;
 }
 
 }  // namespace
 
 StatusOr<ServeSpec> parse_serve_spec(std::string_view text) {
-  Cursor cur(text);
-  ServeSpec spec;
-  SUPMR_RETURN_IF_ERROR(cur.expect('{'));
-  if (!cur.consume('}')) {
-    while (true) {
-      SUPMR_ASSIGN_OR_RETURN(std::string key, cur.parse_string());
-      SUPMR_RETURN_IF_ERROR(cur.expect(':'));
-      if (key == "pool_threads" || key == "memory_budget_bytes" ||
-          key == "max_queued") {
-        SUPMR_ASSIGN_OR_RETURN(std::int64_t v, cur.parse_int());
-        if (v < 0) return cur.err("negative value for " + key);
-        const auto u = static_cast<std::size_t>(v);
-        if (key == "pool_threads") spec.pool_threads = u;
-        if (key == "memory_budget_bytes") spec.memory_budget_bytes = u;
-        if (key == "max_queued") spec.max_queued = u;
-      } else if (key == "jobs") {
-        SUPMR_RETURN_IF_ERROR(cur.expect('['));
-        if (!cur.consume(']')) {
-          while (true) {
-            SUPMR_ASSIGN_OR_RETURN(ServeJobSpec job, parse_job(cur));
-            spec.jobs.push_back(std::move(job));
-            if (cur.consume(',')) continue;
-            SUPMR_RETURN_IF_ERROR(cur.expect(']'));
-            break;
-          }
-        }
-      } else {
-        return cur.err("unknown key \"" + key + "\"");
-      }
-      if (cur.consume(',')) continue;
-      SUPMR_RETURN_IF_ERROR(cur.expect('}'));
-      break;
-    }
+  StatusOr<JsonValue> doc = parse_json(text);
+  if (!doc.ok()) return serve_error(doc.status().message());
+  if (doc->type() != JsonValue::Type::kObject) {
+    return serve_error("expected an object");
   }
-  if (!cur.eof()) return cur.err("trailing content after spec");
-  if (spec.jobs.empty()) return cur.err("no jobs");
+  ServeSpec spec;
+  for (const auto& [key, value] : doc->members()) {
+    if (key == "jobs") {
+      if (value.type() != JsonValue::Type::kArray) {
+        return serve_error("jobs must be an array");
+      }
+      for (const JsonValue& item : value.items()) {
+        SUPMR_ASSIGN_OR_RETURN(ServeJobSpec job, parse_job(item));
+        spec.jobs.push_back(std::move(job));
+      }
+      continue;
+    }
+    SUPMR_RETURN_IF_ERROR(
+        key == "pool_threads" ? read_field(value, key, spec.pool_threads)
+        : key == "memory_budget_bytes"
+            ? read_field(value, key, spec.memory_budget_bytes)
+        : key == "max_queued" ? read_field(value, key, spec.max_queued)
+                              : serve_error("unknown key \"" + key + "\""));
+  }
+  if (spec.jobs.empty()) return serve_error("no jobs");
   return spec;
 }
 

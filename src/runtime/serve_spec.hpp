@@ -18,9 +18,10 @@
 //     ]
 //   }
 //
-// The parser is strict like ReplaySpec::from_json: unknown keys are errors.
-// The "spec" sub-object is captured verbatim (balanced-brace, string-aware)
-// and handed to ReplaySpec::from_json, so the two grammars stay decoupled.
+// The file is read with the strict parse_json (common/json.hpp): unknown
+// keys, repeated keys, wrong value types and integers outside their field's
+// range (priority is an int, the rest are sizes) are errors. Each job's
+// parsed "spec" value goes to ReplaySpec::from_json(const JsonValue&).
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,5 @@
 // Runs a command and passes only if it exits 0 and its stdout is exactly one
-// JSON document (tests/json_validator.hpp); the command's stderr passes
+// JSON document (parse_json accepts it); the command's stderr passes
 // through. The CLI smoke tests of `--json` run through it:
 //
 //   cli_json_stdout <program> [args...]
@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <string>
 
-#include "tests/json_validator.hpp"
+#include "common/json.hpp"
 
 namespace {
 
@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
                  status);
     return 1;
   }
-  const std::string error = supmr::test::validate_json(out);
-  if (!error.empty()) {
+  const supmr::Status parsed = supmr::parse_json(out).status();
+  if (!parsed.ok()) {
     std::fprintf(stderr,
                  "cli_json_stdout: stdout is not one JSON document (%s):\n%s",
-                 error.c_str(), out.c_str());
+                 parsed.message().c_str(), out.c_str());
     return 1;
   }
   std::fwrite(out.data(), 1, out.size(), stdout);

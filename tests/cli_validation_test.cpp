@@ -341,6 +341,23 @@ TEST(CliValidation, ReplayNeedsAReadableSpec) {
   }
 }
 
+TEST(CliValidation, ServeRejectsOutOfRangeIntegers) {
+  // A number past the field's range is a spec error (exit 1), not an
+  // uncaught exception that aborts the process.
+  const std::string path = ::testing::TempDir() + "/huge_threads_serve.json";
+  FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("{\"jobs\": [{\"threads\": 99999999999999999999, \"spec\": {}}]}",
+             f);
+  std::fclose(f);
+  const CliResult r = run_cli("serve --jobs=" + path);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("serve spec: threads: expected an integer"),
+            std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
+}
+
 TEST(CliValidation, ReplayRejectsMalformedSpec) {
   const std::string path = ::testing::TempDir() + "/bad_replay_spec.json";
   FILE* f = std::fopen(path.c_str(), "w");

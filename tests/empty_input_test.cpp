@@ -7,7 +7,7 @@
 //   * run() succeeds (empty input is not an error);
 //   * num_chunks == 0 and chunks_skipped == 0 (nothing read, nothing
 //     "recovered" — degrade mode must not count phantom chunks);
-//   * the report is one valid JSON document (tests/json_validator.hpp);
+//   * the report is one valid JSON document (parse_json accepts it);
 //   * the merge produces a sorted empty output (TeraSort's sorted_data()
 //     is empty, word count's results() is empty) in every merge mode,
 //     including the partitioned shuffle.
@@ -20,11 +20,11 @@
 #include "apps/tera_sort.hpp"
 #include "apps/word_count.hpp"
 #include "cluster/cluster_job.hpp"
+#include "common/json.hpp"
 #include "core/job.hpp"
 #include "core/report.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
-#include "json_validator.hpp"
 #include "storage/mem_device.hpp"
 #include "storage/mmap_device.hpp"
 
@@ -58,7 +58,7 @@ void check_empty_result(const core::JobResult& result, const char* what) {
   EXPECT_FALSE(result.degraded());
   EXPECT_EQ(result.result_count, 0u);
   const std::string json = core::job_result_to_json(result);
-  EXPECT_EQ(test::validate_json(json), "") << json;
+  EXPECT_EQ(parse_json(json).status().message(), "") << json;
 }
 
 TEST(EmptyInput, WordCountAllModesAllMergesNormalAndDegrade) {

@@ -73,6 +73,19 @@ TEST(ReplaySpec, RoundTripNonDefault) {
   expect_specs_equal(spec, *parsed);
 }
 
+TEST(ReplaySpec, RoundTripsEveryByteInStrings) {
+  // JsonWriter writes bytes below 0x20 as \u00XX escapes and the rest raw;
+  // from_json must read each back, or a written repro could not replay.
+  std::string bytes;
+  for (int b = 0; b < 256; ++b) bytes += static_cast<char>(b);
+  core::ReplaySpec spec;
+  spec.grep_patterns = bytes;
+  spec.fault_plan = bytes;
+  auto parsed = core::ReplaySpec::from_json(spec.to_json());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed->to_json(), spec.to_json());
+}
+
 TEST(ReplaySpec, RoundTripDefaults) {
   const core::ReplaySpec spec;
   auto parsed = core::ReplaySpec::from_json(spec.to_json());
@@ -110,6 +123,15 @@ TEST(ReplaySpec, RejectsMalformedInput) {
   EXPECT_FALSE(core::ReplaySpec::from_json(valid + "x").ok());
 }
 
+// `json` with its one occurrence of `from` replaced by `to`.
+std::string replaced(std::string json, const std::string& from,
+                     const std::string& to) {
+  const std::size_t pos = json.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) json.replace(pos, from.size(), to);
+  return json;
+}
+
 TEST(ReplaySpec, RejectsSchemaDrift) {
   core::ReplaySpec spec;
   std::string json = spec.to_json();
@@ -130,22 +152,37 @@ TEST(ReplaySpec, RejectsSchemaDrift) {
   EXPECT_FALSE(core::ReplaySpec::from_json(without_app).ok());
 
   // Bad enum values and invalid app names.
-  auto replaced = [&](const std::string& from, const std::string& to) {
-    std::string s = json;
-    const std::size_t pos = s.find(from);
-    EXPECT_NE(pos, std::string::npos) << from;
-    if (pos != std::string::npos) s.replace(pos, from.size(), to);
-    return s;
-  };
-  EXPECT_FALSE(
-      core::ReplaySpec::from_json(replaced("\"wordcount\"", "\"nope\"")).ok());
-  EXPECT_FALSE(
-      core::ReplaySpec::from_json(replaced("\"supmr\"", "\"warp\"")).ok());
-  EXPECT_FALSE(
-      core::ReplaySpec::from_json(replaced("\"pway\"", "\"psychic\"")).ok());
-  EXPECT_FALSE(
-      core::ReplaySpec::from_json(replaced("\"threads\":2", "\"threads\":0"))
-          .ok());
+  for (const std::string& bad : {
+           replaced(json, "\"wordcount\"", "\"nope\""),
+           replaced(json, "\"supmr\"", "\"warp\""),
+           replaced(json, "\"pway\"", "\"psychic\""),
+           replaced(json, "\"threads\":2", "\"threads\":0"),
+       }) {
+    EXPECT_FALSE(core::ReplaySpec::from_json(bad).ok()) << bad;
+  }
+}
+
+TEST(ReplaySpec, RejectsWrongTypesOutOfRangeIntegersAndRepeatedKeys) {
+  // A negative or oversized integer must not wrap into a valid-looking
+  // value (-1 read as 2^64-1 passes threads >= 1), a quoted number or
+  // bool is a string, a bareword is not JSON, and a repeated key has no
+  // single value.
+  const std::string json = core::ReplaySpec().to_json();
+  for (const std::string& bad : {
+           replaced(json, "\"threads\":2", "\"threads\":-1"),
+           replaced(json, "\"threads\":2",
+                    "\"threads\":99999999999999999999"),
+           replaced(json, "\"bytes\":131072", "\"bytes\":-4096"),
+           replaced(json, "\"threads\":2", "\"threads\":\"2\""),
+           replaced(json, "\"degrade\":false", "\"degrade\":\"true\""),
+           replaced(json, "\"app\":\"wordcount\"", "\"app\":wordcount"),
+           replaced(json, "\"app\":\"wordcount\"",
+                    "\"app\":\"wordcount\",\"app\":\"grep\""),
+       }) {
+    const auto parsed = core::ReplaySpec::from_json(bad);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(ReplayPath, WrittenReproReRunsItsCell) {

@@ -1,45 +1,20 @@
 // Tests for the observability layer: metrics registry (bucketing, per-thread
 // sharding, aggregation, JSON) and the Chrome-trace recorder (golden schema,
 // disabled no-op, event cap). Every emitted document also goes through the
-// strict JSON validator so schema drift fails loudly.
+// strict parse_json so schema drift fails loudly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "json_validator.hpp"
+#include "common/json.hpp"
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace supmr::obs {
 namespace {
-
-// --- JSON validator self-tests (it guards every emitter below) -----------
-
-TEST(JsonValidator, AcceptsValidDocuments) {
-  EXPECT_EQ(test::validate_json("{}"), "");
-  EXPECT_EQ(test::validate_json("[]"), "");
-  EXPECT_EQ(test::validate_json("  {\"a\":[1,2.5,-3e2,\"x\\n\",true,false,"
-                                "null,{\"b\":[]}]}  "),
-            "");
-  EXPECT_EQ(test::validate_json("\"\\u00e9\""), "");
-  EXPECT_EQ(test::validate_json("0.125"), "");
-}
-
-TEST(JsonValidator, RejectsInvalidDocuments) {
-  EXPECT_NE(test::validate_json(""), "");
-  EXPECT_NE(test::validate_json("{"), "");
-  EXPECT_NE(test::validate_json("{\"a\":1,}"), "");  // trailing comma
-  EXPECT_NE(test::validate_json("{'a':1}"), "");     // single quotes
-  EXPECT_NE(test::validate_json("[1 2]"), "");
-  EXPECT_NE(test::validate_json("{\"a\":01}"), "");  // leading zero
-  EXPECT_NE(test::validate_json("\"\t\""), "");      // raw control char
-  EXPECT_NE(test::validate_json("\"\\u12g4\""), "");
-  EXPECT_NE(test::validate_json("NaN"), "");
-  EXPECT_NE(test::validate_json("{} []"), "");       // trailing data
-}
 
 // --- histogram bucketing --------------------------------------------------
 
@@ -153,14 +128,14 @@ TEST(MetricsRegistry, JsonGoldenAndValid) {
   EXPECT_EQ(json,
             "{\"counters\":{\"a\":2},\"gauges\":{\"g\":-1},"
             "\"histograms\":{}}");
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
 }
 
 TEST(MetricsRegistry, HistogramJsonShapeAndValid) {
   MetricsRegistry reg;
   reg.histogram_cell("h")->observe(3);
   const std::string json = metrics_to_json(reg.snapshot());
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_NE(json.find("\"h\":{\"count\":1,\"sum\":3,\"min\":3,\"max\":3,"
                       "\"buckets\":[0,0,1,0,"),
             std::string::npos);
@@ -176,7 +151,7 @@ TEST(MetricsRegistry, HistogramJsonShapeAndValid) {
 TEST(MetricsRegistry, EmptySnapshotEmitsValidJson) {
   const std::string json = metrics_to_json(MetricsSnapshot{});
   EXPECT_EQ(json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
 }
 
 // --- trace recorder -------------------------------------------------------
@@ -216,7 +191,7 @@ TEST(TraceRecorder, GoldenSchema) {
       "{\"name\":\"mark\",\"cat\":\"test\",\"ph\":\"i\",\"pid\":1,"
       "\"tid\":1,\"ts\":2.5,\"s\":\"t\",\"args\":{\"k\":7}}"
       "],\"displayTimeUnit\":\"ms\"}");
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
 }
 
 TEST(TraceRecorder, EventsSortedByTimestamp) {
@@ -230,7 +205,7 @@ TEST(TraceRecorder, EventsSortedByTimestamp) {
     rec.record(e);
   }
   const std::string json = rec.to_json();
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_LT(json.find("\"ts\":1,"), json.find("\"ts\":3,"));
   EXPECT_LT(json.find("\"ts\":3,"), json.find("\"ts\":5,"));
 }
@@ -256,7 +231,7 @@ TEST(TraceRecorder, ScopeEmitsCompleteEvent) {
     scope.set_arg("n", 3);
   }
   const std::string json = rec.to_json();
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_NE(json.find("\"name\":\"work\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"n\":3}"), std::string::npos);
@@ -296,7 +271,7 @@ TEST(TraceRecorder, PerThreadTids) {
   rec.record(e);
 
   const std::string json = rec.to_json();
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   // Two distinct tids must appear.
   EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
   EXPECT_NE(json.find("\"tid\":2"), std::string::npos);

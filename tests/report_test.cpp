@@ -10,7 +10,6 @@
 #include "core/report.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
-#include "json_validator.hpp"
 #include "storage/mem_device.hpp"
 
 namespace supmr {
@@ -93,8 +92,8 @@ TEST(Report, JobResultJsonShape) {
   auto result = job.run(core::ExecMode::kIngestMR);
   ASSERT_TRUE(result.ok());
   const std::string json = core::job_result_to_json(*result);
-  EXPECT_EQ(test::validate_json(json), "");
-  // Spot-check structure (no DOM parser in the repo by design).
+  EXPECT_EQ(parse_json(json).status().message(), "");
+  // Spot-check structure.
   EXPECT_NE(json.find("\"phases\":{"), std::string::npos);
   EXPECT_NE(json.find("\"readmap_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"pipeline\":{"), std::string::npos);
@@ -126,7 +125,7 @@ TEST(Report, PhasesJsonDistinguishesModes) {
   plain.read_s = 1.0;
   plain.map_s = 2.0;
   const std::string a = core::phases_to_json(plain);
-  EXPECT_EQ(test::validate_json(a), "");
+  EXPECT_EQ(parse_json(a).status().message(), "");
   EXPECT_NE(a.find("\"read_s\":1"), std::string::npos);
   EXPECT_EQ(a.find("readmap_s"), std::string::npos);
 
@@ -134,7 +133,7 @@ TEST(Report, PhasesJsonDistinguishesModes) {
   combined.has_combined_readmap = true;
   combined.readmap_s = 3.0;
   const std::string b = core::phases_to_json(combined);
-  EXPECT_EQ(test::validate_json(b), "");
+  EXPECT_EQ(parse_json(b).status().message(), "");
   EXPECT_NE(b.find("\"readmap_s\":3"), std::string::npos);
 }
 
@@ -156,7 +155,7 @@ TEST(Report, UnchunkedRunPhasesAreSelfConsistent) {
   EXPECT_EQ(result->phases.num_chunks, result->chunks);
   EXPECT_FALSE(result->phases.chunked);
   const std::string json = core::job_result_to_json(*result);
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_NE(json.find("\"chunked\":false"), std::string::npos);
   EXPECT_NE(json.find("\"num_chunks\":" +
                       std::to_string(result->chunks)),
@@ -177,7 +176,7 @@ TEST(Report, ChunkedRunPhasesFlagChunked) {
   EXPECT_EQ(result->phases.num_chunks, result->chunks);
   EXPECT_TRUE(result->phases.chunked);
   const std::string json = core::job_result_to_json(*result);
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_NE(json.find("\"chunked\":true"), std::string::npos);
 }
 
@@ -193,7 +192,7 @@ TEST(Report, JobResultJsonCarriesMetricsObject) {
   auto result = job.run(core::ExecMode::kOriginal);
   ASSERT_TRUE(result.ok());
   const std::string json = core::job_result_to_json(*result);
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_NE(json.find("\"metrics\":{\"counters\":{"), std::string::npos);
 }
 
@@ -215,7 +214,7 @@ TEST(Report, MergePartitionedBlockCarriesGeometry) {
   result.merge_stats.partition_min_items = 10;
   result.merge_stats.rounds.push_back({4, 80, 0.5});  // mean 20/partition
   const std::string json = core::job_result_to_json(result);
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_NE(json.find("\"merge_partitioned\":{"), std::string::npos);
   EXPECT_NE(json.find("\"partitions\":4"), std::string::npos);
   EXPECT_NE(json.find("\"partition_max_items\":30"), std::string::npos);
@@ -228,7 +227,7 @@ TEST(Report, MergePartitionedBlockForGlobalMerge) {
   // is still present (fixed schema) with neutral values.
   core::JobResult result;
   const std::string json = core::job_result_to_json(result);
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_NE(json.find("\"merge_partitioned\":{\"partitions\":0"),
             std::string::npos);
   EXPECT_NE(json.find("\"partition_skew\":1"), std::string::npos);
@@ -248,7 +247,7 @@ TEST(Report, DegradeAccountingInJson) {
   skipped.skipped = true;
   result.pipeline.chunks.push_back(skipped);
   const std::string json = core::job_result_to_json(result);
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_TRUE(result.degraded());
   EXPECT_NE(json.find("\"chunks_skipped\":1"), std::string::npos);
   EXPECT_NE(json.find("\"bytes_skipped\":65536"), std::string::npos);
@@ -262,7 +261,7 @@ TEST(Report, CleanRunIsNotDegraded) {
   core::JobResult result;
   result.chunks = 4;
   const std::string json = core::job_result_to_json(result);
-  EXPECT_EQ(test::validate_json(json), "");
+  EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_FALSE(result.degraded());
   EXPECT_NE(json.find("\"chunks_skipped\":0"), std::string::npos);
   EXPECT_NE(json.find("\"degraded\":false"), std::string::npos);
@@ -270,13 +269,13 @@ TEST(Report, CleanRunIsNotDegraded) {
 
 TEST(Report, StatusToJson) {
   const std::string ok = core::status_to_json(Status::Ok());
-  EXPECT_EQ(test::validate_json(ok), "");
+  EXPECT_EQ(parse_json(ok).status().message(), "");
   EXPECT_NE(ok.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(ok.find("\"code\":\"OK\""), std::string::npos);
 
   const std::string err = core::status_to_json(
       Status::InvalidArgument("bad \"flag\" value"));
-  EXPECT_EQ(test::validate_json(err), "");
+  EXPECT_EQ(parse_json(err).status().message(), "");
   EXPECT_NE(err.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(err.find("\"code\":\"INVALID_ARGUMENT\""), std::string::npos);
   // The message survives with its quotes escaped.

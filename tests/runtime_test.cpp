@@ -498,6 +498,15 @@ TEST(ServeSpec, RejectsMalformedSpecs) {
   EXPECT_FALSE(
       parse_serve_spec(serve_json("{\"spec\": {\"app\": \"wordcount\"}}"))
           .ok());
+  // Integers outside their field's range are errors: no exception out of
+  // the parser, no int wrap-around of priority. A repeated key is an error.
+  for (const char* keys :
+       {"\"threads\": 99999999999999999999,", "\"priority\": 3000000000,",
+        "\"repeat\": 2, \"repeat\": 3,"}) {
+    const auto spec = parse_serve_spec(
+        serve_json(std::string("{") + keys + " \"spec\": " + kSpecJson + "}"));
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << keys;
+  }
 }
 
 }  // namespace

@@ -85,22 +85,13 @@ COVERAGE_FLOOR_MERGE="${COVERAGE_FLOOR_MERGE:-97.5}"
 COVERAGE_FLOOR_CONTAINERS="${COVERAGE_FLOOR_CONTAINERS:-97.5}"
 COVERAGE_FLOOR_CLUSTER="${COVERAGE_FLOOR_CLUSTER:-97.5}"
 
-# Validate that a file exists, is non-empty, and parses as JSON. Uses
-# python3's parser when present; otherwise falls back to a shape check so
-# the stage still catches empty/truncated output on minimal hosts.
+# Validate that a file exists and is exactly one JSON document, read by the
+# runtime's own strict parse_json (through tests/cli_json_stdout, built in
+# build-check-plain by every stage that calls this).
 validate_json_file() {
   local f="$1"
-  [ -s "${f}" ] || { echo "check: ${f} missing or empty" >&2; return 1; }
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool "${f}" >/dev/null ||
-      { echo "check: ${f} is not valid JSON" >&2; return 1; }
-  else
-    local first last
-    first="$(head -c1 "${f}")"
-    last="$(tail -c2 "${f}" | tr -d '\n')"
-    { [ "${first}" = "{" ] && [ "${last}" = "}" ]; } ||
-      { echo "check: ${f} does not look like a JSON object" >&2; return 1; }
-  fi
+  "${ROOT}/build-check-plain/tests/cli_json_stdout" cat "${f}" >/dev/null ||
+    { echo "check: ${f} is not one JSON document" >&2; return 1; }
 }
 
 configure_and_build() {

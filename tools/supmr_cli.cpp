@@ -102,6 +102,7 @@
 #include "apps/tera_sort.hpp"
 #include "apps/word_count.hpp"
 #include "cluster/cluster_job.hpp"
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "core/job.hpp"
 #include "core/proc_sampler.hpp"
@@ -314,6 +315,13 @@ std::FILE* human_out(const CommonConfig& cfg) {
   return cfg.json ? stderr : stdout;
 }
 
+// Under --json a failed run still leaves one document on stdout: the error
+// report.
+Status report_failure(const CommonConfig& cfg, const Status& status) {
+  if (cfg.json) std::printf("%s\n", core::status_to_json(status).c_str());
+  return status;
+}
+
 // Runs `app` over `source` honoring --mode; prints the phase row.
 StatusOr<core::JobResult> run_app(core::Application& app,
                                   const ingest::IngestSource& source,
@@ -338,14 +346,7 @@ StatusOr<core::JobResult> run_app(core::Application& app,
     std::fprintf(human_out(cfg), "utilization trace (%zu samples) -> %s\n",
                  trace.samples(), cfg.trace_path->c_str());
   }
-  if (!result.ok()) {
-    // Machine-readable failure report: with --json, stdout carries a
-    // well-formed error object instead of half a result.
-    if (cfg.json) {
-      std::printf("%s\n", core::status_to_json(result.status()).c_str());
-    }
-    return result.status();
-  }
+  if (!result.ok()) return report_failure(cfg, result.status());
   if (cfg.json) {
     std::printf("%s\n", core::job_result_to_json(*result).c_str());
     return result;
@@ -372,12 +373,38 @@ StatusOr<std::string> slurp(const std::string& path) {
   return text;
 }
 
+// The --json report of a --nodes run: totals, then each node's bytes.
+std::string cluster_result_to_json(const cluster::ClusterResult& result) {
+  JsonWriter w;
+  w.begin_object();
+  w.kv("elapsed_s", result.elapsed_s);
+  w.kv("output_bytes", result.output.size());
+  w.kv("map_output_bytes", result.map_output_bytes);
+  w.kv("shuffle_bytes", result.shuffle_bytes);
+  w.kv("local_bytes", result.local_bytes);
+  w.key("nodes");
+  w.begin_array();
+  for (const cluster::NodeStats& node : result.nodes) {
+    w.begin_object();
+    w.kv("input_bytes", node.input_bytes);
+    w.kv("map_output_bytes", node.map_output_bytes);
+    w.kv("sent_bytes", node.sent_bytes);
+    w.kv("recv_bytes", node.recv_bytes);
+    w.kv("local_bytes", node.local_bytes);
+    w.kv("spill_runs", node.spill_runs);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return w.str();
+}
+
 // Cluster execution path for the single-device app subcommands: --nodes=N
 // slurps the input and runs it through the sharded-shuffle runtime
 // (docs/cluster.md) instead of one MapReduceJob, then prints the shuffle
-// accounting. The product is the reassembled global output (identical to
-// the single-node run byte for byte), so app-specific result printing does
-// not apply here.
+// accounting (with --json, as cluster_result_to_json). The product is the
+// reassembled global output (identical to the single-node run byte for
+// byte), so app-specific result printing does not apply here.
 StatusOr<cluster::ClusterResult> run_cluster_cli(
     const std::string& path,
     std::shared_ptr<const ingest::RecordFormat> format,
@@ -404,29 +431,32 @@ StatusOr<cluster::ClusterResult> run_cluster_cli(
     job.spill_dir = "/tmp/supmr_cluster_" + std::to_string(::getpid());
     ::mkdir(job.spill_dir.c_str(), 0777);  // best effort; the sorter reports
   }
-  SUPMR_ASSIGN_OR_RETURN(cluster::ClusterResult result,
-                         cluster::run_cluster(job));
-  std::printf("cluster: %zu node(s), map output %s, shuffled %s "
-              "cross-node, %s stayed local\n",
-              result.nodes.size(),
-              format_bytes(result.map_output_bytes).c_str(),
-              format_bytes(result.shuffle_bytes).c_str(),
-              format_bytes(result.local_bytes).c_str());
-  for (std::size_t i = 0; i < result.nodes.size(); ++i) {
-    const cluster::NodeStats& node = result.nodes[i];
-    std::printf("  node %zu: in %s, map-out %s, sent %s, recv %s"
-                "%s%s\n",
-                i, format_bytes(node.input_bytes).c_str(),
-                format_bytes(node.map_output_bytes).c_str(),
-                format_bytes(node.sent_bytes).c_str(),
-                format_bytes(node.recv_bytes).c_str(),
-                node.spill_runs > 0 ? ", spill runs " : "",
-                node.spill_runs > 0
-                    ? std::to_string(node.spill_runs).c_str()
-                    : "");
+  StatusOr<cluster::ClusterResult> result = cluster::run_cluster(job);
+  if (!result.ok()) return report_failure(cfg, result.status());
+  std::FILE* out = human_out(cfg);
+  std::fprintf(out, "cluster: %zu node(s), map output %s, shuffled %s "
+               "cross-node, %s stayed local\n",
+               result->nodes.size(),
+               format_bytes(result->map_output_bytes).c_str(),
+               format_bytes(result->shuffle_bytes).c_str(),
+               format_bytes(result->local_bytes).c_str());
+  for (std::size_t i = 0; i < result->nodes.size(); ++i) {
+    const cluster::NodeStats& node = result->nodes[i];
+    std::fprintf(out, "  node %zu: in %s, map-out %s, sent %s, recv %s"
+                 "%s%s\n",
+                 i, format_bytes(node.input_bytes).c_str(),
+                 format_bytes(node.map_output_bytes).c_str(),
+                 format_bytes(node.sent_bytes).c_str(),
+                 format_bytes(node.recv_bytes).c_str(),
+                 node.spill_runs > 0 ? ", spill runs " : "",
+                 node.spill_runs > 0
+                     ? std::to_string(node.spill_runs).c_str()
+                     : "");
   }
-  std::printf("cluster: %s output in %.3fs\n",
-              format_bytes(result.output.size()).c_str(), result.elapsed_s);
+  std::fprintf(out, "cluster: %s output in %.3fs\n",
+               format_bytes(result->output.size()).c_str(),
+               result->elapsed_s);
+  if (cfg.json) std::printf("%s\n", cluster_result_to_json(*result).c_str());
   return result;
 }
 
@@ -520,8 +550,8 @@ Status cmd_sort(const Flags& flags) {
                                   f) == result.output.size();
       std::fclose(f);
       if (!ok) return Status::IoError("short write to " + *out);
-      std::printf("sorted output (%s) -> %s\n",
-                  format_bytes(result.output.size()).c_str(), out->c_str());
+      std::fprintf(human_out(cfg), "sorted output (%s) -> %s\n",
+                   format_bytes(result.output.size()).c_str(), out->c_str());
     }
     return Status::Ok();
   }
@@ -555,16 +585,8 @@ Status cmd_grep(const Flags& flags) {
     return Status::InvalidArgument("grep needs <patterns> <file>");
   }
   SUPMR_ASSIGN_OR_RETURN(CommonConfig cfg, common_config(flags));
-  std::vector<std::string> patterns;
-  const std::string& arg = flags.positional()[0];
-  std::size_t pos = 0;
-  while (pos <= arg.size()) {
-    const std::size_t comma = arg.find(',', pos);
-    patterns.push_back(arg.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+  const std::vector<std::string> patterns =
+      apps::split_patterns(flags.positional()[0]);
   if (cfg.job.num_nodes > 0) {
     return run_cluster_cli(
                flags.positional()[1], std::make_shared<ingest::LineFormat>(),
@@ -686,16 +708,35 @@ Status cmd_kmeans(const Flags& flags) {
                                     cfg.chunk_bytes, cfg.job.io);
   auto result =
       apps::run_kmeans(source, cfg.job, opt, std::move(init), iters, 1e-6);
-  if (!result.ok()) return result.status();
-  std::printf("k-means: %zu iterations over %llu points (%.3fs, final "
-              "shift %.2g)\n",
-              result->iterations, (unsigned long long)result->points,
-              result->total_s, result->final_shift);
+  if (!result.ok()) return report_failure(cfg, result.status());
+  std::FILE* out = human_out(cfg);
+  std::fprintf(out, "k-means: %zu iterations over %llu points (%.3fs, final "
+               "shift %.2g)\n",
+               result->iterations, (unsigned long long)result->points,
+               result->total_s, result->final_shift);
   for (std::size_t c = 0; c < clusters; ++c) {
-    std::printf("  centroid %zu: (", c);
+    std::fprintf(out, "  centroid %zu: (", c);
     for (std::size_t d = 0; d < dim; ++d)
-      std::printf("%s%.4f", d ? ", " : "", result->centroids[c][d]);
-    std::printf(")\n");
+      std::fprintf(out, "%s%.4f", d ? ", " : "", result->centroids[c][d]);
+    std::fprintf(out, ")\n");
+  }
+  if (cfg.json) {
+    JsonWriter w;
+    w.begin_object();
+    w.kv("iterations", result->iterations);
+    w.kv("points", result->points);
+    w.kv("total_s", result->total_s);
+    w.kv("final_shift", result->final_shift);
+    w.key("centroids");
+    w.begin_array();
+    for (const std::vector<double>& centroid : result->centroids) {
+      w.begin_array();
+      for (const double x : centroid) w.value(x);
+      w.end_array();
+    }
+    w.end_array();
+    w.end_object();
+    std::printf("%s\n", w.str().c_str());
   }
   return Status::Ok();
 }
@@ -746,14 +787,7 @@ Status cmd_generate(const Flags& flags) {
 // (docs/testing.md). Non-zero exit iff the cell still diverges, so CI and
 // bisect scripts can drive it directly.
 Status cmd_replay(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
+  SUPMR_ASSIGN_OR_RETURN(std::string text, slurp(path));
   SUPMR_ASSIGN_OR_RETURN(core::ReplaySpec spec,
                          core::ReplaySpec::from_json(text));
   std::printf("replay: app=%s corpus=%s/%llu seed=%llu mode=%s merge=%s "
@@ -798,14 +832,7 @@ Status cmd_graph(const Flags& flags) {
   if (path.empty()) {
     return Status::InvalidArgument("graph needs --spec=<spec.json>");
   }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
+  SUPMR_ASSIGN_OR_RETURN(std::string text, slurp(path));
   SUPMR_ASSIGN_OR_RETURN(core::ReplaySpec spec,
                          core::ReplaySpec::from_json(text));
   if (!spec.is_graph()) {
@@ -912,14 +939,7 @@ Status cmd_serve(const Flags& flags) {
   if (path.empty()) {
     return Status::InvalidArgument("serve needs --jobs=<spec.json>");
   }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
+  SUPMR_ASSIGN_OR_RETURN(std::string text, slurp(path));
   SUPMR_ASSIGN_OR_RETURN(runtime::ServeSpec spec,
                          runtime::parse_serve_spec(text));
   runtime::JobManager::Options opts;
