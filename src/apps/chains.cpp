@@ -1,8 +1,14 @@
 #include "apps/chains.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <utility>
 
 #include "apps/doc_term_count.hpp"
+#include "apps/external_word_count.hpp"
+#include "apps/grep.hpp"
+#include "apps/histogram.hpp"
 #include "apps/inverted_index.hpp"
 #include "apps/pair_count.hpp"
 #include "apps/pmi.hpp"
@@ -10,29 +16,34 @@
 #include "apps/tera_sort.hpp"
 #include "apps/tfidf.hpp"
 #include "apps/word_count.hpp"
-#include "ingest/record_format.hpp"
-#include "ingest/source.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/retrying_device.hpp"
+#include "storage/fault_device.hpp"
 
 namespace supmr::apps {
 namespace {
 
-core::JobConfig stage_config(const core::ReplaySpec& spec) {
-  core::JobConfig cfg;
-  cfg.mode = spec.mode;
-  cfg.merge_mode = spec.merge_mode;
-  cfg.num_map_threads = spec.threads;
-  cfg.num_reduce_threads = spec.threads;
-  cfg.num_merge_partitions = spec.merge_partitions;
-  cfg.io = spec.io;
-  return cfg;
+// The apps whose file identity must survive chunk coalescing
+// (MultiFileSource).
+bool reads_files(const core::ReplaySpec& spec) {
+  return spec.app == "index" || spec.app == "doctermcount" ||
+         spec.app == "tfidf";
 }
 
-graph::StageOptions stage(const core::ReplaySpec& spec, std::string name,
-                          std::shared_ptr<const ingest::RecordFormat> format) {
+// sort and msort's TeraSort stage.
+TeraSortOptions tera_sort_options(const core::ReplaySpec& spec) {
+  TeraSortOptions opt;
+  opt.key_bytes = static_cast<std::uint32_t>(spec.key_bytes);
+  opt.record_bytes = static_cast<std::uint32_t>(spec.record_bytes);
+  opt.partitions = spec.app_partitions;
+  return opt;
+}
+
+graph::StageOptions stage(const core::ReplaySpec& spec, std::string name) {
   graph::StageOptions opts;
   opts.name = std::move(name);
-  opts.config = stage_config(spec);
-  opts.format = std::move(format);
+  opts.config = spec.job_config();
+  opts.format = record_format(spec);
   opts.chunk_bytes = spec.chunk_bytes;
   opts.io = spec.io;
   return opts;
@@ -40,76 +51,159 @@ graph::StageOptions stage(const core::ReplaySpec& spec, std::string name,
 
 }  // namespace
 
+StatusOr<std::unique_ptr<core::Application>> make_app(
+    const core::ReplaySpec& spec) {
+  std::unique_ptr<core::Application> app;
+  if (spec.app == "wordcount") {
+    app = std::make_unique<WordCountApp>();
+  } else if (spec.app == "xwordcount") {
+    containers::SpillingHashContainer::Options opt;
+    opt.memory_budget_bytes =
+        spec.memory_budget > 0 ? spec.memory_budget : 32 * 1024;
+    app = std::make_unique<ExternalWordCountApp>(opt);
+  } else if (spec.app == "sort") {
+    app = std::make_unique<TeraSortApp>(tera_sort_options(spec));
+  } else if (spec.app == "grep") {
+    app = std::make_unique<GrepApp>(split_patterns(spec.grep_patterns));
+  } else if (spec.app == "histogram") {
+    if (spec.hist_bins == 0) {
+      return Status::InvalidArgument("histogram needs at least one bin");
+    }
+    HistogramOptions opt;
+    opt.lo = spec.hist_lo;
+    opt.hi = spec.hist_hi;
+    opt.bins = spec.hist_bins;
+    app = std::make_unique<HistogramApp>(opt);
+  } else if (spec.app == "index") {
+    app = std::make_unique<InvertedIndexApp>();
+  } else if (spec.app == "paircount") {
+    app = std::make_unique<PairCountApp>();
+  } else if (spec.app == "doctermcount") {
+    app = std::make_unique<DocTermCountApp>();
+  } else {
+    return Status::InvalidArgument("apps: not a single-round app: " +
+                                   spec.app);
+  }
+  // Apps without a combiner reject container=combining here instead of
+  // silently running their default container.
+  SUPMR_RETURN_IF_ERROR(app->use_container(spec.container));
+  return app;
+}
+
+std::shared_ptr<const ingest::RecordFormat> record_format(
+    const core::ReplaySpec& spec) {
+  if (spec.app == "sort" || spec.app == "msort") {
+    return std::make_shared<ingest::CrlfFormat>();
+  }
+  return std::make_shared<ingest::LineFormat>();
+}
+
+StatusOr<std::unique_ptr<ingest::IngestSource>> make_source(
+    const core::ReplaySpec& spec, const ChainInputs& inputs) {
+  std::unique_ptr<ingest::IngestSource> source;
+  if (reads_files(spec)) {
+    if (inputs.files.empty()) {
+      return Status::InvalidArgument(spec.app + " reads input files");
+    }
+    source = std::make_unique<ingest::MultiFileSource>(
+        inputs.files, static_cast<std::size_t>(spec.files_per_chunk),
+        spec.io);
+  } else {
+    if (inputs.device == nullptr) {
+      return Status::InvalidArgument(spec.app + " reads one input device");
+    }
+    source = std::make_unique<ingest::SingleDeviceSource>(
+        inputs.device, record_format(spec), spec.chunk_bytes, spec.io);
+  }
+  return source;
+}
+
+StatusOr<std::shared_ptr<const storage::Device>> with_faults(
+    std::shared_ptr<const storage::Device> device,
+    const core::ReplaySpec& spec, const fault::RetryPolicy& policy) {
+  if (!spec.fault_plan.empty()) {
+    SUPMR_ASSIGN_OR_RETURN(fault::FaultPlan plan,
+                           fault::FaultPlan::parse(spec.fault_plan));
+    device = std::make_shared<storage::FaultDevice>(device, std::move(plan));
+  }
+  if (policy.enabled()) {
+    device = std::make_shared<fault::RetryingDevice>(device, policy);
+  }
+  return device;
+}
+
+StatusOr<cluster::ClusterJob> make_cluster_job(const core::ReplaySpec& spec,
+                                               std::string input) {
+  SUPMR_RETURN_IF_ERROR(make_app(spec).status());
+  cluster::ClusterJob job;
+  job.input = std::move(input);
+  job.format = record_format(spec);
+  job.make_app = [spec]() -> std::unique_ptr<core::Application> {
+    auto app = make_app(spec);
+    return app.ok() ? std::move(app).value() : nullptr;
+  };
+  job.config = spec.job_config();
+  job.chunk_bytes = spec.chunk_bytes;
+  if (spec.app == "sort") job.record_bytes = spec.record_bytes;
+  if (spec.cluster_budget > 0) {
+    job.spill_dir = "/tmp/supmr_cluster_" + std::to_string(::getpid());
+    ::mkdir(job.spill_dir.c_str(), 0777);  // best effort; the sorter reports
+  }
+  return job;
+}
+
 StatusOr<graph::JobGraph> make_chain(const core::ReplaySpec& spec,
                                      const ChainInputs& inputs) {
   graph::JobGraph g;
+  // A root stage reads the spec's input; the join stages read their
+  // in-edges.
+  auto set_root = [&](std::size_t stage) -> Status {
+    SUPMR_ASSIGN_OR_RETURN(std::shared_ptr<const ingest::IngestSource> source,
+                           make_source(spec, inputs));
+    return g.set_source(stage, std::move(source));
+  };
   if (spec.app == "pmi") {
-    if (inputs.device == nullptr)
-      return Status::InvalidArgument("chains: pmi needs a corpus device");
-    auto line = std::make_shared<ingest::LineFormat>();
     const std::size_t wc = g.add_stage(
         [] { return std::make_unique<WordCountApp>(); },
-        stage(spec, "wordcount", line));
+        stage(spec, "wordcount"));
     const std::size_t pc = g.add_stage(
         [] { return std::make_unique<PairCountApp>(); },
-        stage(spec, "paircount", line));
+        stage(spec, "paircount"));
     const std::size_t join = g.add_stage(
-        [] { return std::make_unique<PmiApp>(); }, stage(spec, "pmi", line));
-    SUPMR_RETURN_IF_ERROR(g.set_source(
-        wc, std::make_shared<ingest::SingleDeviceSource>(
-                inputs.device, line, spec.chunk_bytes, spec.io)));
-    SUPMR_RETURN_IF_ERROR(g.set_source(
-        pc, std::make_shared<ingest::SingleDeviceSource>(
-                inputs.device, line, spec.chunk_bytes, spec.io)));
+        [] { return std::make_unique<PmiApp>(); }, stage(spec, "pmi"));
+    SUPMR_RETURN_IF_ERROR(set_root(wc));
+    SUPMR_RETURN_IF_ERROR(set_root(pc));
     SUPMR_RETURN_IF_ERROR(g.add_edge(wc, join));
     SUPMR_RETURN_IF_ERROR(g.add_edge(pc, join));
     return g;
   }
   if (spec.app == "tfidf") {
-    if (inputs.files.empty())
-      return Status::InvalidArgument("chains: tfidf needs corpus files");
-    auto line = std::make_shared<ingest::LineFormat>();
     const std::size_t index = g.add_stage(
         [] { return std::make_unique<InvertedIndexApp>(); },
-        stage(spec, "index", line));
+        stage(spec, "index"));
     const std::size_t dtc = g.add_stage(
         [] { return std::make_unique<DocTermCountApp>(); },
-        stage(spec, "doctermcount", line));
+        stage(spec, "doctermcount"));
     const std::size_t join = g.add_stage(
-        [] { return std::make_unique<TfIdfApp>(); },
-        stage(spec, "tfidf", line));
-    SUPMR_RETURN_IF_ERROR(g.set_source(
-        index, std::make_shared<ingest::MultiFileSource>(
-                   inputs.files,
-                   static_cast<std::size_t>(spec.files_per_chunk), spec.io)));
-    SUPMR_RETURN_IF_ERROR(g.set_source(
-        dtc, std::make_shared<ingest::MultiFileSource>(
-                 inputs.files,
-                 static_cast<std::size_t>(spec.files_per_chunk), spec.io)));
+        [] { return std::make_unique<TfIdfApp>(); }, stage(spec, "tfidf"));
+    SUPMR_RETURN_IF_ERROR(set_root(index));
+    SUPMR_RETURN_IF_ERROR(set_root(dtc));
     SUPMR_RETURN_IF_ERROR(g.add_edge(index, join));
     SUPMR_RETURN_IF_ERROR(g.add_edge(dtc, join));
     return g;
   }
   if (spec.app == "msort") {
-    if (inputs.device == nullptr)
-      return Status::InvalidArgument("chains: msort needs a corpus device");
-    auto crlf = std::make_shared<ingest::CrlfFormat>();
     ScatterOptions sopt;
     sopt.key_bytes = static_cast<std::uint32_t>(spec.key_bytes);
     sopt.record_bytes = static_cast<std::uint32_t>(spec.record_bytes);
-    TeraSortOptions topt;
-    topt.key_bytes = static_cast<std::uint32_t>(spec.key_bytes);
-    topt.record_bytes = static_cast<std::uint32_t>(spec.record_bytes);
-    topt.partitions = spec.app_partitions;
+    const TeraSortOptions topt = tera_sort_options(spec);
     const std::size_t scatter = g.add_stage(
         [sopt] { return std::make_unique<ScatterApp>(sopt); },
-        stage(spec, "scatter", crlf));
+        stage(spec, "scatter"));
     const std::size_t sort = g.add_stage(
         [topt] { return std::make_unique<TeraSortApp>(topt); },
-        stage(spec, "terasort", crlf));
-    SUPMR_RETURN_IF_ERROR(g.set_source(
-        scatter, std::make_shared<ingest::SingleDeviceSource>(
-                     inputs.device, crlf, spec.chunk_bytes, spec.io)));
+        stage(spec, "terasort"));
+    SUPMR_RETURN_IF_ERROR(set_root(scatter));
     SUPMR_RETURN_IF_ERROR(g.add_edge(scatter, sort));
     return g;
   }

@@ -1,30 +1,70 @@
-// Chained-app graph assembly: the JobGraphs behind the pmi | tfidf | msort
-// replay apps (docs/graphs.md).
+// The run builder: the one place a ReplaySpec becomes an application, a
+// record format, an ingest source, a fault/retry device stack, a cluster
+// job or a chained-app JobGraph (docs/ARCHITECTURE.md §11). The CLI's app
+// subcommands and the conformance harness (system under test and oracle
+// twin alike) build through it; a spec's cell reaches a JobConfig only
+// through ReplaySpec::job_config().
 //
-// Each builder returns a JobGraph whose stage geometry (threads, ExecMode,
-// merge mode, chunking, io) comes from the ReplaySpec cell. The graph holds
-// app FACTORIES, so the same graph object serves both the SUT executor
-// (graph::run_graph) and the sequential oracle (ref::run_graph) — each
-// instantiates fresh applications. Callers provide the corpus as devices
-// and keep them alive for the graph's lifetime.
+// make_chain's graph holds app FACTORIES, so the same graph object serves
+// both the SUT executor (graph::run_graph) and the sequential oracle
+// (ref::run_graph). Callers keep the input devices alive for the graph's
+// lifetime.
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "cluster/cluster_job.hpp"
 #include "common/status.hpp"
+#include "core/application.hpp"
 #include "core/replay.hpp"
+#include "fault/retry_policy.hpp"
 #include "graph/job_graph.hpp"
+#include "ingest/record_format.hpp"
+#include "ingest/source.hpp"
 #include "storage/device.hpp"
 
 namespace supmr::apps {
 
-// Corpus roots for make_chain: pmi and msort read `device` (text / terasort
-// records); tfidf reads `files` (multi-text).
+// A run's input devices: the multi-file apps (index, doctermcount, tfidf)
+// read `files`, every other app reads `device`.
 struct ChainInputs {
   std::shared_ptr<const storage::Device> device;
   std::vector<std::shared_ptr<const storage::Device>> files;
 };
+
+// The single-round app spec.app names, with its parameters set and
+// spec.container applied. InvalidArgument for a graph or unknown app, or a
+// container the app rejects.
+StatusOr<std::unique_ptr<core::Application>> make_app(
+    const core::ReplaySpec& spec);
+
+// How spec.app's input is framed: "\r\n"-terminated fixed records for sort
+// and msort, lines for every other app.
+std::shared_ptr<const ingest::RecordFormat> record_format(
+    const core::ReplaySpec& spec);
+
+// The source spec.app reads, at the spec's chunking and io: a
+// MultiFileSource over inputs.files for the multi-file apps, else a
+// SingleDeviceSource over inputs.device in record_format(spec).
+// InvalidArgument when the input the app reads is missing.
+StatusOr<std::unique_ptr<ingest::IngestSource>> make_source(
+    const core::ReplaySpec& spec, const ChainInputs& inputs);
+
+// `device` behind spec.fault_plan (storage::FaultDevice) and, when `policy`
+// retries, a fault::RetryingDevice — the stack a run's input is read
+// through, so pipeline chunks and spill reads retry the same way.
+StatusOr<std::shared_ptr<const storage::Device>> with_faults(
+    std::shared_ptr<const storage::Device> device,
+    const core::ReplaySpec& spec, const fault::RetryPolicy& policy);
+
+// The cluster run of spec over `input` (spec.is_cluster()): every node
+// builds make_app(spec) and runs spec.job_config(). Makes the owner spill
+// directory when spec.cluster_budget > 0. An app or container make_app
+// rejects fails here, before any node starts.
+StatusOr<cluster::ClusterJob> make_cluster_job(const core::ReplaySpec& spec,
+                                               std::string input);
 
 // Builds the chain for spec.app:
 //   pmi   — wordcount + paircount over the same text -> PMI join

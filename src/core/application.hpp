@@ -143,11 +143,11 @@ class Application {
   // default) opts the app out of cluster runs.
   virtual ShardKind shard_kind() const { return ShardKind::kNone; }
 
-  // Selects the intermediate container before init(). Construction sites
-  // (CLI, conformance harness, quickstart) call this with
-  // JobConfig::container; apps that declare a combiner override it to switch
-  // their emit seam. The default rejects everything but kDefault, so an app
-  // without a combiner can never silently fall back.
+  // Selects the intermediate container before init(). apps::make_app (the
+  // CLI and the conformance harness), cluster nodes and quickstart call this
+  // with the configured container; apps that declare a combiner override it
+  // to switch their emit seam. The default rejects everything but kDefault,
+  // so an app without a combiner can never silently fall back.
   virtual Status use_container(ContainerMode mode) {
     if (mode == ContainerMode::kDefault) return Status::Ok();
     return Status::InvalidArgument(

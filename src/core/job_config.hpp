@@ -95,8 +95,9 @@ struct JobConfig {
   // views. Sources receive this at construction; see docs/ARCHITECTURE.md §2.
   IoMode io = IoMode::kRead;
 
-  // Intermediate container (--container). Applied by construction sites via
-  // Application::use_container(); carried here so replay/report see it.
+  // Intermediate container (--container). Applied through
+  // Application::use_container() by apps::make_app and each cluster node;
+  // carried here so replay/report see it.
   ContainerMode container = ContainerMode::kDefault;
 
   // Key-space partitions for MergeMode::kPartitioned (--partitions).

@@ -62,6 +62,25 @@ Status check_sort_geometry(std::uint64_t key_bytes, std::uint64_t record_bytes,
   return Status::Ok();
 }
 
+JobConfig ReplaySpec::job_config() const {
+  JobConfig cfg;
+  cfg.mode = mode;
+  cfg.merge_mode = merge_mode;
+  cfg.num_map_threads = threads;
+  cfg.num_reduce_threads = threads;
+  cfg.num_merge_partitions = merge_partitions;
+  cfg.io = io;
+  cfg.container = container;
+  cfg.recovery.policy.max_attempts = static_cast<std::uint32_t>(retry_attempts);
+  cfg.recovery.degrade = degrade;
+  cfg.num_nodes = cluster_nodes;
+  cfg.node_link_bps = static_cast<double>(cluster_link_bps);
+  cfg.uplink_bps = static_cast<double>(cluster_uplink_bps);
+  cfg.node_disk_bps = static_cast<double>(cluster_disk_bps);
+  cfg.node_memory_budget = cluster_budget;
+  return cfg;
+}
+
 std::string ReplaySpec::to_json() const {
   JsonWriter w;
   w.begin_object();

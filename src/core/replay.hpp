@@ -1,14 +1,18 @@
-// Self-contained repro specs for the conformance harness.
+// The description every run is built from, and the conformance harness's
+// self-contained repro format.
 //
-// A ReplaySpec captures everything one differential cell needs to run
-// again: which application, how to regenerate the seeded corpus, the app's
-// parameters, and the full JobConfig-shaped cell (ExecMode, MergeMode,
-// threads, chunking, fault plan). The harness writes one of these as JSON
-// when a cell diverges from the reference runtime; `supmr replay <file>`
-// re-runs exactly that cell (src/ref/conformance.hpp). to_json/from_json
-// round-trip byte for byte; from_json reads through the strict parse_json
-// (common/json.hpp), so a wrong JSON type, an out-of-range integer or a
-// repeated key is an error, not a silently coerced value.
+// A ReplaySpec captures everything one run needs: which application, how
+// to regenerate the seeded corpus, the app's parameters, and the full
+// JobConfig-shaped cell (ExecMode, MergeMode, threads, chunking, fault
+// plan). The run builder (apps/chains.hpp) turns it into an app, a source,
+// a cluster job or a graph; the CLI's app subcommands read their flags into
+// one (over real files instead of a seeded corpus). The harness writes one
+// as JSON when a cell diverges from the reference runtime; `supmr replay
+// <file>` re-runs exactly that cell (src/ref/conformance.hpp).
+// to_json/from_json round-trip byte for byte; from_json reads through the
+// strict parse_json (common/json.hpp), so a wrong JSON type, an
+// out-of-range integer or a repeated key is an error, not a silently
+// coerced value.
 #pragma once
 
 #include <cstdint>
@@ -121,6 +125,13 @@ struct ReplaySpec {
   // True when the cell runs through the cluster runtime.
   bool is_cluster() const { return cluster_nodes > 0; }
 
+  // The JobConfig this spec's cell runs: mode, merge, threads (map and
+  // reduce), merge partitions, io, container, retry attempts, degrade and
+  // the cluster knobs. The only code that copies cell fields into a
+  // JobConfig; callers add what a spec does not hold (retry timing, output
+  // paths).
+  JobConfig job_config() const;
+
   std::string to_json() const;
   // Strict parse of a spec produced by to_json (or hand-written in the same
   // shape). Unknown keys, malformed JSON, wrong value types, integers
@@ -144,8 +155,9 @@ StatusOr<GraphHandoff> graph_handoff_from_name(std::string_view name);
 StatusOr<ContainerMode> container_mode_from_name(std::string_view name);
 
 // Whether the named spec app declares a combiner, i.e. accepts
-// container=combining. Shared by from_json and the CLI so both reject the
-// same set.
+// container=combining. from_json rejects the rest; a run built from a spec
+// that skipped from_json (the CLI's) is rejected by the app itself, through
+// Application::use_container.
 bool app_has_combiner(std::string_view app);
 
 // Whether key_bytes and record_bytes describe records the sort apps (sort,

@@ -4,8 +4,13 @@
 // stream, so these assertions cover the exact text a user sees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -125,6 +130,16 @@ TEST(CliValidation, DegradeWithFaultPlanPassesValidation) {
 TEST(CliValidation, UnknownFlagNamesTheFlag) {
   expect_rejected("wordcount whatever --no-such-flag=1",
                   "unknown flag --no-such-flag");
+  // Each subcommand accepts only the flags it reads; another subcommand's
+  // flag is an error, not a silently ignored no-op.
+  expect_rejected("index a b --nodes=2", "unknown flag --nodes");
+  expect_rejected("kmeans p.txt --nodes=3", "unknown flag --nodes");
+  expect_rejected("kmeans p.txt --trace=x.csv", "unknown flag --trace");
+  expect_rejected("sort t.dat --budget=1KB --top=3", "unknown flag --budget");
+  expect_rejected("wordcount c.txt --out=x --key-bytes=5",
+                  "unknown flag --out");
+  expect_rejected("replay spec.json --threads=8 --merge=pairwise",
+                  "unknown flag --threads");
 }
 
 TEST(CliValidation, BadEnumValuesAreNamed) {
@@ -244,6 +259,9 @@ TEST(CliValidation, ClusterRejectsFaultAndThrottleCombos) {
       "--nodes does not combine with --fault-plan/--degrade");
   expect_rejected("wordcount whatever --nodes=2 --throttle=1MB",
                   "--nodes does not combine with --throttle");
+  // The utilization trace samples one in-process job.
+  expect_rejected("wordcount whatever --nodes=2 --trace=x.csv",
+                  "--nodes does not combine with --trace");
 }
 
 TEST(CliValidation, ClusterCommandNeedsAClusterSpec) {
@@ -325,6 +343,19 @@ TEST(CliValidation, MalformedSizesAndNumbers) {
   expect_rejected("wordcount whatever --chunk=banana", "bad size for --chunk");
   expect_rejected("wordcount whatever --threads=many",
                   "bad integer for --threads");
+  // A negative or out-of-range count is a flag error (exit 1), not a
+  // wrapped thread count that aborts the process.
+  for (const char* threads : {"-1", "99999999999999999999"}) {
+    const std::string args = std::string("wordcount whatever --threads=") +
+                             threads;
+    expect_rejected(args, "bad integer for --threads");
+    EXPECT_EQ(run_cli(args).exit_code, 1) << "supmr " << args;
+  }
+  expect_rejected("wordcount whatever --retry-attempts=-1",
+                  "bad integer for --retry-attempts");
+  // Zero bins would divide by zero in the histogram app.
+  expect_rejected("histogram whatever --bins=0",
+                  "histogram needs at least one bin");
 }
 
 TEST(CliValidation, UnknownCommand) {
@@ -368,6 +399,91 @@ TEST(CliValidation, ReplayRejectsMalformedSpec) {
   EXPECT_NE(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("error:"), std::string::npos) << r.output;
   std::remove(path.c_str());
+}
+
+// Differential over the CLI's run paths: every flag below routes the same
+// job through a different construction path (merge, io, mode, chunking,
+// container, the cluster runtime), and all of them must produce the same
+// output bytes.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(CliRunPaths, SortOutputIsIdenticalAcrossFlags) {
+  const std::string dir = ::testing::TempDir();
+  const std::string input = dir + "/cli_paths_tera.dat";
+  ASSERT_EQ(run_cli("generate terasort " + input + " --size=2MB").exit_code,
+            0);
+  const std::vector<std::string> variants = {
+      "--merge=pway",       "--merge=pairwise",
+      "--merge=partitioned --partitions=4",
+      "--io=mmap",          "--mode=original",
+      "--chunk=none",       "--mode=adaptive",
+      "--nodes=2",          "--nodes=2 --merge=partitioned"};
+  std::string expected;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const std::string out = dir + "/cli_paths_sorted.dat";
+    const std::string args = "sort " + input + " --threads=2 --chunk=256KB " +
+                             variants[i] + " --out=" + out;
+    const CliResult r = run_cli(args);
+    ASSERT_EQ(r.exit_code, 0) << "supmr " << args << "\n" << r.output;
+    const std::string sorted = read_file(out);
+    std::remove(out.c_str());
+    if (i == 0) {
+      expected = sorted;
+      ASSERT_EQ(expected.size(), read_file(input).size());
+      for (std::size_t rec = 100; rec < expected.size(); rec += 100) {
+        ASSERT_LE(expected.compare(rec - 100, 10, expected, rec, 10), 0)
+            << "keys decrease at record " << rec / 100;
+      }
+    }
+    EXPECT_TRUE(sorted == expected) << "supmr " << args;
+  }
+  std::remove(input.c_str());
+}
+
+// The "<count>  <word>" lines of a wordcount run, sorted.
+std::vector<std::string> word_lines(const std::string& output) {
+  std::vector<std::string> lines;
+  std::istringstream in(output);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t digits = line.find_first_not_of(' ');
+    const std::size_t sep = line.find("  ", digits);
+    if (digits == std::string::npos || sep == std::string::npos ||
+        line.find_first_not_of("0123456789", digits) != sep) {
+      continue;
+    }
+    lines.push_back(line);
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(CliRunPaths, WordCountIsIdenticalAcrossFlags) {
+  const std::string dir = ::testing::TempDir();
+  const std::string input = dir + "/cli_paths_corpus.txt";
+  ASSERT_EQ(run_cli("generate text " + input + " --size=1MB").exit_code, 0);
+  const std::vector<std::string> variants = {
+      "",           "--container=combining", "--budget=32KB",
+      "--io=mmap",  "--merge=pairwise",      "--merge=partitioned"};
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const std::string args = "wordcount " + input +
+                             " --threads=2 --chunk=128KB --top=100000 " +
+                             variants[i];
+    const CliResult r = run_cli(args);
+    ASSERT_EQ(r.exit_code, 0) << "supmr " << args << "\n" << r.output;
+    const std::vector<std::string> lines = word_lines(r.output);
+    if (i == 0) {
+      expected = lines;
+      ASSERT_GT(expected.size(), 1000u);
+    }
+    EXPECT_TRUE(lines == expected) << "supmr " << args;
+  }
+  std::remove(input.c_str());
 }
 
 }  // namespace

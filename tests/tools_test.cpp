@@ -51,6 +51,25 @@ TEST(Flags, IntAndDouble) {
   EXPECT_EQ(*f.get_int("threads", 0), 8u);
   EXPECT_DOUBLE_EQ(*f.get_double("rate", 0.0), 1.5);
   EXPECT_FALSE(f.get_int("rate", 0).ok());  // "1.5" is not an integer
+
+  // Each integer reads into its destination type: a sign on an unsigned
+  // type and a value outside the type's range are errors, not wrapped or
+  // saturated values.
+  Flags g = parse_ok({"--neg=-1", "--plus=+3", "--big=99999999999999999999",
+                      "--u32=4294967296", "--lo=-5", "--max=4294967295"},
+                     {"neg", "plus", "big", "u32", "lo", "max"});
+  EXPECT_FALSE(g.get_int("neg", 0).ok());
+  EXPECT_EQ(g.get_int("neg", 0).status().message(),
+            "bad integer for --neg: -1");
+  EXPECT_FALSE(g.get_int("plus", 0).ok());
+  EXPECT_FALSE(g.get_int("big", 0).ok());
+  EXPECT_FALSE(g.get_int<std::int64_t>("big", 0).ok());
+  EXPECT_FALSE(g.get_int<std::uint32_t>("u32", 0).ok());
+  EXPECT_EQ(*g.get_int<std::uint64_t>("u32", 0), 4294967296u);
+  EXPECT_EQ(*g.get_int<std::uint32_t>("max", 0), 4294967295u);
+  EXPECT_EQ(*g.get_int<std::int64_t>("lo", 0), -5);
+  EXPECT_FALSE(g.get_int("lo", 0).ok());
+  EXPECT_EQ(*g.get_int<std::int64_t>("absent", -7), -7);
 }
 
 TEST(Flags, BooleanForms) {

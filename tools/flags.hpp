@@ -4,11 +4,13 @@
 // positional arguments. Unknown flags are an error so typos fail loudly.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.hpp"
@@ -70,13 +72,17 @@ class Flags {
     return *parsed;
   }
 
-  StatusOr<std::uint64_t> get_int(const std::string& name,
-                                  std::uint64_t def) const {
+  // Reads a decimal integer of type T. A sign on an unsigned T, or a value
+  // outside T's range, is an error rather than a wrapped or saturated value.
+  template <typename T = std::uint64_t>
+  StatusOr<T> get_int(const std::string& name,
+                      std::type_identity_t<T> def) const {
     auto v = get(name);
     if (!v) return def;
-    char* end = nullptr;
-    const std::uint64_t parsed = std::strtoull(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0') {
+    T parsed{};
+    const char* end = v->data() + v->size();
+    const auto [ptr, ec] = std::from_chars(v->data(), end, parsed);
+    if (ec != std::errc() || ptr != end) {
       return Status::InvalidArgument("bad integer for --" + name + ": " + *v);
     }
     return parsed;

@@ -1,104 +1,52 @@
 // supmr — command-line front end for the SupMR runtime.
 //
-//   supmr wordcount <file>        [--chunk=64MB] [--threads=N] [--top=10]
-//   supmr sort <file> --out=<f>   [--chunk=64MB] [--key-bytes=10]
+// The app subcommands read their flags into a core::ReplaySpec and build
+// the run from it with the run builder (src/apps/chains.hpp) — the same
+// builder the conformance harness checks against the sequential oracle.
+//
+//   supmr wordcount <file>        [--top=10] [--budget=SIZE]
+//   supmr sort <file>             [--out=<f>] [--key-bytes=10]
 //                                 [--record-bytes=100]
-//   supmr grep <patterns> <file>  [--chunk=64MB]   (comma-separated patterns)
-//   supmr histogram <file>        [--lo=0] [--hi=256] [--bins=64]
+//   supmr grep <patterns> <file>  (comma-separated patterns)
+//   supmr histogram <file>        [--lo=0] [--hi=256] [--bins=32]
 //   supmr index <file...>         [--files-per-chunk=4]
+//   supmr kmeans <points-file>    [--clusters=4] [--dim=2] [--iters=30]
 //   supmr generate <kind> <path>  --size=64MB  (kind: text | terasort |
-//                                 numeric)
-//   supmr replay <spec.json>      re-run a conformance-harness repro cell
-//                                 (also spelled --replay=<spec.json>); exits
-//                                 non-zero when the cell still diverges from
-//                                 the sequential reference runtime
+//                                 numeric | points)
+//   supmr replay <spec.json>      re-run a conformance cell from a spec file
+//                                 (also spelled --replay=<spec.json>): print
+//                                 the spec, a graph's or cluster's breakdown
+//                                 and "conformance: PASS|FAIL"; exit non-zero
+//                                 when the cell diverges from the sequential
+//                                 reference runtime (docs/testing.md)
+//   supmr graph --spec=<spec.json>    replay for chained-app specs only (app
+//                                 pmi | tfidf | msort; docs/graphs.md)
+//   supmr cluster --spec=<spec.json>  replay for sharded-shuffle specs only
+//                                 ("cluster":{"nodes":N,...};
+//                                 docs/cluster.md)
 //   supmr serve --jobs=<spec.json>  multi-tenant mode: run every job in the
-//                                 spec concurrently through one JobManager
-//                                 (shared thread pool, chunk buffers, and
-//                                 memory budget; docs/runtime.md). Each job
-//                                 is oracle-checked against the sequential
-//                                 reference; exits non-zero on any failure
-//                                 or divergence
-//   supmr graph --spec=<spec.json>  run a chained-app JobGraph cell (app
-//                                 pmi | tfidf | msort; docs/graphs.md):
-//                                 stages hand output across edges in memory
-//                                 (or spill per "graph":{...}), and the
-//                                 final output is byte-checked against
-//                                 ref::run_graph. `supmr replay` accepts
-//                                 the same specs; this spelling prints the
-//                                 stage/handoff breakdown
-//   supmr cluster --spec=<spec.json>  run a sharded-shuffle cell (spec with
-//                                 "cluster":{"nodes":N,...}; docs/cluster.md):
-//                                 N simulated worker nodes each map a slice,
-//                                 hash-partition their output across the
-//                                 cluster over rate-limited links, merge
-//                                 their owned partitions, and the reassembled
-//                                 output is byte-checked against the
-//                                 sequential oracle. `supmr replay` accepts
-//                                 the same specs; this spelling prints the
-//                                 shuffle breakdown
+//                                 spec concurrently through one JobManager,
+//                                 each oracle-checked against the sequential
+//                                 reference (docs/runtime.md); exits
+//                                 non-zero on any failure or divergence
 //
-// Common flags:
-//   --mode=supmr|original|adaptive   runtime (default supmr)
-//   --merge=pway|pairwise|partitioned  final merge algorithm (default pway)
-//   --partitions=N                   key-space partitions for
-//                                    --merge=partitioned (default 0 = auto:
-//                                    one per hardware context; docs/merge.md)
-//   --threads=N                      mapper/reducer threads
-//   --chunk=SIZE                     ingest chunk size (0/none = original)
-//   --io=read|mmap                   ingest byte movement: copying reads or
-//                                    zero-copy mmap views (default read);
-//                                    falls back to read per chunk under
-//                                    --throttle/--fault-plan (docs/cli.md)
-//   --container=default|combining    intermediate container: each app's own
-//                                    choice, or the in-mapper combining
-//                                    hash-aggregate (docs/containers.md).
-//                                    Rejected for apps without a declared
-//                                    combiner (sort, grep, kmeans,
-//                                    wordcount --budget)
-//   --throttle=RATE                  emulate a slow device, e.g. 384MB
-//   --trace=out.csv                  dump a /proc/stat utilization trace
-//   --metrics-json=out.json          dump the runtime metrics snapshot
-//   --trace-out=trace.json           dump a Chrome-trace (chrome://tracing /
-//                                    Perfetto) event file
-//
-// Fault tolerance (docs/fault-tolerance.md):
-//   --retry-attempts=N               max read attempts per chunk (default 1
-//                                    = fail fast; >1 enables retry)
-//   --retry-backoff=DUR              initial backoff, e.g. 1ms (doubles each
-//                                    retry)
-//   --retry-backoff-max=DUR          backoff cap, e.g. 250ms
-//   --retry-deadline=DUR             per-read wall-clock budget, e.g. 2s
-//   --retry-seed=N                   jitter RNG seed
-//   --fault-plan=SPEC                inject faults, e.g.
-//                                    'seed=7;transient=0.05' (quote the ';')
-//   --degrade                        skip poisoned chunks (with accounting)
-//                                    instead of failing the job
-//
-// Cluster topology (docs/cluster.md; wordcount/sort/grep/histogram):
-//   --nodes=N                        run through the sharded-shuffle runtime
-//                                    with N simulated worker nodes
-//   --node-link-bps=RATE             per-node NIC rate, e.g. 125MB (0 = fast)
-//   --uplink-bps=RATE                shared uplink every cross-node byte
-//                                    also pays (0 = none)
-//   --node-disk-bps=RATE             per-node ingest disk rate (0 = fast)
-//   --node-budget=SIZE               per-partition merge memory budget;
-//                                    over-budget fixed-record partitions
-//                                    spill through the ExternalSorter
-#include <sys/stat.h>
-#include <unistd.h>
-
+// Every app subcommand reads the run flags (kRunFlags below), all but
+// kmeans read --trace, and wordcount, sort, grep and histogram also read
+// the cluster flags (kClusterFlags). A subcommand rejects every flag it
+// does not read; docs/cli.md describes each one.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "apps/chains.hpp"
 #include "apps/external_word_count.hpp"
 #include "apps/grep.hpp"
-#include "apps/kmeans.hpp"
 #include "apps/histogram.hpp"
 #include "apps/inverted_index.hpp"
+#include "apps/kmeans.hpp"
 #include "apps/tera_sort.hpp"
 #include "apps/word_count.hpp"
 #include "cluster/cluster_job.hpp"
@@ -108,15 +56,10 @@
 #include "core/proc_sampler.hpp"
 #include "core/replay.hpp"
 #include "core/report.hpp"
+#include "fault/fault_plan.hpp"
 #include "ref/conformance.hpp"
 #include "runtime/job_manager.hpp"
 #include "runtime/serve_spec.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/retrying_device.hpp"
-#include "ingest/hybrid_source.hpp"
-#include "ingest/record_format.hpp"
-#include "ingest/source.hpp"
-#include "storage/fault_device.hpp"
 #include "storage/file_device.hpp"
 #include "storage/mmap_device.hpp"
 #include "storage/rate_limiter.hpp"
@@ -129,15 +72,14 @@
 namespace supmr::tools {
 namespace {
 
-const std::set<std::string> kCommonFlags = {
-    "mode",   "merge",   "partitions", "threads", "chunk", "throttle", "io",
-    "container",
-    "trace",  "top",     "out",     "key-bytes",  "record-bytes",
-    "lo",     "hi",      "bins",    "files-per-chunk", "size",
-    "verbose", "json",    "budget",  "clusters",   "dim",
-    "iters",  "metrics-json", "trace-out",
-    "retry-attempts", "retry-backoff", "retry-backoff-max",
-    "retry-deadline", "retry-seed", "fault-plan", "degrade", "jobs", "spec",
+// The flags every app subcommand reads: the job, device and output knobs.
+const std::set<std::string> kRunFlags = {
+    "mode", "merge", "partitions", "threads", "chunk", "io", "container",
+    "throttle", "metrics-json", "trace-out", "json", "verbose",
+    "retry-attempts", "retry-backoff", "retry-backoff-max", "retry-deadline",
+    "retry-seed", "fault-plan", "degrade"};
+// The sharded-shuffle flags, read by the single-device spec apps.
+const std::set<std::string> kClusterFlags = {
     "nodes", "node-link-bps", "uplink-bps", "node-disk-bps", "node-budget"};
 
 void usage() {
@@ -145,17 +87,33 @@ void usage() {
                "usage: supmr <command> [args] [flags]\n"
                "commands: wordcount sort grep histogram index kmeans generate"
                " replay serve graph cluster\n"
-               "see tools/supmr_cli.cpp header for the full flag list\n");
+               "see docs/cli.md for the flags each command reads\n");
 }
 
-struct CommonConfig {
-  core::JobConfig job;
-  std::uint64_t chunk_bytes = 64 * kMB;
-  std::string mode = "supmr";
+// A run subcommand's flags: the spec its run is built from, plus what a
+// spec does not hold.
+struct RunFlags {
+  core::ReplaySpec spec;
+  // Backoff, deadline and jitter seed; spec.retry_attempts is the count.
+  fault::RetryPolicy retry;
+  std::string metrics_json_path;
+  std::string trace_out_path;
   std::optional<double> throttle_bps;
   std::optional<std::string> trace_path;
-  std::optional<fault::FaultPlan> fault_plan;  // --fault-plan injection spec
   bool json = false;
+
+  // spec.job_config() plus the knobs a spec does not hold.
+  core::JobConfig job_config() const {
+    core::JobConfig cfg = spec.job_config();
+    fault::RetryPolicy& policy = cfg.recovery.policy;
+    policy.backoff_base_s = retry.backoff_base_s;
+    policy.backoff_max_s = retry.backoff_max_s;
+    policy.read_deadline_s = retry.read_deadline_s;
+    policy.seed = retry.seed;
+    cfg.metrics_json_path = metrics_json_path;
+    cfg.trace_out_path = trace_out_path;
+    return cfg;
+  }
 };
 
 // Parses a --flag whose value is a duration (e.g. 1ms, 2s) into seconds.
@@ -170,75 +128,68 @@ StatusOr<double> get_duration(const Flags& flags, const std::string& name,
   return *parsed;
 }
 
-StatusOr<CommonConfig> common_config(const Flags& flags) {
-  CommonConfig cfg;
+// Reads the run flags into a spec for `app`. The CLI keeps its own
+// defaults where a spec's differ: 64 MB chunks, 4 files per chunk, one
+// thread per hardware context.
+StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
+  RunFlags run;
+  core::ReplaySpec& spec = run.spec;
+  spec.app = std::move(app);
+  spec.files_per_chunk = 4;
   // Enum flags parse through the shared name tables (common/enum_names.hpp)
   // — the same vocabulary the replay/serve/graph spec parsers accept.
-  cfg.mode = flags.get_or("mode", "supmr");
-  SUPMR_ASSIGN_OR_RETURN(cfg.job.mode, core::exec_mode_from_name(cfg.mode));
-  const std::string merge = flags.get_or("merge", "pway");
-  SUPMR_ASSIGN_OR_RETURN(cfg.job.merge_mode,
-                         core::merge_mode_from_name(merge));
-  const std::string io = flags.get_or("io", "read");
-  SUPMR_ASSIGN_OR_RETURN(cfg.job.io, core::io_mode_from_name(io));
-  const std::string container = flags.get_or("container", "default");
-  SUPMR_ASSIGN_OR_RETURN(cfg.job.container,
-                         core::container_mode_from_name(container));
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t partitions,
-                         flags.get_int("partitions", 0));
-  cfg.job.num_merge_partitions = partitions;
-  if (partitions > 0 && merge != "partitioned") {
+  SUPMR_ASSIGN_OR_RETURN(
+      spec.mode, core::exec_mode_from_name(flags.get_or("mode", "supmr")));
+  SUPMR_ASSIGN_OR_RETURN(
+      spec.merge_mode,
+      core::merge_mode_from_name(flags.get_or("merge", "pway")));
+  SUPMR_ASSIGN_OR_RETURN(
+      spec.io, core::io_mode_from_name(flags.get_or("io", "read")));
+  SUPMR_ASSIGN_OR_RETURN(
+      spec.container,
+      core::container_mode_from_name(flags.get_or("container", "default")));
+  SUPMR_ASSIGN_OR_RETURN(spec.merge_partitions, flags.get_int("partitions", 0));
+  if (spec.merge_partitions > 0 &&
+      spec.merge_mode != core::MergeMode::kPartitioned) {
     return Status::InvalidArgument(
         "--partitions requires --merge=partitioned");
   }
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t threads,
-                         flags.get_int("threads", 0));
-  if (threads > 0) {
-    cfg.job.num_map_threads = threads;
-    cfg.job.num_reduce_threads = threads;
+  SUPMR_ASSIGN_OR_RETURN(spec.threads, flags.get_int("threads", 0));
+  if (spec.threads == 0) spec.threads = core::JobConfig::default_threads();
+  if (flags.get_or("chunk", "") == "none") {
+    spec.chunk_bytes = 0;
+  } else {
+    SUPMR_ASSIGN_OR_RETURN(spec.chunk_bytes, flags.get_size("chunk", 64 * kMB));
   }
-  if (auto chunk = flags.get("chunk")) {
-    if (*chunk == "none") {
-      cfg.chunk_bytes = 0;
-    } else {
-      SUPMR_ASSIGN_OR_RETURN(cfg.chunk_bytes,
-                             flags.get_size("chunk", cfg.chunk_bytes));
-    }
-  }
-  if (flags.get("throttle")) {
-    SUPMR_ASSIGN_OR_RETURN(std::uint64_t rate, flags.get_size("throttle", 0));
-    if (rate > 0) cfg.throttle_bps = double(rate);
-  }
-  cfg.trace_path = flags.get("trace");
-  cfg.job.metrics_json_path = flags.get_or("metrics-json", "");
-  cfg.job.trace_out_path = flags.get_or("trace-out", "");
-  cfg.json = flags.get_bool("json");
+  SUPMR_ASSIGN_OR_RETURN(std::uint64_t throttle, flags.get_size("throttle", 0));
+  if (throttle > 0) run.throttle_bps = double(throttle);
+  run.trace_path = flags.get("trace");
+  run.metrics_json_path = flags.get_or("metrics-json", "");
+  run.trace_out_path = flags.get_or("trace-out", "");
+  run.json = flags.get_bool("json");
   if (flags.get_bool("verbose")) Logger::set_level(LogLevel::kInfo);
 
   // Fault tolerance: retry policy + degrade mode + injection plan.
-  fault::RetryPolicy& policy = cfg.job.recovery.policy;
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t attempts,
-                         flags.get_int("retry-attempts", policy.max_attempts));
+  SUPMR_ASSIGN_OR_RETURN(std::uint32_t attempts,
+                         flags.get_int<std::uint32_t>("retry-attempts", 1));
   if (attempts == 0) {
     return Status::InvalidArgument("--retry-attempts must be >= 1");
   }
-  policy.max_attempts = static_cast<std::uint32_t>(attempts);
-  SUPMR_ASSIGN_OR_RETURN(
-      policy.backoff_base_s,
-      get_duration(flags, "retry-backoff", policy.backoff_base_s));
-  SUPMR_ASSIGN_OR_RETURN(
-      policy.backoff_max_s,
-      get_duration(flags, "retry-backoff-max", policy.backoff_max_s));
-  SUPMR_ASSIGN_OR_RETURN(
-      policy.read_deadline_s,
-      get_duration(flags, "retry-deadline", policy.read_deadline_s));
-  SUPMR_ASSIGN_OR_RETURN(policy.seed,
-                         flags.get_int("retry-seed", policy.seed));
-  cfg.job.recovery.degrade = flags.get_bool("degrade");
-  if (auto spec = flags.get("fault-plan")) {
-    SUPMR_ASSIGN_OR_RETURN(cfg.fault_plan, fault::FaultPlan::parse(*spec));
+  spec.retry_attempts = attempts;
+  fault::RetryPolicy& retry = run.retry;
+  for (auto [name, seconds] :
+       {std::pair{"retry-backoff", &retry.backoff_base_s},
+        {"retry-backoff-max", &retry.backoff_max_s},
+        {"retry-deadline", &retry.read_deadline_s}}) {
+    SUPMR_ASSIGN_OR_RETURN(*seconds, get_duration(flags, name, *seconds));
   }
-  if (cfg.job.recovery.degrade && !cfg.fault_plan) {
+  SUPMR_ASSIGN_OR_RETURN(retry.seed, flags.get_int("retry-seed", retry.seed));
+  spec.degrade = flags.get_bool("degrade");
+  spec.fault_plan = flags.get_or("fault-plan", "");
+  if (!spec.fault_plan.empty()) {
+    SUPMR_RETURN_IF_ERROR(fault::FaultPlan::parse(spec.fault_plan).status());
+  }
+  if (spec.degrade && spec.fault_plan.empty()) {
     return Status::InvalidArgument(
         "--degrade requires --fault-plan: degrade mode skips poisoned "
         "chunks, and without an injection plan there is nothing to degrade "
@@ -249,116 +200,75 @@ StatusOr<CommonConfig> common_config(const Flags& flags) {
   // runtime (src/cluster/, docs/cluster.md). The bandwidth/budget knobs are
   // meaningless without a node count, so they hard-reject rather than
   // silently doing nothing.
-  if (flags.get("nodes")) {
-    SUPMR_ASSIGN_OR_RETURN(std::uint64_t nodes, flags.get_int("nodes", 0));
-    if (nodes == 0) return Status::InvalidArgument("--nodes must be >= 1");
-    cfg.job.num_nodes = static_cast<std::size_t>(nodes);
+  SUPMR_ASSIGN_OR_RETURN(spec.cluster_nodes, flags.get_int("nodes", 0));
+  if (flags.get("nodes") && !spec.is_cluster()) {
+    return Status::InvalidArgument("--nodes must be >= 1");
   }
-  for (const char* knob :
-       {"node-link-bps", "uplink-bps", "node-disk-bps", "node-budget"}) {
-    if (flags.get(knob) && cfg.job.num_nodes == 0) {
+  for (auto [knob, value] :
+       {std::pair{"node-link-bps", &spec.cluster_link_bps},
+        {"uplink-bps", &spec.cluster_uplink_bps},
+        {"node-disk-bps", &spec.cluster_disk_bps},
+        {"node-budget", &spec.cluster_budget}}) {
+    if (flags.get(knob) && !spec.is_cluster()) {
       return Status::InvalidArgument(std::string("--") + knob +
                                      " requires --nodes");
     }
+    SUPMR_ASSIGN_OR_RETURN(*value, flags.get_size(knob, 0));
   }
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t link_bps,
-                         flags.get_size("node-link-bps", 0));
-  cfg.job.node_link_bps = static_cast<double>(link_bps);
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t uplink_bps,
-                         flags.get_size("uplink-bps", 0));
-  cfg.job.uplink_bps = static_cast<double>(uplink_bps);
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t disk_bps,
-                         flags.get_size("node-disk-bps", 0));
-  cfg.job.node_disk_bps = static_cast<double>(disk_bps);
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t node_budget,
-                         flags.get_size("node-budget", 0));
-  cfg.job.node_memory_budget = static_cast<std::size_t>(node_budget);
-  return cfg;
+  if (spec.is_cluster()) {
+    if (!spec.fault_plan.empty()) {
+      return Status::InvalidArgument(
+          "--nodes does not combine with --fault-plan/--degrade (node slices "
+          "are private in-memory devices)");
+    }
+    if (run.throttle_bps) {
+      return Status::InvalidArgument(
+          "--nodes does not combine with --throttle: model per-node ingest "
+          "disks with --node-disk-bps instead");
+    }
+    if (run.trace_path) {
+      return Status::InvalidArgument(
+          "--nodes does not combine with --trace: the utilization trace "
+          "samples one in-process job");
+    }
+  }
+  return run;
 }
 
-// Builds the input device stack:
-//   FileDevice -> [ThrottledDevice] -> [FaultDevice] -> [RetryingDevice]
-// FaultDevice injects the --fault-plan; RetryingDevice (when the retry
-// policy is enabled) absorbs transient faults at the read_at seam, so every
-// byte source — pipeline chunks and spill reads alike — retries the same way.
+// Opens `path` as a run's input device stack:
+//   FileDevice|MmapDevice -> [ThrottledDevice] -> [FaultDevice] ->
+//   [RetryingDevice]
+// The fault and retry layers come from apps::with_faults, the stack the
+// conformance harness reads through too.
 StatusOr<std::shared_ptr<const storage::Device>> open_input(
-    const std::string& path, const CommonConfig& cfg) {
+    const std::string& path, const RunFlags& run,
+    const fault::RetryPolicy& policy) {
   std::shared_ptr<const storage::Device> dev;
-  if (cfg.job.io == core::IoMode::kMmap) {
-    // Zero-copy base device. Any wrapper stacked below refuses to lend
+  if (run.spec.io == core::IoMode::kMmap) {
+    // Zero-copy base device. Any wrapper stacked above refuses to lend
     // views, so --throttle/--fault-plan/retry transparently force the
     // sources back onto the copying read path (a page fault cannot be
     // retried or rate-limited).
-    SUPMR_ASSIGN_OR_RETURN(auto mapped, storage::MmapDevice::open(path));
-    dev = std::move(mapped);
+    SUPMR_ASSIGN_OR_RETURN(dev, storage::MmapDevice::open(path));
   } else {
-    SUPMR_ASSIGN_OR_RETURN(auto file, storage::FileDevice::open(path));
-    dev = std::move(file);
+    SUPMR_ASSIGN_OR_RETURN(dev, storage::FileDevice::open(path));
   }
-  if (cfg.throttle_bps) {
-    auto limiter = std::make_shared<storage::RateLimiter>(*cfg.throttle_bps);
+  if (run.throttle_bps) {
+    auto limiter = std::make_shared<storage::RateLimiter>(*run.throttle_bps);
     dev = std::make_shared<storage::ThrottledDevice>(dev, limiter);
   }
-  if (cfg.fault_plan) {
-    dev = std::make_shared<storage::FaultDevice>(dev, *cfg.fault_plan);
-  }
-  if (cfg.job.recovery.policy.enabled()) {
-    dev = std::make_shared<fault::RetryingDevice>(dev,
-                                                  cfg.job.recovery.policy);
-  }
-  return dev;
+  return apps::with_faults(std::move(dev), run.spec, policy);
 }
 
 // Where a subcommand's human-readable lines go: stderr under --json, so
 // stdout carries exactly one JSON document.
-std::FILE* human_out(const CommonConfig& cfg) {
-  return cfg.json ? stderr : stdout;
-}
+std::FILE* human_out(const RunFlags& run) { return run.json ? stderr : stdout; }
 
 // Under --json a failed run still leaves one document on stdout: the error
 // report.
-Status report_failure(const CommonConfig& cfg, const Status& status) {
-  if (cfg.json) std::printf("%s\n", core::status_to_json(status).c_str());
+Status report_failure(const RunFlags& run, const Status& status) {
+  if (run.json) std::printf("%s\n", core::status_to_json(status).c_str());
   return status;
-}
-
-// Runs `app` over `source` honoring --mode; prints the phase row.
-StatusOr<core::JobResult> run_app(core::Application& app,
-                                  const ingest::IngestSource& source,
-                                  const CommonConfig& cfg) {
-  // Container selection before init: apps without a combiner reject
-  // --container=combining here instead of silently falling back.
-  SUPMR_RETURN_IF_ERROR(app.use_container(cfg.job.container));
-  core::MapReduceJob job(app, source, cfg.job);
-  core::ProcStatSampler sampler(0.1);
-  const bool tracing =
-      cfg.trace_path.has_value() && core::ProcStatSampler::available();
-  if (tracing) sampler.start();
-
-  // --chunk=none/0 degenerates to the original one-shot ingest even when
-  // --mode asked for a pipelined runtime (there is nothing to pipeline).
-  core::ExecMode mode = cfg.job.mode;
-  if (cfg.chunk_bytes == 0) mode = core::ExecMode::kOriginal;
-  StatusOr<core::JobResult> result = job.run(mode);
-  if (tracing) {
-    TimeSeries trace = sampler.stop();
-    trace.write_csv(*cfg.trace_path);
-    std::fprintf(human_out(cfg), "utilization trace (%zu samples) -> %s\n",
-                 trace.samples(), cfg.trace_path->c_str());
-  }
-  if (!result.ok()) return report_failure(cfg, result.status());
-  if (cfg.json) {
-    std::printf("%s\n", core::job_result_to_json(*result).c_str());
-    return result;
-  }
-  std::printf("%s\n%s\n", PhaseBreakdown::table_header().c_str(),
-              result->phases.to_table_row(cfg.mode).c_str());
-  std::printf("chunks=%llu map_rounds=%llu merge_rounds=%llu results=%llu\n",
-              (unsigned long long)result->chunks,
-              (unsigned long long)result->map_rounds,
-              (unsigned long long)result->phases.merge_rounds,
-              (unsigned long long)result->result_count);
-  return result;
 }
 
 // Reads a whole file into a string (spec files, cluster inputs).
@@ -371,6 +281,16 @@ StatusOr<std::string> slurp(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
   std::fclose(f);
   return text;
+}
+
+// Writes `bytes` to a new file at `path`.
+Status write_file(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return Status::IoError("cannot create " + path);
+  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  std::fclose(f);
+  if (!ok) return Status::IoError("short write to " + path);
+  return Status::Ok();
 }
 
 // The --json report of a --nodes run: totals, then each node's bytes.
@@ -399,41 +319,28 @@ std::string cluster_result_to_json(const cluster::ClusterResult& result) {
   return w.str();
 }
 
-// Cluster execution path for the single-device app subcommands: --nodes=N
-// slurps the input and runs it through the sharded-shuffle runtime
-// (docs/cluster.md) instead of one MapReduceJob, then prints the shuffle
-// accounting (with --json, as cluster_result_to_json). The product is the
-// reassembled global output (identical to the single-node run byte for
-// byte), so app-specific result printing does not apply here.
-StatusOr<cluster::ClusterResult> run_cluster_cli(
-    const std::string& path,
-    std::shared_ptr<const ingest::RecordFormat> format,
-    cluster::AppFactory make_app, const CommonConfig& cfg,
-    std::size_t record_bytes) {
-  if (cfg.fault_plan || cfg.job.recovery.degrade) {
-    return Status::InvalidArgument(
-        "--nodes does not combine with --fault-plan/--degrade (node slices "
-        "are private in-memory devices)");
-  }
-  if (cfg.throttle_bps) {
-    return Status::InvalidArgument(
-        "--nodes does not combine with --throttle: model per-node ingest "
-        "disks with --node-disk-bps instead");
-  }
-  cluster::ClusterJob job;
-  SUPMR_ASSIGN_OR_RETURN(job.input, slurp(path));
-  job.format = std::move(format);
-  job.make_app = std::move(make_app);
-  job.config = cfg.job;
-  job.chunk_bytes = cfg.chunk_bytes;
-  job.record_bytes = record_bytes;
-  if (cfg.job.node_memory_budget > 0) {
-    job.spill_dir = "/tmp/supmr_cluster_" + std::to_string(::getpid());
-    ::mkdir(job.spill_dir.c_str(), 0777);  // best effort; the sorter reports
-  }
-  StatusOr<cluster::ClusterResult> result = cluster::run_cluster(job);
-  if (!result.ok()) return report_failure(cfg, result.status());
-  std::FILE* out = human_out(cfg);
+// What a run subcommand prints from: the app after an inline run, or the
+// reassembled output of a cluster run (app stays null).
+struct RunOutput {
+  std::unique_ptr<core::Application> app;
+  std::string cluster_output;
+};
+
+// A cluster spec's run (docs/cluster.md): the input is slurped and sliced
+// across simulated nodes instead of read by one MapReduceJob, then the
+// shuffle accounting is printed (with --json, as cluster_result_to_json).
+// The product is the reassembled global output, identical to the
+// single-node run byte for byte.
+StatusOr<RunOutput> run_cluster_spec(const RunFlags& run,
+                                     const std::string& path) {
+  SUPMR_ASSIGN_OR_RETURN(std::string input, slurp(path));
+  StatusOr<cluster::ClusterJob> job =
+      apps::make_cluster_job(run.spec, std::move(input));
+  if (!job.ok()) return report_failure(run, job.status());
+  job->config = run.job_config();
+  StatusOr<cluster::ClusterResult> result = cluster::run_cluster(*job);
+  if (!result.ok()) return report_failure(run, result.status());
+  std::FILE* out = human_out(run);
   std::fprintf(out, "cluster: %zu node(s), map output %s, shuffled %s "
                "cross-node, %s stayed local\n",
                result->nodes.size(),
@@ -456,8 +363,62 @@ StatusOr<cluster::ClusterResult> run_cluster_cli(
   std::fprintf(out, "cluster: %s output in %.3fs\n",
                format_bytes(result->output.size()).c_str(),
                result->elapsed_s);
-  if (cfg.json) std::printf("%s\n", cluster_result_to_json(*result).c_str());
-  return result;
+  if (run.json) std::printf("%s\n", cluster_result_to_json(*result).c_str());
+  return RunOutput{nullptr, std::move(result->output)};
+}
+
+// Runs `run.spec` over the input `paths` and prints the phase row (with
+// --json, the job report). A cluster spec runs through make_cluster_job;
+// every other spec runs inline, over one device stack per path: index reads
+// them all as files, the other apps read the first.
+StatusOr<RunOutput> run_spec(const RunFlags& run,
+                       const std::vector<std::string>& paths) {
+  const core::ReplaySpec& spec = run.spec;
+  if (spec.is_cluster()) return run_cluster_spec(run, paths.front());
+  const core::JobConfig cfg = run.job_config();
+  SUPMR_ASSIGN_OR_RETURN(std::unique_ptr<core::Application> app,
+                         apps::make_app(spec));
+  apps::ChainInputs inputs;
+  for (const std::string& path : paths) {
+    SUPMR_ASSIGN_OR_RETURN(auto dev,
+                           open_input(path, run, cfg.recovery.policy));
+    inputs.files.push_back(std::move(dev));
+  }
+  inputs.device = inputs.files.front();
+  SUPMR_ASSIGN_OR_RETURN(std::unique_ptr<ingest::IngestSource> source,
+                         apps::make_source(spec, inputs));
+
+  core::MapReduceJob job(*app, *source, cfg);
+  core::ProcStatSampler sampler(0.1);
+  const bool tracing =
+      run.trace_path.has_value() && core::ProcStatSampler::available();
+  if (tracing) sampler.start();
+  // --chunk=none/0 degenerates to the original one-shot ingest even when
+  // --mode asked for a pipelined runtime (there is nothing to pipeline).
+  const core::ExecMode mode =
+      spec.chunk_bytes == 0 ? core::ExecMode::kOriginal : spec.mode;
+  StatusOr<core::JobResult> result = job.run(mode);
+  if (tracing) {
+    TimeSeries trace = sampler.stop();
+    trace.write_csv(*run.trace_path);
+    std::fprintf(human_out(run), "utilization trace (%zu samples) -> %s\n",
+                 trace.samples(), run.trace_path->c_str());
+  }
+  if (!result.ok()) return report_failure(run, result.status());
+  if (run.json) {
+    std::printf("%s\n", core::job_result_to_json(*result).c_str());
+  } else {
+    std::printf("%s\n%s\n", PhaseBreakdown::table_header().c_str(),
+                result->phases
+                    .to_table_row(std::string(core::exec_mode_name(spec.mode)))
+                    .c_str());
+    std::printf("chunks=%llu map_rounds=%llu merge_rounds=%llu results=%llu\n",
+                (unsigned long long)result->chunks,
+                (unsigned long long)result->map_rounds,
+                (unsigned long long)result->phases.merge_rounds,
+                (unsigned long long)result->result_count);
+  }
+  return RunOutput{std::move(app), {}};
 }
 
 // ----------------------------------------------------------- subcommands
@@ -466,51 +427,30 @@ Status cmd_wordcount(const Flags& flags) {
   if (flags.positional().empty()) {
     return Status::InvalidArgument("wordcount needs an input file");
   }
-  SUPMR_ASSIGN_OR_RETURN(CommonConfig cfg, common_config(flags));
+  SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "wordcount"));
   // --budget=SIZE switches to external aggregation (spill-and-merge) so the
   // intermediate set never exceeds the budget.
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t budget, flags.get_size("budget", 0));
-  if (cfg.job.num_nodes > 0) {
-    return run_cluster_cli(
-               flags.positional()[0], std::make_shared<ingest::LineFormat>(),
-               [budget]() -> std::unique_ptr<core::Application> {
-                 if (budget > 0) {
-                   containers::SpillingHashContainer::Options opt;
-                   opt.memory_budget_bytes = budget;
-                   return std::make_unique<apps::ExternalWordCountApp>(opt);
-                 }
-                 return std::make_unique<apps::WordCountApp>();
-               },
-               cfg, 0)
-        .status();
-  }
-  SUPMR_ASSIGN_OR_RETURN(auto dev, open_input(flags.positional()[0], cfg));
-  auto format = std::make_shared<ingest::LineFormat>();
-  ingest::SingleDeviceSource source(dev, format, cfg.chunk_bytes,
-                                    cfg.job.io);
+  SUPMR_ASSIGN_OR_RETURN(run.spec.memory_budget, flags.get_size("budget", 0));
+  if (run.spec.memory_budget > 0) run.spec.app = "xwordcount";
+  SUPMR_ASSIGN_OR_RETURN(std::uint64_t top, flags.get_int("top", 10));
+  SUPMR_ASSIGN_OR_RETURN(RunOutput ran,
+                         run_spec(run, {flags.positional()[0]}));
+  if (ran.app == nullptr) return Status::Ok();
   std::vector<std::pair<std::string, std::uint64_t>> words;
-  if (budget > 0) {
-    containers::SpillingHashContainer::Options opt;
-    opt.memory_budget_bytes = budget;
-    apps::ExternalWordCountApp app(opt);
-    SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
-    (void)result;
-    std::fprintf(human_out(cfg), "spilled runs: %zu\n", app.runs_spilled());
+  if (run.spec.app == "xwordcount") {
+    const auto& app = static_cast<const apps::ExternalWordCountApp&>(*ran.app);
+    std::fprintf(human_out(run), "spilled runs: %zu\n", app.runs_spilled());
     words = app.results();
   } else {
-    apps::WordCountApp app;
-    SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
-    (void)result;
-    words = app.results();
+    words = static_cast<const apps::WordCountApp&>(*ran.app).results();
   }
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t top, flags.get_int("top", 10));
   const std::size_t n = std::min<std::size_t>(top, words.size());
   std::partial_sort(words.begin(), words.begin() + n, words.end(),
                     [](const auto& a, const auto& b) {
                       return a.second > b.second;
                     });
   for (std::size_t i = 0; i < n; ++i)
-    std::fprintf(human_out(cfg), "%10llu  %s\n",
+    std::fprintf(human_out(run), "%10llu  %s\n",
                  (unsigned long long)words[i].second, words[i].first.c_str());
   return Status::Ok();
 }
@@ -519,62 +459,31 @@ Status cmd_sort(const Flags& flags) {
   if (flags.positional().empty()) {
     return Status::InvalidArgument("sort needs an input file");
   }
-  SUPMR_ASSIGN_OR_RETURN(CommonConfig cfg, common_config(flags));
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t key_bytes,
-                         flags.get_int("key-bytes", 10));
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t record_bytes,
-                         flags.get_int("record-bytes", 100));
+  SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "sort"));
+  core::ReplaySpec& spec = run.spec;
+  SUPMR_ASSIGN_OR_RETURN(spec.key_bytes, flags.get_int("key-bytes", 10));
+  SUPMR_ASSIGN_OR_RETURN(spec.record_bytes, flags.get_int("record-bytes", 100));
   SUPMR_RETURN_IF_ERROR(core::check_sort_geometry(
-      key_bytes, record_bytes, "--key-bytes", "--record-bytes"));
-  apps::TeraSortOptions opt;
-  opt.key_bytes = static_cast<std::uint32_t>(key_bytes);
-  opt.record_bytes = static_cast<std::uint32_t>(record_bytes);
-  if (cfg.job.merge_mode == core::MergeMode::kPartitioned) {
+      spec.key_bytes, spec.record_bytes, "--key-bytes", "--record-bytes"));
+  if (spec.merge_mode == core::MergeMode::kPartitioned) {
     // Map-time partitioned shuffle: records land in key-range stripes as
     // they are mapped, so the merge phase is P independent merges.
-    opt.partitions = cfg.job.merge_partitions();
+    spec.app_partitions = spec.job_config().merge_partitions();
   }
-  if (cfg.job.num_nodes > 0) {
-    SUPMR_ASSIGN_OR_RETURN(
-        cluster::ClusterResult result,
-        run_cluster_cli(flags.positional()[0],
-                        std::make_shared<ingest::CrlfFormat>(),
-                        [opt] { return std::make_unique<apps::TeraSortApp>(
-                                    opt); },
-                        cfg, static_cast<std::size_t>(record_bytes)));
-    if (auto out = flags.get("out")) {
-      std::FILE* f = std::fopen(out->c_str(), "wb");
-      if (f == nullptr) return Status::IoError("cannot create " + *out);
-      const bool ok = std::fwrite(result.output.data(), 1,
-                                  result.output.size(),
-                                  f) == result.output.size();
-      std::fclose(f);
-      if (!ok) return Status::IoError("short write to " + *out);
-      std::fprintf(human_out(cfg), "sorted output (%s) -> %s\n",
-                   format_bytes(result.output.size()).c_str(), out->c_str());
+  SUPMR_ASSIGN_OR_RETURN(RunOutput ran,
+                         run_spec(run, {flags.positional()[0]}));
+  std::string_view sorted = ran.cluster_output;
+  if (ran.app != nullptr) {
+    const auto& app = static_cast<const apps::TeraSortApp&>(*ran.app);
+    if (app.malformed_records() > 0) {
+      std::fprintf(human_out(run), "warning: %llu malformed records\n",
+                   (unsigned long long)app.malformed_records());
     }
-    return Status::Ok();
-  }
-  SUPMR_ASSIGN_OR_RETURN(auto dev, open_input(flags.positional()[0], cfg));
-  auto format = std::make_shared<ingest::CrlfFormat>();
-  ingest::SingleDeviceSource source(dev, format, cfg.chunk_bytes,
-                                    cfg.job.io);
-  apps::TeraSortApp app(opt);
-  SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
-  (void)result;
-  if (app.malformed_records() > 0) {
-    std::fprintf(human_out(cfg), "warning: %llu malformed records\n",
-                 (unsigned long long)app.malformed_records());
+    sorted = app.sorted_data();
   }
   if (auto out = flags.get("out")) {
-    std::FILE* f = std::fopen(out->c_str(), "wb");
-    if (f == nullptr) return Status::IoError("cannot create " + *out);
-    const std::string_view sorted = app.sorted_data();
-    const bool ok =
-        std::fwrite(sorted.data(), 1, sorted.size(), f) == sorted.size();
-    std::fclose(f);
-    if (!ok) return Status::IoError("short write to " + *out);
-    std::fprintf(human_out(cfg), "sorted output (%s) -> %s\n",
+    SUPMR_RETURN_IF_ERROR(write_file(*out, sorted));
+    std::fprintf(human_out(run), "sorted output (%s) -> %s\n",
                  format_bytes(sorted.size()).c_str(), out->c_str());
   }
   return Status::Ok();
@@ -584,29 +493,16 @@ Status cmd_grep(const Flags& flags) {
   if (flags.positional().size() < 2) {
     return Status::InvalidArgument("grep needs <patterns> <file>");
   }
-  SUPMR_ASSIGN_OR_RETURN(CommonConfig cfg, common_config(flags));
-  const std::vector<std::string> patterns =
-      apps::split_patterns(flags.positional()[0]);
-  if (cfg.job.num_nodes > 0) {
-    return run_cluster_cli(
-               flags.positional()[1], std::make_shared<ingest::LineFormat>(),
-               [patterns] {
-                 return std::make_unique<apps::GrepApp>(patterns);
-               },
-               cfg, 0)
-        .status();
-  }
-  SUPMR_ASSIGN_OR_RETURN(auto dev, open_input(flags.positional()[1], cfg));
-  auto format = std::make_shared<ingest::LineFormat>();
-  ingest::SingleDeviceSource source(dev, format, cfg.chunk_bytes,
-                                    cfg.job.io);
-  apps::GrepApp app(patterns);
-  SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
-  (void)result;
+  SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "grep"));
+  run.spec.grep_patterns = flags.positional()[0];
+  SUPMR_ASSIGN_OR_RETURN(RunOutput ran,
+                         run_spec(run, {flags.positional()[1]}));
+  if (ran.app == nullptr) return Status::Ok();
+  const auto& app = static_cast<const apps::GrepApp&>(*ran.app);
   for (const auto& [pattern, hits] : app.results())
-    std::fprintf(human_out(cfg), "%10llu  %s\n", (unsigned long long)hits,
+    std::fprintf(human_out(run), "%10llu  %s\n", (unsigned long long)hits,
                  pattern.c_str());
-  std::fprintf(human_out(cfg), "lines scanned: %llu\n",
+  std::fprintf(human_out(run), "lines scanned: %llu\n",
                (unsigned long long)app.lines_scanned());
   return Status::Ok();
 }
@@ -615,41 +511,28 @@ Status cmd_histogram(const Flags& flags) {
   if (flags.positional().empty()) {
     return Status::InvalidArgument("histogram needs an input file");
   }
-  SUPMR_ASSIGN_OR_RETURN(CommonConfig cfg, common_config(flags));
-  apps::HistogramOptions opt;
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t lo, flags.get_int("lo", 0));
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t hi, flags.get_int("hi", 256));
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t bins, flags.get_int("bins", 32));
-  opt.lo = static_cast<std::int64_t>(lo);
-  opt.hi = static_cast<std::int64_t>(hi);
-  opt.bins = bins;
-  if (cfg.job.num_nodes > 0) {
-    return run_cluster_cli(
-               flags.positional()[0], std::make_shared<ingest::LineFormat>(),
-               [opt] { return std::make_unique<apps::HistogramApp>(opt); },
-               cfg, 0)
-        .status();
-  }
-  SUPMR_ASSIGN_OR_RETURN(auto dev, open_input(flags.positional()[0], cfg));
-  auto format = std::make_shared<ingest::LineFormat>();
-  ingest::SingleDeviceSource source(dev, format, cfg.chunk_bytes,
-                                    cfg.job.io);
-  apps::HistogramApp app(opt);
-  SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
-  (void)result;
+  SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "histogram"));
+  core::ReplaySpec& spec = run.spec;
+  SUPMR_ASSIGN_OR_RETURN(spec.hist_lo, flags.get_int<std::int64_t>("lo", 0));
+  SUPMR_ASSIGN_OR_RETURN(spec.hist_hi, flags.get_int<std::int64_t>("hi", 256));
+  SUPMR_ASSIGN_OR_RETURN(spec.hist_bins, flags.get_int("bins", 32));
+  SUPMR_ASSIGN_OR_RETURN(RunOutput ran,
+                         run_spec(run, {flags.positional()[0]}));
+  if (ran.app == nullptr) return Status::Ok();
+  const auto& app = static_cast<const apps::HistogramApp&>(*ran.app);
+  const long long lo = spec.hist_lo, span = spec.hist_hi - spec.hist_lo;
+  const long long bins = static_cast<long long>(spec.hist_bins);
   std::uint64_t peak = 1;
   for (auto c : app.counts()) peak = std::max(peak, c);
   for (std::size_t b = 0; b < app.counts().size(); ++b) {
     const int bar = int(double(app.counts()[b]) / double(peak) * 50.0);
-    std::fprintf(human_out(cfg), "[%6lld,%6lld) %10llu |%.*s\n",
-                 (long long)(opt.lo + (opt.hi - opt.lo) * (long long)b /
-                                          (long long)opt.bins),
-                 (long long)(opt.lo + (opt.hi - opt.lo) * (long long)(b + 1) /
-                                          (long long)opt.bins),
+    std::fprintf(human_out(run), "[%6lld,%6lld) %10llu |%.*s\n",
+                 lo + span * (long long)b / bins,
+                 lo + span * (long long)(b + 1) / bins,
                  (unsigned long long)app.counts()[b], bar,
                  "##################################################");
   }
-  std::fprintf(human_out(cfg), "parsed=%llu out-of-range=%llu\n",
+  std::fprintf(human_out(run), "parsed=%llu out-of-range=%llu\n",
                (unsigned long long)app.values_parsed(),
                (unsigned long long)app.values_out_of_range());
   return Status::Ok();
@@ -659,41 +542,43 @@ Status cmd_index(const Flags& flags) {
   if (flags.positional().empty()) {
     return Status::InvalidArgument("index needs input files");
   }
-  SUPMR_ASSIGN_OR_RETURN(CommonConfig cfg, common_config(flags));
-  std::vector<std::shared_ptr<const storage::Device>> files;
-  for (const auto& path : flags.positional()) {
-    SUPMR_ASSIGN_OR_RETURN(auto dev, open_input(path, cfg));
-    files.push_back(std::move(dev));
-  }
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t per_chunk,
+  SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "index"));
+  SUPMR_ASSIGN_OR_RETURN(run.spec.files_per_chunk,
                          flags.get_int("files-per-chunk", 4));
-  ingest::MultiFileSource source(files, per_chunk, cfg.job.io);
-  apps::InvertedIndexApp app;
-  SUPMR_ASSIGN_OR_RETURN(core::JobResult result, run_app(app, source, cfg));
-  (void)result;
-  std::fprintf(human_out(cfg), "%llu words indexed across %zu files\n",
-               (unsigned long long)app.index().size(), files.size());
+  SUPMR_ASSIGN_OR_RETURN(RunOutput ran,
+                         run_spec(run, flags.positional()));
+  std::fprintf(human_out(run), "%llu words indexed across %zu files\n",
+               (unsigned long long)static_cast<const apps::InvertedIndexApp&>(
+                   *ran.app).index().size(),
+               flags.positional().size());
   return Status::Ok();
 }
 
+// kmeans is not a spec app: run_kmeans drives its own iterations, so it
+// reads the run flags into a spec only for the JobConfig and the source.
 Status cmd_kmeans(const Flags& flags) {
   if (flags.positional().empty()) {
     return Status::InvalidArgument("kmeans needs an input points file");
   }
-  SUPMR_ASSIGN_OR_RETURN(CommonConfig cfg, common_config(flags));
-  if (cfg.job.container != core::ContainerMode::kDefault) {
-    // run_kmeans owns its apps internally, so the run_app seam never sees
-    // them — reject here with the same vocabulary.
+  SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "kmeans"));
+  if (run.spec.container != core::ContainerMode::kDefault) {
+    // run_kmeans owns its apps internally, so make_app never sees them —
+    // reject here with the same vocabulary.
     return Status::InvalidArgument(
         "container=" +
-        std::string(core::container_mode_name(cfg.job.container)) +
+        std::string(core::container_mode_name(run.spec.container)) +
         ": this application declares no combiner");
   }
-  SUPMR_ASSIGN_OR_RETURN(auto dev, open_input(flags.positional()[0], cfg));
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t clusters,
-                         flags.get_int("clusters", 4));
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t dim, flags.get_int("dim", 2));
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t iters, flags.get_int("iters", 30));
+  const core::JobConfig cfg = run.job_config();
+  apps::ChainInputs inputs;
+  SUPMR_ASSIGN_OR_RETURN(
+      inputs.device,
+      open_input(flags.positional()[0], run, cfg.recovery.policy));
+  SUPMR_ASSIGN_OR_RETURN(std::size_t clusters,
+                         flags.get_int<std::size_t>("clusters", 4));
+  SUPMR_ASSIGN_OR_RETURN(std::size_t dim, flags.get_int<std::size_t>("dim", 2));
+  SUPMR_ASSIGN_OR_RETURN(std::size_t iters,
+                         flags.get_int<std::size_t>("iters", 30));
   apps::KMeansOptions opt;
   opt.clusters = clusters;
   opt.dim = dim;
@@ -704,12 +589,12 @@ Status cmd_kmeans(const Flags& flags) {
   for (std::size_t c = 0; c < clusters; ++c)
     for (std::size_t d = 0; d < dim; ++d)
       init[c][d] = 100.0 * double(c + 1) / double(clusters + 1);
-  ingest::SingleDeviceSource source(dev, std::make_shared<ingest::LineFormat>(),
-                                    cfg.chunk_bytes, cfg.job.io);
+  SUPMR_ASSIGN_OR_RETURN(std::unique_ptr<ingest::IngestSource> source,
+                         apps::make_source(run.spec, inputs));
   auto result =
-      apps::run_kmeans(source, cfg.job, opt, std::move(init), iters, 1e-6);
-  if (!result.ok()) return report_failure(cfg, result.status());
-  std::FILE* out = human_out(cfg);
+      apps::run_kmeans(*source, cfg, opt, std::move(init), iters, 1e-6);
+  if (!result.ok()) return report_failure(run, result.status());
+  std::FILE* out = human_out(run);
   std::fprintf(out, "k-means: %zu iterations over %llu points (%.3fs, final "
                "shift %.2g)\n",
                result->iterations, (unsigned long long)result->points,
@@ -720,7 +605,7 @@ Status cmd_kmeans(const Flags& flags) {
       std::fprintf(out, "%s%.4f", d ? ", " : "", result->centroids[c][d]);
     std::fprintf(out, ")\n");
   }
-  if (cfg.json) {
+  if (run.json) {
     JsonWriter w;
     w.begin_object();
     w.kv("iterations", result->iterations);
@@ -760,21 +645,11 @@ Status cmd_generate(const Flags& flags) {
   } else if (kind == "points") {
     wload::PointsConfig cfg;
     cfg.num_points = size / 18;  // ~18 bytes per 2-d line
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return Status::IoError("cannot create " + path);
-    const std::string data = wload::generate_points(cfg);
-    const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-    std::fclose(f);
-    if (!ok) return Status::IoError("short write");
+    SUPMR_RETURN_IF_ERROR(write_file(path, wload::generate_points(cfg)));
   } else if (kind == "numeric") {
     wload::NumericConfig cfg;
     cfg.num_values = size / 4;  // ~4 bytes per line
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return Status::IoError("cannot create " + path);
-    const std::string data = wload::generate_numeric(cfg);
-    const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-    std::fclose(f);
-    if (!ok) return Status::IoError("short write");
+    SUPMR_RETURN_IF_ERROR(write_file(path, wload::generate_numeric(cfg)));
   } else {
     return Status::InvalidArgument("unknown dataset kind: " + kind);
   }
@@ -783,147 +658,69 @@ Status cmd_generate(const Flags& flags) {
   return Status::Ok();
 }
 
-// Re-runs one conformance cell from a harness-written repro spec
-// (docs/testing.md). Non-zero exit iff the cell still diverges, so CI and
-// bisect scripts can drive it directly.
-Status cmd_replay(const std::string& path) {
-  SUPMR_ASSIGN_OR_RETURN(std::string text, slurp(path));
-  SUPMR_ASSIGN_OR_RETURN(core::ReplaySpec spec,
-                         core::ReplaySpec::from_json(text));
-  std::printf("replay: app=%s corpus=%s/%llu seed=%llu mode=%s merge=%s "
-              "io=%s container=%s threads=%llu chunk=%llu partitions=%llu "
-              "degrade=%d fault-plan=%s\n",
-              spec.app.c_str(), spec.corpus.kind.c_str(),
-              (unsigned long long)spec.corpus.bytes,
-              (unsigned long long)spec.corpus.seed,
-              std::string(core::exec_mode_name(spec.mode)).c_str(),
-              std::string(core::merge_mode_name(spec.merge_mode)).c_str(),
-              std::string(core::io_mode_name(spec.io)).c_str(),
-              std::string(core::container_mode_name(spec.container)).c_str(),
-              (unsigned long long)spec.threads,
-              (unsigned long long)spec.chunk_bytes,
-              (unsigned long long)spec.merge_partitions,
-              spec.degrade ? 1 : 0,
-              spec.fault_plan.empty() ? "none" : spec.fault_plan.c_str());
-  SUPMR_ASSIGN_OR_RETURN(ref::ConformanceOutcome outcome,
-                         ref::run_cell(spec));
-  if (outcome.match) {
-    std::printf("conformance: PASS (%llu output bytes, %llu chunks, "
-                "%llu skipped)\n",
-                (unsigned long long)outcome.sut_canonical.size(),
-                (unsigned long long)outcome.job.chunks,
-                (unsigned long long)outcome.job.chunks_skipped);
-    return Status::Ok();
-  }
-  std::printf("conformance: FAIL\n%s\n", outcome.diff.c_str());
-  return Status::Internal("replayed cell diverges from the reference");
-}
-
-// Runs a chained-app (JobGraph) conformance cell from a spec file
-// (docs/graphs.md): executes the spec's multi-stage graph with the spec's
-// handoff policy, byte-checks the sink against the sequential graph oracle,
-// and prints the per-stage and handoff accounting. Non-zero exit iff the
-// graph diverges or fails.
-Status cmd_graph(const Flags& flags) {
-  std::string path = flags.get_or("spec", "");
-  if (path.empty() && !flags.positional().empty()) {
-    path = flags.positional()[0];
-  }
+// replay, graph and cluster: re-runs one conformance cell from a spec file
+// (docs/testing.md) and prints the spec, the stage and handoff breakdown of
+// a graph spec or the shuffle breakdown of a cluster spec, and the verdict.
+// `replay` takes any spec, from its first argument; `graph` and `cluster`
+// take only their own kind, from --spec or their first argument. Non-zero
+// exit iff the cell fails or still diverges, so CI and bisect scripts can
+// drive it.
+Status cmd_replay(const std::string& command, const Flags& flags) {
+  const std::string path = flags.get_or(
+      "spec", flags.positional().empty() ? "" : flags.positional()[0]);
   if (path.empty()) {
-    return Status::InvalidArgument("graph needs --spec=<spec.json>");
+    return Status::InvalidArgument(command == "replay"
+                                       ? "replay needs a spec file"
+                                       : command + " needs --spec=<spec.json>");
   }
   SUPMR_ASSIGN_OR_RETURN(std::string text, slurp(path));
   SUPMR_ASSIGN_OR_RETURN(core::ReplaySpec spec,
                          core::ReplaySpec::from_json(text));
-  if (!spec.is_graph()) {
+  if (command == "graph" && !spec.is_graph()) {
     return Status::InvalidArgument(
         "graph needs a chained app (pmi | tfidf | msort), got: " + spec.app);
   }
-  std::printf("graph: app=%s corpus=%s/%llu seed=%llu mode=%s merge=%s "
-              "io=%s threads=%llu chunk=%llu handoff=%s budget=%llu\n",
-              spec.app.c_str(), spec.corpus.kind.c_str(),
-              (unsigned long long)spec.corpus.bytes,
-              (unsigned long long)spec.corpus.seed,
-              std::string(core::exec_mode_name(spec.mode)).c_str(),
-              std::string(core::merge_mode_name(spec.merge_mode)).c_str(),
-              std::string(core::io_mode_name(spec.io)).c_str(),
-              (unsigned long long)spec.threads,
-              (unsigned long long)spec.chunk_bytes,
-              std::string(core::graph_handoff_name(spec.graph_handoff))
-                  .c_str(),
-              (unsigned long long)spec.graph_budget);
-  SUPMR_ASSIGN_OR_RETURN(ref::ConformanceOutcome outcome,
-                         ref::run_cell(spec));
-  std::printf("graph: %llu stages, handoff %llu bytes in memory, "
-              "spilled %llu bytes across %llu file(s)\n",
-              (unsigned long long)outcome.graph_stages,
-              (unsigned long long)outcome.graph_handoff_bytes,
-              (unsigned long long)outcome.graph_spill_bytes,
-              (unsigned long long)outcome.graph_spill_files);
-  if (outcome.match) {
-    std::printf("conformance: PASS (%llu output bytes)\n",
-                (unsigned long long)outcome.sut_canonical.size());
-    return Status::Ok();
-  }
-  std::printf("conformance: FAIL\n%s\n", outcome.diff.c_str());
-  return Status::Internal("graph cell diverges from the reference");
-}
-
-// Runs a sharded-shuffle conformance cell from a spec file (docs/cluster.md):
-// executes the spec through the cluster runtime, byte-checks the
-// reassembled output against the sequential oracle, and prints the shuffle
-// accounting. Non-zero exit iff the cell diverges or fails.
-Status cmd_cluster(const Flags& flags) {
-  std::string path = flags.get_or("spec", "");
-  if (path.empty() && !flags.positional().empty()) {
-    path = flags.positional()[0];
-  }
-  if (path.empty()) {
-    return Status::InvalidArgument("cluster needs --spec=<spec.json>");
-  }
-  SUPMR_ASSIGN_OR_RETURN(std::string text, slurp(path));
-  SUPMR_ASSIGN_OR_RETURN(core::ReplaySpec spec,
-                         core::ReplaySpec::from_json(text));
-  if (!spec.is_cluster()) {
+  if (command == "cluster" && !spec.is_cluster()) {
     return Status::InvalidArgument(
         "cluster needs a spec with cluster.nodes >= 1 (app " + spec.app +
         ", nodes=0)");
   }
-  std::printf("cluster: app=%s corpus=%s/%llu seed=%llu mode=%s merge=%s "
-              "io=%s threads=%llu chunk=%llu nodes=%llu link=%llu "
-              "uplink=%llu disk=%llu budget=%llu\n",
-              spec.app.c_str(), spec.corpus.kind.c_str(),
-              (unsigned long long)spec.corpus.bytes,
-              (unsigned long long)spec.corpus.seed,
-              std::string(core::exec_mode_name(spec.mode)).c_str(),
-              std::string(core::merge_mode_name(spec.merge_mode)).c_str(),
-              std::string(core::io_mode_name(spec.io)).c_str(),
-              (unsigned long long)spec.threads,
-              (unsigned long long)spec.chunk_bytes,
-              (unsigned long long)spec.cluster_nodes,
-              (unsigned long long)spec.cluster_link_bps,
-              (unsigned long long)spec.cluster_uplink_bps,
-              (unsigned long long)spec.cluster_disk_bps,
-              (unsigned long long)spec.cluster_budget);
+  std::printf("%s: %s\n", command.c_str(), spec.to_json().c_str());
   SUPMR_ASSIGN_OR_RETURN(ref::ConformanceOutcome outcome,
                          ref::run_cell(spec));
-  std::printf("cluster: %llu node(s), map output %llu bytes, %llu shuffled "
-              "cross-node, %llu local, %llu spill run(s), owned max/min "
-              "%llu/%llu bytes\n",
-              (unsigned long long)outcome.cluster_nodes,
-              (unsigned long long)outcome.cluster_map_output_bytes,
-              (unsigned long long)outcome.cluster_shuffle_bytes,
-              (unsigned long long)outcome.cluster_local_bytes,
-              (unsigned long long)outcome.cluster_spill_runs,
-              (unsigned long long)outcome.cluster_recv_max_bytes,
-              (unsigned long long)outcome.cluster_recv_min_bytes);
-  if (outcome.match) {
-    std::printf("conformance: PASS (%llu output bytes)\n",
-                (unsigned long long)outcome.sut_canonical.size());
-    return Status::Ok();
+  if (spec.is_graph()) {
+    std::printf("graph: %llu stages, handoff %llu bytes in memory, "
+                "spilled %llu bytes across %llu file(s)\n",
+                (unsigned long long)outcome.graph_stages,
+                (unsigned long long)outcome.graph_handoff_bytes,
+                (unsigned long long)outcome.graph_spill_bytes,
+                (unsigned long long)outcome.graph_spill_files);
   }
-  std::printf("conformance: FAIL\n%s\n", outcome.diff.c_str());
-  return Status::Internal("cluster cell diverges from the reference");
+  if (spec.is_cluster()) {
+    std::printf("cluster: %llu node(s), map output %llu bytes, %llu shuffled "
+                "cross-node, %llu local, %llu spill run(s), owned max/min "
+                "%llu/%llu bytes\n",
+                (unsigned long long)outcome.cluster_nodes,
+                (unsigned long long)outcome.cluster_map_output_bytes,
+                (unsigned long long)outcome.cluster_shuffle_bytes,
+                (unsigned long long)outcome.cluster_local_bytes,
+                (unsigned long long)outcome.cluster_spill_runs,
+                (unsigned long long)outcome.cluster_recv_max_bytes,
+                (unsigned long long)outcome.cluster_recv_min_bytes);
+  }
+  if (!outcome.match) {
+    std::printf("conformance: FAIL\n%s\n", outcome.diff.c_str());
+    return Status::Internal(command + ": cell diverges from the reference");
+  }
+  std::printf("conformance: PASS (%llu output bytes",
+              (unsigned long long)outcome.sut_canonical.size());
+  if (!spec.is_graph() && !spec.is_cluster()) {
+    std::printf(", %llu chunks, %llu skipped",
+                (unsigned long long)outcome.job.chunks,
+                (unsigned long long)outcome.job.chunks_skipped);
+  }
+  std::printf(")\n");
+  return Status::Ok();
 }
 
 // Multi-tenant mode (docs/runtime.md): one JobManager, many concurrent
@@ -1021,66 +818,93 @@ Status cmd_serve(const Flags& flags) {
   return Status::Ok();
 }
 
+// The union of flag groups, for the command table.
+std::set<std::string> flag_set(
+    std::initializer_list<std::set<std::string>> groups) {
+  std::set<std::string> all;
+  for (const std::set<std::string>& group : groups) {
+    all.insert(group.begin(), group.end());
+  }
+  return all;
+}
+
+// One row per subcommand: the flags it reads (Flags::parse rejects any
+// other) and its body.
+struct Command {
+  std::string_view name;
+  std::set<std::string> flags;
+  Status (*run)(const Flags&);
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"wordcount",
+       flag_set({kRunFlags, kClusterFlags, {"trace", "top", "budget"}}),
+       cmd_wordcount},
+      {"sort",
+       flag_set({kRunFlags, kClusterFlags,
+                 {"trace", "out", "key-bytes", "record-bytes"}}),
+       cmd_sort},
+      {"grep", flag_set({kRunFlags, kClusterFlags, {"trace"}}), cmd_grep},
+      {"histogram",
+       flag_set({kRunFlags, kClusterFlags, {"trace", "lo", "hi", "bins"}}),
+       cmd_histogram},
+      {"index", flag_set({kRunFlags, {"trace", "files-per-chunk"}}),
+       cmd_index},
+      {"kmeans", flag_set({kRunFlags, {"clusters", "dim", "iters"}}),
+       cmd_kmeans},
+      {"generate", {"size"}, cmd_generate},
+      {"replay", {},
+       [](const Flags& flags) { return cmd_replay("replay", flags); }},
+      {"graph", {"spec"},
+       [](const Flags& flags) { return cmd_replay("graph", flags); }},
+      {"cluster", {"spec"},
+       [](const Flags& flags) { return cmd_replay("cluster", flags); }},
+      {"serve", {"jobs"}, cmd_serve},
+  };
+  return table;
+}
+
+// Prints a failed command's error; the exit code is 1 on error.
+int finish(const Status& st) {
+  if (st.ok()) return 0;
+  std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
+  return 1;
+}
+
 int run_main(int argc, char** argv) {
   if (argc < 2) {
     usage();
     return 2;
   }
   std::string command = argv[1];
-  // `--replay=<file>` / `--replay <file>` are accepted in command position
-  // as aliases for the replay subcommand (repro files print this form).
+  std::vector<char*> args(argv + 2, argv + argc);
+  // `--replay=<file>` / `--replay <file>` in command position spell
+  // `replay <file>` (repro files print this form).
   if (command.rfind("--replay", 0) == 0) {
-    std::string file;
     const std::size_t eq = command.find('=');
-    if (eq != std::string::npos) {
-      file = command.substr(eq + 1);
-    } else if (argc >= 3) {
-      file = argv[2];
-    }
-    if (file.empty()) {
+    if (eq != std::string::npos) args.insert(args.begin(), argv[1] + eq + 1);
+    if (args.empty() || *args.front() == '\0') {
       std::fprintf(stderr, "error: --replay needs a spec file\n");
       return 2;
     }
-    const Status st = cmd_replay(file);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-      return 1;
-    }
-    return 0;
+    command = "replay";
   }
-  auto flags_or = Flags::parse(argc - 2, argv + 2, kCommonFlags);
-  if (!flags_or.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 flags_or.status().to_string().c_str());
+  const auto& table = commands();
+  const auto cmd =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return c.name == command; });
+  if (cmd == table.end()) {
+    usage();
+    return finish(Status::InvalidArgument("unknown command: " + command));
+  }
+  auto flags = Flags::parse(static_cast<int>(args.size()), args.data(),
+                            cmd->flags);
+  if (!flags.ok()) {
+    finish(flags.status());
     return 2;
   }
-  const Flags& flags = *flags_or;
-
-  Status st = Status::InvalidArgument("unknown command: " + command);
-  if (command == "wordcount") st = cmd_wordcount(flags);
-  else if (command == "kmeans") st = cmd_kmeans(flags);
-  else if (command == "sort") st = cmd_sort(flags);
-  else if (command == "grep") st = cmd_grep(flags);
-  else if (command == "histogram") st = cmd_histogram(flags);
-  else if (command == "index") st = cmd_index(flags);
-  else if (command == "generate") st = cmd_generate(flags);
-  else if (command == "replay") {
-    if (flags.positional().empty()) {
-      st = Status::InvalidArgument("replay needs a spec file");
-    } else {
-      st = cmd_replay(flags.positional()[0]);
-    }
-  }
-  else if (command == "serve") st = cmd_serve(flags);
-  else if (command == "graph") st = cmd_graph(flags);
-  else if (command == "cluster") st = cmd_cluster(flags);
-  else usage();
-
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-    return 1;
-  }
-  return 0;
+  return finish(cmd->run(*flags));
 }
 
 }  // namespace
