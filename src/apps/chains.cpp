@@ -1,8 +1,5 @@
 #include "apps/chains.hpp"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <utility>
 
 #include "apps/doc_term_count.hpp"
@@ -145,10 +142,6 @@ StatusOr<cluster::ClusterJob> make_cluster_job(const core::ReplaySpec& spec,
   job.config = spec.job_config();
   job.chunk_bytes = spec.chunk_bytes;
   if (spec.app == "sort") job.record_bytes = spec.record_bytes;
-  if (spec.cluster_budget > 0) {
-    job.spill_dir = "/tmp/supmr_cluster_" + std::to_string(::getpid());
-    ::mkdir(job.spill_dir.c_str(), 0777);  // best effort; the sorter reports
-  }
   return job;
 }
 

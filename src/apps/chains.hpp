@@ -60,9 +60,9 @@ StatusOr<std::shared_ptr<const storage::Device>> with_faults(
     const core::ReplaySpec& spec, const fault::RetryPolicy& policy);
 
 // The cluster run of spec over `input` (spec.is_cluster()): every node
-// builds make_app(spec) and runs spec.job_config(). Makes the owner spill
-// directory when spec.cluster_budget > 0. An app or container make_app
-// rejects fails here, before any node starts.
+// builds make_app(spec) and runs spec.job_config(); owners spill into the
+// job's default spill_dir. An app or container make_app rejects fails here,
+// before any node starts.
 StatusOr<cluster::ClusterJob> make_cluster_job(const core::ReplaySpec& spec,
                                                std::string input);
 

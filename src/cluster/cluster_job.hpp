@@ -51,8 +51,9 @@ struct ClusterJob {
   // operate on whole records).
   std::size_t record_bytes = 0;
   // Owner-side spill area for over-budget fixed-record partitions; must be
-  // an existing directory when config.node_memory_budget > 0.
-  std::string spill_dir;
+  // an existing directory when config.node_memory_budget > 0. Run files are
+  // created with mkstemp, so jobs can share it.
+  std::string spill_dir = "/tmp";
 };
 
 struct NodeStats {

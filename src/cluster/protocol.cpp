@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "merge/loser_tree.hpp"
+
 namespace supmr::cluster {
 
 StatusOr<std::vector<std::string_view>> split_lines(std::string_view bytes) {
@@ -68,57 +70,45 @@ StatusOr<std::uint64_t> line_value(std::string_view line) {
   return value;
 }
 
+namespace {
+
+std::vector<std::span<const std::string_view>> spans(
+    const std::vector<std::vector<std::string_view>>& runs) {
+  return {runs.begin(), runs.end()};
+}
+
+}  // namespace
+
 StatusOr<std::string> merge_sorted_keys(
     const std::vector<std::vector<std::string_view>>& runs) {
   std::string out;
-  std::vector<std::size_t> heads(runs.size(), 0);
-  while (true) {
-    // Run counts are small (one per node), so a linear min scan beats a heap.
-    std::string_view min_key;
-    bool have = false;
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (heads[r] >= runs[r].size()) continue;
-      const std::string_view key = line_key(runs[r][heads[r]]);
-      if (!have || key < min_key) {
-        min_key = key;
-        have = true;
-      }
-    }
-    if (!have) return out;
-
+  merge::LoserTree<std::string_view, SortedKeyLess> tree(spans(runs),
+                                                        SortedKeyLess{});
+  while (!tree.empty()) {
+    // Equal keys leave the tree back to back; fold them into one line.
+    const std::string_view key = line_key(tree.top().head());
     std::uint64_t sum = 0;
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (heads[r] >= runs[r].size()) continue;
-      const std::string_view line = runs[r][heads[r]];
-      if (line_key(line) != min_key) continue;
-      SUPMR_ASSIGN_OR_RETURN(const std::uint64_t v, line_value(line));
+    while (!tree.empty() && line_key(tree.top().head()) == key) {
+      SUPMR_ASSIGN_OR_RETURN(const std::uint64_t v,
+                             line_value(tree.top().head()));
       sum += v;
-      ++heads[r];
+      tree.advance();
     }
-    out.append(min_key);
+    out.append(key);
     out += '\t';
     out += std::to_string(sum);
     out += '\n';
   }
+  return out;
 }
 
 std::string merge_fixed_records(
     const std::vector<std::vector<std::string_view>>& runs) {
   std::string out;
-  std::vector<std::size_t> heads(runs.size(), 0);
-  while (true) {
-    std::size_t min_run = runs.size();
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (heads[r] >= runs[r].size()) continue;
-      if (min_run == runs.size() ||
-          runs[r][heads[r]] < runs[min_run][heads[min_run]]) {
-        min_run = r;
-      }
-    }
-    if (min_run == runs.size()) return out;
-    out.append(runs[min_run][heads[min_run]]);
-    ++heads[min_run];
-  }
+  merge::LoserTree<std::string_view, std::less<std::string_view>> tree(
+      spans(runs), std::less<std::string_view>{});
+  while (!tree.empty()) out.append(tree.pop());
+  return out;
 }
 
 StatusOr<std::string> fold_aligned(

@@ -51,15 +51,16 @@ struct SortedKeyLess {
   }
 };
 
-// K-way merge of per-sender runs of sorted-keys lines (each run sorted by
-// key, keys unique within a run), folding equal keys across runs by summing
-// their values.
+// K-way merge (one merge::LoserTree over the runs) of per-sender runs of
+// sorted-keys lines (each run sorted by key, keys unique within a run),
+// folding equal keys across runs by summing their values.
 StatusOr<std::string> merge_sorted_keys(
     const std::vector<std::vector<std::string_view>>& runs);
 
-// K-way merge of per-sender runs of fixed-width records, each run already in
-// full-record memcmp order. Ties break toward the lower run index; equal
-// records are byte-identical, so the output bytes do not depend on it.
+// K-way merge (one merge::LoserTree over the runs) of per-sender runs of
+// fixed-width records, each run already in full-record memcmp order. Ties
+// are unordered; equal records are byte-identical, so the output bytes do
+// not depend on their order.
 std::string merge_fixed_records(
     const std::vector<std::vector<std::string_view>>& runs);
 

@@ -12,19 +12,23 @@
 // phase (merge/partitioned.hpp) runs P independent per-partition merges and
 // concatenates the outputs in key order.
 //
-// Splitters come either from sample_splitters() (evenly spaced probes over
-// an early batch, sample-sort style) or set_splitters() (caller-provided,
-// e.g. replayed from a previous run). With no splitters the container
-// degrades to 1 partition = per-thread ArrayContainer stripes.
+// Splitters come from sample_splitters() (merge::select_splitters over an
+// early batch's keys, sample-sort style) and records route through
+// merge::partition_of, the same cut and router as every other partitioned
+// path. With no splitters the container degrades to 1 partition =
+// per-thread ArrayContainer stripes.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <cstdint>
-#include <cstring>
+#include <functional>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
+
+#include "merge/partitioned.hpp"
 
 namespace supmr::containers {
 
@@ -67,76 +71,39 @@ class PartitionedContainer {
     initialized_ = false;
   }
 
-  // Installs explicit partition boundaries: splitters must be sorted,
-  // strictly increasing key prefixes (key_bytes each, concatenated), at most
-  // partitions - 1 of them. Must run between map waves (changes routing).
-  void set_splitters(std::vector<char> splitter_keys) {
-    assert(initialized_);
-    assert(key_bytes_ > 0 && splitter_keys.size() % key_bytes_ == 0);
-    assert(splitter_keys.size() / key_bytes_ <= partitions_ - 1);
-    splitters_ = std::move(splitter_keys);
-  }
-
-  // Sample-sort-style splitter selection from an early record batch: probe
-  // `sample` (contiguous records) evenly, sort the probed keys, cut at
-  // evenly spaced quantiles, drop duplicate cuts. Deterministic — evenly
-  // spaced probes, no RNG — so replayed runs partition identically.
+  // Sample-sort-style splitter selection from an early record batch:
+  // merge::select_splitters over the batch's key prefixes. Deterministic —
+  // evenly spaced probes, no RNG — so replayed runs partition identically.
   void sample_splitters(std::span<const char> sample) {
     assert(initialized_ && sample.size() % record_bytes_ == 0);
-    splitters_.clear();
-    const std::size_t n = sample.size() / record_bytes_;
-    if (partitions_ < 2 || n < 2) return;
-
-    const std::size_t want = std::min<std::size_t>(n, 32 * partitions_);
-    const std::size_t step = std::max<std::size_t>(1, n / want);
-    std::vector<const char*> probes;
-    for (std::size_t i = step / 2; i < n; i += step)
-      probes.push_back(sample.data() + i * record_bytes_);
-    std::sort(probes.begin(), probes.end(),
-              [this](const char* a, const char* b) {
-                return std::memcmp(a, b, key_bytes_) < 0;
-              });
-
-    for (std::size_t p = 1; p < partitions_; ++p) {
-      const char* cut = probes[p * probes.size() / partitions_];
-      if (!splitters_.empty() &&
-          std::memcmp(splitters_.data() + splitters_.size() - key_bytes_, cut,
-                      key_bytes_) >= 0) {
-        continue;  // duplicate quantile — this key range needs fewer cuts
-      }
-      splitters_.insert(splitters_.end(), cut, cut + key_bytes_);
-    }
+    std::vector<std::string_view> keys(sample.size() / record_bytes_);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      keys[i] = std::string_view(sample.data() + i * record_bytes_, key_bytes_);
+    const std::vector<std::string_view> cuts = merge::select_splitters(
+        std::span<const std::string_view>(keys), partitions_,
+        std::less<std::string_view>{});
+    splitters_.assign(cuts.begin(), cuts.end());
   }
 
-  std::size_t num_splitters() const { return splitters_.size() / key_bytes_; }
+  std::size_t num_splitters() const { return splitters_.size(); }
   std::span<const char> splitter(std::size_t i) const {
     assert(i < num_splitters());
-    return std::span<const char>(splitters_.data() + i * key_bytes_,
-                                 key_bytes_);
+    return std::span<const char>(splitters_[i].data(), key_bytes_);
   }
 
-  // Partition for `key` (>= key_bytes readable): the number of splitters
-  // <= key, found by binary search. Equal keys always share a partition, so
-  // partition p's keys all sort strictly before partition p+1's.
+  // Partition for `key` (>= key_bytes readable): merge::partition_of over
+  // the key prefix, so equal keys always share a partition and partition
+  // p's keys all sort strictly before partition p+1's.
   std::size_t partition_of(const char* key) const {
-    std::size_t lo = 0, hi = num_splitters();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (std::memcmp(splitters_.data() + mid * key_bytes_, key, key_bytes_) <=
-          0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    return merge::partition_of(splitters_, std::string_view(key, key_bytes_),
+                               std::less<std::string_view>{});
   }
 
   // Appends one record from mapper thread `thread`. Lock-free by layout:
   // (partition, thread) stripes are owned by exactly one thread, so
   // concurrent appends from distinct threads never alias. NOT safe to call
-  // concurrently with set_splitters/sample_splitters (routing changes
-  // between waves only).
+  // concurrently with sample_splitters (routing changes between waves
+  // only).
   void append(std::size_t thread, std::span<const char> record) {
     assert(initialized_ && thread < threads_);
     assert(record.size() == record_bytes_);
@@ -179,7 +146,7 @@ class PartitionedContainer {
   }
 
   std::vector<std::vector<char>> stripes_;  // [partition * threads_ + thread]
-  std::vector<char> splitters_;             // num_splitters * key_bytes_
+  std::vector<std::string> splitters_;      // key_bytes_ each, increasing
   std::uint64_t record_bytes_ = 0;
   std::uint64_t key_bytes_ = 0;
   std::size_t partitions_ = 0;

@@ -1,14 +1,14 @@
 #include "containers/spilling_hash.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <stdexcept>
 #include <cstdio>
 #include <cstring>
-#include <queue>
+#include <stdexcept>
 
 #include "merge/introsort.hpp"
+#include "merge/loser_tree.hpp"
 #include "obs/macros.hpp"
+#include "storage/spill_file.hpp"
 
 namespace supmr::containers {
 
@@ -18,7 +18,8 @@ namespace {
 constexpr std::size_t kHeaderBytes = sizeof(std::uint32_t);
 constexpr std::size_t kCountBytes = sizeof(std::uint64_t);
 
-// Buffered reader over one spill run.
+// A run cursor (merge/loser_tree.hpp) over one sorted run: a spill file
+// read through a buffer, or the in-memory run of drained stripes.
 class SpillCursor {
  public:
   Status open(const std::string& path, std::uint64_t read_bytes) {
@@ -30,16 +31,9 @@ class SpillCursor {
     return advance();
   }
 
-  // In-memory run variant.
   void open_memory(std::vector<std::pair<std::string, std::uint64_t>> pairs) {
     mem_ = std::move(pairs);
-    mem_pos_ = 0;
-    if (mem_pos_ < mem_.size()) {
-      key_ = mem_[mem_pos_].first;
-      count_ = mem_[mem_pos_].second;
-    } else {
-      done_ = true;
-    }
+    done_ = mem_.empty();
   }
 
   ~SpillCursor() {
@@ -51,29 +45,28 @@ class SpillCursor {
   SpillCursor& operator=(const SpillCursor&) = delete;
 
   bool done() const { return done_; }
-  std::string_view key() const { return key_; }
-  std::uint64_t count() const { return count_; }
+  std::string_view head() const {
+    return file_ != nullptr ? std::string_view(key_)
+                            : std::string_view(mem_[mem_pos_].first);
+  }
+  std::uint64_t count() const {
+    return file_ != nullptr ? count_ : mem_[mem_pos_].second;
+  }
 
   Status advance() {
-    if (file_ == nullptr && !mem_.empty()) {
-      ++mem_pos_;
-      if (mem_pos_ >= mem_.size()) {
-        done_ = true;
-      } else {
-        key_ = mem_[mem_pos_].first;
-        count_ = mem_[mem_pos_].second;
-      }
+    if (file_ == nullptr) {
+      done_ = ++mem_pos_ >= mem_.size();
       return Status::Ok();
     }
-    // File-backed: ensure a whole record is buffered.
-    SUPMR_RETURN_IF_ERROR(ensure(kHeaderBytes));
-    if (done_) return Status::Ok();
+    // File-backed: a clean end of run falls on a record boundary.
+    if (!fill(kHeaderBytes)) {
+      done_ = len_ == pos_;
+      return done_ ? Status::Ok() : truncated();
+    }
     std::uint32_t len = 0;
     std::memcpy(&len, buf_.data() + pos_, kHeaderBytes);
-    SUPMR_RETURN_IF_ERROR(ensure(kHeaderBytes + len + kCountBytes));
-    if (done_) return Status::IoError("spill run truncated mid-record");
-    key_owned_.assign(buf_.data() + pos_ + kHeaderBytes, len);
-    key_ = key_owned_;
+    if (!fill(kHeaderBytes + len + kCountBytes)) return truncated();
+    key_.assign(buf_.data() + pos_ + kHeaderBytes, len);
     std::memcpy(&count_, buf_.data() + pos_ + kHeaderBytes + len,
                 kCountBytes);
     pos_ += kHeaderBytes + len + kCountBytes;
@@ -81,32 +74,29 @@ class SpillCursor {
   }
 
  private:
-  // Makes at least `need` bytes available at pos_, refilling from the file;
-  // sets done_ when the run is exhausted cleanly at a record boundary.
-  Status ensure(std::size_t need) {
-    if (len_ - pos_ >= need) return Status::Ok();
+  static Status truncated() {
+    return Status::IoError("spill run truncated mid-record");
+  }
+
+  // Refills from the file until `need` bytes sit at pos_; false if the run
+  // ends first.
+  bool fill(std::size_t need) {
+    if (len_ - pos_ >= need) return true;
     std::memmove(buf_.data(), buf_.data() + pos_, len_ - pos_);
     len_ -= pos_;
     pos_ = 0;
-    const std::size_t n =
-        std::fread(buf_.data() + len_, 1, buf_.size() - len_, file_);
-    len_ += n;
-    if (len_ == 0) {
-      done_ = true;
-    } else if (len_ < need) {
-      done_ = true;  // partial record: caller reports truncation
-    }
-    return Status::Ok();
+    if (buf_.size() < need) buf_.resize(need);
+    len_ += std::fread(buf_.data() + len_, 1, buf_.size() - len_, file_);
+    return len_ >= need;
   }
 
   std::FILE* file_ = nullptr;
   std::vector<char> buf_;
   std::size_t pos_ = 0, len_ = 0;
-  std::string key_owned_;
+  std::string key_;
+  std::uint64_t count_ = 0;
   std::vector<std::pair<std::string, std::uint64_t>> mem_;
   std::size_t mem_pos_ = 0;
-  std::string_view key_;
-  std::uint64_t count_ = 0;
   bool done_ = false;
 };
 
@@ -166,27 +156,25 @@ Status SpillingHashContainer::spill() {
   SUPMR_TRACE_SET_ARG(span, "pairs", pairs.size());
   SUPMR_COUNTER_ADD("spill.runs", 1);
 
-  char name[64];
-  std::snprintf(name, sizeof(name), "/supmr_agg_%p_%zu.run",
-                static_cast<void*>(this), spill_paths_.size());
-  const std::string path = options_.spill_dir + name;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot create spill " + path);
   std::uint64_t written = 0;
-  for (const auto& [key, count] : pairs) {
-    const std::uint32_t len = static_cast<std::uint32_t>(key.size());
-    if (std::fwrite(&len, 1, kHeaderBytes, f) != kHeaderBytes ||
-        std::fwrite(key.data(), 1, len, f) != len ||
-        std::fwrite(&count, 1, kCountBytes, f) != kCountBytes) {
-      std::fclose(f);
-      return Status::IoError("short write to spill " + path);
-    }
-    written += kHeaderBytes + len + kCountBytes;
-  }
-  if (std::fclose(f) != 0) return Status::IoError("spill close failed");
+  SUPMR_ASSIGN_OR_RETURN(
+      std::string path,
+      storage::write_spill_file(
+          options_.spill_dir, "supmr-agg", [&](std::FILE* f) {
+            for (const auto& [key, count] : pairs) {
+              const std::uint32_t len = static_cast<std::uint32_t>(key.size());
+              if (std::fwrite(&len, 1, kHeaderBytes, f) != kHeaderBytes ||
+                  std::fwrite(key.data(), 1, len, f) != len ||
+                  std::fwrite(&count, 1, kCountBytes, f) != kCountBytes) {
+                return false;
+              }
+              written += kHeaderBytes + len + kCountBytes;
+            }
+            return true;
+          }));
   SUPMR_COUNTER_ADD("spill.bytes", written);
   SUPMR_TRACE_SET_ARG2(span, "bytes", written);
-  spill_paths_.push_back(path);
+  spill_paths_.push_back(std::move(path));
   return Status::Ok();
 }
 
@@ -204,28 +192,17 @@ Status SpillingHashContainer::merge_reduce(
   }
   cursors.back().open_memory(drain_stripes());
 
-  // K-way combining merge: repeatedly take the smallest key across cursors,
-  // folding equal keys from multiple runs. K is small (runs + 1), so a
-  // linear min-scan per output key is fine.
-  while (true) {
-    // Find the minimum key among live cursors.
-    std::string_view min_key;
-    bool any = false;
-    for (const auto& c : cursors) {
-      if (c.done()) continue;
-      if (!any || c.key() < min_key) {
-        min_key = c.key();
-        any = true;
-      }
-    }
-    if (!any) break;
-    const std::string key(min_key);  // copy: advancing invalidates views
+  // K-way combining merge: equal keys leave the tree back to back and fold
+  // into one total.
+  merge::LoserTree<std::string_view, std::less<std::string_view>, SpillCursor>
+      tree(std::move(cursors), std::less<std::string_view>{});
+  std::string key;  // copy: advancing invalidates the head's view
+  while (!tree.empty()) {
+    key.assign(tree.top().head());
     std::uint64_t total = 0;
-    for (auto& c : cursors) {
-      while (!c.done() && c.key() == key) {
-        total += c.count();
-        SUPMR_RETURN_IF_ERROR(c.advance());
-      }
+    while (!tree.empty() && tree.top().head() == key) {
+      total += tree.top().count();
+      SUPMR_RETURN_IF_ERROR(tree.advance());
     }
     fn(key, total);
   }

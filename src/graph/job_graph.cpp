@@ -11,6 +11,7 @@
 #include "storage/file_device.hpp"
 #include "storage/mem_device.hpp"
 #include "storage/rate_limiter.hpp"
+#include "storage/spill_file.hpp"
 #include "storage/throttled_device.hpp"
 
 namespace supmr::graph {
@@ -96,34 +97,24 @@ StatusOr<std::size_t> JobGraph::sink() const {
 
 namespace {
 
-// Writes `payload` to an anonymous temp file under `dir` and opens it as a
+// Writes `payload` to a spill file under `dir` and opens it as a
 // FileDevice. The path is unlinked right after open, so the bytes live only
 // as long as the returned device's descriptor. A non-null `limiter` charges
 // the write here and the re-ingest reads via a ThrottledDevice wrapper.
 StatusOr<std::shared_ptr<const storage::Device>> spill_to_file(
     const std::string& payload, const std::string& dir,
     const std::shared_ptr<storage::RateLimiter>& limiter) {
-  std::string tmpl = (dir.empty() ? std::string("/tmp") : dir) +
-                     "/supmr-graph-spill-XXXXXX";
-  std::vector<char> path(tmpl.begin(), tmpl.end());
-  path.push_back('\0');
-  const int fd = ::mkstemp(path.data());
-  if (fd < 0) return Status::IoError("graph: mkstemp failed in " + dir);
-  if (limiter != nullptr) limiter->acquire(payload.size());
-  std::size_t written = 0;
-  while (written < payload.size()) {
-    const ::ssize_t n = ::write(fd, payload.data() + written,
-                                payload.size() - written);
-    if (n <= 0) {
-      ::close(fd);
-      ::unlink(path.data());
-      return Status::IoError("graph: spill write failed");
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  auto device = storage::FileDevice::open(path.data());
-  ::unlink(path.data());
+  SUPMR_ASSIGN_OR_RETURN(
+      const std::string path,
+      storage::write_spill_file(
+          dir.empty() ? std::string("/tmp") : dir, "supmr-graph-spill",
+          [&](std::FILE* f) {
+            if (limiter != nullptr) limiter->acquire(payload.size());
+            return std::fwrite(payload.data(), 1, payload.size(), f) ==
+                   payload.size();
+          }));
+  auto device = storage::FileDevice::open(path);
+  ::unlink(path.c_str());
   SUPMR_RETURN_IF_ERROR(device.status());
   std::shared_ptr<const storage::Device> dev(std::move(*device));
   if (limiter != nullptr) {

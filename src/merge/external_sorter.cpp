@@ -5,10 +5,12 @@
 #include <cstring>
 
 #include "fault/retrying_device.hpp"
+#include "merge/loser_tree.hpp"
 #include "merge/partitioned.hpp"
 #include "merge/sample_sort.hpp"
 #include "obs/macros.hpp"
 #include "storage/file_device.hpp"
+#include "storage/spill_file.hpp"
 
 namespace supmr::merge {
 
@@ -41,7 +43,7 @@ class RunCursor {
     eof_ = true;
   }
 
-  bool exhausted() const { return pos_ >= slab_len_ && eof_; }
+  bool done() const { return pos_ >= slab_len_ && eof_; }
   const char* head() const { return slab_.data() + pos_; }
 
   Status advance() {
@@ -87,87 +89,31 @@ class RunCursor {
   bool eof_ = false;
 };
 
-// Loser tree over run cursors (streaming variant of merge::LoserTree).
-class CursorLoserTree {
- public:
-  CursorLoserTree(std::vector<RunCursor>& runs, std::uint32_t key_bytes)
-      : runs_(runs), kb_(key_bytes) {
-    k_ = 1;
-    while (k_ < runs_.size()) k_ <<= 1;
-    tree_.assign(k_, kInvalid);
-    build();
+// Orders run heads (record pointers) by their first key_bytes bytes.
+struct KeyLess {
+  std::uint32_t key_bytes;
+  bool operator()(const char* a, const char* b) const {
+    return std::memcmp(a, b, key_bytes) < 0;
   }
-
-  bool empty() const {
-    return winner_ == kInvalid || runs_[winner_].exhausted();
-  }
-  std::size_t winner() const { return winner_; }
-
-  Status pop_advance() {
-    SUPMR_RETURN_IF_ERROR(runs_[winner_].advance());
-    replay(winner_);
-    return Status::Ok();
-  }
-
- private:
-  static constexpr std::size_t kInvalid = ~std::size_t{0};
-
-  bool alive(std::size_t r) const {
-    return r < runs_.size() && !runs_[r].exhausted();
-  }
-  bool beats(std::size_t a, std::size_t b) const {
-    if (!alive(a)) return false;
-    if (!alive(b)) return true;
-    return std::memcmp(runs_[a].head(), runs_[b].head(), kb_) <= 0;
-  }
-
-  void build() {
-    std::vector<std::size_t> up(k_);
-    for (std::size_t i = 0; i < k_; ++i) up[i] = i;
-    std::size_t level = k_;
-    while (level > 1) {
-      for (std::size_t i = 0; i < level; i += 2) {
-        const std::size_t a = up[i], b = up[i + 1];
-        const bool a_wins = beats(a, b);
-        tree_[(level + i) / 2] = a_wins ? b : a;
-        up[i / 2] = a_wins ? a : b;
-      }
-      level /= 2;
-    }
-    winner_ = up[0];
-    if (!alive(winner_)) winner_ = kInvalid;
-  }
-
-  void replay(std::size_t run) {
-    if (k_ == 1) {  // single run: no internal nodes to replay
-      winner_ = alive(0) ? 0 : kInvalid;
-      return;
-    }
-    std::size_t node = (k_ + run) / 2;
-    std::size_t candidate = run;
-    while (true) {
-      const std::size_t other = tree_[node];
-      if (other != kInvalid && beats(other, candidate)) {
-        tree_[node] = candidate;
-        candidate = other;
-      }
-      if (node == 1) break;
-      node /= 2;
-    }
-    winner_ = alive(candidate) ? candidate : kInvalid;
-    if (winner_ == kInvalid) {
-      // The candidate died; rebuild to find any remaining run (rare: only
-      // at run exhaustion boundaries).
-      build();
-    }
-  }
-
-  std::vector<RunCursor>& runs_;
-  std::uint32_t kb_;
-  std::size_t k_ = 0;
-  std::vector<std::size_t> tree_;
-  std::size_t winner_ = kInvalid;
 };
+
+// Splits `n` records sorted by key into per-partition ranges through
+// merge::partition_of: partition p is [bounds[p], bounds[p + 1]), and
+// key(i) is record i's key.
+template <typename KeyAt>
+std::vector<std::uint64_t> partition_bounds(
+    const std::vector<std::string>& splitters, std::size_t partitions,
+    std::uint64_t n, KeyAt key) {
+  std::vector<std::uint64_t> bounds(partitions + 1, n);
+  bounds[0] = 0;
+  std::size_t cur = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t p =
+        partition_of(splitters, key(i), std::less<std::string_view>{});
+    while (cur < p) bounds[++cur] = i;
+  }
+  return bounds;
+}
 
 }  // namespace
 
@@ -228,45 +174,6 @@ void ExternalSorter::sort_buffer(std::vector<std::uint64_t>& index) {
                        cmp);
 }
 
-// Cuts partitions() - 1 splitter keys from the current (sorted) buffer at
-// evenly spaced quantiles, dropping duplicate cuts — the external twin of
-// PartitionedContainer::sample_splitters. Runs once, on the first spill, so
-// every later spill splits at identical keys.
-void ExternalSorter::select_splitters(
-    const std::vector<std::uint64_t>& index) {
-  const std::uint32_t rb = options_.record_bytes;
-  const std::uint32_t kb = options_.key_bytes;
-  const std::size_t P = spills_.size();
-  splitters_.clear();
-  if (P < 2 || buffered_records_ < 2) return;
-  for (std::size_t p = 1; p < P; ++p) {
-    const char* cut =
-        buffer_.data() + index[p * buffered_records_ / P] * rb;
-    if (!splitters_.empty() &&
-        std::memcmp(splitters_.data() + splitters_.size() - kb, cut, kb) >=
-            0) {
-      continue;  // duplicate quantile — this key range needs fewer cuts
-    }
-    splitters_.insert(splitters_.end(), cut, cut + kb);
-  }
-}
-
-// Number of splitters <= key: equal keys share a partition, so partition
-// p's keys all sort strictly before partition p+1's.
-std::size_t ExternalSorter::partition_of(const char* key) const {
-  const std::uint32_t kb = options_.key_bytes;
-  std::size_t lo = 0, hi = splitters_.size() / kb;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (std::memcmp(splitters_.data() + mid * kb, key, kb) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 Status ExternalSorter::spill_buffer() {
   if (buffered_records_ == 0) return Status::Ok();
   SUPMR_TRACE_SCOPE_VAR(span, "merge", "merge.spill");
@@ -278,48 +185,51 @@ Status ExternalSorter::spill_buffer() {
   sort_buffer(index);
 
   const std::uint32_t rb = options_.record_bytes;
+  const std::uint32_t kb = options_.key_bytes;
   const std::size_t P = spills_.size();
-  if (P > 1 && splitters_.empty() && runs_spilled() == 0) {
-    select_splitters(index);
+  auto key = [&](std::uint64_t i) {
+    return std::string_view(buffer_.data() + index[i] * rb, kb);
+  };
+  // The first spill's sorted keys are cut at exact quantiles; every later
+  // spill splits at the same keys.
+  if (P > 1 && splitters_.empty() && runs_spilled() == 0 &&
+      buffered_records_ >= 2) {
+    std::vector<std::string_view> keys(buffered_records_);
+    for (std::uint64_t i = 0; i < buffered_records_; ++i) keys[i] = key(i);
+    const std::vector<std::string_view> cuts =
+        cut_splitters(std::span<const std::string_view>(keys), P,
+                      std::less<std::string_view>{});
+    splitters_.assign(cuts.begin(), cuts.end());
   }
 
   // The sorted permutation splits into contiguous per-partition ranges;
   // each non-empty range becomes one spill run for its partition.
-  std::vector<std::uint64_t> bounds(P + 1, buffered_records_);
-  bounds[0] = 0;
-  std::size_t cur = 0;
-  for (std::uint64_t i = 0; i < buffered_records_; ++i) {
-    const std::size_t p = partition_of(buffer_.data() + index[i] * rb);
-    while (cur < p) bounds[++cur] = i;
-  }
-  while (cur + 1 < P) bounds[++cur] = buffered_records_;
+  const std::vector<std::uint64_t> bounds =
+      partition_bounds(splitters_, P, buffered_records_, key);
 
   std::vector<char> slab(std::max<std::uint64_t>(rb, 1 << 20) / rb * rb);
   for (std::size_t p = 0; p < P; ++p) {
     const std::uint64_t first = bounds[p], last = bounds[p + 1];
     if (first == last) continue;
-    char name[80];
-    std::snprintf(name, sizeof(name), "/supmr_spill_%p_%zu_p%zu.run",
-                  static_cast<void*>(this), runs_spilled(), p);
-    const std::string path = options_.spill_dir + name;
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return Status::IoError("cannot create spill " + path);
-
-    // Write permuted records through a staging slab.
-    std::size_t fill = 0;
-    for (std::uint64_t i = first; i < last; ++i) {
-      std::memcpy(slab.data() + fill, buffer_.data() + index[i] * rb, rb);
-      fill += rb;
-      if (fill == slab.size() || i + 1 == last) {
-        if (std::fwrite(slab.data(), 1, fill, f) != fill) {
-          std::fclose(f);
-          return Status::IoError("short write to spill " + path);
-        }
-        fill = 0;
-      }
-    }
-    if (std::fclose(f) != 0) return Status::IoError("spill close failed");
-    spills_[p].push_back(path);
+    SUPMR_ASSIGN_OR_RETURN(
+        std::string path,
+        storage::write_spill_file(
+            options_.spill_dir, "supmr-spill", [&](std::FILE* f) {
+              // Write permuted records through a staging slab.
+              std::size_t fill = 0;
+              for (std::uint64_t i = first; i < last; ++i) {
+                std::memcpy(slab.data() + fill,
+                            buffer_.data() + index[i] * rb, rb);
+                fill += rb;
+                if (fill == slab.size() || i + 1 == last) {
+                  if (std::fwrite(slab.data(), 1, fill, f) != fill)
+                    return false;
+                  fill = 0;
+                }
+              }
+              return true;
+            }));
+    spills_[p].push_back(std::move(path));
   }
   buffer_.clear();
   buffered_records_ = 0;
@@ -351,16 +261,10 @@ StatusOr<MergeStats> ExternalSorter::finish(const Sink& sink) {
   // partition's records are one contiguous range.
   const std::size_t P = spills_.size();
   const std::uint64_t res_records = residue.size() / rb;
-  std::vector<std::uint64_t> res_bounds(P + 1, res_records);
-  res_bounds[0] = 0;
-  {
-    std::size_t cur = 0;
-    for (std::uint64_t i = 0; i < res_records; ++i) {
-      const std::size_t p = partition_of(residue.data() + i * rb);
-      while (cur < p) res_bounds[++cur] = i;
-    }
-    while (cur + 1 < P) res_bounds[++cur] = res_records;
-  }
+  const std::vector<std::uint64_t> res_bounds = partition_bounds(
+      splitters_, P, res_records, [&](std::uint64_t i) {
+        return std::string_view(residue.data() + i * rb, options_.key_bytes);
+      });
 
   if (runs_spilled() == 0 && res_records == 0) return stats;
 
@@ -401,14 +305,15 @@ StatusOr<MergeStats> ExternalSorter::finish(const Sink& sink) {
     SUPMR_TRACE_SCOPE_VAR(pspan, "merge", "merge.partition");
     SUPMR_TRACE_SET_ARG(pspan, "partition", p);
     SUPMR_TRACE_SET_ARG2(pspan, "runs", runs.size());
-    CursorLoserTree tree(runs, options_.key_bytes);
+    LoserTree<const char*, KeyLess, RunCursor> tree(
+        std::move(runs), KeyLess{options_.key_bytes});
     std::size_t fill = 0;
     while (!tree.empty()) {
-      std::memcpy(out.data() + fill, runs[tree.winner()].head(), rb);
+      std::memcpy(out.data() + fill, tree.top().head(), rb);
       fill += rb;
       ++emitted;
       ++per_part[p];
-      SUPMR_RETURN_IF_ERROR(tree.pop_advance());
+      SUPMR_RETURN_IF_ERROR(tree.advance());
       if (fill == out.size() || tree.empty()) {
         SUPMR_RETURN_IF_ERROR(
             sink(std::span<const char>(out.data(), fill)));

@@ -6,11 +6,11 @@
 // classic external merge sort, built from the same kernels:
 //   * ingest side: add() buffers records; when the budget fills, the buffer
 //     is sorted (parallel sample sort over an index array) and written out
-//     as one sorted RUN to the spill directory;
+//     as one sorted RUN to a fresh mkstemp file in the spill directory;
 //   * merge side: finish() streams all runs (plus the in-memory residue)
-//     through a single loser-tree k-way merge — one round, exactly the
-//     paper's p-way merge argument applied to disk-resident runs — and
-//     emits the globally sorted output through a callback.
+//     through a single merge::LoserTree over run cursors — one round,
+//     exactly the paper's p-way merge argument applied to disk-resident
+//     runs — and emits the globally sorted output through a callback.
 // Spill files are deleted as their runs drain.
 //
 // Not thread-safe: one producer calls add()/finish(); the internal sorting
@@ -88,8 +88,6 @@ class ExternalSorter {
  private:
   Status spill_buffer();
   void sort_buffer(std::vector<std::uint64_t>& index);
-  void select_splitters(const std::vector<std::uint64_t>& index);
-  std::size_t partition_of(const char* key) const;
 
   ThreadPool& pool_;
   ExternalSorterOptions options_;
@@ -99,7 +97,7 @@ class ExternalSorter {
   // spills_[partition] = spill run paths for that key range; size is
   // max(1, options.partitions), so the flat single-run layout is the 1 case.
   std::vector<std::vector<std::string>> spills_;
-  std::vector<char> splitters_;  // num_splitters * key_bytes, sorted
+  std::vector<std::string> splitters_;  // key_bytes each, increasing
   bool finished_ = false;
 };
 

@@ -5,61 +5,129 @@
 // substitutes for the runtime's iterative pairwise merge (paper §IV). The
 // loser tree keeps the loser of each internal match so advancing the winner
 // replays only one root-to-leaf path.
+//
+// The tree merges run cursors. A cursor walks one sorted run: done() is true
+// once the run is exhausted, head() is its current element, and advance()
+// steps past it. A span is one kind of cursor (SpanCursor, the default,
+// which adds the pop/drain API); the external sorter's spill runs, the
+// spilling container's runs and the cluster owner's inboxes are others. A
+// cursor whose advance() returns a Status (a run read from disk) hands it
+// back through the tree's advance(); on an error the tree is left as it
+// was, so the caller stops at the failing record.
+//
+// Ties are unordered: equal heads leave in an order the tree's shape picks,
+// not by run index (runs 0-3 each holding one equal key pop as 0, 2, 1, 3).
+// The order is fixed for given runs, and no checked output depends on it:
+// keyed apps merge disjoint keys, the spilling container and the cluster
+// owner fold equal keys into one output, the cluster merges whole fixed
+// records (equal ones are byte-identical), and TeraSort's canonical output
+// orders equal-key records by their full bytes.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 namespace supmr::merge {
 
-template <typename T, typename Cmp>
+// A cursor over one in-memory sorted run.
+template <typename T>
+class SpanCursor {
+ public:
+  explicit SpanCursor(std::span<const T> run)
+      : head_(run.data()), end_(run.data() + run.size()) {}
+
+  bool done() const { return head_ == end_; }
+  const T& head() const { return *head_; }
+  void advance() { ++head_; }
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(end_ - head_);
+  }
+
+ private:
+  const T* head_;
+  const T* end_;
+};
+
+// Merges cursors whose heads have type T, ordered by `cmp`.
+template <typename T, typename Cmp, typename Cursor = SpanCursor<T>>
 class LoserTree {
+  static constexpr bool kSpans = std::is_same_v<Cursor, SpanCursor<T>>;
+
  public:
   // `runs` must each be sorted under `cmp`. Empty runs are allowed.
-  LoserTree(std::vector<std::span<const T>> runs, Cmp cmp)
+  LoserTree(std::vector<Cursor> runs, Cmp cmp)
       : runs_(std::move(runs)), cmp_(cmp) {
     k_ = 1;
     while (k_ < runs_.size()) k_ <<= 1;  // pad to a power of two
-    cursor_.assign(runs_.size(), 0);
     tree_.assign(k_, kInvalid);
-    remaining_ = 0;
-    for (const auto& r : runs_) remaining_ += r.size();
     build();
   }
+  LoserTree(const std::vector<std::span<const T>>& runs, Cmp cmp)
+    requires kSpans
+      : LoserTree(std::vector<Cursor>(runs.begin(), runs.end()), cmp) {}
 
-  bool empty() const { return remaining_ == 0; }
-  std::uint64_t remaining() const { return remaining_; }
+  // True once every run is exhausted.
+  bool empty() const { return !alive(winner_); }
+
+  // The run whose head sorts first (requires !empty()).
+  Cursor& top() {
+    assert(!empty());
+    return runs_[winner_];
+  }
+
+  // Steps top() past its head and replays its path. Returns what the
+  // cursor's advance() returns; after an error the tree is unchanged.
+  auto advance() {
+    Cursor& run = top();
+    if constexpr (std::is_void_v<decltype(run.advance())>) {
+      run.advance();
+      replay(winner_);
+    } else {
+      auto status = run.advance();
+      if (status.ok()) replay(winner_);
+      return status;
+    }
+  }
+
+  std::uint64_t remaining() const
+    requires kSpans
+  {
+    std::uint64_t n = 0;
+    for (const Cursor& run : runs_) n += run.remaining();
+    return n;
+  }
 
   // Pops the smallest element across all runs.
-  const T& pop() {
-    assert(!empty());
-    const std::size_t win = winner_;
-    const T& result = runs_[win][cursor_[win]];
-    ++cursor_[win];
-    --remaining_;
-    replay(win);
+  const T& pop()
+    requires kSpans
+  {
+    const T& result = top().head();
+    advance();
     return result;
   }
 
   // Drains everything into `out` (must have room for remaining()).
-  void drain(T* out) {
+  void drain(T* out)
+    requires kSpans
+  {
     while (!empty()) *out++ = pop();
   }
 
  private:
   static constexpr std::size_t kInvalid = ~std::size_t{0};
 
-  bool exhausted(std::size_t run) const {
-    return run >= runs_.size() || cursor_[run] >= runs_[run].size();
+  bool alive(std::size_t run) const {
+    return run < runs_.size() && !runs_[run].done();
   }
 
-  // True if run a's head sorts before run b's head (exhausted runs lose).
+  // True if run a's head sorts no later than run b's (exhausted runs lose).
   bool beats(std::size_t a, std::size_t b) const {
-    if (exhausted(a)) return false;
-    if (exhausted(b)) return true;
-    return !cmp_(runs_[b][cursor_[b]], runs_[a][cursor_[a]]);  // stable: ties to lower index via caller order
+    if (!alive(a)) return false;
+    if (!alive(b)) return true;
+    return !cmp_(runs_[b].head(), runs_[a].head());
   }
 
   void build() {
@@ -72,10 +140,8 @@ class LoserTree {
       for (std::size_t i = 0; i < level; i += 2) {
         const std::size_t a = up[i], b = up[i + 1];
         const bool a_wins = beats(a, b);
-        const std::size_t winner = a_wins ? a : b;
-        const std::size_t loser = a_wins ? b : a;
-        tree_[(level + i) / 2] = loser;
-        up[i / 2] = winner;
+        tree_[(level + i) / 2] = a_wins ? b : a;
+        up[i / 2] = a_wins ? a : b;
       }
       level /= 2;
     }
@@ -99,13 +165,11 @@ class LoserTree {
     winner_ = candidate;
   }
 
-  std::vector<std::span<const T>> runs_;
+  std::vector<Cursor> runs_;
   Cmp cmp_;
   std::size_t k_ = 0;
-  std::vector<std::size_t> cursor_;
   std::vector<std::size_t> tree_;  // loser at each internal node
   std::size_t winner_ = kInvalid;
-  std::uint64_t remaining_ = 0;
 };
 
 }  // namespace supmr::merge

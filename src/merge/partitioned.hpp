@@ -33,36 +33,46 @@
 
 namespace supmr::merge {
 
+// Cuts up to `partitions - 1` splitters from `sorted` (sorted under cmp) at
+// evenly spaced quantiles: cut p is element p * n / partitions. A cut that
+// does not sort strictly after the one before it is dropped, so the result
+// is strictly increasing and may be shorter (duplicate-heavy inputs need
+// fewer cuts). The one quantile cut: select_splitters, the partitioned
+// container, the external sorter and pway's worker slices all use it.
+template <typename T, typename Cmp>
+std::vector<T> cut_splitters(std::span<const T> sorted,
+                             std::size_t partitions, Cmp cmp) {
+  std::vector<T> cuts;
+  if (sorted.empty()) return cuts;
+  for (std::size_t p = 1; p < partitions; ++p) {
+    const T& cut = sorted[p * sorted.size() / partitions];
+    if (cuts.empty() || cmp(cuts.back(), cut)) cuts.push_back(cut);
+  }
+  return cuts;
+}
+
 // Picks up to `partitions - 1` splitters by sampling `data` evenly (~32
-// probes per partition), sorting the sample, and taking evenly spaced
-// quantiles. Deterministic: evenly spaced probes, no RNG. Duplicate
-// splitters are collapsed, so the result may be shorter than partitions - 1
-// (duplicate-heavy inputs genuinely need fewer cuts).
+// probes per partition), sorting the sample, and cutting it with
+// cut_splitters. Deterministic: evenly spaced probes, no RNG.
 template <typename T, typename Cmp>
 std::vector<T> select_splitters(std::span<const T> data,
                                 std::size_t partitions, Cmp cmp) {
-  std::vector<T> splitters;
-  if (partitions < 2 || data.size() < 2) return splitters;
-
+  if (partitions < 2 || data.size() < 2) return {};
   std::vector<T> sample;
   const std::size_t want = std::min<std::size_t>(data.size(), 32 * partitions);
   const std::size_t step = std::max<std::size_t>(1, data.size() / want);
   for (std::size_t i = step / 2; i < data.size(); i += step)
     sample.push_back(data[i]);
   std::sort(sample.begin(), sample.end(), cmp);
-
-  for (std::size_t p = 1; p < partitions; ++p) {
-    const T& cut = sample[p * sample.size() / partitions];
-    if (splitters.empty() || cmp(splitters.back(), cut))
-      splitters.push_back(cut);
-  }
-  return splitters;
+  return cut_splitters(std::span<const T>(sample), partitions, cmp);
 }
 
 // Partition index of `x` under `splitters` (sorted, strictly increasing):
-// the number of splitters <= x. Equal keys map to the same partition.
-template <typename T, typename Cmp>
-std::size_t partition_of(const std::vector<T>& splitters, const T& x,
+// the number of splitters <= x. Equal keys map to the same partition. The
+// one key-to-partition router: map-time containers, the external sorter's
+// spills and the cluster shuffle all route through it.
+template <typename S, typename T, typename Cmp>
+std::size_t partition_of(const std::vector<S>& splitters, const T& x,
                          Cmp cmp) {
   std::size_t p = static_cast<std::size_t>(
       std::upper_bound(splitters.begin(), splitters.end(), x, cmp) -

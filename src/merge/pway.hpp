@@ -15,9 +15,9 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/test_hooks.hpp"
 #include "merge/loser_tree.hpp"
+#include "merge/partitioned.hpp"
 #include "merge/stats.hpp"
 #include "obs/macros.hpp"
 #include "threading/thread_pool.hpp"
@@ -56,26 +56,30 @@ MergeStats parallel_pway_merge(ThreadPool& pool,
   }
   std::sort(sample.begin(), sample.end(), cmp);
 
-  // 2. Splitters -> per-worker slice boundaries in every run.
+  // 2. Splitters -> per-worker slice boundaries in every run. The shared
+  // quantile cut drops duplicate splitters, which would only bound empty
+  // slices, so there may be fewer than p workers.
   // boundaries[w][r] = first index of run r belonging to worker >= w.
-  std::vector<std::vector<std::size_t>> boundaries(p + 1);
+  const std::vector<T> cuts =
+      cut_splitters(std::span<const T>(sample), p, cmp);
+  const std::size_t workers = cuts.size() + 1;
+  std::vector<std::vector<std::size_t>> boundaries(workers + 1);
   boundaries[0].assign(runs.size(), 0);
-  for (std::size_t w = 1; w < p; ++w) {
-    const T& splitter = sample[w * sample.size() / p];
+  for (std::size_t w = 1; w < workers; ++w) {
     boundaries[w].resize(runs.size());
     for (std::size_t r = 0; r < runs.size(); ++r) {
       boundaries[w][r] = static_cast<std::size_t>(
-          std::lower_bound(runs[r].begin(), runs[r].end(), splitter, cmp) -
+          std::lower_bound(runs[r].begin(), runs[r].end(), cuts[w - 1], cmp) -
           runs[r].begin());
     }
   }
-  boundaries[p].resize(runs.size());
+  boundaries[workers].resize(runs.size());
   for (std::size_t r = 0; r < runs.size(); ++r)
-    boundaries[p][r] = runs[r].size();
+    boundaries[workers][r] = runs[r].size();
 
   // Output offsets: prefix sums of each worker's total slice size.
-  std::vector<std::uint64_t> out_offset(p + 1, 0);
-  for (std::size_t w = 0; w < p; ++w) {
+  std::vector<std::uint64_t> out_offset(workers + 1, 0);
+  for (std::size_t w = 0; w < workers; ++w) {
     std::uint64_t slice = 0;
     for (std::size_t r = 0; r < runs.size(); ++r)
       slice += boundaries[w + 1][r] - boundaries[w][r];
@@ -89,8 +93,8 @@ MergeStats parallel_pway_merge(ThreadPool& pool,
   // behaviour rather than a clean wrong answer.
   static const bool mutate_cmp = test_mutation_enabled("pway-comparator");
   std::vector<std::function<void(std::size_t)>> tasks;
-  tasks.reserve(p);
-  for (std::size_t w = 0; w < p; ++w) {
+  tasks.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
     if (out_offset[w + 1] == out_offset[w]) continue;
     tasks.push_back([&, w](std::size_t) {
       std::vector<std::span<const T>> slices;

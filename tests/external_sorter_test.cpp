@@ -3,9 +3,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "merge/external_sorter.hpp"
+#include "storage/fault_device.hpp"
+#include "storage/file_device.hpp"
 #include "wload/teragen.hpp"
 
 namespace supmr::merge {
@@ -154,6 +157,40 @@ TEST(ExternalSorter, SinkErrorPropagates) {
       [](std::span<const char>) { return Status::Internal("sink full"); });
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+}
+
+// A spill read that fails inside the final merge, after each run's first
+// slab was read, fails finish() with the device's IoError instead of
+// ending that run early: the merge stops at the failing record.
+TEST(ExternalSorter, SpillReadFaultMidMergeFails) {
+  ThreadPool pool(2);
+  ExternalSorterOptions opt = tiny_options(20000);  // ~200 records per run
+  opt.merge_read_bytes = 1000;                       // 10-record slabs
+  fault::FaultPlan plan;  // bytes from the second slab on fail every read
+  plan.permanent.emplace_back(opt.merge_read_bytes,
+                              std::numeric_limits<std::uint64_t>::max());
+  opt.open_spill = [plan](const std::string& path)
+      -> StatusOr<std::shared_ptr<const storage::Device>> {
+    SUPMR_ASSIGN_OR_RETURN(std::shared_ptr<const storage::Device> file,
+                           storage::FileDevice::open(path));
+    return std::shared_ptr<const storage::Device>(
+        std::make_shared<storage::FaultDevice>(std::move(file), plan));
+  };
+  ExternalSorter sorter(pool, opt);
+  wload::TeraGenConfig cfg;
+  cfg.num_records = 2000;
+  const std::string input = wload::teragen_to_string(cfg);
+  ASSERT_TRUE(sorter.add(std::span<const char>(input.data(), input.size()))
+                  .ok());
+  ASSERT_GE(sorter.runs_spilled(), 2u);
+  std::uint64_t received = 0;
+  auto result = sorter.finish([&](std::span<const char> slab) {
+    received += slab.size() / 100;
+    return Status::Ok();
+  });
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  EXPECT_LT(received, sorter.records_added());
 }
 
 class ExternalSorterProperty

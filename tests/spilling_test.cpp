@@ -1,6 +1,10 @@
 // Tests for the spilling hash container and external word count.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 
 #include "apps/external_word_count.hpp"
@@ -117,6 +121,89 @@ TEST(SpillingHash, LongKeysSurviveSpill) {
   ASSERT_TRUE(c.spill().ok());
   auto out = collect(c);
   EXPECT_EQ(out.at(long_key), 7u);
+}
+
+// A key longer than the run reader's buffer (opts() reads 4 KiB at a
+// time) is read whole, not reported as a truncated record.
+TEST(SpillingHash, KeyLongerThanReadBufferSurvivesSpill) {
+  SpillingHashContainer c;
+  c.init(1, opts(1));
+  const std::string huge_key(5000, 'k');
+  c.emit(0, huge_key, 3);
+  c.emit(0, "z", 1);
+  ASSERT_TRUE(c.spill().ok());
+  auto out = collect(c);
+  EXPECT_EQ(out.at(huge_key), 3u);
+  EXPECT_EQ(out.at("z"), 1u);
+}
+
+// A forked child shares its parent's addresses, so two twins spilling from
+// the same container object into one directory must still get distinct run
+// files: each merges back exactly its own key. Pipes order the steps — the
+// parent spills, then the child spills and merges, then the parent merges.
+TEST(SpillingHash, ForkedTwinsMergeTheirOwnRuns) {
+  SpillingHashContainer c;
+  c.init(1, opts(1));
+  int to_child[2], to_parent[2];
+  ASSERT_EQ(::pipe(to_child), 0);
+  ASSERT_EQ(::pipe(to_parent), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(to_child[1]);
+    ::close(to_parent[0]);
+    char step = 0;
+    bool ok = ::read(to_child[0], &step, 1) == 1;
+    c.emit(0, "child", 1);
+    ok = ok && c.spill().ok();
+    std::map<std::string, std::uint64_t> out;
+    ok = ok && c.merge_reduce([&](std::string_view k, std::uint64_t v) {
+                  out[std::string(k)] += v;
+                }).ok();
+    ok = ok && out == std::map<std::string, std::uint64_t>{{"child", 1}};
+    ok = ::write(to_parent[1], &step, 1) == 1 && ok;
+    ::_exit(ok ? 0 : 1);
+  }
+  ::close(to_child[0]);
+  ::close(to_parent[1]);
+  c.emit(0, "parent", 1);
+  ASSERT_TRUE(c.spill().ok());
+  char step = 0;
+  ASSERT_EQ(::write(to_child[1], &step, 1), 1);
+  ASSERT_EQ(::read(to_parent[0], &step, 1), 1);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ::close(to_child[1]);
+  ::close(to_parent[0]);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "the child did not merge back exactly its own key";
+  EXPECT_EQ(collect(c), (std::map<std::string, std::uint64_t>{{"parent", 1}}));
+}
+
+// A run file cut short inside a record fails the merge with an IoError
+// instead of ending the run early. Run names are unique, not predictable,
+// so the test spills into a directory of its own and finds the one file.
+TEST(SpillingHash, TruncatedRunFailsMerge) {
+  namespace fs = std::filesystem;
+  std::string dir =
+      (fs::path(::testing::TempDir()) / "supmr-truncated-XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  {
+    SpillingHashContainer::Options o = opts(1);
+    o.spill_dir = dir;
+    SpillingHashContainer c;
+    c.init(1, o);
+    c.emit(0, "alpha", 1);
+    c.emit(0, "beta", 2);
+    ASSERT_TRUE(c.spill().ok());
+    std::vector<fs::path> runs(fs::directory_iterator(dir),
+                               fs::directory_iterator{});
+    ASSERT_EQ(runs.size(), 1u);
+    fs::resize_file(runs[0], fs::file_size(runs[0]) - 3);  // into a count
+    const Status st = c.merge_reduce([](std::string_view, std::uint64_t) {});
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.to_string();
+  }
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------------- external word count

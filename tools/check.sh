@@ -53,7 +53,9 @@
 #               result line; terasort and wordcount must each exit 1
 #               under SUPMR_TEST_MUTATION=pway-comparator (the oracle gate
 #               is live over TeraSort's merge and the keyed-app
-#               skeleton's); then the span-arithmetic unit test
+#               skeleton's), and cluster_sort must exit 1 under
+#               SUPMR_TEST_MUTATION=partition-routing (the gate catches
+#               wrong cluster routing); then the span-arithmetic unit test
 #
 # Usage:
 #   tools/check.sh            # all stages
@@ -296,6 +298,13 @@ run_stage() {
           { echo "perf-smoke: pway-comparator mutation not caught on" \
               "${workload} (exit ${status}, want 1)" >&2; return 1; }
       done
+      status=0
+      SUPMR_TEST_MUTATION=partition-routing python3 "${bench}" \
+        --workload cluster_sort --seconds 1 --trace 0 >/dev/null 2>&1 ||
+        status=$?
+      [ "${status}" -eq 1 ] ||
+        { echo "perf-smoke: partition-routing mutation not caught on" \
+            "cluster_sort (exit ${status}, want 1)" >&2; return 1; }
       cmake --build "${ROOT}/.bench_build/perfbench" \
         --target perfbench_spans_test -j "${JOBS}"
       "${ROOT}/.bench_build/perfbench/perfbench_spans_test"
