@@ -8,7 +8,7 @@
 
 #include "common/json.hpp"
 #include "common/phase_timer.hpp"
-#include "core/job_config.hpp"
+#include "obs/output_files.hpp"
 #include "perfmodel/sim_job.hpp"
 
 namespace supmr::bench {
@@ -95,19 +95,21 @@ class BenchJson {
   std::vector<Row> rows_;
 };
 
-// Applies the shared observability flags (--metrics-json=PATH,
-// --trace-out=PATH) to a JobConfig so every bench binary exposes the same
-// knobs as the CLI. Unrecognized arguments are ignored — benches keep their
-// own positional conventions.
-inline void apply_obs_flags(int argc, char** argv, core::JobConfig& config) {
+// Reads the shared observability flags (--metrics-json=PATH,
+// --trace-out=PATH) so every bench binary exposes the same knobs as the CLI;
+// the bench writes the files once, after its run. Unrecognized arguments are
+// ignored — benches keep their own positional conventions.
+inline obs::OutputFiles obs_flags(int argc, char** argv) {
+  obs::OutputFiles files;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--metrics-json=", 15) == 0) {
-      config.metrics_json_path = arg + 15;
+      files.metrics_file = arg + 15;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      config.trace_out_path = arg + 12;
+      files.trace_file = arg + 12;
     }
   }
+  return files;
 }
 
 }  // namespace supmr::bench

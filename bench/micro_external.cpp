@@ -1,12 +1,15 @@
-// Micro-benchmarks: external-memory structures (spilling sorter and
-// spilling hash aggregation) across memory budgets.
+// Micro-benchmarks: external-memory structures (the spilling sorter and
+// the budgeted word count) across memory budgets.
 #include <benchmark/benchmark.h>
 
-#include "common/rng.hpp"
-#include "containers/spilling_hash.hpp"
+#include "apps/word_count.hpp"
+#include "core/job.hpp"
+#include "ingest/record_format.hpp"
+#include "ingest/source.hpp"
 #include "merge/external_sorter.hpp"
-#include "tests/testdata.hpp"
+#include "storage/mem_device.hpp"
 #include "wload/teragen.hpp"
+#include "wload/text_corpus.hpp"
 
 namespace supmr {
 namespace {
@@ -45,35 +48,35 @@ BENCHMARK(BM_ExternalSort)
     ->Arg(4 << 20)     // in-memory
     ->Unit(benchmark::kMillisecond);
 
-void BM_SpillingHashEmit(benchmark::State& state) {
-  // Shared generators (tests/testdata.hpp): same Zipf mix as the container
-  // microbenches and any differential test that replays it.
-  const auto keys = testdata::key_pool(20000);
-  std::vector<const std::string*> stream;
-  for (std::size_t i : testdata::zipf_stream(1 << 15, 20000, 1))
-    stream.push_back(&keys[i]);
+void BM_BudgetedWordCount(benchmark::State& state) {
+  // Word count under a spill budget, end to end: map into the table, spill
+  // it as a sorted run whenever it outgrows the budget, fold the runs back
+  // in after the merge.
+  wload::TextCorpusConfig cfg;
+  cfg.total_bytes = 1 << 20;
+  cfg.vocabulary = 20000;
+  const std::string text = wload::generate_text(cfg);
+  core::JobConfig jc;
+  jc.num_map_threads = 1;
+  jc.num_reduce_threads = 1;
   for (auto _ : state) {
-    containers::SpillingHashContainer c;
-    containers::SpillingHashContainer::Options opt;
-    opt.memory_budget_bytes = state.range(0);
-    opt.spill_dir = "/tmp";
-    c.init(1, opt);
-    for (const auto* k : stream) c.emit(0, *k, 1);
-    auto st = c.maybe_spill();
-    std::uint64_t n = 0;
-    auto st2 = c.merge_reduce(
-        [&](std::string_view, std::uint64_t) { ++n; });
-    if (!st.ok() || !st2.ok() || n == 0) {
-      state.SkipWithError("spill path failed");
+    apps::WordCountApp app(state.range(0),
+                           std::make_unique<containers::RunSet>("/tmp"));
+    ingest::SingleDeviceSource src(
+        std::make_shared<storage::MemDevice>(text, "corpus"),
+        std::make_shared<ingest::LineFormat>(), 64 << 10);
+    core::MapReduceJob job(app, src, jc);
+    if (!job.run(core::ExecMode::kIngestMR).ok() || app.results().empty()) {
+      state.SkipWithError("budgeted word count failed");
       return;
     }
   }
-  state.SetItemsProcessed(state.iterations() * stream.size());
+  state.SetBytesProcessed(state.iterations() * text.size());
   state.SetLabel("budget=" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_SpillingHashEmit)
-    ->Arg(128 << 10)
-    ->Arg(16 << 20)
+BENCHMARK(BM_BudgetedWordCount)
+    ->Arg(128 << 10)  // spills
+    ->Arg(16 << 20)   // in-memory
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

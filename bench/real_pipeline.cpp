@@ -23,8 +23,7 @@ struct RunResult {
   std::uint64_t words = 0;
 };
 
-RunResult run(bool chunked, const std::string& text, double bw,
-              const core::JobConfig& obs_config) {
+RunResult run(bool chunked, const std::string& text, double bw) {
   auto base = std::make_shared<storage::MemDevice>(text, "corpus");
   auto limiter = std::make_shared<storage::RateLimiter>(bw);
   auto dev = std::make_shared<storage::ThrottledDevice>(base, limiter);
@@ -34,8 +33,6 @@ RunResult run(bool chunked, const std::string& text, double bw,
   core::JobConfig jc;
   jc.num_map_threads = 4;
   jc.num_reduce_threads = 2;
-  jc.metrics_json_path = obs_config.metrics_json_path;
-  jc.trace_out_path = obs_config.trace_out_path;
   core::MapReduceJob job(app, src, jc);
   auto r = chunked ? job.run(core::ExecMode::kIngestMR) : job.run(core::ExecMode::kOriginal);
   RunResult out;
@@ -58,18 +55,21 @@ int main(int argc, char** argv) {
       "Real-mode pipeline validation (16 MB corpus @ 32 MB/s throttle)",
       "SupMR paper, Section III (double-buffered ingest chunk pipeline)");
 
-  core::JobConfig obs_config;
-  bench::apply_obs_flags(argc, argv, obs_config);
+  const obs::OutputFiles obs_files = bench::obs_flags(argc, argv);
 
   wload::TextCorpusConfig cfg;
   cfg.total_bytes = 16 * kMB;
   const std::string text = wload::generate_text(cfg);
 
-  // Only the chunked run carries the observability outputs: both runs share
-  // the process-global registry/recorder, so attaching the dumps to the last
-  // run keeps the emitted files covering a single coherent job.
-  const RunResult original = run(false, text, 32.0e6, core::JobConfig{});
-  const RunResult supmr = run(true, text, 32.0e6, obs_config);
+  // Only the chunked run is traced: the recorder turns on just before it,
+  // and both files are written right after it.
+  const RunResult original = run(false, text, 32.0e6);
+  obs_files.begin();
+  const RunResult supmr = run(true, text, 32.0e6);
+  if (Status s = obs_files.write(); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.to_string().c_str());
+    return 1;
+  }
 
   std::printf("  %-18s total %6.2fs  read+map %6.2fs\n", "original run()",
               original.total, original.readmap);

@@ -45,6 +45,7 @@
 #include "fault/retrying_device.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
+#include "obs/output_files.hpp"
 #include "runtime/job_manager.hpp"
 #include "storage/fault_device.hpp"
 #include "storage/file_device.hpp"
@@ -57,14 +58,15 @@ using namespace supmr;
 int main(int argc, char** argv) {
   // Split --flags from positional arguments.
   core::JobConfig config;  // defaults: hardware-concurrency threads, p-way merge
+  obs::OutputFiles obs_files;  // written once the job is done
   std::string fault_plan_spec;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--metrics-json=", 15) == 0) {
-      config.metrics_json_path = arg + 15;
+      obs_files.metrics_file = arg + 15;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      config.trace_out_path = arg + 12;
+      obs_files.trace_file = arg + 12;
     } else if (std::strncmp(arg, "--partitions=", 13) == 0) {
       config.merge_mode = core::MergeMode::kPartitioned;
       config.num_merge_partitions =
@@ -154,6 +156,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad --container: %s\n", s.to_string().c_str());
     return 2;
   }
+  obs_files.begin();
   runtime::JobManager manager;
   runtime::JobRequest request;
   request.app = &app;
@@ -172,6 +175,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "job failed: %s\n",
                  result.status().to_string().c_str());
     std::printf("%s\n", core::status_to_json(result.status()).c_str());
+    return 1;
+  }
+  if (Status s = obs_files.write(); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.to_string().c_str());
     return 1;
   }
 
@@ -214,9 +221,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < std::min<std::size_t>(10, top.size()); ++i)
     std::printf("  %8llu  %s\n", (unsigned long long)top[i].second,
                 top[i].first.c_str());
-  if (!config.metrics_json_path.empty())
-    std::printf("metrics -> %s\n", config.metrics_json_path.c_str());
-  if (!config.trace_out_path.empty())
-    std::printf("trace -> %s\n", config.trace_out_path.c_str());
+  if (!obs_files.metrics_file.empty())
+    std::printf("metrics -> %s\n", obs_files.metrics_file.c_str());
+  if (!obs_files.trace_file.empty())
+    std::printf("trace -> %s\n", obs_files.trace_file.c_str());
   return 0;
 }

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "apps/doc_term_count.hpp"
-#include "apps/external_word_count.hpp"
 #include "apps/grep.hpp"
 #include "apps/histogram.hpp"
 #include "apps/inverted_index.hpp"
@@ -54,10 +53,9 @@ StatusOr<std::unique_ptr<core::Application>> make_app(
   if (spec.app == "wordcount") {
     app = std::make_unique<WordCountApp>();
   } else if (spec.app == "xwordcount") {
-    containers::SpillingHashContainer::Options opt;
-    opt.memory_budget_bytes =
-        spec.memory_budget > 0 ? spec.memory_budget : 32 * 1024;
-    app = std::make_unique<ExternalWordCountApp>(opt);
+    app = std::make_unique<WordCountApp>(
+        spec.memory_budget > 0 ? spec.memory_budget : 32 * 1024,
+        std::make_unique<containers::RunSet>("/tmp"));
   } else if (spec.app == "sort") {
     app = std::make_unique<TeraSortApp>(tera_sort_options(spec));
   } else if (spec.app == "grep") {

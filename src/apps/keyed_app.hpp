@@ -182,6 +182,8 @@ class KeyedApp : public core::Application {
 
   std::size_t num_mappers_ = 0;
   Container container_;
+  // merge()'s output; a derived merge() may fold more results into it.
+  std::vector<Result> results_;
 
  private:
   static constexpr bool kSwitchable = requires(Container& c) {
@@ -189,7 +191,6 @@ class KeyedApp : public core::Application {
   };
 
   std::vector<std::vector<Result>> partitions_;
-  std::vector<Result> results_;
 };
 
 }  // namespace supmr::apps

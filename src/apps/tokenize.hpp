@@ -1,5 +1,5 @@
-// Word tokenizer shared by the text applications (word count, external word
-// count, pair count, doc-term count, inverted index).
+// Word tokenizer shared by the text applications (word count, pair count,
+// doc-term count, inverted index).
 //
 // A word is a maximal run of ASCII letters/digits, lowercased. Delimiter
 // runs are skipped eight bytes at a time (common/scan.hpp SWAR prefilter),

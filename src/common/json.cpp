@@ -81,6 +81,7 @@ template StatusOr<bool> JsonValue::as<bool>() const;
 template StatusOr<std::string> JsonValue::as<std::string>() const;
 template StatusOr<int> JsonValue::as<int>() const;
 template StatusOr<std::int64_t> JsonValue::as<std::int64_t>() const;
+template StatusOr<std::uint32_t> JsonValue::as<std::uint32_t>() const;
 template StatusOr<std::uint64_t> JsonValue::as<std::uint64_t>() const;
 
 Status JsonValue::mismatch(const std::string& expected) const {

@@ -99,8 +99,9 @@ class JsonValue {
   Type type() const { return type_; }
 
   // Typed read: InvalidArgument unless the value has the matching JSON
-  // type. T is bool, std::string, int, std::int64_t or std::uint64_t; an
-  // integer read also needs an integer literal inside T's range.
+  // type. T is bool, std::string, int, std::int64_t, std::uint32_t or
+  // std::uint64_t; an integer read also needs an integer literal inside
+  // T's range.
   template <typename T>
   StatusOr<T> as() const;
 

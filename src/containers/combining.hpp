@@ -355,6 +355,10 @@ class SwitchedContainer {
     return combining() ? combining_.raw_entries() : hash_.raw_entries();
   }
 
+  std::size_t memory_bytes() const {
+    return combining() ? combining_.memory_bytes() : hash_.memory_bytes();
+  }
+
   // All-zero in default mode: HashContainer does not track fold counters.
   core::CombineStats stats() const {
     return combining() ? combining_.stats() : core::CombineStats{};

@@ -84,6 +84,14 @@ class HashContainer {
     return n;
   }
 
+  // Resident footprint of the stripes (slot arrays + key arenas); it never
+  // shrinks before reset().
+  std::size_t memory_bytes() const {
+    std::size_t b = 0;
+    for (const auto& s : stripes_) b += s.memory_bytes();
+    return b;
+  }
+
   // Reduce-side: merges partition `part` of `num_parts` across all stripes
   // into owned (key, accumulator) pairs. Each partition is disjoint, so
   // concurrent calls with distinct `part` are safe.

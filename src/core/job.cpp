@@ -94,45 +94,16 @@ Status MapReduceJob::finish(JobResult& result, PhaseClock& clock) {
                       result.combine.bytes_into_merge);
     SUPMR_GAUGE_SET("container.table_bytes", result.combine.table_bytes);
   }
+  // The job adds no counter after this point.
+  result.metrics = obs::MetricsRegistry::global().snapshot();
   return Status::Ok();
 }
 
 void MapReduceJob::begin_obs() {
-  if (!config_.trace_out_path.empty()) {
-    obs::TraceRecorder::global().enable();
-  }
   if (obs::TraceRecorder::global().enabled()) {
     obs::TraceRecorder::global().set_thread_name("job.coordinator");
   }
   SUPMR_COUNTER_ADD("job.runs", 1);
-}
-
-void MapReduceJob::finish_obs(JobResult& result) {
-  result.metrics = obs::MetricsRegistry::global().snapshot();
-  if (!config_.metrics_json_path.empty()) {
-    const std::string json = obs::metrics_to_json(result.metrics);
-    std::FILE* f = std::fopen(config_.metrics_json_path.c_str(), "wb");
-    bool ok = f != nullptr;
-    if (f != nullptr) {
-      ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-      ok = (std::fclose(f) == 0) && ok;
-    }
-    if (!ok) {
-      SUPMR_LOG_WARN("cannot write metrics json to %s",
-                     config_.metrics_json_path.c_str());
-    } else {
-      SUPMR_LOG_INFO("metrics json -> %s", config_.metrics_json_path.c_str());
-    }
-  }
-  if (!config_.trace_out_path.empty()) {
-    Status st =
-        obs::TraceRecorder::global().write_json(config_.trace_out_path);
-    if (!st.ok()) {
-      SUPMR_LOG_WARN("cannot write trace: %s", st.to_string().c_str());
-    } else {
-      SUPMR_LOG_INFO("chrome trace -> %s", config_.trace_out_path.c_str());
-    }
-  }
 }
 
 void MapReduceJob::set_chunk_controller(
@@ -207,7 +178,6 @@ StatusOr<JobResult> MapReduceJob::run_original() {
   // contradict result.chunks.
   result.phases.num_chunks = plan.size();
   result.phases.chunked = false;
-  finish_obs(result);
   SUPMR_LOG_INFO("run(): total=%.3fs read=%.3fs map=%.3fs", clock.total(),
                  clock.elapsed(Phase::kRead), clock.elapsed(Phase::kMap));
   return result;
@@ -276,7 +246,6 @@ StatusOr<JobResult> MapReduceJob::run_pipelined(ExecMode mode) {
                    static_cast<unsigned long long>(result.chunks_skipped),
                    format_bytes(result.bytes_skipped).c_str());
   }
-  finish_obs(result);
   return result;
 }
 

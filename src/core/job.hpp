@@ -92,7 +92,6 @@ class MapReduceJob {
   Status map_round(const ingest::IngestChunk& chunk);
   Status finish(JobResult& result, PhaseClock& clock);
   void begin_obs();
-  void finish_obs(JobResult& result);
   StatusOr<JobResult> run_original();
   StatusOr<JobResult> run_pipelined(ExecMode mode);
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <string_view>
 #include <thread>
 
@@ -129,13 +128,6 @@ struct JobConfig {
   // accounting instead of failing the job). Defaults are fail-fast — the
   // pre-fault-layer behaviour. See docs/fault-tolerance.md.
   fault::Recovery recovery;
-
-  // Observability outputs (--metrics-json / --trace-out). When non-empty the
-  // job writes an aggregated metrics snapshot / a Chrome-trace (Perfetto)
-  // JSON to the path when the run finishes; a non-empty trace path also
-  // enables the global trace recorder at run start. See docs/observability.md.
-  std::string metrics_json_path;
-  std::string trace_out_path;
 
   std::size_t reduce_partitions() const {
     return num_reduce_partitions ? num_reduce_partitions

@@ -71,7 +71,7 @@ JobConfig ReplaySpec::job_config() const {
   cfg.num_merge_partitions = merge_partitions;
   cfg.io = io;
   cfg.container = container;
-  cfg.recovery.policy.max_attempts = static_cast<std::uint32_t>(retry_attempts);
+  cfg.recovery.policy.max_attempts = retry_attempts;
   cfg.recovery.degrade = degrade;
   cfg.num_nodes = cluster_nodes;
   cfg.node_link_bps = static_cast<double>(cluster_link_bps);
@@ -115,7 +115,7 @@ std::string ReplaySpec::to_json() const {
   w.kv("files_per_chunk", files_per_chunk);
   w.kv("degrade", degrade);
   w.kv("fault_plan", fault_plan);
-  w.kv("retry_attempts", retry_attempts);
+  w.kv("retry_attempts", std::uint64_t{retry_attempts});
   w.end_object();
   // Graph cells only; written for every spec, optional on parse (specs
   // checked in before graphs existed omit the whole object).
@@ -289,6 +289,9 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
   SUPMR_RETURN_IF_ERROR(spec.corpus.parsed_kind().status());
   if (spec.threads == 0) {
     return Status::InvalidArgument("replay spec: threads must be >= 1");
+  }
+  if (spec.retry_attempts == 0) {
+    return Status::InvalidArgument("replay spec: retry_attempts must be >= 1");
   }
   if (spec.is_cluster() && spec.is_graph()) {
     return Status::InvalidArgument(

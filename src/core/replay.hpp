@@ -65,7 +65,7 @@ struct CorpusSpec {
 };
 
 struct ReplaySpec {
-  // Single-round apps: wordcount | xwordcount (spilling container) | sort |
+  // Single-round apps: wordcount | xwordcount (budgeted word count) | sort |
   // grep | histogram | index | paircount | doctermcount. Chained graph apps
   // (src/graph/): pmi | tfidf | msort — these run a multi-stage JobGraph and
   // compare against ref::run_graph instead of run_ref.
@@ -97,7 +97,7 @@ struct ReplaySpec {
   std::uint64_t files_per_chunk = 3;   // MultiFileSource apps
   bool degrade = false;
   std::string fault_plan;              // fault::FaultPlan grammar; "" = none
-  std::uint64_t retry_attempts = 1;
+  std::uint32_t retry_attempts = 1;    // >= 1
 
   // Graph cells only (optional in the JSON — single-round specs omit it):
   // edge handoff policy and the in-memory handoff budget in bytes (0 =

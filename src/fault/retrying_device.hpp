@@ -3,10 +3,12 @@
 // Wraps any storage::Device and re-issues failed positional reads under a
 // RetryPolicy: exponential seeded-jitter backoff between attempts, a
 // per-read wall-clock deadline, and fail-fast for non-retryable errors.
-// Because every byte source in the runtime — ingest chunk reads, record
-// boundary probes, external-sort spill re-reads — goes through the Device
-// seam, stacking this wrapper gives the whole job transient-fault survival
-// without touching any reader (ARCHITECTURE §2).
+// Ingest chunk reads, record boundary probes and external-sort spill
+// re-reads all go through the Device seam, so stacking this wrapper gives
+// them transient-fault survival without touching any reader (ARCHITECTURE
+// §2). The one exception is the budgeted word count's spill runs
+// (containers/run_set.hpp): the runtime's own scratch, read back with stdio
+// and never retried.
 //
 // Thread-safe like every Device: concurrent read_at calls each run their
 // own RetrySession (per-call jitter stream from an atomic op counter), so

@@ -10,7 +10,7 @@
 // once the run is exhausted, head() is its current element, and advance()
 // steps past it. A span is one kind of cursor (SpanCursor, the default,
 // which adds the pop/drain API); the external sorter's spill runs, the
-// spilling container's runs and the cluster owner's inboxes are others. A
+// budgeted word count's runs and the cluster owner's inboxes are others. A
 // cursor whose advance() returns a Status (a run read from disk) hands it
 // back through the tree's advance(); on an error the tree is left as it
 // was, so the caller stops at the failing record.
@@ -18,7 +18,7 @@
 // Ties are unordered: equal heads leave in an order the tree's shape picks,
 // not by run index (runs 0-3 each holding one equal key pop as 0, 2, 1, 3).
 // The order is fixed for given runs, and no checked output depends on it:
-// keyed apps merge disjoint keys, the spilling container and the cluster
+// keyed apps merge disjoint keys, the budgeted word count and the cluster
 // owner fold equal keys into one output, the cluster merges whole fixed
 // records (equal ones are byte-identical), and TeraSort's canonical output
 // orders equal-key records by their full bytes.

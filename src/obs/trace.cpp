@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json.hpp"
 
@@ -143,17 +142,6 @@ std::string TraceRecorder::to_json() const {
   w.kv("displayTimeUnit", "ms");
   w.end_object();
   return w.str();
-}
-
-Status TraceRecorder::write_json(const std::string& path) const {
-  const std::string json = to_json();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot create trace " + path);
-  const bool ok =
-      std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  if (std::fclose(f) != 0 || !ok)
-    return Status::IoError("short write to trace " + path);
-  return Status::Ok();
 }
 
 void TraceRecorder::clear() {

@@ -27,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.hpp"
-
 namespace supmr::obs {
 
 struct TraceEvent {
@@ -80,7 +78,6 @@ class TraceRecorder {
   // events sorted by timestamp. Safe to call while threads record (the
   // result is a consistent prefix per thread).
   std::string to_json() const;
-  Status write_json(const std::string& path) const;
 
   // Empties all buffers in place; thread buffer pointers stay valid.
   void clear();

@@ -24,7 +24,7 @@ namespace supmr::ref {
 namespace {
 
 // The oracle twin of a cell: the boring variant of each app — wordcount for
-// the spilling xwordcount, no map-time partitioning for sort, and each
+// the budgeted xwordcount, no map-time partitioning for sort, and each
 // app's default container, so a combining cell is a true differential. The
 // reference is "no pipeline, no spill" by definition. Single-round, cluster
 // and graph cells all compare against it.

@@ -507,7 +507,9 @@ TEST(InvertedIndex, DuplicateWordsInOneFileDeduplicated) {
 
 // Every string-keyed app runs the merge the plan asks for and reports its
 // rounds: one p-way round, or log2(R) pairwise rounds over small_config()'s
-// 8 reduce partitions. Both merges must produce the same bytes.
+// 8 reduce partitions. Both merges must produce the same bytes. The
+// budgeted word count spills every round and folds its runs in after the
+// configured merge.
 TEST(KeyedApps, ReportTheMergeTheyRan) {
   wload::TextCorpusConfig corpus;
   corpus.total_bytes = 16 * 1024;
@@ -528,6 +530,12 @@ TEST(KeyedApps, ReportTheMergeTheyRan) {
       {"invertedindex", [] { return std::make_unique<InvertedIndexApp>(); },
        true},
       {"wordcount", [] { return std::make_unique<WordCountApp>(); }, false},
+      {"xwordcount",
+       [] {
+         return std::make_unique<WordCountApp>(
+             4096, std::make_unique<containers::RunSet>(::testing::TempDir()));
+       },
+       false},
       {"paircount", [] { return std::make_unique<PairCountApp>(); }, false},
       {"doctermcount", [] { return std::make_unique<DocTermCountApp>(); },
        true},
@@ -551,6 +559,9 @@ TEST(KeyedApps, ReportTheMergeTheyRan) {
       auto result = job.run(core::ExecMode::kIngestMR);
       ASSERT_TRUE(result.ok()) << result.status().to_string();
       ASSERT_GT(app->result_count(), 0u);
+      if (std::string_view(c.name) == "xwordcount") {
+        EXPECT_GT(static_cast<WordCountApp&>(*app).runs_spilled(), 0u);
+      }
       if (mode == MergeMode::kPWay) {
         EXPECT_EQ(result->merge_stats.num_rounds(), 1u);
       } else {

@@ -14,6 +14,8 @@
 
 #include <sys/wait.h>
 
+#include "common/json.hpp"
+
 namespace supmr {
 namespace {
 
@@ -484,6 +486,42 @@ TEST(CliRunPaths, WordCountIsIdenticalAcrossFlags) {
     EXPECT_TRUE(lines == expected) << "supmr " << args;
   }
   std::remove(input.c_str());
+}
+
+// The CLI, not each job, writes --metrics-json once the whole run is done:
+// under --nodes the file holds the cluster's shuffle accounting, which no
+// single node's job sees.
+TEST(CliRunPaths, ClusterMetricsFileHoldsTheShuffle) {
+  const std::string dir = ::testing::TempDir();
+  const std::string input = dir + "/cli_obs_corpus.txt";
+  const std::string metrics = dir + "/cli_obs_metrics.json";
+  ASSERT_EQ(run_cli("generate text " + input + " --size=1MB").exit_code, 0);
+  std::remove(metrics.c_str());
+  const std::string args = "wordcount " + input +
+                           " --nodes=2 --chunk=64KB --metrics-json=" + metrics;
+  const CliResult r = run_cli(args);
+  ASSERT_EQ(r.exit_code, 0) << "supmr " << args << "\n" << r.output;
+  const std::string text = read_file(metrics);
+  EXPECT_TRUE(parse_json(text).ok()) << text;
+  EXPECT_NE(text.find("\"cluster.shuffle_bytes\""), std::string::npos)
+      << text;
+  std::remove(metrics.c_str());
+  std::remove(input.c_str());
+}
+
+// A metrics or trace file the CLI cannot write fails the run, like an
+// unwritable sort --out.
+TEST(CliValidation, UnwritableObsFileExitsOne) {
+  const std::string corpus = write_temp_corpus("cli_obs_unwritable.txt");
+  for (const std::string flag : {"--metrics-json", "--trace-out"}) {
+    const std::string args =
+        "wordcount " + corpus + " " + flag + "=/nonexistent/dir/out.json";
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 1) << "supmr " << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("/nonexistent/dir/out.json"), std::string::npos)
+        << r.output;
+  }
+  std::remove(corpus.c_str());
 }
 
 }  // namespace

@@ -164,9 +164,10 @@ TEST(ReplaySpec, RejectsSchemaDrift) {
 
 TEST(ReplaySpec, RejectsWrongTypesOutOfRangeIntegersAndRepeatedKeys) {
   // A negative or oversized integer must not wrap into a valid-looking
-  // value (-1 read as 2^64-1 passes threads >= 1), a quoted number or
-  // bool is a string, a bareword is not JSON, and a repeated key has no
-  // single value.
+  // value (-1 read as 2^64-1 passes threads >= 1, 2^32+1 retry attempts
+  // would run as 1), a quoted number or bool is a string, a bareword is not
+  // JSON, a repeated key has no single value, and a run needs at least one
+  // attempt.
   const std::string json = core::ReplaySpec().to_json();
   for (const std::string& bad : {
            replaced(json, "\"threads\":2", "\"threads\":-1"),
@@ -178,6 +179,9 @@ TEST(ReplaySpec, RejectsWrongTypesOutOfRangeIntegersAndRepeatedKeys) {
            replaced(json, "\"app\":\"wordcount\"", "\"app\":wordcount"),
            replaced(json, "\"app\":\"wordcount\"",
                     "\"app\":\"wordcount\",\"app\":\"grep\""),
+           replaced(json, "\"retry_attempts\":1",
+                    "\"retry_attempts\":4294967297"),
+           replaced(json, "\"retry_attempts\":1", "\"retry_attempts\":0"),
        }) {
     const auto parsed = core::ReplaySpec::from_json(bad);
     EXPECT_FALSE(parsed.ok()) << bad;

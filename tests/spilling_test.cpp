@@ -1,4 +1,5 @@
-// Tests for the spilling hash container and external word count.
+// Tests for the spill run set and the budgeted word count that spills
+// into it.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -7,143 +8,146 @@
 #include <filesystem>
 #include <map>
 
-#include "apps/external_word_count.hpp"
-#include "common/rng.hpp"
 #include "apps/word_count.hpp"
-#include "containers/spilling_hash.hpp"
+#include "common/rng.hpp"
+#include "containers/run_set.hpp"
 #include "core/job.hpp"
+#include "fault/fault_plan.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
+#include "storage/fault_device.hpp"
 #include "storage/mem_device.hpp"
 #include "wload/text_corpus.hpp"
 
 namespace supmr {
 namespace {
 
-using containers::SpillingHashContainer;
+namespace fs = std::filesystem;
+using containers::RunSet;
+using Pairs = std::vector<RunSet::Pair>;
 
-SpillingHashContainer::Options opts(std::uint64_t budget) {
-  SpillingHashContainer::Options o;
-  o.memory_budget_bytes = budget;
-  o.spill_dir = ::testing::TempDir();
-  o.merge_read_bytes = 4096;
-  return o;
+std::unique_ptr<RunSet> run_set(const std::string& dir = ::testing::TempDir()) {
+  return std::make_unique<RunSet>(dir);
 }
 
-std::map<std::string, std::uint64_t> collect(SpillingHashContainer& c) {
+std::map<std::string, std::uint64_t> collect(RunSet& runs, Pairs live = {}) {
+  auto folded = runs.fold(std::move(live));
+  EXPECT_TRUE(folded.ok()) << folded.status().to_string();
   std::map<std::string, std::uint64_t> out;
-  EXPECT_TRUE(c.merge_reduce([&](std::string_view k, std::uint64_t v) {
-                 out[std::string(k)] += v;
-               }).ok());
+  if (folded.ok()) {
+    for (const auto& [key, count] : *folded) out[key] += count;
+  }
   return out;
 }
 
+// Runs `app` over `text` in `chunk_bytes` chunks.
+StatusOr<core::JobResult> count_words(
+    apps::WordCountApp& app, std::string text, std::uint64_t chunk_bytes,
+    std::size_t threads,
+    core::ExecMode mode = core::ExecMode::kIngestMR) {
+  ingest::SingleDeviceSource src(
+      std::make_shared<storage::MemDevice>(std::move(text), "m"),
+      std::make_shared<ingest::LineFormat>(), chunk_bytes);
+  core::JobConfig jc;
+  jc.num_map_threads = threads;
+  jc.num_reduce_threads = 2;
+  core::MapReduceJob job(app, src, jc);
+  return job.run(mode);
+}
+
+// A directory of the test's own, so it can count the run files in it.
+std::string private_dir(const std::string& stem) {
+  std::string dir = (fs::path(::testing::TempDir()) / (stem + "-XXXXXX"));
+  EXPECT_NE(::mkdtemp(dir.data()), nullptr);
+  return dir;
+}
+
+std::size_t files_in(const std::string& dir) {
+  return std::distance(fs::directory_iterator(dir), fs::directory_iterator{});
+}
+
+// ------------------------------------------------------------ run set
+
 TEST(SpillingHash, InMemoryPath) {
-  SpillingHashContainer c;
-  c.init(2, opts(1 << 20));
-  c.emit(0, "a", 1);
-  c.emit(1, "a", 2);
-  c.emit(0, "b", 5);
-  EXPECT_TRUE(c.maybe_spill().ok());
-  EXPECT_EQ(c.runs_spilled(), 0u);  // tiny: under budget
-  auto out = collect(c);
-  EXPECT_EQ(out.at("a"), 3u);
-  EXPECT_EQ(out.at("b"), 5u);
-  EXPECT_EQ(out.size(), 2u);
+  // Under its budget a budgeted word count never spills.
+  apps::WordCountApp app(1 << 20, run_set());
+  ASSERT_TRUE(count_words(app, "a b a\nb a\n", 4, 2).ok());
+  EXPECT_EQ(app.runs_spilled(), 0u);
+  EXPECT_EQ(app.results(), (Pairs{{"a", 3}, {"b", 2}}));
 }
 
 TEST(SpillingHash, SpillAndCombineAcrossRuns) {
-  SpillingHashContainer c;
-  c.init(2, opts(1));  // everything over budget
-  c.emit(0, "x", 1);
-  c.emit(1, "y", 2);
-  ASSERT_TRUE(c.spill().ok());
-  EXPECT_EQ(c.runs_spilled(), 1u);
-  c.emit(0, "x", 10);  // same key again, post-spill
-  c.emit(1, "z", 3);
-  ASSERT_TRUE(c.spill().ok());
-  EXPECT_EQ(c.runs_spilled(), 2u);
-  c.emit(0, "x", 100);  // and in the live stripes
-  auto out = collect(c);
+  auto runs = run_set();
+  ASSERT_TRUE(runs->write({{"x", 1}, {"y", 2}}).ok());
+  EXPECT_EQ(runs->size(), 1u);
+  ASSERT_TRUE(runs->write({{"x", 10}, {"z", 3}}).ok());  // same key again
+  EXPECT_EQ(runs->size(), 2u);
+  auto out = collect(*runs, {{"x", 100}});  // and in the live results
   EXPECT_EQ(out.at("x"), 111u);
   EXPECT_EQ(out.at("y"), 2u);
   EXPECT_EQ(out.at("z"), 3u);
+  EXPECT_EQ(runs->size(), 0u);  // folded runs are gone
 }
 
 TEST(SpillingHash, EmitsInKeyOrder) {
-  SpillingHashContainer c;
-  c.init(1, opts(1));
-  c.emit(0, "pear", 1);
-  c.emit(0, "apple", 1);
-  ASSERT_TRUE(c.spill().ok());
-  c.emit(0, "banana", 1);
-  std::vector<std::string> order;
-  ASSERT_TRUE(c.merge_reduce([&](std::string_view k, std::uint64_t) {
-                 order.emplace_back(k);
-               }).ok());
-  EXPECT_EQ(order,
-            (std::vector<std::string>{"apple", "banana", "pear"}));
+  auto runs = run_set();
+  ASSERT_TRUE(runs->write({{"apple", 1}, {"pear", 1}}).ok());
+  auto folded = runs->fold({{"banana", 1}});
+  ASSERT_TRUE(folded.ok()) << folded.status().to_string();
+  EXPECT_EQ(*folded, (Pairs{{"apple", 1}, {"banana", 1}, {"pear", 1}}));
 }
 
 TEST(SpillingHash, MatchesReferenceUnderRandomLoad) {
   Xoshiro256 rng(41);
-  SpillingHashContainer c;
-  c.init(3, opts(8 * 1024));
+  std::string text;
   std::map<std::string, std::uint64_t> ref;
   for (int op = 0; op < 30000; ++op) {
     const std::string key = "key" + std::to_string(rng.uniform(2000));
-    const std::uint64_t v = 1 + rng.uniform(5);
-    c.emit(rng.uniform(3), key, v);
-    ref[key] += v;
-    if (op % 5000 == 4999) ASSERT_TRUE(c.maybe_spill().ok());
+    text += key;
+    text += op % 10 == 9 ? '\n' : ' ';
+    ++ref[key];
   }
-  EXPECT_GT(c.runs_spilled(), 0u);
-  auto out = collect(c);
+  apps::WordCountApp app(8 * 1024, run_set());
+  ASSERT_TRUE(count_words(app, text, 8 * 1024, 3).ok());
+  EXPECT_GT(app.runs_spilled(), 0u);
+  const std::map<std::string, std::uint64_t> out(app.results().begin(),
+                                                 app.results().end());
   EXPECT_EQ(out.size(), ref.size());
   EXPECT_EQ(out, ref);
 }
 
 TEST(SpillingHash, EmptyContainer) {
-  SpillingHashContainer c;
-  c.init(2, opts(1024));
-  int calls = 0;
-  ASSERT_TRUE(c.merge_reduce([&](std::string_view, std::uint64_t) {
-                 ++calls;
-               }).ok());
-  EXPECT_EQ(calls, 0);
+  apps::WordCountApp app(1024, run_set());
+  ASSERT_TRUE(count_words(app, "", 4096, 2).ok());
+  EXPECT_EQ(app.runs_spilled(), 0u);
+  EXPECT_TRUE(app.results().empty());
 }
 
 TEST(SpillingHash, LongKeysSurviveSpill) {
-  SpillingHashContainer c;
-  c.init(1, opts(1));
+  auto runs = run_set();
   const std::string long_key(255, 'q');
-  c.emit(0, long_key, 7);
-  ASSERT_TRUE(c.spill().ok());
-  auto out = collect(c);
+  ASSERT_TRUE(runs->write({{long_key, 7}}).ok());
+  auto out = collect(*runs);
   EXPECT_EQ(out.at(long_key), 7u);
 }
 
-// A key longer than the run reader's buffer (opts() reads 4 KiB at a
-// time) is read whole, not reported as a truncated record.
+// A key longer than the run reader's buffer is read whole, not reported as
+// a truncated record.
 TEST(SpillingHash, KeyLongerThanReadBufferSurvivesSpill) {
-  SpillingHashContainer c;
-  c.init(1, opts(1));
-  const std::string huge_key(5000, 'k');
-  c.emit(0, huge_key, 3);
-  c.emit(0, "z", 1);
-  ASSERT_TRUE(c.spill().ok());
-  auto out = collect(c);
+  auto runs = run_set();
+  const std::string huge_key(RunSet::kReadBytes + 5000, 'k');
+  ASSERT_TRUE(runs->write({{huge_key, 3}, {"z", 1}}).ok());
+  auto out = collect(*runs);
   EXPECT_EQ(out.at(huge_key), 3u);
   EXPECT_EQ(out.at("z"), 1u);
 }
 
 // A forked child shares its parent's addresses, so two twins spilling from
-// the same container object into one directory must still get distinct run
-// files: each merges back exactly its own key. Pipes order the steps — the
-// parent spills, then the child spills and merges, then the parent merges.
+// the same run set object into one directory must still get distinct run
+// files: each folds back exactly its own key. Pipes order the steps — the
+// parent spills, then the child spills and folds, then the parent folds.
 TEST(SpillingHash, ForkedTwinsMergeTheirOwnRuns) {
-  SpillingHashContainer c;
-  c.init(1, opts(1));
+  auto runs = run_set();
   int to_child[2], to_parent[2];
   ASSERT_EQ(::pipe(to_child), 0);
   ASSERT_EQ(::pipe(to_parent), 0);
@@ -154,20 +158,15 @@ TEST(SpillingHash, ForkedTwinsMergeTheirOwnRuns) {
     ::close(to_parent[0]);
     char step = 0;
     bool ok = ::read(to_child[0], &step, 1) == 1;
-    c.emit(0, "child", 1);
-    ok = ok && c.spill().ok();
-    std::map<std::string, std::uint64_t> out;
-    ok = ok && c.merge_reduce([&](std::string_view k, std::uint64_t v) {
-                  out[std::string(k)] += v;
-                }).ok();
-    ok = ok && out == std::map<std::string, std::uint64_t>{{"child", 1}};
+    ok = ok && runs->write({{"child", 1}}).ok();
+    auto folded = runs->fold({});
+    ok = ok && folded.ok() && *folded == Pairs{{"child", 1}};
     ok = ::write(to_parent[1], &step, 1) == 1 && ok;
     ::_exit(ok ? 0 : 1);
   }
   ::close(to_child[0]);
   ::close(to_parent[1]);
-  c.emit(0, "parent", 1);
-  ASSERT_TRUE(c.spill().ok());
+  ASSERT_TRUE(runs->write({{"parent", 1}}).ok());
   char step = 0;
   ASSERT_EQ(::write(to_child[1], &step, 1), 1);
   ASSERT_EQ(::read(to_parent[0], &step, 1), 1);
@@ -176,61 +175,44 @@ TEST(SpillingHash, ForkedTwinsMergeTheirOwnRuns) {
   ::close(to_child[1]);
   ::close(to_parent[0]);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "the child did not merge back exactly its own key";
-  EXPECT_EQ(collect(c), (std::map<std::string, std::uint64_t>{{"parent", 1}}));
+      << "the child did not fold back exactly its own key";
+  EXPECT_EQ(collect(*runs),
+            (std::map<std::string, std::uint64_t>{{"parent", 1}}));
 }
 
-// A run file cut short inside a record fails the merge with an IoError
+// A run file cut short inside a record fails the fold with an IoError
 // instead of ending the run early. Run names are unique, not predictable,
 // so the test spills into a directory of its own and finds the one file.
 TEST(SpillingHash, TruncatedRunFailsMerge) {
-  namespace fs = std::filesystem;
-  std::string dir =
-      (fs::path(::testing::TempDir()) / "supmr-truncated-XXXXXX").string();
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string dir = private_dir("supmr-truncated");
   {
-    SpillingHashContainer::Options o = opts(1);
-    o.spill_dir = dir;
-    SpillingHashContainer c;
-    c.init(1, o);
-    c.emit(0, "alpha", 1);
-    c.emit(0, "beta", 2);
-    ASSERT_TRUE(c.spill().ok());
-    std::vector<fs::path> runs(fs::directory_iterator(dir),
-                               fs::directory_iterator{});
-    ASSERT_EQ(runs.size(), 1u);
-    fs::resize_file(runs[0], fs::file_size(runs[0]) - 3);  // into a count
-    const Status st = c.merge_reduce([](std::string_view, std::uint64_t) {});
-    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.to_string();
+    auto runs = run_set(dir);
+    ASSERT_TRUE(runs->write({{"alpha", 1}, {"beta", 2}}).ok());
+    std::vector<fs::path> files(fs::directory_iterator(dir),
+                                fs::directory_iterator{});
+    ASSERT_EQ(files.size(), 1u);
+    fs::resize_file(files[0], fs::file_size(files[0]) - 3);  // into a count
+    const auto folded = runs->fold({});
+    EXPECT_EQ(folded.status().code(), StatusCode::kIoError)
+        << folded.status().to_string();
   }
   fs::remove_all(dir);
 }
 
-// ------------------------------------------------- external word count
+// ------------------------------------------------ budgeted word count
 
 TEST(ExternalWordCount, MatchesInMemoryAppAtAnyBudget) {
   wload::TextCorpusConfig cfg;
   cfg.total_bytes = 96 * 1024;
   cfg.vocabulary = 3000;
   const std::string text = wload::generate_text(cfg);
-  core::JobConfig jc;
-  jc.num_map_threads = 4;
-  jc.num_reduce_threads = 2;
 
   apps::WordCountApp reference;
-  ingest::SingleDeviceSource ref_src(
-      std::make_shared<storage::MemDevice>(text, "m"),
-      std::make_shared<ingest::LineFormat>(), 8192);
-  core::MapReduceJob ref_job(reference, ref_src, jc);
-  ASSERT_TRUE(ref_job.run(core::ExecMode::kIngestMR).ok());
+  ASSERT_TRUE(count_words(reference, text, 8192, 4).ok());
 
   for (std::uint64_t budget : {std::uint64_t(16 * 1024), std::uint64_t(1 << 24)}) {
-    apps::ExternalWordCountApp app(opts(budget));
-    ingest::SingleDeviceSource src(
-        std::make_shared<storage::MemDevice>(text, "m"),
-        std::make_shared<ingest::LineFormat>(), 8192);
-    core::MapReduceJob job(app, src, jc);
-    auto result = job.run(core::ExecMode::kIngestMR);
+    apps::WordCountApp app(budget, run_set());
+    auto result = count_words(app, text, 8192, 4);
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     EXPECT_EQ(app.results(), reference.results()) << "budget=" << budget;
     if (budget == 16 * 1024) {
@@ -240,19 +222,77 @@ TEST(ExternalWordCount, MatchesInMemoryAppAtAnyBudget) {
 }
 
 TEST(ExternalWordCount, OriginalRuntimeModeWorksToo) {
-  const std::string text = "a b a\nc a b\n";
-  apps::ExternalWordCountApp app(opts(1 << 20));
-  ingest::SingleDeviceSource src(
-      std::make_shared<storage::MemDevice>(text, "m"),
-      std::make_shared<ingest::LineFormat>(), 0);
-  core::JobConfig jc;
-  jc.num_map_threads = 2;
-  jc.num_reduce_threads = 1;
-  core::MapReduceJob job(app, src, jc);
-  ASSERT_TRUE(job.run(core::ExecMode::kOriginal).ok());
+  apps::WordCountApp app(1 << 20, run_set());
+  ASSERT_TRUE(
+      count_words(app, "a b a\nc a b\n", 0, 2, core::ExecMode::kOriginal).ok());
   ASSERT_EQ(app.results().size(), 3u);
-  EXPECT_EQ(app.results()[0],
-            (apps::ExternalWordCountApp::Result{"a", 3}));
+  EXPECT_EQ(app.results()[0], (apps::WordCountApp::Result{"a", 3}));
+}
+
+// A spill gives the table back: with a budget above a fresh table's
+// footprint, the footprint right after each spill is within the budget, so
+// the rounds after it map into memory instead of spilling again at once.
+TEST(ExternalWordCount, SpillReleasesTheTable) {
+  wload::TextCorpusConfig cfg;
+  cfg.total_bytes = 256 * 1024;
+  cfg.vocabulary = 20000;
+  const std::string text = wload::generate_text(cfg);
+  constexpr std::uint64_t kBudget = 256 * 1024;
+  constexpr std::size_t kChunk = 16 * 1024;
+  apps::WordCountApp app(kBudget, run_set());
+  app.init(2);
+  ASSERT_LT(app.memory_bytes(), kBudget);
+  std::size_t rounds = 0, spills = 0;
+  for (std::size_t off = 0; off < text.size(); off += kChunk, ++rounds) {
+    ingest::IngestChunk chunk;
+    chunk.set_view(std::span<const char>(text).subspan(
+        off, std::min(kChunk, text.size() - off)));
+    ASSERT_TRUE(app.prepare_round(chunk).ok());
+    if (app.runs_spilled() > spills) {
+      spills = app.runs_spilled();
+      EXPECT_LE(app.memory_bytes(), kBudget) << "after spill " << spills;
+    }
+    for (std::size_t t = 0; t < app.round_tasks(); ++t) app.map_task(t, t);
+  }
+  EXPECT_GT(spills, 0u);
+  EXPECT_LT(spills, rounds / 2);
+}
+
+// The budgeted job leaves no run file behind, whether it succeeds or fails
+// after a spill: a permanent fault in the fifth chunk fails the job with runs
+// on disk, and destroying the app removes them. The chunks are larger than
+// the planner's 64 KiB boundary scan, so planning never reads the fault.
+TEST(ExternalWordCount, LeavesNoRunFileBehind) {
+  wload::TextCorpusConfig cfg;
+  cfg.total_bytes = 768 * 1024;
+  cfg.vocabulary = 3000;
+  const std::string text = wload::generate_text(cfg);
+  constexpr std::uint64_t kChunk = 128 * 1024;
+  const std::string dir = private_dir("supmr-norun");
+  {
+    apps::WordCountApp app(16 * 1024, run_set(dir));
+    ASSERT_TRUE(count_words(app, text, kChunk, 2).ok());
+    EXPECT_GT(app.runs_spilled(), 0u);
+  }
+  EXPECT_EQ(files_in(dir), 0u);
+  {
+    auto plan = fault::FaultPlan::parse("permanent=600000-600100");
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    ingest::SingleDeviceSource src(
+        std::make_shared<storage::FaultDevice>(
+            std::make_shared<storage::MemDevice>(text, "m"), *plan),
+        std::make_shared<ingest::LineFormat>(), kChunk);
+    core::JobConfig jc;
+    jc.num_map_threads = 2;
+    jc.num_reduce_threads = 2;
+    apps::WordCountApp app(16 * 1024, run_set(dir));
+    core::MapReduceJob job(app, src, jc);
+    EXPECT_FALSE(job.run(core::ExecMode::kIngestMR).ok());
+    EXPECT_GT(app.runs_spilled(), 0u);
+    EXPECT_GT(files_in(dir), 0u);  // the failed job's runs are on disk
+  }
+  EXPECT_EQ(files_in(dir), 0u);
+  fs::remove_all(dir);
 }
 
 }  // namespace

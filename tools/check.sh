@@ -9,7 +9,9 @@
 #   tsan      — -DSUPMR_SANITIZE=thread,           ctest -L sanitizer
 #   asan      — -DSUPMR_SANITIZE=address,undefined, ctest -L sanitizer
 #   obs-smoke — run the quickstart with --metrics-json/--trace-out and
-#               validate both emitted files; then compile-check the
+#               validate both emitted files; run a 2-node CLI wordcount
+#               with --metrics-json and require cluster.shuffle_bytes in
+#               its one metrics file; then compile-check the
 #               -DSUPMR_OBS=OFF configuration (macros must vanish cleanly)
 #   fault-smoke — quickstart under a seeded transient FaultPlan must
 #               succeed with storage.retries > 0 in the metrics; under a
@@ -135,7 +137,8 @@ run_stage() {
         ctest -L sanitizer --output-on-failure -j "${JOBS}")
       ;;
     obs-smoke)
-      # End-to-end: the quickstart must emit valid metrics + trace JSON.
+      # End-to-end: the quickstart must emit valid metrics + trace JSON, and
+      # a cluster run's metrics file must hold the shuffle accounting.
       configure_and_build "${ROOT}/build-check-plain"
       local out="${ROOT}/build-check-plain/obs-smoke"
       mkdir -p "${out}"
@@ -147,6 +150,17 @@ run_stage() {
         { echo "obs-smoke: trace.json lacks traceEvents" >&2; return 1; }
       grep -q '"counters"' "${out}/metrics.json" ||
         { echo "obs-smoke: metrics.json lacks counters" >&2; return 1; }
+      # A cluster run: the CLI writes the metrics file once, after the
+      # shuffle, so it holds the cluster's own metrics.
+      "${ROOT}/build-check-plain/tools/supmr" generate text \
+        "${out}/corpus.txt" --size=1MB >/dev/null
+      "${ROOT}/build-check-plain/tools/supmr" wordcount "${out}/corpus.txt" \
+        --nodes=2 --chunk=64KB "--metrics-json=${out}/cluster_metrics.json" \
+        >/dev/null
+      validate_json_file "${out}/cluster_metrics.json"
+      grep -q '"cluster.shuffle_bytes"' "${out}/cluster_metrics.json" ||
+        { echo "obs-smoke: cluster_metrics.json lacks cluster.shuffle_bytes" >&2
+          return 1; }
       # The compiled-out configuration must still build everything.
       configure_and_build "${ROOT}/build-check-obs-off" -DSUPMR_OBS=OFF
       ;;

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "apps/chains.hpp"
-#include "apps/external_word_count.hpp"
 #include "apps/grep.hpp"
 #include "apps/histogram.hpp"
 #include "apps/inverted_index.hpp"
@@ -57,6 +56,7 @@
 #include "core/replay.hpp"
 #include "core/report.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/output_files.hpp"
 #include "ref/conformance.hpp"
 #include "runtime/job_manager.hpp"
 #include "runtime/serve_spec.hpp"
@@ -96,8 +96,8 @@ struct RunFlags {
   core::ReplaySpec spec;
   // Backoff, deadline and jitter seed; spec.retry_attempts is the count.
   fault::RetryPolicy retry;
-  std::string metrics_json_path;
-  std::string trace_out_path;
+  // --metrics-json and --trace-out: written once, after the whole run.
+  obs::OutputFiles obs;
   std::optional<double> throttle_bps;
   std::optional<std::string> trace_path;
   bool json = false;
@@ -110,8 +110,6 @@ struct RunFlags {
     policy.backoff_max_s = retry.backoff_max_s;
     policy.read_deadline_s = retry.read_deadline_s;
     policy.seed = retry.seed;
-    cfg.metrics_json_path = metrics_json_path;
-    cfg.trace_out_path = trace_out_path;
     return cfg;
   }
 };
@@ -164,8 +162,8 @@ StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
   SUPMR_ASSIGN_OR_RETURN(std::uint64_t throttle, flags.get_size("throttle", 0));
   if (throttle > 0) run.throttle_bps = double(throttle);
   run.trace_path = flags.get("trace");
-  run.metrics_json_path = flags.get_or("metrics-json", "");
-  run.trace_out_path = flags.get_or("trace-out", "");
+  run.obs.metrics_file = flags.get_or("metrics-json", "");
+  run.obs.trace_file = flags.get_or("trace-out", "");
   run.json = flags.get_bool("json");
   if (flags.get_bool("verbose")) Logger::set_level(LogLevel::kInfo);
 
@@ -271,6 +269,15 @@ Status report_failure(const RunFlags& run, const Status& status) {
   return status;
 }
 
+// Ends a run that returned `status`: after a success, writes the
+// --metrics-json and --trace-out files, before anything is printed, so a
+// file that cannot be written fails the command with its report as the one
+// --json document.
+Status end_run(const RunFlags& run, Status status) {
+  if (status.ok()) status = run.obs.write();
+  return status.ok() ? status : report_failure(run, status);
+}
+
 // Reads a whole file into a string (spec files, cluster inputs).
 StatusOr<std::string> slurp(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -338,8 +345,9 @@ StatusOr<RunOutput> run_cluster_spec(const RunFlags& run,
       apps::make_cluster_job(run.spec, std::move(input));
   if (!job.ok()) return report_failure(run, job.status());
   job->config = run.job_config();
+  run.obs.begin();
   StatusOr<cluster::ClusterResult> result = cluster::run_cluster(*job);
-  if (!result.ok()) return report_failure(run, result.status());
+  SUPMR_RETURN_IF_ERROR(end_run(run, result.status()));
   std::FILE* out = human_out(run);
   std::fprintf(out, "cluster: %zu node(s), map output %s, shuffled %s "
                "cross-node, %s stayed local\n",
@@ -389,6 +397,7 @@ StatusOr<RunOutput> run_spec(const RunFlags& run,
                          apps::make_source(spec, inputs));
 
   core::MapReduceJob job(*app, *source, cfg);
+  run.obs.begin();
   core::ProcStatSampler sampler(0.1);
   const bool tracing =
       run.trace_path.has_value() && core::ProcStatSampler::available();
@@ -404,7 +413,7 @@ StatusOr<RunOutput> run_spec(const RunFlags& run,
     std::fprintf(human_out(run), "utilization trace (%zu samples) -> %s\n",
                  trace.samples(), run.trace_path->c_str());
   }
-  if (!result.ok()) return report_failure(run, result.status());
+  SUPMR_RETURN_IF_ERROR(end_run(run, result.status()));
   if (run.json) {
     std::printf("%s\n", core::job_result_to_json(*result).c_str());
   } else {
@@ -428,22 +437,19 @@ Status cmd_wordcount(const Flags& flags) {
     return Status::InvalidArgument("wordcount needs an input file");
   }
   SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "wordcount"));
-  // --budget=SIZE switches to external aggregation (spill-and-merge) so the
-  // intermediate set never exceeds the budget.
+  // --budget=SIZE holds the table to the budget: the xwordcount spec app,
+  // word count that spills sorted runs and folds them back after the merge.
   SUPMR_ASSIGN_OR_RETURN(run.spec.memory_budget, flags.get_size("budget", 0));
   if (run.spec.memory_budget > 0) run.spec.app = "xwordcount";
   SUPMR_ASSIGN_OR_RETURN(std::uint64_t top, flags.get_int("top", 10));
   SUPMR_ASSIGN_OR_RETURN(RunOutput ran,
                          run_spec(run, {flags.positional()[0]}));
   if (ran.app == nullptr) return Status::Ok();
-  std::vector<std::pair<std::string, std::uint64_t>> words;
-  if (run.spec.app == "xwordcount") {
-    const auto& app = static_cast<const apps::ExternalWordCountApp&>(*ran.app);
+  const auto& app = static_cast<const apps::WordCountApp&>(*ran.app);
+  if (run.spec.memory_budget > 0) {
     std::fprintf(human_out(run), "spilled runs: %zu\n", app.runs_spilled());
-    words = app.results();
-  } else {
-    words = static_cast<const apps::WordCountApp&>(*ran.app).results();
   }
+  std::vector<std::pair<std::string, std::uint64_t>> words = app.results();
   const std::size_t n = std::min<std::size_t>(top, words.size());
   std::partial_sort(words.begin(), words.begin() + n, words.end(),
                     [](const auto& a, const auto& b) {
@@ -591,9 +597,10 @@ Status cmd_kmeans(const Flags& flags) {
       init[c][d] = 100.0 * double(c + 1) / double(clusters + 1);
   SUPMR_ASSIGN_OR_RETURN(std::unique_ptr<ingest::IngestSource> source,
                          apps::make_source(run.spec, inputs));
+  run.obs.begin();
   auto result =
       apps::run_kmeans(*source, cfg, opt, std::move(init), iters, 1e-6);
-  if (!result.ok()) return report_failure(run, result.status());
+  SUPMR_RETURN_IF_ERROR(end_run(run, result.status()));
   std::FILE* out = human_out(run);
   std::fprintf(out, "k-means: %zu iterations over %llu points (%.3fs, final "
                "shift %.2g)\n",
