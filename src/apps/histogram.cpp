@@ -158,17 +158,23 @@ std::uint64_t HistogramApp::values_out_of_range() const {
 }
 
 std::string HistogramApp::canonical_output() const {
-  // Bins are dense and key-ordered by construction; the parsed/dropped
-  // totals ride along so a run that silently drops values cannot match.
+  // One "key\tcount\n" table in key order (core::ShardKind::kSortedKeys):
+  // bin indices are zero-padded to one width so they sort as text, and the
+  // dropped and parsed totals ride along after them, so a run that silently
+  // drops values cannot match.
+  const std::size_t width =
+      std::to_string(counts_.empty() ? 0 : counts_.size() - 1).size();
   std::string out;
   for (std::size_t b = 0; b < counts_.size(); ++b) {
-    out += std::to_string(b);
+    const std::string bin = std::to_string(b);
+    out.append(width - bin.size(), '0');
+    out += bin;
     out += '\t';
     out += std::to_string(counts_[b]);
     out += '\n';
   }
-  out += "parsed\t" + std::to_string(values_parsed()) + '\n';
   out += "dropped\t" + std::to_string(values_out_of_range()) + '\n';
+  out += "parsed\t" + std::to_string(values_parsed()) + '\n';
   return out;
 }
 

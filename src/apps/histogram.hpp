@@ -43,10 +43,10 @@ class HistogramApp final : public core::Application {
   core::CombinerKind combiner_kind() const override {
     return core::CombinerKind::kSum;
   }
-  // Dense bins plus the parsed/dropped trailers: every input slice yields
-  // the same line labels, so node outputs fold element-wise.
+  // Zero-padded bin keys, then the dropped/parsed trailers: one sorted
+  // key table, so node outputs merge like word counts.
   core::ShardKind shard_kind() const override {
-    return core::ShardKind::kAligned;
+    return core::ShardKind::kSortedKeys;
   }
   Status use_container(core::ContainerMode mode) override;
   core::CombineStats combine_stats() const override;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "cluster/protocol.hpp"
 #include "ingest/source.hpp"
-#include "merge/external_sorter.hpp"
 #include "merge/partitioned.hpp"
 #include "obs/macros.hpp"
 #include "storage/mem_device.hpp"
@@ -56,7 +56,6 @@ Status run_node(const ClusterJob& job, std::string slice,
   cfg.node_link_bps = 0.0;
   cfg.uplink_bps = 0.0;
   cfg.node_disk_bps = 0.0;
-  cfg.node_memory_budget = 0;
 
   out.stats.input_bytes = slice.size();
   std::shared_ptr<const storage::Device> device =
@@ -89,39 +88,6 @@ std::uint64_t run_bytes(const std::vector<std::string_view>& run) {
   return bytes;
 }
 
-// Owner-side merge of an over-budget fixed-record partition: the YTsaurus
-// split-sort-merge shape via merge::ExternalSorter. key_bytes ==
-// record_bytes because the canonical order IS full-record memcmp.
-StatusOr<std::string> external_merge_fixed(
-    const ClusterJob& job, const std::vector<std::vector<std::string_view>>& runs,
-    std::uint64_t* spill_runs) {
-  merge::ExternalSorterOptions options;
-  options.record_bytes = static_cast<std::uint32_t>(job.record_bytes);
-  options.key_bytes = static_cast<std::uint32_t>(job.record_bytes);
-  options.memory_budget_bytes = job.config.node_memory_budget;
-  options.spill_dir = job.spill_dir;
-  ThreadPool pool(1);
-  merge::ExternalSorter sorter(pool, options);
-  for (const auto& run : runs) {
-    for (std::string_view record : run) {
-      SUPMR_RETURN_IF_ERROR(
-          sorter.add(std::span<const char>(record.data(), record.size())));
-    }
-  }
-  // Snapshot before finish(): the final merge consumes (and forgets) the
-  // spilled runs, so runs_spilled() is back to 0 afterwards.
-  *spill_runs = sorter.runs_spilled();
-  std::string out;
-  SUPMR_ASSIGN_OR_RETURN(
-      merge::MergeStats stats,
-      sorter.finish([&out](std::span<const char> slab) {
-        out.append(slab.data(), slab.size());
-        return Status::Ok();
-      }));
-  (void)stats;
-  return out;
-}
-
 }  // namespace
 
 StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
@@ -152,10 +118,6 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
   if (shard == core::ShardKind::kFixedRecords && job.record_bytes == 0) {
     return Status::InvalidArgument(
         "cluster: fixed-record sharding needs record_bytes");
-  }
-  if (job.config.node_memory_budget > 0 && job.spill_dir.empty()) {
-    return Status::InvalidArgument(
-        "cluster: node_memory_budget needs a spill_dir");
   }
 
   SUPMR_ASSIGN_OR_RETURN(std::vector<std::string> slices,
@@ -204,80 +166,44 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
   for (const Status& st : node_status) SUPMR_RETURN_IF_ERROR(st);
 
   // Phase 2: split each node's canonical into protocol records.
+  const bool keyed = shard == core::ShardKind::kSortedKeys;
   std::vector<std::vector<std::string_view>> records(N);
   for (std::size_t k = 0; k < N; ++k) {
-    if (shard == core::ShardKind::kFixedRecords) {
+    if (keyed) {
+      SUPMR_ASSIGN_OR_RETURN(records[k], split_lines(runs[k].canonical));
+    } else {
       SUPMR_ASSIGN_OR_RETURN(records[k],
                              split_fixed(runs[k].canonical, job.record_bytes));
-    } else {
-      SUPMR_ASSIGN_OR_RETURN(records[k], split_lines(runs[k].canonical));
     }
   }
 
-  // Owner assignment. Keyed kinds sample splitters over ALL nodes' records
-  // (merge::select_splitters — deterministic, so routing is independent of
-  // scheduling) and node p owns key-range partition p; duplicate-heavy
-  // samples may yield fewer cuts than nodes, leaving high-numbered nodes
-  // ownerless. The aligned kind owns by line-index range instead.
-  std::size_t P = N;
-  std::vector<std::string_view> key_splitters;
-  std::size_t aligned_lines = 0;
-  if (shard == core::ShardKind::kAligned) {
-    for (std::size_t k = 0; k < N; ++k) {
-      if (records[k].empty()) continue;
-      if (aligned_lines != 0 && records[k].size() != aligned_lines) {
-        return Status::InvalidArgument(
-            "cluster: aligned node outputs disagree on line count");
-      }
-      aligned_lines = records[k].size();
-    }
-  } else {
+  // Phase 3: shuffle, in the protocol's record order `less`. Splitters are
+  // sampled over ALL nodes' records (merge::select_splitters — deterministic,
+  // so routing is independent of scheduling) and node p owns key-range
+  // partition p; duplicate-heavy samples may yield fewer cuts than nodes,
+  // leaving high-numbered nodes ownerless. Senders bucket their records by
+  // owner with merge::partition_of, so every bucket keeps its sender's
+  // order and each inbox is one sorted run, and charge every cross-node
+  // payload against sender NIC -> uplink -> receiver NIC. inbox[owner]
+  // [sender] has exactly one writer, so the concurrent senders never race;
+  // routing itself is deterministic, so the schedule cannot change
+  // placement.
+  std::vector<std::vector<std::vector<std::string_view>>> inbox;
+  const auto shuffle = [&](auto less) {
     std::vector<std::string_view> all;
     for (const auto& r : records) all.insert(all.end(), r.begin(), r.end());
-    if (shard == core::ShardKind::kSortedKeys) {
-      key_splitters = merge::select_splitters(
-          std::span<const std::string_view>(all), N, SortedKeyLess{});
-    } else {
-      key_splitters = merge::select_splitters(
-          std::span<const std::string_view>(all), N,
-          std::less<std::string_view>{});
-    }
-    P = key_splitters.size() + 1;
-  }
-
-  // Phase 3: shuffle. Sender nodes bucket their records by owner
-  // (merge::partition_of for keyed kinds, line-index ranges for aligned) and
-  // charge every cross-node payload against sender NIC -> uplink -> receiver
-  // NIC. inbox[owner][sender] has exactly one writer, so the concurrent
-  // senders never race; routing itself is deterministic, so the schedule
-  // cannot change placement.
-  std::vector<std::vector<std::vector<std::string_view>>> inbox(
-      P, std::vector<std::vector<std::string_view>>(N));
-  {
+    const std::vector<std::string_view> splitters = merge::select_splitters(
+        std::span<const std::string_view>(all), N, less);
+    // At most N - 1 cuts, so P <= N and partition o's owner is node o.
+    const std::size_t P = splitters.size() + 1;
+    inbox.assign(P, std::vector<std::vector<std::string_view>>(N));
     std::vector<std::thread> senders;
     senders.reserve(N);
     for (std::size_t s = 0; s < N; ++s) {
       senders.emplace_back([&, s] {
         std::vector<std::vector<std::string_view>> buckets(P);
-        if (shard == core::ShardKind::kAligned) {
-          for (std::size_t o = 0; o < P; ++o) {
-            const std::size_t lo = o * aligned_lines / N;
-            const std::size_t hi = (o + 1) * aligned_lines / N;
-            if (records[s].empty() || lo >= hi) continue;
-            buckets[o].assign(records[s].begin() + lo,
-                              records[s].begin() + hi);
-          }
-        } else if (shard == core::ShardKind::kSortedKeys) {
-          for (std::string_view rec : records[s]) {
-            buckets[merge::partition_of(key_splitters, rec, SortedKeyLess{})]
-                .push_back(rec);
-          }
-        } else {
-          for (std::string_view rec : records[s]) {
-            buckets[merge::partition_of(key_splitters, rec,
-                                        std::less<std::string_view>{})]
-                .push_back(rec);
-          }
+        for (std::string_view rec : records[s]) {
+          buckets[merge::partition_of(splitters, rec, less)].push_back(rec);
         }
         for (std::size_t o = 0; o < P; ++o) {
           const std::uint64_t bytes = run_bytes(buckets[o]);
@@ -286,7 +212,7 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
           } else if (bytes > 0) {
             if (nic[s] != nullptr) nic[s]->acquire(bytes);
             if (uplink != nullptr) uplink->acquire(bytes);
-            if (o < N && nic[o] != nullptr) nic[o]->acquire(bytes);
+            if (nic[o] != nullptr) nic[o]->acquire(bytes);
             runs[s].stats.sent_bytes += bytes;
           }
           inbox[o][s] = std::move(buckets[o]);
@@ -294,7 +220,13 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
       });
     }
     for (auto& t : senders) t.join();
+  };
+  if (keyed) {
+    shuffle(SortedKeyLess{});
+  } else {
+    shuffle(std::less<std::string_view>{});
   }
+  const std::size_t P = inbox.size();
   for (std::size_t o = 0; o < P; ++o) {
     for (std::size_t s = 0; s < N; ++s) {
       if (o == s) continue;
@@ -302,9 +234,7 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
     }
   }
 
-  // Phase 4: owner merges, one per partition, concurrently. Fixed-record
-  // partitions over the node memory budget take the ExternalSorter spill
-  // path; everything else merges in memory.
+  // Phase 4: owner merges, one loser-tree pass per partition, concurrently.
   std::vector<std::string> outputs(P);
   std::vector<Status> owner_status(P, Status::Ok());
   {
@@ -313,37 +243,16 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
     for (std::size_t o = 0; o < P; ++o) {
       owners.emplace_back([&, o] {
         try {
-          if (shard == core::ShardKind::kSortedKeys) {
-            auto merged = merge_sorted_keys(inbox[o]);
-            if (!merged.ok()) {
-              owner_status[o] = merged.status();
-              return;
-            }
-            outputs[o] = std::move(merged).value();
-          } else if (shard == core::ShardKind::kAligned) {
-            auto folded = fold_aligned(inbox[o]);
-            if (!folded.ok()) {
-              owner_status[o] = folded.status();
-              return;
-            }
-            outputs[o] = std::move(folded).value();
-          } else {
-            std::uint64_t total = 0;
-            for (const auto& run : inbox[o]) total += run_bytes(run);
-            const std::uint64_t budget = job.config.node_memory_budget;
-            if (budget > 0 && total > budget) {
-              // P <= N always, so partition o's owner is node o.
-              auto merged = external_merge_fixed(job, inbox[o],
-                                                 &runs[o].stats.spill_runs);
-              if (!merged.ok()) {
-                owner_status[o] = merged.status();
-                return;
-              }
-              outputs[o] = std::move(merged).value();
-            } else {
-              outputs[o] = merge_fixed_records(inbox[o]);
-            }
+          if (!keyed) {
+            outputs[o] = merge_fixed_records(inbox[o]);
+            return;
           }
+          auto merged = merge_sorted_keys(inbox[o]);
+          if (!merged.ok()) {
+            owner_status[o] = merged.status();
+            return;
+          }
+          outputs[o] = std::move(merged).value();
         } catch (const std::exception& e) {
           owner_status[o] = Status::Internal(
               std::string("cluster owner merge threw: ") + e.what());

@@ -6,13 +6,12 @@
 // MapReduceJob over their slice on a private leased thread pool (honoring
 // the config's mode/merge/io/container knobs, with an optional per-node
 // ingest-disk RateLimiter); the per-node canonical outputs are then
-// hash-partitioned across the nodes with the sampled-splitter machinery from
-// src/merge/partitioned.hpp and shuffled — every cross-node byte charged
-// against the sender NIC, an optional shared uplink, and the receiver NIC
-// (the HdfsSimStore link-contention pattern) — and each owner node merges
-// what it received per the app's ShardKind (cluster/protocol.hpp), spilling
-// through merge::ExternalSorter when a fixed-record partition exceeds the
-// node memory budget (the YTsaurus partition -> sort -> merge shape).
+// range-partitioned across the nodes by key splitters sampled with the
+// machinery from src/merge/partitioned.hpp and shuffled — every cross-node
+// byte charged against the sender NIC, an optional shared uplink, and the
+// receiver NIC (the HdfsSimStore link-contention pattern) — and each owner
+// node merges its sorted inboxes in one merge::LoserTree pass per the app's
+// ShardKind (cluster/protocol.hpp).
 //
 // The concatenation of owner outputs is byte-identical to the sequential
 // oracle (src/ref/) for every participating app — that is the conformance
@@ -50,10 +49,6 @@ struct ClusterJob {
   // kFixedRecords only: the app's record width (routing and owner merges
   // operate on whole records).
   std::size_t record_bytes = 0;
-  // Owner-side spill area for over-budget fixed-record partitions; must be
-  // an existing directory when config.node_memory_budget > 0. Run files are
-  // created with mkstemp, so jobs can share it.
-  std::string spill_dir = "/tmp";
 };
 
 struct NodeStats {
@@ -63,7 +58,6 @@ struct NodeStats {
   std::uint64_t sent_bytes = 0;     // shuffled to OTHER nodes
   std::uint64_t recv_bytes = 0;     // shuffled here from other nodes
   std::uint64_t local_bytes = 0;    // routed node-locally (never on the wire)
-  std::uint64_t spill_runs = 0;     // owner-merge ExternalSorter runs
 };
 
 struct ClusterResult {

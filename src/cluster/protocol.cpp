@@ -111,47 +111,4 @@ std::string merge_fixed_records(
   return out;
 }
 
-StatusOr<std::string> fold_aligned(
-    const std::vector<std::vector<std::string_view>>& runs) {
-  std::size_t lines = 0;
-  bool have = false;
-  for (const auto& run : runs) {
-    if (run.empty()) continue;  // a node that owns no slice contributes 0
-    if (have && run.size() != lines) {
-      return Status::InvalidArgument(
-          "cluster: aligned outputs disagree on line count (" +
-          std::to_string(lines) + " vs " + std::to_string(run.size()) + ")");
-    }
-    lines = run.size();
-    have = true;
-  }
-  std::string out;
-  if (!have) return out;
-  for (std::size_t i = 0; i < lines; ++i) {
-    std::string_view label;
-    bool labeled = false;
-    std::uint64_t sum = 0;
-    for (const auto& run : runs) {
-      if (run.empty()) continue;
-      const std::string_view key = line_key(run[i]);
-      if (!labeled) {
-        label = key;
-        labeled = true;
-      } else if (key != label) {
-        return Status::InvalidArgument(
-            "cluster: aligned outputs disagree on line " + std::to_string(i) +
-            " label (\"" + std::string(label) + "\" vs \"" + std::string(key) +
-            "\")");
-      }
-      SUPMR_ASSIGN_OR_RETURN(const std::uint64_t v, line_value(run[i]));
-      sum += v;
-    }
-    out.append(label);
-    out += '\t';
-    out += std::to_string(sum);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace supmr::cluster

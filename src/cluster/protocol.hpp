@@ -4,14 +4,14 @@
 // The cluster runtime (cluster_job.hpp) never looks inside an application's
 // containers — it shuffles the app's *canonical output* (the byte encoding
 // every app already defines for oracle conformance). Each ShardKind pins
-// down the record grammar and the owner-side merge that makes the
-// concatenation of owner outputs byte-identical to a sequential run:
+// down the record grammar, the record order routing cuts by, and the
+// owner-side merge (one merge::LoserTree pass over the owner's sorted
+// inboxes) that makes the concatenation of owner outputs byte-identical to
+// a sequential run:
 //   kSortedKeys    "key\tu64\n" lines sorted by key, keys unique per run;
 //                  equal keys across runs fold by summing the value.
 //   kFixedRecords  fixed-width records in full-record memcmp order; equal
 //                  records are byte-identical so tie order is immaterial.
-//   kAligned       an input-independent dense line structure; the global
-//                  output is the element-wise sum of per-node values.
 // Everything here is a pure function over string views into the node
 // canonicals — no I/O, no threads — so the error paths are unit-testable in
 // isolation (tests/cluster_property_test.cpp).
@@ -35,7 +35,7 @@ StatusOr<std::vector<std::string_view>> split_lines(std::string_view bytes);
 StatusOr<std::vector<std::string_view>> split_fixed(std::string_view bytes,
                                                     std::size_t record_bytes);
 
-// Key of a sorted-keys/aligned line: the prefix up to the LAST tab (keys may
+// Key of a sorted-keys line: the prefix up to the LAST tab (keys may
 // themselves contain tabs; values never do). A line without a tab keys as
 // the whole line minus its newline.
 std::string_view line_key(std::string_view line);
@@ -62,12 +62,6 @@ StatusOr<std::string> merge_sorted_keys(
 // are unordered; equal records are byte-identical, so the output bytes do
 // not depend on their order.
 std::string merge_fixed_records(
-    const std::vector<std::vector<std::string_view>>& runs);
-
-// Element-wise fold of aligned line slices: every non-empty run must have
-// the same line count and identical labels line by line; the output carries
-// the shared labels with the summed values.
-StatusOr<std::string> fold_aligned(
     const std::vector<std::vector<std::string_view>>& runs);
 
 }  // namespace supmr::cluster

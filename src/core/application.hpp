@@ -58,28 +58,26 @@ inline std::string_view combiner_kind_name(CombinerKind kind) {
 
 // How the cluster runtime (src/cluster/) may shard an app's canonical
 // output across simulated worker nodes and reassemble it byte-identically.
+// Each kind is one sorted-run protocol: nodes route records by sampled key
+// ranges, and each owner merges its inboxes in one merge::LoserTree pass.
 // kNone means the app declares no shuffle protocol and rejects cluster runs.
 enum class ShardKind {
   kNone,
   // canonical_output() is "key\tu64\n" lines, sorted lexicographically by
   // key (the prefix up to the LAST tab), keys unique within one run; equal
-  // keys across runs fold by summing the decimal value.
+  // keys across runs fold by summing the decimal value. Word count, grep,
+  // pair count and histogram (zero-padded bin keys).
   kSortedKeys,
   // canonical_output() is fixed-width records whose global order is
   // full-record memcmp (the key is a record prefix and ties are normalized
-  // by full bytes, so equal records are byte-identical).
+  // by full bytes, so equal records are byte-identical). TeraSort.
   kFixedRecords,
-  // canonical_output() has an input-independent dense line structure
-  // ("label\tu64\n" with identical labels across any input slice); the
-  // global output is the element-wise sum of per-node values.
-  kAligned,
 };
 
 inline constexpr EnumName<ShardKind> kShardKindNames[] = {
     {ShardKind::kNone, "none"},
     {ShardKind::kSortedKeys, "sorted-keys"},
     {ShardKind::kFixedRecords, "fixed-records"},
-    {ShardKind::kAligned, "aligned"},
 };
 
 inline std::string_view shard_kind_name(ShardKind kind) {

@@ -1,7 +1,5 @@
 #include "core/job.hpp"
 
-#include <cassert>
-
 #include "common/logging.hpp"
 #include "common/units.hpp"
 #include "obs/macros.hpp"
@@ -12,9 +10,7 @@ namespace supmr::core {
 MapReduceJob::MapReduceJob(Application& app,
                            const ingest::IngestSource& source,
                            JobConfig config)
-    : app_(app), source_(source), config_(config) {
-  assert(config_.num_map_threads >= 1 && config_.num_reduce_threads >= 1);
-}
+    : app_(app), source_(source), config_(config) {}
 
 MapReduceJob::~MapReduceJob() = default;
 
@@ -99,117 +95,60 @@ Status MapReduceJob::finish(JobResult& result, PhaseClock& clock) {
   return Status::Ok();
 }
 
-void MapReduceJob::begin_obs() {
-  if (obs::TraceRecorder::global().enabled()) {
-    obs::TraceRecorder::global().set_thread_name("job.coordinator");
-  }
-  SUPMR_COUNTER_ADD("job.runs", 1);
-}
-
 void MapReduceJob::set_chunk_controller(
     ingest::ChunkSizeController& controller) {
   chunk_controller_ = &controller;
 }
 
 StatusOr<JobResult> MapReduceJob::run(ExecMode mode) {
+  if (config_.num_map_threads == 0 || config_.num_reduce_threads == 0) {
+    return Status::InvalidArgument(
+        "job: num_map_threads and num_reduce_threads must be >= 1");
+  }
   if (pool_ == nullptr) {
     // Single-tenant path: no runtime attached, so the job owns its workers.
     owned_pool_ = std::make_unique<ThreadPool>(
         std::max(config_.num_map_threads, config_.num_reduce_threads));
     pool_ = owned_pool_.get();
   }
-  switch (mode) {
-    case ExecMode::kOriginal:
-      return run_original();
-    case ExecMode::kIngestMR:
-    case ExecMode::kAdaptive:
-      return run_pipelined(mode);
-  }
-  return Status::InvalidArgument("unknown exec mode");
-}
-
-StatusOr<JobResult> MapReduceJob::run_original() {
   JobResult result;
   PhaseClock clock;
   rounds_ = 0;
-  begin_obs();
-  clock.start_total();
-
-  clock.start(Phase::kSetup);
-  app_.init(config_.num_map_threads);
-  SUPMR_ASSIGN_OR_RETURN(std::vector<ingest::ChunkExtent> plan,
-                         source_.plan());
-  clock.stop(Phase::kSetup);
-
-  // Original runtime: the whole input is one "chunk" read up front. A plan
-  // with multiple extents (a chunked source) is still honoured — all chunks
-  // are read before any map work, preserving the read-then-compute shape.
-  clock.start(Phase::kRead);
-  std::vector<ingest::IngestChunk> chunks(plan.size());
-  {
-    SUPMR_TRACE_SCOPE("phase", "read");
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      SUPMR_RETURN_IF_ERROR(source_.read_chunk(plan[i], chunks[i]));
-    }
+  if (obs::TraceRecorder::global().enabled()) {
+    obs::TraceRecorder::global().set_thread_name("job.coordinator");
   }
-  clock.stop(Phase::kRead);
-
-  clock.start(Phase::kMap);
-  {
-    SUPMR_TRACE_SCOPE("phase", "map");
-    for (auto& chunk : chunks) {
-      SUPMR_RETURN_IF_ERROR(map_round(chunk));
-      chunk.set_owned();  // drop a borrowed view along with the storage
-      chunk.data.clear();
-      chunk.data.shrink_to_fit();
-    }
-  }
-  clock.stop(Phase::kMap);
-
-  SUPMR_RETURN_IF_ERROR(finish(result, clock));
-  clock.stop_total();
-  result.phases = clock.snapshot();
-  result.phases.input_bytes = source_.total_bytes();
-  result.phases.map_rounds = rounds_;
-  result.phases.merge_rounds = merge_stats_.num_rounds();
-  result.chunks = plan.size();
-  // The plan's real extent count, with the presentation mode carried
-  // separately — reporting num_chunks = 0 to mean "unchunked" made the JSON
-  // contradict result.chunks.
-  result.phases.num_chunks = plan.size();
-  result.phases.chunked = false;
-  SUPMR_LOG_INFO("run(): total=%.3fs read=%.3fs map=%.3fs", clock.total(),
-                 clock.elapsed(Phase::kRead), clock.elapsed(Phase::kMap));
-  return result;
-}
-
-StatusOr<JobResult> MapReduceJob::run_pipelined(ExecMode mode) {
-  JobResult result;
-  PhaseClock clock;
-  rounds_ = 0;
-  begin_obs();
+  SUPMR_COUNTER_ADD("job.runs", 1);
   clock.start_total();
 
   clock.start(Phase::kSetup);
   app_.init(config_.num_map_threads);
   std::vector<ingest::ChunkExtent> plan;
-  if (mode == ExecMode::kIngestMR) {
+  if (mode != ExecMode::kAdaptive) {
     SUPMR_ASSIGN_OR_RETURN(plan, source_.plan());
   }
   clock.stop(Phase::kSetup);
 
-  // The combined read+map phase: the pipeline's producer ingests chunk
-  // c_{i+1} while this (consumer) thread runs the map wave on c_i.
-  clock.start(Phase::kRead);  // measures total pipeline wall time
-  const auto process = [this](ingest::IngestChunk& chunk) {
-    return map_round(chunk);
+  // Every mode reads through the one ingest pipeline, so chunk retries and
+  // degrade apply to all of them. The pipelined modes map each chunk as it
+  // arrives: the producer ingests chunk c_{i+1} while this (consumer) thread
+  // runs the map wave on c_i. The original runtime keeps every chunk and
+  // maps them only once the whole input is in, the read-then-compute shape
+  // of the paper's baseline.
+  const bool original = mode == ExecMode::kOriginal;
+  std::vector<ingest::IngestChunk> kept;
+  const auto process = [&](ingest::IngestChunk& chunk) {
+    if (!original) return map_round(chunk);
+    kept.push_back(std::move(chunk));
+    return Status::Ok();
   };
+  clock.start(Phase::kRead);  // measures total pipeline wall time
   auto pipeline_result = [&]() -> StatusOr<ingest::PipelineStats> {
-    SUPMR_TRACE_SCOPE("phase", "readmap");
+    SUPMR_TRACE_SCOPE("phase", original ? "read" : "readmap");
     ingest::IngestPipeline pipeline(source_, config_.recovery,
                                     shared_buffers_);
-    if (mode == ExecMode::kIngestMR) {
-      SUPMR_LOG_INFO("run(supmr): %zu ingest chunks over %s", plan.size(),
+    if (mode != ExecMode::kAdaptive) {
+      SUPMR_LOG_INFO("run(%s): %zu ingest chunks over %s",
+                     std::string(exec_mode_name(mode)).c_str(), plan.size(),
                      format_bytes(source_.total_bytes()).c_str());
       return pipeline.run_planned(plan, process);
     }
@@ -222,19 +161,36 @@ StatusOr<JobResult> MapReduceJob::run_pipelined(ExecMode mode) {
   if (!pipeline_result.ok()) return pipeline_result.status();
   result.pipeline = std::move(pipeline_result).value();
 
+  if (original) {
+    clock.start(Phase::kMap);
+    {
+      SUPMR_TRACE_SCOPE("phase", "map");
+      for (auto& chunk : kept) {
+        SUPMR_RETURN_IF_ERROR(map_round(chunk));
+        chunk = {};  // drop its storage (or borrowed view) once mapped
+      }
+    }
+    clock.stop(Phase::kMap);
+  }
+
   SUPMR_RETURN_IF_ERROR(finish(result, clock));
   clock.stop_total();
   result.phases = clock.snapshot();
-  // Phase attribution in chunked mode (paper Table II reports one combined
-  // figure): readmap = pipeline wall time; the residual read component is
-  // the consumer's starvation time, the map component is compute time.
-  result.phases.has_combined_readmap = true;
-  result.phases.readmap_s = result.phases.read_s;
-  result.phases.read_s = result.pipeline.consumer_wait_s;
-  result.phases.map_s = result.pipeline.process_busy_s;
+  if (!original) {
+    // Phase attribution in chunked mode (paper Table II reports one
+    // combined figure): readmap = pipeline wall time; the residual read
+    // component is the consumer's starvation time, the map component is
+    // compute time.
+    result.phases.has_combined_readmap = true;
+    result.phases.readmap_s = result.phases.read_s;
+    result.phases.read_s = result.pipeline.consumer_wait_s;
+    result.phases.map_s = result.pipeline.process_busy_s;
+  }
+  result.phases.chunked = !original;
   result.phases.input_bytes = source_.total_bytes();
+  // The real extent count in every mode; `chunked` carries the
+  // presentation.
   result.phases.num_chunks = result.pipeline.chunks.size();
-  result.phases.chunked = true;
   result.phases.map_rounds = rounds_;
   result.phases.merge_rounds = merge_stats_.num_rounds();
   result.chunks = result.pipeline.chunks.size();

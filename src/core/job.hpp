@@ -36,7 +36,7 @@ namespace supmr::core {
 
 struct JobResult {
   PhaseBreakdown phases;
-  ingest::PipelineStats pipeline;   // populated by the pipelined modes
+  ingest::PipelineStats pipeline;   // the ingest pipeline's stats
   merge::MergeStats merge_stats;
   // Fold-effectiveness accounting (Application::combine_stats): all-zero
   // unless the app ran with ContainerMode::kCombining.
@@ -91,9 +91,6 @@ class MapReduceJob {
  private:
   Status map_round(const ingest::IngestChunk& chunk);
   Status finish(JobResult& result, PhaseClock& clock);
-  void begin_obs();
-  StatusOr<JobResult> run_original();
-  StatusOr<JobResult> run_pipelined(ExecMode mode);
 
   Application& app_;
   const ingest::IngestSource& source_;

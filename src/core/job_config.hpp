@@ -110,13 +110,11 @@ struct JobConfig {
   // config's mode/merge/io/container/thread knobs, then shuffles map output
   // between them. The bandwidth knobs model the scale-out fabric: per-node
   // NIC rate, an optional shared uplink every cross-node byte also crosses,
-  // and a per-node ingest-disk rate. node_memory_budget > 0 makes owner
-  // partitions larger than the budget take the ExternalSorter spill path.
+  // and a per-node ingest-disk rate.
   std::size_t num_nodes = 0;
   double node_link_bps = 0.0;
   double uplink_bps = 0.0;
   double node_disk_bps = 0.0;
-  std::size_t node_memory_budget = 0;
 
   // Spawn-and-join raw threads for every map wave instead of reusing pooled
   // workers — the paper's per-round thread lifecycle, measurable as overhead

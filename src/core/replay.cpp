@@ -77,7 +77,6 @@ JobConfig ReplaySpec::job_config() const {
   cfg.node_link_bps = static_cast<double>(cluster_link_bps);
   cfg.uplink_bps = static_cast<double>(cluster_uplink_bps);
   cfg.node_disk_bps = static_cast<double>(cluster_disk_bps);
-  cfg.node_memory_budget = cluster_budget;
   return cfg;
 }
 
@@ -132,7 +131,6 @@ std::string ReplaySpec::to_json() const {
   w.kv("link_bps", cluster_link_bps);
   w.kv("uplink_bps", cluster_uplink_bps);
   w.kv("disk_bps", cluster_disk_bps);
-  w.kv("budget", cluster_budget);
   w.end_object();
   w.end_object();
   return w.str();
@@ -262,8 +260,14 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
       fields.take_or("cluster.uplink_bps", spec.cluster_uplink_bps, 0));
   SUPMR_RETURN_IF_ERROR(
       fields.take_or("cluster.disk_bps", spec.cluster_disk_bps, 0));
-  SUPMR_RETURN_IF_ERROR(
-      fields.take_or("cluster.budget", spec.cluster_budget, 0));
+  // The owner merge budget is gone; older specs carry it as 0.
+  std::uint64_t removed_budget = 0;
+  SUPMR_RETURN_IF_ERROR(fields.take_or("cluster.budget", removed_budget, 0));
+  if (removed_budget != 0) {
+    return Status::InvalidArgument(
+        "replay spec: cluster.budget was removed (owners merge in memory); "
+        "only 0 is accepted");
+  }
   SUPMR_RETURN_IF_ERROR(fields.check_empty());
 
   if (spec.app != "wordcount" && spec.app != "xwordcount" &&
@@ -299,9 +303,9 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
   }
   if (!spec.is_cluster() &&
       (spec.cluster_link_bps != 0 || spec.cluster_uplink_bps != 0 ||
-       spec.cluster_disk_bps != 0 || spec.cluster_budget != 0)) {
+       spec.cluster_disk_bps != 0)) {
     return Status::InvalidArgument(
-        "replay spec: cluster bandwidth/budget knobs require cluster.nodes");
+        "replay spec: cluster bandwidth knobs require cluster.nodes");
   }
   return spec;
 }

@@ -109,13 +109,12 @@ struct ReplaySpec {
   // whole object): nodes > 0 routes the cell through the sharded-shuffle
   // runtime (src/cluster/) with that many simulated worker nodes; the
   // bandwidth knobs (bytes/second) model per-node NICs, the shared uplink,
-  // and per-node ingest disks, and budget > 0 spills over-budget
-  // fixed-record owner partitions through the ExternalSorter.
+  // and per-node ingest disks. from_json still accepts the removed owner
+  // merge budget as "budget": 0, so older specs parse.
   std::uint64_t cluster_nodes = 0;
   std::uint64_t cluster_link_bps = 0;
   std::uint64_t cluster_uplink_bps = 0;
   std::uint64_t cluster_disk_bps = 0;
-  std::uint64_t cluster_budget = 0;
 
   // True for the chained graph apps (pmi | tfidf | msort).
   bool is_graph() const {

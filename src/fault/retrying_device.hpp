@@ -6,7 +6,8 @@
 // Ingest chunk reads, record boundary probes and external-sort spill
 // re-reads all go through the Device seam, so stacking this wrapper gives
 // them transient-fault survival without touching any reader (ARCHITECTURE
-// §2). The one exception is the budgeted word count's spill runs
+// §2); spill reads retry when ExternalSorterOptions::open_spill returns the
+// run wrapped in one. The one exception is the budgeted word count's spill runs
 // (containers/run_set.hpp): the runtime's own scratch, read back with stdio
 // and never retried.
 //

@@ -217,26 +217,28 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
       stats.consumer_wait_s += waited;
       SUPMR_HIST_OBSERVE("ingest.wait_us", waited * 1e6);
 
+      // process() may move the chunk out to keep it, so read it first.
+      const std::uint64_t index = chunk.index;
+      const std::uint64_t bytes = chunk.size();
       const auto t_proc = std::chrono::steady_clock::now();
       Status st;
       {
         SUPMR_TRACE_SCOPE_VAR(span, "ingest", "ingest.process_chunk");
-        SUPMR_TRACE_SET_ARG(span, "chunk", chunk.index);
-        SUPMR_TRACE_SET_ARG2(span, "bytes", chunk.size());
+        SUPMR_TRACE_SET_ARG(span, "chunk", index);
+        SUPMR_TRACE_SET_ARG2(span, "bytes", bytes);
         st = process(chunk);
       }
       const double processed = seconds_since(t_proc);
       stats.process_busy_s += processed;
-      stats.total_bytes += chunk.size();
+      stats.total_bytes += bytes;
       SUPMR_HIST_OBSERVE("ingest.process_us", processed * 1e6);
       {
         std::lock_guard<std::mutex> lock(chunks_mu);
-        stats.chunks[chunk.index].wait_s = waited;
-        stats.chunks[chunk.index].process_s = processed;
+        stats.chunks[index].wait_s = waited;
+        stats.chunks[index].process_s = processed;
       }
       if (controller != nullptr) {
-        controller->observe(
-            ChunkFeedback{chunk.index, chunk.size(), 0.0, processed});
+        controller->observe(ChunkFeedback{index, bytes, 0.0, processed});
       }
       if (!chunk.borrowed()) pool_->release(std::move(chunk.data));
       chunk.data = {};

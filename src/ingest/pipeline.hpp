@@ -74,8 +74,11 @@ class IngestPipeline {
         pool_(shared_buffers != nullptr ? shared_buffers : &owned_pool_) {}
 
   // Runs the full pipeline. `process` is invoked on the caller's thread for
-  // each chunk, in stream order. Returns pipeline stats on success, or the
-  // first error from planning, ingest, or processing.
+  // each chunk, in stream order. It may move the chunk out to keep it (the
+  // original runtime keeps every chunk until its map phase); the pipeline
+  // then has no buffer to recycle for that chunk, and the two-live-chunk
+  // bound covers only the chunks it still holds. Returns pipeline stats on
+  // success, or the first error from planning, ingest, or processing.
   StatusOr<PipelineStats> run(
       const std::function<Status(IngestChunk&)>& process);
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "fault/retrying_device.hpp"
 #include "merge/loser_tree.hpp"
 #include "merge/partitioned.hpp"
 #include "merge/sample_sort.hpp"
@@ -17,17 +16,13 @@ namespace supmr::merge {
 namespace {
 
 // A sequential cursor over one sorted run: either a spill device (positional
-// reads in slabs through the retrying seam) or the in-memory residue.
+// reads in slabs through the Device seam) or the in-memory residue.
 class RunCursor {
  public:
   Status open_device(std::shared_ptr<const storage::Device> device,
-                     std::uint32_t record_bytes, std::uint64_t slab_bytes,
-                     const fault::RetryPolicy& retry) {
+                     std::uint32_t record_bytes, std::uint64_t slab_bytes) {
     rb_ = record_bytes;
     device_ = std::move(device);
-    if (retry.enabled()) {
-      device_ = std::make_shared<fault::RetryingDevice>(device_, retry);
-    }
     // Slab holds whole records.
     const std::uint64_t records =
         std::max<std::uint64_t>(1, slab_bytes / record_bytes);
@@ -291,8 +286,8 @@ StatusOr<MergeStats> ExternalSorter::finish(const Sink& sink) {
                                storage::FileDevice::open(spills_[p][r]));
         dev = std::move(file);
       }
-      SUPMR_RETURN_IF_ERROR(runs[r].open_device(
-          std::move(dev), rb, options_.merge_read_bytes, options_.retry));
+      SUPMR_RETURN_IF_ERROR(
+          runs[r].open_device(std::move(dev), rb, options_.merge_read_bytes));
     }
     if (res_n > 0) {
       runs.back().open_memory(

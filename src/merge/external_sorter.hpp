@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "fault/retry_policy.hpp"
 #include "merge/stats.hpp"
 #include "storage/device.hpp"
 #include "threading/thread_pool.hpp"
@@ -48,12 +47,11 @@ struct ExternalSorterOptions {
   // merges partition by partition — each loser tree spans only one
   // partition's runs, and partition outputs concatenate in key order.
   std::size_t partitions = 1;
-  // Spill reads go through the same retrying seam as ingest: each run is
-  // reopened as a storage::Device and, when `retry` is enabled, wrapped in a
-  // fault::RetryingDevice so transient read faults are absorbed here too.
-  fault::RetryPolicy retry;
-  // Device factory for reopening spill files during the final merge
-  // (tests substitute fault-injecting stacks). Null = FileDevice::open.
+  // Device factory for reopening spill files during the final merge. Null =
+  // FileDevice::open. Spill reads go through the same Device seam as
+  // ingest, so a factory that wraps the file in a fault::RetryingDevice
+  // absorbs transient read faults here too (tests also substitute
+  // fault-injecting stacks).
   std::function<StatusOr<std::shared_ptr<const storage::Device>>(
       const std::string&)>
       open_spill;

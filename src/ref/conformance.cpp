@@ -266,7 +266,6 @@ StatusOr<ConformanceOutcome> run_cluster_cell(
   outcome.cluster_map_output_bytes = sut.map_output_bytes;
   outcome.cluster_recv_min_bytes = ~std::uint64_t{0};
   for (const cluster::NodeStats& node : sut.nodes) {
-    outcome.cluster_spill_runs += node.spill_runs;
     const std::uint64_t owned = node.recv_bytes + node.local_bytes;
     outcome.cluster_recv_max_bytes =
         std::max(outcome.cluster_recv_max_bytes, owned);

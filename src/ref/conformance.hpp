@@ -43,12 +43,11 @@ struct ConformanceOutcome {
   std::uint64_t graph_spill_files = 0;
   // Cluster cells only (spec.is_cluster()): shuffle accounting from the
   // sharded runtime (src/cluster/), so the harness can assert conservation
-  // (shuffle + local == map output) and that a budgeted cell really spilled.
+  // (shuffle + local == map output) and owner balance.
   std::uint64_t cluster_nodes = 0;
   std::uint64_t cluster_shuffle_bytes = 0;
   std::uint64_t cluster_local_bytes = 0;
   std::uint64_t cluster_map_output_bytes = 0;
-  std::uint64_t cluster_spill_runs = 0;
   std::uint64_t cluster_recv_max_bytes = 0;
   std::uint64_t cluster_recv_min_bytes = 0;
 };

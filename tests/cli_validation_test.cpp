@@ -241,16 +241,17 @@ TEST(CliValidation, ClusterNodesMustBePositive) {
 }
 
 TEST(CliValidation, ClusterKnobsRequireNodes) {
-  // Every fabric/budget knob is meaningless without a cluster to apply it
-  // to; silently ignoring it would hide a typo'd benchmark invocation.
+  // Every fabric knob is meaningless without a cluster to apply it to;
+  // silently ignoring it would hide a typo'd benchmark invocation.
   expect_rejected("wordcount whatever --node-link-bps=1MB",
                   "--node-link-bps requires --nodes");
   expect_rejected("wordcount whatever --uplink-bps=1MB",
                   "--uplink-bps requires --nodes");
   expect_rejected("sort whatever --node-disk-bps=1MB",
                   "--node-disk-bps requires --nodes");
+  // The owner merge budget is gone: its flag is unknown.
   expect_rejected("sort whatever --node-budget=1MB",
-                  "--node-budget requires --nodes");
+                  "unknown flag --node-budget");
 }
 
 TEST(CliValidation, ClusterRejectsFaultAndThrottleCombos) {
@@ -332,7 +333,7 @@ TEST(CliValidation, ReplaySpecClusterKnobsRequireNodes) {
   std::fclose(f);
   expect_rejected(
       "replay " + path,
-      "replay spec: cluster bandwidth/budget knobs require cluster.nodes");
+      "replay spec: cluster bandwidth knobs require cluster.nodes");
   std::remove(path.c_str());
 }
 

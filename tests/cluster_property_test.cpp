@@ -1,7 +1,7 @@
 // Property tests for the sharded-shuffle runtime (src/cluster/,
 // docs/cluster.md).
 //
-// The protocol layer (split / key / value / merge / fold) is pure functions
+// The protocol layer (split / key / value / merge) is pure functions
 // over string views, so its grammar and every error path are pinned down
 // directly. The runtime properties are the cluster's contract:
 //   * node-count independence — 1, 2, 4, 7 nodes produce identical bytes;
@@ -11,9 +11,7 @@
 //     counts) reproduce the exact per-node shuffle ledger, not just the
 //     output bytes;
 //   * bounded skew — splitters cut from the merged sample keep the
-//     heaviest owner within a small factor of the mean on Zipf text;
-//   * budgeted merges spill through the ExternalSorter without changing
-//     a byte.
+//     heaviest owner within a small factor of the mean on Zipf text.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -29,7 +27,6 @@
 #include "cluster/protocol.hpp"
 #include "ingest/record_format.hpp"
 #include "wload/numeric.hpp"
-#include "wload/teragen.hpp"
 #include "wload/text_corpus.hpp"
 
 namespace supmr::cluster {
@@ -85,6 +82,14 @@ TEST(ClusterProtocol, MergeSortedKeysFoldsAcrossRuns) {
   auto merged = merge_sorted_keys({a, b});
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(*merged, "apple\t5\nbanana\t5\ncherry\t1\n");
+  // A dense table (histogram's shape): every non-empty run holds every
+  // key, and a node that owns no slice sends an empty run.
+  SV full = {std::string_view("bin0\t1\n"), std::string_view("bin1\t2\n")};
+  SV other = {std::string_view("bin0\t10\n"), std::string_view("bin1\t20\n")};
+  SV empty;
+  auto dense = merge_sorted_keys({full, empty, other});
+  ASSERT_TRUE(dense.ok());
+  EXPECT_EQ(*dense, "bin0\t11\nbin1\t22\n");
 }
 
 TEST(ClusterProtocol, MergeSortedKeysPropagatesBadValues) {
@@ -98,25 +103,6 @@ TEST(ClusterProtocol, MergeFixedRecordsInterleaves) {
   SV b = {std::string_view("bb"), std::string_view("cc"),
           std::string_view("dd")};
   EXPECT_EQ(merge_fixed_records({a, b}), "aabbccccdd");
-}
-
-TEST(ClusterProtocol, FoldAlignedSumsMatchingLabels) {
-  SV a = {std::string_view("bin0\t1\n"), std::string_view("bin1\t2\n")};
-  SV b = {std::string_view("bin0\t10\n"), std::string_view("bin1\t20\n")};
-  SV empty;
-  auto folded = fold_aligned({a, empty, b});
-  ASSERT_TRUE(folded.ok());
-  EXPECT_EQ(*folded, "bin0\t11\nbin1\t22\n");
-}
-
-TEST(ClusterProtocol, FoldAlignedRejectsStructureMismatch) {
-  SV a = {std::string_view("bin0\t1\n"), std::string_view("bin1\t2\n")};
-  SV shorter = {std::string_view("bin0\t1\n")};
-  EXPECT_FALSE(fold_aligned({a, shorter}).ok());
-  SV relabeled = {std::string_view("bin0\t1\n"), std::string_view("binX\t2\n")};
-  EXPECT_FALSE(fold_aligned({a, relabeled}).ok());
-  SV badvalue = {std::string_view("bin0\t1\n"), std::string_view("bin1\tz\n")};
-  EXPECT_FALSE(fold_aligned({a, badvalue}).ok());
 }
 
 // -------------------------------------------------------------- runtime
@@ -236,38 +222,10 @@ TEST(ClusterRuntime, ThrottledFabricSameBytes) {
   EXPECT_EQ(slow->shuffle_bytes, fast->shuffle_bytes);
 }
 
-TEST(ClusterRuntime, BudgetedSortSpillsSameBytes) {
-  wload::TeraGenConfig gen;
-  gen.num_records = 800;
-  gen.seed = 105;
-  std::string data = wload::teragen_to_string(gen);
-  auto sort_job = [&](std::size_t budget) {
-    ClusterJob job;
-    job.input = data;
-    job.format = std::make_shared<ingest::CrlfFormat>();
-    job.make_app = [] {
-      return std::unique_ptr<core::Application>(
-          new apps::TeraSortApp(apps::TeraSortOptions{}));
-    };
-    job.config.num_nodes = 2;
-    job.config.node_memory_budget = budget;
-    job.chunk_bytes = 8 * 1024;
-    job.record_bytes = 100;
-    job.spill_dir = "/tmp";
-    return job;
-  };
-  auto in_memory = run_cluster(sort_job(0));
-  ASSERT_TRUE(in_memory.ok()) << in_memory.status().to_string();
-  auto budgeted = run_cluster(sort_job(4 * 1024));
-  ASSERT_TRUE(budgeted.ok()) << budgeted.status().to_string();
-  EXPECT_EQ(budgeted->output, in_memory->output);
-  std::uint64_t spill_runs = 0;
-  for (const NodeStats& node : budgeted->nodes) spill_runs += node.spill_runs;
-  EXPECT_GT(spill_runs, 0u) << "budgeted merge never spilled";
-  expect_conservation(*budgeted);
-}
-
 TEST(ClusterRuntime, HistogramAlignedFold) {
+  // Every node's histogram holds every bin key, so all nodes send to every
+  // owner, and the owners' sorted-key folds must reassemble the 1-node
+  // table exactly.
   wload::NumericConfig gen;
   gen.num_values = 20000;
   gen.lo = 0;
@@ -294,7 +252,7 @@ TEST(ClusterRuntime, HistogramAlignedFold) {
   auto four = run_cluster(histogram_job(4));
   ASSERT_TRUE(four.ok()) << four.status().to_string();
   EXPECT_EQ(four->output, one->output);
-  EXPECT_EQ(four->shard, core::ShardKind::kAligned);
+  EXPECT_EQ(four->shard, core::ShardKind::kSortedKeys);
   expect_conservation(*four);
 }
 
@@ -342,13 +300,6 @@ TEST(ClusterRuntime, RejectsBadConfiguration) {
           new apps::TeraSortApp(apps::TeraSortOptions{}));
     };
     job.record_bytes = 0;
-    EXPECT_FALSE(run_cluster(job).ok());
-  }
-  {
-    // A merge budget with nowhere to spill.
-    ClusterJob job = base();
-    job.config.node_memory_budget = 1024;
-    job.spill_dir.clear();
     EXPECT_FALSE(run_cluster(job).ok());
   }
 }
@@ -461,58 +412,6 @@ TEST(ClusterRuntime, MalformedSortedKeyValueFailsOwnerMerge) {
       }));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ClusterRuntime, AlignedLineCountMismatchFails) {
-  // kAligned demands an input-independent line structure; nodes whose
-  // tables disagree on line COUNT are caught before any fold starts.
-  auto result = run_cluster(misbehaving_job(
-      "a\nb c\n", 2, core::ShardKind::kAligned,
-      +[](const apps::WordCountApp& inner) {
-        return inner.canonical_output();  // 1 line vs 2 lines
-      }));
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().to_string().find("disagree on line count"),
-            std::string::npos)
-      << result.status().to_string();
-}
-
-TEST(ClusterRuntime, AlignedLabelMismatchFailsOwnerFold) {
-  // Same line count, different labels: the structural check passes and the
-  // element-wise fold must reject the row mismatch.
-  auto result = run_cluster(misbehaving_job(
-      "a\nb\n", 2, core::ShardKind::kAligned,
-      +[](const apps::WordCountApp& inner) {
-        return inner.canonical_output();  // "a\t1\n" vs "b\t1\n"
-      }));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ClusterRuntime, SpillToMissingDirFailsOwnerMerge) {
-  // node_memory_budget forces the ExternalSorter path; a spill_dir that
-  // does not exist must fail the owner merge with the sorter's I/O error.
-  wload::TeraGenConfig tg;
-  tg.num_records = 100;
-  tg.seed = 9;
-  ClusterJob job;
-  job.input = wload::teragen_to_string(tg);
-  job.format = std::make_shared<ingest::FixedFormat>(100);
-  job.make_app = [] {
-    apps::TeraSortOptions opt;
-    opt.key_bytes = 10;
-    opt.record_bytes = 100;
-    return std::unique_ptr<core::Application>(new apps::TeraSortApp(opt));
-  };
-  job.config.num_nodes = 1;
-  job.config.num_map_threads = 2;
-  job.config.num_reduce_threads = 2;
-  job.config.node_memory_budget = 1;  // clamps to 16 records, still spills
-  job.chunk_bytes = 1000;
-  job.record_bytes = 100;
-  job.spill_dir = "/nonexistent/supmr_cluster_spill";
-  auto result = run_cluster(job);
-  ASSERT_FALSE(result.ok());
 }
 
 }  // namespace

@@ -204,6 +204,24 @@ TEST(MapReduceJob, IngestIoErrorPropagates) {
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
+TEST(MapReduceJob, RejectsZeroThreads) {
+  // A zero map or reduce thread count is a bad configuration, not an empty
+  // job: the run must fail instead of returning no results as success.
+  for (auto [mappers, reducers] :
+       {std::pair<std::size_t, std::size_t>{0, 2}, {4, 0}}) {
+    WordCountApp app;
+    SingleDeviceSource src(mem("a b c a\nb a\n"),
+                           std::make_shared<LineFormat>(), 0);
+    JobConfig c = cfg();
+    c.num_map_threads = mappers;
+    c.num_reduce_threads = reducers;
+    MapReduceJob job(app, src, c);
+    auto result = job.run(ExecMode::kIngestMR);
+    ASSERT_FALSE(result.ok()) << mappers << " map, " << reducers << " reduce";
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(MapReduceJob, UnpooledWavesProduceSameResult) {
   wload::TextCorpusConfig tc;
   tc.total_bytes = 32 * 1024;

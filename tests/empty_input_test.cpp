@@ -177,7 +177,6 @@ TEST(EmptyInput, ClusterZeroByteInputEveryNodeCount) {
       EXPECT_EQ(ns.sent_bytes, 0u);
       EXPECT_EQ(ns.recv_bytes, 0u);
       EXPECT_EQ(ns.local_bytes, 0u);
-      EXPECT_EQ(ns.spill_runs, 0u);
       check_empty_result(ns.job, "cluster-node");
     }
   }
@@ -185,7 +184,7 @@ TEST(EmptyInput, ClusterZeroByteInputEveryNodeCount) {
 
 // Fixed-record sharding over an empty corpus: zero records slice to zero
 // extents everywhere, and the owner-side fixed-record merge (TeraSort path)
-// must hand back empty bytes without sampling a splitter or spilling a run.
+// must hand back empty bytes without sampling a splitter.
 TEST(EmptyInput, ClusterZeroByteFixedRecords) {
   cluster::ClusterJob job;
   job.input = "";

@@ -510,36 +510,43 @@ TEST(UnifiedRun, LegacyWrappersStillRun) {
 }
 
 TEST(UnifiedRun, DegradedJobReportsSkippedChunksInJson) {
+  // Both the original runtime and SupMR read through the ingest pipeline,
+  // so both degrade around the poisoned chunk.
   const std::string text = corpus_text();
-  MemDevice base(text);
-  FaultPlan plan_spec;
-  plan_spec.permanent.emplace_back(1024, 1536);
-  FaultDevice fault(&base, plan_spec);
-  // FixedFormat: split adjustment is pure arithmetic, so the poison hits a
-  // chunk data read (where degrade applies), never a planning probe.
-  ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::FixedFormat>(64), 512);
-  apps::WordCountApp app;
-  core::JobConfig config;
-  config.recovery.policy = fast_policy(2);
-  config.recovery.degrade = true;
-  config.num_map_threads = 2;
-  config.num_reduce_threads = 2;
-  core::MapReduceJob job(app, src, config);
-  auto result = job.run(core::ExecMode::kIngestMR);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_TRUE(result->degraded());
-  EXPECT_GE(result->chunks_skipped, 1u);
-  EXPECT_GT(result->bytes_skipped, 0u);
+  for (core::ExecMode mode :
+       {core::ExecMode::kOriginal, core::ExecMode::kIngestMR}) {
+    SCOPED_TRACE(std::string(core::exec_mode_name(mode)));
+    MemDevice base(text);
+    FaultPlan plan_spec;
+    plan_spec.permanent.emplace_back(1024, 1536);
+    FaultDevice fault(&base, plan_spec);
+    // FixedFormat: split adjustment is pure arithmetic, so the poison hits
+    // a chunk data read (where degrade applies), never a planning probe.
+    ingest::SingleDeviceSource src(
+        borrow(&fault), std::make_shared<ingest::FixedFormat>(64), 512);
+    apps::WordCountApp app;
+    core::JobConfig config;
+    config.recovery.policy = fast_policy(2);
+    config.recovery.degrade = true;
+    config.num_map_threads = 2;
+    config.num_reduce_threads = 2;
+    core::MapReduceJob job(app, src, config);
+    auto result = job.run(mode);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_TRUE(result->degraded());
+    EXPECT_GE(result->chunks_skipped, 1u);
+    EXPECT_GT(result->bytes_skipped, 0u);
+    EXPECT_EQ(result->phases.chunked, mode != core::ExecMode::kOriginal);
 
-  const std::string json = core::job_result_to_json(*result);
-  EXPECT_EQ(parse_json(json).status().message(), "");
-  EXPECT_NE(json.find("\"chunks_skipped\""), std::string::npos);
-  EXPECT_NE(json.find("\"bytes_skipped\""), std::string::npos);
-  EXPECT_NE(json.find("\"degraded\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"chunk_retries\""), std::string::npos);
-  EXPECT_NE(json.find("\"attempts\""), std::string::npos);
-  EXPECT_NE(json.find("\"skipped\""), std::string::npos);
+    const std::string json = core::job_result_to_json(*result);
+    EXPECT_EQ(parse_json(json).status().message(), "");
+    EXPECT_NE(json.find("\"chunks_skipped\""), std::string::npos);
+    EXPECT_NE(json.find("\"bytes_skipped\""), std::string::npos);
+    EXPECT_NE(json.find("\"degraded\":true"), std::string::npos);
+    EXPECT_NE(json.find("\"chunk_retries\""), std::string::npos);
+    EXPECT_NE(json.find("\"attempts\""), std::string::npos);
+    EXPECT_NE(json.find("\"skipped\""), std::string::npos);
+  }
 }
 
 TEST(StatusToJson, EmitsValidErrorReport) {
@@ -554,13 +561,13 @@ TEST(StatusToJson, EmitsValidErrorReport) {
 
 TEST(ExternalSorterRetry, SpillReadsRetryThroughFaultyDevice) {
   // Spill two runs, then reopen them through a fault-injecting stack whose
-  // first reads fail transiently: with a retry policy the merge succeeds.
+  // first reads fail transiently: wrapped in a RetryingDevice by the
+  // open_spill factory, the merge succeeds.
   ThreadPool pool(2);
   merge::ExternalSorterOptions opt;
   opt.record_bytes = 10;
   opt.key_bytes = 4;
   opt.memory_budget_bytes = 400;  // forces spills
-  opt.retry = fast_policy(3);
   std::vector<std::unique_ptr<storage::FaultDevice>> fault_stack;
   opt.open_spill =
       [&](const std::string& path)
@@ -573,7 +580,7 @@ TEST(ExternalSorterRetry, SpillReadsRetryThroughFaultyDevice) {
     auto* raw = fault.get();
     fault_stack.push_back(std::move(fault));
     return std::shared_ptr<const storage::Device>(
-        raw, [base](const storage::Device*) {});
+        std::make_shared<RetryingDevice>(raw, fast_policy(3)));
   };
   merge::ExternalSorter sorter(pool, opt);
   std::string records;

@@ -7,9 +7,8 @@
 // `supmr replay`).
 //
 // Dedicated rows beyond the cross: an adaptive-mode subset, in-mapper
-// combining nodes, a throttled fabric (slow NICs + shared uplink — the
-// limiters must delay, never corrupt), and a budgeted sort cell that must
-// really take the ExternalSorter spill path.
+// combining nodes, and a throttled fabric (slow NICs + shared uplink — the
+// limiters must delay, never corrupt).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -170,20 +169,6 @@ TEST(ClusterConformanceLattice, ThrottledFabricIsByteIdentical) {
       << "throttling changed the output bytes";
   EXPECT_EQ(throttled.cluster_shuffle_bytes, unthrottled.cluster_shuffle_bytes)
       << "throttling changed the shuffle routing";
-}
-
-TEST(ClusterConformanceLattice, BudgetedSortSpills) {
-  // A merge budget far below the partition payload forces the owner merges
-  // through the ExternalSorter; the cell must both spill and stay
-  // byte-identical.
-  core::ReplaySpec spec = spec_sort(90);
-  spec.cluster_nodes = 2;
-  spec.cluster_budget = 4 * 1024;  // 120 KiB corpus across 2 owners
-  const std::string name = "cluster-sort-budget-n2";
-  ref::ConformanceOutcome outcome = run_cluster_cell_checked(spec, name);
-  expect_conservation(outcome, name);
-  EXPECT_GT(outcome.cluster_spill_runs, 0u)
-      << name << ": budgeted cell never spilled";
 }
 
 }  // namespace

@@ -189,6 +189,26 @@ TEST(ReplaySpec, RejectsWrongTypesOutOfRangeIntegersAndRepeatedKeys) {
   }
 }
 
+TEST(ReplaySpec, RemovedClusterBudgetParsesOnlyAsZero) {
+  // Specs written before the owner merge budget was removed carry
+  // "budget": 0 in their cluster block and still parse; any other value
+  // asked for a behaviour that is gone, and the error names the key.
+  const std::string json = core::ReplaySpec().to_json();
+  EXPECT_EQ(json.find("budget", json.find("\"cluster\"")), std::string::npos)
+      << "to_json still writes cluster.budget";
+  auto zero = core::ReplaySpec::from_json(
+      replaced(json, "\"disk_bps\":0", "\"disk_bps\":0,\"budget\":0"));
+  ASSERT_TRUE(zero.ok()) << zero.status().to_string();
+  expect_specs_equal(core::ReplaySpec(), *zero);
+  auto nonzero = core::ReplaySpec::from_json(
+      replaced(json, "\"disk_bps\":0", "\"disk_bps\":0,\"budget\":4096"));
+  ASSERT_FALSE(nonzero.ok());
+  EXPECT_EQ(nonzero.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nonzero.status().message().find("cluster.budget"),
+            std::string::npos)
+      << nonzero.status().message();
+}
+
 TEST(ReplayPath, WrittenReproReRunsItsCell) {
   // The full loop a CI failure goes through: write the spec, read the file
   // back, parse it, run the cell — and it must run the *same* cell.

@@ -46,7 +46,7 @@
 #   cluster-smoke — the sharded-shuffle suites (ctest -L cluster: the
 #               shuffle protocol/property suite, the node-count ×
 #               mode × merge differential lattice, and the checked-in
-#               cluster spec through the instrumented `supmr cluster` CLI)
+#               cluster specs through the instrumented `supmr cluster` CLI)
 #               under ThreadSanitizer (N worker nodes run concurrently on
 #               private pools)
 #   perf-smoke — the benchmark (perfbench/, a CMake package of its own over

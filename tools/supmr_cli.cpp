@@ -80,7 +80,7 @@ const std::set<std::string> kRunFlags = {
     "retry-seed", "fault-plan", "degrade"};
 // The sharded-shuffle flags, read by the single-device spec apps.
 const std::set<std::string> kClusterFlags = {
-    "nodes", "node-link-bps", "uplink-bps", "node-disk-bps", "node-budget"};
+    "nodes", "node-link-bps", "uplink-bps", "node-disk-bps"};
 
 void usage() {
   std::fprintf(stderr,
@@ -195,7 +195,7 @@ StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
   }
 
   // Cluster topology: --nodes routes the job through the sharded-shuffle
-  // runtime (src/cluster/, docs/cluster.md). The bandwidth/budget knobs are
+  // runtime (src/cluster/, docs/cluster.md). The bandwidth knobs are
   // meaningless without a node count, so they hard-reject rather than
   // silently doing nothing.
   SUPMR_ASSIGN_OR_RETURN(spec.cluster_nodes, flags.get_int("nodes", 0));
@@ -205,8 +205,7 @@ StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
   for (auto [knob, value] :
        {std::pair{"node-link-bps", &spec.cluster_link_bps},
         {"uplink-bps", &spec.cluster_uplink_bps},
-        {"node-disk-bps", &spec.cluster_disk_bps},
-        {"node-budget", &spec.cluster_budget}}) {
+        {"node-disk-bps", &spec.cluster_disk_bps}}) {
     if (flags.get(knob) && !spec.is_cluster()) {
       return Status::InvalidArgument(std::string("--") + knob +
                                      " requires --nodes");
@@ -318,7 +317,6 @@ std::string cluster_result_to_json(const cluster::ClusterResult& result) {
     w.kv("sent_bytes", node.sent_bytes);
     w.kv("recv_bytes", node.recv_bytes);
     w.kv("local_bytes", node.local_bytes);
-    w.kv("spill_runs", node.spill_runs);
     w.end_object();
   }
   w.end_array();
@@ -357,16 +355,11 @@ StatusOr<RunOutput> run_cluster_spec(const RunFlags& run,
                format_bytes(result->local_bytes).c_str());
   for (std::size_t i = 0; i < result->nodes.size(); ++i) {
     const cluster::NodeStats& node = result->nodes[i];
-    std::fprintf(out, "  node %zu: in %s, map-out %s, sent %s, recv %s"
-                 "%s%s\n",
+    std::fprintf(out, "  node %zu: in %s, map-out %s, sent %s, recv %s\n",
                  i, format_bytes(node.input_bytes).c_str(),
                  format_bytes(node.map_output_bytes).c_str(),
                  format_bytes(node.sent_bytes).c_str(),
-                 format_bytes(node.recv_bytes).c_str(),
-                 node.spill_runs > 0 ? ", spill runs " : "",
-                 node.spill_runs > 0
-                     ? std::to_string(node.spill_runs).c_str()
-                     : "");
+                 format_bytes(node.recv_bytes).c_str());
   }
   std::fprintf(out, "cluster: %s output in %.3fs\n",
                format_bytes(result->output.size()).c_str(),
@@ -705,13 +698,11 @@ Status cmd_replay(const std::string& command, const Flags& flags) {
   }
   if (spec.is_cluster()) {
     std::printf("cluster: %llu node(s), map output %llu bytes, %llu shuffled "
-                "cross-node, %llu local, %llu spill run(s), owned max/min "
-                "%llu/%llu bytes\n",
+                "cross-node, %llu local, owned max/min %llu/%llu bytes\n",
                 (unsigned long long)outcome.cluster_nodes,
                 (unsigned long long)outcome.cluster_map_output_bytes,
                 (unsigned long long)outcome.cluster_shuffle_bytes,
                 (unsigned long long)outcome.cluster_local_bytes,
-                (unsigned long long)outcome.cluster_spill_runs,
                 (unsigned long long)outcome.cluster_recv_max_bytes,
                 (unsigned long long)outcome.cluster_recv_min_bytes);
   }
