@@ -1,57 +1,19 @@
 // Micro-benchmarks: threading primitives on the pipeline's hot paths.
 #include <benchmark/benchmark.h>
 
-#include <thread>
-
-#include "threading/double_buffer.hpp"
 #include "threading/latch.hpp"
 #include "threading/mpmc_queue.hpp"
-#include "threading/spsc_queue.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace supmr {
 namespace {
-
-void BM_SpscPushPop(benchmark::State& state) {
-  SpscQueue<std::uint64_t> q(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    q.try_push(v++);
-    benchmark::DoNotOptimize(q.try_pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscPushPop);
-
-void BM_SpscThroughputThreaded(benchmark::State& state) {
-  for (auto _ : state) {
-    SpscQueue<std::uint64_t> q(256);
-    constexpr int kItems = 100000;
-    std::thread producer([&] {
-      for (int i = 0; i < kItems; ++i)
-        while (!q.try_push(i)) std::this_thread::yield();
-    });
-    std::uint64_t sum = 0;
-    int got = 0;
-    while (got < kItems) {
-      if (auto x = q.try_pop()) {
-        sum += *x;
-        ++got;
-      }
-    }
-    producer.join();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 100000);
-}
-BENCHMARK(BM_SpscThroughputThreaded)->Unit(benchmark::kMillisecond);
 
 void BM_MpmcPushPop(benchmark::State& state) {
   MpmcQueue<std::uint64_t> q;
   std::uint64_t v = 0;
   for (auto _ : state) {
     q.push(v++);
-    benchmark::DoNotOptimize(q.try_pop());
+    benchmark::DoNotOptimize(q.pop());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -77,23 +39,6 @@ void BM_UnpooledWave(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tasks.size());
 }
 BENCHMARK(BM_UnpooledWave)->Unit(benchmark::kMicrosecond);
-
-void BM_DoubleBufferHandoff(benchmark::State& state) {
-  for (auto _ : state) {
-    DoubleBuffer<std::uint64_t> buf;
-    constexpr int kItems = 20000;
-    std::thread producer([&] {
-      for (int i = 0; i < kItems; ++i) buf.produce(i);
-      buf.close();
-    });
-    std::uint64_t v, sum = 0;
-    while (buf.consume(v)) sum += v;
-    producer.join();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 20000);
-}
-BENCHMARK(BM_DoubleBufferHandoff)->Unit(benchmark::kMillisecond);
 
 void BM_LatchRoundTrip(benchmark::State& state) {
   for (auto _ : state) {

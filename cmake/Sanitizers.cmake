@@ -49,8 +49,8 @@ if(SUPMR_SANITIZE)
   add_link_options(${_supmr_san_flags})
   if(NOT CMAKE_BUILD_TYPE STREQUAL "Debug")
     # Non-Debug builds define NDEBUG, which would compile out the debug
-    # assertions the concurrency primitives use to state their invariants
-    # (e.g. SpscQueue::size() torn-observation checks). Sanitizer runs are
+    # assertions the runtime uses to state its invariants (e.g. the
+    # containers' bounds and initialization checks). Sanitizer runs are
     # exactly when we want those asserts live.
     add_compile_options(-UNDEBUG)
   endif()

@@ -64,6 +64,9 @@ StatusOr<std::unique_ptr<core::Application>> make_app(
     if (spec.hist_bins == 0) {
       return Status::InvalidArgument("histogram needs at least one bin");
     }
+    if (spec.hist_hi <= spec.hist_lo) {
+      return Status::InvalidArgument("histogram needs lo < hi");
+    }
     HistogramOptions opt;
     opt.lo = spec.hist_lo;
     opt.hi = spec.hist_hi;

@@ -33,11 +33,19 @@ std::size_t HistogramApp::bin_of(std::int64_t value) const {
   // on bin edges into the wrong bin (e.g. 29/100*100 -> 28.999...).
   if (value <= options_.lo) return 0;
   if (value >= options_.hi) return options_.bins - 1;
+  return static_cast<std::size_t>(
+      static_cast<unsigned __int128>(distance(options_.lo, value)) *
+      options_.bins / range());
+}
+
+std::int64_t HistogramApp::bin_start(std::size_t bin) const {
+  // The least value v with bin_of(v) == bin: offset = ceil(bin * range /
+  // bins), which lies in [0, range], so lo + offset lies in [lo, hi].
   const unsigned __int128 offset =
-      static_cast<unsigned __int128>(value - options_.lo);
-  const unsigned __int128 range =
-      static_cast<unsigned __int128>(options_.hi - options_.lo);
-  return static_cast<std::size_t>(offset * options_.bins / range);
+      (static_cast<unsigned __int128>(range()) * bin + options_.bins - 1) /
+      options_.bins;
+  return static_cast<std::int64_t>(static_cast<__int128>(options_.lo) +
+                                   static_cast<__int128>(offset));
 }
 
 Status HistogramApp::use_container(core::ContainerMode mode) {

@@ -56,9 +56,19 @@ class HistogramApp final : public core::Application {
   std::uint64_t values_parsed() const;
   std::uint64_t values_out_of_range() const;
 
+  // The bin of a value in [lo, hi), and the first value of bin `bin`
+  // (bin_start(bins) == hi): the CLI's bin labels.
   std::size_t bin_of(std::int64_t value) const;
+  std::int64_t bin_start(std::size_t bin) const;
 
  private:
+  // b - a for a <= b, as an unsigned difference: hi - lo reaches
+  // 2^64 - 1, which overflows std::int64_t.
+  static std::uint64_t distance(std::int64_t a, std::int64_t b) {
+    return static_cast<std::uint64_t>(b) - static_cast<std::uint64_t>(a);
+  }
+  std::uint64_t range() const { return distance(options_.lo, options_.hi); }
+
   bool combining() const {
     return container_mode_ == core::ContainerMode::kCombining;
   }

@@ -209,8 +209,11 @@ class CombiningContainer {
 
   // One map thread's table. Linear probing over a power-of-two slot array,
   // growing at 70% load (same policy as ArenaHashMap); keys longer than the
-  // inline capacity spill to an append-only buffer.
-  struct Stripe {
+  // inline capacity spill to an append-only buffer. Each stripe owns whole
+  // cache lines: emit() writes `emits` and `bytes_emitted` on every call, and
+  // stripes packed back to back in stripes_ would share lines between map
+  // threads.
+  struct alignas(64) Stripe {
     std::vector<Slot> slots;
     std::string long_keys;
     std::size_t size = 0;
@@ -293,6 +296,8 @@ class CombiningContainer {
       return slots.size() * sizeof(Slot) + long_keys.capacity();
     }
   };
+  static_assert(alignof(Stripe) == 64,
+                "each map thread's stripe must own whole cache lines");
 
   std::vector<Stripe> stripes_;
   bool initialized_ = false;

@@ -107,9 +107,9 @@ StatusOr<JobResult> MapReduceJob::run(ExecMode mode) {
   }
   if (pool_ == nullptr) {
     // Single-tenant path: no runtime attached, so the job owns its workers.
-    owned_pool_ = std::make_unique<ThreadPool>(
+    owned_pool_.emplace(
         std::max(config_.num_map_threads, config_.num_reduce_threads));
-    pool_ = owned_pool_.get();
+    pool_ = &*owned_pool_;
   }
   JobResult result;
   PhaseClock clock;

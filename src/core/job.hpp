@@ -21,7 +21,7 @@
 // chunks with accounting). See docs/fault-tolerance.md.
 #pragma once
 
-#include <memory>
+#include <optional>
 
 #include "common/phase_timer.hpp"
 #include "common/status.hpp"
@@ -98,7 +98,7 @@ class MapReduceJob {
   // pool_ points at owned_pool_ (single-tenant: the job spins up its own
   // workers) or at an attached shared pool (multi-tenant: the JobManager
   // leases slices of one process-wide pool).
-  std::unique_ptr<ThreadPool> owned_pool_;
+  std::optional<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
   ingest::ChunkBufferPool* shared_buffers_ = nullptr;
   std::uint64_t rounds_ = 0;

@@ -85,8 +85,6 @@ struct JobConfig {
   std::size_t num_map_threads = default_threads();
   // Reducer threads (each owns disjoint hash partitions).
   std::size_t num_reduce_threads = default_threads();
-  // Reduce partitions; more partitions -> better balance. 0 = 4x reducers.
-  std::size_t num_reduce_partitions = 0;
 
   MergeMode merge_mode = MergeMode::kPWay;
 
@@ -127,10 +125,8 @@ struct JobConfig {
   // pre-fault-layer behaviour. See docs/fault-tolerance.md.
   fault::Recovery recovery;
 
-  std::size_t reduce_partitions() const {
-    return num_reduce_partitions ? num_reduce_partitions
-                                 : num_reduce_threads * 4;
-  }
+  // Reduce partitions: four per reducer thread, for balance.
+  std::size_t reduce_partitions() const { return num_reduce_threads * 4; }
 
   std::size_t merge_partitions() const {
     return num_merge_partitions ? num_merge_partitions : default_threads();

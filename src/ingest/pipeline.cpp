@@ -10,7 +10,7 @@
 #include "common/logging.hpp"
 #include "ingest/adaptive.hpp"
 #include "obs/macros.hpp"
-#include "threading/double_buffer.hpp"
+#include "threading/mpmc_queue.hpp"
 
 namespace supmr::ingest {
 
@@ -22,29 +22,29 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 // Every exit from the consumer loop — clean drain, processing error, or an
 // exception thrown by process() — must cancel the producer, give back a
-// live-chunk slot (the producer may be waiting for one), close the buffer,
+// live-chunk slot (the producer may be waiting for one), close the queue,
 // and join, in that order. Without the slot the join deadlocks; without the
 // join, the exception path destroys a joinable std::thread, which is
 // std::terminate.
 class ProducerJoinGuard {
  public:
   ProducerJoinGuard(std::atomic<bool>& cancel, std::counting_semaphore<>& slots,
-                    DoubleBuffer<IngestChunk>& buffer, std::thread& producer)
-      : cancel_(cancel), slots_(slots), buffer_(buffer), producer_(producer) {}
+                    MpmcQueue<IngestChunk>& ready, std::thread& producer)
+      : cancel_(cancel), slots_(slots), ready_(ready), producer_(producer) {}
   ProducerJoinGuard(const ProducerJoinGuard&) = delete;
   ProducerJoinGuard& operator=(const ProducerJoinGuard&) = delete;
 
   ~ProducerJoinGuard() {
     cancel_.store(true, std::memory_order_release);
     slots_.release();  // the producer re-checks cancel after each slot
-    buffer_.close();   // idempotent; a later produce() returns false
+    ready_.close();    // idempotent; a later push() drops its chunk
     producer_.join();
   }
 
  private:
   std::atomic<bool>& cancel_;
   std::counting_semaphore<>& slots_;
-  DoubleBuffer<IngestChunk>& buffer_;
+  MpmcQueue<IngestChunk>& ready_;
   std::thread& producer_;
 };
 }  // namespace
@@ -100,13 +100,14 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
   PipelineStats stats;
   std::mutex chunks_mu;  // stats.chunks: the producer appends, the consumer
                          // fills in wait_s/process_s
-  DoubleBuffer<IngestChunk> buffer;
-  // The live-chunk bound: the producer takes a slot before each read, and
-  // the consumer gives it back after each map round, once the chunk's
-  // buffer is back in the pool.
+  // Read chunks wait here for the consumer. The queue bounds nothing: the
+  // live-chunk bound is the semaphore — the producer takes a slot before
+  // each read, and the consumer gives it back after each map round, once
+  // the chunk's buffer is back in the pool.
+  MpmcQueue<IngestChunk> ready;
   std::counting_semaphore<> slots(kMaxLiveChunks);
   std::atomic<bool> cancel{false};
-  Status producer_status;  // written by producer before close(), read after join
+  Status producer_status;  // written by the producer, read after the join
   const auto run_start = std::chrono::steady_clock::now();
 
   std::thread producer([&] {
@@ -196,23 +197,23 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
       SUPMR_LOG_DEBUG("ingest: chunk %llu ready (%zu bytes)",
                       static_cast<unsigned long long>(chunk.index),
                       chunk.size());
-      if (!buffer.produce(std::move(chunk))) break;  // consumer cancelled
+      if (!ready.push(std::move(chunk))) break;  // consumer cancelled
     }
-    buffer.close();
+    ready.close();
   });
 
   Status consumer_status;
   {
-    ProducerJoinGuard guard(cancel, slots, buffer, producer);
-    IngestChunk chunk;
+    ProducerJoinGuard guard(cancel, slots, ready, producer);
     while (true) {
       const auto t_wait = std::chrono::steady_clock::now();
-      bool drained;
+      std::optional<IngestChunk> next;
       {
         SUPMR_TRACE_SCOPE("ingest", "ingest.wait");
-        drained = !buffer.consume(chunk);
+        next = ready.pop();
       }
-      if (drained) break;  // closed and drained
+      if (!next) break;  // closed and drained
+      IngestChunk& chunk = *next;
       const double waited = seconds_since(t_wait);
       stats.consumer_wait_s += waited;
       SUPMR_HIST_OBSERVE("ingest.wait_us", waited * 1e6);
@@ -241,7 +242,6 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
         controller->observe(ChunkFeedback{index, bytes, 0.0, processed});
       }
       if (!chunk.borrowed()) pool_->release(std::move(chunk.data));
-      chunk.data = {};
       slots.release();
 
       if (!st.ok()) {

@@ -4,19 +4,21 @@
 // consumer — the caller's thread, which runs the map waves — processes c_i.
 // At most kMaxLiveChunks (two) chunks are live, the one being mapped and the
 // one being read, which is the paper's double-buffering scheme: the pipeline
-// never gets more than one chunk ahead. Extents come either from a plan or,
-// in adaptive mode, from a ChunkSizeController (ingest/adaptive.hpp).
+// never gets more than one chunk ahead. A counting semaphore of
+// kMaxLiveChunks slots is the bound; read chunks reach the consumer through
+// an MpmcQueue. Extents come either from a plan or, in adaptive mode, from a
+// ChunkSizeController (ingest/adaptive.hpp).
 //
 // The run is the paper's n+1 rounds: the first chunk is ingested with no
 // compute overlapped (the consumer just waits), the middle rounds overlap
 // ingest with compute, and the last round computes with no ingest running.
 //
-// Error handling: an ingest error closes the buffer and surfaces after the
-// already-buffered chunks drain; a processing error cancels the producer.
+// Error handling: an ingest error closes the queue and surfaces after the
+// already-read chunks drain; a processing error cancels the producer.
 //
 // Fault tolerance (fault/retry_policy.hpp): under a Recovery config the
 // producer re-reads a transiently failing chunk with bounded seeded
-// backoff instead of wedging the double buffer; in degrade mode a chunk
+// backoff instead of failing the run; in degrade mode a chunk
 // whose retries exhaust is skipped and accounted (chunks_skipped /
 // bytes_skipped) rather than failing the job.
 #pragma once

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "merge/loser_tree.hpp"
-#include "merge/partitioned.hpp"
 #include "merge/sample_sort.hpp"
 #include "obs/macros.hpp"
 #include "storage/file_device.hpp"
@@ -92,24 +91,6 @@ struct KeyLess {
   }
 };
 
-// Splits `n` records sorted by key into per-partition ranges through
-// merge::partition_of: partition p is [bounds[p], bounds[p + 1]), and
-// key(i) is record i's key.
-template <typename KeyAt>
-std::vector<std::uint64_t> partition_bounds(
-    const std::vector<std::string>& splitters, std::size_t partitions,
-    std::uint64_t n, KeyAt key) {
-  std::vector<std::uint64_t> bounds(partitions + 1, n);
-  bounds[0] = 0;
-  std::size_t cur = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::size_t p =
-        partition_of(splitters, key(i), std::less<std::string_view>{});
-    while (cur < p) bounds[++cur] = i;
-  }
-  return bounds;
-}
-
 }  // namespace
 
 ExternalSorter::ExternalSorter(ThreadPool& pool,
@@ -121,12 +102,10 @@ ExternalSorter::ExternalSorter(ThreadPool& pool,
   options_.memory_budget_bytes = std::max<std::uint64_t>(
       options_.memory_budget_bytes, 16ULL * options_.record_bytes);
   buffer_.reserve(options_.memory_budget_bytes);
-  spills_.assign(std::max<std::size_t>(1, options_.partitions), {});
 }
 
 ExternalSorter::~ExternalSorter() {
-  for (const auto& part : spills_)
-    for (const auto& path : part) std::remove(path.c_str());
+  for (const auto& path : spills_) std::remove(path.c_str());
 }
 
 Status ExternalSorter::add(std::span<const char> records) {
@@ -180,52 +159,26 @@ Status ExternalSorter::spill_buffer() {
   sort_buffer(index);
 
   const std::uint32_t rb = options_.record_bytes;
-  const std::uint32_t kb = options_.key_bytes;
-  const std::size_t P = spills_.size();
-  auto key = [&](std::uint64_t i) {
-    return std::string_view(buffer_.data() + index[i] * rb, kb);
-  };
-  // The first spill's sorted keys are cut at exact quantiles; every later
-  // spill splits at the same keys.
-  if (P > 1 && splitters_.empty() && runs_spilled() == 0 &&
-      buffered_records_ >= 2) {
-    std::vector<std::string_view> keys(buffered_records_);
-    for (std::uint64_t i = 0; i < buffered_records_; ++i) keys[i] = key(i);
-    const std::vector<std::string_view> cuts =
-        cut_splitters(std::span<const std::string_view>(keys), P,
-                      std::less<std::string_view>{});
-    splitters_.assign(cuts.begin(), cuts.end());
-  }
-
-  // The sorted permutation splits into contiguous per-partition ranges;
-  // each non-empty range becomes one spill run for its partition.
-  const std::vector<std::uint64_t> bounds =
-      partition_bounds(splitters_, P, buffered_records_, key);
-
   std::vector<char> slab(std::max<std::uint64_t>(rb, 1 << 20) / rb * rb);
-  for (std::size_t p = 0; p < P; ++p) {
-    const std::uint64_t first = bounds[p], last = bounds[p + 1];
-    if (first == last) continue;
-    SUPMR_ASSIGN_OR_RETURN(
-        std::string path,
-        storage::write_spill_file(
-            options_.spill_dir, "supmr-spill", [&](std::FILE* f) {
-              // Write permuted records through a staging slab.
-              std::size_t fill = 0;
-              for (std::uint64_t i = first; i < last; ++i) {
-                std::memcpy(slab.data() + fill,
-                            buffer_.data() + index[i] * rb, rb);
-                fill += rb;
-                if (fill == slab.size() || i + 1 == last) {
-                  if (std::fwrite(slab.data(), 1, fill, f) != fill)
-                    return false;
-                  fill = 0;
-                }
+  SUPMR_ASSIGN_OR_RETURN(
+      std::string path,
+      storage::write_spill_file(
+          options_.spill_dir, "supmr-spill", [&](std::FILE* f) {
+            // Write permuted records through a staging slab.
+            std::size_t fill = 0;
+            for (std::uint64_t i = 0; i < buffered_records_; ++i) {
+              std::memcpy(slab.data() + fill, buffer_.data() + index[i] * rb,
+                          rb);
+              fill += rb;
+              if (fill == slab.size() || i + 1 == buffered_records_) {
+                if (std::fwrite(slab.data(), 1, fill, f) != fill)
+                  return false;
+                fill = 0;
               }
-              return true;
-            }));
-    spills_[p].push_back(std::move(path));
-  }
+            }
+            return true;
+          }));
+  spills_.push_back(std::move(path));
   buffer_.clear();
   buffered_records_ = 0;
   return Status::Ok();
@@ -252,68 +205,41 @@ StatusOr<MergeStats> ExternalSorter::finish(const Sink& sink) {
     buffered_records_ = 0;
   }
 
-  // Residue slices per partition: the residue is sorted, so each
-  // partition's records are one contiguous range.
-  const std::size_t P = spills_.size();
-  const std::uint64_t res_records = residue.size() / rb;
-  const std::vector<std::uint64_t> res_bounds = partition_bounds(
-      splitters_, P, res_records, [&](std::uint64_t i) {
-        return std::string_view(residue.data() + i * rb, options_.key_bytes);
-      });
-
-  if (runs_spilled() == 0 && res_records == 0) return stats;
+  if (spills_.empty() && residue.empty()) return stats;
 
   SUPMR_TRACE_SCOPE_VAR(span, "merge", "merge.external_merge");
-  SUPMR_TRACE_SET_ARG(span, "runs", runs_spilled() + (res_records ? 1 : 0));
+  SUPMR_TRACE_SET_ARG(span, "runs", spills_.size() + (residue.empty() ? 0 : 1));
   SUPMR_TRACE_SET_ARG2(span, "records", records_added_);
 
-  // One loser-tree merge per partition, in partition (= key) order, so the
-  // concatenated sink stream is globally sorted. Sequential across
-  // partitions: the sink contract is ordered delivery, and per-partition
-  // trees keep peak memory at merge_read_bytes * runs-in-one-partition.
+  // One loser tree over every spill run plus the residue: peak memory is
+  // merge_read_bytes per run.
+  std::vector<RunCursor> runs(spills_.size() + (residue.empty() ? 0 : 1));
+  for (std::size_t r = 0; r < spills_.size(); ++r) {
+    std::shared_ptr<const storage::Device> dev;
+    if (options_.open_spill) {
+      SUPMR_ASSIGN_OR_RETURN(dev, options_.open_spill(spills_[r]));
+    } else {
+      SUPMR_ASSIGN_OR_RETURN(auto file, storage::FileDevice::open(spills_[r]));
+      dev = std::move(file);
+    }
+    SUPMR_RETURN_IF_ERROR(
+        runs[r].open_device(std::move(dev), rb, options_.merge_read_bytes));
+  }
+  if (!residue.empty()) runs.back().open_memory(std::move(residue), rb);
+
+  LoserTree<const char*, KeyLess, RunCursor> tree(
+      std::move(runs), KeyLess{options_.key_bytes});
   std::vector<char> out(std::max<std::uint64_t>(rb, 1 << 20) / rb * rb);
   std::uint64_t emitted = 0;
-  std::vector<std::uint64_t> per_part(P, 0);
-  for (std::size_t p = 0; p < P; ++p) {
-    const std::uint64_t res_n = res_bounds[p + 1] - res_bounds[p];
-    std::vector<RunCursor> runs(spills_[p].size() + (res_n ? 1 : 0));
-    for (std::size_t r = 0; r < spills_[p].size(); ++r) {
-      std::shared_ptr<const storage::Device> dev;
-      if (options_.open_spill) {
-        SUPMR_ASSIGN_OR_RETURN(dev, options_.open_spill(spills_[p][r]));
-      } else {
-        SUPMR_ASSIGN_OR_RETURN(auto file,
-                               storage::FileDevice::open(spills_[p][r]));
-        dev = std::move(file);
-      }
-      SUPMR_RETURN_IF_ERROR(
-          runs[r].open_device(std::move(dev), rb, options_.merge_read_bytes));
-    }
-    if (res_n > 0) {
-      runs.back().open_memory(
-          std::vector<char>(residue.begin() + res_bounds[p] * rb,
-                            residue.begin() + res_bounds[p + 1] * rb),
-          rb);
-    }
-    if (runs.empty()) continue;
-
-    SUPMR_TRACE_SCOPE_VAR(pspan, "merge", "merge.partition");
-    SUPMR_TRACE_SET_ARG(pspan, "partition", p);
-    SUPMR_TRACE_SET_ARG2(pspan, "runs", runs.size());
-    LoserTree<const char*, KeyLess, RunCursor> tree(
-        std::move(runs), KeyLess{options_.key_bytes});
-    std::size_t fill = 0;
-    while (!tree.empty()) {
-      std::memcpy(out.data() + fill, tree.top().head(), rb);
-      fill += rb;
-      ++emitted;
-      ++per_part[p];
-      SUPMR_RETURN_IF_ERROR(tree.advance());
-      if (fill == out.size() || tree.empty()) {
-        SUPMR_RETURN_IF_ERROR(
-            sink(std::span<const char>(out.data(), fill)));
-        fill = 0;
-      }
+  std::size_t fill = 0;
+  while (!tree.empty()) {
+    std::memcpy(out.data() + fill, tree.top().head(), rb);
+    fill += rb;
+    ++emitted;
+    SUPMR_RETURN_IF_ERROR(tree.advance());
+    if (fill == out.size() || tree.empty()) {
+      SUPMR_RETURN_IF_ERROR(sink(std::span<const char>(out.data(), fill)));
+      fill = 0;
     }
   }
   if (emitted != records_added_) {
@@ -322,9 +248,8 @@ StatusOr<MergeStats> ExternalSorter::finish(const Sink& sink) {
                             std::to_string(records_added_));
   }
 
-  for (const auto& part : spills_)
-    for (const auto& path : part) std::remove(path.c_str());
-  for (auto& part : spills_) part.clear();
+  for (const auto& path : spills_) std::remove(path.c_str());
+  spills_.clear();
 
   MergeStats::Round round;
   round.active_workers = 1;
@@ -333,7 +258,6 @@ StatusOr<MergeStats> ExternalSorter::finish(const Sink& sink) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   stats.rounds.push_back(round);
-  if (P > 1) detail::record_partition_stats(stats, per_part);
   return stats;
 }
 

@@ -41,12 +41,6 @@ struct ExternalSorterOptions {
   std::string spill_dir = "/tmp";
   // Read-ahead per run during the final merge.
   std::uint64_t merge_read_bytes = 1 << 20;
-  // > 1 spills each sorted buffer as per-partition runs instead of one
-  // global run: splitters are cut from the first spill (sample-sort style,
-  // docs/merge.md), every later spill splits at the same keys, and finish()
-  // merges partition by partition — each loser tree spans only one
-  // partition's runs, and partition outputs concatenate in key order.
-  std::size_t partitions = 1;
   // Device factory for reopening spill files during the final merge. Null =
   // FileDevice::open. Spill reads go through the same Device seam as
   // ingest, so a factory that wraps the file in a fault::RetryingDevice
@@ -76,12 +70,7 @@ class ExternalSorter {
   StatusOr<MergeStats> finish(const Sink& sink);
 
   std::uint64_t records_added() const { return records_added_; }
-  std::size_t runs_spilled() const {
-    std::size_t n = 0;
-    for (const auto& p : spills_) n += p.size();
-    return n;
-  }
-  std::size_t partitions() const { return spills_.size(); }
+  std::size_t runs_spilled() const { return spills_.size(); }
 
  private:
   Status spill_buffer();
@@ -92,10 +81,7 @@ class ExternalSorter {
   std::vector<char> buffer_;
   std::uint64_t buffered_records_ = 0;
   std::uint64_t records_added_ = 0;
-  // spills_[partition] = spill run paths for that key range; size is
-  // max(1, options.partitions), so the flat single-run layout is the 1 case.
-  std::vector<std::vector<std::string>> spills_;
-  std::vector<std::string> splitters_;  // key_bytes each, increasing
+  std::vector<std::string> spills_;  // one sorted run file per spill
   bool finished_ = false;
 };
 

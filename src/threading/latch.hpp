@@ -1,15 +1,14 @@
-// Countdown latch and reusable barrier.
+// Countdown latch.
 //
-// The map engine launches a wave of mapper threads per round and must wait
-// for the whole wave before starting the next round (the paper's "loop for
-// each chunk"). A countdown latch is the natural primitive; the barrier is
-// used by the pairwise merge rounds. We implement both on mutex +
+// The map engine runs a wave of mapper tasks per round and must wait for the
+// whole wave before starting the next round (the paper's "loop for each
+// chunk"); ThreadPool::run_wave counts each wave down on one latch. Mutex +
 // condition_variable — uncontended on the hot path since waits happen once
 // per round, not per record.
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <mutex>
 
 namespace supmr {
@@ -49,38 +48,6 @@ class CountdownLatch {
   std::mutex mu_;
   std::condition_variable cv_;
   std::size_t count_;
-};
-
-// Cyclic barrier for a fixed party count; reusable across generations.
-class Barrier {
- public:
-  explicit Barrier(std::size_t parties) : parties_(parties), waiting_(0) {}
-
-  Barrier(const Barrier&) = delete;
-  Barrier& operator=(const Barrier&) = delete;
-
-  // Blocks until `parties` threads have arrived. Returns true for exactly one
-  // thread per generation (the "serial" thread, as in std::barrier's
-  // completion step).
-  bool arrive_and_wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    const std::uint64_t gen = generation_;
-    if (++waiting_ == parties_) {
-      waiting_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return true;
-    }
-    cv_.wait(lock, [&] { return generation_ != gen; });
-    return false;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  const std::size_t parties_;
-  std::size_t waiting_;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace supmr

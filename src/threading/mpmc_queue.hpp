@@ -1,9 +1,11 @@
-// Bounded blocking multi-producer/multi-consumer queue.
+// Unbounded blocking multi-producer/multi-consumer queue.
 //
-// Used as the thread pool's task channel. Mutex-based: pool tasks are
-// coarse (a whole input split or merge run), so queue overhead is noise
-// relative to task cost — correctness and simplicity win here (CP.2/CP.3:
-// minimize shared writable state, guard what remains).
+// The thread pool's task channel and the ingest pipeline's chunk channel.
+// Mutex-based: pool tasks are coarse (a whole input split or merge run) and
+// a pipeline moves one chunk per map round, so queue overhead is noise
+// relative to the work — correctness and simplicity win here (CP.2/CP.3:
+// minimize shared writable state, guard what remains). The queue bounds
+// nothing; the pipeline bounds its chunks with a semaphore before it reads.
 #pragma once
 
 #include <condition_variable>
@@ -17,22 +19,15 @@ namespace supmr {
 template <typename T>
 class MpmcQueue {
  public:
-  // capacity == 0 means unbounded.
-  explicit MpmcQueue(std::size_t capacity = 0) : capacity_(capacity) {}
-
+  MpmcQueue() = default;
   MpmcQueue(const MpmcQueue&) = delete;
   MpmcQueue& operator=(const MpmcQueue&) = delete;
 
-  // Blocks while full (bounded mode). Returns false if the queue was closed,
-  // in which case `value` is dropped — items that were already queued before
-  // the close are never lost and remain poppable (pop()/try_pop() drain
-  // them). A producer blocked here when close() fires wakes and returns
-  // false without pushing.
+  // Never blocks. Returns false if the queue was closed, in which case
+  // `value` is dropped — items that were already queued before the close
+  // are never lost and remain poppable.
   bool push(T value) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] {
-      return closed_ || capacity_ == 0 || items_.size() < capacity_;
-    });
+    std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
     items_.push_back(std::move(value));
     not_empty_.notify_one();
@@ -46,44 +41,21 @@ class MpmcQueue {
     if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
     items_.pop_front();
-    not_full_.notify_one();
-    return value;
-  }
-
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
     return value;
   }
 
   // After close(), pushes fail and pops drain the remaining items then
-  // return nullopt. Idempotent.
+  // return nullopt. Idempotent; any thread may call it.
   void close() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
     not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
   }
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
-  const std::size_t capacity_;
   bool closed_ = false;
 };
 

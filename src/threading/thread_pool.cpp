@@ -22,41 +22,14 @@ void ThreadPool::shutdown() {
 }
 
 bool ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    ++pending_;
-  }
-  if (!queue_.push(std::move(task))) {
-    // The pool shut down between the increment and the enqueue, so the task
-    // will never run and never decrement. Without this rollback, pending_
-    // stays permanently non-zero and every later wait_all() hangs; the
-    // notify covers a wait_all() that already observed the transient count.
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    assert(pending_ > 0 && "ThreadPool pending_ underflow in submit rollback");
-    if (--pending_ == 0) pending_cv_.notify_all();
-    return false;
-  }
-  return true;
-}
-
-void ThreadPool::wait_all() {
-  std::unique_lock<std::mutex> lock(pending_mu_);
-  pending_cv_.wait(lock, [&] { return pending_ == 0; });
+  return queue_.push(std::move(task));
 }
 
 void ThreadPool::worker_loop() {
   SUPMR_TRACE_THREAD_NAME("pool.worker");
   while (auto task = queue_.pop()) {
-    {
-      SUPMR_TRACE_SCOPE("pool", "pool.task");
-      (*task)();
-    }
-    // The decrement and the notify both happen under pending_mu_: a notify
-    // outside the lock could fire between a wait_all()'s predicate check and
-    // its sleep, losing the wakeup.
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    assert(pending_ > 0 && "ThreadPool pending_ underflow: uncounted task");
-    if (--pending_ == 0) pending_cv_.notify_all();
+    SUPMR_TRACE_SCOPE("pool", "pool.task");
+    (*task)();
   }
 }
 
@@ -67,9 +40,8 @@ bool ThreadPool::run_wave(
   SUPMR_COUNTER_ADD("pool.waves", 1);
   SUPMR_COUNTER_ADD("pool.tasks", tasks.size());
   if (tasks.empty()) return true;
-  // Per-wave completion: with several jobs leasing the same pool, waiting on
-  // the global pending counter would make this wave block until every other
-  // job's tasks drain too (and never return under continuous load).
+  // Per-wave completion: with several jobs leasing the same pool, this wave
+  // waits for its own tasks only, never for another job's.
   CountdownLatch latch(tasks.size());
   bool ok = true;
   for (std::size_t i = 0; i < tasks.size(); ++i) {

@@ -3,15 +3,15 @@
 // The SupMR runtime restarts mapper "waves" once per ingest chunk. Creating
 // and joining std::threads per round is exactly the thread overhead the paper
 // measures for small chunk sizes — so the pool supports both modes:
-//   * submit()/wait_all(): reuse pooled workers (the production path), and
+//   * run_wave(): reuse pooled workers (every job's map, reduce and merge
+//     waves), and
 //   * run_wave_unpooled(): spawn-and-join raw threads (faithful to the
 //     paper's "create thread / destroy thread" pseudo-code, used by benches
 //     that want to measure that overhead).
 //
 // One pool instance may be shared by many concurrent jobs (the JobManager
-// leases slices of it), so run_wave() completion is tracked with a per-wave
-// latch rather than the global pending counter: a wave returns when *its*
-// tasks finish, not when the whole pool goes idle.
+// leases slices of it), so completion is tracked per wave, with a latch: a
+// wave returns when *its* tasks finish, not when the whole pool goes idle.
 #pragma once
 
 #include <functional>
@@ -36,17 +36,10 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   // Enqueues a task. Tasks must not throw (CP: tasks own their errors; a
-  // throwing task aborts via std::terminate in the worker).
-  //
-  // Returns false — and drops the task — if the pool has been shut down. The
-  // pending counter is rolled back on that path so a concurrent wait_all()
-  // can never block on a task that will not run.
+  // throwing task aborts via std::terminate in the worker). Returns false —
+  // and drops the task — if the pool has been shut down. A caller that must
+  // know when its tasks finish counts them itself (run_wave's latch).
   bool submit(std::function<void()> task);
-
-  // Blocks until every task submitted so far has finished. Note: with
-  // multiple jobs sharing the pool this waits for *all* of them; per-wave
-  // completion is what run_wave() gives you.
-  void wait_all();
 
   // Closes the task queue, lets the workers drain every already-queued task,
   // and joins them. Idempotent; the destructor calls it. After shutdown(),
@@ -79,10 +72,6 @@ class ThreadPool {
 
   MpmcQueue<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-
-  std::mutex pending_mu_;
-  std::condition_variable pending_cv_;
-  std::size_t pending_ = 0;
 };
 
 // Statically partitions [0, n) across `pool.size()` workers and runs

@@ -356,9 +356,15 @@ TEST(CliValidation, MalformedSizesAndNumbers) {
   }
   expect_rejected("wordcount whatever --retry-attempts=-1",
                   "bad integer for --retry-attempts");
-  // Zero bins would divide by zero in the histogram app.
+  // Zero bins would divide by zero in the histogram app, and an empty
+  // range would count every value out of range.
   expect_rejected("histogram whatever --bins=0",
                   "histogram needs at least one bin");
+  for (const char* range : {"--lo=5 --hi=5", "--lo=10 --hi=5"}) {
+    const std::string args = std::string("histogram whatever ") + range;
+    expect_rejected(args, "histogram needs lo < hi");
+    EXPECT_EQ(run_cli(args).exit_code, 1) << "supmr " << args;
+  }
 }
 
 TEST(CliValidation, UnknownCommand) {

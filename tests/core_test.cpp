@@ -259,8 +259,6 @@ TEST(JobConfig, ReducePartitionsDefault) {
   JobConfig c;
   c.num_reduce_threads = 3;
   EXPECT_EQ(c.reduce_partitions(), 12u);
-  c.num_reduce_partitions = 5;
-  EXPECT_EQ(c.reduce_partitions(), 5u);
 }
 
 TEST(ProcStatSampler, CollectsSamplesWhenAvailable) {

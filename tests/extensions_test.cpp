@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <thread>
 
@@ -433,6 +434,37 @@ TEST(Histogram, OutOfRangeAndMalformedDropped) {
   EXPECT_EQ(app.values_out_of_range(), 3u);
   EXPECT_EQ(app.counts()[5], 1u);
   EXPECT_EQ(app.counts()[7], 1u);
+}
+
+// The full int64 range is 2^64 - 1 wide: the offset and the range must be
+// unsigned differences, or value - lo and hi - lo overflow.
+TEST(Histogram, FullInt64RangeBins) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::string data = std::to_string(kMin) + "\n-1\n0\n" +
+                           std::to_string(kMax - 1) + "\n";
+  apps::HistogramApp app({.lo = kMin, .hi = kMax, .bins = 4});
+  ingest::SingleDeviceSource src(mem(data), std::make_shared<LineFormat>(),
+                                 0);
+  core::JobConfig jc;
+  jc.num_map_threads = 2;
+  jc.num_reduce_threads = 2;
+  core::MapReduceJob job(app, src, jc);
+  ASSERT_TRUE(job.run(core::ExecMode::kOriginal).ok());
+  EXPECT_EQ(app.values_parsed(), 4u);
+  EXPECT_EQ(app.counts(), (std::vector<std::uint64_t>{1, 1, 1, 1}));
+  EXPECT_EQ(app.bin_of(kMin), 0u);
+  EXPECT_EQ(app.bin_of(-1), 1u);
+  EXPECT_EQ(app.bin_of(0), 2u);
+  EXPECT_EQ(app.bin_of(kMax - 1), 3u);
+  // Each bin starts at the least value binned into it.
+  EXPECT_EQ(app.bin_start(0), kMin);
+  EXPECT_EQ(app.bin_start(2), 0);
+  EXPECT_EQ(app.bin_start(4), kMax);
+  for (std::size_t b = 1; b < 4; ++b) {
+    EXPECT_EQ(app.bin_of(app.bin_start(b)), b);
+    EXPECT_EQ(app.bin_of(app.bin_start(b) - 1), b - 1);
+  }
 }
 
 TEST(Histogram, ChunkedEqualsUnchunked) {

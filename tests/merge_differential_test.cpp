@@ -202,19 +202,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialMerge,
 // Record-based differential: key sizes 7/8/9 straddle the 8-byte word an
 // optimized memcmp compares at a time, catching prefix/tail mistakes in the
 // key comparisons. Inputs are duplicate-heavy (every 4th record repeated) to
-// exercise ties; both the flat and the per-partition spill layouts must
-// reproduce the reference exactly.
+// exercise ties; the single merge over every spill run must reproduce the
+// reference exactly.
 
 struct ExternalCase {
   std::uint32_t key_bytes;
-  std::size_t partitions;
+  std::size_t passes;  // merge passes finish() makes over the runs
 };
 
 class ExternalDifferential
     : public ::testing::TestWithParam<ExternalCase> {};
 
 TEST_P(ExternalDifferential, MatchesReferenceAcrossSpills) {
-  const auto [kb, partitions] = GetParam();
+  const auto [kb, passes] = GetParam();
   constexpr std::uint32_t kRecordBytes = 32;
   constexpr std::size_t kRecords = 3000;
   std::string data =
@@ -240,14 +240,13 @@ TEST_P(ExternalDifferential, MatchesReferenceAcrossSpills) {
   ExternalSorterOptions opt;
   opt.record_bytes = kRecordBytes;
   opt.key_bytes = kb;
-  opt.partitions = partitions;
-  // Tiny budget: forces many spills (and per-partition run files).
+  // Tiny budget: forces many spills.
   opt.memory_budget_bytes = 257 * kRecordBytes;
   opt.spill_dir = ::testing::TempDir();
   ExternalSorter sorter(pool, opt);
   ASSERT_TRUE(sorter.add(std::span<const char>(data.data(), data.size()))
                   .ok());
-  EXPECT_GT(sorter.runs_spilled(), partitions > 1 ? partitions : 1u);
+  EXPECT_GT(sorter.runs_spilled(), 1u);
 
   std::string out;
   auto result = sorter.finish([&out](std::span<const char> slab) {
@@ -262,8 +261,7 @@ TEST_P(ExternalDifferential, MatchesReferenceAcrossSpills) {
     ASSERT_EQ(std::memcmp(out.data() + i * kRecordBytes,
                           base + ref[i] * kRecordBytes, kb),
               0)
-        << "key mismatch at record " << i << " (key_bytes=" << kb
-        << " partitions=" << partitions << ")";
+        << "key mismatch at record " << i << " (key_bytes=" << kb << ")";
   }
   // Whole-record multiset must be preserved (no payload mixups).
   auto record_multiset = [](const std::string& blob) {
@@ -276,27 +274,18 @@ TEST_P(ExternalDifferential, MatchesReferenceAcrossSpills) {
   };
   EXPECT_EQ(record_multiset(out), record_multiset(data));
 
-  // Partitioned spills report partition geometry through MergeStats.
-  if (partitions > 1) {
-    EXPECT_EQ(result->partitions, partitions);
-    EXPECT_GE(result->partition_max_items, result->partition_min_items);
-    // Skew is max/mean, so it is at least 1 whenever anything merged and
-    // bounded by P (one partition holding everything).
-    EXPECT_GE(result->partition_skew(), 1.0);
-    EXPECT_LE(result->partition_skew(), double(partitions));
-  } else {
-    EXPECT_EQ(result->partition_skew(), 1.0);
-  }
+  // One loser tree over every spill run and the residue.
+  EXPECT_EQ(result->rounds.size(), passes);
+  EXPECT_EQ(result->partition_skew(), 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     KeyWidthsAndPartitions, ExternalDifferential,
     ::testing::Values(ExternalCase{7, 1}, ExternalCase{8, 1},
-                      ExternalCase{9, 1}, ExternalCase{7, 4},
-                      ExternalCase{8, 4}, ExternalCase{9, 5}),
+                      ExternalCase{9, 1}),
     [](const ::testing::TestParamInfo<ExternalCase>& info) {
       return "kb" + std::to_string(info.param.key_bytes) + "_p" +
-             std::to_string(info.param.partitions);
+             std::to_string(info.param.passes);
     });
 
 }  // namespace

@@ -3,12 +3,16 @@
 // consumer fails (or throws) on an early chunk, the producer is usually
 // blocked waiting for a live-chunk slot — the run must wake it before
 // joining or it deadlocks (the ctest TIMEOUT turns that hang into a
-// failure). Each TEST_P runs per seed in kStressSeeds.
+// failure). AtMostTwoChunksLive asserts the live-chunk bound itself. Each
+// TEST_P runs per seed in kStressSeeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -202,6 +206,178 @@ TEST_P(PipelineStress, AdaptiveHappyPathReassemblesInput) {
   });
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_EQ(reassembled, text);
+}
+
+// ------------------------------------------------------ chunk residency
+
+// Counts the chunks one pipeline holds live, at the device seam (adaptive
+// runs need the SingleDeviceSource itself, so the probe cannot wrap the
+// source). A chunk is live from the start of its read until the process
+// callback for it, or for a later chunk, returns; a failed read ends it.
+// FixedFormat plans without reading the device, so every read is a chunk
+// read, keyed by its offset.
+class LiveChunkProbe final : public storage::Device {
+ public:
+  explicit LiveChunkProbe(std::shared_ptr<const storage::Device> base)
+      : base_(std::move(base)) {}
+
+  StatusOr<std::size_t> read_at(std::uint64_t offset,
+                                std::span<char> out) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      live_.insert(offset);
+      max_live_ = std::max(max_live_, live_.size());
+    }
+    StatusOr<std::size_t> n = base_->read_at(offset, out);
+    if (!n.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      live_.erase(offset);
+    }
+    return n;
+  }
+  std::uint64_t size() const override { return base_->size(); }
+  std::string_view name() const override { return "live-chunk-probe"; }
+
+  // The process callback for the chunk at `offset` is returning.
+  void processed(std::uint64_t offset) {
+    std::lock_guard<std::mutex> lock(mu_);
+    live_.erase(live_.begin(), live_.upper_bound(offset));
+  }
+
+  std::size_t max_live() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_live_;
+  }
+
+ private:
+  std::shared_ptr<const storage::Device> base_;
+  mutable std::mutex mu_;
+  mutable std::set<std::uint64_t> live_;
+  mutable std::size_t max_live_ = 0;
+};
+
+constexpr std::uint32_t kRecordBytes = 16;
+constexpr std::uint64_t kChunkBytes = 64;
+constexpr std::uint64_t kChunks = 32;
+
+struct ProbedInput {
+  std::shared_ptr<LiveChunkProbe> probe;
+  ingest::SingleDeviceSource source;
+};
+
+ProbedInput probed_input(const fault::FaultPlan& faults = {}) {
+  auto base = std::make_shared<MemDevice>(
+      std::string(kChunks * kChunkBytes, 'r'), "m");
+  auto probe = std::make_shared<LiveChunkProbe>(
+      std::make_shared<storage::FaultDevice>(base, faults));
+  ingest::SingleDeviceSource source(
+      probe, std::make_shared<ingest::FixedFormat>(kRecordBytes), kChunkBytes);
+  return {probe, std::move(source)};
+}
+
+// A consumer slow enough that the producer reads ahead into the
+// second slot while a chunk is being processed.
+std::function<Status(IngestChunk&)> slow_consumer(LiveChunkProbe& probe,
+                                                  test::SchedFuzz::Stream& sched,
+                                                  std::uint64_t& bytes) {
+  return [&probe, &sched, &bytes](IngestChunk& chunk) -> Status {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    sched.yield_point();
+    bytes += chunk.size();
+    probe.processed(chunk.offset);
+    return Status::Ok();
+  };
+}
+
+fault::Recovery retrying(std::uint32_t attempts, bool degrade) {
+  fault::Recovery recovery;
+  recovery.policy.max_attempts = attempts;
+  recovery.policy.backoff_base_s = 1e-5;
+  recovery.policy.backoff_max_s = 1e-4;
+  recovery.degrade = degrade;
+  return recovery;
+}
+
+TEST_P(PipelineStress, AtMostTwoChunksLive) {
+  static_assert(ingest::kMaxLiveChunks == 2);
+  test::SchedFuzz fuzz(GetParam());
+  const std::uint64_t total = kChunks * kChunkBytes;
+
+  {
+    SCOPED_TRACE("planned");
+    test::SchedFuzz::Stream sched(fuzz, 0);
+    ProbedInput in = probed_input();
+    ingest::IngestPipeline pipeline(in.source);
+    std::uint64_t bytes = 0;
+    auto result = pipeline.run(slow_consumer(*in.probe, sched, bytes));
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(bytes, total);
+    EXPECT_EQ(in.probe->max_live(), ingest::kMaxLiveChunks);
+  }
+  {
+    SCOPED_TRACE("transient faults retried");
+    test::SchedFuzz::Stream sched(fuzz, 1);
+    fault::FaultPlan faults;
+    faults.fail_calls = {1, 2, 7, 20};
+    ProbedInput in = probed_input(faults);
+    ingest::IngestPipeline pipeline(in.source, retrying(3, false));
+    std::uint64_t bytes = 0;
+    auto result = pipeline.run(slow_consumer(*in.probe, sched, bytes));
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(bytes, total);
+    EXPECT_EQ(result->chunk_retries, faults.fail_calls.size());
+    EXPECT_EQ(in.probe->max_live(), ingest::kMaxLiveChunks);
+  }
+  {
+    SCOPED_TRACE("degrade over a permanent range");
+    test::SchedFuzz::Stream sched(fuzz, 2);
+    fault::FaultPlan faults;
+    faults.permanent.emplace_back(5 * kChunkBytes, 7 * kChunkBytes);
+    ProbedInput in = probed_input(faults);
+    ingest::IngestPipeline pipeline(in.source, retrying(2, true));
+    std::uint64_t bytes = 0;
+    auto result = pipeline.run(slow_consumer(*in.probe, sched, bytes));
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(result->chunks_skipped, 2u);
+    EXPECT_EQ(bytes, total - 2 * kChunkBytes);
+    EXPECT_EQ(in.probe->max_live(), ingest::kMaxLiveChunks);
+  }
+  {
+    SCOPED_TRACE("two pipelines sharing one buffer pool");
+    ingest::ChunkBufferPool shared(
+        2 * ingest::ChunkBufferPool::kBuffersPerPipeline);
+    ProbedInput a = probed_input(), b = probed_input();
+    std::uint64_t bytes_a = 0, bytes_b = 0;
+    Status status_a;
+    std::thread other([&] {
+      test::SchedFuzz::Stream sched(fuzz, 3);
+      ingest::IngestPipeline pipeline(a.source, {}, &shared);
+      status_a = pipeline.run(slow_consumer(*a.probe, sched, bytes_a)).status();
+    });
+    test::SchedFuzz::Stream sched(fuzz, 4);
+    ingest::IngestPipeline pipeline(b.source, {}, &shared);
+    auto result = pipeline.run(slow_consumer(*b.probe, sched, bytes_b));
+    other.join();
+    ASSERT_TRUE(status_a.ok()) << status_a.to_string();
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(bytes_a, total);
+    EXPECT_EQ(bytes_b, total);
+    EXPECT_EQ(a.probe->max_live(), ingest::kMaxLiveChunks);
+    EXPECT_EQ(b.probe->max_live(), ingest::kMaxLiveChunks);
+  }
+  {
+    SCOPED_TRACE("adaptive");
+    test::SchedFuzz::Stream sched(fuzz, 5);
+    ProbedInput in = probed_input();
+    ingest::FixedChunkController controller(kChunkBytes);
+    ingest::IngestPipeline pipeline(in.source);
+    std::uint64_t bytes = 0;
+    auto result = pipeline.run_adaptive(
+        controller, slow_consumer(*in.probe, sched, bytes));
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(bytes, total);
+    EXPECT_EQ(in.probe->max_live(), ingest::kMaxLiveChunks);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineStress,

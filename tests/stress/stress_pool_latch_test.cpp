@@ -1,7 +1,6 @@
-// ThreadPool pending-counter accounting, CountdownLatch/Barrier wakeup
+// ThreadPool shutdown and wave accounting, CountdownLatch wakeup
 // interleavings, and ProcStatSampler lifecycle, under the seeded schedule
-// shuffler. The pool tests are the regression suite for the submit()/
-// wait_all() race fixes in src/threading/thread_pool.cpp.
+// shuffler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,57 +17,6 @@ namespace supmr {
 namespace {
 
 class PoolStress : public ::testing::TestWithParam<std::uint64_t> {};
-
-// submit() racing wait_all() from several threads: the counter must never
-// underflow (debug assert in worker_loop) and every wait_all() must
-// eventually return — a notify outside pending_mu_ would occasionally lose
-// a wakeup here and trip the ctest TIMEOUT.
-TEST_P(PoolStress, SubmitRacesWaitAllWithoutUnderflowOrLostWakeup) {
-  constexpr int kSubmitters = 3, kPerSubmitter = 300;
-  test::SchedFuzz fuzz(GetParam());
-  ThreadPool pool(3);
-  std::atomic<int> executed{0};
-  std::atomic<bool> done{false};
-
-  std::thread waiter([&] {
-    test::SchedFuzz::Stream sched(fuzz, 99);
-    while (!done.load(std::memory_order_acquire)) {
-      pool.wait_all();  // must always return; transient counts are fine
-      sched.yield_point();
-    }
-  });
-
-  std::vector<std::thread> submitters;
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&, s] {
-      test::SchedFuzz::Stream sched(fuzz, std::uint64_t(s));
-      for (int i = 0; i < kPerSubmitter; ++i) {
-        sched.yield_point();
-        ASSERT_TRUE(pool.submit([&executed] { ++executed; }));
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  pool.wait_all();
-  EXPECT_EQ(executed.load(), kSubmitters * kPerSubmitter);
-  done.store(true, std::memory_order_release);
-  waiter.join();
-}
-
-// Regression for the submit-vs-shutdown pending leak: a submit() rejected by
-// a closed queue must roll back the pending counter, or this wait_all()
-// blocks forever on a task that will never run.
-TEST(ThreadPoolLifecycle, RejectedSubmitDoesNotWedgeWaitAll) {
-  ThreadPool pool(2);
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(pool.submit([&] { ++executed; }));
-  pool.shutdown();  // drains queued tasks, joins workers
-  EXPECT_EQ(executed.load(), 8);
-  EXPECT_FALSE(pool.submit([&] { ++executed; }));  // dropped, counter rolled back
-  pool.wait_all();  // pre-fix: hangs on the leaked pending count
-  EXPECT_EQ(executed.load(), 8);
-  pool.shutdown();  // idempotent
-}
 
 TEST_P(PoolStress, ShutdownRacingSubmittersLosesNoAcceptedTask) {
   test::SchedFuzz fuzz(GetParam());
@@ -137,29 +85,6 @@ TEST_P(PoolStress, LatchCountDownRacesWait) {
     for (auto& t : counters) t.join();
     waiter.join();
   }
-}
-
-TEST_P(PoolStress, BarrierGenerationsStayInLockstep) {
-  constexpr int kParties = 4, kGenerations = 100;
-  test::SchedFuzz fuzz(GetParam());
-  Barrier barrier(kParties);
-  std::atomic<int> serial{0};
-  std::vector<std::atomic<int>> arrivals(kGenerations);
-  std::vector<std::thread> workers;
-  for (int p = 0; p < kParties; ++p) {
-    workers.emplace_back([&, p] {
-      test::SchedFuzz::Stream sched(fuzz, std::uint64_t(p));
-      for (int g = 0; g < kGenerations; ++g) {
-        sched.yield_point();
-        ++arrivals[g];
-        // Everyone must have arrived at generation g before anyone passes it.
-        if (barrier.arrive_and_wait()) ++serial;
-        EXPECT_EQ(arrivals[g].load(), kParties);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(serial.load(), kGenerations);
 }
 
 // ------------------------------------------------------- proc sampler

@@ -1,16 +1,15 @@
-// Unit tests for the threading substrate: latch, barrier, queues, pool,
-// double buffer, parallel_for.
+// Unit tests for the threading substrate: latch, queue, pool, parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
-#include "threading/double_buffer.hpp"
 #include "threading/latch.hpp"
 #include "threading/mpmc_queue.hpp"
-#include "threading/spsc_queue.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace supmr {
@@ -48,64 +47,6 @@ TEST(CountdownLatch, CrossThreadRelease) {
   for (auto& w : workers) w.join();
 }
 
-TEST(Barrier, ExactlyOneSerialThreadPerGeneration) {
-  constexpr int kParties = 4, kGenerations = 8;
-  Barrier barrier(kParties);
-  std::atomic<int> serial_count{0};
-  std::vector<std::thread> workers;
-  for (int p = 0; p < kParties; ++p) {
-    workers.emplace_back([&] {
-      for (int g = 0; g < kGenerations; ++g) {
-        if (barrier.arrive_and_wait()) ++serial_count;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(serial_count.load(), kGenerations);
-}
-
-// ----------------------------------------------------------- spsc queue
-
-TEST(SpscQueue, FifoOrder) {
-  SpscQueue<int> q(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));  // full
-  for (int i = 0; i < 8; ++i) {
-    auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(SpscQueue, CapacityRoundsUpToPowerOfTwo) {
-  SpscQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-}
-
-TEST(SpscQueue, StressProducerConsumer) {
-  constexpr int kItems = 200000;
-  SpscQueue<int> q(64);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) {
-      while (!q.try_push(i)) std::this_thread::yield();
-    }
-  });
-  long long sum = 0;
-  int received = 0;
-  while (received < kItems) {
-    if (auto v = q.try_pop()) {
-      EXPECT_EQ(*v, received);  // order preserved
-      sum += *v;
-      ++received;
-    } else {
-      std::this_thread::yield();  // single-core: let the producer refill
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, 1LL * kItems * (kItems - 1) / 2);
-}
-
 // ----------------------------------------------------------- mpmc queue
 
 TEST(MpmcQueue, PushPopBasic) {
@@ -125,16 +66,9 @@ TEST(MpmcQueue, CloseDrainsThenEnds) {
   EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(MpmcQueue, TryPopNonBlocking) {
-  MpmcQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-  q.push(3);
-  EXPECT_EQ(q.try_pop(), 3);
-}
-
 TEST(MpmcQueue, ManyProducersManyConsumers) {
   constexpr int kPerProducer = 5000, kProducers = 4, kConsumers = 4;
-  MpmcQueue<int> q(128);
+  MpmcQueue<int> q;
   std::atomic<long long> sum{0};
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
@@ -154,13 +88,24 @@ TEST(MpmcQueue, ManyProducersManyConsumers) {
             1LL * kProducers * kPerProducer * (kPerProducer + 1) / 2);
 }
 
+TEST(MpmcQueue, MovesOwnershipOfHeavyValues) {
+  MpmcQueue<std::vector<char>> q;
+  std::vector<char> big(1 << 20, 'x');
+  const char* data = big.data();
+  ASSERT_TRUE(q.push(std::move(big)));
+  q.close();
+  std::optional<std::vector<char>> out = q.pop();
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->data(), data);  // moved, not copied
+}
+
 // ---------------------------------------------------------- thread pool
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(pool.submit([&] { ++count; }));
-  pool.wait_all();
+  pool.shutdown();  // drains every accepted task before the join
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -171,7 +116,6 @@ TEST(ThreadPool, ShutdownDrainsThenRejectsSubmit) {
   pool.shutdown();
   EXPECT_EQ(count.load(), 10);  // queued tasks ran before the join
   EXPECT_FALSE(pool.submit([&] { ++count; }));
-  pool.wait_all();  // rejected submit must not leave a pending count behind
   EXPECT_EQ(count.load(), 10);
 }
 
@@ -215,18 +159,6 @@ TEST(ThreadPool, UnpooledWaveRunsAll) {
   EXPECT_EQ(count.load(), 5);
 }
 
-TEST(ThreadPool, WaitAllIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] { ++count; });
-  pool.wait_all();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&] { ++count; });
-  pool.submit([&] { ++count; });
-  pool.wait_all();
-  EXPECT_EQ(count.load(), 3);
-}
-
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
@@ -245,77 +177,6 @@ TEST(ParallelFor, EmptyRange) {
                              called = true;
                            }));
   EXPECT_FALSE(called);
-}
-
-// --------------------------------------------------------- double buffer
-
-TEST(DoubleBuffer, PassesValuesInOrder) {
-  DoubleBuffer<int> buf;
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) EXPECT_TRUE(buf.produce(i));
-    buf.close();
-  });
-  int expected = 0, v = 0;
-  while (buf.consume(v)) EXPECT_EQ(v, expected++);
-  EXPECT_EQ(expected, 100);
-  producer.join();
-}
-
-TEST(DoubleBuffer, AtMostTwoResident) {
-  // The double-buffering bound: the producer can never get more than two
-  // items ahead of the consumer (paper Fig. 4's memory guarantee).
-  DoubleBuffer<int> buf;
-  std::atomic<std::size_t> max_seen{0};
-  std::thread producer([&] {
-    for (int i = 0; i < 500; ++i) {
-      buf.produce(i);
-      std::size_t occ = buf.occupied();
-      std::size_t prev = max_seen.load();
-      while (occ > prev && !max_seen.compare_exchange_weak(prev, occ)) {
-      }
-    }
-    buf.close();
-  });
-  int v;
-  while (buf.consume(v)) {
-    EXPECT_LE(buf.occupied(), 2u);
-  }
-  producer.join();
-  EXPECT_LE(max_seen.load(), 2u);
-  EXPECT_GE(max_seen.load(), 1u);
-}
-
-TEST(DoubleBuffer, CloseReleasesBlockedProducer) {
-  DoubleBuffer<int> buf;
-  ASSERT_TRUE(buf.produce(1));
-  ASSERT_TRUE(buf.produce(2));
-  std::atomic<bool> third_result{true};
-  std::thread producer([&] { third_result = buf.produce(3); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  buf.close();  // consumer aborting
-  producer.join();
-  EXPECT_FALSE(third_result.load());
-}
-
-TEST(DoubleBuffer, ConsumeAfterCloseDrains) {
-  DoubleBuffer<int> buf;
-  buf.produce(42);
-  buf.close();
-  int v = 0;
-  EXPECT_TRUE(buf.consume(v));
-  EXPECT_EQ(v, 42);
-  EXPECT_FALSE(buf.consume(v));
-}
-
-TEST(DoubleBuffer, MovesOwnershipOfHeavyValues) {
-  DoubleBuffer<std::vector<char>> buf;
-  std::vector<char> big(1 << 20, 'x');
-  const char* data = big.data();
-  buf.produce(std::move(big));
-  std::vector<char> out;
-  buf.close();
-  ASSERT_TRUE(buf.consume(out));
-  EXPECT_EQ(out.data(), data);  // moved, not copied
 }
 
 }  // namespace

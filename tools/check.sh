@@ -18,10 +18,12 @@
 #               permanent plan it must exit non-zero with a clean JSON
 #               error report on stdout
 #   coverage  — --coverage build + unit/sanitizer-labeled ctest, then line
-#               coverage for the merge (src/merge/) and container
-#               (src/containers/) layers via gcovr when installed, else
-#               tools/coverage_summary.py (plain gcov). Fails if either
-#               layer drops below its branch-point floor (COVERAGE_FLOOR_*)
+#               coverage for the merge (src/merge/), container
+#               (src/containers/), cluster (src/cluster/), threading
+#               (src/threading/) and ingest (src/ingest/) layers via gcovr
+#               when installed, else tools/coverage_summary.py (plain
+#               gcov). Fails if any layer drops below its floor
+#               (COVERAGE_FLOOR_*)
 #   harness   — e2e oracle-conformance harness (docs/testing.md): ctest -L
 #               harness — the differential lattice, the metamorphic and
 #               replay suites, and the CLI replays of the checked-in repro
@@ -83,11 +85,14 @@ STAGES=("$@")
 # assertion that fails one run in 20 with probability 1 - 0.95^50 = 0.92.
 readonly FLAKE_REPEATS=50
 
-# Branch-point line-coverage floors for the merge-critical layers (the
-# coverage stage fails if a change lets these regress).
+# Branch-point line-coverage floors for the merge-critical layers and the
+# concurrency layers under them (the coverage stage fails if a change lets
+# these regress).
 COVERAGE_FLOOR_MERGE="${COVERAGE_FLOOR_MERGE:-97.5}"
 COVERAGE_FLOOR_CONTAINERS="${COVERAGE_FLOOR_CONTAINERS:-97.5}"
 COVERAGE_FLOOR_CLUSTER="${COVERAGE_FLOOR_CLUSTER:-97.5}"
+COVERAGE_FLOOR_THREADING="${COVERAGE_FLOOR_THREADING:-97.5}"
+COVERAGE_FLOOR_INGEST="${COVERAGE_FLOOR_INGEST:-94.5}"
 
 # Validate that a file exists and is exactly one JSON document, read by the
 # runtime's own strict parse_json (through tests/cli_json_stdout, built in
@@ -192,7 +197,8 @@ run_stage() {
         { echo "fault-smoke: error report lacks \"ok\":false" >&2; return 1; }
       ;;
     coverage)
-      # Line coverage for the merge-critical layers. gcovr when installed;
+      # Line coverage for the merge-critical layers, the thread pool and
+      # queue, and the ingest pipeline. gcovr when installed;
       # otherwise tools/coverage_summary.py aggregates plain `gcov
       # --json-format` output (header-only code is attributed to the header
       # across every TU that instantiated it).
@@ -212,6 +218,12 @@ run_stage() {
         gcovr --root "${ROOT}" --object-directory "${ROOT}/build-check-coverage" \
           --filter 'src/cluster/.*' \
           --fail-under-line "${COVERAGE_FLOOR_CLUSTER}"
+        gcovr --root "${ROOT}" --object-directory "${ROOT}/build-check-coverage" \
+          --filter 'src/threading/.*' \
+          --fail-under-line "${COVERAGE_FLOOR_THREADING}"
+        gcovr --root "${ROOT}" --object-directory "${ROOT}/build-check-coverage" \
+          --filter 'src/ingest/.*' \
+          --fail-under-line "${COVERAGE_FLOOR_INGEST}"
       else
         python3 "${ROOT}/tools/coverage_summary.py" \
           "${ROOT}/build-check-coverage" --filter src/merge \
@@ -222,6 +234,12 @@ run_stage() {
         python3 "${ROOT}/tools/coverage_summary.py" \
           "${ROOT}/build-check-coverage" --filter src/cluster \
           --fail-under "${COVERAGE_FLOOR_CLUSTER}"
+        python3 "${ROOT}/tools/coverage_summary.py" \
+          "${ROOT}/build-check-coverage" --filter src/threading \
+          --fail-under "${COVERAGE_FLOOR_THREADING}"
+        python3 "${ROOT}/tools/coverage_summary.py" \
+          "${ROOT}/build-check-coverage" --filter src/ingest \
+          --fail-under "${COVERAGE_FLOOR_INGEST}"
       fi
       ;;
     harness)

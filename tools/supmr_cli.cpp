@@ -519,15 +519,12 @@ Status cmd_histogram(const Flags& flags) {
                          run_spec(run, {flags.positional()[0]}));
   if (ran.app == nullptr) return Status::Ok();
   const auto& app = static_cast<const apps::HistogramApp&>(*ran.app);
-  const long long lo = spec.hist_lo, span = spec.hist_hi - spec.hist_lo;
-  const long long bins = static_cast<long long>(spec.hist_bins);
   std::uint64_t peak = 1;
   for (auto c : app.counts()) peak = std::max(peak, c);
   for (std::size_t b = 0; b < app.counts().size(); ++b) {
     const int bar = int(double(app.counts()[b]) / double(peak) * 50.0);
     std::fprintf(human_out(run), "[%6lld,%6lld) %10llu |%.*s\n",
-                 lo + span * (long long)b / bins,
-                 lo + span * (long long)(b + 1) / bins,
+                 (long long)app.bin_start(b), (long long)app.bin_start(b + 1),
                  (unsigned long long)app.counts()[b], bar,
                  "##################################################");
   }
