@@ -65,7 +65,7 @@ struct Cell {
   double best_s = 1e9;
   std::uint64_t shuffle_bytes = 0;
   std::uint64_t local_bytes = 0;
-  std::string output;
+  std::string output{};
 };
 
 Status time_once(const std::string& input, Cell& c) {

@@ -66,7 +66,8 @@ class RawWordCountApp final : public core::Application {
   std::size_t round_tasks() const override { return splits_.size(); }
   void map_task(std::size_t task, std::size_t thread_id) override {
     auto& log = logs_[thread_id];
-    apps::tokenize_words(splits_[task], [&](std::string_view word) {
+    apps::tokenize_words(splits_[task], [&](std::string_view word,
+                                            std::uint64_t) {
       log.emplace_back(word, 1);
       bytes_logged_[thread_id] += word.size() + sizeof(std::uint64_t);
     });

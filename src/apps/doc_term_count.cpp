@@ -24,7 +24,7 @@ void DocTermCountApp::map_task(std::size_t task, std::size_t thread_id) {
   for (const FileSplit& file : tasks_[task]) {
     // Composite key prefix "<file_id>\t" shared by every word of the file.
     const int prefix = std::snprintf(key, sizeof(key), "%u\t", file.file_id);
-    tokenize_words(file.text, [&](std::string_view word) {
+    tokenize_words(file.text, [&](std::string_view word, std::uint64_t) {
       std::copy(word.begin(), word.end(), key + prefix);
       container_.emit(
           thread_id,

@@ -20,8 +20,8 @@ Status InvertedIndexApp::prepare_round(const ingest::IngestChunk& chunk) {
 void InvertedIndexApp::map_task(std::size_t task, std::size_t thread_id) {
   assert(task < tasks_.size());
   for (const FileSplit& file : tasks_[task]) {
-    tokenize_words(file.text, [&](std::string_view word) {
-      container_.emit(thread_id, word, file.file_id);
+    tokenize_words(file.text, [&](std::string_view word, std::uint64_t h) {
+      container_.emit(thread_id, word, h, file.file_id);
     });
   }
 }

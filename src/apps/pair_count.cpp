@@ -5,6 +5,7 @@
 
 #include "apps/split.hpp"
 #include "apps/tokenize.hpp"
+#include "common/scan.hpp"
 
 namespace supmr::apps {
 
@@ -13,10 +14,11 @@ void for_each_pair(std::span<const char> text,
   char key[2 * kMaxWord + 2];
   std::size_t pos = 0;
   while (pos < text.size()) {
-    std::size_t eol = pos;
-    while (eol < text.size() && text[eol] != '\n') ++eol;
+    const std::size_t eol =
+        scan::find_byte(text, pos, '\n').value_or(text.size());
     std::size_t prev_len = 0;  // previous word, already lowercased in key[]
-    tokenize_words(text.subspan(pos, eol - pos), [&](std::string_view word) {
+    tokenize_words(text.subspan(pos, eol - pos),
+                   [&](std::string_view word, std::uint64_t) {
       if (prev_len > 0) {
         key[prev_len] = ' ';
         std::copy(word.begin(), word.end(), key + prev_len + 1);

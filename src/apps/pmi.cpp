@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "apps/split.hpp"
+#include "common/scan.hpp"
 #include "merge/introsort.hpp"
 
 namespace supmr::apps {
@@ -51,8 +52,8 @@ void PmiApp::map_task(std::size_t task, std::size_t thread_id) {
   const std::span<const char> split = splits_[task];
   std::size_t pos = 0;
   while (pos < split.size()) {
-    std::size_t eol = pos;
-    while (eol < split.size() && split[eol] != '\n') ++eol;
+    const std::size_t eol =
+        scan::find_byte(split, pos, '\n').value_or(split.size());
     const std::string_view line(split.data() + pos, eol - pos);
     if (!line.empty()) {
       std::string_view key;

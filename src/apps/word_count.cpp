@@ -43,8 +43,8 @@ Status WordCountApp::prepare_round(const ingest::IngestChunk& chunk) {
 void WordCountApp::map_task(std::size_t task, std::size_t thread_id) {
   assert(task < splits_.size() && thread_id < num_mappers_);
   std::uint64_t words = 0;
-  tokenize_words(splits_[task], [&](std::string_view word) {
-    container_.emit(thread_id, word, std::uint64_t{1});
+  tokenize_words(splits_[task], [&](std::string_view word, std::uint64_t h) {
+    container_.emit(thread_id, word, h, std::uint64_t{1});
     ++words;
   });
   words_per_thread_[thread_id] += words;

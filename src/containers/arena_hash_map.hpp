@@ -41,8 +41,14 @@ class ArenaHashMap {
 
   // Returns the value slot for `key`, inserting `init` if absent.
   V& find_or_insert(std::string_view key, const V& init) {
+    return find_or_insert(key, hash_bytes(key), init);
+  }
+
+  // The same with the caller's hash of `key` (the word tokenizer computes
+  // it while lowercasing), so the key is not walked a second time.
+  V& find_or_insert(std::string_view key, std::uint64_t h, const V& init) {
+    assert(h == hash_bytes(key));
     if ((size_ + 1) * 10 >= slots_.size() * 7) grow();
-    const std::uint64_t h = hash_bytes(key);
     std::size_t idx = probe(key, h);
     Slot& slot = slots_[idx];
     if (!slot.used) {

@@ -89,14 +89,19 @@ class CombiningContainer {
   // The fold: find-or-insert in the calling thread's stripe, then combine.
   // An emit that lands on an existing key is "folded" — it costs a table
   // probe instead of an intermediate record.
-  void emit(std::size_t thread_id, std::string_view key,
+  // `h` must be hash_bytes(key).
+  void emit(std::size_t thread_id, std::string_view key, std::uint64_t h,
             const auto& mapped_value) {
     assert(thread_id < stripes_.size());
     Stripe& s = stripes_[thread_id];
     ++s.emits;
     s.bytes_emitted += key.size() + value_payload_bytes(mapped_value);
-    value_type& acc = s.find_or_insert(key, Combiner::identity());
+    value_type& acc = s.find_or_insert(key, h, Combiner::identity());
     Combiner::combine(acc, mapped_value);
+  }
+  void emit(std::size_t thread_id, std::string_view key,
+            const auto& mapped_value) {
+    emit(thread_id, key, hash_bytes(key), mapped_value);
   }
 
   std::size_t num_stripes() const { return stripes_.size(); }
@@ -243,9 +248,10 @@ class CombiningContainer {
       return idx;
     }
 
-    value_type& find_or_insert(std::string_view key, const value_type& init) {
+    value_type& find_or_insert(std::string_view key, std::uint64_t h,
+                               const value_type& init) {
+      assert(h == hash_bytes(key));
       if ((size + 1) * 10 >= slots.size() * 7) grow();
-      const std::uint64_t h = hash_bytes(key);
       Slot& slot = slots[probe(key, h)];
       if (slot.key_len == Slot::kEmpty) {
         slot.hash = h;
@@ -342,12 +348,17 @@ class SwitchedContainer {
     combining_.reset();
   }
 
-  void emit(std::size_t thread_id, std::string_view key,
+  // `h` must be hash_bytes(key).
+  void emit(std::size_t thread_id, std::string_view key, std::uint64_t h,
             const auto& mapped_value) {
     if (combining())
-      combining_.emit(thread_id, key, mapped_value);
+      combining_.emit(thread_id, key, h, mapped_value);
     else
-      hash_.emit(thread_id, key, mapped_value);
+      hash_.emit(thread_id, key, h, mapped_value);
+  }
+  void emit(std::size_t thread_id, std::string_view key,
+            const auto& mapped_value) {
+    emit(thread_id, key, hash_bytes(key), mapped_value);
   }
 
   std::vector<std::pair<std::string, value_type>> reduce_partition(

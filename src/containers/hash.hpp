@@ -1,13 +1,23 @@
 // String hashing for the intermediate containers.
 //
-// FNV-1a with a 64-bit avalanche finalizer: fast for the short keys word
-// count produces, and the finalizer ensures the low bits used for bucket and
-// partition selection are well mixed (bucket index and reduce partition are
-// both derived from this hash, so they must not correlate).
+// One hash for every string-keyed table. The key is folded a word at a time:
+// 8-byte little-endian blocks from its first byte, the last one
+// zero-extended, each step a bijection on the block (xor, odd multiply,
+// xorshift). The length goes in last, then the mix64 avalanche finalizer
+// makes the low bits used for bucket and partition selection well mixed
+// (bucket index and reduce partition are both derived from this hash, so
+// they must not correlate).
+//
+// The word tokenizer (apps/tokenize.hpp) runs the same hash_fold and
+// hash_finish steps on the blocks it lowercases, and the containers' emit
+// takes that value, so a word's bytes are walked once on the map side.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string_view>
+
+#include "common/scan.hpp"
 
 namespace supmr::containers {
 
@@ -20,13 +30,29 @@ inline std::uint64_t mix64(std::uint64_t h) {
   return h;
 }
 
+inline constexpr std::uint64_t kHashSeed = 0x243f6a8885a308d3ULL;
+
+inline std::uint64_t hash_fold(std::uint64_t h, std::uint64_t block) {
+  h ^= block;
+  h *= 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 32);
+}
+
+inline std::uint64_t hash_finish(std::uint64_t h, std::size_t len) {
+  return mix64(h ^ len);
+}
+
 inline std::uint64_t hash_bytes(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
+  const std::size_t full = s.size() & ~std::size_t{7};
+  std::uint64_t h = kHashSeed;
+  for (std::size_t i = 0; i < full; i += 8)
+    h = hash_fold(h, scan::load_u64(s.data() + i));
+  if (full < s.size()) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, s.data() + full, s.size() - full);
+    h = hash_fold(h, tail);
   }
-  return mix64(h);
+  return hash_finish(h, s.size());
 }
 
 }  // namespace supmr::containers

@@ -65,13 +65,18 @@ class HashContainer {
     initialized_ = false;
   }
 
-  // Map-side emission; `thread_id` must be the calling map thread's index.
-  void emit(std::size_t thread_id, std::string_view key,
+  // Map-side emission; `thread_id` must be the calling map thread's index
+  // and `h` must be hash_bytes(key).
+  void emit(std::size_t thread_id, std::string_view key, std::uint64_t h,
             const auto& mapped_value) {
     assert(thread_id < stripes_.size());
     value_type& acc =
-        stripes_[thread_id].find_or_insert(key, Combiner::identity());
+        stripes_[thread_id].find_or_insert(key, h, Combiner::identity());
     Combiner::combine(acc, mapped_value);
+  }
+  void emit(std::size_t thread_id, std::string_view key,
+            const auto& mapped_value) {
+    emit(thread_id, key, hash_bytes(key), mapped_value);
   }
 
   std::size_t num_stripes() const { return stripes_.size(); }

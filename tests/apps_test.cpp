@@ -52,7 +52,9 @@ std::map<std::string, std::uint64_t> reference_counts(
     const std::string& text) {
   std::map<std::string, std::uint64_t> counts;
   tokenize_words(std::span<const char>(text.data(), text.size()),
-                 [&](std::string_view w) { ++counts[std::string(w)]; });
+                 [&](std::string_view w, std::uint64_t) {
+                   ++counts[std::string(w)];
+                 });
   return counts;
 }
 
@@ -62,7 +64,9 @@ TEST(Tokenize, LowercasesAndSplitsOnNonAlnum) {
   std::vector<std::string> words;
   const std::string text = "Hello, World! foo_bar x123\ntail";
   tokenize_words(std::span<const char>(text.data(), text.size()),
-                 [&](std::string_view w) { words.emplace_back(w); });
+                 [&](std::string_view w, std::uint64_t) {
+                   words.emplace_back(w);
+                 });
   EXPECT_EQ(words, (std::vector<std::string>{"hello", "world", "foo", "bar",
                                              "x123", "tail"}));
 }
@@ -71,7 +75,7 @@ TEST(Tokenize, EmptyAndAllDelims) {
   int count = 0;
   const std::string text = " .,;\n\t ";
   tokenize_words(std::span<const char>(text.data(), text.size()),
-                 [&](std::string_view) { ++count; });
+                 [&](std::string_view, std::uint64_t) { ++count; });
   EXPECT_EQ(count, 0);
 }
 
@@ -79,7 +83,9 @@ TEST(Tokenize, TruncatesPathologicalWords) {
   std::string text(10 * kMaxWord, 'a');
   std::vector<std::string> words;
   tokenize_words(std::span<const char>(text.data(), text.size()),
-                 [&](std::string_view w) { words.emplace_back(w); });
+                 [&](std::string_view w, std::uint64_t) {
+                   words.emplace_back(w);
+                 });
   ASSERT_EQ(words.size(), 1u);
   EXPECT_EQ(words[0].size(), kMaxWord);
 }

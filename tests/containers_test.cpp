@@ -17,6 +17,7 @@
 #include "containers/combiners.hpp"
 #include "containers/fixed_kv_array.hpp"
 #include "containers/hash_container.hpp"
+#include "wload/text_corpus.hpp"
 
 namespace supmr::containers {
 namespace {
@@ -145,6 +146,68 @@ TEST_P(ArenaMapProperty, MatchesReferenceMap) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArenaMapProperty,
                          ::testing::Values(11, 22, 33, 44));
+
+// ------------------------------------------------------------- hash_bytes
+
+// The hash only picks buckets and reduce partitions, so what it must keep is
+// evenness, on the key shapes the string-keyed apps produce: word-count
+// vocabularies, pair keys "w1 w2", decimal keys and doc-term keys
+// "<file_id>\t<word>".
+TEST(HashBytes, PartitionsAndProbesStayEven) {
+  const auto vocabulary = [](std::size_t n) {
+    std::vector<std::string> words;
+    for (std::size_t i = 0; i < n; ++i)
+      words.push_back(wload::make_word(i, 3, 10));
+    return words;
+  };
+  const std::vector<std::string> words = vocabulary(10000);
+  std::vector<std::string> pairs, decimals, doc_terms;
+  for (std::size_t i = 0; i < 120000; ++i) {
+    // i = a + 10000q pairs word a with word (997q + 31a) % 10000: distinct.
+    const std::size_t a = i % 10000, q = i / 10000;
+    pairs.push_back(words[a] + ' ' + words[(997 * q + 31 * a) % 10000]);
+  }
+  for (std::size_t i = 0; i < 100000; ++i) {
+    decimals.push_back(std::to_string(i));
+    doc_terms.push_back(std::to_string(i % 100) + '\t' + words[i / 100]);
+  }
+  const std::pair<const char*, std::vector<std::string>> sets[] = {
+      {"vocabulary 10k", words},   {"vocabulary 150k", vocabulary(150000)},
+      {"pairs 120k", pairs},       {"decimals 100k", decimals},
+      {"doc-terms 100k", doc_terms}};
+  for (const auto& [name, keys] : sets) {
+    ASSERT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+              keys.size())
+        << name;
+    const double n = static_cast<double>(keys.size());
+    for (std::size_t parts : {16u, 7u}) {
+      std::vector<std::size_t> count(parts, 0);
+      for (const std::string& k : keys) ++count[hash_bytes(k) % parts];
+      const double mean = n / static_cast<double>(parts);
+      const double tol = keys.size() >= 100000 ? 0.05 : 0.15;
+      for (std::size_t p = 0; p < parts; ++p) {
+        EXPECT_NEAR(static_cast<double>(count[p]), mean, tol * mean)
+            << name << ", partition " << p << " of " << parts;
+      }
+    }
+    // Linear probing at the load ArenaHashMap would run at (at most 70%):
+    // the mean probe length of a successful search stays within 1.25x of
+    // Knuth's 1/2 (1 + 1/(1 - a)) for a uniform hash.
+    std::size_t cap = 16;
+    while (keys.size() * 10 > cap * 7) cap <<= 1;
+    std::vector<bool> used(cap, false);
+    std::size_t probes = 0;
+    for (const std::string& k : keys) {
+      std::size_t idx = hash_bytes(k) & (cap - 1);
+      for (++probes; used[idx]; ++probes) idx = (idx + 1) & (cap - 1);
+      used[idx] = true;
+    }
+    const double load = n / static_cast<double>(cap);
+    EXPECT_LE(static_cast<double>(probes) / n,
+              1.25 * 0.5 * (1 + 1 / (1 - load)))
+        << name << " at load " << load;
+  }
+}
 
 // ------------------------------------------------------------- combiners
 

@@ -133,7 +133,7 @@ TEST(MapReduceJob, OversubscribedRoundRunsInWaves) {
   class OverSubscribingApp final : public ProbeApp {
    public:
     Status prepare_round(const ingest::IngestChunk& chunk) override {
-      ProbeApp::prepare_round(chunk);
+      SUPMR_RETURN_IF_ERROR(ProbeApp::prepare_round(chunk));
       tasks_this_round_ = 7;  // 2 mappers -> 4 waves
       return Status::Ok();
     }
@@ -164,7 +164,7 @@ TEST(MapReduceJob, PrepareRoundErrorAborts) {
   class FailingApp final : public ProbeApp {
    public:
     Status prepare_round(const ingest::IngestChunk& chunk) override {
-      ProbeApp::prepare_round(chunk);
+      SUPMR_RETURN_IF_ERROR(ProbeApp::prepare_round(chunk));
       if (rounds_ == 2) return Status::Internal("round 2 failed");
       return Status::Ok();
     }
@@ -272,7 +272,7 @@ TEST(ProcStatSampler, CollectsSamplesWhenAvailable) {
   const auto t0 = std::chrono::steady_clock::now();
   while (std::chrono::steady_clock::now() - t0 <
          std::chrono::milliseconds(150)) {
-    sink += 1.0;
+    sink = sink + 1.0;
   }
   TimeSeries trace = sampler.stop();
   EXPECT_GE(trace.samples(), 3u);

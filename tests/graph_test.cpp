@@ -133,7 +133,9 @@ TEST(PairCountHelpers, SplitLinesCutsOnlyAfterNewlines) {
   ASSERT_LE(splits.size(), 2u);
   std::string joined;
   for (const auto& s : splits) {
-    if (!s.empty()) EXPECT_EQ(s.back(), '\n');
+    if (!s.empty()) {
+      EXPECT_EQ(s.back(), '\n');
+    }
     joined.append(s.data(), s.size());
   }
   EXPECT_EQ(joined, text);

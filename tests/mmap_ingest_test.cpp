@@ -1,8 +1,10 @@
 // Zero-copy mmap ingest path + ingest boundary-correctness regressions.
 //
 // Covers, in one place:
-//   * common/scan.hpp — SWAR delimiter scanning and byte classification,
-//     differentially against the obvious per-byte reference;
+//   * common/scan.hpp — SWAR delimiter scanning, byte classification and
+//     lane masks, differentially against the obvious per-byte reference;
+//   * apps::tokenize_words — words and their hashes against a byte-at-a-time
+//     specification written here;
 //   * ChunkBufferPool / IngestChunk — owned-buffer recycling and the
 //     borrowed-view variant, including 0-byte chunks;
 //   * MmapDevice — read_at/view_at agreement over a real file;
@@ -24,8 +26,10 @@
 #include <string>
 #include <vector>
 
+#include "apps/tokenize.hpp"
 #include "apps/word_count.hpp"
 #include "common/scan.hpp"
+#include "containers/hash.hpp"
 #include "core/job.hpp"
 #include "fault/retrying_device.hpp"
 #include "ingest/adaptive.hpp"
@@ -124,11 +128,114 @@ TEST(Scan, WordScanMatchesPerByteReference) {
       ++want_start;
     }
     EXPECT_EQ(scan::find_word_start(hay, from), want_start) << "from=" << from;
-    std::size_t want_end = from;
-    while (want_end < s.size() && scan::is_word_byte(s[want_end])) {
-      ++want_end;
+  }
+}
+
+TEST(Scan, LaneMasksMatchTables) {
+  // Every byte value in every lane, with the other seven lanes holding each
+  // byte value in turn, so a carry or borrow across lanes shows too.
+  std::size_t mismatches = 0;
+  std::string first;
+  for (int fill = 0; fill < 256; ++fill) {
+    for (int c = 0; c < 256; ++c) {
+      for (int lane = 0; lane < 8; ++lane) {
+        char bytes[8];
+        std::memset(bytes, fill, sizeof(bytes));
+        bytes[lane] = static_cast<char>(c);
+        const std::uint64_t w = scan::load_u64(bytes);
+        const std::uint64_t word = scan::word_lanes(w);
+        const std::uint64_t upper = scan::upper_lanes(w);
+        const std::uint64_t lowered = w | upper >> 2;
+        bool ok = ((word | upper) & ~scan::kHighBits) == 0;
+        for (int i = 0; i < 8; ++i) {
+          const char b = bytes[i];
+          ok = ok && ((word >> (8 * i + 7)) & 1) == scan::is_word_byte(b) &&
+               ((upper >> (8 * i + 7)) & 1) == (b >= 'A' && b <= 'Z') &&
+               static_cast<char>(lowered >> (8 * i)) ==
+                   scan::to_lower_ascii(b);
+        }
+        if (!ok && mismatches++ == 0) {
+          first = "byte " + std::to_string(c) + " in lane " +
+                  std::to_string(lane) + " among " + std::to_string(fill);
+        }
+      }
     }
-    EXPECT_EQ(scan::find_word_end(hay, from), want_end) << "from=" << from;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+}
+
+// Byte-at-a-time specification of apps::tokenize_words that shares nothing
+// with scan.hpp: maximal runs of [0-9A-Za-z], lowercased, truncated to
+// kMaxWord.
+std::vector<std::string> reference_words(std::span<const char> s) {
+  const auto word_byte = [](char c) {
+    return (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z') ||
+           (c >= 'a' && c <= 'z');
+  };
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < s.size();) {
+    if (!word_byte(s[i])) {
+      ++i;
+      continue;
+    }
+    std::string w;
+    for (; i < s.size() && word_byte(s[i]); ++i) {
+      if (w.size() < apps::kMaxWord)
+        w.push_back(s[i] >= 'A' && s[i] <= 'Z' ? s[i] - 'A' + 'a' : s[i]);
+    }
+    out.push_back(std::move(w));
+  }
+  return out;
+}
+
+// Tokenizes a heap copy of exactly `s`, so ASan flags any load past the
+// span, and checks the words and each word's hash.
+void expect_tokenizes_like_reference(std::string_view s) {
+  const std::vector<char> exact(s.begin(), s.end());
+  const std::span<const char> span(exact.data(), exact.size());
+  std::vector<std::string> got;
+  apps::tokenize_words(span, [&](std::string_view w, std::uint64_t h) {
+    EXPECT_EQ(h, containers::hash_bytes(w)) << "word \"" << w << "\"";
+    got.emplace_back(w);
+  });
+  EXPECT_EQ(got, reference_words(span)) << "text \"" << s << "\"";
+}
+
+TEST(Tokenize, MatchesBytewiseReference) {
+  // Seeded soup: word bytes, the neighbours of each word-byte range
+  // (/ : @ [ ` {), delimiters and bytes >= 0x80.
+  const std::string alphabet =
+      "aqzAQZ059/:@[`{ \n\t\x7f\x80\xc3\xff";
+  std::string soup;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 4096; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    // Half the draws are letters, a third of them upper case, so words of
+    // every length up to ~20 occur.
+    const char letter =
+        static_cast<char>(((x >> 16) % 3 == 0 ? 'A' : 'a') + (x >> 8) % 26);
+    soup += x % 2 ? letter : alphabet[(x >> 8) % alphabet.size()];
+  }
+  expect_tokenizes_like_reference(soup);
+  // Every alignment and every short span (fewer than 8 bytes) of the soup.
+  for (std::size_t from = 0; from < 64; ++from) {
+    for (std::size_t len = 0; len <= 24; ++len)
+      expect_tokenizes_like_reference(std::string_view(soup).substr(from, len));
+  }
+  // Words around the block size and kMaxWord, at every alignment, ending on
+  // the span's last byte or followed by a delimiter.
+  for (std::size_t len : {7u, 8u, 9u, 255u, 256u, 300u}) {
+    std::string word;
+    for (std::size_t i = 0; i < len; ++i)
+      word += static_cast<char>((i % 3 == 0 ? 'A' : 'a') + i % 26);
+    for (std::size_t pad = 0; pad < 9; ++pad) {
+      const std::string lead(pad, pad % 2 ? '@' : ' ');
+      expect_tokenizes_like_reference(lead + word);
+      expect_tokenizes_like_reference(lead + word + "[x");
+      expect_tokenizes_like_reference(lead + word + " " + word + "`");
+    }
   }
 }
 

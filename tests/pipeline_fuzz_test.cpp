@@ -46,7 +46,9 @@ std::map<std::string, std::uint64_t> reference_counts(
     const std::string& text) {
   std::map<std::string, std::uint64_t> counts;
   apps::tokenize_words(std::span<const char>(text.data(), text.size()),
-                       [&](std::string_view w) { ++counts[std::string(w)]; });
+                       [&](std::string_view w, std::uint64_t) {
+                         ++counts[std::string(w)];
+                       });
   return counts;
 }
 

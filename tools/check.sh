@@ -2,7 +2,8 @@
 # SupMR correctness gate: plain tier-1 build + TSan + ASan+UBSan.
 #
 # Stages:
-#   plain     — full build, full ctest (the tier-1 gate from ROADMAP.md)
+#   plain     — full build with warnings as errors (-DSUPMR_WERROR=ON),
+#               full ctest (the tier-1 gate from ROADMAP.md)
 #   flake     — the plain build's unit and stress tests, each rerun until
 #               it fails, up to FLAKE_REPEATS times: a timing-sensitive
 #               assertion fails in the change that adds it
@@ -109,16 +110,23 @@ configure_and_build() {
   cmake --build "${dir}" -j "${JOBS}"
 }
 
+# build-check-plain builds with warnings as errors. Every stage that shares
+# the tree configures it this way, so no stage flips the flag and forces a
+# full rebuild.
+configure_plain() {
+  configure_and_build "${ROOT}/build-check-plain" -DSUPMR_WERROR=ON
+}
+
 run_stage() {
   local stage="$1"
   echo "==> stage: ${stage}"
   case "${stage}" in
     plain)
-      configure_and_build "${ROOT}/build-check-plain"
+      configure_plain
       (cd "${ROOT}/build-check-plain" && ctest --output-on-failure -j "${JOBS}")
       ;;
     flake)
-      configure_and_build "${ROOT}/build-check-plain"
+      configure_plain
       (cd "${ROOT}/build-check-plain" &&
         ctest -L 'unit|stress' --repeat "until-fail:${FLAKE_REPEATS}" \
           --output-on-failure -j "${JOBS}")
@@ -144,7 +152,7 @@ run_stage() {
     obs-smoke)
       # End-to-end: the quickstart must emit valid metrics + trace JSON, and
       # a cluster run's metrics file must hold the shuffle accounting.
-      configure_and_build "${ROOT}/build-check-plain"
+      configure_plain
       local out="${ROOT}/build-check-plain/obs-smoke"
       mkdir -p "${out}"
       "${ROOT}/build-check-plain/examples/quickstart" \
@@ -172,7 +180,7 @@ run_stage() {
     fault-smoke)
       # End-to-end fault tolerance (docs/fault-tolerance.md). The fault
       # plan is seeded, so both runs are reproducible.
-      configure_and_build "${ROOT}/build-check-plain"
+      configure_plain
       local out="${ROOT}/build-check-plain/fault-smoke"
       mkdir -p "${out}"
       # 1. Transient faults within the retry budget: the job must succeed
@@ -243,7 +251,7 @@ run_stage() {
       fi
       ;;
     harness)
-      configure_and_build "${ROOT}/build-check-plain"
+      configure_plain
       (cd "${ROOT}/build-check-plain" &&
         ctest -L harness --output-on-failure -j "${JOBS}")
       ;;
