@@ -60,7 +60,7 @@ class RawWordCountApp final : public core::Application {
     partitions_.clear();
   }
   Status prepare_round(const ingest::IngestChunk& chunk) override {
-    splits_ = apps::split_text(chunk.bytes(), num_mappers_);
+    splits_ = apps::split_text(chunk.bytes(), apps::map_slices(num_mappers_));
     return Status::Ok();
   }
   std::size_t round_tasks() const override { return splits_.size(); }
@@ -80,7 +80,8 @@ class RawWordCountApp final : public core::Application {
         auto& part = partitions_[p];
         for (const auto& log : logs_) {
           for (const auto& [word, one] : log) {
-            if (containers::hash_bytes(word) % num_partitions == p)
+            if (containers::hash_partition(containers::hash_bytes(word),
+                                            num_partitions) == p)
               part.emplace_back(word, one);
           }
         }

@@ -13,8 +13,8 @@ void DocTermCountApp::init(std::size_t num_map_threads) {
 }
 
 Status DocTermCountApp::prepare_round(const ingest::IngestChunk& chunk) {
-  SUPMR_ASSIGN_OR_RETURN(tasks_,
-                         deal_files(chunk, num_mappers_, "doc term count"));
+  SUPMR_ASSIGN_OR_RETURN(
+      tasks_, deal_files(chunk, map_slices(num_mappers_), "doc term count"));
   return Status::Ok();
 }
 

@@ -12,8 +12,8 @@ void InvertedIndexApp::init(std::size_t num_map_threads) {
 }
 
 Status InvertedIndexApp::prepare_round(const ingest::IngestChunk& chunk) {
-  SUPMR_ASSIGN_OR_RETURN(tasks_,
-                         deal_files(chunk, num_mappers_, "inverted index"));
+  SUPMR_ASSIGN_OR_RETURN(
+      tasks_, deal_files(chunk, map_slices(num_mappers_), "inverted index"));
   return Status::Ok();
 }
 

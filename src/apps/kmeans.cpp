@@ -30,14 +30,6 @@ bool parse_point(const char* begin, const char* end, std::size_t dim,
 
 }  // namespace
 
-void ClusterAccumCombiner::combine(ClusterAccum& acc, const ClusterAccum& v) {
-  if (v.count == 0) return;
-  if (acc.sum.empty()) acc.sum.assign(v.sum.size(), 0.0);
-  assert(acc.sum.size() == v.sum.size());
-  for (std::size_t d = 0; d < v.sum.size(); ++d) acc.sum[d] += v.sum[d];
-  acc.count += v.count;
-}
-
 KMeansApp::KMeansApp(KMeansOptions options,
                      std::vector<std::vector<double>> centroids)
     : options_(options), centroids_(std::move(centroids)) {
@@ -50,13 +42,29 @@ KMeansApp::KMeansApp(KMeansOptions options,
 
 void KMeansApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
-  container_.init(num_map_threads, options_.clusters);
-  assigned_per_thread_.assign(num_map_threads, 0);
+  per_task_.clear();
+  totals_.assign(options_.clusters, ClusterAccum{});
   new_centroids_.clear();
 }
 
+void KMeansApp::fold_round() {
+  for (const std::vector<ClusterAccum>& row : per_task_) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (row[c].count == 0) continue;
+      ClusterAccum& acc = totals_[c];
+      if (acc.sum.empty()) acc.sum.assign(options_.dim, 0.0);
+      for (std::size_t d = 0; d < options_.dim; ++d)
+        acc.sum[d] += row[c].sum[d];
+      acc.count += row[c].count;
+    }
+  }
+  per_task_.clear();
+}
+
 Status KMeansApp::prepare_round(const ingest::IngestChunk& chunk) {
-  splits_ = split_lines(chunk.bytes(), num_mappers_);
+  fold_round();
+  splits_ = split_lines(chunk.bytes(), map_slices(num_mappers_));
+  per_task_.assign(splits_.size(), {});
   return Status::Ok();
 }
 
@@ -77,14 +85,11 @@ std::size_t KMeansApp::nearest(const double* point) const {
   return best;
 }
 
-void KMeansApp::map_task(std::size_t task, std::size_t thread_id) {
+void KMeansApp::map_task(std::size_t task, std::size_t /*thread_id*/) {
   assert(task < splits_.size());
   std::span<const char> split = splits_[task];
   std::vector<double> point(options_.dim);
-  // Thread-local accumulators flushed once per task keep emit costs off the
-  // per-point path.
   std::vector<ClusterAccum> local(options_.clusters);
-  std::uint64_t assigned = 0;
   std::size_t begin = 0;
   while (begin < split.size()) {
     const void* nl =
@@ -102,32 +107,20 @@ void KMeansApp::map_task(std::size_t task, std::size_t thread_id) {
       for (std::size_t d = 0; d < options_.dim; ++d)
         acc.sum[d] += point[d];
       ++acc.count;
-      ++assigned;
     }
     begin = end + 1;
   }
-  for (std::size_t c = 0; c < options_.clusters; ++c) {
-    if (local[c].count > 0) container_.emit(thread_id, c, local[c]);
-  }
-  assigned_per_thread_[thread_id] += assigned;
+  per_task_[task] = std::move(local);
 }
 
-Status KMeansApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  (void)num_partitions;  // clusters are few: one task per cluster
-  std::vector<ClusterAccum> totals(options_.clusters);
-  std::vector<std::function<void(std::size_t)>> tasks;
-  for (std::size_t c = 0; c < options_.clusters; ++c) {
-    tasks.push_back([this, &totals, c](std::size_t) {
-      container_.reduce_range(c, c + 1, &totals[c]);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
+Status KMeansApp::reduce(ThreadPool&, std::size_t) {
+  // Clusters are few: the coordinator folds the last round's rows.
+  fold_round();
   new_centroids_ = centroids_;
   for (std::size_t c = 0; c < options_.clusters; ++c) {
-    if (totals[c].count == 0) continue;  // empty cluster: keep old centroid
+    if (totals_[c].count == 0) continue;  // empty cluster: keep old centroid
     for (std::size_t d = 0; d < options_.dim; ++d)
-      new_centroids_[c][d] = totals[c].sum[d] / double(totals[c].count);
+      new_centroids_[c][d] = totals_[c].sum[d] / double(totals_[c].count);
   }
   return Status::Ok();
 }
@@ -140,7 +133,7 @@ Status KMeansApp::merge(ThreadPool&, const core::MergePlan&,
 
 std::uint64_t KMeansApp::points_assigned() const {
   std::uint64_t n = 0;
-  for (auto a : assigned_per_thread_) n += a;
+  for (const ClusterAccum& acc : totals_) n += acc.count;
   return n;
 }
 

@@ -9,9 +9,10 @@
 // multiply with iteration count).
 //
 // Map: assign each point to its nearest centroid and fold (sum, count) into
-// a dense per-cluster accumulator (FixedKvArray — cluster ids are a small
-// dense key space). Reduce: fold stripes, producing new centroids. Merge:
-// no-op. The driver run_kmeans() iterates to convergence.
+// the task's row of per-cluster accumulators. The next prepare_round and
+// reduce fold the rows in task order, so the floating-point sums do not
+// depend on which thread mapped which slice; reduce then produces the new
+// centroids. Merge: no-op. run_kmeans() iterates to convergence.
 //
 // Input format: one point per line, `dim` space-separated ASCII doubles.
 #pragma once
@@ -20,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "containers/fixed_kv_array.hpp"
 #include "core/application.hpp"
 #include "ingest/source.hpp"
 
@@ -35,15 +35,6 @@ struct KMeansOptions {
 struct ClusterAccum {
   std::vector<double> sum;
   std::uint64_t count = 0;
-};
-
-struct ClusterAccumCombiner {
-  using value_type = ClusterAccum;
-  static ClusterAccum identity() { return ClusterAccum{}; }
-  static void combine(ClusterAccum& acc, const ClusterAccum& v);
-  static void merge(ClusterAccum& acc, const ClusterAccum& v) {
-    combine(acc, v);
-  }
 };
 
 class KMeansApp final : public core::Application {
@@ -64,18 +55,22 @@ class KMeansApp final : public core::Application {
   const std::vector<std::vector<double>>& new_centroids() const {
     return new_centroids_;
   }
+  // Points assigned to a cluster, valid after reduce.
   std::uint64_t points_assigned() const;
 
   // Nearest-centroid index for `point` under the CURRENT centroids.
   std::size_t nearest(const double* point) const;
 
  private:
+  // Folds the round's per-task rows into totals_, in task order.
+  void fold_round();
+
   KMeansOptions options_;
   std::vector<std::vector<double>> centroids_;
   std::size_t num_mappers_ = 0;
-  containers::FixedKvArray<ClusterAccumCombiner> container_;
   std::vector<std::span<const char>> splits_;
-  std::vector<std::uint64_t> assigned_per_thread_;
+  std::vector<std::vector<ClusterAccum>> per_task_;  // the round's rows
+  std::vector<ClusterAccum> totals_;                  // per cluster
   std::vector<std::vector<double>> new_centroids_;
 };
 

@@ -12,17 +12,31 @@ namespace supmr::apps {
 
 void LinearRegressionApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
-  if (per_thread_.empty()) per_thread_.assign(num_map_threads, Stats{});
+  per_task_.clear();
   totals_ = Stats{};
 }
 
+void LinearRegressionApp::fold_round() {
+  for (const Stats& s : per_task_) {
+    totals_.n += s.n;
+    totals_.sx += s.sx;
+    totals_.sy += s.sy;
+    totals_.sxx += s.sxx;
+    totals_.sxy += s.sxy;
+  }
+  per_task_.clear();
+}
+
 Status LinearRegressionApp::prepare_round(const ingest::IngestChunk& chunk) {
-  splits_ = split_lines(chunk.bytes(), num_mappers_);
+  fold_round();
+  splits_ = split_lines(chunk.bytes(), map_slices(num_mappers_));
+  per_task_.assign(splits_.size(), Stats{});
   return Status::Ok();
 }
 
-void LinearRegressionApp::map_task(std::size_t task, std::size_t thread_id) {
-  assert(task < splits_.size() && thread_id < per_thread_.size());
+void LinearRegressionApp::map_task(std::size_t task,
+                                   std::size_t /*thread_id*/) {
+  assert(task < splits_.size());
   std::span<const char> split = splits_[task];
   Stats local;
   std::size_t begin = 0;
@@ -49,23 +63,11 @@ void LinearRegressionApp::map_task(std::size_t task, std::size_t thread_id) {
     }
     begin = end + 1;
   }
-  Stats& acc = per_thread_[thread_id];
-  acc.n += local.n;
-  acc.sx += local.sx;
-  acc.sy += local.sy;
-  acc.sxx += local.sxx;
-  acc.sxy += local.sxy;
+  per_task_[task] = local;
 }
 
 Status LinearRegressionApp::reduce(ThreadPool&, std::size_t) {
-  totals_ = Stats{};
-  for (const Stats& s : per_thread_) {
-    totals_.n += s.n;
-    totals_.sx += s.sx;
-    totals_.sy += s.sy;
-    totals_.sxx += s.sxx;
-    totals_.sxy += s.sxy;
-  }
+  fold_round();
   if (totals_.n >= 2) {
     const double n = double(totals_.n);
     const double denom = n * totals_.sxx - totals_.sx * totals_.sx;

@@ -2,11 +2,12 @@
 // spectrum (a classic Phoenix benchmark).
 //
 // Input: one "x y" pair per line. Map folds the five sufficient statistics
-// (n, Σx, Σy, Σx², Σxy) into a tiny per-thread accumulator; reduce folds the
-// stripes; merge is a no-op. The intermediate set is CONSTANT size, so with
-// the ingest chunk pipeline this job's time collapses to pure ingest — the
-// best case for SupMR (Conclusion 1: long map phase relative to reduce and
-// merge).
+// (n, Σx, Σy, Σx², Σxy) into the task's own accumulator; the next
+// prepare_round and reduce fold those in task order, so the sums do not
+// depend on which thread mapped which slice; merge is a no-op. The
+// intermediate set is CONSTANT size, so with the ingest chunk pipeline this
+// job's time collapses to pure ingest — the best case for SupMR (Conclusion
+// 1: long map phase relative to reduce and merge).
 #pragma once
 
 #include <cstdint>
@@ -39,9 +40,12 @@ class LinearRegressionApp final : public core::Application {
   const Stats& totals() const { return totals_; }
 
  private:
+  // Folds the round's per-task sums into totals_, in task order.
+  void fold_round();
+
   std::size_t num_mappers_ = 0;
-  std::vector<Stats> per_thread_;
   std::vector<std::span<const char>> splits_;
+  std::vector<Stats> per_task_;  // the round's sums, one per task
   Stats totals_;
   double slope_ = 0.0;
   double intercept_ = 0.0;

@@ -25,25 +25,19 @@ Status MatrixMultiplyApp::prepare_round(const ingest::IngestChunk& chunk) {
         "chunk is not a whole number of matrix columns");
   }
   const std::uint64_t cols = bytes.size() / rb;
-  const std::uint64_t base = container_.claim(cols);
-  tasks_.clear();
-  if (cols == 0) return Status::Ok();
-  const std::uint64_t per = (cols + num_mappers_ - 1) / num_mappers_;
-  for (std::uint64_t first = 0; first < cols; first += per) {
-    const std::uint64_t m = std::min(per, cols - first);
-    tasks_.push_back(RoundTask{bytes.data() + first * rb, base + first,
-                               m});
-  }
+  round_src_ = bytes.data();
+  round_slot_ = container_.claim(cols);
+  tasks_ = split_records(cols, map_slices(num_mappers_));
   return Status::Ok();
 }
 
 void MatrixMultiplyApp::map_task(std::size_t task, std::size_t thread_id) {
   (void)thread_id;
-  const RoundTask& t = tasks_[task];
+  const RecordSlice& t = tasks_[task];
   const std::uint64_t rb = n_ * sizeof(double);
   std::vector<double> b(n_), c(n_);
-  for (std::uint64_t col = 0; col < t.num_columns; ++col) {
-    std::memcpy(b.data(), t.src + col * rb, rb);
+  for (std::uint64_t col = t.first; col < t.first + t.count; ++col) {
+    std::memcpy(b.data(), round_src_ + col * rb, rb);
     // c = A * b, row-major A.
     for (std::size_t i = 0; i < n_; ++i) {
       double acc = 0.0;
@@ -52,7 +46,7 @@ void MatrixMultiplyApp::map_task(std::size_t task, std::size_t thread_id) {
       c[i] = acc;
     }
     container_.write_record(
-        t.first_slot + col,
+        round_slot_ + col,
         std::span<const char>(reinterpret_cast<const char*>(c.data()), rb));
   }
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/split.hpp"
 #include "containers/array_container.hpp"
 #include "core/application.hpp"
 
@@ -50,17 +51,13 @@ class MatrixMultiplyApp final : public core::Application {
                                         std::size_t n);
 
  private:
-  struct RoundTask {
-    const char* src = nullptr;
-    std::uint64_t first_slot = 0;
-    std::uint64_t num_columns = 0;
-  };
-
   std::vector<double> a_;
   std::size_t n_;
   std::size_t num_mappers_ = 0;
   containers::ArrayContainer container_;
-  std::vector<RoundTask> tasks_;
+  std::vector<RecordSlice> tasks_;
+  const char* round_src_ = nullptr;  // the round's first column
+  std::uint64_t round_slot_ = 0;     // its claimed container slot
   double frobenius_ = 0.0;
 };
 

@@ -43,7 +43,7 @@ void PmiApp::init(std::size_t num_map_threads) {
 }
 
 Status PmiApp::prepare_round(const ingest::IngestChunk& chunk) {
-  splits_ = split_lines(chunk.bytes(), num_mappers_);
+  splits_ = split_lines(chunk.bytes(), map_slices(num_mappers_));
   return Status::Ok();
 }
 

@@ -36,32 +36,23 @@ Status ScatterApp::prepare_round(const ingest::IngestChunk& chunk) {
   staged_.insert(staged_.end(), bytes.begin(),
                  bytes.begin() + static_cast<std::ptrdiff_t>(num_records * rb));
 
-  // Contiguous record ranges, one per mapper.
-  tasks_.clear();
-  const std::uint64_t per_task =
-      (num_records + num_mappers_ - 1) / std::max<std::uint64_t>(num_mappers_, 1);
-  for (std::uint64_t first = 0; first < num_records; first += per_task) {
-    RoundTask t;
-    t.num_records = std::min(per_task, num_records - first);
-    t.chunk_offset = chunk.offset + first * rb;
-    t.stage_at = stage_at + first * rb;
-    tasks_.push_back(t);
-  }
+  round_offset_ = chunk.offset;
+  round_stage_at_ = stage_at;
+  tasks_ = split_records(num_records, map_slices(num_mappers_));
   return Status::Ok();
 }
 
 void ScatterApp::map_task(std::size_t task, std::size_t thread_id) {
   assert(task < tasks_.size() && thread_id < num_mappers_);
-  const RoundTask& t = tasks_[task];
+  const RecordSlice& t = tasks_[task];
   const std::uint64_t rb = options_.record_bytes;
   auto& stripe = stripes_[thread_id];
-  stripe.reserve(stripe.size() + t.num_records);
-  for (std::uint64_t r = 0; r < t.num_records; ++r) {
-    const std::uint64_t src = t.stage_at + r * rb;
+  for (std::uint64_t r = t.first; r < t.first + t.count; ++r) {
+    const std::uint64_t src = round_stage_at_ + r * rb;
     const auto first_byte = static_cast<unsigned char>(staged_[src]);
     const std::uint64_t bucket =
         static_cast<std::uint64_t>(first_byte) * options_.buckets / 256;
-    const std::uint64_t global_index = (t.chunk_offset + r * rb) / rb;
+    const std::uint64_t global_index = round_offset_ / rb + r;
     stripe.push_back(Routed{bucket << 48 | global_index, src});
   }
 }

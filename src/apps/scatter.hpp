@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/split.hpp"
 #include "core/application.hpp"
 
 namespace supmr::apps {
@@ -51,16 +52,11 @@ class ScatterApp final : public core::Application {
     std::uint64_t order = 0;  // bucket << 48 | global record index
     std::uint64_t src = 0;    // byte offset of the record in staged_
   };
-  struct RoundTask {
-    const char* src = nullptr;
-    std::uint64_t chunk_offset = 0;  // device offset of the first record
-    std::uint64_t num_records = 0;
-    std::uint64_t stage_at = 0;      // destination offset in staged_
-  };
-
   ScatterOptions options_;
   std::size_t num_mappers_ = 0;
-  std::vector<RoundTask> tasks_;
+  std::vector<RecordSlice> tasks_;
+  std::uint64_t round_offset_ = 0;    // device offset of the round's records
+  std::uint64_t round_stage_at_ = 0;  // their offset in staged_
   std::vector<std::vector<Routed>> stripes_;  // per-thread routing entries
   std::vector<char> staged_;                  // record bytes, arrival order
   std::vector<Routed> routed_;

@@ -1,11 +1,15 @@
 // Chunk splitting shared by the applications: how prepare_round cuts one
-// ingest chunk into at most `num_map_threads` map tasks.
+// ingest chunk into map tasks.
 //
-// Byte-stream apps cut the chunk into pieces of about equal size, each cut
-// moved forward to the next boundary the app's records allow (after a
-// newline, or between words). File-oriented apps (inverted index, doc-term
+// A round is cut into up to map_slices(m) slices for m mappers, and the
+// round's m workers claim slices until none remain (core/job.cpp), so a
+// mapper that starts late or runs slowly maps fewer slices instead of
+// holding up the wave. Byte-stream apps cut the chunk into pieces of about
+// equal size, each cut moved forward to the next boundary the app's records
+// allow (after a newline, or between words). Fixed-record apps cut whole
+// records (split_records). File-oriented apps (inverted index, doc-term
 // count) instead deal whole files of a coalesced MultiFileSource chunk, so
-// file identity never splits across mappers.
+// file identity never splits across tasks.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +24,17 @@
 #include "ingest/chunk.hpp"
 
 namespace supmr::apps {
+
+// Slices per mapper. A constant, not a knob: at 16, a 16 MiB chunk on 4
+// mappers is 64 slices of 256 KiB, small enough that the wave's slowest
+// worker finishes its last slice close to the others, large enough that a
+// slice's claim and call cost nothing next to its bytes.
+inline constexpr std::size_t kSlicesPerMapper = 16;
+
+// The most slices a round is cut into for `mappers` mappers.
+constexpr std::size_t map_slices(std::size_t mappers) {
+  return kSlicesPerMapper * mappers;
+}
 
 // Cuts `text` into at most `max_splits` pieces of about equal size. Each cut
 // advances until at_boundary(text, end) holds for the cut offset `end`; the
@@ -57,6 +72,24 @@ inline std::vector<std::span<const char>> split_text(
                   [](std::span<const char> t, std::size_t end) {
                     return !is_word_char(t[end]);
                   });
+}
+
+// Records [first, first + count) of a round's fixed-size records.
+struct RecordSlice {
+  std::uint64_t first = 0;
+  std::uint64_t count = 0;
+};
+
+// Cuts `records` whole records into at most `max_slices` contiguous slices
+// of ceil(records / max_slices) records; the last takes what remains.
+inline std::vector<RecordSlice> split_records(std::uint64_t records,
+                                              std::size_t max_slices) {
+  std::vector<RecordSlice> slices;
+  if (records == 0 || max_slices == 0) return slices;
+  const std::uint64_t per = (records + max_slices - 1) / max_slices;
+  for (std::uint64_t first = 0; first < records; first += per)
+    slices.push_back(RecordSlice{first, std::min(per, records - first)});
+  return slices;
 }
 
 // One whole file's bytes inside a coalesced multi-file chunk.

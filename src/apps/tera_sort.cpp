@@ -98,40 +98,34 @@ Status TeraSortApp::prepare_round(const ingest::IngestChunk& chunk) {
         " is not a whole number of " + std::to_string(rb) + "-byte records");
   }
   const std::uint64_t records = bytes.size() / rb;
-  tasks_.clear();
+  round_src_ = bytes.data();
+  round_dst_ = nullptr;
+  tasks_ = split_records(records, map_slices(num_mappers_));
   if (records == 0) return Status::Ok();
-  char* dst = nullptr;
   if (partitioned()) {
     // Splitters come from the first non-empty chunk (sample-sort style);
     // later chunks route through the same cuts, so partitions stay
     // key-coherent across the whole ingest stream.
     if (pcontainer_.num_splitters() == 0) pcontainer_.sample_splitters(bytes);
   } else {
-    // One claim for the whole round, contiguous in one segment; each mapper
+    // One claim for the whole round, contiguous in one segment; each slice
     // then fills a disjoint part of it.
-    dst = container_.mutable_record(container_.claim(records));
-  }
-  const std::uint64_t per =
-      (records + num_mappers_ - 1) / num_mappers_;
-  for (std::uint64_t first = 0; first < records; first += per) {
-    const std::uint64_t n = std::min(per, records - first);
-    tasks_.push_back(RoundTask{bytes.data() + first * rb,
-                               dst == nullptr ? nullptr : dst + first * rb,
-                               n});
+    round_dst_ = container_.mutable_record(container_.claim(records));
   }
   return Status::Ok();
 }
 
 void TeraSortApp::map_task(std::size_t task, std::size_t thread_id) {
   // Flat container: the claimed slot range is the isolation. Partitioned
-  // container: the (partition, thread_id) stripe is — wave scheduling
-  // guarantees distinct thread_ids within a wave (application.hpp).
+  // container: the (partition, thread_id) stripe is — tasks on one
+  // thread_id never overlap (application.hpp).
   assert(task < tasks_.size());
-  const RoundTask& t = tasks_[task];
+  const RecordSlice& t = tasks_[task];
   const std::uint64_t rb = options_.record_bytes;
+  const char* src = round_src_ + t.first * rb;
   std::uint64_t bad = 0;
-  for (std::uint64_t r = 0; r < t.num_records; ++r) {
-    const char* rec = t.src + r * rb;
+  for (std::uint64_t r = 0; r < t.count; ++r) {
+    const char* rec = src + r * rb;
     if (options_.validate_terminators &&
         (rec[rb - 2] != '\r' || rec[rb - 1] != '\n')) {
       ++bad;
@@ -139,7 +133,7 @@ void TeraSortApp::map_task(std::size_t task, std::size_t thread_id) {
     if (partitioned()) {
       pcontainer_.append(thread_id, std::span<const char>(rec, rb));
     } else {
-      std::memcpy(t.dst + r * rb, rec, rb);
+      std::memcpy(round_dst_ + (t.first + r) * rb, rec, rb);
     }
   }
   if (bad > 0) malformed_.fetch_add(bad, std::memory_order_relaxed);

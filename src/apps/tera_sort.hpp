@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "apps/split.hpp"
 #include "containers/array_container.hpp"
 #include "containers/partitioned.hpp"
 #include "core/application.hpp"
@@ -85,12 +86,6 @@ class TeraSortApp final : public core::Application {
   bool partitioned() const { return options_.partitions > 0; }
 
  private:
-  struct RoundTask {
-    const char* src = nullptr;  // first record's bytes in the chunk
-    char* dst = nullptr;        // its claimed slot (flat container only)
-    std::uint64_t num_records = 0;
-  };
-
   // The records the map phase wrote, one span of whole records per flat
   // container segment or per (partition, thread) stripe, in that order.
   std::vector<std::span<const char>> record_spans() const;
@@ -100,7 +95,9 @@ class TeraSortApp final : public core::Application {
   std::size_t num_mappers_ = 0;
   containers::ArrayContainer container_;
   containers::PartitionedContainer pcontainer_;
-  std::vector<RoundTask> tasks_;
+  std::vector<RecordSlice> tasks_;
+  const char* round_src_ = nullptr;  // the round's first record
+  char* round_dst_ = nullptr;        // its claimed slot (flat container only)
   std::uint64_t checksum_ = 0;
   std::atomic<std::uint64_t> malformed_{0};
   std::unique_ptr<char[]> sorted_;

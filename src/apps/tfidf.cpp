@@ -45,7 +45,7 @@ void TfIdfApp::init(std::size_t num_map_threads) {
 }
 
 Status TfIdfApp::prepare_round(const ingest::IngestChunk& chunk) {
-  splits_ = split_lines(chunk.bytes(), num_mappers_);
+  splits_ = split_lines(chunk.bytes(), map_slices(num_mappers_));
   return Status::Ok();
 }
 

@@ -36,7 +36,7 @@ Status WordCountApp::prepare_round(const ingest::IngestChunk& chunk) {
     container_.reset();
     container_.init(num_mappers_, capacity_hint(true));
   }
-  splits_ = split_text(chunk.bytes(), num_mappers_);
+  splits_ = split_text(chunk.bytes(), map_slices(num_mappers_));
   return Status::Ok();
 }
 

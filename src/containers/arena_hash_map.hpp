@@ -81,15 +81,18 @@ class ArenaHashMap {
     }
   }
 
-  // Iterates entries whose mixed hash lands in reduce partition `part` of
-  // `num_parts`. Partitioning by hash (not bucket index) keeps the partition
-  // assignment stable across growth.
+  // Iterates entries whose hash lands in reduce partition `part` of
+  // `num_parts` (hash_partition): fn(key, hash, value). Partitioning by hash
+  // (not bucket index) keeps the partition assignment stable across growth,
+  // and passing the stored hash spares the reduce fold a second hash of the
+  // key.
   template <typename Fn>
   void for_each_in_partition(std::size_t part, std::size_t num_parts,
                              Fn&& fn) const {
     assert(part < num_parts);
     for (const Slot& slot : slots_) {
-      if (slot.used && slot.hash % num_parts == part) fn(key_of(slot), slot.value);
+      if (slot.used && hash_partition(slot.hash, num_parts) == part)
+        fn(key_of(slot), slot.hash, slot.value);
     }
   }
 

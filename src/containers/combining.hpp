@@ -115,16 +115,18 @@ class CombiningContainer {
   }
 
   // Cross-thread merge of partition `part`: Combiner::merge over the
-  // stripes' surviving accumulators, keyed by the same mixed hash as
-  // ArenaHashMap so partitions stay stable. Disjoint partitions may run
-  // concurrently.
+  // stripes' surviving accumulators, partitioned by hash_partition like
+  // ArenaHashMap so partitions stay stable, and folded under each slot's
+  // stored hash. Disjoint partitions may run concurrently.
   std::vector<std::pair<std::string, value_type>> reduce_partition(
       std::size_t part, std::size_t num_parts) const {
     ArenaHashMap<value_type> merged(256);
     for (const Stripe& stripe : stripes_) {
       stripe.for_each_in_partition(
-          part, num_parts, [&](std::string_view key, const value_type& v) {
-            value_type& acc = merged.find_or_insert(key, Combiner::identity());
+          part, num_parts,
+          [&](std::string_view key, std::uint64_t h, const value_type& v) {
+            value_type& acc =
+                merged.find_or_insert(key, h, Combiner::identity());
             Combiner::merge(acc, v);
           });
     }
@@ -293,8 +295,9 @@ class CombiningContainer {
                                Fn&& fn) const {
       assert(part < num_parts);
       for (const Slot& slot : slots) {
-        if (slot.key_len != Slot::kEmpty && slot.hash % num_parts == part)
-          fn(key_of(slot), slot.value);
+        if (slot.key_len != Slot::kEmpty &&
+            hash_partition(slot.hash, num_parts) == part)
+          fn(key_of(slot), slot.hash, slot.value);
       }
     }
 

@@ -4,9 +4,9 @@
 // 8-byte little-endian blocks from its first byte, the last one
 // zero-extended, each step a bijection on the block (xor, odd multiply,
 // xorshift). The length goes in last, then the mix64 avalanche finalizer
-// makes the low bits used for bucket and partition selection well mixed
-// (bucket index and reduce partition are both derived from this hash, so
-// they must not correlate).
+// mixes every bit. Buckets take the low bits and reduce partitions the high
+// bits (hash_partition), so the keys of one partition still spread over
+// every bucket of the table the reduce folds them into.
 //
 // The word tokenizer (apps/tokenize.hpp) runs the same hash_fold and
 // hash_finish steps on the blocks it lowercases, and the containers' emit
@@ -53,6 +53,15 @@ inline std::uint64_t hash_bytes(std::string_view s) {
     h = hash_fold(h, tail);
   }
   return hash_finish(h, s.size());
+}
+
+// Reduce partition of hash `h` among `parts`: the high bits of h, scaled
+// (multiply-shift). Taking h % parts instead would give every key of a
+// partition the same low bits, and with a power-of-two partition count those
+// keys would share home buckets in the fold's table.
+inline std::size_t hash_partition(std::uint64_t h, std::size_t parts) {
+  return static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(h) * parts) >> 64);
 }
 
 }  // namespace supmr::containers

@@ -98,15 +98,18 @@ class HashContainer {
   }
 
   // Reduce-side: merges partition `part` of `num_parts` across all stripes
-  // into owned (key, accumulator) pairs. Each partition is disjoint, so
-  // concurrent calls with distinct `part` are safe.
+  // into owned (key, accumulator) pairs, folding under each slot's stored
+  // hash. Each partition is disjoint, so concurrent calls with distinct
+  // `part` are safe.
   std::vector<std::pair<std::string, value_type>> reduce_partition(
       std::size_t part, std::size_t num_parts) const {
     ArenaHashMap<value_type> merged(256);
     for (const auto& stripe : stripes_) {
       stripe.for_each_in_partition(
-          part, num_parts, [&](std::string_view key, const value_type& v) {
-            value_type& acc = merged.find_or_insert(key, Combiner::identity());
+          part, num_parts,
+          [&](std::string_view key, std::uint64_t h, const value_type& v) {
+            value_type& acc =
+                merged.find_or_insert(key, h, Combiner::identity());
             Combiner::merge(acc, v);
           });
     }

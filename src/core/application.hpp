@@ -11,17 +11,20 @@
 //   init(mappers)                      once   (persistent container init)
 //   for each ingest chunk:
 //     prepare_round(chunk)             multiple  (split; claim container space)
-//     map_task(t, thread) x tasks      multiple  (parallel wave, t < mappers)
+//     map_task(t, thread) x tasks      multiple  (one wave, thread < mappers)
 //   reduce(pool, partitions)           once
 //   merge(pool, plan, stats)           once
 //
-// map_task contract: the runtime runs a round's tasks in waves of at most
-// `num_map_threads`; tasks within one wave run concurrently with distinct
-// thread_ids < the init() mapper count, so a task may use thread_id to
-// address a per-thread container stripe without locking. When a round has at
-// most `num_map_threads` tasks (the common case), thread_id == task index;
-// rounds with more tasks run as successive waves (task = wave_base +
-// thread_id) instead of failing.
+// map_task contract: the runtime maps each round in one wave of at most
+// `num_map_threads` workers. Each worker claims the round's next task and
+// runs map_task(task, thread_id) under its own thread_id < the init()
+// mapper count until no task remains, so tasks with the same thread_id
+// never overlap and a task may use thread_id to address a per-thread
+// container stripe without locking. round_tasks() may be any number.
+// Which thread_id runs which task is unspecified: whatever a task folds
+// into a per-thread stripe must be exact under reordering (integer counts,
+// keyed entries the merge orders), or be kept per task and combined in task
+// order (the floating-point sums of linear regression and k-means).
 #pragma once
 
 #include <cstdint>
@@ -106,18 +109,19 @@ class Application {
   virtual void init(std::size_t num_map_threads) = 0;
 
   // The runtime hands the application the current ingest chunk (set_data()).
-  // The application partitions it into splits (normally at most
-  // `num_map_threads`) and claims any container space the round needs. The
-  // chunk reference is only valid until the round's map tasks finish.
+  // The application partitions it into splits (apps/split.hpp cuts
+  // kSlicesPerMapper per mapper) and claims any container space the round
+  // needs. The chunk reference is only valid until the round's map tasks
+  // finish.
   virtual Status prepare_round(const ingest::IngestChunk& chunk) = 0;
 
-  // Number of map tasks for the prepared round. Rounds larger than the
-  // mapper count are legal; the runtime batches them into successive waves.
+  // Number of map tasks for the prepared round: any number. The round's
+  // workers claim them one at a time.
   virtual std::size_t round_tasks() const = 0;
 
   // Maps split `task` on `thread_id`. Must be safe to run concurrently with
-  // the other tasks of the same wave (distinct task indices, distinct
-  // thread_ids).
+  // the round's other tasks on other thread_ids; tasks on the same
+  // thread_id run one after another.
   virtual void map_task(std::size_t task, std::size_t thread_id) = 0;
 
   // Coalesces intermediate pairs after all rounds (parallel over partitions).

@@ -1,6 +1,9 @@
 #include "core/job.hpp"
 
+#include <atomic>
+
 #include "common/logging.hpp"
+#include "common/test_hooks.hpp"
 #include "common/units.hpp"
 #include "obs/macros.hpp"
 #include "obs/trace.hpp"
@@ -23,34 +26,32 @@ void MapReduceJob::attach_runtime(ThreadPool& pool,
 Status MapReduceJob::map_round(const ingest::IngestChunk& chunk) {
   SUPMR_RETURN_IF_ERROR(app_.prepare_round(chunk));
   const std::size_t tasks = app_.round_tasks();
-  const std::size_t width = config_.num_map_threads;
-  // Applications normally split a round into at most `num_map_threads`
-  // tasks, but nothing forces them to (MultiFileSource packing, or a future
-  // app with input-derived splits, can produce more). Instead of failing the
-  // job, run the round as successive waves of `width` tasks; within a batch
-  // each task still gets a distinct thread slot in [0, width).
-  if (tasks > width) {
-    SUPMR_COUNTER_ADD("map.oversubscribed_waves", 1);
-    SUPMR_LOG_INFO("map_round: %zu tasks over %zu mapper threads; running in "
-                   "%zu waves",
-                   tasks, width, (tasks + width - 1) / width);
-  }
+  // The "map-claim" mutation hook (conformance harness smoke) stops every
+  // round's claim loop one slice short, so the oracle gates must catch a
+  // lost slice.
+  static const bool lose_slice = test_mutation_enabled("map-claim");
+  const std::size_t claimable = lose_slice && tasks > 0 ? tasks - 1 : tasks;
   SUPMR_TRACE_SCOPE_VAR(span, "map", "map.round");
   SUPMR_TRACE_SET_ARG(span, "tasks", tasks);
   SUPMR_TRACE_SET_ARG2(span, "bytes", chunk.size());
-  for (std::size_t base = 0; base < tasks; base += width) {
-    const std::size_t batch = std::min(width, tasks - base);
-    std::vector<std::function<void(std::size_t)>> wave;
-    wave.reserve(batch);
-    for (std::size_t t = 0; t < batch; ++t) {
-      wave.push_back(
-          [this, base, t](std::size_t) { app_.map_task(base + t, t); });
-    }
-    if (config_.unpooled_map_waves) {
-      ThreadPool::run_wave_unpooled(wave);
-    } else if (!pool_->run_wave(wave)) {
-      return Status::Internal("map wave dropped: thread pool shut down");
-    }
+  // One wave of min(m, tasks) workers. Worker w claims the next task index
+  // and maps it on thread_id w until none remain, so a worker that starts
+  // late or runs slowly maps fewer slices instead of holding up the wave.
+  // The wave's latch orders every task's writes before the join, so the
+  // claim itself needs no ordering.
+  std::atomic<std::size_t> next{0};
+  const std::vector<std::function<void(std::size_t)>> wave(
+      std::min(config_.num_map_threads, tasks),
+      [this, &next, claimable](std::size_t worker) {
+        for (std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
+             t < claimable; t = next.fetch_add(1, std::memory_order_relaxed)) {
+          app_.map_task(t, worker);
+        }
+      });
+  if (config_.unpooled_map_waves) {
+    ThreadPool::run_wave_unpooled(wave);
+  } else if (!pool_->run_wave(wave)) {
+    return Status::Internal("map wave dropped: thread pool shut down");
   }
   SUPMR_COUNTER_ADD("map.rounds", 1);
   SUPMR_COUNTER_ADD("map.tasks", tasks);

@@ -16,9 +16,8 @@ StatusOr<RefResult> run_ref(core::Application& app,
   for (const auto& extent : extents) {
     SUPMR_RETURN_IF_ERROR(source.read_chunk(extent, chunk));
     SUPMR_RETURN_IF_ERROR(app.prepare_round(chunk));
-    // One mapper: a round's tasks run strictly in task order on thread 0
-    // (the Application contract allows rounds larger than the mapper count
-    // as successive waves; sequentially each wave is one task).
+    // One mapper: the one worker of the round's wave claims every task, so
+    // they run strictly in task order on thread 0.
     const std::size_t tasks = app.round_tasks();
     for (std::size_t t = 0; t < tasks; ++t) app.map_task(t, 0);
     ++result.chunks;

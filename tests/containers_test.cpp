@@ -81,10 +81,12 @@ TEST(ArenaHashMap, PartitionsAreDisjointAndComplete) {
   constexpr std::size_t kParts = 7;
   std::set<std::string> seen;
   for (std::size_t p = 0; p < kParts; ++p) {
-    m.for_each_in_partition(p, kParts, [&](std::string_view k, const int&) {
-      EXPECT_TRUE(seen.insert(std::string(k)).second)
-          << "key in two partitions: " << k;
-    });
+    m.for_each_in_partition(
+        p, kParts, [&](std::string_view k, std::uint64_t h, const int&) {
+          EXPECT_EQ(h, hash_bytes(k));
+          EXPECT_TRUE(seen.insert(std::string(k)).second)
+              << "key in two partitions: " << k;
+        });
   }
   EXPECT_EQ(seen.size(), 1000u);
 }
@@ -95,17 +97,18 @@ TEST(ArenaHashMap, PartitionAssignmentStableAcrossGrowth) {
   small.find_or_insert("stable-key", 1);
   std::size_t part_before = ~0ull;
   for (std::size_t p = 0; p < 5; ++p) {
-    small.for_each_in_partition(p, 5, [&](std::string_view, const int&) {
-      part_before = p;
-    });
+    small.for_each_in_partition(
+        p, 5, [&](std::string_view, std::uint64_t, const int&) {
+          part_before = p;
+        });
   }
   for (int i = 0; i < 10000; ++i)
     small.find_or_insert("filler" + std::to_string(i), i);
   bool found = false;
-  small.for_each_in_partition(part_before, 5,
-                              [&](std::string_view k, const int&) {
-                                if (k == "stable-key") found = true;
-                              });
+  small.for_each_in_partition(
+      part_before, 5, [&](std::string_view k, std::uint64_t, const int&) {
+        if (k == "stable-key") found = true;
+      });
   EXPECT_TRUE(found);
 }
 
@@ -149,11 +152,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ArenaMapProperty,
 
 // ------------------------------------------------------------- hash_bytes
 
-// The hash only picks buckets and reduce partitions, so what it must keep is
-// evenness, on the key shapes the string-keyed apps produce: word-count
-// vocabularies, pair keys "w1 w2", decimal keys and doc-term keys
-// "<file_id>\t<word>".
-TEST(HashBytes, PartitionsAndProbesStayEven) {
+// The key shapes the string-keyed apps produce: word-count vocabularies,
+// pair keys "w1 w2", decimal keys and doc-term keys "<file_id>\t<word>".
+std::vector<std::pair<std::string, std::vector<std::string>>> app_key_sets() {
   const auto vocabulary = [](std::size_t n) {
     std::vector<std::string> words;
     for (std::size_t i = 0; i < n; ++i)
@@ -171,18 +172,48 @@ TEST(HashBytes, PartitionsAndProbesStayEven) {
     decimals.push_back(std::to_string(i));
     doc_terms.push_back(std::to_string(i % 100) + '\t' + words[i / 100]);
   }
-  const std::pair<const char*, std::vector<std::string>> sets[] = {
-      {"vocabulary 10k", words},   {"vocabulary 150k", vocabulary(150000)},
-      {"pairs 120k", pairs},       {"decimals 100k", decimals},
-      {"doc-terms 100k", doc_terms}};
-  for (const auto& [name, keys] : sets) {
+  return {{"vocabulary 10k", words},
+          {"vocabulary 150k", vocabulary(150000)},
+          {"pairs 120k", pairs},
+          {"decimals 100k", decimals},
+          {"doc-terms 100k", doc_terms}};
+}
+
+// Mean probe length of a successful search once `hashes` are inserted into
+// a linear-probing table of `cap` slots (a power of two) indexed by their
+// low bits, as ArenaHashMap places them.
+double mean_probe_length(const std::vector<std::uint64_t>& hashes,
+                         std::size_t cap) {
+  std::vector<bool> used(cap, false);
+  std::size_t probes = 0;
+  for (const std::uint64_t h : hashes) {
+    std::size_t idx = h & (cap - 1);
+    for (++probes; used[idx]; ++probes) idx = (idx + 1) & (cap - 1);
+    used[idx] = true;
+  }
+  return static_cast<double>(probes) / static_cast<double>(hashes.size());
+}
+
+// Within 1.25x of Knuth's 1/2 (1 + 1/(1 - a)) for a uniform hash at the
+// table's load a.
+double probe_length_bound(std::size_t keys, std::size_t cap) {
+  const double load = static_cast<double>(keys) / static_cast<double>(cap);
+  return 1.25 * 0.5 * (1 + 1 / (1 - load));
+}
+
+// The hash only picks buckets and reduce partitions, so what it must keep is
+// evenness, on the key shapes the string-keyed apps produce.
+TEST(HashBytes, PartitionsAndProbesStayEven) {
+  for (const auto& [name, keys] : app_key_sets()) {
     ASSERT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
               keys.size())
         << name;
+    std::vector<std::uint64_t> hashes;
+    for (const std::string& k : keys) hashes.push_back(hash_bytes(k));
     const double n = static_cast<double>(keys.size());
     for (std::size_t parts : {16u, 7u}) {
       std::vector<std::size_t> count(parts, 0);
-      for (const std::string& k : keys) ++count[hash_bytes(k) % parts];
+      for (const std::uint64_t h : hashes) ++count[hash_partition(h, parts)];
       const double mean = n / static_cast<double>(parts);
       const double tol = keys.size() >= 100000 ? 0.05 : 0.15;
       for (std::size_t p = 0; p < parts; ++p) {
@@ -190,22 +221,12 @@ TEST(HashBytes, PartitionsAndProbesStayEven) {
             << name << ", partition " << p << " of " << parts;
       }
     }
-    // Linear probing at the load ArenaHashMap would run at (at most 70%):
-    // the mean probe length of a successful search stays within 1.25x of
-    // Knuth's 1/2 (1 + 1/(1 - a)) for a uniform hash.
+    // Linear probing at the load ArenaHashMap would run at (at most 70%).
     std::size_t cap = 16;
     while (keys.size() * 10 > cap * 7) cap <<= 1;
-    std::vector<bool> used(cap, false);
-    std::size_t probes = 0;
-    for (const std::string& k : keys) {
-      std::size_t idx = hash_bytes(k) & (cap - 1);
-      for (++probes; used[idx]; ++probes) idx = (idx + 1) & (cap - 1);
-      used[idx] = true;
-    }
-    const double load = n / static_cast<double>(cap);
-    EXPECT_LE(static_cast<double>(probes) / n,
-              1.25 * 0.5 * (1 + 1 / (1 - load)))
-        << name << " at load " << load;
+    EXPECT_LE(mean_probe_length(hashes, cap),
+              probe_length_bound(keys.size(), cap))
+        << name << " at " << keys.size() << " keys in " << cap << " slots";
   }
 }
 
@@ -258,6 +279,35 @@ TEST(HashContainer, EmitAndReducePartition) {
   EXPECT_EQ(merged["apple"], 3u);
   EXPECT_EQ(merged["pear"], 1u);
   EXPECT_EQ(merged.size(), 2u);
+}
+
+// reduce_partition folds one partition's keys into a fresh
+// ArenaHashMap(256), whose buckets are the hash's low bits. So the
+// partition must not be chosen by those bits: with `hash % 16`, every key
+// of a partition shares its low 4 bits and only one slot in 16 is a home
+// bucket. Each partition of every app key set, placed in a table of the
+// size the fold grows to, must probe like a uniform hash.
+TEST(HashContainer, ReduceFoldProbesStayShort) {
+  constexpr std::size_t kParts = 16;  // reduce_partitions() at 4 threads
+  for (const auto& [name, keys] : app_key_sets()) {
+    ArenaHashMap<int> stripe(keys.size());
+    for (const std::string& k : keys) stripe.find_or_insert(k, 0);
+    for (std::size_t p = 0; p < kParts; ++p) {
+      std::vector<std::uint64_t> hashes;
+      stripe.for_each_in_partition(
+          p, kParts, [&](std::string_view, std::uint64_t h, const int&) {
+            hashes.push_back(h);
+          });
+      // ArenaHashMap(256) starts at 512 slots and doubles before an insert
+      // would reach 70% load.
+      std::size_t cap = 512;
+      while (hashes.size() * 10 >= cap * 7) cap <<= 1;
+      EXPECT_LE(mean_probe_length(hashes, cap),
+                probe_length_bound(hashes.size(), cap))
+          << name << ", partition " << p << ": " << hashes.size()
+          << " keys in " << cap << " slots";
+    }
+  }
 }
 
 TEST(HashContainer, InitIsIdempotent) {

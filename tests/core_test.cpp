@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 
 #include "apps/word_count.hpp"
 #include "core/job.hpp"
@@ -123,41 +122,6 @@ TEST(MapReduceJob, PhaseTimesArePopulated) {
   EXPECT_GE(result->phases.merge_s, 0.0);
   // The combined phase can't exceed the total.
   EXPECT_LE(result->phases.readmap_s, result->phases.total_s + 1e-9);
-}
-
-// Regression: rounds with more tasks than mapper threads used to hard-fail
-// with FailedPrecondition. They now run as successive waves of
-// `num_map_threads`; every task runs exactly once and every thread_id stays
-// inside the init() mapper count (the per-thread-stripe safety contract).
-TEST(MapReduceJob, OversubscribedRoundRunsInWaves) {
-  class OverSubscribingApp final : public ProbeApp {
-   public:
-    Status prepare_round(const ingest::IngestChunk& chunk) override {
-      SUPMR_RETURN_IF_ERROR(ProbeApp::prepare_round(chunk));
-      tasks_this_round_ = 7;  // 2 mappers -> 4 waves
-      return Status::Ok();
-    }
-    void map_task(std::size_t task, std::size_t thread_id) override {
-      ProbeApp::map_task(task, thread_id);
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_seen_.push_back(task);
-      max_thread_id_ = std::max(max_thread_id_, thread_id);
-    }
-    std::mutex mu_;
-    std::vector<std::size_t> tasks_seen_;
-    std::size_t max_thread_id_ = 0;
-  };
-  OverSubscribingApp app;
-  SingleDeviceSource src(mem("x\n"), std::make_shared<LineFormat>(), 0);
-  MapReduceJob job(app, src, cfg(/*mappers=*/2));
-  auto result = job.run(ExecMode::kOriginal);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(app.map_tasks_.load(), 7);
-  EXPECT_LT(app.max_thread_id_, 2u);  // never outside the mapper count
-  std::sort(app.tasks_seen_.begin(), app.tasks_seen_.end());
-  for (std::size_t i = 0; i < app.tasks_seen_.size(); ++i) {
-    EXPECT_EQ(app.tasks_seen_[i], i);  // each task index exactly once
-  }
 }
 
 TEST(MapReduceJob, PrepareRoundErrorAborts) {

@@ -239,8 +239,9 @@ TEST(ExternalWordCount, SpillReleasesTheTable) {
   const std::string text = wload::generate_text(cfg);
   constexpr std::uint64_t kBudget = 256 * 1024;
   constexpr std::size_t kChunk = 16 * 1024;
+  constexpr std::size_t kMappers = 2;
   apps::WordCountApp app(kBudget, run_set());
-  app.init(2);
+  app.init(kMappers);
   ASSERT_LT(app.memory_bytes(), kBudget);
   std::size_t rounds = 0, spills = 0;
   for (std::size_t off = 0; off < text.size(); off += kChunk, ++rounds) {
@@ -252,7 +253,8 @@ TEST(ExternalWordCount, SpillReleasesTheTable) {
       spills = app.runs_spilled();
       EXPECT_LE(app.memory_bytes(), kBudget) << "after spill " << spills;
     }
-    for (std::size_t t = 0; t < app.round_tasks(); ++t) app.map_task(t, t);
+    for (std::size_t t = 0; t < app.round_tasks(); ++t)
+      app.map_task(t, t % kMappers);
   }
   EXPECT_GT(spills, 0u);
   EXPECT_LT(spills, rounds / 2);

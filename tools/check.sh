@@ -58,7 +58,9 @@
 #               result line; terasort and wordcount must each exit 1
 #               under SUPMR_TEST_MUTATION=pway-comparator (the oracle gate
 #               is live over TeraSort's merge and the keyed-app
-#               skeleton's), and cluster_sort must exit 1 under
+#               skeleton's), wordcount must exit 1 under
+#               SUPMR_TEST_MUTATION=map-claim (the gate catches a map wave
+#               that loses a slice), and cluster_sort must exit 1 under
 #               SUPMR_TEST_MUTATION=partition-routing (the gate catches
 #               wrong cluster routing); then the span-arithmetic unit test
 #
@@ -338,6 +340,13 @@ run_stage() {
           { echo "perf-smoke: pway-comparator mutation not caught on" \
               "${workload} (exit ${status}, want 1)" >&2; return 1; }
       done
+      status=0
+      SUPMR_TEST_MUTATION=map-claim python3 "${bench}" \
+        --workload wordcount --seconds 1 --trace 0 >/dev/null 2>&1 ||
+        status=$?
+      [ "${status}" -eq 1 ] ||
+        { echo "perf-smoke: map-claim mutation not caught on" \
+            "wordcount (exit ${status}, want 1)" >&2; return 1; }
       status=0
       SUPMR_TEST_MUTATION=partition-routing python3 "${bench}" \
         --workload cluster_sort --seconds 1 --trace 0 >/dev/null 2>&1 ||
