@@ -5,8 +5,10 @@
 // pass. The gap IS the paper's merge speedup, and it widens with fan-in
 // ("the benefit of the sort modification depends on the number of merge
 // rounds it avoids").
+#include <algorithm>
+
 #include "bench/bench_util.hpp"
-#include "merge/fway.hpp"
+#include "merge/sample_sort.hpp"
 #include "perfmodel/experiments.hpp"
 #include "tests/testdata.hpp"
 
@@ -15,22 +17,39 @@ using namespace supmr::perfmodel;
 
 namespace {
 
-// Real-mode twin: iterative f-way merge over 2M 8-byte keys, sweeping the
-// fan-in from 2 (pairwise) to full width (p-way equivalent).
-void real_fway_sweep() {
-  std::printf("\nreal wall-clock f-way sweep (2M keys, 64 runs, 4 threads):\n");
-  std::printf("  %6s %8s %12s\n", "fanin", "rounds", "merge time");
+double merge_seconds(const merge::MergeStats& stats) {
+  double s = 0.0;
+  for (const auto& r : stats.rounds) s += r.wall_s;
+  return s;
+}
+
+// Real-mode twin: the two merges the runtime ships, pairwise (iterative,
+// halving parallelism) and the parallel p-way merge, over the same 2M 8-byte
+// keys cut into 2, 8 and 64 sorted runs. Times cover the merge rounds only,
+// not run formation.
+bool real_merge_sweep() {
+  std::printf("\nreal wall-clock merge sweep (2M keys, 4 threads):\n");
+  std::printf("  %6s %8s %12s %8s %12s\n", "runs", "rounds", "pairwise",
+              "rounds", "p-way");
   const auto base = testdata::random_u64(2'000'000, 17);
   ThreadPool pool(4);
-  for (std::size_t fanin : {2u, 4u, 8u, 64u}) {
-    auto data = base;
-    merge::MergeStats stats = merge::fway_merge_sort(
-        pool, std::span<std::uint64_t>(data.data(), data.size()),
-        std::less<std::uint64_t>{}, 64, fanin);
-    double merge_s = 0.0;
-    for (const auto& r : stats.rounds) merge_s += r.wall_s;
-    std::printf("  %6zu %8zu %11.3fs\n", fanin, stats.num_rounds(), merge_s);
+  for (std::size_t runs : {2u, 8u, 64u}) {
+    auto pairwise = base;
+    const merge::MergeStats ps = merge::pairwise_merge_sort(
+        pool, std::span<std::uint64_t>(pairwise.data(), pairwise.size()),
+        std::less<std::uint64_t>{}, runs);
+    auto pway = base;
+    const merge::MergeStats ws = merge::parallel_sample_sort(
+        pool, std::span<std::uint64_t>(pway.data(), pway.size()),
+        std::less<std::uint64_t>{}, runs);
+    if (!std::is_sorted(pairwise.begin(), pairwise.end()) || pway != pairwise) {
+      std::fprintf(stderr, "merge sweep: wrong output at %zu runs\n", runs);
+      return false;
+    }
+    std::printf("  %6zu %8zu %11.3fs %8zu %11.3fs\n", runs, ps.num_rounds(),
+                merge_seconds(ps), ws.num_rounds(), merge_seconds(ws));
   }
+  return true;
 }
 
 }  // namespace
@@ -51,6 +70,5 @@ int main() {
   }
   std::printf("\nexpected shape: pairwise grows ~log2(runs); p-way flat;\n"
               "at the paper's fan-in (64) the ratio lands near 3.1x.\n");
-  real_fway_sweep();
-  return 0;
+  return real_merge_sweep() ? 0 : 1;
 }

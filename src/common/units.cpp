@@ -83,7 +83,7 @@ std::optional<std::uint64_t> parse_size(std::string_view text) {
   const char* end = begin + text.size();
   auto [ptr, ec] = std::from_chars(begin, end, value);
   if (ec != std::errc{} || ptr == begin) return std::nullopt;
-  if (value < 0) return std::nullopt;
+  if (!std::isfinite(value) || value < 0) return std::nullopt;
 
   std::string suffix;
   for (const char* p = ptr; p != end; ++p) {
@@ -93,9 +93,9 @@ std::optional<std::uint64_t> parse_size(std::string_view text) {
 
   for (const auto& s : kSuffixes) {
     if (suffix == s.name) {
-      double result = value * double(s.mult);
-      if (result > 1.8e19) return std::nullopt;  // would overflow uint64
-      return static_cast<std::uint64_t>(std::llround(result));
+      const double result = std::round(value * double(s.mult));
+      if (result >= 0x1p64) return std::nullopt;  // would overflow uint64
+      return static_cast<std::uint64_t>(result);
     }
   }
   return std::nullopt;

@@ -24,7 +24,7 @@
 // Which thread_id runs which task is unspecified: whatever a task folds
 // into a per-thread stripe must be exact under reordering (integer counts,
 // keyed entries the merge orders), or be kept per task and combined in task
-// order (the floating-point sums of linear regression and k-means).
+// order (k-means' floating-point sums).
 #pragma once
 
 #include <cstdint>

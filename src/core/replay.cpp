@@ -1,5 +1,6 @@
 #include "core/replay.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <type_traits>
@@ -60,6 +61,20 @@ Status check_sort_geometry(std::uint64_t key_bytes, std::uint64_t record_bytes,
         ", got " + std::to_string(key_bytes));
   }
   return Status::Ok();
+}
+
+Status check_thread_count(std::uint64_t threads, std::uint64_t nodes,
+                          std::string_view threads_name,
+                          std::string_view nodes_name) {
+  if (threads <= kMaxThreads / std::max<std::uint64_t>(1, nodes)) {
+    return Status::Ok();
+  }
+  std::string what = std::string(threads_name) + "=" + std::to_string(threads);
+  if (nodes > 1) {
+    what += " x " + std::string(nodes_name) + "=" + std::to_string(nodes);
+  }
+  return Status::InvalidArgument(what + " starts more than " +
+                                 std::to_string(kMaxThreads) + " threads");
 }
 
 JobConfig ReplaySpec::job_config() const {
@@ -293,6 +308,11 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
   SUPMR_RETURN_IF_ERROR(spec.corpus.parsed_kind().status());
   if (spec.threads == 0) {
     return Status::InvalidArgument("replay spec: threads must be >= 1");
+  }
+  const Status thread_count = check_thread_count(
+      spec.threads, spec.cluster_nodes, "cell.threads", "cluster.nodes");
+  if (!thread_count.ok()) {
+    return Status::InvalidArgument("replay spec: " + thread_count.message());
   }
   if (spec.retry_attempts == 0) {
     return Status::InvalidArgument("replay spec: retry_attempts must be >= 1");

@@ -169,4 +169,18 @@ Status check_sort_geometry(std::uint64_t key_bytes, std::uint64_t record_bytes,
                            std::string_view key_name,
                            std::string_view record_name);
 
+// The most OS threads a count from outside the program may start: a run's
+// map and reduce pool, one pool per node for a cluster run, the serve
+// pool, and serve's client threads. ThreadPool and run_cluster start every
+// thread at once, so a typo must fail before any of them starts.
+inline constexpr std::uint64_t kMaxThreads = 1024;
+
+// Whether `threads` per node on `nodes` nodes (0 = not a cluster run) stays
+// within kMaxThreads: threads x max(1, nodes) <= kMaxThreads. The error
+// names `threads_name` and `nodes_name`, so the CLI reports its flags and
+// from_json its keys.
+Status check_thread_count(std::uint64_t threads, std::uint64_t nodes,
+                          std::string_view threads_name,
+                          std::string_view nodes_name);
+
 }  // namespace supmr::core

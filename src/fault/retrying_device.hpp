@@ -3,13 +3,11 @@
 // Wraps any storage::Device and re-issues failed positional reads under a
 // RetryPolicy: exponential seeded-jitter backoff between attempts, a
 // per-read wall-clock deadline, and fail-fast for non-retryable errors.
-// Ingest chunk reads, record boundary probes and external-sort spill
-// re-reads all go through the Device seam, so stacking this wrapper gives
-// them transient-fault survival without touching any reader (ARCHITECTURE
-// §2); spill reads retry when ExternalSorterOptions::open_spill returns the
-// run wrapped in one. The one exception is the budgeted word count's spill runs
-// (containers/run_set.hpp): the runtime's own scratch, read back with stdio
-// and never retried.
+// Ingest chunk reads and record boundary probes go through the Device seam,
+// so stacking this wrapper gives them transient-fault survival without
+// touching any reader (ARCHITECTURE §2). The budgeted word count's spill
+// runs (containers/run_set.hpp) do not: they are the runtime's own
+// scratch, read back with stdio and never retried.
 //
 // Thread-safe like every Device: concurrent read_at calls each run their
 // own RetrySession (per-call jitter stream from an atomic op counter), so

@@ -49,12 +49,9 @@ inline std::string_view io_mode_name(IoMode mode) {
 // being read (paper Fig. 4).
 inline constexpr std::size_t kMaxLiveChunks = 2;
 
-// A contiguous region of one source file placed inside a chunk.
+// One whole source file placed inside a chunk.
 struct FileSpan {
-  std::size_t file_index = 0;      // index into the source's file list
-  std::uint64_t file_offset = 0;   // where the region starts in the file
-                                   // (non-zero when hybrid chunking splits
-                                   // a large file across chunks)
+  std::size_t file_index = 0;  // index into the source's file list
   std::uint64_t offset_in_chunk = 0;
   std::uint64_t length = 0;
 };

@@ -94,7 +94,7 @@ StatusOr<std::vector<ChunkExtent>> MultiFileSource::plan() const {
     extent.offset = 0;
     std::uint64_t pos = 0;
     for (std::size_t f = first; f < last; ++f) {
-      extent.files.push_back(FileSpan{f, 0, pos, files_[f]->size()});
+      extent.files.push_back(FileSpan{f, pos, files_[f]->size()});
       pos += files_[f]->size();
     }
     extent.length = pos;
@@ -114,7 +114,7 @@ Status MultiFileSource::read_chunk(const ChunkExtent& extent,
     const auto& span = extent.files.front();
     const auto& file = files_[span.file_index];
     if (file->supports_views()) {
-      const auto view = file->view_at(span.file_offset, span.length);
+      const auto view = file->view_at(0, span.length);
       if (view.size() == span.length) {
         out.set_view(view);
         return Status::Ok();
@@ -127,9 +127,8 @@ Status MultiFileSource::read_chunk(const ChunkExtent& extent,
     const auto& file = files_[span.file_index];
     SUPMR_ASSIGN_OR_RETURN(
         std::size_t n,
-        file->read_at(span.file_offset,
-                      std::span<char>(out.data.data() + span.offset_in_chunk,
-                                      span.length)));
+        file->read_at(0, std::span<char>(out.data.data() + span.offset_in_chunk,
+                                         span.length)));
     if (n != span.length) {
       return Status::IoError("short file read in chunk " +
                              std::to_string(extent.index));

@@ -9,11 +9,11 @@
 // The tree merges run cursors. A cursor walks one sorted run: done() is true
 // once the run is exhausted, head() is its current element, and advance()
 // steps past it. A span is one kind of cursor (SpanCursor, the default,
-// which adds the pop/drain API); the external sorter's spill runs, the
-// budgeted word count's runs and the cluster owner's inboxes are others. A
-// cursor whose advance() returns a Status (a run read from disk) hands it
-// back through the tree's advance(); on an error the tree is left as it
-// was, so the caller stops at the failing record.
+// which adds the pop/drain API); the budgeted word count's runs and the
+// cluster owner's inboxes are others. A cursor whose advance() returns a
+// Status (a run read from disk) hands it back through the tree's advance();
+// on an error the tree is left as it was, so the caller stops at the
+// failing record.
 //
 // Ties are unordered: equal heads leave in an order the tree's shape picks,
 // not by run index (runs 0-3 each holding one equal key pop as 0, 2, 1, 3).

@@ -38,7 +38,7 @@ namespace supmr::merge {
 // does not sort strictly after the one before it is dropped, so the result
 // is strictly increasing and may be shorter (duplicate-heavy inputs need
 // fewer cuts). The one quantile cut: select_splitters, the partitioned
-// container, the external sorter and pway's worker slices all use it.
+// container and pway's worker slices all use it.
 template <typename T, typename Cmp>
 std::vector<T> cut_splitters(std::span<const T> sorted,
                              std::size_t partitions, Cmp cmp) {
@@ -69,8 +69,8 @@ std::vector<T> select_splitters(std::span<const T> data,
 
 // Partition index of `x` under `splitters` (sorted, strictly increasing):
 // the number of splitters <= x. Equal keys map to the same partition. The
-// one key-to-partition router: map-time containers, the external sorter's
-// spills and the cluster shuffle all route through it.
+// one key-to-partition router: map-time containers, partitioned_sort and
+// the cluster shuffle all route through it.
 template <typename S, typename T, typename Cmp>
 std::size_t partition_of(const std::vector<S>& splitters, const T& x,
                          Cmp cmp) {

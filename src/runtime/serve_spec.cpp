@@ -70,6 +70,20 @@ StatusOr<ServeSpec> parse_serve_spec(std::string_view text) {
                               : serve_error("unknown key \"" + key + "\""));
   }
   if (spec.jobs.empty()) return serve_error("no jobs");
+  // serve starts the pool and then one client thread per job instance.
+  if (spec.pool_threads > core::kMaxThreads) {
+    return serve_error("pool_threads must be at most " +
+                       std::to_string(core::kMaxThreads) + ", got " +
+                       std::to_string(spec.pool_threads));
+  }
+  std::uint64_t instances = 0;
+  for (const ServeJobSpec& job : spec.jobs) {
+    if (job.repeat > core::kMaxThreads - instances) {
+      return serve_error("the jobs' repeat counts sum to more than " +
+                         std::to_string(core::kMaxThreads));
+    }
+    instances += job.repeat;
+  }
   return spec;
 }
 

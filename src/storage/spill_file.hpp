@@ -1,6 +1,5 @@
 // Spill files: the one way the runtime creates a file for its own temporary
-// bytes — the budgeted word count's runs, the external sorter's runs and a
-// job graph's spilled edges.
+// bytes — the budgeted word count's runs and a job graph's spilled edges.
 //
 // Each file is created with mkstemp in the caller's directory, so its name
 // is unique there: spill writers that share a directory (two objects, a

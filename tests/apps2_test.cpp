@@ -1,13 +1,11 @@
-// Tests for the iterative/aggregation applications: k-means (iterative
-// MapReduce over the persistent-container runtime) and linear regression,
-// plus the clustered-points workload generator.
+// Tests for k-means (iterative MapReduce over the persistent-container
+// runtime) and the clustered-points workload generator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "apps/kmeans.hpp"
-#include "apps/linear_regression.hpp"
 #include "core/job.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
@@ -159,57 +157,6 @@ TEST(KMeans, RejectsWrongCentroidCount) {
                            {{0.0, 0.0}}, 5, 1e-6);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-// ------------------------------------------------------ linear regression
-
-TEST(LinearRegression, RecoversLine) {
-  const std::string data = generate_xy(20000, 2.5, -7.0, 0.5, 3);
-  LinearRegressionApp app;
-  SingleDeviceSource src(mem(data), std::make_shared<LineFormat>(), 32768);
-  core::MapReduceJob job(app, src, small_config());
-  ASSERT_TRUE(job.run(core::ExecMode::kIngestMR).ok());
-  EXPECT_EQ(app.totals().n, 20000u);
-  EXPECT_NEAR(app.slope(), 2.5, 0.01);
-  EXPECT_NEAR(app.intercept(), -7.0, 0.5);
-}
-
-TEST(LinearRegression, NoiseFreeIsExact) {
-  const std::string data = generate_xy(100, -1.25, 4.0, 0.0, 4);
-  LinearRegressionApp app;
-  SingleDeviceSource src(mem(data), std::make_shared<LineFormat>(), 0);
-  core::MapReduceJob job(app, src, small_config());
-  ASSERT_TRUE(job.run(core::ExecMode::kOriginal).ok());
-  EXPECT_NEAR(app.slope(), -1.25, 1e-6);
-  EXPECT_NEAR(app.intercept(), 4.0, 1e-3);
-}
-
-TEST(LinearRegression, ChunkedEqualsUnchunked) {
-  const std::string data = generate_xy(5000, 0.75, 10.0, 1.0, 5);
-  LinearRegressionApp a, b;
-  SingleDeviceSource src_a(mem(data), std::make_shared<LineFormat>(), 0);
-  SingleDeviceSource src_b(mem(data), std::make_shared<LineFormat>(), 4096);
-  core::MapReduceJob ja(a, src_a, small_config());
-  core::MapReduceJob jb(b, src_b, small_config());
-  ASSERT_TRUE(ja.run(core::ExecMode::kOriginal).ok());
-  ASSERT_TRUE(jb.run(core::ExecMode::kIngestMR).ok());
-  EXPECT_EQ(a.totals().n, b.totals().n);
-  // Summation order differs across chunkings; equality is up to fp
-  // reassociation error.
-  EXPECT_NEAR(a.totals().sx, b.totals().sx, std::abs(a.totals().sx) * 1e-12);
-  EXPECT_NEAR(a.totals().sxy, b.totals().sxy,
-              std::abs(a.totals().sxy) * 1e-12);
-  EXPECT_NEAR(a.slope(), b.slope(), 1e-9);
-}
-
-TEST(LinearRegression, MalformedLinesSkipped) {
-  const std::string data = "1.0 2.0\ngarbage\n3.0\n2.0 4.0\n";
-  LinearRegressionApp app;
-  SingleDeviceSource src(mem(data), std::make_shared<LineFormat>(), 0);
-  core::MapReduceJob job(app, src, small_config());
-  ASSERT_TRUE(job.run(core::ExecMode::kOriginal).ok());
-  EXPECT_EQ(app.totals().n, 2u);
-  EXPECT_NEAR(app.slope(), 2.0, 1e-9);
 }
 
 }  // namespace

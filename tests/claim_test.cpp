@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "apps/kmeans.hpp"
-#include "apps/linear_regression.hpp"
 #include "core/job.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
@@ -159,24 +158,10 @@ void run_delayed(Application& app, const std::string& data, std::size_t slow) {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-// Linear regression and k-means fold doubles, and floating-point addition
-// does not reassociate: the same input must give the same bits whichever
-// worker claims a slice.
+// K-means folds doubles, and floating-point addition does not
+// reassociate: the same input must give the same bits whichever worker
+// claims a slice.
 TEST(ClaimOrder, FloatAppsGiveIdenticalBits) {
-  const std::string xy = apps::generate_xy(20000, 2.5, -7.0, 0.5, 3);
-  std::vector<std::uint64_t> fit;
-  for (const std::size_t slow : kSlowTasks) {
-    apps::LinearRegressionApp app;
-    run_delayed(app, xy, slow);
-    ASSERT_EQ(app.totals().n, 20000u);
-    if (fit.empty()) {
-      fit = {bits(app.slope()), bits(app.intercept())};
-      continue;
-    }
-    EXPECT_EQ(bits(app.slope()), fit[0]) << "slow task " << slow;
-    EXPECT_EQ(bits(app.intercept()), fit[1]) << "slow task " << slow;
-  }
-
   wload::PointsConfig pc;
   pc.num_points = 20000;
   pc.clusters = 4;

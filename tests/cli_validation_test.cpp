@@ -344,6 +344,7 @@ TEST(CliValidation, RetryAttemptsMustBePositive) {
 
 TEST(CliValidation, MalformedSizesAndNumbers) {
   expect_rejected("wordcount whatever --chunk=banana", "bad size for --chunk");
+  expect_rejected("wordcount whatever --chunk=nan", "bad size for --chunk");
   expect_rejected("wordcount whatever --threads=many",
                   "bad integer for --threads");
   // A negative or out-of-range count is a flag error (exit 1), not a
@@ -354,6 +355,12 @@ TEST(CliValidation, MalformedSizesAndNumbers) {
     expect_rejected(args, "bad integer for --threads");
     EXPECT_EQ(run_cli(args).exit_code, 1) << "supmr " << args;
   }
+  // Every thread starts at once, so a count past core::kMaxThreads is
+  // rejected before the input is opened.
+  expect_rejected("wordcount nonexistent.txt --threads=1025",
+                  "--threads=1025 starts more than 1024 threads");
+  expect_rejected("wordcount nonexistent.txt --nodes=8 --threads=256",
+                  "--threads=256 x --nodes=8 starts more than 1024 threads");
   expect_rejected("wordcount whatever --retry-attempts=-1",
                   "bad integer for --retry-attempts");
   // Zero bins would divide by zero in the histogram app, and an empty

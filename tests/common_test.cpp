@@ -49,6 +49,8 @@ TEST(Units, ParseSizeDecimalSuffixes) {
   EXPECT_EQ(parse_size("50GB"), 50 * kGB);
   EXPECT_EQ(parse_size("1.5GB"), kGB + 500 * kMB);
   EXPECT_EQ(parse_size("2T"), 2 * kTB);
+  EXPECT_EQ(parse_size("1e19"), 10'000'000'000'000'000'000u);
+  EXPECT_EQ(parse_size("9.3e18"), 9'300'000'000'000'000'000u);
 }
 
 TEST(Units, ParseSizeBinarySuffixes) {
@@ -69,6 +71,8 @@ TEST(Units, ParseSizeRejectsGarbage) {
   EXPECT_FALSE(parse_size("12XB").has_value());
   EXPECT_FALSE(parse_size("-5GB").has_value());
   EXPECT_FALSE(parse_size("1e30GB").has_value());
+  EXPECT_FALSE(parse_size("nan").has_value());
+  EXPECT_FALSE(parse_size("NaN").has_value());
 }
 
 // --------------------------------------------------------------- status

@@ -1,6 +1,6 @@
-// Tests for the paper's deferred features implemented here: hybrid
-// inter/intra-file chunking, the adaptive chunk-size feedback loop, the
-// dense fixed-key container, and the histogram application.
+// Tests for the paper's deferred features implemented here: the adaptive
+// chunk-size feedback loop, the dense fixed-key container, and the
+// histogram application.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "containers/fixed_kv_array.hpp"
 #include "core/job.hpp"
 #include "ingest/adaptive.hpp"
-#include "ingest/hybrid_source.hpp"
 #include "storage/mem_device.hpp"
 #include "storage/rate_limiter.hpp"
 #include "storage/throttled_device.hpp"
@@ -25,7 +24,6 @@ namespace supmr {
 namespace {
 
 using ingest::ChunkFeedback;
-using ingest::HybridFileSource;
 using ingest::IngestChunk;
 using ingest::IngestPipeline;
 using ingest::LineFormat;
@@ -36,128 +34,6 @@ using storage::MemDevice;
 std::shared_ptr<const storage::Device> mem(std::string s,
                                            std::string name = "m") {
   return std::make_shared<MemDevice>(std::move(s), std::move(name));
-}
-
-// ---------------------------------------------------------- hybrid source
-
-TEST(HybridSource, CoalescesSmallFiles) {
-  // 6 small files of 4 bytes, target 10 -> packs 2-3 per chunk.
-  std::vector<std::shared_ptr<const storage::Device>> files;
-  for (int i = 0; i < 6; ++i)
-    files.push_back(mem(std::to_string(i) + "ab\n"));
-  HybridFileSource src(files, std::make_shared<LineFormat>(), 10);
-  auto plan = src.plan();
-  ASSERT_TRUE(plan.ok());
-  // Packing overshoots to whole records: 3 files (12 B) per chunk.
-  EXPECT_EQ(plan->size(), 2u);
-  for (const auto& e : *plan) {
-    EXPECT_EQ(e.files.size(), 3u);
-    EXPECT_EQ(e.length, 12u);
-  }
-}
-
-TEST(HybridSource, SplitsLargeFilesAtRecordBoundaries) {
-  // One 100-byte file of 10-byte lines, target 25 -> ~30-byte pieces.
-  std::string big;
-  for (int i = 0; i < 10; ++i) big += "123456789\n";
-  HybridFileSource src({mem(big)}, std::make_shared<LineFormat>(), 25);
-  auto plan = src.plan();
-  ASSERT_TRUE(plan.ok());
-  ASSERT_GE(plan->size(), 3u);
-  for (const auto& e : *plan) {
-    // Every piece ends on a line boundary.
-    for (const auto& span : e.files) {
-      EXPECT_EQ((span.file_offset + span.length) % 10, 0u);
-    }
-  }
-}
-
-TEST(HybridSource, MixedSizesReassembleExactly) {
-  std::vector<std::shared_ptr<const storage::Device>> files;
-  std::string expected;
-  Xoshiro256 rng(31);
-  for (int f = 0; f < 12; ++f) {
-    std::string content;
-    const int lines = 1 + int(rng.uniform(40));
-    for (int l = 0; l < lines; ++l) {
-      const std::size_t len = 1 + rng.uniform(20);
-      for (std::size_t i = 0; i < len; ++i)
-        content.push_back(static_cast<char>('a' + rng.uniform(26)));
-      content.push_back('\n');
-    }
-    expected += content;
-    files.push_back(mem(content));
-  }
-  HybridFileSource src(files, std::make_shared<LineFormat>(), 100);
-  auto plan = src.plan();
-  ASSERT_TRUE(plan.ok());
-  std::string rebuilt;
-  for (const auto& extent : *plan) {
-    IngestChunk chunk;
-    ASSERT_TRUE(src.read_chunk(extent, chunk).ok());
-    EXPECT_EQ(chunk.data.size(), extent.length);
-    rebuilt.append(chunk.data.data(), chunk.data.size());
-  }
-  EXPECT_EQ(rebuilt, expected);
-}
-
-TEST(HybridSource, ChunksNearTarget) {
-  // Property: every chunk except the last is >= target (flush happens at or
-  // above target) and below target + one max record.
-  std::vector<std::shared_ptr<const storage::Device>> files;
-  Xoshiro256 rng(32);
-  for (int f = 0; f < 30; ++f) {
-    std::string content;
-    const int lines = 1 + int(rng.uniform(60));
-    for (int l = 0; l < lines; ++l)
-      content += std::string(1 + rng.uniform(30), 'x') + "\n";
-    files.push_back(mem(content));
-  }
-  const std::uint64_t target = 400;
-  HybridFileSource src(files, std::make_shared<LineFormat>(), target);
-  auto plan = src.plan();
-  ASSERT_TRUE(plan.ok());
-  std::uint64_t covered = 0;
-  for (std::size_t i = 0; i < plan->size(); ++i) {
-    covered += (*plan)[i].length;
-    if (i + 1 < plan->size()) {
-      EXPECT_GE((*plan)[i].length, target - 32);
-      EXPECT_LE((*plan)[i].length, target + 32);
-    }
-  }
-  EXPECT_EQ(covered, src.total_bytes());
-}
-
-TEST(HybridSource, ZeroTargetIsOneChunk) {
-  HybridFileSource src({mem("a\n"), mem("b\n")},
-                       std::make_shared<LineFormat>(), 0);
-  auto plan = src.plan();
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->size(), 1u);
-  EXPECT_EQ((*plan)[0].files.size(), 2u);
-}
-
-TEST(HybridSource, WordCountOverHybridMatchesReference) {
-  // End-to-end: hybrid chunks drive the real runtime and results match the
-  // plain multi-file path.
-  wload::TextCorpusConfig cfg;
-  cfg.total_bytes = 8 * 1024;
-  auto files = wload::generate_text_files(cfg, 9, 8 * 1024);
-
-  apps::WordCountApp hybrid_app, plain_app;
-  core::JobConfig jc;
-  jc.num_map_threads = 3;
-  jc.num_reduce_threads = 2;
-
-  HybridFileSource hybrid_src(files, std::make_shared<LineFormat>(), 10000);
-  core::MapReduceJob hybrid_job(hybrid_app, hybrid_src, jc);
-  ASSERT_TRUE(hybrid_job.run(core::ExecMode::kIngestMR).ok());
-
-  ingest::MultiFileSource plain_src(files, 3);
-  core::MapReduceJob plain_job(plain_app, plain_src, jc);
-  ASSERT_TRUE(plain_job.run(core::ExecMode::kIngestMR).ok());
-
-  EXPECT_EQ(hybrid_app.results(), plain_app.results());
 }
 
 // ------------------------------------------------------- adaptive ingest

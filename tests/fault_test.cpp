@@ -21,12 +21,9 @@
 #include "ingest/pipeline.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
-#include "merge/external_sorter.hpp"
 #include "obs/metrics.hpp"
 #include "storage/fault_device.hpp"
-#include "storage/file_device.hpp"
 #include "storage/mem_device.hpp"
-#include "threading/thread_pool.hpp"
 
 namespace supmr {
 namespace {
@@ -555,54 +552,6 @@ TEST(StatusToJson, EmitsValidErrorReport) {
   EXPECT_EQ(parse_json(json).status().message(), "");
   EXPECT_NE(json.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(json.find("\"code\""), std::string::npos);
-}
-
-// ----------------------------------------- external sorter spill seam
-
-TEST(ExternalSorterRetry, SpillReadsRetryThroughFaultyDevice) {
-  // Spill two runs, then reopen them through a fault-injecting stack whose
-  // first reads fail transiently: wrapped in a RetryingDevice by the
-  // open_spill factory, the merge succeeds.
-  ThreadPool pool(2);
-  merge::ExternalSorterOptions opt;
-  opt.record_bytes = 10;
-  opt.key_bytes = 4;
-  opt.memory_budget_bytes = 400;  // forces spills
-  std::vector<std::unique_ptr<storage::FaultDevice>> fault_stack;
-  opt.open_spill =
-      [&](const std::string& path)
-      -> StatusOr<std::shared_ptr<const storage::Device>> {
-    SUPMR_ASSIGN_OR_RETURN(auto file, storage::FileDevice::open(path));
-    std::shared_ptr<const storage::Device> base = std::move(file);
-    FaultPlan fp;
-    fp.fail_calls.push_back(0);  // first read of every run fails once
-    auto fault = std::make_unique<storage::FaultDevice>(base, fp);
-    auto* raw = fault.get();
-    fault_stack.push_back(std::move(fault));
-    return std::shared_ptr<const storage::Device>(
-        std::make_shared<RetryingDevice>(raw, fast_policy(3)));
-  };
-  merge::ExternalSorter sorter(pool, opt);
-  std::string records;
-  for (int i = 199; i >= 0; --i) {
-    char rec[11];
-    std::snprintf(rec, sizeof(rec), "%04d______", i);
-    records.append(rec, 10);
-  }
-  ASSERT_TRUE(sorter.add(records).ok());
-  std::string out;
-  auto stats = sorter.finish([&](std::span<const char> slab) {
-    out.append(slab.data(), slab.size());
-    return Status::Ok();
-  });
-  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-  ASSERT_EQ(out.size(), records.size());
-  for (int i = 0; i < 200; ++i) {
-    char want[5];
-    std::snprintf(want, sizeof(want), "%04d", i);
-    EXPECT_EQ(out.substr(std::size_t(i) * 10, 4), want) << "record " << i;
-  }
-  EXPECT_FALSE(fault_stack.empty());  // the faulty seam was actually used
 }
 
 }  // namespace

@@ -166,8 +166,8 @@ TEST(ReplaySpec, RejectsWrongTypesOutOfRangeIntegersAndRepeatedKeys) {
   // A negative or oversized integer must not wrap into a valid-looking
   // value (-1 read as 2^64-1 passes threads >= 1, 2^32+1 retry attempts
   // would run as 1), a quoted number or bool is a string, a bareword is not
-  // JSON, a repeated key has no single value, and a run needs at least one
-  // attempt.
+  // JSON, a repeated key has no single value, a run needs at least one
+  // attempt, and no cell may start more than core::kMaxThreads threads.
   const std::string json = core::ReplaySpec().to_json();
   for (const std::string& bad : {
            replaced(json, "\"threads\":2", "\"threads\":-1"),
@@ -182,6 +182,9 @@ TEST(ReplaySpec, RejectsWrongTypesOutOfRangeIntegersAndRepeatedKeys) {
            replaced(json, "\"retry_attempts\":1",
                     "\"retry_attempts\":4294967297"),
            replaced(json, "\"retry_attempts\":1", "\"retry_attempts\":0"),
+           replaced(json, "\"threads\":2", "\"threads\":1025"),
+           replaced(replaced(json, "\"threads\":2", "\"threads\":256"),
+                    "\"nodes\":0", "\"nodes\":8"),
        }) {
     const auto parsed = core::ReplaySpec::from_json(bad);
     EXPECT_FALSE(parsed.ok()) << bad;

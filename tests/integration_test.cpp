@@ -1,5 +1,5 @@
 // Cross-substrate integration tests: full jobs through stacked storage
-// (RAID-0 over throttled members, HDFS-sim), hybrid chunking into the
+// (RAID-0 over throttled members, HDFS-sim), multi-file chunking into the
 // runtime, fault injection through complete jobs, and conservation
 // invariants across every execution mode.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "apps/tera_sort.hpp"
 #include "apps/word_count.hpp"
 #include "core/job.hpp"
-#include "ingest/hybrid_source.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
 #include "storage/fault_device.hpp"
@@ -109,8 +108,8 @@ TEST(Integration, WordCountFromHdfsSimMatchesLocal) {
   EXPECT_EQ(remote_app.results(), local_app.results());
 }
 
-TEST(Integration, HybridChunksFromHdfsFiles) {
-  // Many small files on the remote store, hybrid-chunked into the runtime.
+TEST(Integration, MultiFileChunksFromHdfsFiles) {
+  // Many small files on the remote store, three files per chunk.
   storage::HdfsConfig hc;
   hc.num_nodes = 3;
   hc.block_bytes = 4096;
@@ -128,8 +127,7 @@ TEST(Integration, HybridChunksFromHdfsFiles) {
     ASSERT_TRUE(dev.ok());
     files.push_back(std::shared_ptr<const storage::Device>(std::move(*dev)));
   }
-  ingest::HybridFileSource src(files, std::make_shared<LineFormat>(),
-                               12 * 1024);
+  ingest::MultiFileSource src(files, 3);
   apps::WordCountApp app;
   core::MapReduceJob job(app, src, small_config());
   auto result = job.run(core::ExecMode::kIngestMR);

@@ -5,24 +5,19 @@
 // or comparator tie-break bug in ANY backend shows up as a diff against the
 // reference, on the exact inputs the benches run.
 //
-// Backends: pairwise, f-way, parallel p-way, loser tree, sample sort,
-// pairwise merge sort, f-way merge sort, partitioned_sort /
-// partitioned_merge (the new per-partition path), and the external sorter
-// (flat and per-partition spills) with key sizes 7/8/9 straddling the
-// comparator's 8-byte word boundary.
+// Backends: pairwise, parallel p-way, loser tree, sample sort, pairwise
+// merge sort, and partitioned_sort / partitioned_merge (the per-partition
+// path).
 //
 // Labels: unit + sanitizer — the differential suite must stay clean under
 // TSan and ASan+UBSan (tools/check.sh).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "merge/external_sorter.hpp"
-#include "merge/fway.hpp"
 #include "merge/loser_tree.hpp"
 #include "merge/pairwise.hpp"
 #include "merge/partitioned.hpp"
@@ -75,15 +70,6 @@ std::vector<Backend> all_backends() {
     return data;
   }});
 
-  backends.push_back({"fway", [cmp](ThreadPool& pool,
-                                    const std::vector<int>& in) {
-    auto data = in;
-    auto runs = make_runs(data, 9);  // non-power-of-two run count
-    fway_merge(pool, std::move(runs),
-               std::span<int>(data.data(), data.size()), /*fanin=*/3, cmp);
-    return data;
-  }});
-
   backends.push_back({"pway", [cmp](ThreadPool& pool,
                                     const std::vector<int>& in) {
     auto data = in;
@@ -119,14 +105,6 @@ std::vector<Backend> all_backends() {
                       [cmp](ThreadPool& pool, const std::vector<int>& in) {
     auto data = in;
     pairwise_merge_sort(pool, std::span<int>(data.data(), data.size()), cmp);
-    return data;
-  }});
-
-  backends.push_back({"fway_merge_sort", [cmp](ThreadPool& pool,
-                                               const std::vector<int>& in) {
-    auto data = in;
-    fway_merge_sort(pool, std::span<int>(data.data(), data.size()), cmp,
-                    /*num_runs=*/8, /*fanin=*/4);
     return data;
   }});
 
@@ -196,97 +174,6 @@ TEST_P(DifferentialMerge, SingleThreadPoolSameResult) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialMerge,
                          ::testing::Values(1u, 0xA11CE5u, 0xC0FFEEu));
-
-// ---------------------------------------------------------- external sorter
-//
-// Record-based differential: key sizes 7/8/9 straddle the 8-byte word an
-// optimized memcmp compares at a time, catching prefix/tail mistakes in the
-// key comparisons. Inputs are duplicate-heavy (every 4th record repeated) to
-// exercise ties; the single merge over every spill run must reproduce the
-// reference exactly.
-
-struct ExternalCase {
-  std::uint32_t key_bytes;
-  std::size_t passes;  // merge passes finish() makes over the runs
-};
-
-class ExternalDifferential
-    : public ::testing::TestWithParam<ExternalCase> {};
-
-TEST_P(ExternalDifferential, MatchesReferenceAcrossSpills) {
-  const auto [kb, passes] = GetParam();
-  constexpr std::uint32_t kRecordBytes = 32;
-  constexpr std::size_t kRecords = 3000;
-  std::string data =
-      testdata::random_records(kRecords, kRecordBytes, kb, /*seed=*/kb);
-  // Duplicate-heavy: repeat every 4th record so equal keys cross runs.
-  std::string dups;
-  for (std::size_t r = 0; r < kRecords; r += 4)
-    dups.append(data, r * kRecordBytes, kRecordBytes);
-  data += dups;
-  const std::size_t total = data.size() / kRecordBytes;
-
-  // Reference: stable sort of record indices by key prefix.
-  std::vector<std::uint64_t> ref(total);
-  for (std::uint64_t i = 0; i < total; ++i) ref[i] = i;
-  const char* base = data.data();
-  std::stable_sort(ref.begin(), ref.end(),
-                   [base, kb](std::uint64_t a, std::uint64_t b) {
-                     return std::memcmp(base + a * kRecordBytes,
-                                        base + b * kRecordBytes, kb) < 0;
-                   });
-
-  ThreadPool pool(4);
-  ExternalSorterOptions opt;
-  opt.record_bytes = kRecordBytes;
-  opt.key_bytes = kb;
-  // Tiny budget: forces many spills.
-  opt.memory_budget_bytes = 257 * kRecordBytes;
-  opt.spill_dir = ::testing::TempDir();
-  ExternalSorter sorter(pool, opt);
-  ASSERT_TRUE(sorter.add(std::span<const char>(data.data(), data.size()))
-                  .ok());
-  EXPECT_GT(sorter.runs_spilled(), 1u);
-
-  std::string out;
-  auto result = sorter.finish([&out](std::span<const char> slab) {
-    out.append(slab.data(), slab.size());
-    return Status::Ok();
-  });
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  ASSERT_EQ(out.size(), data.size());
-
-  // Key sequence must match the stable reference exactly.
-  for (std::uint64_t i = 0; i < total; ++i) {
-    ASSERT_EQ(std::memcmp(out.data() + i * kRecordBytes,
-                          base + ref[i] * kRecordBytes, kb),
-              0)
-        << "key mismatch at record " << i << " (key_bytes=" << kb << ")";
-  }
-  // Whole-record multiset must be preserved (no payload mixups).
-  auto record_multiset = [](const std::string& blob) {
-    std::vector<std::string> recs;
-    for (std::size_t off = 0; off + kRecordBytes <= blob.size();
-         off += kRecordBytes)
-      recs.push_back(blob.substr(off, kRecordBytes));
-    std::sort(recs.begin(), recs.end());
-    return recs;
-  };
-  EXPECT_EQ(record_multiset(out), record_multiset(data));
-
-  // One loser tree over every spill run and the residue.
-  EXPECT_EQ(result->rounds.size(), passes);
-  EXPECT_EQ(result->partition_skew(), 1.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    KeyWidthsAndPartitions, ExternalDifferential,
-    ::testing::Values(ExternalCase{7, 1}, ExternalCase{8, 1},
-                      ExternalCase{9, 1}),
-    [](const ::testing::TestParamInfo<ExternalCase>& info) {
-      return "kb" + std::to_string(info.param.key_bytes) + "_p" +
-             std::to_string(info.param.passes);
-    });
 
 }  // namespace
 }  // namespace supmr::merge

@@ -10,7 +10,6 @@
 #include "apps/word_count.hpp"
 #include "common/rng.hpp"
 #include "core/job.hpp"
-#include "ingest/hybrid_source.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
 #include "storage/fault_device.hpp"
@@ -83,7 +82,8 @@ TEST_P(PipelineFuzz, RandomConfigurationsProduceCorrectCounts) {
   apps::WordCountApp app;
 
   if (rng.uniform(3) == 0) {
-    // Hybrid source over random slices of the corpus as "files".
+    // Multi-file source over random slices of the corpus as "files", 0-3
+    // files per chunk (0 puts every file in one chunk).
     std::vector<std::shared_ptr<const storage::Device>> files;
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -94,9 +94,7 @@ TEST_P(PipelineFuzz, RandomConfigurationsProduceCorrectCounts) {
           std::make_shared<MemDevice>(text.substr(pos, end - pos), "f"));
       pos = end;
     }
-    ingest::HybridFileSource src(files,
-                                 std::make_shared<ingest::LineFormat>(),
-                                 chunk);
+    ingest::MultiFileSource src(files, rng.uniform(4));
     core::MapReduceJob job(app, src, jc);
     auto result = job.run(core::ExecMode::kIngestMR);
     ASSERT_TRUE(result.ok()) << result.status().to_string();

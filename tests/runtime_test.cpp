@@ -507,6 +507,17 @@ TEST(ServeSpec, RejectsMalformedSpecs) {
         serve_json(std::string("{") + keys + " \"spec\": " + kSpecJson + "}"));
     EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << keys;
   }
+  // serve starts every pool thread and one client thread per job instance
+  // at once: more than core::kMaxThreads of either is an error.
+  const std::string repeated =
+      std::string("{\"repeat\": 600, \"spec\": ") + kSpecJson + "}";
+  for (const std::string& text :
+       {"{\"pool_threads\": 1025, \"jobs\": [{\"spec\": " +
+            std::string(kSpecJson) + "}]}",
+        serve_json(repeated + ", " + repeated)}) {
+    const auto spec = parse_serve_spec(text);
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 }  // namespace

@@ -202,6 +202,8 @@ StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
   if (flags.get("nodes") && !spec.is_cluster()) {
     return Status::InvalidArgument("--nodes must be >= 1");
   }
+  SUPMR_RETURN_IF_ERROR(core::check_thread_count(
+      spec.threads, spec.cluster_nodes, "--threads", "--nodes"));
   for (auto [knob, value] :
        {std::pair{"node-link-bps", &spec.cluster_link_bps},
         {"uplink-bps", &spec.cluster_uplink_bps},
