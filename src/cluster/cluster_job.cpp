@@ -1,7 +1,9 @@
 #include "cluster/cluster_job.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <thread>
 
@@ -17,18 +19,21 @@
 namespace supmr::cluster {
 namespace {
 
-// Node input slices: group the deterministic chunk plan's extents into N
-// contiguous runs, so every slice boundary is a record boundary and the
-// concatenation of slices is exactly the input. Nodes past the extent count
-// get empty slices (they still participate in the shuffle as owners).
-StatusOr<std::vector<std::string>> slice_input(const ClusterJob& job,
-                                               std::size_t nodes) {
-  auto device =
-      std::make_shared<storage::MemDevice>(job.input, "cluster-plan");
+// Records each node contributes to the splitter sample.
+constexpr std::size_t kSamplePerNode = 32;
+
+// Node input slices: views of job.input that group the deterministic chunk
+// plan's extents into N contiguous runs, so every slice boundary is a record
+// boundary and the slices concatenate to exactly the input. With fewer
+// extents than nodes, some slices are empty (those nodes are still owners).
+StatusOr<std::vector<std::string_view>> slice_input(const ClusterJob& job,
+                                                    std::size_t nodes) {
+  auto device = std::make_shared<storage::MemDevice>(
+      storage::MemDevice::Borrowed{job.input}, "cluster-plan");
   ingest::SingleDeviceSource planner(device, job.format, job.chunk_bytes);
   SUPMR_ASSIGN_OR_RETURN(std::vector<ingest::ChunkExtent> extents,
                          planner.plan());
-  std::vector<std::string> slices(nodes);
+  std::vector<std::string_view> slices(nodes);
   const std::size_t e = extents.size();
   for (std::size_t k = 0; k < nodes; ++k) {
     const std::size_t lo = k * e / nodes;
@@ -36,7 +41,7 @@ StatusOr<std::vector<std::string>> slice_input(const ClusterJob& job,
     if (lo >= hi) continue;
     const std::uint64_t begin = extents[lo].offset;
     const std::uint64_t end = extents[hi - 1].offset + extents[hi - 1].length;
-    slices[k] = job.input.substr(begin, end - begin);
+    slices[k] = device->contents().substr(begin, end - begin);
   }
   return slices;
 }
@@ -46,10 +51,10 @@ struct NodeRun {
   NodeStats stats;
 };
 
-// One WorkerNode: a private MemDevice over the slice (throttled to the node
-// disk rate when modeled), a fresh Application, and a full MapReduceJob on
-// the node's own leased thread pool.
-Status run_node(const ClusterJob& job, std::string slice,
+// One WorkerNode: a MemDevice borrowing the slice (job outlives the node
+// threads), throttled to the node disk rate when modeled, a fresh
+// Application, and a full MapReduceJob on the node's own leased pool.
+Status run_node(const ClusterJob& job, std::string_view slice,
                 std::shared_ptr<storage::RateLimiter> disk, NodeRun& out) {
   core::JobConfig cfg = job.config;
   cfg.num_nodes = 0;  // the node-local job must not recurse the cluster knobs
@@ -59,7 +64,8 @@ Status run_node(const ClusterJob& job, std::string slice,
 
   out.stats.input_bytes = slice.size();
   std::shared_ptr<const storage::Device> device =
-      std::make_shared<storage::MemDevice>(std::move(slice), "cluster-node");
+      std::make_shared<storage::MemDevice>(storage::MemDevice::Borrowed{slice},
+                                           "cluster-node");
   if (disk != nullptr) {
     device = std::make_shared<storage::ThrottledDevice>(device, disk);
   }
@@ -120,7 +126,7 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
         "cluster: fixed-record sharding needs record_bytes");
   }
 
-  SUPMR_ASSIGN_OR_RETURN(std::vector<std::string> slices,
+  SUPMR_ASSIGN_OR_RETURN(const std::vector<std::string_view> slices,
                          slice_input(job, N));
 
   // The fabric: per-node NIC limiters, the optional shared uplink every
@@ -145,6 +151,7 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
 
   // Phase 1: every node runs its local MapReduceJob, concurrently — the
   // disk limiters only contend (and ingest only overlaps) if they do.
+  const auto t_sliced = std::chrono::steady_clock::now();
   std::vector<NodeRun> runs(N);
   std::vector<Status> node_status(N, Status::Ok());
   {
@@ -153,8 +160,7 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
     for (std::size_t k = 0; k < N; ++k) {
       threads.emplace_back([&, k] {
         try {
-          node_status[k] =
-              run_node(job, std::move(slices[k]), disk[k], runs[k]);
+          node_status[k] = run_node(job, slices[k], disk[k], runs[k]);
         } catch (const std::exception& e) {
           node_status[k] =
               Status::Internal(std::string("cluster node threw: ") + e.what());
@@ -164,6 +170,7 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
     for (auto& t : threads) t.join();
   }
   for (const Status& st : node_status) SUPMR_RETURN_IF_ERROR(st);
+  const auto t_mapped = std::chrono::steady_clock::now();
 
   // Phase 2: split each node's canonical into protocol records.
   const bool keyed = shard == core::ShardKind::kSortedKeys;
@@ -177,23 +184,27 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
     }
   }
 
-  // Phase 3: shuffle, in the protocol's record order `less`. Splitters are
-  // sampled over ALL nodes' records (merge::select_splitters — deterministic,
-  // so routing is independent of scheduling) and node p owns key-range
-  // partition p; duplicate-heavy samples may yield fewer cuts than nodes,
-  // leaving high-numbered nodes ownerless. Senders bucket their records by
-  // owner with merge::partition_of, so every bucket keeps its sender's
-  // order and each inbox is one sorted run, and charge every cross-node
-  // payload against sender NIC -> uplink -> receiver NIC. inbox[owner]
-  // [sender] has exactly one writer, so the concurrent senders never race;
-  // routing itself is deterministic, so the schedule cannot change
-  // placement.
+  // Phase 3: shuffle, in the protocol's record order `less`. Each node's
+  // records are sorted under `less`, so kSamplePerNode evenly spaced ones
+  // are its quantiles; merge::cut_splitters cuts the sorted merged sample
+  // (deterministic, so the schedule cannot change placement), and node p
+  // owns key-range partition p; duplicate-heavy samples may yield fewer
+  // cuts than nodes, leaving high-numbered nodes ownerless. Senders bucket
+  // their records by owner with merge::partition_of, so every bucket keeps
+  // its sender's order and each inbox is one sorted run, and charge every
+  // cross-node payload against sender NIC -> uplink -> receiver NIC.
+  // inbox[owner][sender] has exactly one writer, so senders never race.
   std::vector<std::vector<std::vector<std::string_view>>> inbox;
   const auto shuffle = [&](auto less) {
-    std::vector<std::string_view> all;
-    for (const auto& r : records) all.insert(all.end(), r.begin(), r.end());
-    const std::vector<std::string_view> splitters = merge::select_splitters(
-        std::span<const std::string_view>(all), N, less);
+    std::vector<std::string_view> sample;
+    for (const std::vector<std::string_view>& node : records) {
+      const std::size_t take = std::min(kSamplePerNode, node.size());
+      for (std::size_t i = 0; i < take; ++i)
+        sample.push_back(node[(2 * i + 1) * node.size() / (2 * take)]);
+    }
+    std::sort(sample.begin(), sample.end(), less);
+    const std::vector<std::string_view> splitters = merge::cut_splitters(
+        std::span<const std::string_view>(sample), N, less);
     // At most N - 1 cuts, so P <= N and partition o's owner is node o.
     const std::size_t P = splitters.size() + 1;
     inbox.assign(P, std::vector<std::vector<std::string_view>>(N));
@@ -226,16 +237,26 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
   } else {
     shuffle(std::less<std::string_view>{});
   }
+  // Owner o's window of the one output string is [window[o], window[o + 1]):
+  // its inbox bytes, which a merge never exceeds (protocol.hpp).
   const std::size_t P = inbox.size();
+  std::vector<std::size_t> window(P + 1, 0);
   for (std::size_t o = 0; o < P; ++o) {
     for (std::size_t s = 0; s < N; ++s) {
-      if (o == s) continue;
-      runs[o].stats.recv_bytes += run_bytes(inbox[o][s]);
+      if (o != s) runs[o].stats.recv_bytes += run_bytes(inbox[o][s]);
     }
+    const NodeStats& owner = runs[o].stats;
+    window[o + 1] = window[o] + owner.recv_bytes + owner.local_bytes;
   }
+  const auto t_routed = std::chrono::steady_clock::now();
 
-  // Phase 4: owner merges, one loser-tree pass per partition, concurrently.
-  std::vector<std::string> outputs(P);
+  // Phase 4: owner merges, one loser-tree pass per partition, concurrently,
+  // each into its own window, so they write disjoint bytes.
+  ClusterResult result;
+  result.shard = shard;
+  result.output.resize(window[P]);
+  char* const base = result.output.data();
+  std::vector<char*> ends(P);
   std::vector<Status> owner_status(P, Status::Ok());
   {
     std::vector<std::thread> owners;
@@ -243,16 +264,12 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
     for (std::size_t o = 0; o < P; ++o) {
       owners.emplace_back([&, o] {
         try {
-          if (!keyed) {
-            outputs[o] = merge_fixed_records(inbox[o]);
-            return;
-          }
-          auto merged = merge_sorted_keys(inbox[o]);
-          if (!merged.ok()) {
-            owner_status[o] = merged.status();
-            return;
-          }
-          outputs[o] = std::move(merged).value();
+          char* const out = base + window[o];
+          const StatusOr<char*> end =
+              keyed ? merge_sorted_keys(inbox[o], out)
+                    : merge_fixed_records(inbox[o], out);
+          owner_status[o] = end.status();
+          if (end.ok()) ends[o] = *end;
         } catch (const std::exception& e) {
           owner_status[o] = Status::Internal(
               std::string("cluster owner merge threw: ") + e.what());
@@ -262,9 +279,18 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
     for (auto& t : owners) t.join();
   }
   for (const Status& st : owner_status) SUPMR_RETURN_IF_ERROR(st);
+  // Close the gaps sorted-keys folds leave at their windows' ends.
+  std::size_t used = 0;
+  for (std::size_t o = 0; o < P; ++o) {
+    assert(keyed ? ends[o] <= base + window[o + 1]
+                 : ends[o] == base + window[o + 1]);
+    const std::size_t bytes = ends[o] - (base + window[o]);
+    if (used != window[o]) std::memmove(base + used, base + window[o], bytes);
+    used += bytes;
+  }
+  result.output.resize(used);
+  const auto t_merged = std::chrono::steady_clock::now();
 
-  ClusterResult result;
-  result.shard = shard;
   result.nodes.reserve(N);
   for (std::size_t k = 0; k < N; ++k) {
     result.map_output_bytes += runs[k].stats.map_output_bytes;
@@ -272,10 +298,14 @@ StatusOr<ClusterResult> run_cluster(const ClusterJob& job) {
     result.local_bytes += runs[k].stats.local_bytes;
     result.nodes.push_back(std::move(runs[k].stats));
   }
-  for (std::size_t o = 0; o < P; ++o) result.output += outputs[o];
-  result.elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const auto seconds = [](auto from, auto to) {
+    return std::chrono::duration<double>(to - from).count();
+  };
+  result.slice_s = seconds(t0, t_sliced);
+  result.map_s = seconds(t_sliced, t_mapped);
+  result.route_s = seconds(t_mapped, t_routed);
+  result.merge_s = seconds(t_routed, t_merged);
+  result.elapsed_s = seconds(t0, std::chrono::steady_clock::now());
 
   SUPMR_COUNTER_ADD("cluster.shuffle_bytes", result.shuffle_bytes);
   SUPMR_COUNTER_ADD("cluster.local_bytes", result.local_bytes);

@@ -3,15 +3,15 @@
 // run_cluster() executes one MapReduce job the way a small scale-out cluster
 // would (paper §VI.C.3, Fig. 7): the input splits into N contiguous,
 // record-aligned slices; N in-process WorkerNodes each run a full
-// MapReduceJob over their slice on a private leased thread pool (honoring
-// the config's mode/merge/io/container knobs, with an optional per-node
-// ingest-disk RateLimiter); the per-node canonical outputs are then
-// range-partitioned across the nodes by key splitters sampled with the
-// machinery from src/merge/partitioned.hpp and shuffled — every cross-node
-// byte charged against the sender NIC, an optional shared uplink, and the
-// receiver NIC (the HdfsSimStore link-contention pattern) — and each owner
-// node merges its sorted inboxes in one merge::LoserTree pass per the app's
-// ShardKind (cluster/protocol.hpp).
+// MapReduceJob over their slice, read in place, on a private leased thread
+// pool (honoring the config's mode/merge/io/container knobs, with an
+// optional per-node ingest-disk RateLimiter); the per-node canonical outputs
+// are then range-partitioned across the nodes by key splitters cut from a
+// fixed-size sample per node and shuffled — every cross-node byte charged
+// against the sender NIC, an optional shared uplink, and the receiver NIC
+// (the HdfsSimStore link-contention pattern) — and each owner node merges
+// its sorted inboxes in one merge::LoserTree pass per the app's ShardKind
+// (cluster/protocol.hpp) straight into its window of the output.
 //
 // The concatenation of owner outputs is byte-identical to the sequential
 // oracle (src/ref/) for every participating app — that is the conformance
@@ -38,7 +38,8 @@ using AppFactory = std::function<std::unique_ptr<core::Application>()>;
 
 struct ClusterJob {
   // The full input corpus; sliced across nodes at planned chunk boundaries
-  // (record-aligned by the RecordFormat contract).
+  // (record-aligned by the RecordFormat contract). Nodes read it in place,
+  // so it must not change while run_cluster runs.
   std::string input;
   std::shared_ptr<const ingest::RecordFormat> format;
   AppFactory make_app;
@@ -70,6 +71,11 @@ struct ClusterResult {
   std::uint64_t map_output_bytes = 0;
   core::ShardKind shard = core::ShardKind::kNone;
   double elapsed_s = 0.0;
+  // Wall time of each phase; they sum to at most elapsed_s.
+  double slice_s = 0.0;  // checks, the chunk plan and the slice views
+  double map_s = 0.0;    // the node jobs
+  double route_s = 0.0;  // split, sample, routing and fabric charges
+  double merge_s = 0.0;  // owner merges and assembly of the output
 };
 
 StatusOr<ClusterResult> run_cluster(const ClusterJob& job);

@@ -1,6 +1,7 @@
 #include "cluster/protocol.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "merge/loser_tree.hpp"
 
@@ -48,7 +49,11 @@ std::string_view line_key(std::string_view line) {
 }
 
 StatusOr<std::uint64_t> line_value(std::string_view line) {
-  if (!line.empty() && line.back() == '\n') line.remove_suffix(1);
+  if (line.empty() || line.back() != '\n') {
+    return Status::InvalidArgument("cluster: line has no newline: \"" +
+                                   std::string(line) + "\"");
+  }
+  line.remove_suffix(1);
   const std::size_t tab = line.rfind('\t');
   if (tab == std::string_view::npos) {
     return Status::InvalidArgument("cluster: line has no value field: \"" +
@@ -79,9 +84,8 @@ std::vector<std::span<const std::string_view>> spans(
 
 }  // namespace
 
-StatusOr<std::string> merge_sorted_keys(
-    const std::vector<std::vector<std::string_view>>& runs) {
-  std::string out;
+StatusOr<char*> merge_sorted_keys(
+    const std::vector<std::vector<std::string_view>>& runs, char* out) {
   merge::LoserTree<std::string_view, SortedKeyLess> tree(spans(runs),
                                                         SortedKeyLess{});
   while (!tree.empty()) {
@@ -94,20 +98,21 @@ StatusOr<std::string> merge_sorted_keys(
       sum += v;
       tree.advance();
     }
-    out.append(key);
-    out += '\t';
-    out += std::to_string(sum);
-    out += '\n';
+    char digits[20];  // a u64 has at most 20 decimal digits
+    char* const digits_end = std::to_chars(digits, std::end(digits), sum).ptr;
+    out = std::ranges::copy(key, out).out;
+    *out++ = '\t';
+    out = std::ranges::copy(digits, digits_end, out).out;
+    *out++ = '\n';
   }
   return out;
 }
 
-std::string merge_fixed_records(
-    const std::vector<std::vector<std::string_view>>& runs) {
-  std::string out;
+char* merge_fixed_records(
+    const std::vector<std::vector<std::string_view>>& runs, char* out) {
   merge::LoserTree<std::string_view, std::less<std::string_view>> tree(
       spans(runs), std::less<std::string_view>{});
-  while (!tree.empty()) out.append(tree.pop());
+  while (!tree.empty()) out = std::ranges::copy(tree.pop(), out).out;
   return out;
 }
 

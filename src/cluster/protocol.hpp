@@ -14,7 +14,8 @@
 //                  records are byte-identical so tie order is immaterial.
 // Everything here is a pure function over string views into the node
 // canonicals — no I/O, no threads — so the error paths are unit-testable in
-// isolation (tests/cluster_property_test.cpp).
+// isolation (tests/cluster_property_test.cpp). The merges write into the
+// caller's buffer: each owner's window of the one output string.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,8 @@ StatusOr<std::vector<std::string_view>> split_fixed(std::string_view bytes,
 // the whole line minus its newline.
 std::string_view line_key(std::string_view line);
 
-// The decimal u64 between the last tab and the trailing newline.
+// The decimal u64 between the last tab and the trailing newline, which the
+// line must end in.
 StatusOr<std::uint64_t> line_value(std::string_view line);
 
 // Orders sorted-keys lines by key only, so equal keys route to the same
@@ -53,15 +55,19 @@ struct SortedKeyLess {
 
 // K-way merge (one merge::LoserTree over the runs) of per-sender runs of
 // sorted-keys lines (each run sorted by key, keys unique within a run),
-// folding equal keys across runs by summing their values.
-StatusOr<std::string> merge_sorted_keys(
-    const std::vector<std::vector<std::string_view>>& runs);
+// folding equal keys across runs by summing their values. Writes from `out`
+// and returns the end of what it wrote, which is within the runs' total
+// bytes: a folded line is never longer than the lines it folds, since
+// digits(a + b) <= digits(a) + digits(b) and every line ends in '\n'.
+StatusOr<char*> merge_sorted_keys(
+    const std::vector<std::vector<std::string_view>>& runs, char* out);
 
 // K-way merge (one merge::LoserTree over the runs) of per-sender runs of
 // fixed-width records, each run already in full-record memcmp order. Ties
 // are unordered; equal records are byte-identical, so the output bytes do
-// not depend on their order.
-std::string merge_fixed_records(
-    const std::vector<std::vector<std::string_view>>& runs);
+// not depend on their order. Writes exactly the runs' total bytes from
+// `out` and returns their end.
+char* merge_fixed_records(
+    const std::vector<std::vector<std::string_view>>& runs, char* out);
 
 }  // namespace supmr::cluster

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -60,9 +59,8 @@ class ArrayContainer {
 
   // Claims `n` record slots and returns the first slot index. Must be called
   // between map waves; mappers then fill their disjoint sub-ranges
-  // concurrently via write_record(), or through mutable_record(first): the
-  // `n` slots are contiguous in memory. They hold indeterminate bytes until
-  // written.
+  // concurrently through mutable_record(first): the `n` slots are contiguous
+  // in memory. They hold indeterminate bytes until written.
   std::uint64_t claim(std::uint64_t n) {
     assert(initialized_);
     const std::uint64_t base = used_records_;
@@ -80,18 +78,7 @@ class ArrayContainer {
     return base;
   }
 
-  // Unsynchronized write into a claimed slot (each mapper owns its slots).
-  void write_record(std::uint64_t slot, std::span<const char> record) {
-    assert(record.size() == record_bytes_);
-    std::memcpy(mutable_record(slot), record.data(), record_bytes_);
-  }
-
-  std::span<const char> record(std::uint64_t slot) const {
-    assert(slot < used_records_);
-    const Segment& s = segment_of(slot);
-    return std::span<const char>(
-        s.bytes.get() + (slot - s.first) * record_bytes_, record_bytes_);
-  }
+  // Unsynchronized access to a claimed slot (each mapper owns its slots).
   char* mutable_record(std::uint64_t slot) {
     assert(slot < used_records_);
     const Segment& s = segment_of(slot);

@@ -245,8 +245,8 @@ StatusOr<ConformanceOutcome> run_cluster_cell(
     const core::ReplaySpec& spec, const std::string* corpus_override) {
   if (!spec.fault_plan.empty() || spec.degrade) {
     return Status::InvalidArgument(
-        "conformance: cluster cells do not take fault plans (node slices are "
-        "private in-memory devices)");
+        "conformance: cluster cells do not take fault plans (nodes read "
+        "borrowed views of the job's input, not a device a plan can fault)");
   }
   SUPMR_ASSIGN_OR_RETURN(std::string data,
                          corpus_bytes(spec, corpus_override));
@@ -264,6 +264,10 @@ StatusOr<ConformanceOutcome> run_cluster_cell(
   outcome.cluster_shuffle_bytes = sut.shuffle_bytes;
   outcome.cluster_local_bytes = sut.local_bytes;
   outcome.cluster_map_output_bytes = sut.map_output_bytes;
+  outcome.cluster_slice_s = sut.slice_s;
+  outcome.cluster_map_s = sut.map_s;
+  outcome.cluster_route_s = sut.route_s;
+  outcome.cluster_merge_s = sut.merge_s;
   outcome.cluster_recv_min_bytes = ~std::uint64_t{0};
   for (const cluster::NodeStats& node : sut.nodes) {
     const std::uint64_t owned = node.recv_bytes + node.local_bytes;

@@ -50,6 +50,10 @@ struct ConformanceOutcome {
   std::uint64_t cluster_map_output_bytes = 0;
   std::uint64_t cluster_recv_max_bytes = 0;
   std::uint64_t cluster_recv_min_bytes = 0;
+  double cluster_slice_s = 0.0;  // the phase times of ClusterResult
+  double cluster_map_s = 0.0;
+  double cluster_route_s = 0.0;
+  double cluster_merge_s = 0.0;
 };
 
 // Regenerates the cell's seeded corpus (single-device kinds; the

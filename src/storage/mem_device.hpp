@@ -1,10 +1,11 @@
-// In-memory device: the test double and the backing for generated datasets
-// that fit in RAM. Reads are memcpy; the model reports effectively infinite
-// bandwidth unless overridden.
+// In-memory device: the test double and the backing for datasets that fit in
+// RAM. It owns its bytes, or borrows them (a cluster node's input slice):
+// the caller then keeps them alive and unchanged while the device is in use.
+// Reads are memcpy; the model reports effectively infinite bandwidth.
 #pragma once
 
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "storage/device.hpp"
 
@@ -12,10 +13,16 @@ namespace supmr::storage {
 
 class MemDevice final : public Device {
  public:
+  struct Borrowed {  // bytes the device reads in place
+    std::string_view bytes;
+  };
   explicit MemDevice(std::string data, std::string name = "mem")
-      : data_(std::move(data)), name_(std::move(name)) {}
-  MemDevice(std::vector<char> data, std::string name)
-      : data_(data.begin(), data.end()), name_(std::move(name)) {}
+      : owned_(std::move(data)), data_(owned_), name_(std::move(name)) {}
+  MemDevice(Borrowed borrowed, std::string name)
+      : data_(borrowed.bytes), name_(std::move(name)) {}
+  // data_ may view owned_, so a copy or move would leave it dangling.
+  MemDevice(const MemDevice&) = delete;
+  MemDevice& operator=(const MemDevice&) = delete;
 
   StatusOr<std::size_t> read_at(std::uint64_t offset,
                                 std::span<char> out) const override;
@@ -35,10 +42,11 @@ class MemDevice final : public Device {
     return DeviceModel{.bandwidth_bps = 20.0e9, .seek_s = 0.0};
   }
 
-  const std::string& contents() const { return data_; }
+  std::string_view contents() const { return data_; }
 
  private:
-  std::string data_;
+  std::string owned_;  // empty when borrowing
+  std::string_view data_;
   std::string name_;
 };
 

@@ -255,8 +255,9 @@ TEST(CliValidation, ClusterKnobsRequireNodes) {
 }
 
 TEST(CliValidation, ClusterRejectsFaultAndThrottleCombos) {
-  // Node slices are private in-memory devices: a fault plan or a global
-  // throttle on the (nonexistent) shared source device cannot apply.
+  // Nodes read borrowed views of the input, not a device: a fault plan or
+  // a global throttle on the (nonexistent) shared source device cannot
+  // apply.
   expect_rejected(
       "wordcount whatever --nodes=2 --fault-plan=permanent=0-10",
       "--nodes does not combine with --fault-plan/--degrade");

@@ -10,11 +10,17 @@
 //   * deterministic routing — repeated runs (and different per-node thread
 //     counts) reproduce the exact per-node shuffle ledger, not just the
 //     output bytes;
-//   * bounded skew — splitters cut from the merged sample keep the
-//     heaviest owner within a small factor of the mean on Zipf text.
+//   * bounded skew — splitters cut from the merged per-node samples keep
+//     the heaviest owner within a small factor of the mean on Zipf text;
+//   * no copies — nodes read their slices of the input in place, and the
+//     owner merges never write past the bytes they were handed.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +31,7 @@
 #include "apps/word_count.hpp"
 #include "cluster/cluster_job.hpp"
 #include "cluster/protocol.hpp"
+#include "common/rng.hpp"
 #include "ingest/record_format.hpp"
 #include "wload/numeric.hpp"
 #include "wload/text_corpus.hpp"
@@ -74,12 +81,52 @@ TEST(ClusterProtocol, LineValueParsesAndRejects) {
   EXPECT_FALSE(line_value("no-tab\n").ok());
   EXPECT_FALSE(line_value("empty\t\n").ok());
   EXPECT_FALSE(line_value("bad\t4x2\n").ok());
+  EXPECT_FALSE(line_value("word\t42").ok());  // no trailing newline
+}
+
+std::size_t total_bytes(const std::vector<SV>& runs) {
+  std::size_t bytes = 0;
+  for (const SV& run : runs) {
+    for (std::string_view r : run) bytes += r.size();
+  }
+  return bytes;
+}
+
+// Runs a pointer-form merge into a buffer sized to the runs' total bytes
+// plus a guard tail, checks that the merge wrote nothing past the total,
+// and returns the bytes it wrote.
+template <typename Merge>
+StatusOr<std::string> merge_into_buffer(const std::vector<SV>& runs,
+                                        Merge merge) {
+  constexpr std::size_t kGuard = 32;
+  const std::size_t total = total_bytes(runs);
+  std::string buffer(total + kGuard, '#');
+  StatusOr<char*> end = merge(runs, buffer.data());
+  if (!end.ok()) return end.status();
+  const std::size_t written = static_cast<std::size_t>(*end - buffer.data());
+  EXPECT_LE(written, total) << "the merge wrote past the runs' bytes";
+  EXPECT_EQ(buffer.substr(total), std::string(kGuard, '#'))
+      << "the merge wrote past the runs' bytes";
+  return buffer.substr(0, written);
+}
+
+StatusOr<std::string> sorted_keys(const std::vector<SV>& runs) {
+  return merge_into_buffer(runs, [](const std::vector<SV>& r, char* out) {
+    return merge_sorted_keys(r, out);
+  });
+}
+
+StatusOr<std::string> fixed_records(const std::vector<SV>& runs) {
+  return merge_into_buffer(
+      runs, [](const std::vector<SV>& r, char* out) -> StatusOr<char*> {
+        return merge_fixed_records(r, out);
+      });
 }
 
 TEST(ClusterProtocol, MergeSortedKeysFoldsAcrossRuns) {
   SV a = {std::string_view("apple\t2\n"), std::string_view("cherry\t1\n")};
   SV b = {std::string_view("apple\t3\n"), std::string_view("banana\t5\n")};
-  auto merged = merge_sorted_keys({a, b});
+  auto merged = sorted_keys({a, b});
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(*merged, "apple\t5\nbanana\t5\ncherry\t1\n");
   // A dense table (histogram's shape): every non-empty run holds every
@@ -87,7 +134,7 @@ TEST(ClusterProtocol, MergeSortedKeysFoldsAcrossRuns) {
   SV full = {std::string_view("bin0\t1\n"), std::string_view("bin1\t2\n")};
   SV other = {std::string_view("bin0\t10\n"), std::string_view("bin1\t20\n")};
   SV empty;
-  auto dense = merge_sorted_keys({full, empty, other});
+  auto dense = sorted_keys({full, empty, other});
   ASSERT_TRUE(dense.ok());
   EXPECT_EQ(*dense, "bin0\t11\nbin1\t22\n");
 }
@@ -95,14 +142,68 @@ TEST(ClusterProtocol, MergeSortedKeysFoldsAcrossRuns) {
 TEST(ClusterProtocol, MergeSortedKeysPropagatesBadValues) {
   SV a = {std::string_view("apple\tnope\n")};
   SV b = {std::string_view("apple\t3\n")};
-  EXPECT_FALSE(merge_sorted_keys({a, b}).ok());
+  EXPECT_FALSE(sorted_keys({a, b}).ok());
+  // A line without its newline could fold into a longer line than itself.
+  SV unterminated = {std::string_view("apple\t1")};
+  EXPECT_FALSE(sorted_keys({unterminated}).ok());
 }
 
 TEST(ClusterProtocol, MergeFixedRecordsInterleaves) {
   SV a = {std::string_view("aa"), std::string_view("cc")};
   SV b = {std::string_view("bb"), std::string_view("cc"),
           std::string_view("dd")};
-  EXPECT_EQ(merge_fixed_records({a, b}), "aabbccccdd");
+  auto merged = fixed_records({a, b});
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, "aabbccccdd");
+}
+
+TEST(ClusterProtocol, FoldNeverLengthensLines) {
+  // An owner's fold writes into a window sized to its inbox bytes, so a
+  // folded line must never be longer than the lines it folds:
+  // digits(a + b) <= digits(a) + digits(b), also across a carry (9 + 9 ->
+  // 18) and when the u64 sum wraps around.
+  const std::uint64_t kMax = ~std::uint64_t{0};
+  const std::vector<std::uint64_t> edge = {0, 1, 9, 10, 99, 999999999,
+                                           kMax / 2, kMax - 1, kMax};
+  const std::vector<std::string> keys = {"a", "a\tb", "apple", "k9", "zz"};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Xoshiro256 rng(seed);
+    const std::size_t run_count = 1 + rng.uniform(5);
+    std::vector<std::vector<std::string>> lines(run_count);
+    std::map<std::string, std::uint64_t> reference;  // a plain fold
+    for (std::vector<std::string>& run : lines) {
+      for (const std::string& key : keys) {  // keys in sorted order
+        if (rng.uniform(3) == 0) continue;
+        const std::uint64_t v = rng.uniform(2) == 0
+                                    ? edge[rng.uniform(edge.size())]
+                                    : rng() >> rng.uniform(64);
+        run.push_back(key + "\t" + std::to_string(v) + "\n");
+        reference[key] += v;  // wraps like the fold
+      }
+    }
+    std::vector<SV> runs;
+    for (const std::vector<std::string>& run : lines) {
+      runs.emplace_back(run.begin(), run.end());
+    }
+    std::string expect;
+    for (const auto& [key, sum] : reference) {
+      expect += key + "\t" + std::to_string(sum) + "\n";
+    }
+    auto merged = sorted_keys(runs);
+    ASSERT_TRUE(merged.ok()) << "seed " << seed;
+    EXPECT_EQ(*merged, expect) << "seed " << seed;
+    EXPECT_LE(merged->size(), total_bytes(runs)) << "seed " << seed;
+  }
+  // The tightest cases, where the fold's bytes are compared exactly.
+  SV nines = {std::string_view("k\t9\n")};
+  auto carry = sorted_keys({nines, nines});
+  ASSERT_TRUE(carry.ok());
+  EXPECT_EQ(*carry, "k\t18\n");
+  SV top = {std::string_view("k\t18446744073709551615\n")};
+  SV one = {std::string_view("k\t1\n")};
+  auto wrapped = sorted_keys({top, one});
+  ASSERT_TRUE(wrapped.ok());
+  EXPECT_EQ(*wrapped, "k\t0\n");
 }
 
 // -------------------------------------------------------------- runtime
@@ -256,6 +357,106 @@ TEST(ClusterRuntime, HistogramAlignedFold) {
   expect_conservation(*four);
 }
 
+TEST(ClusterRuntime, PhaseTimesAddUpToElapsed) {
+  const std::string corpus = zipf_text(64 * 1024, 107);
+  for (std::size_t nodes : {1u, 4u}) {
+    auto result = run_cluster(wordcount_job(corpus, nodes));
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_GE(result->slice_s, 0.0) << "nodes=" << nodes;
+    EXPECT_GE(result->map_s, 0.0) << "nodes=" << nodes;
+    EXPECT_GE(result->route_s, 0.0) << "nodes=" << nodes;
+    EXPECT_GE(result->merge_s, 0.0) << "nodes=" << nodes;
+    EXPECT_LE(result->slice_s + result->map_s + result->route_s +
+                  result->merge_s,
+              result->elapsed_s)
+        << "nodes=" << nodes;
+  }
+}
+
+// Forwards every seam the cluster runtime drives to a real WordCountApp, so
+// a test app overrides only the seams it probes.
+class ForwardingApp : public core::Application {
+ public:
+  void init(std::size_t num_map_threads) override {
+    inner_.init(num_map_threads);
+  }
+  Status prepare_round(const ingest::IngestChunk& chunk) override {
+    return inner_.prepare_round(chunk);
+  }
+  std::size_t round_tasks() const override { return inner_.round_tasks(); }
+  void map_task(std::size_t task, std::size_t thread_id) override {
+    inner_.map_task(task, thread_id);
+  }
+  Status reduce(ThreadPool& pool, std::size_t num_partitions) override {
+    return inner_.reduce(pool, num_partitions);
+  }
+  Status merge(ThreadPool& pool, const core::MergePlan& plan,
+               merge::MergeStats* stats) override {
+    return inner_.merge(pool, plan, stats);
+  }
+  std::uint64_t result_count() const override {
+    return inner_.result_count();
+  }
+  core::ShardKind shard_kind() const override { return inner_.shard_kind(); }
+  std::string canonical_output() const override {
+    return inner_.canonical_output();
+  }
+
+ protected:
+  apps::WordCountApp inner_;
+};
+
+// Where every chunk the nodes mapped lies in memory.
+struct ChunkLog {
+  std::mutex mu;
+  std::vector<std::span<const char>> chunks;
+};
+
+class ChunkRecordingApp : public ForwardingApp {
+ public:
+  explicit ChunkRecordingApp(std::shared_ptr<ChunkLog> log)
+      : log_(std::move(log)) {}
+  Status prepare_round(const ingest::IngestChunk& chunk) override {
+    {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      log_->chunks.push_back(chunk.bytes());
+    }
+    return ForwardingApp::prepare_round(chunk);
+  }
+
+ private:
+  std::shared_ptr<ChunkLog> log_;
+};
+
+TEST(ClusterRuntime, NodesReadTheInputInPlace) {
+  // With io=mmap a node's chunks borrow its device's bytes, so a node that
+  // reads its slice of job.input in place maps chunks that lie inside
+  // job.input; a node reading a copy of its slice maps chunks that do not.
+  const std::string corpus = zipf_text(64 * 1024, 108);
+  for (std::size_t nodes : {1u, 2u, 4u}) {
+    ClusterJob job = wordcount_job(corpus, nodes);
+    job.config.io = core::IoMode::kMmap;
+    auto log = std::make_shared<ChunkLog>();
+    job.make_app = [log] {
+      return std::unique_ptr<core::Application>(new ChunkRecordingApp(log));
+    };
+    auto result = run_cluster(job);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    const std::less_equal<const char*> le;
+    const char* const begin = job.input.data();
+    const char* const end = begin + job.input.size();
+    std::uint64_t bytes = 0;
+    for (const std::span<const char> chunk : log->chunks) {
+      EXPECT_TRUE(le(begin, chunk.data()) &&
+                  le(chunk.data() + chunk.size(), end))
+          << "nodes=" << nodes << ": a " << chunk.size()
+          << "-byte chunk lies outside job.input";
+      bytes += chunk.size();
+    }
+    EXPECT_EQ(bytes, corpus.size()) << "nodes=" << nodes;
+  }
+}
+
 // ---------------------------------------------------------- error paths
 
 TEST(ClusterRuntime, RejectsBadConfiguration) {
@@ -320,40 +521,18 @@ TEST(ClusterRuntime, MoreNodesThanRecords) {
 //
 // A node that produces garbage (or dies) must fail the WHOLE cluster run
 // with the underlying error, never a partial or silently-wrong output.
-// Real apps can't misbehave like that, so a forwarding wrapper around
-// WordCountApp overrides exactly the two seams the cluster runtime
-// consumes — shard_kind() and canonical_output() — and leaves the
-// MapReduce machinery real.
-class MisbehavingApp : public core::Application {
+// Real apps can't misbehave like that, so a ForwardingApp overrides exactly
+// the two seams the cluster runtime consumes — shard_kind() and
+// canonical_output() — and leaves the MapReduce machinery real.
+class MisbehavingApp : public ForwardingApp {
  public:
   using Canon = std::string (*)(const apps::WordCountApp&);
   MisbehavingApp(core::ShardKind kind, Canon canon)
       : kind_(kind), canon_(canon) {}
-  void init(std::size_t num_map_threads) override {
-    inner_.init(num_map_threads);
-  }
-  Status prepare_round(const ingest::IngestChunk& chunk) override {
-    return inner_.prepare_round(chunk);
-  }
-  std::size_t round_tasks() const override { return inner_.round_tasks(); }
-  void map_task(std::size_t task, std::size_t thread_id) override {
-    inner_.map_task(task, thread_id);
-  }
-  Status reduce(ThreadPool& pool, std::size_t num_partitions) override {
-    return inner_.reduce(pool, num_partitions);
-  }
-  Status merge(ThreadPool& pool, const core::MergePlan& plan,
-               merge::MergeStats* stats) override {
-    return inner_.merge(pool, plan, stats);
-  }
-  std::uint64_t result_count() const override {
-    return inner_.result_count();
-  }
   core::ShardKind shard_kind() const override { return kind_; }
   std::string canonical_output() const override { return canon_(inner_); }
 
  private:
-  apps::WordCountApp inner_;
   core::ShardKind kind_;
   Canon canon_;
 };

@@ -418,16 +418,34 @@ TEST(HashContainer, AppendCombinerVariant) {
 
 // -------------------------------------------------------- ArrayContainer
 
+// Writes one record into a claimed slot, as a mapper does.
+void write_slot(ArrayContainer& c, std::uint64_t slot, const char* record) {
+  std::memcpy(c.mutable_record(slot), record, c.record_bytes());
+}
+
+// The claimed records in slot order, read back through segments().
+std::string all_records(const ArrayContainer& c) {
+  std::string all;
+  for (const std::span<const char> s : c.segments())
+    all.append(s.data(), s.size());
+  return all;
+}
+
+// Record `slot` of the claimed records, read back through segments().
+std::string record_at(const ArrayContainer& c, std::uint64_t slot) {
+  return all_records(c).substr(slot * c.record_bytes(), c.record_bytes());
+}
+
 TEST(ArrayContainer, ClaimAndWrite) {
   ArrayContainer c;
   c.init(4);
   const std::uint64_t base = c.claim(3);
   EXPECT_EQ(base, 0u);
-  c.write_record(0, std::span<const char>("aaaa", 4));
-  c.write_record(1, std::span<const char>("bbbb", 4));
-  c.write_record(2, std::span<const char>("cccc", 4));
+  write_slot(c, 0, "aaaa");
+  write_slot(c, 1, "bbbb");
+  write_slot(c, 2, "cccc");
   EXPECT_EQ(c.size(), 3u);
-  EXPECT_EQ(std::string(c.record(1).data(), 4), "bbbb");
+  EXPECT_EQ(record_at(c, 1), "bbbb");
 }
 
 TEST(ArrayContainer, ClaimsAreContiguousAcrossRounds) {
@@ -442,38 +460,36 @@ TEST(ArrayContainer, InitIdempotentPersistence) {
   ArrayContainer c;
   c.init(4);
   c.claim(2);
-  c.write_record(0, std::span<const char>("r0r0", 4));
+  write_slot(c, 0, "r0r0");
+  write_slot(c, 1, "r1r1");
   c.init(4);  // next round
-  c.claim(1);
+  write_slot(c, c.claim(1), "r2r2");
   EXPECT_EQ(c.size(), 3u);
-  EXPECT_EQ(std::string(c.record(0).data(), 4), "r0r0");  // survived
+  EXPECT_EQ(record_at(c, 0), "r0r0");  // survived
 }
 
 TEST(ArrayContainer, NewSegmentKeepsEarlierRecords) {
   ArrayContainer c;
   c.init(4);
   EXPECT_EQ(c.claim(2), 0u);  // segment 0 holds exactly two slots
-  c.write_record(0, std::span<const char>("r0r0", 4));
-  c.write_record(1, std::span<const char>("r1r1", 4));
+  write_slot(c, 0, "r0r0");
+  write_slot(c, 1, "r1r1");
   EXPECT_EQ(c.claim(3), 2u);  // does not fit: opens segment 1
   ASSERT_EQ(c.segments().size(), 2u);
-  c.write_record(2, std::span<const char>("r2r2", 4));
-  c.write_record(3, std::span<const char>("r3r3", 4));
-  c.write_record(4, std::span<const char>("r4r4", 4));
+  write_slot(c, 2, "r2r2");
+  write_slot(c, 3, "r3r3");
+  write_slot(c, 4, "r4r4");
   // Both sides of the segment boundary, and the records written before the
   // new segment opened.
-  EXPECT_EQ(std::string(c.record(0).data(), 4), "r0r0");
-  EXPECT_EQ(std::string(c.record(1).data(), 4), "r1r1");
-  EXPECT_EQ(std::string(c.record(2).data(), 4), "r2r2");
-  EXPECT_EQ(std::string(c.record(4).data(), 4), "r4r4");
+  EXPECT_EQ(record_at(c, 0), "r0r0");
+  EXPECT_EQ(record_at(c, 1), "r1r1");
+  EXPECT_EQ(record_at(c, 2), "r2r2");
+  EXPECT_EQ(record_at(c, 4), "r4r4");
   // Segment 1 doubled to four slots, so one more claim fits in its tail.
   EXPECT_EQ(c.claim(1), 5u);
-  c.write_record(5, std::span<const char>("r5r5", 4));
+  write_slot(c, 5, "r5r5");
   EXPECT_EQ(c.segments().size(), 2u);
-  std::string all;
-  for (const std::span<const char> s : c.segments())
-    all.append(s.data(), s.size());
-  EXPECT_EQ(all, "r0r0r1r1r2r2r3r3r4r4r5r5");
+  EXPECT_EQ(all_records(c), "r0r0r1r1r2r2r3r3r4r4r5r5");
 }
 
 TEST(ArrayContainer, ClaimedSlotsAreContiguous) {
@@ -509,16 +525,17 @@ TEST(ArrayContainer, ConcurrentDisjointWrites) {
       for (std::uint64_t r = t; r < kRecords; r += 4) {
         std::snprintf(rec, sizeof(rec), "%07llu",
                       static_cast<unsigned long long>(r));
-        c.write_record(r, std::span<const char>(rec, 8));
+        write_slot(c, r, rec);
       }
     });
   }
   for (auto& w : workers) w.join();
+  const std::string all = all_records(c);
   char expect[8];
   for (std::uint64_t r = 0; r < kRecords; r += 997) {
     std::snprintf(expect, sizeof(expect), "%07llu",
                   static_cast<unsigned long long>(r));
-    EXPECT_EQ(std::memcmp(c.record(r).data(), expect, 8), 0);
+    EXPECT_EQ(std::memcmp(all.data() + r * 8, expect, 8), 0);
   }
 }
 

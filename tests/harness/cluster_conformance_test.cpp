@@ -6,9 +6,10 @@
 // self-contained repro spec replayable with `supmr cluster --spec=` (or
 // `supmr replay`).
 //
-// Dedicated rows beyond the cross: an adaptive-mode subset, in-mapper
-// combining nodes, and a throttled fabric (slow NICs + shared uplink — the
-// limiters must delay, never corrupt).
+// Dedicated rows beyond the cross: an adaptive-mode subset, an io=mmap
+// subset (nodes map borrowed views of the job's input), in-mapper combining
+// nodes, and a throttled fabric (slow NICs + shared uplink — the limiters
+// must delay, never corrupt).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -100,6 +101,17 @@ void run_cluster_lattice(std::function<core::ReplaySpec(std::uint64_t)> base,
     spec.mode = core::ExecMode::kAdaptive;
     spec.cluster_nodes = nodes;
     const std::string name = app_label + "-adaptive-n" + std::to_string(nodes);
+    expect_conservation(run_cluster_cell_checked(spec, name), name);
+  }
+  // Zero-copy subset: each node's chunks borrow views of its slice, itself
+  // a borrowed view of the job's input, so a node maps the input in place.
+  for (std::uint64_t nodes : {1, 2, 4}) {
+    core::ReplaySpec spec = base(salt++);
+    spec.mode = core::ExecMode::kIngestMR;
+    spec.merge_mode = core::MergeMode::kPWay;
+    spec.io = core::IoMode::kMmap;
+    spec.cluster_nodes = nodes;
+    const std::string name = app_label + "-mmap-n" + std::to_string(nodes);
     expect_conservation(run_cluster_cell_checked(spec, name), name);
   }
 }

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "storage/fault_device.hpp"
@@ -59,6 +60,26 @@ TEST(MemDevice, ReadAtExactEndReturnsZero) {
   auto n = d.read_at(3, std::span<char>(buf, 1));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 0u);
+}
+
+TEST(MemDevice, BorrowedReadsInPlace) {
+  static_assert(!std::is_copy_constructible_v<MemDevice>);
+  static_assert(!std::is_move_constructible_v<MemDevice>);
+  const std::string bytes = "borrowed bytes";
+  MemDevice d(MemDevice::Borrowed{bytes}, "borrowed");
+  EXPECT_EQ(d.size(), bytes.size());
+  EXPECT_EQ(d.contents().data(), bytes.data());
+  char buf[5];
+  auto n = d.read_at(9, std::span<char>(buf, 5));
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 5u);
+  EXPECT_EQ(std::string(buf, 5), "bytes");
+  ASSERT_TRUE(d.supports_views());
+  const std::span<const char> view = d.view_at(3, 5);
+  EXPECT_EQ(view.data(), bytes.data() + 3);  // no copy
+  EXPECT_EQ(std::string(view.data(), view.size()), "rowed");
+  EXPECT_TRUE(d.view_at(10, 5).empty());  // out of bounds
+  EXPECT_FALSE(d.read_at(bytes.size() + 1, std::span<char>(buf, 1)).ok());
 }
 
 // ----------------------------------------------------------- FileDevice

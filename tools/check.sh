@@ -308,12 +308,14 @@ run_stage() {
       ;;
     cluster-smoke)
       # Sharded shuffle under TSan: N worker nodes run whole MapReduceJobs
-      # concurrently on private leased pools, then shuffle senders and owner
-      # merges race across the fabric RateLimiters — all of it must be
-      # race-free and byte-identical to the sequential oracle. Reuses the
-      # tsan build tree; `cluster` selects the protocol/property suite, the
-      # node-count lattice and the checked-in spec through the instrumented
-      # `supmr cluster` CLI (docs/cluster.md).
+      # concurrently on private leased pools, each reading a borrowed view
+      # of the one job input, then shuffle senders race across the fabric
+      # RateLimiters and owner merges write disjoint windows of one output
+      # string — all of it must be race-free and byte-identical to the
+      # sequential oracle. Reuses the tsan build tree; `cluster` selects the
+      # protocol/property suite, the node-count lattice (with its io=mmap
+      # row) and the checked-in spec through the instrumented `supmr
+      # cluster` CLI (docs/cluster.md).
       configure_and_build "${ROOT}/build-check-tsan" \
         -DSUPMR_SANITIZE=thread -DSUPMR_BUILD_BENCH=OFF \
         -DSUPMR_BUILD_EXAMPLES=OFF

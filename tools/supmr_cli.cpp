@@ -217,8 +217,8 @@ StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
   if (spec.is_cluster()) {
     if (!spec.fault_plan.empty()) {
       return Status::InvalidArgument(
-          "--nodes does not combine with --fault-plan/--degrade (node slices "
-          "are private in-memory devices)");
+          "--nodes does not combine with --fault-plan/--degrade (nodes read "
+          "borrowed views of the input, not a device a plan can fault)");
     }
     if (run.throttle_bps) {
       return Status::InvalidArgument(
@@ -306,6 +306,13 @@ std::string cluster_result_to_json(const cluster::ClusterResult& result) {
   JsonWriter w;
   w.begin_object();
   w.kv("elapsed_s", result.elapsed_s);
+  w.key("phases");
+  w.begin_object();
+  w.kv("slice_s", result.slice_s);
+  w.kv("map_s", result.map_s);
+  w.kv("route_s", result.route_s);
+  w.kv("merge_s", result.merge_s);
+  w.end_object();
   w.kv("output_bytes", result.output.size());
   w.kv("map_output_bytes", result.map_output_bytes);
   w.kv("shuffle_bytes", result.shuffle_bytes);
@@ -363,9 +370,12 @@ StatusOr<RunOutput> run_cluster_spec(const RunFlags& run,
                  format_bytes(node.sent_bytes).c_str(),
                  format_bytes(node.recv_bytes).c_str());
   }
-  std::fprintf(out, "cluster: %s output in %.3fs\n",
-               format_bytes(result->output.size()).c_str(),
-               result->elapsed_s);
+  std::fprintf(out,
+               "cluster: %s output in %.3fs (slice %.3fs, map %.3fs, route "
+               "%.3fs, merge %.3fs)\n",
+               format_bytes(result->output.size()).c_str(), result->elapsed_s,
+               result->slice_s, result->map_s, result->route_s,
+               result->merge_s);
   if (run.json) std::printf("%s\n", cluster_result_to_json(*result).c_str());
   return RunOutput{nullptr, std::move(result->output)};
 }
@@ -697,13 +707,16 @@ Status cmd_replay(const std::string& command, const Flags& flags) {
   }
   if (spec.is_cluster()) {
     std::printf("cluster: %llu node(s), map output %llu bytes, %llu shuffled "
-                "cross-node, %llu local, owned max/min %llu/%llu bytes\n",
+                "cross-node, %llu local, owned max/min %llu/%llu bytes "
+                "(slice %.3fs, map %.3fs, route %.3fs, merge %.3fs)\n",
                 (unsigned long long)outcome.cluster_nodes,
                 (unsigned long long)outcome.cluster_map_output_bytes,
                 (unsigned long long)outcome.cluster_shuffle_bytes,
                 (unsigned long long)outcome.cluster_local_bytes,
                 (unsigned long long)outcome.cluster_recv_max_bytes,
-                (unsigned long long)outcome.cluster_recv_min_bytes);
+                (unsigned long long)outcome.cluster_recv_min_bytes,
+                outcome.cluster_slice_s, outcome.cluster_map_s,
+                outcome.cluster_route_s, outcome.cluster_merge_s);
   }
   if (!outcome.match) {
     std::printf("conformance: FAIL\n%s\n", outcome.diff.c_str());
