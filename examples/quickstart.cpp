@@ -11,7 +11,6 @@
 //
 // Build & run:  ./examples/quickstart [input.txt] [chunk-size]
 //                                     [--io=read|mmap]
-//                                     [--container=default|combining]
 //                                     [--metrics-json=out.json]
 //                                     [--trace-out=trace.json]
 //                                     [--partitions=N]
@@ -23,9 +22,8 @@
 // --partitions=N switches the final merge to the key-range partitioned path
 // (docs/merge.md): N independent per-partition merges instead of one global
 // round (0 = auto: one per hardware context).
-// --container=combining folds counts at map-emit time in the in-mapper
-// combining hash-aggregate (docs/containers.md) and prints how much the
-// fold shrank the data entering the merge.
+// Every run prints how much the hash container's map-emit fold
+// (docs/containers.md) shrank the data entering the merge.
 // Without arguments it generates a 8 MB synthetic corpus. The fault flags
 // demonstrate the fault-tolerance layer (docs/fault-tolerance.md): the input
 // device is wrapped in a FaultDevice injecting the plan, and the retry
@@ -88,10 +86,6 @@ int main(int argc, char** argv) {
       config.io = core::IoMode::kMmap;
     } else if (std::strcmp(arg, "--io=read") == 0) {
       config.io = core::IoMode::kRead;
-    } else if (std::strcmp(arg, "--container=combining") == 0) {
-      config.container = core::ContainerMode::kCombining;
-    } else if (std::strcmp(arg, "--container=default") == 0) {
-      config.container = core::ContainerMode::kDefault;
     } else if (std::strcmp(arg, "--degrade") == 0) {
       config.recovery.degrade = true;
     } else {
@@ -152,10 +146,6 @@ int main(int argc, char** argv) {
 
   // 3. Submit through the job manager and wait for the handle.
   apps::WordCountApp app;
-  if (Status s = app.use_container(config.container); !s.ok()) {
-    std::fprintf(stderr, "bad --container: %s\n", s.to_string().c_str());
-    return 2;
-  }
   obs_files.begin();
   runtime::JobManager manager;
   runtime::JobRequest request;
@@ -199,16 +189,14 @@ int main(int argc, char** argv) {
   std::printf("%llu distinct words, %llu words total\n",
               (unsigned long long)app.results().size(),
               (unsigned long long)app.words_mapped());
-  if (result->combine.emits != 0) {
-    std::printf("combining: %llu emits folded to %llu entries "
-                "(%s emitted -> %s into merge, table %s)\n",
-                (unsigned long long)result->combine.emits,
-                (unsigned long long)(result->combine.emits -
-                                     result->combine.keys_folded),
-                format_bytes(result->combine.bytes_emitted).c_str(),
-                format_bytes(result->combine.bytes_into_merge).c_str(),
-                format_bytes(result->combine.table_bytes).c_str());
-  }
+  std::printf("fold: %llu emits folded to %llu entries "
+              "(%s emitted -> %s into merge, table %s)\n",
+              (unsigned long long)result->combine.emits,
+              (unsigned long long)(result->combine.emits -
+                                   result->combine.keys_folded),
+              format_bytes(result->combine.bytes_emitted).c_str(),
+              format_bytes(result->combine.bytes_into_merge).c_str(),
+              format_bytes(result->combine.table_bytes).c_str());
   std::printf("\n");
 
   // Top 10 words by count.

@@ -82,9 +82,6 @@ StatusOr<std::unique_ptr<core::Application>> make_app(
     return Status::InvalidArgument("apps: not a single-round app: " +
                                    spec.app);
   }
-  // Apps without a combiner reject container=combining here instead of
-  // silently running their default container.
-  SUPMR_RETURN_IF_ERROR(app->use_container(spec.container));
   return app;
 }
 

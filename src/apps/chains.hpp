@@ -34,9 +34,9 @@ struct ChainInputs {
   std::vector<std::shared_ptr<const storage::Device>> files;
 };
 
-// The single-round app spec.app names, with its parameters set and
-// spec.container applied. InvalidArgument for a graph or unknown app, or a
-// container the app rejects.
+// The single-round app spec.app names, with its parameters set.
+// InvalidArgument for a graph or unknown app, or parameters the app
+// rejects.
 StatusOr<std::unique_ptr<core::Application>> make_app(
     const core::ReplaySpec& spec);
 
@@ -61,8 +61,8 @@ StatusOr<std::shared_ptr<const storage::Device>> with_faults(
 
 // The cluster run of spec over `input` (spec.is_cluster()): every node
 // builds make_app(spec) and runs spec.job_config(); owners spill into the
-// job's default spill_dir. An app or container make_app rejects fails here,
-// before any node starts.
+// job's default spill_dir. An app make_app rejects fails here, before any
+// node starts.
 StatusOr<cluster::ClusterJob> make_cluster_job(const core::ReplaySpec& spec,
                                                std::string input);
 

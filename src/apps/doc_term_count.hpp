@@ -17,22 +17,16 @@
 #include "apps/keyed_app.hpp"
 #include "apps/split.hpp"
 #include "containers/combiners.hpp"
-#include "containers/combining.hpp"
 
 namespace supmr::apps {
 
 class DocTermCountApp final
-    : public KeyedApp<containers::SwitchedContainer<
-          containers::SumCombiner<std::uint64_t>>> {
+    : public KeyedApp<containers::SumCombiner<std::uint64_t>> {
  public:
   void init(std::size_t num_map_threads) override;
   Status prepare_round(const ingest::IngestChunk& chunk) override;
   std::size_t round_tasks() const override { return tasks_.size(); }
   void map_task(std::size_t task, std::size_t thread_id) override;
-
-  core::CombinerKind combiner_kind() const override {
-    return core::CombinerKind::kSum;
-  }
 
  private:
   std::vector<std::vector<FileSplit>> tasks_;

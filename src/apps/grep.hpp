@@ -4,8 +4,7 @@
 // scans each line for every pattern and emits (pattern, occurrences); the
 // intermediate set is tiny (one key per pattern), the opposite extreme from
 // sort. Included as a third application point on the "job phase complexity"
-// spectrum Conclusion 1 describes. Grep declares no combiner: its plain
-// HashContainer rejects ContainerMode::kCombining.
+// spectrum Conclusion 1 describes.
 #pragma once
 
 #include <cstdint>
@@ -17,15 +16,13 @@
 
 #include "apps/keyed_app.hpp"
 #include "containers/combiners.hpp"
-#include "containers/hash_container.hpp"
 
 namespace supmr::apps {
 
 // Results are (pattern, total occurrences), sorted by pattern; patterns
 // with zero matches are absent.
 class GrepApp final
-    : public KeyedApp<
-          containers::HashContainer<containers::SumCombiner<std::uint64_t>>> {
+    : public KeyedApp<containers::SumCombiner<std::uint64_t>> {
  public:
   explicit GrepApp(std::vector<std::string> patterns)
       : patterns_(std::move(patterns)) {}

@@ -8,26 +8,6 @@
 
 namespace supmr::apps {
 
-namespace {
-
-// Fixed-width big-endian bin keys: unique per bin, lossless to decode, and
-// ordered the same way as the bin indices.
-void encode_bin_key(std::uint64_t bin, char out[8]) {
-  for (int i = 7; i >= 0; --i) {
-    out[i] = static_cast<char>(bin & 0xff);
-    bin >>= 8;
-  }
-}
-
-std::uint64_t decode_bin_key(std::string_view key) {
-  assert(key.size() == 8);
-  std::uint64_t bin = 0;
-  for (unsigned char c : key) bin = (bin << 8) | c;
-  return bin;
-}
-
-}  // namespace
-
 std::size_t HistogramApp::bin_of(std::int64_t value) const {
   // Exact integer binning: floating-point (value/range)*bins rounds values
   // on bin edges into the wrong bin (e.g. 29/100*100 -> 28.999...).
@@ -48,25 +28,10 @@ std::int64_t HistogramApp::bin_start(std::size_t bin) const {
                                    static_cast<__int128>(offset));
 }
 
-Status HistogramApp::use_container(core::ContainerMode mode) {
-  if (container_.initialized() || combining_.initialized())
-    return Status::FailedPrecondition(
-        "use_container: histogram container already initialized");
-  container_mode_ = mode;
-  return Status::Ok();
-}
-
-core::CombineStats HistogramApp::combine_stats() const {
-  return combining() ? combining_.stats() : core::CombineStats{};
-}
-
 void HistogramApp::init(std::size_t num_map_threads) {
   assert(options_.hi > options_.lo && options_.bins > 0);
   num_mappers_ = num_map_threads;
-  if (combining())
-    combining_.init(num_map_threads, options_.bins);
-  else
-    container_.init(num_map_threads, options_.bins);
+  container_.init(num_map_threads, options_.bins);
   parsed_per_thread_.assign(num_map_threads, 0);
   dropped_per_thread_.assign(num_map_threads, 0);
   counts_.clear();
@@ -94,14 +59,7 @@ void HistogramApp::map_task(std::size_t task, std::size_t thread_id) {
         std::from_chars(split.data() + begin, split.data() + end, value);
     if (ec == std::errc{} && ptr == split.data() + end) {
       if (value >= options_.lo && value < options_.hi) {
-        if (combining()) {
-          char key[8];
-          encode_bin_key(bin_of(value), key);
-          combining_.emit(thread_id, std::string_view(key, sizeof(key)),
-                          std::uint64_t{1});
-        } else {
-          container_.emit(thread_id, bin_of(value), std::uint64_t{1});
-        }
+        container_.emit(thread_id, bin_of(value), std::uint64_t{1});
         ++parsed;
       } else {
         ++dropped;
@@ -118,28 +76,14 @@ void HistogramApp::map_task(std::size_t task, std::size_t thread_id) {
 Status HistogramApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
   counts_.assign(options_.bins, 0);
   std::vector<std::function<void(std::size_t)>> tasks;
-  if (combining()) {
-    // Hash partitions instead of bin ranges: each bin key lives in exactly
-    // one partition, so the tasks write disjoint counts_ entries.
-    for (std::size_t p = 0; p < num_partitions; ++p) {
-      tasks.push_back([this, p, num_partitions](std::size_t) {
-        for (const auto& [key, count] :
-             combining_.reduce_partition(p, num_partitions)) {
-          counts_[decode_bin_key(key)] += count;
-        }
-      });
-    }
-  } else {
-    const std::size_t per =
-        (options_.bins + num_partitions - 1) / num_partitions;
-    for (std::size_t p = 0; p < num_partitions; ++p) {
-      const std::size_t first = p * per;
-      if (first >= options_.bins) break;
-      const std::size_t last = std::min(first + per, options_.bins);
-      tasks.push_back([this, first, last](std::size_t) {
-        container_.reduce_range(first, last, counts_.data() + first);
-      });
-    }
+  const std::size_t per = (options_.bins + num_partitions - 1) / num_partitions;
+  for (std::size_t p = 0; p < num_partitions; ++p) {
+    const std::size_t first = p * per;
+    if (first >= options_.bins) break;
+    const std::size_t last = std::min(first + per, options_.bins);
+    tasks.push_back([this, first, last](std::size_t) {
+      container_.reduce_range(first, last, counts_.data() + first);
+    });
   }
   if (!pool.run_wave(tasks))
     return Status::Internal("reduce wave dropped: thread pool shut down");

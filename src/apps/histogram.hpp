@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "containers/combiners.hpp"
-#include "containers/combining.hpp"
 #include "containers/fixed_kv_array.hpp"
 #include "core/application.hpp"
 
@@ -40,16 +39,11 @@ class HistogramApp final : public core::Application {
   std::uint64_t result_count() const override { return counts_.size(); }
   std::string canonical_output() const override;
 
-  core::CombinerKind combiner_kind() const override {
-    return core::CombinerKind::kSum;
-  }
   // Zero-padded bin keys, then the dropped/parsed trailers: one sorted
   // key table, so node outputs merge like word counts.
   core::ShardKind shard_kind() const override {
     return core::ShardKind::kSortedKeys;
   }
-  Status use_container(core::ContainerMode mode) override;
-  core::CombineStats combine_stats() const override;
 
   // Per-bin counts, valid after reduce.
   const std::vector<std::uint64_t>& counts() const { return counts_; }
@@ -69,21 +63,10 @@ class HistogramApp final : public core::Application {
   }
   std::uint64_t range() const { return distance(options_.lo, options_.hi); }
 
-  bool combining() const {
-    return container_mode_ == core::ContainerMode::kCombining;
-  }
-
   HistogramOptions options_;
   std::size_t num_mappers_ = 0;
-  // Default container: dense per-thread bin stripes. Combining mode swaps
-  // in the hash-aggregate keyed by the bin index (fixed 8-byte big-endian
-  // encoding, so keys are unique per bin and decode back losslessly) — for
-  // histogram this is a fold-accounting/uniformity choice, not a volume win,
-  // since the dense array already folds at emit time.
-  core::ContainerMode container_mode_ = core::ContainerMode::kDefault;
+  // Dense per-thread bin stripes: each emit folds into its bin.
   containers::FixedKvArray<containers::SumCombiner<std::uint64_t>> container_;
-  containers::CombiningContainer<containers::SumCombiner<std::uint64_t>>
-      combining_;
   std::vector<std::span<const char>> splits_;
   std::vector<std::uint64_t> parsed_per_thread_;
   std::vector<std::uint64_t> dropped_per_thread_;

@@ -14,13 +14,11 @@
 #include "apps/keyed_app.hpp"
 #include "apps/split.hpp"
 #include "containers/combiners.hpp"
-#include "containers/combining.hpp"
 
 namespace supmr::apps {
 
 class InvertedIndexApp final
-    : public KeyedApp<containers::SwitchedContainer<
-          containers::AppendCombiner<std::uint32_t>>> {
+    : public KeyedApp<containers::AppendCombiner<std::uint32_t>> {
  public:
   // (word, ids of the files containing it), ids sorted and unique.
   using Posting = Result;
@@ -29,10 +27,6 @@ class InvertedIndexApp final
   Status prepare_round(const ingest::IngestChunk& chunk) override;
   std::size_t round_tasks() const override { return tasks_.size(); }
   void map_task(std::size_t task, std::size_t thread_id) override;
-
-  core::CombinerKind combiner_kind() const override {
-    return core::CombinerKind::kAppend;
-  }
 
   // The index, sorted by word.
   const std::vector<Posting>& index() const { return results(); }

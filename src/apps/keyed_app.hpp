@@ -1,12 +1,13 @@
 // The string-keyed application skeleton.
 //
 // Word count, pair count, doc-term count, grep and the inverted index emit
-// (string key, value) pairs into a striped hash container and all produce
-// one result per distinct key, sorted by key. In the paper's
-// Phoenix++-derived runtime the application owns its map logic and the
-// runtime owns the merge (Table I); this base is that split for keyed apps,
-// the shape of Metis' mapreduce_appbase. A derived app writes init (calling
-// init_container), prepare_round and map_task; the skeleton owns the rest:
+// (string key, value) pairs into the striped hash container, which folds
+// them with the app's combiner at emit time, and all produce one result per
+// distinct key, sorted by key. In the paper's Phoenix++-derived runtime the
+// application owns its map logic and the runtime owns the merge (Table I);
+// this base is that split for keyed apps, the shape of Metis'
+// mapreduce_appbase. A derived app writes init (calling init_container),
+// prepare_round and map_task; the skeleton owns the rest:
 //
 //   reduce  one wave over the reduce partitions: each task drains its hash
 //           partition from every stripe (partitions are disjoint, so no
@@ -26,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "containers/hash_container.hpp"
 #include "core/application.hpp"
 #include "merge/introsort.hpp"
 #include "merge/pairwise.hpp"
@@ -61,10 +63,10 @@ std::string keyed_output(
   return out;
 }
 
-template <typename Container>
+template <typename Combiner>
 class KeyedApp : public core::Application {
  public:
-  using Result = std::pair<std::string, typename Container::value_type>;
+  using Result = std::pair<std::string, typename Combiner::value_type>;
 
   Status reduce(ThreadPool& pool, std::size_t num_partitions) override {
     partitions_.assign(num_partitions, {});
@@ -145,21 +147,8 @@ class KeyedApp : public core::Application {
     return keyed_output(results_);
   }
 
-  // An app whose container carries a combining table (SwitchedContainer)
-  // switches its emit seam here; any other container keeps the base
-  // contract, which rejects everything but kDefault.
-  Status use_container(core::ContainerMode mode) override {
-    if constexpr (kSwitchable) {
-      container_.select(mode);
-      return Status::Ok();
-    } else {
-      return core::Application::use_container(mode);
-    }
-  }
-
   core::CombineStats combine_stats() const override {
-    if constexpr (kSwitchable) return container_.stats();
-    return {};
+    return container_.stats();
   }
 
   // Final output: one (key, value) per distinct key, sorted by key.
@@ -181,15 +170,11 @@ class KeyedApp : public core::Application {
   virtual void finish_partition(std::vector<Result>& /*partition*/) {}
 
   std::size_t num_mappers_ = 0;
-  Container container_;
+  containers::HashContainer<Combiner> container_;
   // merge()'s output; a derived merge() may fold more results into it.
   std::vector<Result> results_;
 
  private:
-  static constexpr bool kSwitchable = requires(Container& c) {
-    c.select(core::ContainerMode::kDefault);
-  };
-
   std::vector<std::vector<Result>> partitions_;
 };
 

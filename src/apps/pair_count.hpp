@@ -18,22 +18,17 @@
 
 #include "apps/keyed_app.hpp"
 #include "containers/combiners.hpp"
-#include "containers/combining.hpp"
 
 namespace supmr::apps {
 
 class PairCountApp final
-    : public KeyedApp<containers::SwitchedContainer<
-          containers::SumCombiner<std::uint64_t>>> {
+    : public KeyedApp<containers::SumCombiner<std::uint64_t>> {
  public:
   void init(std::size_t num_map_threads) override;
   Status prepare_round(const ingest::IngestChunk& chunk) override;
   std::size_t round_tasks() const override { return splits_.size(); }
   void map_task(std::size_t task, std::size_t thread_id) override;
 
-  core::CombinerKind combiner_kind() const override {
-    return core::CombinerKind::kSum;
-  }
   core::ShardKind shard_kind() const override {
     return core::ShardKind::kSortedKeys;
   }

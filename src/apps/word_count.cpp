@@ -18,6 +18,7 @@ void WordCountApp::init(std::size_t num_map_threads) {
   init_container(num_map_threads, capacity_hint(runs_ != nullptr));
   words_per_thread_.assign(num_map_threads, 0);
   runs_spilled_ = 0;
+  spilled_stats_ = {};
 }
 
 Status WordCountApp::prepare_round(const ingest::IngestChunk& chunk) {
@@ -32,6 +33,7 @@ Status WordCountApp::prepare_round(const ingest::IngestChunk& chunk) {
                      });
     SUPMR_RETURN_IF_ERROR(runs_->write(run));
     ++runs_spilled_;
+    spilled_stats_.add(container_.stats());
     // Release the table: reset() frees the stripes, init() starts fresh.
     container_.reset();
     container_.init(num_mappers_, capacity_hint(true));
@@ -58,9 +60,10 @@ Status WordCountApp::merge(ThreadPool& pool, const core::MergePlan& plan,
   return Status::Ok();
 }
 
-Status WordCountApp::use_container(core::ContainerMode mode) {
-  if (runs_) return core::Application::use_container(mode);
-  return KeyedApp::use_container(mode);
+core::CombineStats WordCountApp::combine_stats() const {
+  core::CombineStats s = KeyedApp::combine_stats();
+  s.add(spilled_stats_);
+  return s;
 }
 
 std::uint64_t WordCountApp::words_mapped() const {

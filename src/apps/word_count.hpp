@@ -14,7 +14,8 @@
 // footprint exceeds the budget is drained into one sorted run
 // (containers::RunSet) and released. After the configured merge, one
 // loser-tree pass folds the runs back into the results, so the output bytes
-// are the same at any budget.
+// are the same at any budget. combine_stats() adds each released table's
+// fold to the live one's, so the job's fold accounting counts every emit.
 #pragma once
 
 #include <cstdint>
@@ -24,18 +25,15 @@
 
 #include "apps/keyed_app.hpp"
 #include "containers/combiners.hpp"
-#include "containers/combining.hpp"
 #include "containers/run_set.hpp"
 
 namespace supmr::apps {
 
 class WordCountApp final
-    : public KeyedApp<containers::SwitchedContainer<
-          containers::SumCombiner<std::uint64_t>>> {
+    : public KeyedApp<containers::SumCombiner<std::uint64_t>> {
  public:
   WordCountApp() = default;
   // Word count under a spill budget of `budget_bytes`, spilling into `runs`.
-  // A budgeted run keeps the default table: it declares no combiner.
   WordCountApp(std::uint64_t budget_bytes,
                std::unique_ptr<containers::RunSet> runs)
       : budget_bytes_(budget_bytes), runs_(std::move(runs)) {}
@@ -46,11 +44,9 @@ class WordCountApp final
   void map_task(std::size_t task, std::size_t thread_id) override;
   Status merge(ThreadPool& pool, const core::MergePlan& plan,
                merge::MergeStats* stats) override;
-  Status use_container(core::ContainerMode mode) override;
+  // The fold over the whole job: the tables spilled so far and the live one.
+  core::CombineStats combine_stats() const override;
 
-  core::CombinerKind combiner_kind() const override {
-    return runs_ ? core::CombinerKind::kNone : core::CombinerKind::kSum;
-  }
   core::ShardKind shard_kind() const override {
     return core::ShardKind::kSortedKeys;
   }
@@ -66,6 +62,8 @@ class WordCountApp final
   std::uint64_t budget_bytes_ = 0;
   std::unique_ptr<containers::RunSet> runs_;  // null: no budget
   std::size_t runs_spilled_ = 0;
+  // What the spilled tables folded before each was reset.
+  core::CombineStats spilled_stats_;
   std::vector<std::span<const char>> splits_;
   std::vector<std::uint64_t> words_per_thread_;
 };

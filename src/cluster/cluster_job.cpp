@@ -22,26 +22,26 @@ namespace {
 // Records each node contributes to the splitter sample.
 constexpr std::size_t kSamplePerNode = 32;
 
-// Node input slices: views of job.input that group the deterministic chunk
-// plan's extents into N contiguous runs, so every slice boundary is a record
-// boundary and the slices concatenate to exactly the input. With fewer
-// extents than nodes, some slices are empty (those nodes are still owners).
+// Node input slices: views of job.input, slice k ending at the first record
+// boundary at or after (k + 1) * size / N (RecordFormat::adjust_split), so
+// the slices concatenate to exactly the input and each gets about size / N
+// bytes. A slice is empty only where one record spans a whole share.
 StatusOr<std::vector<std::string_view>> slice_input(const ClusterJob& job,
                                                     std::size_t nodes) {
-  auto device = std::make_shared<storage::MemDevice>(
-      storage::MemDevice::Borrowed{job.input}, "cluster-plan");
-  ingest::SingleDeviceSource planner(device, job.format, job.chunk_bytes);
-  SUPMR_ASSIGN_OR_RETURN(std::vector<ingest::ChunkExtent> extents,
-                         planner.plan());
+  const storage::MemDevice device(storage::MemDevice::Borrowed{job.input},
+                                  "cluster-plan");
+  const std::string_view input = device.contents();
   std::vector<std::string_view> slices(nodes);
-  const std::size_t e = extents.size();
+  std::uint64_t begin = 0;
   for (std::size_t k = 0; k < nodes; ++k) {
-    const std::size_t lo = k * e / nodes;
-    const std::size_t hi = (k + 1) * e / nodes;
-    if (lo >= hi) continue;
-    const std::uint64_t begin = extents[lo].offset;
-    const std::uint64_t end = extents[hi - 1].offset + extents[hi - 1].length;
-    slices[k] = device->contents().substr(begin, end - begin);
+    std::uint64_t end = input.size();
+    if (k + 1 < nodes) {
+      const std::uint64_t share = input.size() * (k + 1) / nodes;
+      SUPMR_ASSIGN_OR_RETURN(end, job.format->adjust_split(device, share));
+      end = std::max(end, begin);
+    }
+    slices[k] = input.substr(begin, end - begin);
+    begin = end;
   }
   return slices;
 }
@@ -76,8 +76,6 @@ Status run_node(const ClusterJob& job, std::string_view slice,
   if (app == nullptr) {
     return Status::InvalidArgument("cluster: application factory returned null");
   }
-  SUPMR_RETURN_IF_ERROR(app->use_container(cfg.container));
-
   ThreadPool pool(std::max<std::size_t>(
       {cfg.num_map_threads, cfg.num_reduce_threads, 1}));
   core::MapReduceJob mr(*app, source, cfg);

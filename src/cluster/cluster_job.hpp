@@ -37,9 +37,9 @@ namespace supmr::cluster {
 using AppFactory = std::function<std::unique_ptr<core::Application>()>;
 
 struct ClusterJob {
-  // The full input corpus; sliced across nodes at planned chunk boundaries
-  // (record-aligned by the RecordFormat contract). Nodes read it in place,
-  // so it must not change while run_cluster runs.
+  // The full input corpus; sliced across nodes in byte shares, each cut
+  // moved to a record boundary (RecordFormat::adjust_split). Nodes read it
+  // in place, so it must not change while run_cluster runs.
   std::string input;
   std::shared_ptr<const ingest::RecordFormat> format;
   AppFactory make_app;
@@ -72,7 +72,7 @@ struct ClusterResult {
   core::ShardKind shard = core::ShardKind::kNone;
   double elapsed_s = 0.0;
   // Wall time of each phase; they sum to at most elapsed_s.
-  double slice_s = 0.0;  // checks, the chunk plan and the slice views
+  double slice_s = 0.0;  // checks and the slice cuts
   double map_s = 0.0;    // the node jobs
   double route_s = 0.0;  // split, sample, routing and fabric charges
   double merge_s = 0.0;  // owner merges and assembly of the output

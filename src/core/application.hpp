@@ -27,6 +27,7 @@
 // order (k-means' floating-point sums).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -38,26 +39,11 @@
 
 namespace supmr::core {
 
-// The associative fold an application declares for in-mapper combining
-// (containers/combining.hpp). kNone means the app has no combiner and
-// rejects ContainerMode::kCombining.
-enum class CombinerKind {
-  kNone,
-  kSum,
-  kMin,
-  kMax,
-  kAppend,
-};
+// Declared only because perfbench/traced.hpp overrides combiner_kind().
+enum class CombinerKind { kNone };
 
-inline constexpr EnumName<CombinerKind> kCombinerKindNames[] = {
-    {CombinerKind::kNone, "none"},   {CombinerKind::kSum, "sum"},
-    {CombinerKind::kMin, "min"},     {CombinerKind::kMax, "max"},
-    {CombinerKind::kAppend, "append"},
-};
-
-inline std::string_view combiner_kind_name(CombinerKind kind) {
-  return enum_to_name(kCombinerKindNames, kind);
-}
+// Declared only because perfbench/traced.hpp overrides use_container().
+enum class ContainerMode { kDefault };
 
 // How the cluster runtime (src/cluster/) may shard an app's canonical
 // output across simulated worker nodes and reassemble it byte-identically.
@@ -87,17 +73,26 @@ inline std::string_view shard_kind_name(ShardKind kind) {
   return enum_to_name(kShardKindNames, kind);
 }
 
-// Fold-effectiveness accounting for a combining run (all zero when the app
-// ran its default container). bytes_emitted is the intermediate volume a
-// non-combining container would have carried into reduce/merge (every emit's
-// key+value payload); bytes_into_merge is what actually survived the
-// emit-time fold.
+// Fold-effectiveness accounting of an app's hash container
+// (containers/hash_container.hpp; all zero for apps without one).
+// bytes_emitted is the intermediate volume a container without an emit-time
+// fold would have carried into reduce/merge (every emit's key+value
+// payload); bytes_into_merge is what actually survived the fold.
 struct CombineStats {
   std::uint64_t emits = 0;
   std::uint64_t keys_folded = 0;  // emits absorbed into an existing key
   std::uint64_t bytes_emitted = 0;
   std::uint64_t bytes_into_merge = 0;
-  std::uint64_t table_bytes = 0;  // peak combining-table footprint
+  std::uint64_t table_bytes = 0;  // peak hash-table footprint
+
+  // Adds another table's fold; the peak footprint is the larger one.
+  void add(const CombineStats& other) {
+    emits += other.emits;
+    keys_folded += other.keys_folded;
+    bytes_emitted += other.bytes_emitted;
+    bytes_into_merge += other.bytes_into_merge;
+    table_bytes = std::max(table_bytes, other.table_bytes);
+  }
 };
 
 class Application {
@@ -136,8 +131,7 @@ class Application {
   // Number of output records/pairs — used for result validation.
   virtual std::uint64_t result_count() const = 0;
 
-  // The associative combiner this app can fold with at emit time. kNone
-  // (the default) means the app only runs its own container.
+  // Declared only because perfbench/traced.hpp overrides it; nothing reads it.
   virtual CombinerKind combiner_kind() const { return CombinerKind::kNone; }
 
   // The shuffle protocol the sharded cluster runtime (src/cluster/) uses to
@@ -145,20 +139,11 @@ class Application {
   // default) opts the app out of cluster runs.
   virtual ShardKind shard_kind() const { return ShardKind::kNone; }
 
-  // Selects the intermediate container before init(). apps::make_app (the
-  // CLI and the conformance harness), cluster nodes and quickstart call this
-  // with the configured container; apps that declare a combiner override it
-  // to switch their emit seam. The default rejects everything but kDefault,
-  // so an app without a combiner can never silently fall back.
-  virtual Status use_container(ContainerMode mode) {
-    if (mode == ContainerMode::kDefault) return Status::Ok();
-    return Status::InvalidArgument(
-        "container=" + std::string(container_mode_name(mode)) +
-        ": this application declares no combiner");
-  }
+  // Declared only because perfbench/traced.hpp overrides it; nothing calls it.
+  virtual Status use_container(ContainerMode) { return Status::Ok(); }
 
-  // Fold-effectiveness accounting, valid after merge. All-zero unless the
-  // app ran with ContainerMode::kCombining.
+  // Fold-effectiveness accounting, valid after merge: the keyed apps report
+  // their hash container's fold, every other app all zero.
   virtual CombineStats combine_stats() const { return {}; }
 
   // Canonical byte encoding of the final output, for differential

@@ -79,8 +79,8 @@ Status MapReduceJob::finish(JobResult& result, PhaseClock& clock) {
   result.result_count = app_.result_count();
   result.map_rounds = rounds_;
 
-  // Fold effectiveness (containers/combining.hpp). The container is not
-  // mutated after the map waves, so reading here — after reduce/merge —
+  // Fold effectiveness (containers/hash_container.hpp). The container is
+  // not mutated after the map waves, so reading here — after reduce/merge —
   // sees the final fold counters.
   result.combine = app_.combine_stats();
   if (result.combine.emits != 0) {

@@ -38,8 +38,8 @@ struct JobResult {
   PhaseBreakdown phases;
   ingest::PipelineStats pipeline;   // the ingest pipeline's stats
   merge::MergeStats merge_stats;
-  // Fold-effectiveness accounting (Application::combine_stats): all-zero
-  // unless the app ran with ContainerMode::kCombining.
+  // Fold-effectiveness accounting (Application::combine_stats): the keyed
+  // apps' hash-container fold, all zero for every other app.
   CombineStats combine;
   obs::MetricsSnapshot metrics;     // registry snapshot taken at run end
   std::uint64_t result_count = 0;

@@ -35,17 +35,6 @@ enum class ExecMode {
   kAdaptive,  // SupMR with controller-driven chunk sizing (§VIII)
 };
 
-// Which intermediate container the application uses (--container). kDefault
-// keeps each app's own choice (hash, fixed array, ...); kCombining swaps in
-// the in-mapper CombiningContainer (containers/combining.hpp), which folds
-// duplicate keys at emit time with the app-declared combiner. Only apps that
-// declare a combiner (Application::combiner_kind() != kNone) accept
-// kCombining — the CLI and ReplaySpec reject it elsewhere.
-enum class ContainerMode {
-  kDefault,
-  kCombining,
-};
-
 // Shared name tables (common/enum_names.hpp): the CLI flags, the
 // replay/serve/graph spec parsers, and log labels all map through these —
 // one row per enumerator, no per-parser if-chains.
@@ -61,13 +50,7 @@ inline constexpr EnumName<MergeMode> kMergeModeNames[] = {
     {MergeMode::kPartitioned, "partitioned"},
 };
 
-inline constexpr EnumName<ContainerMode> kContainerModeNames[] = {
-    {ContainerMode::kDefault, "default"},
-    {ContainerMode::kCombining, "combining"},
-};
-
 std::string_view exec_mode_name(ExecMode mode);
-std::string_view container_mode_name(ContainerMode mode);
 
 // How ingest moves bytes from the device into chunks (--io). Defined next
 // to the chunk structures (ingest/chunk.hpp); aliased here because it is a
@@ -92,11 +75,6 @@ struct JobConfig {
   // views. Sources receive this at construction; see docs/ARCHITECTURE.md §2.
   IoMode io = IoMode::kRead;
 
-  // Intermediate container (--container). Applied through
-  // Application::use_container() by apps::make_app and each cluster node;
-  // carried here so replay/report see it.
-  ContainerMode container = ContainerMode::kDefault;
-
   // Key-space partitions for MergeMode::kPartitioned (--partitions).
   // 0 = auto: one partition per hardware context, so the per-partition
   // merges exactly fill the machine (docs/merge.md).
@@ -105,7 +83,7 @@ struct JobConfig {
   // Sharded-shuffle cluster runtime (src/cluster/, docs/cluster.md). 0 nodes
   // = the normal single-process run; >= 1 splits the input across that many
   // in-process worker nodes, each running its own MapReduceJob with this
-  // config's mode/merge/io/container/thread knobs, then shuffles map output
+  // config's mode/merge/io/thread knobs, then shuffles map output
   // between them. The bandwidth knobs model the scale-out fabric: per-node
   // NIC rate, an optional shared uplink every cross-node byte also crosses,
   // and a per-node ingest-disk rate.
@@ -143,10 +121,6 @@ struct JobConfig {
 
 inline std::string_view exec_mode_name(ExecMode mode) {
   return enum_to_name(kExecModeNames, mode);
-}
-
-inline std::string_view container_mode_name(ContainerMode mode) {
-  return enum_to_name(kContainerModeNames, mode);
 }
 
 }  // namespace supmr::core

@@ -33,15 +33,6 @@ StatusOr<GraphHandoff> graph_handoff_from_name(std::string_view name) {
   return enum_from_name(kGraphHandoffNames, name, "graph handoff");
 }
 
-StatusOr<ContainerMode> container_mode_from_name(std::string_view name) {
-  return enum_from_name(kContainerModeNames, name, "container mode");
-}
-
-bool app_has_combiner(std::string_view app) {
-  return app == "wordcount" || app == "histogram" || app == "index" ||
-         app == "paircount" || app == "doctermcount";
-}
-
 Status check_sort_geometry(std::uint64_t key_bytes, std::uint64_t record_bytes,
                            std::string_view key_name,
                            std::string_view record_name) {
@@ -85,7 +76,6 @@ JobConfig ReplaySpec::job_config() const {
   cfg.num_reduce_threads = threads;
   cfg.num_merge_partitions = merge_partitions;
   cfg.io = io;
-  cfg.container = container;
   cfg.recovery.policy.max_attempts = retry_attempts;
   cfg.recovery.degrade = degrade;
   cfg.num_nodes = cluster_nodes;
@@ -122,7 +112,6 @@ std::string ReplaySpec::to_json() const {
   w.kv("mode", exec_mode_name(mode));
   w.kv("merge", merge_mode_name(merge_mode));
   w.kv("io", io_mode_name(io));
-  w.kv("container", container_mode_name(container));
   w.kv("threads", threads);
   w.kv("merge_partitions", merge_partitions);
   w.kv("chunk_bytes", chunk_bytes);
@@ -152,6 +141,12 @@ std::string ReplaySpec::to_json() const {
 }
 
 namespace {
+
+// Whether the named spec app accepted the removed cell.container=combining.
+bool app_has_combiner(std::string_view app) {
+  return app == "wordcount" || app == "histogram" || app == "index" ||
+         app == "paircount" || app == "doctermcount";
+}
 
 // Typed field extraction over the spec's leaves, keyed by dotted path
 // ("cell.mode"). Every key the spec writes must be consumed, and every
@@ -252,7 +247,10 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
   SUPMR_ASSIGN_OR_RETURN(spec.mode, exec_mode_from_name(mode));
   SUPMR_ASSIGN_OR_RETURN(spec.merge_mode, merge_mode_from_name(merge));
   SUPMR_ASSIGN_OR_RETURN(spec.io, io_mode_from_name(io));
-  SUPMR_ASSIGN_OR_RETURN(spec.container, container_mode_from_name(container));
+  if (container != "default" && container != "combining") {
+    return Status::InvalidArgument("unknown container mode: " + container +
+                                   " (want default|combining)");
+  }
   SUPMR_RETURN_IF_ERROR(fields.take("cell.threads", spec.threads));
   SUPMR_RETURN_IF_ERROR(
       fields.take("cell.merge_partitions", spec.merge_partitions));
@@ -291,8 +289,7 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
       spec.app != "doctermcount" && !spec.is_graph()) {
     return Status::InvalidArgument("replay spec: unknown app " + spec.app);
   }
-  if (spec.container == ContainerMode::kCombining &&
-      !app_has_combiner(spec.app)) {
+  if (container == "combining" && !app_has_combiner(spec.app)) {
     return Status::InvalidArgument(
         "replay spec: container=combining: app " + spec.app +
         " declares no combiner");

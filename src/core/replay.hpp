@@ -86,11 +86,10 @@ struct ReplaySpec {
   ExecMode mode = ExecMode::kIngestMR;
   MergeMode merge_mode = MergeMode::kPWay;
   IoMode io = IoMode::kRead;  // optional in the JSON (older specs omit it)
-  // Intermediate container; optional in the JSON (older specs omit it).
-  // container=combining is only legal for apps that declare a combiner
-  // (wordcount, histogram, index, paircount, doctermcount) — from_json
-  // rejects the rest so a spec can never silently fall back.
-  ContainerMode container = ContainerMode::kDefault;
+  // from_json still reads the removed "cell.container" key, which selects
+  // nothing: every app folds at emit time in its one container. "default"
+  // parses for every app, and "combining" only for the apps that declared a
+  // combiner before, where it names what they always do.
   std::uint64_t threads = 2;
   std::uint64_t merge_partitions = 0;  // 0 = auto
   std::uint64_t chunk_bytes = 64 * 1024;
@@ -125,7 +124,7 @@ struct ReplaySpec {
   bool is_cluster() const { return cluster_nodes > 0; }
 
   // The JobConfig this spec's cell runs: mode, merge, threads (map and
-  // reduce), merge partitions, io, container, retry attempts, degrade and
+  // reduce), merge partitions, io, retry attempts, degrade and
   // the cluster knobs. The only code that copies cell fields into a
   // JobConfig; callers add what a spec does not hold (retry timing, output
   // paths).
@@ -151,13 +150,6 @@ StatusOr<ExecMode> exec_mode_from_name(std::string_view name);
 StatusOr<MergeMode> merge_mode_from_name(std::string_view name);
 StatusOr<IoMode> io_mode_from_name(std::string_view name);
 StatusOr<GraphHandoff> graph_handoff_from_name(std::string_view name);
-StatusOr<ContainerMode> container_mode_from_name(std::string_view name);
-
-// Whether the named spec app declares a combiner, i.e. accepts
-// container=combining. from_json rejects the rest; a run built from a spec
-// that skipped from_json (the CLI's) is rejected by the app itself, through
-// Application::use_container.
-bool app_has_combiner(std::string_view app);
 
 // Whether key_bytes and record_bytes describe records the sort apps (sort,
 // msort) can handle: a key of at least one byte that ends before the

@@ -94,8 +94,8 @@ std::string job_result_to_json(const JobResult& result) {
   }
   w.end_array();
 
-  // In-mapper combining accounting (docs/containers.md); all-zero unless
-  // the app ran with --container=combining.
+  // The hash container's fold accounting (docs/containers.md); all zero
+  // for apps without one.
   w.key("combine");
   w.begin_object();
   w.kv("emits", result.combine.emits);

@@ -24,15 +24,13 @@ namespace supmr::ref {
 namespace {
 
 // The oracle twin of a cell: the boring variant of each app — wordcount for
-// the budgeted xwordcount, no map-time partitioning for sort, and each
-// app's default container, so a combining cell is a true differential. The
+// the budgeted xwordcount and no map-time partitioning for sort. The
 // reference is "no pipeline, no spill" by definition. Single-round, cluster
 // and graph cells all compare against it.
 core::ReplaySpec oracle_spec(const core::ReplaySpec& spec) {
   core::ReplaySpec ref = spec;
   if (ref.app == "xwordcount") ref.app = "wordcount";
   ref.app_partitions = 0;
-  ref.container = core::ContainerMode::kDefault;
   return ref;
 }
 
@@ -199,10 +197,6 @@ StatusOr<ConformanceOutcome> run_graph_cell(const core::ReplaySpec& spec,
   if (spec.mode == core::ExecMode::kAdaptive) {
     return Status::InvalidArgument(
         "conformance: graph stages run without an adaptive controller");
-  }
-  if (spec.container != core::ContainerMode::kDefault) {
-    return Status::InvalidArgument(
-        "conformance: graph cells run each stage's default container");
   }
 
   SUPMR_ASSIGN_OR_RETURN(apps::ChainInputs inputs,

@@ -381,7 +381,7 @@ void JobManager::run_job(std::shared_ptr<Pending> job) {
   }();
   SUPMR_HIST_OBSERVE("jobmgr.job_run_us", seconds_since(run_start) * 1e6);
 
-  // Combining tables are job-private map-side state, so their footprint is
+  // Hash tables are job-private map-side state, so their footprint is
   // accounted against the job's memory lease after the fact (the table grows
   // with distinct keys, which nobody knows at admission). Exceeding the lease
   // is not an error — the bytes were real and the job already ran — but it is
@@ -392,7 +392,7 @@ void JobManager::run_job(std::shared_ptr<Pending> job) {
     if (result->combine.table_bytes > job->lease.memory_bytes()) {
       SUPMR_COUNTER_ADD("jobmgr.combining_lease_exceeded", 1);
       SUPMR_LOG_WARN(
-          "jobmgr: job %llu (%s) combining table (%llu bytes) exceeded its "
+          "jobmgr: job %llu (%s) hash table (%llu bytes) exceeded its "
           "memory lease (%llu bytes)",
           static_cast<unsigned long long>(job->shared->id),
           job->shared->name.c_str(),

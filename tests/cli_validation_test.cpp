@@ -155,14 +155,42 @@ TEST(CliValidation, BadEnumValuesAreNamed) {
                   "unknown io mode: psychic (want read|mmap)");
 }
 
-TEST(CliValidation, BadContainerModeIsNamed) {
-  expect_rejected("wordcount whatever --container=psychic",
-                  "unknown container mode: psychic (want default|combining)");
+// Writes a replay spec for `app` whose cell still carries the removed
+// "container" key, set to `container`.
+std::string write_container_spec(const std::string& app,
+                                 const std::string& container) {
+  const std::string path =
+      ::testing::TempDir() + "/container_" + app + "_" + container + ".json";
+  std::ofstream(path)
+      << "{\"app\": \"" << app << "\",\n"
+      << " \"corpus\": {\"kind\": \""
+      << (app == "sort" ? "terasort" : "text")
+      << "\", \"bytes\": 10000, \"seed\": 1, \"num_files\": 6},\n"
+         " \"params\": {\"key_bytes\": 10, \"record_bytes\": 100,"
+         " \"app_partitions\": 0, \"hist_lo\": 0, \"hist_hi\": 256,"
+         " \"hist_bins\": 32, \"grep_patterns\": \"th\","
+         " \"memory_budget\": 0},\n"
+         " \"cell\": {\"mode\": \"supmr\", \"merge\": \"pway\","
+         " \"container\": \""
+      << container
+      << "\", \"threads\": 2, \"merge_partitions\": 0,"
+         " \"chunk_bytes\": 16384, \"files_per_chunk\": 3,"
+         " \"degrade\": false, \"fault_plan\": \"\", \"retry_attempts\": 1}}";
+  return path;
 }
 
-// Writes a small real input file: the combiner-capability check runs after
-// the input is opened (it sits at the app seam, not in flag parsing), so a
-// nonexistent path would fail earlier with the wrong error.
+TEST(CliValidation, BadContainerModeIsNamed) {
+  // The removed --container flag is an unknown flag; a spec's container
+  // key still names a bad value.
+  expect_rejected("wordcount whatever --container=combining",
+                  "unknown flag --container");
+  const std::string spec = write_container_spec("wordcount", "psychic");
+  expect_rejected("replay " + spec,
+                  "unknown container mode: psychic (want default|combining)");
+  std::remove(spec.c_str());
+}
+
+// Writes a small real input file.
 std::string write_temp_corpus(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   FILE* f = std::fopen(path.c_str(), "w");
@@ -173,32 +201,28 @@ std::string write_temp_corpus(const std::string& name) {
 }
 
 TEST(CliValidation, CombiningRejectedForAppsWithoutCombiner) {
-  // Silent-acceptance gap: an app with no declared combiner must refuse
-  // --container=combining loudly instead of quietly running its default.
-  const std::string corpus = write_temp_corpus("cli_container_corpus.txt");
-  expect_rejected("sort " + corpus + " --container=combining",
-                  "declares no combiner");
-  expect_rejected("grep th " + corpus + " --container=combining",
-                  "declares no combiner");
-  // The spilling external wordcount has no emit-time fold either.
-  expect_rejected(
-      "wordcount " + corpus + " --budget=32KB --container=combining",
-      "declares no combiner");
-  std::remove(corpus.c_str());
-}
-
-TEST(CliValidation, CombiningRejectedForKmeans) {
-  // kmeans builds its apps internally, so the rejection fires during flag
-  // validation — before the input path is even opened.
-  expect_rejected("kmeans nonexistent.txt --container=combining",
-                  "declares no combiner");
+  // A spec keeps the app list container=combining always had: grep and the
+  // budgeted word count never accepted it, so their specs still fail.
+  for (const char* app : {"grep", "xwordcount"}) {
+    const std::string spec = write_container_spec(app, "combining");
+    expect_rejected("replay " + spec, "declares no combiner");
+    std::remove(spec.c_str());
+  }
 }
 
 TEST(CliValidation, CombiningAcceptedForWordCount) {
-  const std::string corpus = write_temp_corpus("cli_combining_ok.txt");
-  const CliResult r = run_cli("wordcount " + corpus + " --container=combining");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  std::remove(corpus.c_str());
+  // "combining" names what word count always does, and "default" parses
+  // for every app; the spec the replay prints holds no container key.
+  for (const auto& [app, container] :
+       {std::pair{"wordcount", "combining"}, std::pair{"sort", "default"}}) {
+    const std::string spec = write_container_spec(app, container);
+    const CliResult r = run_cli("replay " + spec);
+    EXPECT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("conformance: PASS"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("container"), std::string::npos) << r.output;
+    std::remove(spec.c_str());
+  }
 }
 
 TEST(CliValidation, AdaptiveModeRejectsMultiFileInput) {
@@ -213,25 +237,9 @@ TEST(CliValidation, AdaptiveModeRejectsMultiFileInput) {
 }
 
 TEST(CliValidation, ReplaySpecRejectsCombiningForCombinerlessApp) {
-  const std::string path = ::testing::TempDir() + "/combining_sort_spec.json";
-  FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs(
-      "{\"app\": \"sort\",\n"
-      " \"corpus\": {\"kind\": \"terasort\", \"bytes\": 10000, \"seed\": 1,"
-      " \"num_files\": 6},\n"
-      " \"params\": {\"key_bytes\": 10, \"record_bytes\": 100,"
-      " \"app_partitions\": 0, \"hist_lo\": 0, \"hist_hi\": 256,"
-      " \"hist_bins\": 32, \"grep_patterns\": \"th\","
-      " \"memory_budget\": 0},\n"
-      " \"cell\": {\"mode\": \"supmr\", \"merge\": \"pway\","
-      " \"container\": \"combining\", \"threads\": 2, \"merge_partitions\": 0,"
-      " \"chunk_bytes\": 16384, \"files_per_chunk\": 3, \"degrade\": false,"
-      " \"fault_plan\": \"\", \"retry_attempts\": 1}}",
-      f);
-  std::fclose(f);
-  expect_rejected("replay " + path, "declares no combiner");
-  std::remove(path.c_str());
+  const std::string spec = write_container_spec("sort", "combining");
+  expect_rejected("replay " + spec, "declares no combiner");
+  std::remove(spec.c_str());
 }
 
 TEST(CliValidation, ClusterNodesMustBePositive) {
@@ -420,8 +428,8 @@ TEST(CliValidation, ReplayRejectsMalformedSpec) {
 
 // Differential over the CLI's run paths: every flag below routes the same
 // job through a different construction path (merge, io, mode, chunking,
-// container, the cluster runtime), and all of them must produce the same
-// output bytes.
+// the spill budget, the cluster runtime), and all of them must produce the
+// same output bytes.
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -484,8 +492,8 @@ TEST(CliRunPaths, WordCountIsIdenticalAcrossFlags) {
   const std::string input = dir + "/cli_paths_corpus.txt";
   ASSERT_EQ(run_cli("generate text " + input + " --size=1MB").exit_code, 0);
   const std::vector<std::string> variants = {
-      "",           "--container=combining", "--budget=32KB",
-      "--io=mmap",  "--merge=pairwise",      "--merge=partitioned"};
+      "",                 "--budget=32KB",        "--io=mmap",
+      "--merge=pairwise", "--merge=partitioned"};
   std::vector<std::string> expected;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const std::string args = "wordcount " + input +

@@ -517,6 +517,24 @@ TEST(ClusterRuntime, MoreNodesThanRecords) {
   expect_conservation(*many);
 }
 
+TEST(ClusterRuntime, NodesShareAnInputOfOneChunk) {
+  // The whole input fits in one chunk, so its chunk plan has one extent;
+  // slices are cut by bytes, not by extents, so both nodes map a share.
+  const std::string corpus = zipf_text(16 * 1024, 109);
+  ClusterJob job = wordcount_job(corpus, 2);
+  job.chunk_bytes = 64 * 1024;
+  auto two = run_cluster(job);
+  ASSERT_TRUE(two.ok()) << two.status().to_string();
+  ASSERT_EQ(two->nodes.size(), 2u);
+  for (const NodeStats& node : two->nodes) EXPECT_GT(node.input_bytes, 0u);
+  EXPECT_EQ(two->nodes[0].input_bytes + two->nodes[1].input_bytes,
+            corpus.size());
+  auto one = run_cluster(wordcount_job(corpus, 1));
+  ASSERT_TRUE(one.ok()) << one.status().to_string();
+  EXPECT_EQ(two->output, one->output);
+  expect_conservation(*two);
+}
+
 // -------------------------------------------- node/owner failure paths
 //
 // A node that produces garbage (or dies) must fail the WHOLE cluster run
@@ -543,10 +561,9 @@ ClusterJob misbehaving_job(std::string input, std::size_t nodes,
   job.make_app = [kind, canon] {
     return std::unique_ptr<core::Application>(new MisbehavingApp(kind, canon));
   };
-  // One line per slice so each node's canonical reflects its own slice
-  // (chunk boundaries round FORWARD to the next record boundary, so the
-  // chunk size must land exactly on the first newline).
-  job.chunk_bytes = 2;
+  // The callers' two lines split one per node (the cut at half the input
+  // moves forward to the first newline), so each node's canonical reflects
+  // its own line.
   return job;
 }
 

@@ -118,6 +118,21 @@ TEST(ArenaHashMap, EmptyKeySupported) {
   EXPECT_EQ(*m.find(""), 5);
 }
 
+TEST(ArenaHashMap, ShortKeysStayInline) {
+  // Keys of up to 12 bytes live in their slots; only longer keys take arena
+  // bytes, once each.
+  ArenaHashMap<std::uint64_t> m;
+  for (std::size_t len = 0; len <= 12; ++len) {
+    for (char c : {'a', 'b', 'c'}) m.find_or_insert(std::string(len, c), len);
+  }
+  EXPECT_EQ(m.arena_bytes(), 0u);
+  m.find_or_insert(std::string(13, 'a'), 13);
+  m.find_or_insert(std::string(13, 'a'), 0);
+  EXPECT_EQ(m.arena_bytes(), 13u);
+  EXPECT_EQ(*m.find(std::string(12, 'a')), 12u);
+  EXPECT_EQ(*m.find(std::string(13, 'a')), 13u);
+}
+
 TEST(ArenaHashMap, ClearResets) {
   ArenaHashMap<int> m;
   m.find_or_insert("x", 1);
@@ -129,22 +144,58 @@ TEST(ArenaHashMap, ClearResets) {
 // Property: the map agrees with std::map over random operation sequences.
 class ArenaMapProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(ArenaMapProperty, MatchesReferenceMap) {
-  Xoshiro256 rng(GetParam());
-  ArenaHashMap<std::uint64_t> m;
-  std::map<std::string, std::uint64_t> ref;
-  for (int op = 0; op < 20000; ++op) {
-    std::string key = "k" + std::to_string(rng.uniform(500));
-    const std::uint64_t add = rng.uniform(100);
-    m.find_or_insert(key, 0) += add;
-    ref[key] += add;
+// Two key pools: short decimal keys, and keys at the slot's inline edge (11,
+// 12, 13 bytes), the empty key, keys far past it (64) and keys with an
+// embedded '\0'. Keys of one length share all but their last bytes, so a
+// compare must read the whole key; the map starts small so it grows often.
+std::vector<std::vector<std::string>> arena_map_key_pools() {
+  std::vector<std::string> decimal, boundary = {""};
+  for (std::size_t i = 0; i < 500; ++i)
+    decimal.push_back("k" + std::to_string(i));
+  for (std::size_t len : {11, 12, 13, 64}) {
+    for (std::size_t i = 0; i < 300; ++i) {
+      std::string key(len, 'k');
+      const std::string id = std::to_string(i);
+      key.replace(len - id.size(), id.size(), id);
+      boundary.push_back(key);
+    }
   }
-  EXPECT_EQ(m.size(), ref.size());
-  m.for_each([&](std::string_view k, const std::uint64_t& v) {
-    auto it = ref.find(std::string(k));
-    ASSERT_NE(it, ref.end());
-    EXPECT_EQ(v, it->second);
-  });
+  for (std::size_t i = 0; i < 100; ++i) {
+    boundary.push_back(std::string("nul\0", 4) + std::to_string(i));
+    boundary.push_back(std::string(12, '\0') + std::to_string(i));
+  }
+  return {decimal, boundary};
+}
+
+TEST_P(ArenaMapProperty, MatchesReferenceMap) {
+  for (const std::vector<std::string>& pool : arena_map_key_pools()) {
+    Xoshiro256 rng(GetParam());
+    ArenaHashMap<std::uint64_t> m(4);
+    std::map<std::string, std::uint64_t> ref;
+    for (int op = 0; op < 20000; ++op) {
+      const std::string& key = pool[rng.uniform(pool.size())];
+      const std::uint64_t add = rng.uniform(100);
+      m.find_or_insert(key, 0) += add;
+      ref[key] += add;
+    }
+    EXPECT_EQ(m.size(), ref.size());
+    std::size_t long_key_bytes = 0;
+    for (const auto& [key, value] : ref) {
+      const std::uint64_t* found = m.find(key);
+      ASSERT_NE(found, nullptr) << key.size() << "-byte key";
+      EXPECT_EQ(*found, value);
+      if (key.size() > 12) long_key_bytes += key.size();
+    }
+    EXPECT_EQ(m.arena_bytes(), long_key_bytes);
+    std::size_t visited = 0;
+    m.for_each([&](std::string_view k, const std::uint64_t& v) {
+      ++visited;
+      const auto it = ref.find(std::string(k));
+      ASSERT_NE(it, ref.end());
+      EXPECT_EQ(v, it->second);
+    });
+    EXPECT_EQ(visited, ref.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArenaMapProperty,

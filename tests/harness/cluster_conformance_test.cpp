@@ -7,9 +7,9 @@
 // `supmr replay`).
 //
 // Dedicated rows beyond the cross: an adaptive-mode subset, an io=mmap
-// subset (nodes map borrowed views of the job's input), in-mapper combining
-// nodes, and a throttled fabric (slow NICs + shared uplink — the limiters
-// must delay, never corrupt).
+// subset (nodes map borrowed views of the job's input), and a throttled
+// fabric (slow NICs + shared uplink — the limiters must delay, never
+// corrupt).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -144,19 +144,6 @@ TEST(ClusterConformanceLattice, Histogram) {
 TEST(ClusterConformanceLattice, PairCount) {
   run_cluster_lattice([](std::uint64_t s) { return spec_paircount(s); },
                       "cluster-paircount");
-}
-
-TEST(ClusterConformanceLattice, CombiningNodes) {
-  // In-mapper combining inside each node's map phase — the node canonicals
-  // are unchanged by construction, so the shuffle sees identical records.
-  for (std::uint64_t nodes : {2, 4}) {
-    core::ReplaySpec spec = spec_wordcount(70 + nodes);
-    spec.container = core::ContainerMode::kCombining;
-    spec.cluster_nodes = nodes;
-    const std::string name = "cluster-wordcount-combining-n" +
-                             std::to_string(nodes);
-    expect_conservation(run_cluster_cell_checked(spec, name), name);
-  }
 }
 
 TEST(ClusterConformanceLattice, ThrottledFabricIsByteIdentical) {

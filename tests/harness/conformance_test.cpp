@@ -1,5 +1,5 @@
 // Differential conformance lattice (docs/testing.md): every application runs
-// across ExecMode × MergeMode × container/partitioning × thread/chunk axes on
+// across ExecMode × MergeMode × io/partitioning × thread/chunk axes on
 // seeded corpora, and each cell's canonicalized output must be byte-equal to
 // the sequential reference runtime (src/ref/). A diverging cell writes a
 // self-contained repro spec replayable with `supmr replay <file>`.
@@ -115,58 +115,9 @@ TEST(ConformanceLattice, DocTermCount) {
   run_lattice(spec_doctermcount(16), "doctermcount", /*single_device=*/false);
 }
 
-// container=combining axis: every combiner-declaring app re-runs the full
-// mode × merge × io cross with the in-mapper combining container on the SUT
-// side only — the oracle twin always runs the app's default container, so a
-// byte match proves the fold is semantically invisible. Fresh salts keep
-// these corpora independent of the default-container lattices above.
-void run_combining_lattice(core::ReplaySpec base, const std::string& app_label,
-                           bool single_device) {
-  base.container = core::ContainerMode::kCombining;
-  run_lattice(std::move(base), app_label + "-combining", single_device);
-}
-
-TEST(ConformanceLattice, WordCountCombining) {
-  run_combining_lattice(spec_wordcount(30), "wordcount",
-                        /*single_device=*/true);
-}
-
-TEST(ConformanceLattice, HistogramCombining) {
-  run_combining_lattice(spec_histogram(31), "histogram",
-                        /*single_device=*/true);
-}
-
-TEST(ConformanceLattice, InvertedIndexCombining) {
-  // AppendCombiner: posting lists concatenate per key instead of folding to
-  // a scalar, so ordering within a stripe must survive the fold.
-  run_combining_lattice(spec_index(32), "index", /*single_device=*/false);
-}
-
-TEST(ConformanceLattice, PairCountCombining) {
-  run_combining_lattice(spec_paircount(33), "paircount",
-                        /*single_device=*/true);
-}
-
-TEST(ConformanceLattice, DocTermCountCombining) {
-  run_combining_lattice(spec_doctermcount(34), "doctermcount",
-                        /*single_device=*/false);
-}
-
-TEST(ConformanceLattice, CombiningThreadAxis) {
-  // Thread sweep with the fold on: stripe count changes, bytes must not.
-  for (int threads : {1, 2, 5}) {
-    core::ReplaySpec spec = spec_wordcount(35);
-    spec.container = core::ContainerMode::kCombining;
-    spec.mode = core::ExecMode::kIngestMR;
-    spec.merge_mode = core::MergeMode::kPWay;
-    spec.threads = threads;
-    expect_cell(spec,
-                "wordcount-combining-threads-" + std::to_string(threads));
-  }
-}
-
 // Axis sweeps beyond the mode × merge cross: thread count, chunk size, and
-// partition fan-out each get their own pass on the supmr mode.
+// partition fan-out each get their own pass on the supmr mode. The thread
+// axis changes the hash container's stripe count; the bytes must not.
 TEST(ConformanceLattice, ThreadAxis) {
   for (int threads : {1, 2, 5}) {
     core::ReplaySpec spec = spec_wordcount(8);

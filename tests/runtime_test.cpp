@@ -161,12 +161,11 @@ TEST(JobManager, SingleJobSucceedsAndReturnsLease) {
 }
 
 TEST(JobManager, CombiningJobAccountsTableAgainstLease) {
-  // A managed job on the combining container must surface its fold
-  // accounting through JobResult so the manager can charge the table
-  // footprint against the memory lease (docs/containers.md).
+  // A managed job's hash container must surface its fold accounting through
+  // JobResult so the manager can charge the table footprint against the
+  // memory lease (docs/containers.md).
   JobManager manager(small_manager(2));
   Tenant tenant;
-  ASSERT_TRUE(tenant.app.use_container(core::ContainerMode::kCombining).ok());
   JobRequest request = tenant.request(2);
   request.memory_bytes = 8ull << 20;
   auto handle = manager.submit(std::move(request));
@@ -184,15 +183,19 @@ TEST(JobManager, CombiningJobAccountsTableAgainstLease) {
   EXPECT_EQ(manager.memory_leased_bytes(), 0u);
 }
 
-TEST(JobManager, DefaultContainerJobReportsNoCombineStats) {
+TEST(JobManager, DefaultContainerJobReportsItsFold) {
+  // No knob: the one hash container counts every emit, and every key it
+  // did not fold reaches the merge.
   JobManager manager(small_manager(2));
-  Tenant tenant;  // default container: no fold accounting to charge
+  Tenant tenant;
   auto handle = manager.submit(tenant.request(2));
   ASSERT_TRUE(handle.ok()) << handle.status().to_string();
   auto result = handle->wait();
   ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(result->combine.emits, 0u);
-  EXPECT_EQ(result->combine.table_bytes, 0u);
+  EXPECT_EQ(result->combine.emits, tenant.app.words_mapped());
+  EXPECT_GE(result->combine.emits - result->combine.keys_folded,
+            result->result_count);
+  EXPECT_GT(result->combine.table_bytes, 0u);
   manager.drain();
 }
 

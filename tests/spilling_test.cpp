@@ -221,6 +221,31 @@ TEST(ExternalWordCount, MatchesInMemoryAppAtAnyBudget) {
   }
 }
 
+// A spill resets the table, yet the job's fold accounting counts every
+// emit: the spilled tables' and the live one's.
+TEST(ExternalWordCount, FoldAccountingCountsEveryEmit) {
+  wload::TextCorpusConfig cfg;
+  cfg.total_bytes = 96 * 1024;
+  cfg.vocabulary = 3000;
+  const std::string text = wload::generate_text(cfg);
+  apps::WordCountApp whole;
+  auto unbudgeted = count_words(whole, text, 8192, 4);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().to_string();
+
+  apps::WordCountApp app(16 * 1024, run_set());
+  auto result = count_words(app, text, 8192, 4);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  ASSERT_GT(app.runs_spilled(), 0u);
+  EXPECT_EQ(result->combine.emits, app.words_mapped());
+  EXPECT_EQ(result->combine.emits, unbudgeted->combine.emits);
+  EXPECT_EQ(result->combine.bytes_emitted, unbudgeted->combine.bytes_emitted);
+  EXPECT_GT(result->combine.keys_folded, 0u);
+  // A key a spilled table already held enters the merge again from the
+  // next table.
+  EXPECT_GE(result->combine.bytes_into_merge,
+            unbudgeted->combine.bytes_into_merge);
+}
+
 TEST(ExternalWordCount, OriginalRuntimeModeWorksToo) {
   apps::WordCountApp app(1 << 20, run_set());
   ASSERT_TRUE(

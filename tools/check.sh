@@ -42,10 +42,10 @@
 #               validation + handoff unit tests, the pmi/tfidf/msort
 #               differential lattice, and the checked-in graph spec through
 #               the instrumented `supmr graph` CLI) under ThreadSanitizer
-#   combining-smoke — the in-mapper combining container suites (ctest -L
-#               combining: the differential/SchedFuzz property suite and
-#               the checked-in combining spec through the instrumented
-#               `supmr replay` CLI) under ThreadSanitizer
+#   container-smoke — the hash container's fold suites (ctest -L
+#               container: the differential/SchedFuzz property suite and
+#               the checked-in container=combining spec through the
+#               instrumented `supmr replay` CLI) under ThreadSanitizer
 #   cluster-smoke — the sharded-shuffle suites (ctest -L cluster: the
 #               shuffle protocol/property suite, the node-count ×
 #               mode × merge differential lattice, and the checked-in
@@ -80,7 +80,7 @@ SUPP="${ROOT}/tools/sanitizers"
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] &&
   STAGES=(plain flake tsan asan obs-smoke fault-smoke coverage harness
-    harness-asan jobmix-smoke graph-smoke combining-smoke cluster-smoke
+    harness-asan jobmix-smoke graph-smoke container-smoke cluster-smoke
     perf-smoke)
 
 # Repeats per test in the flake stage. 50 repeats of `ctest -L
@@ -293,18 +293,18 @@ run_stage() {
         TSAN_OPTIONS="suppressions=${SUPP}/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
         ctest -L graph --output-on-failure -j "${JOBS}")
       ;;
-    combining-smoke)
-      # In-mapper combining under TSan: single-writer stripe counters and
-      # concurrent disjoint-partition reduces must be race-free, and the
-      # checked-in combining spec must replay conformant through the
-      # instrumented CLI. Reuses the tsan build tree; `combining` selects
+    container-smoke)
+      # The hash container's fold under TSan: single-writer stripe counters
+      # must be race-free, and the checked-in spec that still names
+      # container=combining must parse and replay conformant through the
+      # instrumented CLI. Reuses the tsan build tree; `container` selects
       # the property suite and that replay (docs/containers.md).
       configure_and_build "${ROOT}/build-check-tsan" \
         -DSUPMR_SANITIZE=thread -DSUPMR_BUILD_BENCH=OFF \
         -DSUPMR_BUILD_EXAMPLES=OFF
       (cd "${ROOT}/build-check-tsan" &&
         TSAN_OPTIONS="suppressions=${SUPP}/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-        ctest -L combining --output-on-failure -j "${JOBS}")
+        ctest -L container --output-on-failure -j "${JOBS}")
       ;;
     cluster-smoke)
       # Sharded shuffle under TSan: N worker nodes run whole MapReduceJobs
@@ -361,7 +361,7 @@ run_stage() {
       "${ROOT}/.bench_build/perfbench/perfbench_spans_test"
       ;;
     *)
-      echo "unknown stage '${stage}' (want plain, flake, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, cluster-smoke, or perf-smoke)" >&2
+      echo "unknown stage '${stage}' (want plain, flake, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, container-smoke, cluster-smoke, or perf-smoke)" >&2
       return 2
       ;;
   esac

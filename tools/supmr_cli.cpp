@@ -74,10 +74,10 @@ namespace {
 
 // The flags every app subcommand reads: the job, device and output knobs.
 const std::set<std::string> kRunFlags = {
-    "mode", "merge", "partitions", "threads", "chunk", "io", "container",
-    "throttle", "metrics-json", "trace-out", "json", "verbose",
-    "retry-attempts", "retry-backoff", "retry-backoff-max", "retry-deadline",
-    "retry-seed", "fault-plan", "degrade"};
+    "mode", "merge", "partitions", "threads", "chunk", "io", "throttle",
+    "metrics-json", "trace-out", "json", "verbose", "retry-attempts",
+    "retry-backoff", "retry-backoff-max", "retry-deadline", "retry-seed",
+    "fault-plan", "degrade"};
 // The sharded-shuffle flags, read by the single-device spec apps.
 const std::set<std::string> kClusterFlags = {
     "nodes", "node-link-bps", "uplink-bps", "node-disk-bps"};
@@ -143,9 +143,6 @@ StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
       core::merge_mode_from_name(flags.get_or("merge", "pway")));
   SUPMR_ASSIGN_OR_RETURN(
       spec.io, core::io_mode_from_name(flags.get_or("io", "read")));
-  SUPMR_ASSIGN_OR_RETURN(
-      spec.container,
-      core::container_mode_from_name(flags.get_or("container", "default")));
   SUPMR_ASSIGN_OR_RETURN(spec.merge_partitions, flags.get_int("partitions", 0));
   if (spec.merge_partitions > 0 &&
       spec.merge_mode != core::MergeMode::kPartitioned) {
@@ -569,14 +566,6 @@ Status cmd_kmeans(const Flags& flags) {
     return Status::InvalidArgument("kmeans needs an input points file");
   }
   SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "kmeans"));
-  if (run.spec.container != core::ContainerMode::kDefault) {
-    // run_kmeans owns its apps internally, so make_app never sees them —
-    // reject here with the same vocabulary.
-    return Status::InvalidArgument(
-        "container=" +
-        std::string(core::container_mode_name(run.spec.container)) +
-        ": this application declares no combiner");
-  }
   const core::JobConfig cfg = run.job_config();
   apps::ChainInputs inputs;
   SUPMR_ASSIGN_OR_RETURN(
