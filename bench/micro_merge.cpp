@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "merge/introsort.hpp"
 #include "merge/loser_tree.hpp"
-#include "merge/partitioned.hpp"
 #include "merge/pway.hpp"
 #include "merge/sample_sort.hpp"
 #include "tests/testdata.hpp"
@@ -92,18 +91,8 @@ void BM_ParallelSampleSort(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSampleSort)->Arg(8)->Arg(32);
 
-// --------------------------------------------------------------------------
-// Merge-phase comparison: single global p-way merge vs per-partition merges
-// (docs/merge.md). Both benchmarks time ONLY the merge phase of a sort job
-// over the same duplicate-light input (shared seed => byte-identical data):
-//   * global: the intermediate container is unsorted, so the merge phase is
-//     run formation + one p-way merge round over ALL runs (scratch +
-//     copy-back) — parallel_sample_sort, the kPWay job path;
-//   * partitioned: the key-range shuffle already happened at map time (not
-//     timed — that cost rides on the map phase), so the merge phase is one
-//     stripe sort + loser-tree merge per partition, written straight into
-//     the output window — partitioned_merge, the kPartitioned job path.
-
+// The merge phase of a kPWay sort job over an unsorted container: run
+// formation + one p-way merge round over all runs (scratch + copy-back).
 void BM_MergePhaseGlobalPway(benchmark::State& state) {
   const std::size_t n = 1 << 21;
   const auto base = random_data(n, 42);
@@ -118,68 +107,6 @@ void BM_MergePhaseGlobalPway(benchmark::State& state) {
   state.SetLabel("threads=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_MergePhaseGlobalPway)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_MergePhasePartitioned(benchmark::State& state) {
-  const std::size_t n = 1 << 21;
-  const auto base = random_data(n, 42);
-  const std::size_t threads = state.range(0);
-  ThreadPool pool(threads);
-  // --partitions: auto (= contexts) at range(1) == 1; larger multiples
-  // trade splitter count for smaller per-stripe sorts.
-  const std::size_t P = threads * state.range(1);
-
-  // Map-time shuffle (outside the timed region): bucket into (partition,
-  // thread) stripes exactly as PartitionedContainer does during map.
-  auto cmp = std::less<std::uint64_t>{};
-  const auto splitters = select_splitters(
-      std::span<const std::uint64_t>(base.data(), base.size()), P, cmp);
-  std::vector<std::vector<std::vector<std::uint64_t>>> stripes(
-      splitters.size() + 1, std::vector<std::vector<std::uint64_t>>(threads));
-  for (std::size_t i = 0; i < n; ++i) {
-    stripes[partition_of(splitters, base[i], cmp)][i % threads].push_back(
-        base[i]);
-  }
-
-  // `work` persists across iterations so the per-iteration reset is the
-  // same flat N-item copy the global variant pays (no reallocation churn).
-  auto work = stripes;
-  std::vector<std::uint64_t> out(n);
-  for (auto _ : state) {
-    for (std::size_t p = 0; p < stripes.size(); ++p)
-      for (std::size_t t = 0; t < threads; ++t)
-        work[p][t].assign(stripes[p][t].begin(), stripes[p][t].end());
-    std::vector<std::vector<std::span<std::uint64_t>>> parts(
-        splitters.size() + 1);
-    for (std::size_t p = 0; p < parts.size(); ++p)
-      for (auto& s : work[p])
-        if (!s.empty()) parts[p].push_back(std::span<std::uint64_t>(s));
-    partitioned_merge(pool, std::move(parts), out.data(), cmp);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel("threads=" + std::to_string(threads) +
-                 " partitions=" + std::to_string(splitters.size() + 1));
-}
-BENCHMARK(BM_MergePhasePartitioned)
-    ->Args({4, 1})
-    ->Args({4, 16})
-    ->Args({8, 1})
-    ->Args({8, 16})
-    ->UseRealTime();
-
-void BM_PartitionedSort(benchmark::State& state) {
-  const auto base = random_data(1 << 18, 3);
-  ThreadPool pool(4);
-  for (auto _ : state) {
-    auto v = base;
-    partitioned_sort(pool, std::span<std::uint64_t>(v),
-                     std::less<std::uint64_t>{}, state.range(0));
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(state.iterations() * base.size());
-  state.SetLabel("partitions=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_PartitionedSort)->Arg(4)->Arg(16);
 
 }  // namespace
 }  // namespace supmr::merge

@@ -22,7 +22,6 @@ int main() {
 
   const auto& none = rows[0].result.phases;
   const auto& gb1 = rows[1].result.phases;
-  const auto& part = rows[2].result.phases;
   std::printf("\ntime-to-result speedup: %.2fx (paper: 1.46x)\n",
               none.total_s / gb1.total_s);
   std::printf("merge phase speedup:    %.2fx (paper: 3.12x)\n",
@@ -33,10 +32,5 @@ int main() {
   std::printf("mean CPU utilization: none %.1f%%  1GB %.1f%%\n",
               rows[0].result.mean_utilization,
               rows[1].result.mean_utilization);
-  std::printf("\npartitioned merge (beyond paper, docs/merge.md):\n");
-  std::printf("  merge %.2fs vs p-way %.2fs (%.2fx); total %.2fs (%.2fx vs "
-              "none)\n",
-              part.merge_s, gb1.merge_s, gb1.merge_s / part.merge_s,
-              part.total_s, none.total_s / part.total_s);
   return 0;
 }

@@ -13,15 +13,11 @@
 //                                     [--io=read|mmap]
 //                                     [--metrics-json=out.json]
 //                                     [--trace-out=trace.json]
-//                                     [--partitions=N]
 //                                     [--fault-plan=SPEC] [--retry-attempts=N]
 //                                     [--retry-deadline=DUR] [--degrade]
 // --io=mmap maps the input file and lends the pipeline zero-copy chunk views
 // (docs/cli.md); combined with a fault plan the sources transparently fall
 // back to copying reads, because a page fault cannot be retried.
-// --partitions=N switches the final merge to the key-range partitioned path
-// (docs/merge.md): N independent per-partition merges instead of one global
-// round (0 = auto: one per hardware context).
 // Every run prints how much the hash container's map-emit fold
 // (docs/containers.md) shrank the data entering the merge.
 // Without arguments it generates a 8 MB synthetic corpus. The fault flags
@@ -65,10 +61,6 @@ int main(int argc, char** argv) {
       obs_files.metrics_file = arg + 15;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       obs_files.trace_file = arg + 12;
-    } else if (std::strncmp(arg, "--partitions=", 13) == 0) {
-      config.merge_mode = core::MergeMode::kPartitioned;
-      config.num_merge_partitions =
-          static_cast<std::size_t>(std::strtoul(arg + 13, nullptr, 10));
     } else if (std::strncmp(arg, "--fault-plan=", 13) == 0) {
       fault_plan_spec = arg + 13;
     } else if (std::strncmp(arg, "--retry-attempts=", 17) == 0) {

@@ -31,7 +31,6 @@ TeraSortOptions tera_sort_options(const core::ReplaySpec& spec) {
   TeraSortOptions opt;
   opt.key_bytes = static_cast<std::uint32_t>(spec.key_bytes);
   opt.record_bytes = static_cast<std::uint32_t>(spec.record_bytes);
-  opt.partitions = spec.app_partitions;
   return opt;
 }
 

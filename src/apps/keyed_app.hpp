@@ -14,8 +14,8 @@
 //           locks), then runs the app's finish_partition hook;
 //   merge   an introsort wave turns the partitions into sorted runs, then
 //           the configured merge (paper §IV) combines them: the
-//           single-round parallel_pway_merge for kPWay and kPartitioned, the
-//           log2(R)-round pairwise_merge baseline for kPairwise;
+//           single-round parallel_pway_merge for kPWay, the log2(R)-round
+//           pairwise_merge baseline for kPairwise;
 //   output  one canonical "key\tvalue\n" line per result, in key order.
 #pragma once
 
@@ -105,22 +105,15 @@ class KeyedApp : public core::Application {
     results_.resize(total);
 
     merge::MergeStats local;
-    if (plan.mode != core::MergeMode::kPairwise) {
-      // kPWay and kPartitioned share the single-round p-way kernel: the hash
-      // partitions are the sorted runs, and the key-space split happens
-      // inside parallel_pway_merge. kPartitioned pins the worker count to
-      // the plan's partition count (its reduce partitions are hash-sharded,
-      // not key-range-sharded, so merge-time splitting is the partitioned
-      // path).
+    if (plan.mode == core::MergeMode::kPWay) {
+      // The hash partitions are the sorted runs; the key-space split
+      // happens inside parallel_pway_merge, one slice per pool worker.
       std::vector<std::span<const Result>> runs;
       runs.reserve(partitions_.size());
       for (const auto& part : partitions_)
         runs.push_back(std::span<const Result>(part.data(), part.size()));
-      const std::size_t p = plan.mode == core::MergeMode::kPartitioned
-                                ? plan.partitions
-                                : 0;  // 0 = pool-sized
       local = merge::parallel_pway_merge(pool, std::move(runs),
-                                         results_.data(), by_key, p);
+                                         results_.data(), by_key);
     } else {
       // Pairwise baseline: pack runs back-to-back into results_, then merge.
       std::vector<std::span<Result>> runs;

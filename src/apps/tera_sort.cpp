@@ -4,10 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "core/replay.hpp"
 #include "merge/pairwise.hpp"
-#include "merge/partitioned.hpp"
 #include "merge/pway.hpp"
 #include "merge/sample_sort.hpp"
 
@@ -80,12 +81,7 @@ void TeraSortApp::init(std::size_t num_map_threads) {
   sorted_.reset();
   sorted_records_ = 0;
   if (!geometry_.ok()) return;  // prepare_round, reduce and merge report it
-  if (partitioned()) {
-    pcontainer_.init(options_.record_bytes, options_.key_bytes,
-                     options_.partitions, num_map_threads);
-  } else {
-    container_.init(options_.record_bytes);
-  }
+  container_.init(options_.record_bytes);
 }
 
 Status TeraSortApp::prepare_round(const ingest::IngestChunk& chunk) {
@@ -102,23 +98,14 @@ Status TeraSortApp::prepare_round(const ingest::IngestChunk& chunk) {
   round_dst_ = nullptr;
   tasks_ = split_records(records, map_slices(num_mappers_));
   if (records == 0) return Status::Ok();
-  if (partitioned()) {
-    // Splitters come from the first non-empty chunk (sample-sort style);
-    // later chunks route through the same cuts, so partitions stay
-    // key-coherent across the whole ingest stream.
-    if (pcontainer_.num_splitters() == 0) pcontainer_.sample_splitters(bytes);
-  } else {
-    // One claim for the whole round, contiguous in one segment; each slice
-    // then fills a disjoint part of it.
-    round_dst_ = container_.mutable_record(container_.claim(records));
-  }
+  // One claim for the whole round, contiguous in one segment; each slice
+  // then fills a disjoint part of it.
+  round_dst_ = container_.mutable_record(container_.claim(records));
   return Status::Ok();
 }
 
-void TeraSortApp::map_task(std::size_t task, std::size_t thread_id) {
-  // Flat container: the claimed slot range is the isolation. Partitioned
-  // container: the (partition, thread_id) stripe is — tasks on one
-  // thread_id never overlap (application.hpp).
+void TeraSortApp::map_task(std::size_t task, std::size_t /*thread_id*/) {
+  // The claimed slot range is the isolation: slices never overlap.
   assert(task < tasks_.size());
   const RecordSlice& t = tasks_[task];
   const std::uint64_t rb = options_.record_bytes;
@@ -130,23 +117,9 @@ void TeraSortApp::map_task(std::size_t task, std::size_t thread_id) {
         (rec[rb - 2] != '\r' || rec[rb - 1] != '\n')) {
       ++bad;
     }
-    if (partitioned()) {
-      pcontainer_.append(thread_id, std::span<const char>(rec, rb));
-    } else {
-      std::memcpy(round_dst_ + (t.first + r) * rb, rec, rb);
-    }
+    std::memcpy(round_dst_ + (t.first + r) * rb, rec, rb);
   }
   if (bad > 0) malformed_.fetch_add(bad, std::memory_order_relaxed);
-}
-
-std::vector<std::span<const char>> TeraSortApp::record_spans() const {
-  if (!partitioned()) return container_.segments();
-  std::vector<std::span<const char>> spans;
-  for (std::size_t p = 0; p < pcontainer_.partitions(); ++p) {
-    for (std::size_t t = 0; t < pcontainer_.threads(); ++t)
-      spans.push_back(pcontainer_.stripe(p, t));
-  }
-  return spans;
 }
 
 Status TeraSortApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
@@ -157,7 +130,7 @@ Status TeraSortApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
   const std::uint64_t rb = options_.record_bytes;
   const std::size_t key8 = std::min<std::size_t>(8, options_.key_bytes);
   std::atomic<std::uint64_t> checksum{0};
-  if (!for_each_piece(pool, record_spans(), rb, num_partitions,
+  if (!for_each_piece(pool, container_.segments(), rb, num_partitions,
                       [&](const char* records, std::uint64_t,
                           std::uint64_t count) {
                         std::uint64_t sum = 0;
@@ -186,8 +159,8 @@ Status TeraSortApp::merge(ThreadPool& pool, const core::MergePlan& plan,
     return kb > 8 && std::memcmp(a.record + 8, b.record + 8, kb - 8) < 0;
   };
 
-  // One entry per record, built in parallel in record_spans() order.
-  const std::vector<std::span<const char>> spans = record_spans();
+  // One entry per record, built in parallel in segment order.
+  const std::vector<std::span<const char>> spans = container_.segments();
   std::uint64_t n = 0;
   for (const auto& s : spans) n += s.size() / rb;
   auto entries = std::make_unique_for_overwrite<KeyEntry[]>(n);
@@ -204,41 +177,11 @@ Status TeraSortApp::merge(ThreadPool& pool, const core::MergePlan& plan,
 
   merge::MergeStats local;
   const std::span<KeyEntry> all(entries.get(), n);
-  std::unique_ptr<KeyEntry[]> merged;
-  const KeyEntry* order = entries.get();
-  if (partitioned()) {
-    // The shuffle already happened at map time: partition p's stripes hold
-    // exactly p's key range, and each stripe's entries are one run of p.
-    // Merge = one sort + loser-tree merge per partition (merge/partitioned.hpp
-    // waves) — no global round.
-    std::vector<std::vector<std::span<KeyEntry>>> partitions(
-        pcontainer_.partitions());
-    std::uint64_t first = 0;
-    for (std::size_t s = 0; s < spans.size(); ++s) {
-      const std::uint64_t count = spans[s].size() / rb;
-      if (count > 0) {
-        partitions[s / pcontainer_.threads()].push_back(
-            all.subspan(first, count));
-      }
-      first += count;
-    }
-    merged = std::make_unique_for_overwrite<KeyEntry[]>(n);
-    local = merge::partitioned_merge(pool, std::move(partitions),
-                                     merged.get(), cmp);
-    order = merged.get();
-    entries.reset();  // the runs are merged; free them before the gather
+  const std::size_t num_runs = std::max<std::size_t>(2, pool.size() * 2);
+  if (plan.mode == core::MergeMode::kPWay) {
+    local = merge::parallel_sample_sort(pool, all, cmp, num_runs);
   } else {
-    const std::size_t num_runs = std::max<std::size_t>(2, pool.size() * 2);
-    if (plan.mode == core::MergeMode::kPartitioned) {
-      // Flat container but a partitioned plan: bucket the entries by
-      // sampled splitters at merge time (merge-time fallback — map-time
-      // sharding needs options.partitions > 0).
-      local = merge::partitioned_sort(pool, all, cmp, plan.partitions);
-    } else if (plan.mode == core::MergeMode::kPWay) {
-      local = merge::parallel_sample_sort(pool, all, cmp, num_runs);
-    } else {
-      local = merge::pairwise_merge_sort(pool, all, cmp, num_runs);
-    }
+    local = merge::pairwise_merge_sort(pool, all, cmp, num_runs);
   }
 
   // Gather the records in entry order, in parallel, into storage the
@@ -247,7 +190,7 @@ Status TeraSortApp::merge(ThreadPool& pool, const core::MergePlan& plan,
   if (!parallel_for(pool, n, [&](std::size_t first, std::size_t last,
                                  std::size_t) {
         for (std::size_t i = first; i < last; ++i) {
-          std::memcpy(sorted_.get() + i * rb, order[i].record, rb);
+          std::memcpy(sorted_.get() + i * rb, entries[i].record, rb);
         }
       }))
     return Status::Internal("merge wave dropped: thread pool shut down");
@@ -255,7 +198,6 @@ Status TeraSortApp::merge(ThreadPool& pool, const core::MergePlan& plan,
   // The records now live in sorted_; free the container's copy rather than
   // hold both until the app is destroyed.
   container_.reset();
-  pcontainer_.reset();
 
   if (stats != nullptr) *stats = std::move(local);
   return Status::Ok();

@@ -7,13 +7,9 @@
 // synchronization; sort's map is cheap, which is why its ingest overlap gains
 // are modest). Reduce checksums partitions (touching every key, as the
 // paper's reduce does). Merge is where the runtimes differ:
-//   * kPairwise    — iterative pairwise merging, log2(R) rounds (Fig. 1),
-//   * kPWay        — run formation + single parallel p-way merge (Fig. 6), or
-//   * kPartitioned — key-range sharded shuffle (docs/merge.md): with
-//     options.partitions > 0 map copies records into a PartitionedContainer
-//     (splitters sampled from the first chunk), so the merge phase is P
-//     independent per-partition merges with no global round at all.
-// All modes sort 16-byte entries — the first 8 key bytes as a big-endian
+//   * kPairwise — iterative pairwise merging, log2(R) rounds (Fig. 1), or
+//   * kPWay     — run formation + single parallel p-way merge (Fig. 6).
+// Both modes sort 16-byte entries — the first 8 key bytes as a big-endian
 // integer plus the record's address, comparing the rest of the key only
 // when those 8 bytes tie — then gather the records in entry order and free
 // the container (docs/merge.md §6).
@@ -22,13 +18,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string_view>
 #include <vector>
 
 #include "apps/split.hpp"
 #include "containers/array_container.hpp"
-#include "containers/partitioned.hpp"
 #include "core/application.hpp"
 
 namespace supmr::apps {
@@ -39,10 +33,6 @@ struct TeraSortOptions {
   std::uint32_t key_bytes = 10;
   std::uint32_t record_bytes = 100;  // includes the trailing "\r\n"
   bool validate_terminators = true;
-  // > 0 enables the map-time partitioned shuffle with this many key-space
-  // partitions (pair with MergeMode::kPartitioned; typically
-  // JobConfig::merge_partitions()). 0 keeps the flat array container.
-  std::size_t partitions = 0;
 };
 
 class TeraSortApp final : public core::Application {
@@ -82,22 +72,14 @@ class TeraSortApp final : public core::Application {
 
   const TeraSortOptions& options() const { return options_; }
 
-  // Map-time partitioned container (options.partitions > 0).
-  bool partitioned() const { return options_.partitions > 0; }
-
  private:
-  // The records the map phase wrote, one span of whole records per flat
-  // container segment or per (partition, thread) stripe, in that order.
-  std::vector<std::span<const char>> record_spans() const;
-
   TeraSortOptions options_;
   Status geometry_;  // whether options_ pass core::check_sort_geometry
   std::size_t num_mappers_ = 0;
   containers::ArrayContainer container_;
-  containers::PartitionedContainer pcontainer_;
   std::vector<RecordSlice> tasks_;
   const char* round_src_ = nullptr;  // the round's first record
-  char* round_dst_ = nullptr;        // its claimed slot (flat container only)
+  char* round_dst_ = nullptr;        // its claimed slot
   std::uint64_t checksum_ = 0;
   std::atomic<std::uint64_t> malformed_{0};
   std::unique_ptr<char[]> sorted_;

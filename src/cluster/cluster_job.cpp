@@ -9,7 +9,7 @@
 
 #include "cluster/protocol.hpp"
 #include "ingest/source.hpp"
-#include "merge/partitioned.hpp"
+#include "merge/splitters.hpp"
 #include "obs/macros.hpp"
 #include "storage/mem_device.hpp"
 #include "storage/rate_limiter.hpp"

@@ -123,8 +123,6 @@ class Application {
   virtual Status reduce(ThreadPool& pool, std::size_t num_partitions) = 0;
 
   // Produces the final sorted output with the configured merge algorithm.
-  // `plan.partitions` is the resolved partition count for
-  // MergeMode::kPartitioned (a parallelism hint otherwise).
   virtual Status merge(ThreadPool& pool, const MergePlan& plan,
                        merge::MergeStats* stats) = 0;
 

@@ -13,19 +13,13 @@ namespace supmr::core {
 
 // Final-merge algorithm (paper §IV).
 enum class MergeMode {
-  kPairwise,     // original runtime: iterative pairwise merging, halving threads
-  kPWay,         // SupMR: single-round parallel p-way merge
-  kPartitioned,  // key-range partitioned shuffle: one merge per partition
-                 // (docs/merge.md) — partitioning done at map time
+  kPairwise,  // original runtime: iterative pairwise merging, halving threads
+  kPWay,      // SupMR: single-round parallel p-way merge
 };
 
-// What the runtime hands Application::merge: the algorithm plus the
-// partition count for MergeMode::kPartitioned (already resolved — never 0).
-// Applications that do not shard by key range treat `partitions` as the
-// parallelism hint it degenerates to.
+// What the runtime hands Application::merge: the merge algorithm.
 struct MergePlan {
   MergeMode mode = MergeMode::kPWay;
-  std::size_t partitions = 1;
 };
 
 // Which runtime MapReduceJob::run(ExecMode) executes.
@@ -47,7 +41,6 @@ inline constexpr EnumName<ExecMode> kExecModeNames[] = {
 inline constexpr EnumName<MergeMode> kMergeModeNames[] = {
     {MergeMode::kPairwise, "pairwise"},
     {MergeMode::kPWay, "pway"},
-    {MergeMode::kPartitioned, "partitioned"},
 };
 
 std::string_view exec_mode_name(ExecMode mode);
@@ -75,11 +68,6 @@ struct JobConfig {
   // views. Sources receive this at construction; see docs/ARCHITECTURE.md §2.
   IoMode io = IoMode::kRead;
 
-  // Key-space partitions for MergeMode::kPartitioned (--partitions).
-  // 0 = auto: one partition per hardware context, so the per-partition
-  // merges exactly fill the machine (docs/merge.md).
-  std::size_t num_merge_partitions = 0;
-
   // Sharded-shuffle cluster runtime (src/cluster/, docs/cluster.md). 0 nodes
   // = the normal single-process run; >= 1 splits the input across that many
   // in-process worker nodes, each running its own MapReduceJob with this
@@ -106,12 +94,8 @@ struct JobConfig {
   // Reduce partitions: four per reducer thread, for balance.
   std::size_t reduce_partitions() const { return num_reduce_threads * 4; }
 
-  std::size_t merge_partitions() const {
-    return num_merge_partitions ? num_merge_partitions : default_threads();
-  }
-
-  // The resolved plan run() hands to Application::merge.
-  MergePlan merge_plan() const { return {merge_mode, merge_partitions()}; }
+  // The plan run() hands to Application::merge.
+  MergePlan merge_plan() const { return {merge_mode}; }
 
   static std::size_t default_threads() {
     const unsigned hw = std::thread::hardware_concurrency();

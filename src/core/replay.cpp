@@ -74,7 +74,6 @@ JobConfig ReplaySpec::job_config() const {
   cfg.merge_mode = merge_mode;
   cfg.num_map_threads = threads;
   cfg.num_reduce_threads = threads;
-  cfg.num_merge_partitions = merge_partitions;
   cfg.io = io;
   cfg.recovery.policy.max_attempts = retry_attempts;
   cfg.recovery.degrade = degrade;
@@ -100,7 +99,6 @@ std::string ReplaySpec::to_json() const {
   w.begin_object();
   w.kv("key_bytes", key_bytes);
   w.kv("record_bytes", record_bytes);
-  w.kv("app_partitions", app_partitions);
   w.kv("hist_lo", hist_lo);
   w.kv("hist_hi", hist_hi);
   w.kv("hist_bins", hist_bins);
@@ -113,7 +111,6 @@ std::string ReplaySpec::to_json() const {
   w.kv("merge", merge_mode_name(merge_mode));
   w.kv("io", io_mode_name(io));
   w.kv("threads", threads);
-  w.kv("merge_partitions", merge_partitions);
   w.kv("chunk_bytes", chunk_bytes);
   w.kv("files_per_chunk", files_per_chunk);
   w.kv("degrade", degrade);
@@ -229,8 +226,6 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
   SUPMR_RETURN_IF_ERROR(fields.take("corpus.num_files", spec.corpus.num_files));
   SUPMR_RETURN_IF_ERROR(fields.take("params.key_bytes", spec.key_bytes));
   SUPMR_RETURN_IF_ERROR(fields.take("params.record_bytes", spec.record_bytes));
-  SUPMR_RETURN_IF_ERROR(
-      fields.take("params.app_partitions", spec.app_partitions));
   SUPMR_RETURN_IF_ERROR(fields.take("params.hist_lo", spec.hist_lo));
   SUPMR_RETURN_IF_ERROR(fields.take("params.hist_hi", spec.hist_hi));
   SUPMR_RETURN_IF_ERROR(fields.take("params.hist_bins", spec.hist_bins));
@@ -244,6 +239,7 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
   SUPMR_RETURN_IF_ERROR(fields.take("cell.merge", merge));
   SUPMR_RETURN_IF_ERROR(fields.take_or("cell.io", io, "read"));
   SUPMR_RETURN_IF_ERROR(fields.take_or("cell.container", container, "default"));
+  if (merge == "partitioned") merge = "pway";  // the removed partitioned merge
   SUPMR_ASSIGN_OR_RETURN(spec.mode, exec_mode_from_name(mode));
   SUPMR_ASSIGN_OR_RETURN(spec.merge_mode, merge_mode_from_name(merge));
   SUPMR_ASSIGN_OR_RETURN(spec.io, io_mode_from_name(io));
@@ -252,8 +248,12 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
                                    " (want default|combining)");
   }
   SUPMR_RETURN_IF_ERROR(fields.take("cell.threads", spec.threads));
+  // The partition counts of the removed partitioned merge select nothing.
+  std::uint64_t removed_partitions = 0;
   SUPMR_RETURN_IF_ERROR(
-      fields.take("cell.merge_partitions", spec.merge_partitions));
+      fields.take_or("params.app_partitions", removed_partitions, 0));
+  SUPMR_RETURN_IF_ERROR(
+      fields.take_or("cell.merge_partitions", removed_partitions, 0));
   SUPMR_RETURN_IF_ERROR(fields.take("cell.chunk_bytes", spec.chunk_bytes));
   SUPMR_RETURN_IF_ERROR(
       fields.take("cell.files_per_chunk", spec.files_per_chunk));

@@ -75,7 +75,6 @@ struct ReplaySpec {
   // Application parameters (only the ones the named app reads apply).
   std::uint64_t key_bytes = 10;       // sort
   std::uint64_t record_bytes = 100;   // sort
-  std::uint64_t app_partitions = 0;   // sort: map-time PartitionedContainer
   std::int64_t hist_lo = 0;           // histogram
   std::int64_t hist_hi = 256;         // histogram
   std::uint64_t hist_bins = 32;       // histogram
@@ -89,9 +88,10 @@ struct ReplaySpec {
   // from_json still reads the removed "cell.container" key, which selects
   // nothing: every app folds at emit time in its one container. "default"
   // parses for every app, and "combining" only for the apps that declared a
-  // combiner before, where it names what they always do.
+  // combiner before, where it names what they always do. It also reads
+  // what the removed partitioned merge wrote: its merge name parses as
+  // p-way, and its two partition counts select nothing.
   std::uint64_t threads = 2;
-  std::uint64_t merge_partitions = 0;  // 0 = auto
   std::uint64_t chunk_bytes = 64 * 1024;
   std::uint64_t files_per_chunk = 3;   // MultiFileSource apps
   bool degrade = false;
@@ -124,10 +124,9 @@ struct ReplaySpec {
   bool is_cluster() const { return cluster_nodes > 0; }
 
   // The JobConfig this spec's cell runs: mode, merge, threads (map and
-  // reduce), merge partitions, io, retry attempts, degrade and
-  // the cluster knobs. The only code that copies cell fields into a
-  // JobConfig; callers add what a spec does not hold (retry timing, output
-  // paths).
+  // reduce), io, retry attempts, degrade and the cluster knobs. The only
+  // code that copies cell fields into a JobConfig; callers add what a spec
+  // does not hold (retry timing, output paths).
   JobConfig job_config() const;
 
   std::string to_json() const;

@@ -105,16 +105,6 @@ std::string job_result_to_json(const JobResult& result) {
   w.kv("table_bytes", result.combine.table_bytes);
   w.end_object();
 
-  // Partitioned-shuffle geometry (docs/merge.md); partitions = 0 means the
-  // merge ran as a single global round.
-  w.key("merge_partitioned");
-  w.begin_object();
-  w.kv("partitions", std::uint64_t{result.merge_stats.partitions});
-  w.kv("partition_max_items", result.merge_stats.partition_max_items);
-  w.kv("partition_min_items", result.merge_stats.partition_min_items);
-  w.kv("partition_skew", result.merge_stats.partition_skew());
-  w.end_object();
-
   w.key("metrics");
   obs::write_metrics(w, result.metrics);
   w.end_object();

@@ -17,7 +17,7 @@
 
 #include "common/test_hooks.hpp"
 #include "merge/loser_tree.hpp"
-#include "merge/partitioned.hpp"
+#include "merge/splitters.hpp"
 #include "merge/stats.hpp"
 #include "obs/macros.hpp"
 #include "threading/thread_pool.hpp"

@@ -19,28 +19,11 @@ struct MergeStats {
   };
   std::vector<Round> rounds;
 
-  // Partitioned-merge geometry (merge/partitioned.hpp, docs/merge.md): when
-  // the merge ran as independent per-partition merges, `partitions` is the
-  // partition count and the item figures capture the key-space skew the
-  // splitters produced. 0 means the merge was a single global round.
-  std::size_t partitions = 0;
-  std::uint64_t partition_max_items = 0;
-  std::uint64_t partition_min_items = 0;
-
   std::size_t num_rounds() const { return rounds.size(); }
   std::uint64_t total_items_moved() const {
     std::uint64_t n = 0;
     for (const auto& r : rounds) n += r.items_moved;
     return n;
-  }
-
-  // max / mean partition size; 1.0 = perfectly balanced. A skew of k means
-  // the critical-path partition merge ran k times longer than the average.
-  double partition_skew() const {
-    if (partitions == 0 || rounds.empty()) return 1.0;
-    const double mean =
-        double(rounds.front().items_moved) / double(partitions);
-    return mean > 0.0 ? double(partition_max_items) / mean : 1.0;
   }
 };
 

@@ -43,11 +43,6 @@ std::vector<Table2Row> table2_sort() {
       {"none", simulate_job(sort_spec(0, core::MergeMode::kPairwise))});
   rows.push_back(
       {"1GB", simulate_job(sort_spec(1 * kGB, core::MergeMode::kPWay))});
-  // Beyond-paper row: same 1 GB chunked ingest, but the merge runs as
-  // per-partition merges over a key-range sharded container (docs/merge.md).
-  rows.push_back({"1GB+part",
-                  simulate_job(sort_spec(1 * kGB,
-                                         core::MergeMode::kPartitioned))});
   return rows;
 }
 

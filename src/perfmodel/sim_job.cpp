@@ -137,13 +137,6 @@ class JobSim {
       spawn_merge_round(static_cast<std::size_t>(spec_.machine.contexts),
                         round_traffic_s(spec_.machine.pway_stream_penalty),
                         [this] { finish_merge(); });
-    } else if (spec_.merge_mode == core::MergeMode::kPartitioned) {
-      // Key-range partitioned shuffle (docs/merge.md): still one round with
-      // all contexts active, but each per-partition loser tree streams only
-      // its own key range — sequential in, sequential out, no cross-run
-      // striding — so the p-way stream penalty does not apply.
-      spawn_merge_round(static_cast<std::size_t>(spec_.machine.contexts),
-                        round_traffic_s(1.0), [this] { finish_merge(); });
     } else {
       do_pairwise_round(spec_.merge_runs);
     }

@@ -24,13 +24,11 @@ namespace supmr::ref {
 namespace {
 
 // The oracle twin of a cell: the boring variant of each app — wordcount for
-// the budgeted xwordcount and no map-time partitioning for sort. The
-// reference is "no pipeline, no spill" by definition. Single-round, cluster
-// and graph cells all compare against it.
+// the budgeted xwordcount. The reference is "no pipeline, no spill" by
+// definition. Single-round, cluster and graph cells all compare against it.
 core::ReplaySpec oracle_spec(const core::ReplaySpec& spec) {
   core::ReplaySpec ref = spec;
   if (ref.app == "xwordcount") ref.app = "wordcount";
-  ref.app_partitions = 0;
   return ref;
 }
 

@@ -26,7 +26,7 @@ StatusOr<RefResult> run_ref(core::Application& app,
   ThreadPool pool(1);
   SUPMR_RETURN_IF_ERROR(app.reduce(pool, 1));
   SUPMR_RETURN_IF_ERROR(app.merge(
-      pool, core::MergePlan{core::MergeMode::kPairwise, 1}, nullptr));
+      pool, core::MergePlan{core::MergeMode::kPairwise}, nullptr));
   result.canonical = app.canonical_output();
   result.result_count = app.result_count();
   return result;

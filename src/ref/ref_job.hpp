@@ -4,8 +4,8 @@
 // satisfies the Application contract — one mapper thread, chunks strictly
 // in plan order, one reduce partition, the pairwise merge plan with a
 // single-thread pool. No ingest pipeline, no spill pressure, no p-way
-// splitting, no partitioned shuffle: every subsystem the SupMR runtime adds
-// on top of Phoenix-style MapReduce (PAPER.md §III–IV) is absent, so its
+// splitting: every subsystem the SupMR runtime adds on top of
+// Phoenix-style MapReduce (PAPER.md §III–IV) is absent, so its
 // canonical_output() is what the optimized lattice cells must reproduce
 // byte-for-byte (tests/harness/). It doubles as the honest floor for bench
 // comparisons (bench/ref_baseline.cpp).

@@ -339,31 +339,21 @@ std::string shared_prefix_records(std::size_t records, std::uint64_t seed) {
 }
 
 TEST(TeraSort, OrdersKeysThatTieOnTheirFirstEightBytes) {
-  struct Cell {
-    MergeMode merge;
-    std::size_t app_partitions;
-  };
-  const Cell cells[] = {{MergeMode::kPWay, 0},
-                        {MergeMode::kPairwise, 0},
-                        {MergeMode::kPartitioned, 0},
-                        {MergeMode::kPartitioned, 4}};
   constexpr std::size_t kRecords = 3000;
   const std::string input = shared_prefix_records(kRecords, 11);
   for (const std::uint32_t kb : {4u, 8u, 10u}) {
-    for (const Cell& cell : cells) {
+    for (const MergeMode merge : {MergeMode::kPWay, MergeMode::kPairwise}) {
       SCOPED_TRACE("key_bytes=" + std::to_string(kb) + " merge=" +
-                   std::string(core::merge_mode_name(cell.merge)) +
-                   " app_partitions=" + std::to_string(cell.app_partitions));
+                   std::string(core::merge_mode_name(merge)));
       TeraSortOptions opt;
       opt.key_bytes = kb;
-      opt.partitions = cell.app_partitions;
       TeraSortApp app(opt);
       // Several chunks, so the flat container fills more than one segment.
       SingleDeviceSource src(mem(input),
                              std::make_shared<ingest::FixedFormat>(100),
                              /*chunk_bytes=*/37700);
       JobConfig jc = small_config();
-      jc.merge_mode = cell.merge;
+      jc.merge_mode = merge;
       MapReduceJob job(app, src, jc);
       auto result = job.run(core::ExecMode::kIngestMR);
       ASSERT_TRUE(result.ok()) << result.status().to_string();
@@ -390,21 +380,18 @@ TEST(TeraSort, RejectsImpossibleGeometry) {
        "terasort: key_bytes must be in [1, 98] for record_bytes=100, got 0"},
   };
   for (const Case& c : cases) {
-    for (const std::size_t partitions : {std::size_t{0}, std::size_t{4}}) {
-      SCOPED_TRACE(c.message + " partitions=" + std::to_string(partitions));
-      TeraSortOptions opt;
-      opt.key_bytes = c.key_bytes;
-      opt.record_bytes = c.record_bytes;
-      opt.partitions = partitions;
-      TeraSortApp app(opt);
-      SingleDeviceSource src(mem(std::string(1000, 'x')),
-                             std::make_shared<ingest::FixedFormat>(100), 0);
-      MapReduceJob job(app, src, small_config());
-      auto result = job.run(core::ExecMode::kOriginal);
-      ASSERT_FALSE(result.ok());
-      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_EQ(result.status().message(), c.message);
-    }
+    SCOPED_TRACE(c.message);
+    TeraSortOptions opt;
+    opt.key_bytes = c.key_bytes;
+    opt.record_bytes = c.record_bytes;
+    TeraSortApp app(opt);
+    SingleDeviceSource src(mem(std::string(1000, 'x')),
+                           std::make_shared<ingest::FixedFormat>(100), 0);
+    MapReduceJob job(app, src, small_config());
+    auto result = job.run(core::ExecMode::kOriginal);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.status().message(), c.message);
   }
 }
 

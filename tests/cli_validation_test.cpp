@@ -47,12 +47,14 @@ void expect_rejected(const std::string& args, const std::string& expected_msg) {
       << "\"; got:\n" << r.output;
 }
 
-TEST(CliValidation, PartitionsRequirePartitionedMerge) {
-  // Validation runs before the input file is opened, so no corpus is needed.
+TEST(CliValidation, PartitionedMergeIsRejected) {
+  // The partitioned merge and its --partitions flag are gone; only specs
+  // still parse them. Validation runs before the input file is opened, so
+  // no corpus is needed.
+  expect_rejected("sort nonexistent.dat --merge=partitioned",
+                  "unknown merge mode: partitioned (want pairwise|pway)");
   expect_rejected("sort nonexistent.dat --partitions=4",
-                  "--partitions requires --merge=partitioned");
-  expect_rejected("sort nonexistent.dat --merge=pway --partitions=4",
-                  "--partitions requires --merge=partitioned");
+                  "unknown flag --partitions");
 }
 
 TEST(CliValidation, SortRejectsImpossibleGeometry) {
@@ -150,7 +152,7 @@ TEST(CliValidation, BadEnumValuesAreNamed) {
   expect_rejected("wordcount whatever --mode=warp",
                   "unknown exec mode: warp (want original|supmr|adaptive)");
   expect_rejected("wordcount whatever --merge=psychic",
-                  "unknown merge mode: psychic (want pairwise|pway|partitioned)");
+                  "unknown merge mode: psychic (want pairwise|pway)");
   expect_rejected("wordcount whatever --io=psychic",
                   "unknown io mode: psychic (want read|mmap)");
 }
@@ -442,11 +444,9 @@ TEST(CliRunPaths, SortOutputIsIdenticalAcrossFlags) {
   ASSERT_EQ(run_cli("generate terasort " + input + " --size=2MB").exit_code,
             0);
   const std::vector<std::string> variants = {
-      "--merge=pway",       "--merge=pairwise",
-      "--merge=partitioned --partitions=4",
-      "--io=mmap",          "--mode=original",
-      "--chunk=none",       "--mode=adaptive",
-      "--nodes=2",          "--nodes=2 --merge=partitioned"};
+      "--merge=pway",    "--merge=pairwise", "--io=mmap",
+      "--mode=original", "--chunk=none",     "--mode=adaptive",
+      "--nodes=2",       "--nodes=2 --merge=pairwise"};
   std::string expected;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const std::string out = dir + "/cli_paths_sorted.dat";
@@ -492,8 +492,7 @@ TEST(CliRunPaths, WordCountIsIdenticalAcrossFlags) {
   const std::string input = dir + "/cli_paths_corpus.txt";
   ASSERT_EQ(run_cli("generate text " + input + " --size=1MB").exit_code, 0);
   const std::vector<std::string> variants = {
-      "",                 "--budget=32KB",        "--io=mmap",
-      "--merge=pairwise", "--merge=partitioned"};
+      "", "--budget=32KB", "--io=mmap", "--merge=pairwise"};
   std::vector<std::string> expected;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const std::string args = "wordcount " + input +

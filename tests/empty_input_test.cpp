@@ -9,8 +9,7 @@
 //     "recovered" — degrade mode must not count phantom chunks);
 //   * the report is one valid JSON document (parse_json accepts it);
 //   * the merge produces a sorted empty output (TeraSort's sorted_data()
-//     is empty, word count's results() is empty) in every merge mode,
-//     including the partitioned shuffle.
+//     is empty, word count's results() is empty) in every merge mode.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,6 +21,7 @@
 #include "cluster/cluster_job.hpp"
 #include "common/json.hpp"
 #include "core/job.hpp"
+#include "core/replay.hpp"
 #include "core/report.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
@@ -38,15 +38,13 @@ using core::MergeMode;
 
 constexpr ExecMode kModes[] = {ExecMode::kOriginal, ExecMode::kIngestMR,
                                ExecMode::kAdaptive};
-constexpr MergeMode kMergeModes[] = {MergeMode::kPairwise, MergeMode::kPWay,
-                                     MergeMode::kPartitioned};
+constexpr MergeMode kMergeModes[] = {MergeMode::kPairwise, MergeMode::kPWay};
 
 JobConfig empty_config(MergeMode merge, bool degrade) {
   JobConfig jc;
   jc.num_map_threads = 2;
   jc.num_reduce_threads = 2;
   jc.merge_mode = merge;
-  if (merge == MergeMode::kPartitioned) jc.num_merge_partitions = 3;
   jc.recovery.degrade = degrade;
   return jc;
 }
@@ -119,31 +117,29 @@ TEST(EmptyInput, MmapDeviceEmptyFile) {
   std::remove(path.c_str());
 }
 
-// Sorted-empty merge through the partitioned shuffle path specifically:
-// the PartitionedContainer never sees a record, no splitters are ever
-// sampled, and the per-partition merge must hand back an empty (trivially
-// sorted) output without touching a stripe.
-TEST(EmptyInput, TeraSortPartitionedShuffleSortedEmpty) {
+// Sorted-empty merge on TeraSort: the array container never claims a
+// slot, and both merges must hand back an empty (trivially sorted) output.
+TEST(EmptyInput, TeraSortAllModesAllMergesNormalAndDegrade) {
   for (ExecMode mode : kModes) {
-    for (bool degrade : {false, true}) {
-      apps::TeraSortOptions opt;
-      opt.key_bytes = 10;
-      opt.record_bytes = 100;
-      opt.partitions = 4;
-      apps::TeraSortApp app(opt);
-      ingest::SingleDeviceSource src(
-          std::make_shared<storage::MemDevice>("", "empty"),
-          std::make_shared<ingest::FixedFormat>(opt.record_bytes),
-          /*chunk_bytes=*/10 * opt.record_bytes);
-      MapReduceJob job(app, src,
-                       empty_config(MergeMode::kPartitioned, degrade));
-      auto result = job.run(mode);
-      ASSERT_TRUE(result.ok())
-          << core::exec_mode_name(mode) << " degrade=" << degrade << ": "
-          << result.status().to_string();
-      check_empty_result(*result, core::exec_mode_name(mode).data());
-      EXPECT_TRUE(app.sorted_data().empty());
-      EXPECT_EQ(app.key_checksum(), 0u);
+    for (MergeMode merge : kMergeModes) {
+      for (bool degrade : {false, true}) {
+        apps::TeraSortApp app;
+        ingest::SingleDeviceSource src(
+            std::make_shared<storage::MemDevice>("", "empty"),
+            std::make_shared<ingest::FixedFormat>(100),
+            /*chunk_bytes=*/1000);
+        MapReduceJob job(app, src, empty_config(merge, degrade));
+        auto result = job.run(mode);
+        const std::string label = std::string(core::exec_mode_name(mode)) +
+                                  "/" +
+                                  std::string(core::merge_mode_name(merge)) +
+                                  (degrade ? "/degrade" : "/normal");
+        ASSERT_TRUE(result.ok())
+            << label << ": " << result.status().to_string();
+        check_empty_result(*result, label.c_str());
+        EXPECT_TRUE(app.sorted_data().empty()) << label;
+        EXPECT_EQ(app.key_checksum(), 0u) << label;
+      }
     }
   }
 }
@@ -204,20 +200,6 @@ TEST(EmptyInput, ClusterZeroByteFixedRecords) {
   EXPECT_TRUE(result->output.empty());
   EXPECT_EQ(result->shuffle_bytes + result->local_bytes, 0u);
   EXPECT_EQ(result->shard, core::ShardKind::kFixedRecords);
-}
-
-// The flat (non-partitioned) TeraSort container through the kPartitioned
-// merge fallback (partitioned_sort over zero records) stays empty too.
-TEST(EmptyInput, TeraSortFlatContainerPartitionedMergeFallback) {
-  apps::TeraSortApp app;  // partitions = 0: flat ArrayContainer
-  ingest::SingleDeviceSource src(
-      std::make_shared<storage::MemDevice>("", "empty"),
-      std::make_shared<ingest::FixedFormat>(100), /*chunk_bytes=*/0);
-  MapReduceJob job(app, src, empty_config(MergeMode::kPartitioned, false));
-  auto result = job.run(ExecMode::kOriginal);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  check_empty_result(*result, "flat/kPartitioned");
-  EXPECT_TRUE(app.sorted_data().empty());
 }
 
 }  // namespace

@@ -31,9 +31,8 @@ std::vector<Axis> cluster_cross() {
   std::vector<Axis> axes;
   for (core::ExecMode mode :
        {core::ExecMode::kOriginal, core::ExecMode::kIngestMR}) {
-    for (core::MergeMode merge : {core::MergeMode::kPairwise,
-                                  core::MergeMode::kPWay,
-                                  core::MergeMode::kPartitioned}) {
+    for (core::MergeMode merge :
+         {core::MergeMode::kPairwise, core::MergeMode::kPWay}) {
       for (std::uint64_t nodes : {1, 2, 4}) {
         axes.push_back({mode, merge, nodes});
       }
@@ -79,8 +78,6 @@ void run_cluster_lattice(std::function<core::ReplaySpec(std::uint64_t)> base,
     core::ReplaySpec spec = base(salt++);
     spec.mode = axis.mode;
     spec.merge_mode = axis.merge;
-    spec.merge_partitions =
-        axis.merge == core::MergeMode::kPartitioned ? 5 : 0;
     spec.cluster_nodes = axis.nodes;
     const std::string name =
         app_label + "-" + std::string(core::exec_mode_name(axis.mode)) +

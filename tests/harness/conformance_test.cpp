@@ -1,5 +1,5 @@
 // Differential conformance lattice (docs/testing.md): every application runs
-// across ExecMode × MergeMode × io/partitioning × thread/chunk axes on
+// across ExecMode × MergeMode × io × thread/chunk axes on
 // seeded corpora, and each cell's canonicalized output must be byte-equal to
 // the sequential reference runtime (src/ref/). A diverging cell writes a
 // self-contained repro spec replayable with `supmr replay <file>`.
@@ -19,11 +19,10 @@ struct Axis {
   core::IoMode io;
 };
 
-// The mode × merge × io cross. Partitioned merge gets merge_partitions=5
-// (odd, different from the thread count, so stripes and waves never line up
-// by accident). The io axis runs every cell twice: once over copying reads
-// and once over borrowed zero-copy views (MemDevice lends views like
-// MmapDevice, so io=mmap cells carry borrowed spans into the map tasks).
+// The mode × merge × io cross. The io axis runs every cell twice: once over
+// copying reads and once over borrowed zero-copy views (MemDevice lends
+// views like MmapDevice, so io=mmap cells carry borrowed spans into the map
+// tasks).
 // The adaptive pipeline reads through the device directly and has no view
 // path, so its mmap cells still exercise the "configured but unavailable"
 // fallback.
@@ -32,9 +31,8 @@ std::vector<Axis> mode_merge_cross() {
   for (core::ExecMode mode : {core::ExecMode::kOriginal,
                               core::ExecMode::kIngestMR,
                               core::ExecMode::kAdaptive}) {
-    for (core::MergeMode merge : {core::MergeMode::kPairwise,
-                                  core::MergeMode::kPWay,
-                                  core::MergeMode::kPartitioned}) {
+    for (core::MergeMode merge :
+         {core::MergeMode::kPairwise, core::MergeMode::kPWay}) {
       for (core::IoMode io : {core::IoMode::kRead, core::IoMode::kMmap}) {
         axes.push_back({mode, merge, io});
       }
@@ -53,8 +51,6 @@ void run_lattice(core::ReplaySpec base, const std::string& app_label,
     spec.mode = axis.mode;
     spec.merge_mode = axis.merge;
     spec.io = axis.io;
-    spec.merge_partitions =
-        axis.merge == core::MergeMode::kPartitioned ? 5 : 0;
     expect_cell(spec, app_label + "-" +
                           std::string(core::exec_mode_name(axis.mode)) + "-" +
                           std::string(core::merge_mode_name(axis.merge)) +
@@ -84,25 +80,6 @@ TEST(ConformanceLattice, SortFlat) {
   run_lattice(spec_sort(5), "sort-flat", /*single_device=*/true);
 }
 
-TEST(ConformanceLattice, SortMapTimePartitioned) {
-  // Map-time partitioned container (TeraSortApp partitioned()): records are
-  // routed into per-partition buckets during map, merged by
-  // merge_partitioned. Only meaningful under the partitioned merge plan.
-  core::ReplaySpec base = spec_sort(6);
-  base.app_partitions = 4;
-  base.merge_mode = core::MergeMode::kPartitioned;
-  base.merge_partitions = 4;
-  for (core::ExecMode mode : {core::ExecMode::kOriginal,
-                              core::ExecMode::kIngestMR,
-                              core::ExecMode::kAdaptive}) {
-    core::ReplaySpec spec = base;
-    spec.mode = mode;
-    expect_cell(spec, "sort-mapdist-" +
-                          std::string(core::exec_mode_name(mode)) +
-                          "-partitioned");
-  }
-}
-
 TEST(ConformanceLattice, InvertedIndex) {
   run_lattice(spec_index(7), "index", /*single_device=*/false);
 }
@@ -115,9 +92,10 @@ TEST(ConformanceLattice, DocTermCount) {
   run_lattice(spec_doctermcount(16), "doctermcount", /*single_device=*/false);
 }
 
-// Axis sweeps beyond the mode × merge cross: thread count, chunk size, and
-// partition fan-out each get their own pass on the supmr mode. The thread
-// axis changes the hash container's stripe count; the bytes must not.
+// Axis sweeps beyond the mode × merge cross: thread count and chunk size
+// each get their own pass on the supmr mode. The thread axis changes the
+// hash container's stripe count and the p-way merge's worker count; the
+// bytes must not.
 TEST(ConformanceLattice, ThreadAxis) {
   for (int threads : {1, 2, 5}) {
     core::ReplaySpec spec = spec_wordcount(8);
@@ -128,8 +106,7 @@ TEST(ConformanceLattice, ThreadAxis) {
 
     core::ReplaySpec sort = spec_sort(9);
     sort.mode = core::ExecMode::kIngestMR;
-    sort.merge_mode = core::MergeMode::kPartitioned;
-    sort.merge_partitions = 5;
+    sort.merge_mode = core::MergeMode::kPWay;
     sort.threads = threads;
     expect_cell(sort, "sort-threads-" + std::to_string(threads));
   }
@@ -144,16 +121,6 @@ TEST(ConformanceLattice, ChunkAxis) {
     spec.merge_mode = core::MergeMode::kPWay;
     spec.chunk_bytes = chunk;
     expect_cell(spec, "histogram-chunk-" + std::to_string(chunk));
-  }
-}
-
-TEST(ConformanceLattice, PartitionAxis) {
-  for (std::size_t parts : {std::size_t(1), std::size_t(2), std::size_t(9)}) {
-    core::ReplaySpec spec = spec_sort(11);
-    spec.mode = core::ExecMode::kIngestMR;
-    spec.merge_mode = core::MergeMode::kPartitioned;
-    spec.merge_partitions = parts;
-    expect_cell(spec, "sort-partitions-" + std::to_string(parts));
   }
 }
 

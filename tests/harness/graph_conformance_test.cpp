@@ -27,9 +27,8 @@ std::vector<Axis> stage_cross() {
   std::vector<Axis> axes;
   for (core::ExecMode mode :
        {core::ExecMode::kOriginal, core::ExecMode::kIngestMR}) {
-    for (core::MergeMode merge : {core::MergeMode::kPairwise,
-                                  core::MergeMode::kPWay,
-                                  core::MergeMode::kPartitioned}) {
+    for (core::MergeMode merge :
+         {core::MergeMode::kPairwise, core::MergeMode::kPWay}) {
       for (core::IoMode io : {core::IoMode::kRead, core::IoMode::kMmap}) {
         axes.push_back({mode, merge, io});
       }
@@ -45,8 +44,6 @@ void run_graph_lattice(const core::ReplaySpec& base,
     spec.mode = axis.mode;
     spec.merge_mode = axis.merge;
     spec.io = axis.io;
-    spec.merge_partitions =
-        axis.merge == core::MergeMode::kPartitioned ? 5 : 0;
     expect_cell(spec, app_label + "-" +
                           std::string(core::exec_mode_name(axis.mode)) + "-" +
                           std::string(core::merge_mode_name(axis.merge)) +
@@ -100,17 +97,6 @@ TEST(GraphConformanceLattice, TfIdf) {
 TEST(GraphConformanceLattice, MultiRoundSort) {
   run_graph_lattice(spec_msort(35), "msort");
   run_handoff_axis(spec_msort(36), "msort");
-}
-
-TEST(GraphConformanceLattice, MsortMapTimePartitionedStages) {
-  // Map-time partitioned TeraSort inside a chain: the SUT sort stage routes
-  // records into per-partition buckets during map, while the oracle twin
-  // rebuilds the chain with the flat container — same bytes required.
-  core::ReplaySpec spec = spec_msort(37);
-  spec.app_partitions = 4;
-  spec.merge_mode = core::MergeMode::kPartitioned;
-  spec.merge_partitions = 4;
-  expect_cell(spec, "msort-mapdist-partitioned");
 }
 
 }  // namespace

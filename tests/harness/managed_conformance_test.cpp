@@ -97,8 +97,7 @@ TEST(ManagedConformance, ManagedJobRacingBackgroundJobsMatchesReference) {
   }
 
   core::ReplaySpec foreground = spec_sort(200);
-  foreground.merge_mode = core::MergeMode::kPartitioned;
-  foreground.merge_partitions = 5;
+  foreground.merge_mode = core::MergeMode::kPWay;
   check_managed_cell(foreground, manager, "managed-fg-sort", /*priority=*/2,
                      mu, failures);
 

@@ -1,7 +1,7 @@
 // Metamorphic layer of the conformance harness (docs/testing.md): instead of
 // comparing against an oracle value, these tests assert invariances the
-// runtime must satisfy — output independence from chunk size, thread count,
-// and partition fan-out; input permutation invariance for commutative apps;
+// runtime must satisfy — output independence from chunk size and thread
+// count; input permutation invariance for commutative apps;
 // and degrade-mode output equal to the oracle on the surviving byte ranges.
 // Every cell still passes through run_cell(), so each equality here is ALSO
 // checked against the sequential reference for free.
@@ -63,31 +63,6 @@ TEST(Metamorphic, ThreadCountIndependence) {
   for (std::size_t i = 1; i < outs.size(); ++i) {
     EXPECT_EQ(outs[0], outs[i])
         << "sort output depends on thread count (variant " << i << ")";
-  }
-}
-
-TEST(Metamorphic, PartitionCountIndependence) {
-  // Partition fan-out is an internal parallelism knob; the concatenated
-  // partitions must form the same globally sorted byte string regardless of
-  // the splitter count — including the flat non-partitioned plans.
-  core::ReplaySpec base = spec_sort(22);
-  base.mode = core::ExecMode::kIngestMR;
-  std::vector<std::string> outs;
-  for (std::size_t parts : {std::size_t(1), std::size_t(3), std::size_t(8)}) {
-    core::ReplaySpec spec = base;
-    spec.merge_mode = core::MergeMode::kPartitioned;
-    spec.merge_partitions = parts;
-    outs.push_back(
-        cell_output(spec, "sort-partcount-" + std::to_string(parts)));
-  }
-  {
-    core::ReplaySpec spec = base;
-    spec.merge_mode = core::MergeMode::kPairwise;
-    outs.push_back(cell_output(spec, "sort-partcount-pairwise"));
-  }
-  for (std::size_t i = 1; i < outs.size(); ++i) {
-    EXPECT_EQ(outs[0], outs[i])
-        << "sort output depends on partition count (variant " << i << ")";
   }
 }
 
@@ -155,8 +130,7 @@ TEST(Metamorphic, SortRecordPermutationInvariance) {
   // must leave the (canonicalized) sorted output untouched.
   core::ReplaySpec spec = spec_sort(26);
   spec.mode = core::ExecMode::kIngestMR;
-  spec.merge_mode = core::MergeMode::kPartitioned;
-  spec.merge_partitions = 4;
+  spec.merge_mode = core::MergeMode::kPWay;
   auto corpus = ref::make_corpus(spec);
   ASSERT_TRUE(corpus.ok()) << corpus.status().to_string();
   ASSERT_EQ(corpus->size() % spec.record_bytes, 0u);
@@ -259,10 +233,9 @@ TEST(Metamorphic, DegradeGrep) {
   check_degrade_cell(spec, "degrade-grep");
 }
 
-TEST(Metamorphic, DegradeSortPartitioned) {
+TEST(Metamorphic, DegradeSort) {
   core::ReplaySpec spec = spec_sort(29);
-  spec.merge_mode = core::MergeMode::kPartitioned;
-  spec.merge_partitions = 4;
+  spec.merge_mode = core::MergeMode::kPWay;
   check_degrade_cell(spec, "degrade-sort");
 }
 

@@ -23,16 +23,14 @@ core::ReplaySpec non_default_spec() {
   s.corpus.num_files = 9;
   s.key_bytes = 8;
   s.record_bytes = 64;
-  s.app_partitions = 3;
   s.hist_lo = -5;
   s.hist_hi = 300;
   s.hist_bins = 17;
   s.grep_patterns = "ab,cd";
   s.memory_budget = 4096;
   s.mode = core::ExecMode::kAdaptive;
-  s.merge_mode = core::MergeMode::kPartitioned;
+  s.merge_mode = core::MergeMode::kPairwise;
   s.threads = 7;
-  s.merge_partitions = 4;
   s.chunk_bytes = 8192;
   s.files_per_chunk = 2;
   s.degrade = true;
@@ -49,7 +47,6 @@ void expect_specs_equal(const core::ReplaySpec& a, const core::ReplaySpec& b) {
   EXPECT_EQ(a.corpus.num_files, b.corpus.num_files);
   EXPECT_EQ(a.key_bytes, b.key_bytes);
   EXPECT_EQ(a.record_bytes, b.record_bytes);
-  EXPECT_EQ(a.app_partitions, b.app_partitions);
   EXPECT_EQ(a.hist_lo, b.hist_lo);
   EXPECT_EQ(a.hist_hi, b.hist_hi);
   EXPECT_EQ(a.hist_bins, b.hist_bins);
@@ -58,7 +55,6 @@ void expect_specs_equal(const core::ReplaySpec& a, const core::ReplaySpec& b) {
   EXPECT_EQ(a.mode, b.mode);
   EXPECT_EQ(a.merge_mode, b.merge_mode);
   EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.merge_partitions, b.merge_partitions);
   EXPECT_EQ(a.chunk_bytes, b.chunk_bytes);
   EXPECT_EQ(a.files_per_chunk, b.files_per_chunk);
   EXPECT_EQ(a.degrade, b.degrade);
@@ -101,9 +97,8 @@ TEST(ReplaySpec, EnumNamesRoundTrip) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, m);
   }
-  for (core::MergeMode m : {core::MergeMode::kPairwise,
-                            core::MergeMode::kPWay,
-                            core::MergeMode::kPartitioned}) {
+  for (core::MergeMode m :
+       {core::MergeMode::kPairwise, core::MergeMode::kPWay}) {
     auto back = core::merge_mode_from_name(core::merge_mode_name(m));
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, m);
@@ -210,6 +205,27 @@ TEST(ReplaySpec, RemovedClusterBudgetParsesOnlyAsZero) {
   EXPECT_NE(nonzero.status().message().find("cluster.budget"),
             std::string::npos)
       << nonzero.status().message();
+}
+
+TEST(ReplaySpec, RemovedPartitionedMergeParsesAsPWay) {
+  // Specs written while the partitioned merge existed name it and carry
+  // its two partition counts. They parse: the merge runs as p-way (every
+  // merge gives the same sorted bytes), the counts select nothing, and
+  // to_json writes neither key back.
+  std::string json = core::ReplaySpec().to_json();
+  json = replaced(json, "\"merge\":\"pway\"", "\"merge\":\"partitioned\"");
+  json = replaced(json, "\"record_bytes\":100",
+                  "\"record_bytes\":100,\"app_partitions\":4");
+  json = replaced(json, "\"threads\":2",
+                  "\"threads\":2,\"merge_partitions\":5");
+  auto parsed = core::ReplaySpec::from_json(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed->merge_mode, core::MergeMode::kPWay);
+  expect_specs_equal(core::ReplaySpec(), *parsed);
+  const std::string written = parsed->to_json();
+  EXPECT_EQ(written.find("app_partitions"), std::string::npos) << written;
+  EXPECT_EQ(written.find("merge_partitions"), std::string::npos) << written;
+  EXPECT_EQ(written.find("partitioned"), std::string::npos) << written;
 }
 
 TEST(ReplayPath, WrittenReproReRunsItsCell) {

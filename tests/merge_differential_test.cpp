@@ -1,13 +1,11 @@
 // Differential merge-correctness suite: every merge backend in src/merge/
 // is pinned against a std::stable_sort reference on seeded adversarial
-// inputs (tests/testdata.hpp). This is the safety net under the partitioned
-// shuffle work (docs/merge.md): any reordering, dropped record, duplicate,
+// inputs (tests/testdata.hpp). Any reordering, dropped record, duplicate,
 // or comparator tie-break bug in ANY backend shows up as a diff against the
-// reference, on the exact inputs the benches run.
+// reference, on the exact inputs the benches run (docs/merge.md).
 //
-// Backends: pairwise, parallel p-way, loser tree, sample sort, pairwise
-// merge sort, and partitioned_sort / partitioned_merge (the per-partition
-// path).
+// Backends: pairwise, parallel p-way, loser tree, sample sort and pairwise
+// merge sort.
 //
 // Labels: unit + sanitizer — the differential suite must stay clean under
 // TSan and ASan+UBSan (tools/check.sh).
@@ -20,7 +18,6 @@
 
 #include "merge/loser_tree.hpp"
 #include "merge/pairwise.hpp"
-#include "merge/partitioned.hpp"
 #include "merge/pway.hpp"
 #include "merge/sample_sort.hpp"
 #include "tests/testdata.hpp"
@@ -106,37 +103,6 @@ std::vector<Backend> all_backends() {
     auto data = in;
     pairwise_merge_sort(pool, std::span<int>(data.data(), data.size()), cmp);
     return data;
-  }});
-
-  backends.push_back({"partitioned_sort", [cmp](ThreadPool& pool,
-                                                const std::vector<int>& in) {
-    auto data = in;
-    partitioned_sort(pool, std::span<int>(data.data(), data.size()), cmp,
-                     /*num_partitions=*/5);
-    return data;
-  }});
-
-  backends.push_back({"partitioned_merge",
-                      [cmp](ThreadPool& pool, const std::vector<int>& in) {
-    // The map-time shuffle shape: bucket into (partition, thread) stripes
-    // exactly as PartitionedContainer routes records, then one merge per
-    // partition.
-    const std::size_t threads = 3;
-    const auto splitters = select_splitters(
-        std::span<const int>(in.data(), in.size()), 4, cmp);
-    std::vector<std::vector<std::vector<int>>> stripes(
-        splitters.size() + 1, std::vector<std::vector<int>>(threads));
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      stripes[partition_of(splitters, in[i], cmp)][i % threads].push_back(
-          in[i]);
-    }
-    std::vector<std::vector<std::span<int>>> parts(stripes.size());
-    for (std::size_t p = 0; p < stripes.size(); ++p)
-      for (auto& s : stripes[p])
-        if (!s.empty()) parts[p].push_back(std::span<int>(s));
-    std::vector<int> out(in.size());
-    partitioned_merge(pool, std::move(parts), out.data(), cmp);
-    return out;
   }});
 
   return backends;

@@ -15,8 +15,8 @@
 #include <span>
 #include <vector>
 
-#include "merge/partitioned.hpp"
 #include "merge/pway.hpp"
+#include "merge/splitters.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace supmr::merge {
@@ -49,15 +49,12 @@ TEST(MergeMutationHooks, PwayComparatorHookInvertsMergeOrder) {
 [[noreturn]] void run_routing_with_rotation() {
   ::setenv("SUPMR_TEST_MUTATION", "partition-routing", 1);
   const std::vector<int> splitters = {10, 20};
-  const std::vector<int> data = {5, 15, 25};
-  auto parts = partition_values(std::span<const int>(data), splitters,
-                                std::less<int>());
+  const std::less<int> cmp;
   // Unmutated routing sends 5 -> 0, 15 -> 1, 25 -> 2; the hook rotates
   // every element one partition up and wraps the top range into 0.
-  const bool mutated = parts.size() == 3 &&
-                       parts[0] == std::vector<int>{25} &&
-                       parts[1] == std::vector<int>{5} &&
-                       parts[2] == std::vector<int>{15};
+  const bool mutated = partition_of(splitters, 5, cmp) == 1 &&
+                       partition_of(splitters, 15, cmp) == 2 &&
+                       partition_of(splitters, 25, cmp) == 0;
   std::exit(mutated ? 0 : 1);
 }
 
@@ -70,17 +67,15 @@ TEST(MergeMutationHooks, PartitionRoutingHookRotatesWithWrap) {
 [[noreturn]] void run_with_unrelated_mutation_name() {
   ::setenv("SUPMR_TEST_MUTATION", "pway-comparator-extra", 1);
   const std::vector<int> splitters = {10};
-  const std::vector<int> data = {5, 15};
-  auto parts = partition_values(std::span<const int>(data), splitters,
-                                std::less<int>());
+  const std::less<int> cmp;
   ThreadPool pool(1);
   std::vector<int> a = {1, 3};
   std::vector<int> b = {2, 4};
   std::vector<std::span<const int>> runs = {a, b};
   std::vector<int> out(4);
   parallel_pway_merge(pool, std::move(runs), out.data(), std::less<int>());
-  const bool clean = parts[0] == std::vector<int>{5} &&
-                     parts[1] == std::vector<int>{15} &&
+  const bool clean = partition_of(splitters, 5, cmp) == 0 &&
+                     partition_of(splitters, 15, cmp) == 1 &&
                      std::is_sorted(out.begin(), out.end());
   std::exit(clean ? 0 : 1);
 }

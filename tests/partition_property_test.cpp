@@ -1,56 +1,71 @@
-// Property tests for the partitioned shuffle's splitter discipline
-// (merge/partitioned.hpp + containers/partitioned.hpp).
+// Property tests for the splitter discipline (merge/splitters.hpp), run the
+// way the cluster shuffle (src/cluster/cluster_job.cpp) runs it: sort an
+// evenly spaced sample, cut it with cut_splitters, route every value with
+// partition_of.
 //
-// The partitioned merge is only correct if the partitioning layer upholds
-// three invariants, checked here on seeded adversarial inputs:
-//   1. completeness — partition sizes sum to N; nothing dropped, nothing
+// Range partitioning is only correct if that discipline upholds these
+// invariants, checked here on seeded adversarial inputs:
+//   1. cuts — strictly increasing, at most P - 1 of them;
+//   2. completeness — partition sizes sum to N; nothing dropped, nothing
 //      duplicated (whole multiset preserved);
-//   2. boundary order — every key in partition p sorts strictly before every
+//   3. boundary order — every key in partition p sorts strictly before every
 //      key in partition p+1 (equal keys never straddle a boundary);
-//   3. determinism — splitter selection has no RNG, so identical inputs
+//   4. determinism — splitter selection has no RNG, so identical inputs
 //      produce identical splitters and routing.
-//
-// The concurrent-append tests run under the SchedFuzz seeded schedule
-// shuffler: each runs once per seed in kStressSeeds and a failing schedule
-// replays with SUPMR_SCHED_SEED=<seed>.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
+#include <functional>
 #include <map>
-#include <string>
-#include <thread>
+#include <span>
 #include <vector>
 
-#include "containers/partitioned.hpp"
-#include "merge/partitioned.hpp"
-#include "tests/stress/sched_fuzz.hpp"
+#include "merge/splitters.hpp"
 #include "tests/testdata.hpp"
 
 namespace supmr {
 namespace {
 
-// ------------------------------------------------- value-level splitters
+// Up to `parts` - 1 splitters from ~32 evenly spaced probes per partition,
+// sorted and cut: the cluster shuffle's sampling, over one node.
+std::vector<int> sampled_splitters(const std::vector<int>& data,
+                                   std::size_t parts) {
+  const std::size_t take = std::min<std::size_t>(data.size(), 32 * parts);
+  std::vector<int> sample;
+  for (std::size_t i = 0; i < take; ++i)
+    sample.push_back(data[(2 * i + 1) * data.size() / (2 * take)]);
+  std::sort(sample.begin(), sample.end());
+  return merge::cut_splitters(std::span<const int>(sample), parts,
+                              std::less<int>{});
+}
+
+// Buckets `data` by partition_of, keeping arrival order in each bucket.
+std::vector<std::vector<int>> route(const std::vector<int>& data,
+                                    const std::vector<int>& splitters) {
+  std::vector<std::vector<int>> parts(splitters.size() + 1);
+  for (int v : data)
+    parts[merge::partition_of(splitters, v, std::less<int>{})].push_back(v);
+  return parts;
+}
 
 class SplitterProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SplitterProperty, PartitionValuesUpholdInvariants) {
-  const auto cmp = std::less<int>{};
   for (const auto& dataset : testdata::adversarial_int_datasets(GetParam())) {
     for (std::size_t want : {2u, 5u, 16u}) {
-      const auto splitters = merge::select_splitters(
-          std::span<const int>(dataset.data), want, cmp);
-      // Splitters are sorted and strictly increasing.
+      const std::vector<int> splitters = sampled_splitters(dataset.data, want);
+      // (1) Splitters are strictly increasing, at most want - 1 of them.
       for (std::size_t i = 1; i < splitters.size(); ++i)
         EXPECT_LT(splitters[i - 1], splitters[i]) << dataset.name;
       EXPECT_LE(splitters.size(), want - 1) << dataset.name;
+      // Duplicate quantile cuts collapse: all-equal keys leave one cut.
+      if (dataset.name == "all_equal") {
+        EXPECT_LE(splitters.size(), 1u);
+      }
 
-      const auto parts =
-          merge::partition_values(std::span<const int>(dataset.data),
-                                  splitters, cmp);
-      ASSERT_EQ(parts.size(), splitters.size() + 1);
+      const auto parts = route(dataset.data, splitters);
 
-      // (1) sizes sum to N and the multiset is preserved.
+      // (2) sizes sum to N and the multiset is preserved.
       std::size_t total = 0;
       std::vector<int> regathered;
       for (const auto& p : parts) {
@@ -63,7 +78,7 @@ TEST_P(SplitterProperty, PartitionValuesUpholdInvariants) {
       std::sort(regathered.begin(), regathered.end());
       EXPECT_EQ(regathered, expected) << dataset.name;
 
-      // (2) key order across boundaries: max of p < min of p+1, and equal
+      // (3) key order across boundaries: max of p < min of p+1, and equal
       // values never split — every occurrence of a value is in ONE part.
       int prev_max = 0;
       bool have_prev = false;
@@ -87,210 +102,26 @@ TEST_P(SplitterProperty, PartitionValuesUpholdInvariants) {
         }
       }
 
-      // partition_of agrees with where partition_values put each value.
+      // Each value's partition is the number of splitters <= it.
       for (const auto& [v, p] : home) {
-        EXPECT_EQ(merge::partition_of(splitters, v, cmp), p)
-            << dataset.name << " value " << v;
+        const auto at_or_below = static_cast<std::size_t>(std::count_if(
+            splitters.begin(), splitters.end(), [v](int s) { return s <= v; }));
+        EXPECT_EQ(at_or_below, p) << dataset.name << " value " << v;
       }
     }
   }
 }
 
 TEST_P(SplitterProperty, SelectionIsDeterministic) {
-  const auto cmp = std::less<int>{};
   const auto data = testdata::random_ints(50000, GetParam());
-  const auto a =
-      merge::select_splitters(std::span<const int>(data), 8, cmp);
-  const auto b =
-      merge::select_splitters(std::span<const int>(data), 8, cmp);
+  const auto a = sampled_splitters(data, 8);
+  const auto b = sampled_splitters(data, 8);
   EXPECT_EQ(a, b);
+  EXPECT_EQ(route(data, a), route(data, b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SplitterProperty,
                          ::testing::Values(7u, 0xA11CE5u, 0xB0BCA7u));
-
-// --------------------------------------------- record-level container
-
-// Key widths straddle the comparator's 8-byte word (memcmp word at a time).
-constexpr std::uint64_t kKeyWidths[] = {7, 8, 9};
-
-TEST(PartitionedContainer, SampledSplittersRouteWholeInput) {
-  for (std::uint64_t kb : kKeyWidths) {
-    constexpr std::uint64_t kRecordBytes = 24;
-    constexpr std::size_t kRecords = 4000;
-    const std::string data =
-        testdata::random_records(kRecords, kRecordBytes, kb, /*seed=*/kb);
-
-    containers::PartitionedContainer c;
-    c.init(kRecordBytes, kb, /*partitions=*/6, /*threads=*/3);
-    c.sample_splitters(
-        std::span<const char>(data.data(), 512 * kRecordBytes));
-
-    // Splitters sorted strictly increasing under memcmp.
-    for (std::size_t i = 1; i < c.num_splitters(); ++i) {
-      EXPECT_LT(std::memcmp(c.splitter(i - 1).data(), c.splitter(i).data(),
-                            kb),
-                0);
-    }
-
-    for (std::size_t r = 0; r < kRecords; ++r) {
-      c.append(r % 3, std::span<const char>(data.data() + r * kRecordBytes,
-                                            kRecordBytes));
-    }
-
-    // (1) completeness: per-partition record counts sum to N, and the
-    // concatenated stripes hold exactly the input multiset.
-    std::uint64_t total = 0;
-    std::vector<std::string> seen;
-    for (std::size_t p = 0; p < c.partitions(); ++p) {
-      total += c.partition_records(p);
-      for (std::size_t t = 0; t < c.threads(); ++t) {
-        const auto s = c.stripe(p, t);
-        ASSERT_EQ(s.size() % kRecordBytes, 0u);
-        for (std::size_t off = 0; off < s.size(); off += kRecordBytes)
-          seen.emplace_back(s.data() + off, kRecordBytes);
-      }
-    }
-    EXPECT_EQ(total, kRecords);
-    EXPECT_EQ(c.total_records(), kRecords);
-    std::vector<std::string> expected;
-    for (std::size_t r = 0; r < kRecords; ++r)
-      expected.emplace_back(data.data() + r * kRecordBytes, kRecordBytes);
-    std::sort(seen.begin(), seen.end());
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(seen, expected) << "key_bytes=" << kb;
-
-    // (2) boundary order: every key in partition p is strictly below every
-    // key in p+1 — checked via per-partition min/max key prefixes.
-    std::string prev_max;
-    for (std::size_t p = 0; p < c.partitions(); ++p) {
-      std::string lo, hi;
-      for (std::size_t t = 0; t < c.threads(); ++t) {
-        const auto s = c.stripe(p, t);
-        for (std::size_t off = 0; off < s.size(); off += kRecordBytes) {
-          std::string key(s.data() + off, kb);
-          if (lo.empty() || key < lo) lo = key;
-          if (hi.empty() || key > hi) hi = key;
-        }
-      }
-      if (lo.empty()) continue;
-      if (!prev_max.empty()) {
-        EXPECT_LT(prev_max, lo) << "partition " << p << " key_bytes=" << kb;
-      }
-      prev_max = hi;
-    }
-
-    // (3) equal keys share a partition.
-    const std::string probe(data.data(), kb);
-    EXPECT_EQ(c.partition_of(probe.data()), c.partition_of(data.data()));
-  }
-}
-
-TEST(PartitionedContainer, InitIsIdempotentAcrossRounds) {
-  // The Application contract: containers persist across map rounds and a
-  // second init with the same geometry is a no-op (paper §III.C).
-  containers::PartitionedContainer c;
-  c.init(/*record_bytes=*/8, /*key_bytes=*/4, /*partitions=*/3,
-         /*threads=*/2);
-  const std::string rec(8, 'k');
-  c.append(1, std::span<const char>(rec.data(), rec.size()));
-  c.init(8, 4, 3, 2);  // round 2: must keep contents and geometry
-  EXPECT_TRUE(c.initialized());
-  EXPECT_EQ(c.total_records(), 1u);
-  EXPECT_EQ(c.partitions(), 3u);
-  c.reset();
-  EXPECT_FALSE(c.initialized());
-  c.init(8, 4, 5, 1);  // re-init after reset may change geometry
-  EXPECT_EQ(c.partitions(), 5u);
-  EXPECT_EQ(c.total_records(), 0u);
-}
-
-TEST(PartitionedContainer, DuplicateQuantilesCollapse) {
-  // All-equal keys: every quantile cut is the same key, so at most one
-  // splitter may survive — duplicate cuts must be dropped, never emitted
-  // as equal "strictly increasing" splitters.
-  containers::PartitionedContainer c;
-  c.init(/*record_bytes=*/8, /*key_bytes=*/8, /*partitions=*/8,
-         /*threads=*/1);
-  const std::string sample(256 * 8, 'z');
-  c.sample_splitters(std::span<const char>(sample.data(), sample.size()));
-  EXPECT_LE(c.num_splitters(), 1u);
-  const std::string rec(8, 'z');
-  c.append(0, std::span<const char>(rec.data(), rec.size()));
-  EXPECT_EQ(c.total_records(), 1u);
-}
-
-TEST(PartitionedContainer, NoSplittersDegradesToSinglePartition) {
-  containers::PartitionedContainer c;
-  c.init(/*record_bytes=*/8, /*key_bytes=*/8, /*partitions=*/4,
-         /*threads=*/2);
-  const std::string rec(8, 'a');
-  EXPECT_EQ(c.num_splitters(), 0u);
-  EXPECT_EQ(c.partition_of(rec.data()), 0u);
-  c.append(0, std::span<const char>(rec.data(), rec.size()));
-  EXPECT_EQ(c.partition_records(0), 1u);
-  for (std::size_t p = 1; p < c.partitions(); ++p)
-    EXPECT_EQ(c.partition_records(p), 0u);
-}
-
-// --------------------------------------- concurrent map-thread appends
-
-// The container's lock-freedom claim: (partition, thread) stripes are owned
-// by exactly one thread, so concurrent appends from distinct mapper threads
-// never alias. Run under the schedule fuzzer; TSan builds of this test are
-// the proof the claim holds.
-class PartitionedContainerSched
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PartitionedContainerSched, ConcurrentAppendsLoseNothing) {
-  test::SchedFuzz fuzz(GetParam());
-  constexpr std::uint64_t kRecordBytes = 16;
-  constexpr std::uint64_t kKeyBytes = 8;
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 2000;
-  const std::string data = testdata::random_records(
-      kThreads * kPerThread, kRecordBytes, kKeyBytes, fuzz.seed());
-
-  containers::PartitionedContainer c;
-  c.init(kRecordBytes, kKeyBytes, /*partitions=*/kThreads, kThreads);
-  c.sample_splitters(
-      std::span<const char>(data.data(), 256 * kRecordBytes));
-
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      test::SchedFuzz::Stream stream(fuzz, t);
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const std::size_t r = t * kPerThread + i;
-        c.append(t, std::span<const char>(data.data() + r * kRecordBytes,
-                                          kRecordBytes));
-        if ((i & 63) == 0) stream.yield_point();
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  EXPECT_EQ(c.total_records(), kThreads * kPerThread);
-  std::vector<std::string> seen, expected;
-  for (std::size_t p = 0; p < c.partitions(); ++p) {
-    for (std::size_t t = 0; t < c.threads(); ++t) {
-      const auto s = c.stripe(p, t);
-      for (std::size_t off = 0; off < s.size(); off += kRecordBytes) {
-        seen.emplace_back(s.data() + off, kRecordBytes);
-        // Routing invariant holds under concurrency too.
-        EXPECT_EQ(c.partition_of(s.data() + off), p);
-      }
-    }
-  }
-  for (std::size_t r = 0; r < kThreads * kPerThread; ++r)
-    expected.emplace_back(data.data() + r * kRecordBytes, kRecordBytes);
-  std::sort(seen.begin(), seen.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(seen, expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PartitionedContainerSched,
-                         ::testing::ValuesIn(test::kStressSeeds));
 
 }  // namespace
 }  // namespace supmr

@@ -78,7 +78,7 @@ TEST(Table2WordCount, RoundCountsMatchChunkPlan) {
 
 TEST(Table2Sort, BaselineMatchesPaperClosely) {
   // Paper: 397.31 / 182.78 / 6.33 / 7.72 / 191.23. Rows: none (pairwise),
-  // 1GB (p-way), 1GB+part (partitioned shuffle).
+  // 1GB (p-way).
   auto rows = table2_sort();
   ASSERT_ROW(none_row, rows, "none");
   const auto& none = none_row->result.phases;
@@ -102,20 +102,6 @@ TEST(Table2Sort, SupMRSpeedupInPaperBand) {
   // The p-way merge is a single round vs 6 pairwise rounds.
   EXPECT_EQ(none_row->result.merge_rounds, 6u);
   EXPECT_EQ(gb1_row->result.merge_rounds, 1u);
-}
-
-TEST(Table2Sort, PartitionedMergeSingleRoundNoStreamPenalty) {
-  auto rows = table2_sort();
-  ASSERT_ROW(pway_row, rows, "1GB");
-  ASSERT_ROW(part_row, rows, "1GB+part");
-  const auto& pway = pway_row->result;
-  const auto& part = part_row->result;
-  // Partitioned shuffle is also a single round over all contexts, but each
-  // worker streams ONE partition instead of interleaving reads across every
-  // run, so its modeled merge time drops below the global p-way merge's.
-  EXPECT_EQ(part.merge_rounds, 1u);
-  EXPECT_LT(part.phases.merge_s, pway.phases.merge_s);
-  EXPECT_LE(part.phases.total_s, pway.phases.total_s);
 }
 
 TEST(Table2Sort, IngestOverlapGainSmallForSort) {

@@ -205,34 +205,6 @@ TEST(Report, TimeSeriesJson) {
             "{\"t\":[0,1],\"user\":[10,20],\"sys\":[1,2]}");
 }
 
-TEST(Report, MergePartitionedBlockCarriesGeometry) {
-  // Partitioned-shuffle geometry rides in its own "merge_partitioned" block
-  // (docs/merge.md). Synthesized stats keep the expectations exact.
-  core::JobResult result;
-  result.merge_stats.partitions = 4;
-  result.merge_stats.partition_max_items = 30;
-  result.merge_stats.partition_min_items = 10;
-  result.merge_stats.rounds.push_back({4, 80, 0.5});  // mean 20/partition
-  const std::string json = core::job_result_to_json(result);
-  EXPECT_EQ(parse_json(json).status().message(), "");
-  EXPECT_NE(json.find("\"merge_partitioned\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"partitions\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"partition_max_items\":30"), std::string::npos);
-  EXPECT_NE(json.find("\"partition_min_items\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"partition_skew\":1.5"), std::string::npos);
-}
-
-TEST(Report, MergePartitionedBlockForGlobalMerge) {
-  // partitions = 0 means the merge ran as a single global round; the block
-  // is still present (fixed schema) with neutral values.
-  core::JobResult result;
-  const std::string json = core::job_result_to_json(result);
-  EXPECT_EQ(parse_json(json).status().message(), "");
-  EXPECT_NE(json.find("\"merge_partitioned\":{\"partitions\":0"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"partition_skew\":1"), std::string::npos);
-}
-
 TEST(Report, DegradeAccountingInJson) {
   core::JobResult result;
   result.chunks = 4;

@@ -34,8 +34,7 @@ core::ReplaySpec seeded_spec(std::uint64_t& rng_state, std::uint64_t salt) {
   spec.threads = 1 + splitmix64(rng_state) % 3;
   spec.chunk_bytes = 8 * 1024 << (splitmix64(rng_state) % 2);
   if (splitmix64(rng_state) % 3 == 0) {
-    spec.merge_mode = core::MergeMode::kPartitioned;
-    spec.merge_partitions = 3;
+    spec.merge_mode = core::MergeMode::kPairwise;
   }
   return spec;
 }

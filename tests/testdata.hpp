@@ -67,26 +67,6 @@ inline std::vector<int> organ_pipe(std::size_t n) {
   return v;
 }
 
-// Fixed-width records with a random binary key prefix — the TeraSort shape.
-// Payload bytes are deterministic filler; the final two bytes are "\r\n" so
-// CrlfFormat-style validation passes when record_bytes >= key_bytes + 2.
-inline std::string random_records(std::size_t num_records,
-                                  std::size_t record_bytes,
-                                  std::size_t key_bytes, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::string data(num_records * record_bytes, 'x');
-  for (std::size_t r = 0; r < num_records; ++r) {
-    char* rec = data.data() + r * record_bytes;
-    for (std::size_t k = 0; k < key_bytes; ++k)
-      rec[k] = static_cast<char>(rng.uniform(256));
-    if (record_bytes >= key_bytes + 2) {
-      rec[record_bytes - 2] = '\r';
-      rec[record_bytes - 1] = '\n';
-    }
-  }
-  return data;
-}
-
 // Zipf-weighted key stream, the word-count-like container workload: a pool
 // of `distinct` short string keys and `n` draws from a Zipf(s) sampler over
 // it — mostly combines on hot keys, few inserts. Returned as indices into

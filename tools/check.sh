@@ -18,7 +18,8 @@
 #               succeed with storage.retries > 0 in the metrics; under a
 #               permanent plan it must exit non-zero with a clean JSON
 #               error report on stdout
-#   coverage  — --coverage build + unit/sanitizer-labeled ctest, then line
+#   coverage  — --coverage build, every .gcda of an earlier run cleared,
+#               unit/stress-labeled ctest, then line
 #               coverage for the merge (src/merge/), container
 #               (src/containers/), cluster (src/cluster/), threading
 #               (src/threading/) and ingest (src/ingest/) layers via gcovr
@@ -216,6 +217,10 @@ run_stage() {
         -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_CXX_FLAGS=--coverage -DCMAKE_EXE_LINKER_FLAGS=--coverage \
         -DSUPMR_BUILD_BENCH=OFF -DSUPMR_BUILD_EXAMPLES=OFF
+      # Counts from an earlier run would outlive the objects that wrote
+      # them: a deleted test's .gcda still attributes lines to the headers
+      # it included. Every run starts from zero.
+      find "${ROOT}/build-check-coverage" -name '*.gcda' -delete
       (cd "${ROOT}/build-check-coverage" &&
         ctest -L 'unit|stress' --output-on-failure -j "${JOBS}")
       if command -v gcovr >/dev/null 2>&1; then

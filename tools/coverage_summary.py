@@ -49,12 +49,13 @@ def gcov_json_docs(gcda, gcov, repo_root):
 
 
 def normalize(path, repo_root):
-    """Repo-relative path for a gcov 'file' entry, or None if external."""
+    """Repo-relative path for a gcov 'file' entry, or None if external or
+    no longer in the tree (stale object data for a deleted source)."""
     if not os.path.isabs(path):
         path = os.path.join(repo_root, path)
     path = os.path.normpath(path)
     root = repo_root.rstrip(os.sep) + os.sep
-    if not path.startswith(root):
+    if not path.startswith(root) or not os.path.exists(path):
         return None
     return path[len(root):]
 

@@ -74,10 +74,10 @@ namespace {
 
 // The flags every app subcommand reads: the job, device and output knobs.
 const std::set<std::string> kRunFlags = {
-    "mode", "merge", "partitions", "threads", "chunk", "io", "throttle",
-    "metrics-json", "trace-out", "json", "verbose", "retry-attempts",
-    "retry-backoff", "retry-backoff-max", "retry-deadline", "retry-seed",
-    "fault-plan", "degrade"};
+    "mode", "merge", "threads", "chunk", "io", "throttle", "metrics-json",
+    "trace-out", "json", "verbose", "retry-attempts", "retry-backoff",
+    "retry-backoff-max", "retry-deadline", "retry-seed", "fault-plan",
+    "degrade"};
 // The sharded-shuffle flags, read by the single-device spec apps.
 const std::set<std::string> kClusterFlags = {
     "nodes", "node-link-bps", "uplink-bps", "node-disk-bps"};
@@ -143,12 +143,6 @@ StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
       core::merge_mode_from_name(flags.get_or("merge", "pway")));
   SUPMR_ASSIGN_OR_RETURN(
       spec.io, core::io_mode_from_name(flags.get_or("io", "read")));
-  SUPMR_ASSIGN_OR_RETURN(spec.merge_partitions, flags.get_int("partitions", 0));
-  if (spec.merge_partitions > 0 &&
-      spec.merge_mode != core::MergeMode::kPartitioned) {
-    return Status::InvalidArgument(
-        "--partitions requires --merge=partitioned");
-  }
   SUPMR_ASSIGN_OR_RETURN(spec.threads, flags.get_int("threads", 0));
   if (spec.threads == 0) spec.threads = core::JobConfig::default_threads();
   if (flags.get_or("chunk", "") == "none") {
@@ -473,11 +467,6 @@ Status cmd_sort(const Flags& flags) {
   SUPMR_ASSIGN_OR_RETURN(spec.record_bytes, flags.get_int("record-bytes", 100));
   SUPMR_RETURN_IF_ERROR(core::check_sort_geometry(
       spec.key_bytes, spec.record_bytes, "--key-bytes", "--record-bytes"));
-  if (spec.merge_mode == core::MergeMode::kPartitioned) {
-    // Map-time partitioned shuffle: records land in key-range stripes as
-    // they are mapped, so the merge phase is P independent merges.
-    spec.app_partitions = spec.job_config().merge_partitions();
-  }
   SUPMR_ASSIGN_OR_RETURN(RunOutput ran,
                          run_spec(run, {flags.positional()[0]}));
   std::string_view sorted = ran.cluster_output;
