@@ -12,26 +12,23 @@
 //   reduce  one wave over the reduce partitions: each task drains its hash
 //           partition from every stripe (partitions are disjoint, so no
 //           locks), then runs the app's finish_partition hook;
-//   merge   an introsort wave turns the partitions into sorted runs, then
-//           the configured merge (paper §IV) combines them: the
-//           single-round parallel_pway_merge for kPWay, the log2(R)-round
+//   merge   the partitions are the runs of sort_and_merge
+//           (sort_and_merge.hpp): an introsort wave sorts them, then the
+//           configured merge (paper §IV) combines them, the single-round
+//           parallel_pway_merge for kPWay or the log2(R)-round
 //           pairwise_merge baseline for kPairwise;
 //   output  one canonical "key\tvalue\n" line per result, in key order.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "apps/sort_and_merge.hpp"
 #include "containers/hash_container.hpp"
 #include "core/application.hpp"
-#include "merge/introsort.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
 
 namespace supmr::apps {
 
@@ -85,52 +82,10 @@ class KeyedApp : public core::Application {
 
   Status merge(ThreadPool& pool, const core::MergePlan& plan,
                merge::MergeStats* stats) override {
-    auto by_key = [](const Result& a, const Result& b) {
-      return a.first < b.first;
-    };
-
-    // Sort each partition in parallel (run formation), partitions become
-    // the sorted runs, then merge with the configured algorithm.
-    std::vector<std::function<void(std::size_t)>> sort_tasks;
-    for (auto& part : partitions_) {
-      sort_tasks.push_back([&part, &by_key](std::size_t) {
-        merge::introsort(part.begin(), part.end(), by_key);
-      });
-    }
-    if (!pool.run_wave(sort_tasks))
-      return Status::Internal("merge sort wave dropped: thread pool shut down");
-
-    std::uint64_t total = 0;
-    for (const auto& part : partitions_) total += part.size();
-    results_.resize(total);
-
-    merge::MergeStats local;
-    if (plan.mode == core::MergeMode::kPWay) {
-      // The hash partitions are the sorted runs; the key-space split
-      // happens inside parallel_pway_merge, one slice per pool worker.
-      std::vector<std::span<const Result>> runs;
-      runs.reserve(partitions_.size());
-      for (const auto& part : partitions_)
-        runs.push_back(std::span<const Result>(part.data(), part.size()));
-      local = merge::parallel_pway_merge(pool, std::move(runs),
-                                         results_.data(), by_key);
-    } else {
-      // Pairwise baseline: pack runs back-to-back into results_, then merge.
-      std::vector<std::span<Result>> runs;
-      std::size_t offset = 0;
-      for (auto& part : partitions_) {
-        std::move(part.begin(), part.end(), results_.begin() + offset);
-        runs.push_back(
-            std::span<Result>(results_.data() + offset, part.size()));
-        offset += part.size();
-      }
-      local = merge::pairwise_merge(
-          pool, std::move(runs),
-          std::span<Result>(results_.data(), results_.size()), by_key);
-    }
-    partitions_.clear();
-    if (stats != nullptr) *stats = std::move(local);
-    return Status::Ok();
+    return sort_and_merge(
+        pool, plan, std::exchange(partitions_, {}), results_,
+        [](const Result& a, const Result& b) { return a.first < b.first; },
+        stats);
   }
 
   std::uint64_t result_count() const override { return results_.size(); }

@@ -2,59 +2,34 @@
 //
 // Input is the concatenation of two upstream canonical outputs over the
 // SAME text corpus: WordCountApp ("word\tcount\n") and PairCountApp
-// ("w1 w2\tcount\n"). Every line is "key\tcount" with a globally unique key
-// — a key with a space is a bigram, without is a unigram — so the join
-// needs no combining, only a global sort. Merge computes, for every pair,
-// the pointwise mutual information
+// ("w1 w2\tcount\n"). Every line is "key\tcount" with a globally unique key;
+// a key with a space is a bigram (a joined key of the JoinSink skeleton,
+// join_sink.hpp), one without is a unigram (a dictionary key). For every
+// pair the join computes the pointwise mutual information
 //
 //   pmi(w1, w2) = ln( (c12 / N_pairs) / ((c1 / N_words) * (c2 / N_words)) )
 //
-// and emits "w1 w2\t<pmi>\n" (fixed "%.6f" formatting, so the bytes are
-// deterministic) in pair-key order. This is the YTsaurus-style chained
-// MapReduce shape: two map-heavy jobs fan into a cheap join.
+// with N_words and N_pairs the exact sums of the unigram and bigram counts,
+// and emits "w1 w2\t<pmi>\n" ("%.6f") in pair-key order. The skeleton sorts
+// the lines under the job's merge and scores the pairs on every worker.
+// This is the YTsaurus-style chained MapReduce shape: two map-heavy jobs
+// fan into a cheap join.
 #pragma once
 
-#include <span>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "core/application.hpp"
+#include "apps/join_sink.hpp"
 
 namespace supmr::apps {
 
-class PmiApp final : public core::Application {
+class PmiApp final : public JoinSink {
  public:
-  struct Entry {
-    std::string key;
-    std::uint64_t count = 0;
-  };
-
-  void init(std::size_t num_map_threads) override;
-  Status prepare_round(const ingest::IngestChunk& chunk) override;
-  std::size_t round_tasks() const override { return splits_.size(); }
-  void map_task(std::size_t task, std::size_t thread_id) override;
-  Status reduce(ThreadPool& pool, std::size_t num_partitions) override;
-  Status merge(ThreadPool& pool, const core::MergePlan& plan,
-               merge::MergeStats* stats) override;
-  std::uint64_t result_count() const override { return pmi_.size(); }
-  std::string canonical_output() const override;
-
-  // ("w1 w2", pmi) sorted by the pair key.
-  const std::vector<std::pair<std::string, double>>& results() const {
-    return pmi_;
-  }
-  // Lines whose shape was not "key\tcount" (should be zero in a chain).
-  std::uint64_t malformed_lines() const { return malformed_; }
+  PmiApp() : JoinSink(' ') {}
 
  private:
-  std::size_t num_mappers_ = 0;
-  std::vector<std::span<const char>> splits_;
-  std::vector<std::vector<Entry>> stripes_;      // per-thread parsed lines
-  std::vector<std::uint64_t> malformed_stripes_;
-  std::vector<Entry> entries_;                   // all lines, sorted in merge
-  std::vector<std::pair<std::string, double>> pmi_;
-  std::uint64_t malformed_ = 0;
+  bool parse(std::string_view line, std::string_view* key,
+             std::uint64_t* count) const override;
+  std::optional<double> score(const Entry& e, std::size_t sep,
+                              const Dictionary& dictionary,
+                              const Totals& totals) const override;
 };
 
 }  // namespace supmr::apps

@@ -3,65 +3,33 @@
 // Input is the concatenation of two upstream canonical outputs over the
 // SAME multi-file corpus: InvertedIndexApp ("word\tf1,f2,...\n", one tab)
 // and DocTermCountApp ("<file_id>\t<word>\t<count>\n", two tabs). The tab
-// count is the discriminator. From the index side the join reads each
-// word's document frequency df = |posting|; from the doc-term side it reads
-// the term counts and the set of documents N. Merge emits, per (doc, term),
+// count is the discriminator. An index line becomes the dictionary entry
+// (word, df = |posting|); a doc-term line becomes the joined entry
+// ("<file_id>\t<word>", count) of the JoinSink skeleton (join_sink.hpp).
+// N is the number of distinct documents among the doc-term lines. The join
+// emits, per (doc, term) whose word the index knows,
 //
 //   tfidf = count * ln(N / df)
 //
-// as "<file_id>\t<word>\t<tfidf>\n" (fixed "%.6f" formatting) in
-// composite-key order — the same order DocTermCountApp produces.
+// as "<file_id>\t<word>\t<tfidf>\n" ("%.6f") in composite-key order — the
+// same order DocTermCountApp produces. The skeleton sorts the lines under
+// the job's merge and scores the terms on every worker.
 #pragma once
 
-#include <span>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "core/application.hpp"
+#include "apps/join_sink.hpp"
 
 namespace supmr::apps {
 
-class TfIdfApp final : public core::Application {
+class TfIdfApp final : public JoinSink {
  public:
-  void init(std::size_t num_map_threads) override;
-  Status prepare_round(const ingest::IngestChunk& chunk) override;
-  std::size_t round_tasks() const override { return splits_.size(); }
-  void map_task(std::size_t task, std::size_t thread_id) override;
-  Status reduce(ThreadPool& pool, std::size_t num_partitions) override;
-  Status merge(ThreadPool& pool, const core::MergePlan& plan,
-               merge::MergeStats* stats) override;
-  std::uint64_t result_count() const override { return scores_.size(); }
-  std::string canonical_output() const override;
-
-  // ("<file_id>\t<word>", tfidf) sorted by the composite key.
-  const std::vector<std::pair<std::string, double>>& results() const {
-    return scores_;
-  }
-  std::uint64_t malformed_lines() const { return malformed_; }
+  TfIdfApp() : JoinSink('\t') {}
 
  private:
-  struct DocTerm {
-    std::string key;  // "<file_id>\t<word>"
-    std::uint64_t count = 0;
-  };
-  struct DocFreq {
-    std::string word;
-    std::uint32_t df = 0;
-  };
-  struct Stripe {
-    std::vector<DocTerm> terms;
-    std::vector<DocFreq> freqs;
-    std::uint64_t malformed = 0;
-  };
-
-  std::size_t num_mappers_ = 0;
-  std::vector<std::span<const char>> splits_;
-  std::vector<Stripe> stripes_;
-  std::vector<DocTerm> terms_;
-  std::vector<DocFreq> freqs_;
-  std::vector<std::pair<std::string, double>> scores_;
-  std::uint64_t malformed_ = 0;
+  bool parse(std::string_view line, std::string_view* key,
+             std::uint64_t* count) const override;
+  std::optional<double> score(const Entry& e, std::size_t sep,
+                              const Dictionary& dictionary,
+                              const Totals& totals) const override;
 };
 
 }  // namespace supmr::apps

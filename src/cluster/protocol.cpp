@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 
+#include "common/units.hpp"
 #include "merge/loser_tree.hpp"
 
 namespace supmr::cluster {
@@ -59,20 +60,14 @@ StatusOr<std::uint64_t> line_value(std::string_view line) {
     return Status::InvalidArgument("cluster: line has no value field: \"" +
                                    std::string(line) + "\"");
   }
-  const std::string_view digits = line.substr(tab + 1);
-  if (digits.empty()) {
-    return Status::InvalidArgument("cluster: empty value in line: \"" +
-                                   std::string(line) + "\"");
+  const std::optional<std::uint64_t> value =
+      parse_decimal(line.substr(tab + 1));
+  if (!value) {
+    return Status::InvalidArgument(
+        "cluster: value is not a decimal u64 in line: \"" +
+        std::string(line) + "\"");
   }
-  std::uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("cluster: non-decimal value in line: \"" +
-                                     std::string(line) + "\"");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
+  return *value;
 }
 
 namespace {

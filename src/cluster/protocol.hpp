@@ -42,7 +42,7 @@ StatusOr<std::vector<std::string_view>> split_fixed(std::string_view bytes,
 std::string_view line_key(std::string_view line);
 
 // The decimal u64 between the last tab and the trailing newline, which the
-// line must end in.
+// line must end in; a value past 2^64 - 1 is an error, not a wrap.
 StatusOr<std::uint64_t> line_value(std::string_view line);
 
 // Orders sorted-keys lines by key only, so equal keys route to the same

@@ -6,10 +6,12 @@
 // binary units (GiB) are also accepted by the parser.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 namespace supmr {
 
@@ -34,5 +36,15 @@ std::string format_duration(double seconds);
 // Parses "1GB", "512MiB", "64k", "100" (bytes), case-insensitive.
 // Returns nullopt on malformed input or overflow.
 std::optional<std::uint64_t> parse_size(std::string_view text);
+
+// Parses a count field: decimal digits only, the whole of `text`, at most
+// 2^64 - 1. Returns nullopt for anything else ("", "12a", "+5", overflow).
+inline std::optional<std::uint64_t> parse_decimal(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
 }  // namespace supmr

@@ -8,9 +8,11 @@
 //
 // The tree merges run cursors. A cursor walks one sorted run: done() is true
 // once the run is exhausted, head() is its current element, and advance()
-// steps past it. A span is one kind of cursor (SpanCursor, the default,
-// which adds the pop/drain API); the budgeted word count's runs and the
-// cluster owner's inboxes are others. A cursor whose advance() returns a
+// steps past it. A span is one kind of cursor (SpanCursor, which adds the
+// pop/drain API): over const elements by default, over mutable ones when
+// the caller hands its runs over, and then drain() moves each element out
+// instead of copying it. The budgeted word count's runs and the cluster
+// owner's inboxes are other cursors. A cursor whose advance() returns a
 // Status (a run read from disk) hands it back through the tree's advance();
 // on an error the tree is left as it was, so the caller stops at the
 // failing record.
@@ -28,33 +30,37 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace supmr::merge {
 
-// A cursor over one in-memory sorted run.
-template <typename T>
+// A cursor over one in-memory sorted run of E (const T or T).
+template <typename E>
 class SpanCursor {
  public:
-  explicit SpanCursor(std::span<const T> run)
+  explicit SpanCursor(std::span<E> run)
       : head_(run.data()), end_(run.data() + run.size()) {}
 
   bool done() const { return head_ == end_; }
-  const T& head() const { return *head_; }
+  E& head() const { return *head_; }
   void advance() { ++head_; }
   std::size_t remaining() const {
     return static_cast<std::size_t>(end_ - head_);
   }
 
  private:
-  const T* head_;
-  const T* end_;
+  E* head_;
+  E* end_;
 };
 
 // Merges cursors whose heads have type T, ordered by `cmp`.
-template <typename T, typename Cmp, typename Cursor = SpanCursor<T>>
+template <typename T, typename Cmp, typename Cursor = SpanCursor<const T>>
 class LoserTree {
-  static constexpr bool kSpans = std::is_same_v<Cursor, SpanCursor<T>>;
+  static constexpr bool kMutableSpans = std::is_same_v<Cursor, SpanCursor<T>>;
+  static constexpr bool kSpans =
+      kMutableSpans || std::is_same_v<Cursor, SpanCursor<const T>>;
+  using Run = std::span<std::conditional_t<kMutableSpans, T, const T>>;
 
  public:
   // `runs` must each be sorted under `cmp`. Empty runs are allowed.
@@ -65,7 +71,7 @@ class LoserTree {
     tree_.assign(k_, kInvalid);
     build();
   }
-  LoserTree(const std::vector<std::span<const T>>& runs, Cmp cmp)
+  LoserTree(const std::vector<Run>& runs, Cmp cmp)
     requires kSpans
       : LoserTree(std::vector<Cursor>(runs.begin(), runs.end()), cmp) {}
 
@@ -109,11 +115,15 @@ class LoserTree {
     return result;
   }
 
-  // Drains everything into `out` (must have room for remaining()).
+  // Drains everything into `out` (must have room for remaining()), moving
+  // each element when the runs are mutable and copying it otherwise.
   void drain(T* out)
     requires kSpans
   {
-    while (!empty()) *out++ = pop();
+    while (!empty()) {
+      *out++ = std::move(top().head());
+      advance();
+    }
   }
 
  private:

@@ -7,8 +7,10 @@
 // precisely the inefficiency SupMR's single-round p-way merge removes.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "merge/stats.hpp"
@@ -20,20 +22,20 @@ namespace supmr::merge {
 namespace detail {
 
 template <typename T, typename Cmp>
-void merge_two(std::span<const T> a, std::span<const T> b, T* out, Cmp& cmp) {
+void merge_two(std::span<T> a, std::span<T> b, T* out, Cmp& cmp) {
   std::size_t i = 0, j = 0, o = 0;
   while (i < a.size() && j < b.size())
-    out[o++] = cmp(b[j], a[i]) ? b[j++] : a[i++];
-  while (i < a.size()) out[o++] = a[i++];
-  while (j < b.size()) out[o++] = b[j++];
+    out[o++] = std::move(cmp(b[j], a[i]) ? b[j++] : a[i++]);
+  while (i < a.size()) out[o++] = std::move(a[i++]);
+  while (j < b.size()) out[o++] = std::move(b[j++]);
 }
 
 }  // namespace detail
 
 // Merges `runs` (each sorted under cmp, laid out back-to-back in `buffer` of
 // total size n) into sorted order. Ping-pongs between `buffer` and a scratch
-// allocation; the sorted result always ends in `buffer`. Returns stats with
-// one entry per round.
+// allocation, moving elements each round; the sorted result always ends in
+// `buffer`. Returns stats with one entry per round.
 template <typename T, typename Cmp>
 MergeStats pairwise_merge(ThreadPool& pool, std::vector<std::span<T>> runs,
                           std::span<T> buffer, Cmp cmp) {
@@ -64,19 +66,18 @@ MergeStats pairwise_merge(ThreadPool& pool, std::vector<std::span<T>> runs,
       T* out = dst.data() + offset;
       next.push_back(std::span<T>(out, a.size() + b.size()));
       tasks.push_back([a, b, out, &cmp](std::size_t) {
-        detail::merge_two<T, Cmp>(std::span<const T>(a.data(), a.size()),
-                                  std::span<const T>(b.data(), b.size()), out,
-                                  cmp);
+        detail::merge_two<T, Cmp>(a, b, out, cmp);
       });
       offset += a.size() + b.size();
     }
     if (runs.size() % 2 == 1) {
-      // Odd run out: copy through so the next round's layout stays packed.
+      // Odd run out: move it through so the next round's layout stays
+      // packed.
       std::span<T> last = runs.back();
       T* out = dst.data() + offset;
       next.push_back(std::span<T>(out, last.size()));
       tasks.push_back([last, out](std::size_t) {
-        std::copy(last.begin(), last.end(), out);
+        std::move(last.begin(), last.end(), out);
       });
     }
 
@@ -96,7 +97,7 @@ MergeStats pairwise_merge(ThreadPool& pool, std::vector<std::span<T>> runs,
   }
 
   if (result_in_scratch)
-    std::copy(scratch.begin(), scratch.end(), buffer.begin());
+    std::move(scratch.begin(), scratch.end(), buffer.begin());
   return stats;
 }
 

@@ -6,8 +6,9 @@
 //      disjoint slice of every run plus a disjoint output window (offsets
 //      are prefix sums of slice sizes — no worker synchronization);
 //   3. each worker loser-tree-merges its slices into its window.
-// Every element moves exactly once and all p workers stay busy — the
-// single tall utilization spike of Fig. 6, versus the pairwise step curve.
+// Every element moves exactly once (a move, not a copy: the runs are
+// consumed) and all p workers stay busy — the single tall utilization spike
+// of Fig. 6, versus the pairwise step curve.
 #pragma once
 
 #include <algorithm>
@@ -24,12 +25,12 @@
 
 namespace supmr::merge {
 
-// Merges `runs` (each sorted under cmp) into `out` (size >= total elements).
-// `p` defaults to the pool size. Returns single-round stats.
+// Merges `runs` (each sorted under cmp) into `out` (size >= total elements),
+// moving every element out of its run; the runs' elements are left
+// moved-from. `p` defaults to the pool size. Returns single-round stats.
 template <typename T, typename Cmp>
-MergeStats parallel_pway_merge(ThreadPool& pool,
-                               std::vector<std::span<const T>> runs, T* out,
-                               Cmp cmp, std::size_t p = 0) {
+MergeStats parallel_pway_merge(ThreadPool& pool, std::vector<std::span<T>> runs,
+                               T* out, Cmp cmp, std::size_t p = 0) {
   MergeStats stats;
   const auto t0 = std::chrono::steady_clock::now();
   if (p == 0) p = pool.size();
@@ -97,7 +98,7 @@ MergeStats parallel_pway_merge(ThreadPool& pool,
   for (std::size_t w = 0; w < workers; ++w) {
     if (out_offset[w + 1] == out_offset[w]) continue;
     tasks.push_back([&, w](std::size_t) {
-      std::vector<std::span<const T>> slices;
+      std::vector<std::span<T>> slices;
       slices.reserve(runs.size());
       for (std::size_t r = 0; r < runs.size(); ++r) {
         slices.push_back(
@@ -106,10 +107,10 @@ MergeStats parallel_pway_merge(ThreadPool& pool,
       }
       if (mutate_cmp) {
         auto inverted = [&cmp](const T& a, const T& b) { return cmp(b, a); };
-        LoserTree<T, decltype(inverted)> tree(std::move(slices), inverted);
+        LoserTree<T, decltype(inverted), SpanCursor<T>> tree(slices, inverted);
         tree.drain(out + out_offset[w]);
       } else {
-        LoserTree<T, Cmp> tree(std::move(slices), cmp);
+        LoserTree<T, Cmp, SpanCursor<T>> tree(slices, cmp);
         tree.drain(out + out_offset[w]);
       }
     });

@@ -8,6 +8,7 @@
 // Both sort in place over a contiguous buffer and report MergeStats.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -59,14 +60,10 @@ MergeStats parallel_sample_sort(ThreadPool& pool, std::span<T> data, Cmp cmp,
                                 std::size_t num_runs = 0) {
   if (num_runs == 0) num_runs = pool.size() * 2;
   auto runs = form_runs_parallel(pool, data, num_runs, cmp);
-  std::vector<std::span<const T>> const_runs;
-  const_runs.reserve(runs.size());
-  for (auto& r : runs)
-    const_runs.push_back(std::span<const T>(r.data(), r.size()));
   std::vector<T> out(data.size());
   MergeStats stats =
-      parallel_pway_merge(pool, std::move(const_runs), out.data(), cmp);
-  std::copy(out.begin(), out.end(), data.begin());
+      parallel_pway_merge(pool, std::move(runs), out.data(), cmp);
+  std::move(out.begin(), out.end(), data.begin());
   return stats;
 }
 

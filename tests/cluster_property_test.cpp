@@ -84,6 +84,18 @@ TEST(ClusterProtocol, LineValueParsesAndRejects) {
   EXPECT_FALSE(line_value("word\t42").ok());  // no trailing newline
 }
 
+TEST(ClusterProtocol, LineValueTakesWholeU64FieldsOnly) {
+  auto max = line_value("word\t18446744073709551615\n");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(*max, ~std::uint64_t{0});
+  // Past 2^64 - 1 is an error, not a wrap to 0.
+  EXPECT_EQ(line_value("word\t18446744073709551616\n").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(line_value("word\t\n").ok());
+  EXPECT_FALSE(line_value("word\t12a\n").ok());
+  EXPECT_FALSE(line_value("word\t+5\n").ok());
+}
+
 std::size_t total_bytes(const std::vector<SV>& runs) {
   std::size_t bytes = 0;
   for (const SV& run : runs) {

@@ -70,9 +70,7 @@ std::vector<Backend> all_backends() {
   backends.push_back({"pway", [cmp](ThreadPool& pool,
                                     const std::vector<int>& in) {
     auto data = in;
-    auto sorted_runs = make_runs(data, 7);
-    std::vector<std::span<const int>> runs(sorted_runs.begin(),
-                                           sorted_runs.end());
+    auto runs = make_runs(data, 7);
     std::vector<int> out(data.size());
     parallel_pway_merge(pool, std::move(runs), out.data(), cmp);
     return out;

@@ -29,7 +29,7 @@ namespace {
   ThreadPool pool(1);  // one worker => one loser tree over the whole input
   std::vector<int> a = {1, 3, 5, 7};
   std::vector<int> b = {2, 4, 6, 8};
-  std::vector<std::span<const int>> runs = {a, b};
+  std::vector<std::span<int>> runs = {a, b};
   std::vector<int> out(a.size() + b.size());
   parallel_pway_merge(pool, std::move(runs), out.data(), std::less<int>());
   // The hook inverts the comparator inside the merge stage only, so the
@@ -71,7 +71,7 @@ TEST(MergeMutationHooks, PartitionRoutingHookRotatesWithWrap) {
   ThreadPool pool(1);
   std::vector<int> a = {1, 3};
   std::vector<int> b = {2, 4};
-  std::vector<std::span<const int>> runs = {a, b};
+  std::vector<std::span<int>> runs = {a, b};
   std::vector<int> out(4);
   parallel_pway_merge(pool, std::move(runs), out.data(), std::less<int>());
   const bool clean = partition_of(splitters, 5, cmp) == 0 &&

@@ -231,7 +231,7 @@ TEST(PwayMerge, SingleRoundFullWidth) {
     std::sort(run.begin(), run.end());
     all.insert(all.end(), run.begin(), run.end());
   }
-  std::vector<std::span<const int>> spans;
+  std::vector<std::span<int>> spans;
   for (auto& r : runs) spans.emplace_back(r);
   std::vector<int> out(all.size());
   MergeStats stats =
@@ -253,7 +253,7 @@ TEST(PwayMerge, SkewedRunSizes) {
   std::vector<int> out(all.size());
   parallel_pway_merge(
       pool,
-      {std::span<const int>(big), std::span<const int>(small)},
+      {std::span<int>(big), std::span<int>(small)},
       out.data(), std::less<int>{});
   std::sort(all.begin(), all.end());
   EXPECT_EQ(out, all);
@@ -280,7 +280,7 @@ TEST_P(PwayProperty, MatchesReferenceSort) {
     std::sort(run.begin(), run.end());
     all.insert(all.end(), run.begin(), run.end());
   }
-  std::vector<std::span<const int>> spans;
+  std::vector<std::span<int>> spans;
   for (auto& r : runs) spans.emplace_back(r);
   std::vector<int> out(all.size());
   parallel_pway_merge(pool, spans, out.data(), std::less<int>{});

@@ -40,9 +40,11 @@
 #               JobManager stress, and the `supmr serve` CLI smoke)
 #               under ThreadSanitizer
 #   graph-smoke — the chained-app JobGraph suites (ctest -L graph: DAG
-#               validation + handoff unit tests, the pmi/tfidf/msort
-#               differential lattice, and the checked-in graph spec through
-#               the instrumented `supmr graph` CLI) under ThreadSanitizer
+#               validation + handoff unit tests, the sink golden tests,
+#               the pmi/tfidf/msort differential lattice, and the
+#               checked-in graph spec through the instrumented CLI, clean
+#               and under the pway-comparator mutation) under
+#               ThreadSanitizer
 #   container-smoke — the hash container's fold suites (ctest -L
 #               container: the differential/SchedFuzz property suite and
 #               the checked-in container=combining spec through the
@@ -56,10 +58,10 @@
 #   perf-smoke — the benchmark (perfbench/, a CMake package of its own over
 #               src/ that no other stage compiles): every workload runs for
 #               one second and must exit 0 with "correct": true on its
-#               result line; terasort and wordcount must each exit 1
-#               under SUPMR_TEST_MUTATION=pway-comparator (the oracle gate
-#               is live over TeraSort's merge and the keyed-app
-#               skeleton's), wordcount must exit 1 under
+#               result line; terasort, wordcount and pmi must each exit
+#               1 under SUPMR_TEST_MUTATION=pway-comparator (the oracle
+#               gate is live over TeraSort's merge, the keyed-app
+#               skeleton's and the chain sink's), wordcount must exit 1 under
 #               SUPMR_TEST_MUTATION=map-claim (the gate catches a map wave
 #               that loses a slice), and cluster_sort must exit 1 under
 #               SUPMR_TEST_MUTATION=partition-routing (the gate catches
@@ -289,8 +291,9 @@ run_stage() {
       # Chained-app graphs under TSan: stage handoff (in-memory edges, file
       # spill) plus every graph lattice cell must be race-free and
       # byte-identical to ref::run_graph. Reuses the tsan build tree;
-      # `graph` selects the JobGraph unit suite, the graph differential
-      # lattice and the checked-in spec through the instrumented CLI.
+      # `graph` selects the JobGraph unit suite, the sink golden tests (the
+      # parallel join), the graph differential lattice and the checked-in
+      # spec through the instrumented CLI.
       configure_and_build "${ROOT}/build-check-tsan" \
         -DSUPMR_SANITIZE=thread -DSUPMR_BUILD_BENCH=OFF \
         -DSUPMR_BUILD_EXAMPLES=OFF
@@ -338,7 +341,7 @@ run_stage() {
         tail -n1 <<<"${out}" | grep -q '"correct": true' ||
           { echo "perf-smoke: ${workload} is not correct" >&2; return 1; }
       done
-      for workload in terasort wordcount; do
+      for workload in terasort wordcount pmi; do
         status=0
         SUPMR_TEST_MUTATION=pway-comparator python3 "${bench}" \
           --workload "${workload}" --seconds 1 --trace 0 >/dev/null 2>&1 ||
