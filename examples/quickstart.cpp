@@ -22,9 +22,10 @@
 // (docs/containers.md) shrank the data entering the merge.
 // Without arguments it generates a 8 MB synthetic corpus. The fault flags
 // demonstrate the fault-tolerance layer (docs/fault-tolerance.md): the input
-// device is wrapped in a FaultDevice injecting the plan, and the retry
-// policy re-reads transiently failing chunks. On job failure a JSON error
-// object goes to stdout and the exit code is 1.
+// device is wrapped in a FaultDevice injecting the plan and a RetryingDevice
+// that makes up to N attempts per read, and --degrade skips a chunk whose
+// read still fails. On job failure a JSON error object goes to stdout and
+// the exit code is 1.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -54,6 +55,7 @@ int main(int argc, char** argv) {
   core::JobConfig config;  // defaults: hardware-concurrency threads, p-way merge
   obs::OutputFiles obs_files;  // written once the job is done
   std::string fault_plan_spec;
+  fault::RetryPolicy retry;  // the RetryingDevice's; default: fail fast
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -64,7 +66,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--fault-plan=", 13) == 0) {
       fault_plan_spec = arg + 13;
     } else if (std::strncmp(arg, "--retry-attempts=", 17) == 0) {
-      config.recovery.policy.max_attempts =
+      retry.max_attempts =
           static_cast<std::uint32_t>(std::strtoul(arg + 17, nullptr, 10));
     } else if (std::strncmp(arg, "--retry-deadline=", 17) == 0) {
       auto parsed = fault::parse_duration(arg + 17);
@@ -73,13 +75,13 @@ int main(int argc, char** argv) {
                      parsed.status().to_string().c_str());
         return 2;
       }
-      config.recovery.policy.read_deadline_s = *parsed;
+      retry.read_deadline_s = *parsed;
     } else if (std::strcmp(arg, "--io=mmap") == 0) {
       config.io = core::IoMode::kMmap;
     } else if (std::strcmp(arg, "--io=read") == 0) {
       config.io = core::IoMode::kRead;
     } else if (std::strcmp(arg, "--degrade") == 0) {
-      config.recovery.degrade = true;
+      config.degrade = true;
     } else {
       args.emplace_back(arg);
     }
@@ -113,7 +115,8 @@ int main(int argc, char** argv) {
   }
 
   // Optional fault layer: FaultDevice injects the plan underneath,
-  // RetryingDevice absorbs transient faults at the read seam.
+  // RetryingDevice absorbs transient faults at the read seam, the one place
+  // a read is retried (the pipeline reads each chunk once).
   if (!fault_plan_spec.empty()) {
     auto plan = fault::FaultPlan::parse(fault_plan_spec);
     if (!plan.ok()) {
@@ -123,9 +126,8 @@ int main(int argc, char** argv) {
     }
     device = std::make_shared<storage::FaultDevice>(device, *plan);
   }
-  if (config.recovery.policy.enabled()) {
-    device = std::make_shared<fault::RetryingDevice>(device,
-                                                     config.recovery.policy);
+  if (retry.enabled()) {
+    device = std::make_shared<fault::RetryingDevice>(device, retry);
   }
 
   // 2. Chunking strategy: inter-file chunks at line boundaries.

@@ -114,14 +114,15 @@ StatusOr<std::unique_ptr<ingest::IngestSource>> make_source(
 
 StatusOr<std::shared_ptr<const storage::Device>> with_faults(
     std::shared_ptr<const storage::Device> device,
-    const core::ReplaySpec& spec, const fault::RetryPolicy& policy) {
+    const core::ReplaySpec& spec, fault::RetryPolicy backoff) {
   if (!spec.fault_plan.empty()) {
     SUPMR_ASSIGN_OR_RETURN(fault::FaultPlan plan,
                            fault::FaultPlan::parse(spec.fault_plan));
     device = std::make_shared<storage::FaultDevice>(device, std::move(plan));
   }
-  if (policy.enabled()) {
-    device = std::make_shared<fault::RetryingDevice>(device, policy);
+  backoff.max_attempts = spec.retry_attempts;
+  if (backoff.enabled()) {
+    device = std::make_shared<fault::RetryingDevice>(device, backoff);
   }
   return device;
 }

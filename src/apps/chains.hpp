@@ -52,12 +52,16 @@ std::shared_ptr<const ingest::RecordFormat> record_format(
 StatusOr<std::unique_ptr<ingest::IngestSource>> make_source(
     const core::ReplaySpec& spec, const ChainInputs& inputs);
 
-// `device` behind spec.fault_plan (storage::FaultDevice) and, when `policy`
-// retries, a fault::RetryingDevice — the stack a run's input is read
-// through, so pipeline chunks and spill reads retry the same way.
+// `device` behind spec.fault_plan (storage::FaultDevice) and, when the
+// policy retries, a fault::RetryingDevice — the stack a run's input is read
+// through, and the one place a retry policy reaches it. The policy makes
+// spec.retry_attempts attempts per read; `backoff` supplies the rest (base,
+// cap, deadline, jitter seed), and its max_attempts is ignored. Chunk reads
+// and record-boundary probes retry the same way, and the pipeline above
+// reads each chunk once.
 StatusOr<std::shared_ptr<const storage::Device>> with_faults(
     std::shared_ptr<const storage::Device> device,
-    const core::ReplaySpec& spec, const fault::RetryPolicy& policy);
+    const core::ReplaySpec& spec, fault::RetryPolicy backoff);
 
 // The cluster run of spec over `input` (spec.is_cluster()): every node
 // builds make_app(spec) and runs spec.job_config(); owners spill into the

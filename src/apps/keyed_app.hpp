@@ -20,6 +20,9 @@
 //   output  one canonical "key\tvalue\n" line per result, in key order.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -32,31 +35,60 @@
 
 namespace supmr::apps {
 
-inline void append_value(std::string& out, std::uint64_t value) {
-  out += std::to_string(value);
+// A value's text length: its decimal digits, and for a list the digits of
+// every element plus the commas between them.
+inline std::size_t value_chars(std::uint64_t value) {
+  std::size_t n = 1;
+  while (value >= 10) {
+    value /= 10;
+    ++n;
+  }
+  return n;
+}
+
+inline std::size_t value_chars(const std::vector<std::uint32_t>& values) {
+  std::size_t n = values.empty() ? 0 : values.size() - 1;
+  for (const std::uint32_t v : values) n += value_chars(v);
+  return n;
+}
+
+inline char* write_value(char* p, char* end, std::uint64_t value) {
+  return std::to_chars(p, end, value).ptr;
 }
 
 // A list value is comma-separated ("f1,f2,...").
-inline void append_value(std::string& out,
+inline char* write_value(char* p, char* end,
                          const std::vector<std::uint32_t>& values) {
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(values[i]);
+    if (i > 0) *p++ = ',';
+    p = std::to_chars(p, end, values[i]).ptr;
   }
+  return p;
 }
 
 // One "key\tvalue\n" line per result, in `results` order. Keys never
 // contain '\n'; they may contain a tab (doc-term count's "<file>\t<word>").
+// One allocation of the exact output size, values written with
+// std::to_chars. An upper bound (20 digits per count) would zero-fill about
+// twice the bytes of a pair-count payload, which a graph keeps resident as
+// the next stage's input.
 template <typename V>
 std::string keyed_output(
     const std::vector<std::pair<std::string, V>>& results) {
-  std::string out;
+  std::size_t size = 0;
   for (const auto& [key, value] : results) {
-    out += key;
-    out += '\t';
-    append_value(out, value);
-    out += '\n';
+    size += key.size() + 2 + value_chars(value);
   }
+  std::string out(size, '\0');
+  char* p = out.data();
+  char* const end = p + out.size();
+  for (const auto& [key, value] : results) {
+    p = std::copy(key.begin(), key.end(), p);
+    *p++ = '\t';
+    p = write_value(p, end, value);
+    *p++ = '\n';
+  }
+  assert(p == end);
   return out;
 }
 

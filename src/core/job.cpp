@@ -129,12 +129,12 @@ StatusOr<JobResult> MapReduceJob::run(ExecMode mode) {
   }
   clock.stop(Phase::kSetup);
 
-  // Every mode reads through the one ingest pipeline, so chunk retries and
-  // degrade apply to all of them. The pipelined modes map each chunk as it
-  // arrives: the producer ingests chunk c_{i+1} while this (consumer) thread
-  // runs the map wave on c_i. The original runtime keeps every chunk and
-  // maps them only once the whole input is in, the read-then-compute shape
-  // of the paper's baseline.
+  // Every mode reads through the one ingest pipeline, so degrade applies to
+  // all of them. The pipelined modes map each chunk as it arrives: the
+  // producer ingests chunk c_{i+1} while this (consumer) thread runs the map
+  // wave on c_i. The original runtime keeps every chunk and maps them only
+  // once the whole input is in, the read-then-compute shape of the paper's
+  // baseline.
   const bool original = mode == ExecMode::kOriginal;
   std::vector<ingest::IngestChunk> kept;
   const auto process = [&](ingest::IngestChunk& chunk) {
@@ -145,7 +145,7 @@ StatusOr<JobResult> MapReduceJob::run(ExecMode mode) {
   clock.start(Phase::kRead);  // measures total pipeline wall time
   auto pipeline_result = [&]() -> StatusOr<ingest::PipelineStats> {
     SUPMR_TRACE_SCOPE("phase", original ? "read" : "readmap");
-    ingest::IngestPipeline pipeline(source_, config_.recovery,
+    ingest::IngestPipeline pipeline(source_, config_.degrade,
                                     shared_buffers_);
     if (mode != ExecMode::kAdaptive) {
       SUPMR_LOG_INFO("run(%s): %zu ingest chunks over %s",

@@ -16,9 +16,9 @@
 //                               Needs a SingleDeviceSource.
 //
 // All modes share reduce/merge (JobConfig::merge_mode selects the merge
-// algorithm) and the fault layer: JobConfig::recovery gives the ingest path
-// chunk-level retry/backoff and an optional degrade mode (skip poisoned
-// chunks with accounting). See docs/fault-tolerance.md.
+// algorithm) and degrade mode (JobConfig::degrade: skip a chunk whose read
+// failed, with accounting). Read retries happen below the source, in the
+// device stack (fault::RetryingDevice). See docs/fault-tolerance.md.
 #pragma once
 
 #include <optional>
@@ -45,7 +45,7 @@ struct JobResult {
   std::uint64_t result_count = 0;
   std::uint64_t map_rounds = 0;
   std::uint64_t chunks = 0;
-  // Degrade-mode accounting (JobConfig::recovery.degrade): poisoned chunks
+  // Degrade-mode accounting (JobConfig::degrade): poisoned chunks
   // the run skipped, and the input bytes lost with them. A run with
   // chunks_skipped > 0 completed but its output covers less than the full
   // input — callers that need exactness must check this.

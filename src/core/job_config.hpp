@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/enum_names.hpp"
-#include "fault/retry_policy.hpp"
 #include "ingest/chunk.hpp"
 
 namespace supmr::core {
@@ -85,11 +84,12 @@ struct JobConfig {
   // with small chunks (§VI.C.1).
   bool unpooled_map_waves = false;
 
-  // Fault tolerance (fault/retry_policy.hpp): chunk-level retry policy for
-  // the ingest pipelines, plus degrade mode (skip poisoned chunks with
-  // accounting instead of failing the job). Defaults are fail-fast — the
-  // pre-fault-layer behaviour. See docs/fault-tolerance.md.
-  fault::Recovery recovery;
+  // Degrade mode: a chunk whose read fails with a retryable status is
+  // skipped with accounting instead of failing the job. Retries are not a
+  // job knob: they live in the device stack the source reads through
+  // (fault::RetryingDevice, stacked by apps::with_faults). See
+  // docs/fault-tolerance.md.
+  bool degrade = false;
 
   // Reduce partitions: four per reducer thread, for balance.
   std::size_t reduce_partitions() const { return num_reduce_threads * 4; }

@@ -75,8 +75,7 @@ JobConfig ReplaySpec::job_config() const {
   cfg.num_map_threads = threads;
   cfg.num_reduce_threads = threads;
   cfg.io = io;
-  cfg.recovery.policy.max_attempts = retry_attempts;
-  cfg.recovery.degrade = degrade;
+  cfg.degrade = degrade;
   cfg.num_nodes = cluster_nodes;
   cfg.node_link_bps = static_cast<double>(cluster_link_bps);
   cfg.uplink_bps = static_cast<double>(cluster_uplink_bps);

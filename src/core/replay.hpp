@@ -2,10 +2,11 @@
 // self-contained repro format.
 //
 // A ReplaySpec captures everything one run needs: which application, how
-// to regenerate the seeded corpus, the app's parameters, and the full
-// JobConfig-shaped cell (ExecMode, MergeMode, threads, chunking, fault
-// plan). The run builder (apps/chains.hpp) turns it into an app, a source,
-// a cluster job or a graph; the CLI's app subcommands read their flags into
+// to regenerate the seeded corpus, the app's parameters, and the cell:
+// the JobConfig knobs (ExecMode, MergeMode, threads, io, degrade), the
+// chunking, and the input's fault plan and retry attempts. The run builder
+// (apps/chains.hpp) turns it into an app, a source, a device stack, a
+// cluster job or a graph; the CLI's app subcommands read their flags into
 // one (over real files instead of a seeded corpus). The harness writes one
 // as JSON when a cell diverges from the reference runtime; `supmr replay
 // <file>` re-runs exactly that cell (src/ref/conformance.hpp).
@@ -96,7 +97,10 @@ struct ReplaySpec {
   std::uint64_t files_per_chunk = 3;   // MultiFileSource apps
   bool degrade = false;
   std::string fault_plan;              // fault::FaultPlan grammar; "" = none
-  std::uint32_t retry_attempts = 1;    // >= 1
+  // Total reads per device read, the first included (>= 1). Not a
+  // JobConfig field: apps::with_faults stacks the fault::RetryingDevice
+  // that makes them, so a chunk that keeps failing is read this many times.
+  std::uint32_t retry_attempts = 1;
 
   // Graph cells only (optional in the JSON — single-round specs omit it):
   // edge handoff policy and the in-memory handoff budget in bytes (0 =
@@ -124,9 +128,9 @@ struct ReplaySpec {
   bool is_cluster() const { return cluster_nodes > 0; }
 
   // The JobConfig this spec's cell runs: mode, merge, threads (map and
-  // reduce), io, retry attempts, degrade and the cluster knobs. The only
-  // code that copies cell fields into a JobConfig; callers add what a spec
-  // does not hold (retry timing, output paths).
+  // reduce), io, degrade and the cluster knobs. The only code that copies
+  // cell fields into a JobConfig. The fault plan and retry attempts shape
+  // the input's device stack instead (apps::with_faults).
   JobConfig job_config() const;
 
   std::string to_json() const;

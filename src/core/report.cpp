@@ -64,7 +64,6 @@ std::string job_result_to_json(const JobResult& result) {
   w.kv("process_busy_s", result.pipeline.process_busy_s);
   w.kv("consumer_wait_s", result.pipeline.consumer_wait_s);
   w.kv("total_bytes", result.pipeline.total_bytes);
-  w.kv("chunk_retries", result.pipeline.chunk_retries);
   w.kv("chunks_skipped", result.pipeline.chunks_skipped);
   w.kv("bytes_skipped", result.pipeline.bytes_skipped);
   w.key("chunks");
@@ -76,7 +75,6 @@ std::string job_result_to_json(const JobResult& result) {
     w.kv("ingest_s", c.ingest_s);
     w.kv("wait_s", c.wait_s);
     w.kv("process_s", c.process_s);
-    w.kv("attempts", std::uint64_t{c.attempts});
     w.kv("skipped", c.skipped);
     w.end_object();
   }

@@ -6,22 +6,25 @@
 // remote-block re-replication, loaded NFS servers) that are cheaper to
 // absorb with a bounded re-read than with a whole-job restart — the same
 // node-local-recovery argument the in-node combining literature makes
-// (PAPERS.md: Lee et al., arXiv:1511.04861), applied at chunk granularity
+// (PAPERS.md: Lee et al., arXiv:1511.04861), applied at read granularity
 // like OS4M's sub-task rescheduling (Fan et al., arXiv:1406.3901).
 //
 // RetryPolicy is pure data (copyable, defaults mean "no retries" so every
 // existing call path keeps its fail-fast behaviour). RetrySession is the
 // per-logical-operation state machine: it decides, after each failed
-// attempt, whether to retry and how long to back off. Backoff grows
+// attempt, whether to retry and how long to back off. Its one user is
+// fault::RetryingDevice (retrying_device.hpp), the only seam that retries a
+// read; the ingest pipeline reads each chunk once. Backoff grows
 // exponentially and is jittered by a seeded xoshiro stream, so two readers
 // that fail together do not re-hammer the device in lockstep and every run
 // is replayable from the seed.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -111,10 +114,8 @@ class RetrySession {
   // Final status annotation: what the retry layer adds to an error that
   // survived it ("... [fault: gave up after 4 attempts]").
   Status annotate(const Status& failure) const {
-    std::string why = deadline_expired_
-                          ? "read deadline exceeded"
-                          : (failed_attempts_ > 1 ? "gave up after retries"
-                                                  : "not retried");
+    const char* why =
+        deadline_expired_ ? "read deadline exceeded" : "gave up after retries";
     return Status(failure.code(),
                   failure.message() + " [fault: " + why + ", " +
                       std::to_string(failed_attempts_) + " attempt(s)]");
@@ -126,22 +127,6 @@ class RetrySession {
   std::chrono::steady_clock::time_point start_;
   std::uint32_t failed_attempts_ = 0;
   bool deadline_expired_ = false;
-};
-
-// Sleeps for `seconds`, waking early when `cancel` flips true. Sleeps in
-// small slices so a cancelled pipeline never waits out a long backoff.
-void backoff_sleep(double seconds, const std::atomic<bool>* cancel);
-
-// Chunk-level recovery configuration carried through JobConfig into the
-// ingest pipelines.
-struct Recovery {
-  RetryPolicy policy;
-  // When a chunk read fails permanently (retries/deadline exhausted), skip
-  // the chunk and account for it instead of failing the job. Only
-  // retryable failures are skippable; planning errors still fail the job.
-  bool degrade = false;
-
-  bool enabled() const { return policy.enabled() || degrade; }
 };
 
 }  // namespace supmr::fault

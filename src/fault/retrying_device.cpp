@@ -1,5 +1,7 @@
 #include "fault/retrying_device.hpp"
 
+#include <thread>
+
 #include "obs/macros.hpp"
 
 namespace supmr::fault {
@@ -31,7 +33,7 @@ StatusOr<std::size_t> RetryingDevice::read_at(std::uint64_t offset,
     SUPMR_HIST_OBSERVE("storage.backoff_wait_us", *wait * 1e6);
     SUPMR_TRACE_INSTANT_ARG("fault", "storage.retry", "attempt",
                             session.failed_attempts());
-    backoff_sleep(*wait, nullptr);
+    std::this_thread::sleep_for(std::chrono::duration<double>(*wait));
   }
 }
 

@@ -1,21 +1,28 @@
-// RetryingDevice: the storage-level retry seam.
+// RetryingDevice: the one seam that retries a read.
 //
 // Wraps any storage::Device and re-issues failed positional reads under a
 // RetryPolicy: exponential seeded-jitter backoff between attempts, a
 // per-read wall-clock deadline, and fail-fast for non-retryable errors.
-// Ingest chunk reads and record boundary probes go through the Device seam,
-// so stacking this wrapper gives them transient-fault survival without
-// touching any reader (ARCHITECTURE §2). The budgeted word count's spill
-// runs (containers/run_set.hpp) do not: they are the runtime's own
-// scratch, read back with stdio and never retried.
+// Ingest chunk reads and record boundary probes (SingleDeviceSource::plan,
+// adaptive extent_at) all go through the Device seam, so stacking this
+// wrapper gives every one of them transient-fault survival without
+// touching any reader (ARCHITECTURE §2). The ingest pipeline reads each
+// chunk once, so policy.max_attempts is the total number of reads a failing
+// chunk gets. The budgeted word count's spill runs
+// (containers/run_set.hpp) do not retry: they are the runtime's own
+// scratch, read back with stdio.
+//
+// A read's backoff sleeps cannot be cut short: a job torn down while its
+// producer sits in a read here waits out that read's budget, at most
+// max_attempts x backoff_max_s or read_deadline_s.
 //
 // Thread-safe like every Device: concurrent read_at calls each run their
 // own RetrySession (per-call jitter stream from an atomic op counter), so
 // readers back off decorrelated.
 //
-// Observability (obs layer, PR 2): storage.retries / storage.retry_exhausted
-// counters, storage.backoff_wait_us histogram, and a "fault" trace instant
-// per retry.
+// Observability: storage.retries / storage.retry_exhausted /
+// storage.read_deadline_expired counters, the storage.backoff_wait_us
+// histogram, and a "fault" trace instant per retry.
 #pragma once
 
 #include <atomic>

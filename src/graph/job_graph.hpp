@@ -18,10 +18,10 @@
 // memory_budget > 0 spills exactly the payloads that exceed it.
 //
 // Execution is pluggable through StageRunner: the default runs each stage
-// inline on private resources (MapReduceJob::run); the JobManager's
-// submit_graph() supplies a runner that submits every stage through
-// admission so each acquires a ResourceLease. graph.* counters account
-// stages run and handoff vs spill bytes.
+// inline on private resources (MapReduceJob::run); ref::run_cell_managed,
+// which `supmr serve` runs, supplies a runner that submits every stage
+// through JobManager::submit so each acquires a ResourceLease. graph.*
+// counters account stages run and handoff vs spill bytes.
 #pragma once
 
 #include <cstdint>

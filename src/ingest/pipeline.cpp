@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/logging.hpp"
+#include "fault/retry_policy.hpp"
 #include "ingest/adaptive.hpp"
 #include "obs/macros.hpp"
 #include "threading/mpmc_queue.hpp"
@@ -131,36 +132,18 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
       // touches it and hands the capacity straight back).
       chunk.data = pool_->acquire();
       const auto t0 = std::chrono::steady_clock::now();
-      // Chunk-level recovery: re-read a transiently failing chunk under the
-      // retry policy instead of killing the pipeline on the first IoError.
-      fault::RetrySession session(recovery_.policy, extent.index);
       Status st;
-      while (true) {
-        {
-          SUPMR_TRACE_SCOPE_VAR(span, "ingest", "ingest.read_chunk");
-          SUPMR_TRACE_SET_ARG(span, "chunk", extent.index);
-          SUPMR_TRACE_SET_ARG2(span, "bytes", extent.length);
-          st = source_.read_chunk(extent, chunk);
-        }
-        if (st.ok() || cancel.load(std::memory_order_acquire)) break;
-        const std::optional<double> wait = session.next_backoff(st);
-        if (!wait.has_value()) {
-          st = session.annotate(st);
-          break;
-        }
-        ++timing.attempts;
-        ++stats.chunk_retries;
-        SUPMR_COUNTER_ADD("ingest.chunk_retries", 1);
-        SUPMR_HIST_OBSERVE("ingest.backoff_wait_us", *wait * 1e6);
-        SUPMR_TRACE_INSTANT_ARG("fault", "ingest.chunk_retry", "chunk",
-                                extent.index);
-        fault::backoff_sleep(*wait, &cancel);
+      {
+        SUPMR_TRACE_SCOPE_VAR(span, "ingest", "ingest.read_chunk");
+        SUPMR_TRACE_SET_ARG(span, "chunk", extent.index);
+        SUPMR_TRACE_SET_ARG2(span, "bytes", extent.length);
+        st = source_.read_chunk(extent, chunk);
       }
       timing.ingest_s = seconds_since(t0);
       SUPMR_HIST_OBSERVE("ingest.read_us", timing.ingest_s * 1e6);
-      // Degrade mode: account for a poisoned chunk and move on.
-      timing.skipped = !st.ok() && recovery_.degrade && fault::retryable(st) &&
-                       !cancel.load(std::memory_order_acquire);
+      // Degrade mode: account for a poisoned chunk and move on. Any retry
+      // already happened in the device stack under the source.
+      timing.skipped = !st.ok() && degrade_ && fault::retryable(st);
       {
         std::lock_guard<std::mutex> lock(chunks_mu);
         stats.chunks.push_back(timing);

@@ -16,11 +16,12 @@
 // Error handling: an ingest error closes the queue and surfaces after the
 // already-read chunks drain; a processing error cancels the producer.
 //
-// Fault tolerance (fault/retry_policy.hpp): under a Recovery config the
-// producer re-reads a transiently failing chunk with bounded seeded
-// backoff instead of failing the run; in degrade mode a chunk
-// whose retries exhaust is skipped and accounted (chunks_skipped /
-// bytes_skipped) rather than failing the job.
+// Fault tolerance: the producer reads each chunk once. Retries live under
+// the source, in a fault::RetryingDevice (fault/retrying_device.hpp) that
+// re-issues every failed device read; a read that still fails reaches the
+// pipeline as a Status. In degrade mode a chunk whose read failed with a
+// retryable status is skipped and accounted (chunks_skipped /
+// bytes_skipped); otherwise the failure ends the run.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "fault/retry_policy.hpp"
 #include "ingest/chunk.hpp"
 #include "ingest/source.hpp"
 
@@ -42,8 +42,7 @@ struct ChunkTiming {
   double ingest_s = 0.0;   // producer: time reading this chunk
   double wait_s = 0.0;     // consumer: time blocked waiting for this chunk
   double process_s = 0.0;  // consumer: time inside the process callback
-  std::uint32_t attempts = 1;  // read attempts (1 = first try succeeded)
-  bool skipped = false;        // degrade mode dropped this chunk
+  bool skipped = false;    // degrade mode dropped this chunk
 };
 
 struct PipelineStats {
@@ -53,7 +52,6 @@ struct PipelineStats {
   double consumer_wait_s = 0.0;  // consumer time starved for chunks;
                                  // the non-overlapped ingest time
   std::uint64_t total_bytes = 0;
-  std::uint64_t chunk_retries = 0;   // re-read attempts beyond each first
   std::uint64_t chunks_skipped = 0;  // degrade mode: poisoned chunks dropped
   std::uint64_t bytes_skipped = 0;   // input bytes lost to skipped chunks
   std::vector<ChunkTiming> chunks;
@@ -67,12 +65,12 @@ class IngestPipeline {
   // by the caller — the JobManager hands every pipeline one process-wide
   // pool sized from the leases so concurrent jobs share warm buffers
   // instead of each allocating their own. When null the pipeline owns a
-  // private pool sized for a single pipeline.
-  explicit IngestPipeline(const IngestSource& source,
-                          fault::Recovery recovery = {},
+  // private pool sized for a single pipeline. `degrade` skips a chunk whose
+  // read failed with a retryable status instead of failing the run.
+  explicit IngestPipeline(const IngestSource& source, bool degrade = false,
                           ChunkBufferPool* shared_buffers = nullptr)
       : source_(source),
-        recovery_(recovery),
+        degrade_(degrade),
         pool_(shared_buffers != nullptr ? shared_buffers : &owned_pool_) {}
 
   // Runs the full pipeline. `process` is invoked on the caller's thread for
@@ -112,7 +110,7 @@ class IngestPipeline {
       const std::function<Status(IngestChunk&)>& process);
 
   const IngestSource& source_;
-  fault::Recovery recovery_;
+  bool degrade_;
   ChunkBufferPool owned_pool_;
   ChunkBufferPool* pool_;
 };

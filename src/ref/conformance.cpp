@@ -286,23 +286,24 @@ StatusOr<ConformanceOutcome> run_cell_impl(const core::ReplaySpec& spec,
 
   SUPMR_ASSIGN_OR_RETURN(apps::ChainInputs inputs,
                          make_inputs(spec, corpus_override));
-  core::JobConfig cfg = spec.job_config();
-  // Keep retried cells fast: the lattice runs hundreds of cells, and real
-  // backoff curves are the fault suite's concern, not conformance's.
-  cfg.recovery.policy.backoff_base_s = 1e-4;
-  cfg.recovery.policy.backoff_max_s = 1e-3;
   // The fault plan and retry wrappers apply to the SUT only; they refuse
   // views, so io=mmap cells with a plan take the per-chunk copying fallback.
+  // Retried cells back off fast: the lattice runs hundreds of cells, and
+  // real backoff curves are the fault suite's concern, not conformance's.
+  fault::RetryPolicy fast_backoff;
+  fast_backoff.backoff_base_s = 1e-4;
+  fast_backoff.backoff_max_s = 1e-3;
   apps::ChainInputs sut_inputs = inputs;
   if (inputs.device != nullptr) {
     SUPMR_ASSIGN_OR_RETURN(
         sut_inputs.device,
-        apps::with_faults(inputs.device, spec, cfg.recovery.policy));
+        apps::with_faults(inputs.device, spec, fast_backoff));
   }
   SUPMR_ASSIGN_OR_RETURN(auto app, apps::make_app(spec));
   SUPMR_ASSIGN_OR_RETURN(auto source, apps::make_source(spec, sut_inputs));
   ConformanceOutcome outcome;
-  SUPMR_ASSIGN_OR_RETURN(outcome.job, run_sut(*app, *source, cfg));
+  SUPMR_ASSIGN_OR_RETURN(outcome.job,
+                         run_sut(*app, *source, spec.job_config()));
 
   if (outcome.job.chunks_skipped > 0) {
     SUPMR_ASSIGN_OR_RETURN(inputs.device,

@@ -90,31 +90,6 @@ double JobHandle::queue_wait_s() const {
   return shared_->queue_wait_s;
 }
 
-// ------------------------------------------------------------- GraphHandle
-
-struct GraphHandle::Shared {
-  std::uint64_t id = 0;
-  std::string name;
-
-  mutable std::mutex mu;
-  mutable std::condition_variable cv;
-  std::optional<StatusOr<graph::GraphResult>> result;
-};
-
-std::uint64_t GraphHandle::id() const { return shared_ ? shared_->id : 0; }
-
-const std::string& GraphHandle::name() const {
-  static const std::string kEmpty;
-  return shared_ ? shared_->name : kEmpty;
-}
-
-StatusOr<graph::GraphResult> GraphHandle::wait() const {
-  if (!shared_) return Status::FailedPrecondition("empty GraphHandle");
-  std::unique_lock<std::mutex> lock(shared_->mu);
-  shared_->cv.wait(lock, [&] { return shared_->result.has_value(); });
-  return *shared_->result;
-}
-
 // -------------------------------------------------------------- JobManager
 
 struct JobManager::Pending {
@@ -139,20 +114,9 @@ JobManager::JobManager(Options options)
   options_.num_threads = pool_.size();
 }
 
-struct JobManager::GraphPending {
-  GraphRequest request;
-  std::shared_ptr<GraphHandle::Shared> shared;
-  std::size_t driver_index = 0;  // into drivers_, set at admission
-};
-
 JobManager::~JobManager() { drain(); }
 
 StatusOr<JobHandle> JobManager::submit(JobRequest request) {
-  return submit_impl(std::move(request), /*from_graph=*/false);
-}
-
-StatusOr<JobHandle> JobManager::submit_impl(JobRequest request,
-                                            bool from_graph) {
   const std::size_t threads =
       request.threads != 0
           ? request.threads
@@ -194,7 +158,7 @@ StatusOr<JobHandle> JobManager::submit_impl(JobRequest request,
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_ && !from_graph) {
+    if (draining_) {
       return reject(
           Status::FailedPrecondition("submit: JobManager is draining"));
     }
@@ -216,107 +180,6 @@ StatusOr<JobHandle> JobManager::submit_impl(JobRequest request,
   JobHandle handle;
   handle.shared_ = pending->shared;
   return handle;
-}
-
-StatusOr<GraphHandle> JobManager::submit_graph(GraphRequest request) {
-  if (request.graph == nullptr) {
-    SUPMR_COUNTER_ADD("jobmgr.graphs_rejected", 1);
-    return Status::InvalidArgument("submit_graph: graph is required");
-  }
-  {
-    // Validate up front so a malformed graph is an admission error, not a
-    // failure surfaced later through the handle.
-    StatusOr<std::vector<std::size_t>> topo = request.graph->topo_order();
-    if (!topo.ok()) {
-      SUPMR_COUNTER_ADD("jobmgr.graphs_rejected", 1);
-      return topo.status();
-    }
-  }
-  if (request.threads > options_.num_threads) {
-    SUPMR_COUNTER_ADD("jobmgr.graphs_rejected", 1);
-    return Status::InvalidArgument(
-        "submit_graph: stage thread lease " + std::to_string(request.threads) +
-        " exceeds pool size " + std::to_string(options_.num_threads));
-  }
-
-  auto g = std::make_shared<GraphPending>();
-  g->request = std::move(request);
-  g->shared = std::make_shared<GraphHandle::Shared>();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
-      SUPMR_COUNTER_ADD("jobmgr.graphs_rejected", 1);
-      return Status::FailedPrecondition("submit_graph: JobManager is draining");
-    }
-    g->shared->id = next_id_++;
-    g->shared->name = g->request.name.empty()
-                          ? "graph-" + std::to_string(g->shared->id)
-                          : g->request.name;
-    ++graphs_running_;
-    reap_drivers_locked();
-    g->driver_index = drivers_.size();
-    drivers_.emplace_back(&JobManager::run_graph_driver, this, g);
-    SUPMR_COUNTER_ADD("jobmgr.graphs_submitted", 1);
-  }
-
-  GraphHandle handle;
-  handle.shared_ = g->shared;
-  return handle;
-}
-
-void JobManager::run_graph_driver(std::shared_ptr<GraphPending> g) {
-  SUPMR_TRACE_THREAD_NAME("jobmgr.graph-driver");
-  // Each stage goes through the ordinary admission path (lease, priority,
-  // queue) as "<graph>/<stage>"; from_graph lets a stage of this admitted
-  // graph in even after drain() stopped new admissions.
-  graph::StageRunner runner =
-      [&](std::size_t stage_idx, core::Application& app,
-          const ingest::IngestSource& source,
-          const core::JobConfig& cfg) -> StatusOr<core::JobResult> {
-    const std::string& stage_name =
-        g->request.graph->stage(stage_idx).options.name;
-    JobRequest req;
-    req.app = &app;
-    req.source = &source;
-    req.config = cfg;
-    req.priority = g->request.priority;
-    req.threads = g->request.threads;
-    req.memory_bytes = g->request.memory_bytes;
-    req.name = g->shared->name + "/" +
-               (stage_name.empty() ? "stage-" + std::to_string(stage_idx)
-                                   : stage_name);
-    SUPMR_ASSIGN_OR_RETURN(JobHandle handle,
-                           submit_impl(std::move(req), /*from_graph=*/true));
-    return handle.wait();
-  };
-
-  StatusOr<graph::GraphResult> result =
-      graph::run_graph(*g->request.graph, g->request.options, runner);
-  const bool ok = result.ok();
-  if (!ok) {
-    SUPMR_LOG_WARN("jobmgr: graph %llu (%s) failed: %s",
-                   static_cast<unsigned long long>(g->shared->id),
-                   g->shared->name.c_str(),
-                   result.status().to_string().c_str());
-  }
-  {
-    std::lock_guard<std::mutex> lock(g->shared->mu);
-    g->shared->result.emplace(std::move(result));
-  }
-  g->shared->cv.notify_all();
-  if (ok) {
-    SUPMR_COUNTER_ADD("jobmgr.graphs_completed", 1);
-  } else {
-    SUPMR_COUNTER_ADD("jobmgr.graphs_failed", 1);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --graphs_running_;
-    done_drivers_.push_back(g->driver_index);
-    update_gauges_locked();
-  }
-  state_cv_.notify_all();
 }
 
 void JobManager::maybe_dispatch_locked() {
@@ -456,11 +319,7 @@ void JobManager::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   draining_ = true;
   update_gauges_locked();
-  // Graphs count too: an active graph driver keeps submitting stages (which
-  // refill the queue), so the queue is only truly dry once no graph is left.
-  state_cv_.wait(lock, [&] {
-    return queued_.empty() && running_ == 0 && graphs_running_ == 0;
-  });
+  state_cv_.wait(lock, [&] { return queued_.empty() && running_ == 0; });
   std::vector<std::thread> to_join;
   to_join.swap(drivers_);
   done_drivers_.clear();
@@ -473,10 +332,6 @@ void JobManager::drain() {
 std::size_t JobManager::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queued_.size();
-}
-std::size_t JobManager::running_graphs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return graphs_running_;
 }
 std::size_t JobManager::running_jobs() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -498,7 +353,6 @@ bool JobManager::draining() const {
 void JobManager::update_gauges_locked() {
   SUPMR_GAUGE_SET("jobmgr.queue_depth", queued_.size());
   SUPMR_GAUGE_SET("jobmgr.running", running_);
-  SUPMR_GAUGE_SET("jobmgr.graphs_running", graphs_running_);
   SUPMR_GAUGE_SET("jobmgr.threads_leased", threads_leased_);
   SUPMR_GAUGE_SET("jobmgr.memory_leased_bytes", memory_leased_);
 }

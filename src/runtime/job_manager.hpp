@@ -42,7 +42,6 @@
 #include "common/status.hpp"
 #include "core/job.hpp"
 #include "core/job_config.hpp"
-#include "graph/job_graph.hpp"
 #include "ingest/chunk.hpp"
 #include "ingest/source.hpp"
 #include "threading/thread_pool.hpp"
@@ -128,42 +127,6 @@ struct JobRequest {
   std::size_t memory_bytes = 0;
 };
 
-// One admission request for a whole JobGraph. The graph (and its root
-// sources) must outlive the run — keep them alive until handle.wait()
-// returns or drain() completes. The graph is admitted as a unit: once
-// accepted, every stage it later submits is admitted even if the manager
-// starts draining (an admitted graph is never cut in half).
-struct GraphRequest {
-  const graph::JobGraph* graph = nullptr;
-  graph::GraphOptions options;
-  std::string name;
-
-  // Per-STAGE lease parameters, with the same semantics as JobRequest:
-  // stages run one after another, each leasing and returning resources.
-  int priority = 0;
-  std::size_t threads = 0;
-  std::size_t memory_bytes = 0;
-};
-
-// Shared view of one submitted graph. Cheap to copy; usable past drain().
-class GraphHandle {
- public:
-  GraphHandle() = default;
-
-  bool valid() const { return shared_ != nullptr; }
-  std::uint64_t id() const;
-  const std::string& name() const;
-
-  // Blocks until every stage finished (or one failed); returns the graph
-  // result or the first failing stage's Status. Repeatable, thread-safe.
-  StatusOr<graph::GraphResult> wait() const;
-
- private:
-  friend class JobManager;
-  struct Shared;
-  std::shared_ptr<Shared> shared_;
-};
-
 class JobManager {
  public:
   static constexpr std::size_t kDefaultJobMemoryBytes = 64ull << 20;
@@ -198,22 +161,12 @@ class JobManager {
   //   * admission queue full        -> ResourceExhausted
   StatusOr<JobHandle> submit(JobRequest request);
 
-  // Admits a JobGraph: validates it (topo_order), then runs it on a driver
-  // thread, submitting each stage through the normal admission path — so
-  // every stage acquires a ResourceLease and competes with ordinary jobs.
-  // Stage jobs are named "<graph>/<stage>". Fails with FailedPrecondition
-  // when draining, InvalidArgument for a null or malformed graph.
-  StatusOr<GraphHandle> submit_graph(GraphRequest request);
-
-  // Stops admissions, runs the queue dry, waits for every running job and
-  // graph, and joins the driver threads. Idempotent; the destructor calls
-  // it. Graphs admitted before drain() run to completion: their remaining
-  // stages bypass the admission stop.
+  // Stops admissions, runs the queue dry, waits for every running job, and
+  // joins the driver threads. Idempotent; the destructor calls it.
   void drain();
 
   // Snapshot introspection (also exported as jobmgr.* gauges).
   std::size_t queue_depth() const;
-  std::size_t running_graphs() const;
   std::size_t running_jobs() const;
   std::size_t threads_leased() const;
   std::size_t memory_leased_bytes() const;
@@ -227,18 +180,13 @@ class JobManager {
   friend class ResourceLease;
 
   struct Pending;
-  struct GraphPending;
 
-  // submit() minus the draining_ rejection when `from_graph` — stages of an
-  // already-admitted graph are part of that admission.
-  StatusOr<JobHandle> submit_impl(JobRequest request, bool from_graph);
   // Dispatches every queued job the free resources allow, in priority
   // order. Caller holds mu_.
   void maybe_dispatch_locked();
   // Joins driver threads whose jobs have finished. Caller holds mu_.
   void reap_drivers_locked();
   void run_job(std::shared_ptr<Pending> job);
-  void run_graph_driver(std::shared_ptr<GraphPending> g);
   void return_resources(std::size_t threads, std::size_t memory_bytes);
   void update_gauges_locked();
 
@@ -252,7 +200,6 @@ class JobManager {
   std::vector<std::thread> drivers_;     // one per dispatched job, joinable
   std::vector<std::size_t> done_drivers_;  // indices into drivers_ to reap
   std::size_t running_ = 0;
-  std::size_t graphs_running_ = 0;
   std::size_t threads_leased_ = 0;
   std::size_t memory_leased_ = 0;
   std::uint64_t next_id_ = 1;

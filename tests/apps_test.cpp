@@ -8,10 +8,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/doc_term_count.hpp"
 #include "apps/grep.hpp"
 #include "apps/inverted_index.hpp"
+#include "apps/keyed_app.hpp"
 #include "apps/pair_count.hpp"
 #include "apps/split.hpp"
 #include "apps/tera_sort.hpp"
@@ -104,6 +107,33 @@ TEST(SplitText, NeverSplitsMidWord) {
     }
   }
   EXPECT_EQ(covered, text.size());
+}
+
+// ------------------------------------------------------------ keyed output
+
+// keyed_output allocates exactly what value_chars counts, so a value of
+// every digit count must come out as std::to_string writes it.
+TEST(KeyedOutput, MatchesToStringAtEveryDigitCount) {
+  std::vector<std::uint64_t> values = {0, ~std::uint64_t{0}};
+  for (std::uint64_t p = 10;; p *= 10) {
+    values.push_back(p - 1);
+    values.push_back(p);
+    if (p > ~std::uint64_t{0} / 10) break;  // 10^19, the last power of ten
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> counts;
+  std::string expected;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    counts.emplace_back("file\tkey" + std::to_string(i), values[i]);
+    expected += counts.back().first + "\t" + std::to_string(values[i]) + "\n";
+  }
+  EXPECT_EQ(apps::keyed_output(counts), expected);
+
+  const std::vector<std::pair<std::string, std::vector<std::uint32_t>>>
+      lists = {{"none", {}},
+               {"one", {0}},
+               {"edges", {9, 10, 99, 100, 4294967295u}}};
+  EXPECT_EQ(apps::keyed_output(lists),
+            "none\t\none\t0\nedges\t9,10,99,100,4294967295\n");
 }
 
 // -------------------------------------------------------------- word count

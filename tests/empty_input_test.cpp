@@ -45,7 +45,7 @@ JobConfig empty_config(MergeMode merge, bool degrade) {
   jc.num_map_threads = 2;
   jc.num_reduce_threads = 2;
   jc.merge_mode = merge;
-  jc.recovery.degrade = degrade;
+  jc.degrade = degrade;
   return jc;
 }
 

@@ -1,8 +1,9 @@
 // Fault layer tests: RetryPolicy/RetrySession arithmetic, the FaultPlan
 // grammar, plan-driven FaultDevice injection (and the call/range accounting
-// contract), the RetryingDevice read seam, chunk-level pipeline recovery,
-// degrade-mode accounting, the unified MapReduceJob::run(ExecMode) entry
-// point, and the new report fields.
+// contract), the RetryingDevice read seam and the pipeline over it (one
+// seam: a failing chunk is read max_attempts times), degrade-mode
+// accounting, the unified MapReduceJob::run(ExecMode) entry point, and the
+// report fields.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -352,6 +353,9 @@ TEST(RetryingDevice, DeadlineBoundsPermanentFault) {
 }
 
 // ------------------------------------------- pipeline chunk recovery
+//
+// The pipeline reads each chunk once; every retry happens in a
+// RetryingDevice under the source, so these stacks compose one.
 
 std::shared_ptr<const storage::Device> borrow(const storage::Device* dev) {
   return std::shared_ptr<const storage::Device>(dev,
@@ -361,24 +365,19 @@ std::shared_ptr<const storage::Device> borrow(const storage::Device* dev) {
 TEST(PipelineRecovery, TransientChunkReadRetriesAndSucceeds) {
   const std::string text(8 * 100, 'a');  // 8 fixed chunks of 100 bytes
   MemDevice base(text);
-  // Count planning reads on a clean probe stack (plans are deterministic in
-  // the bytes), then build the real device with a fail_call plan targeting a
-  // mid-stream data read.
-  FaultDevice probe(&base);
-  ingest::SingleDeviceSource probe_src(
-      borrow(&probe), std::make_shared<ingest::FixedFormat>(100), 100);
-  auto plan = probe_src.plan();
-  ASSERT_TRUE(plan.ok());
-  const std::uint64_t planning_calls = probe.calls();
+  // FixedFormat plans without reading the device, so the fail_call lands on
+  // the third chunk's data read.
   FaultPlan fplan;
-  fplan.fail_calls.push_back(planning_calls + 2);
+  fplan.fail_calls.push_back(2);
   FaultDevice fault(&base, fplan);
+  RetryingDevice retrying(&fault, fast_policy(3));
   ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::FixedFormat>(100), 100);
+      borrow(&retrying), std::make_shared<ingest::FixedFormat>(100), 100);
+  auto plan = src.plan();
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(fault.calls(), 0u);
 
-  fault::Recovery recovery;
-  recovery.policy = fast_policy(3);
-  ingest::IngestPipeline pipeline(src, recovery);
+  ingest::IngestPipeline pipeline(src);
   std::uint64_t bytes = 0;
   auto stats = pipeline.run_planned(*plan, [&](ingest::IngestChunk& chunk) {
     bytes += chunk.data.size();
@@ -386,13 +385,9 @@ TEST(PipelineRecovery, TransientChunkReadRetriesAndSucceeds) {
   });
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
   EXPECT_EQ(bytes, text.size());  // nothing lost
-  EXPECT_EQ(stats->chunk_retries, 1u);
+  EXPECT_EQ(retrying.retries(), 1u);
+  EXPECT_EQ(fault.calls(), 9u);  // 8 chunk reads + the one retry
   EXPECT_EQ(stats->chunks_skipped, 0u);
-  bool saw_retried_chunk = false;
-  for (const auto& c : stats->chunks) {
-    if (c.attempts > 1) saw_retried_chunk = true;
-  }
-  EXPECT_TRUE(saw_retried_chunk);
 }
 
 TEST(PipelineRecovery, PermanentFaultFailsJobCleanly) {
@@ -401,19 +396,20 @@ TEST(PipelineRecovery, PermanentFaultFailsJobCleanly) {
   FaultPlan plan_spec;
   plan_spec.permanent.emplace_back(300, 400);  // chunk 3 is poisoned
   FaultDevice fault(&base, plan_spec);
+  RetryingDevice retrying(&fault, fast_policy(3));
   ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::FixedFormat>(100), 100);
+      borrow(&retrying), std::make_shared<ingest::FixedFormat>(100), 100);
   auto plan = src.plan();
   ASSERT_TRUE(plan.ok());
 
-  fault::Recovery recovery;
-  recovery.policy = fast_policy(3);
-  ingest::IngestPipeline pipeline(src, recovery);
+  ingest::IngestPipeline pipeline(src);
   auto stats = pipeline.run_planned(
       *plan, [](ingest::IngestChunk&) { return Status::Ok(); });
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kIoError);
+  // The device's annotation survives the pipeline.
   EXPECT_NE(stats.status().message().find("[fault:"), std::string::npos);
+  EXPECT_EQ(retrying.exhausted(), 1u);
 }
 
 TEST(PipelineRecovery, DegradeModeSkipsPoisonedChunkWithAccounting) {
@@ -422,16 +418,14 @@ TEST(PipelineRecovery, DegradeModeSkipsPoisonedChunkWithAccounting) {
   FaultPlan plan_spec;
   plan_spec.permanent.emplace_back(300, 400);
   FaultDevice fault(&base, plan_spec);
+  RetryingDevice retrying(&fault, fast_policy(2));
   ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::FixedFormat>(100), 100);
+      borrow(&retrying), std::make_shared<ingest::FixedFormat>(100), 100);
   auto plan = src.plan();
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->size(), 8u);
 
-  fault::Recovery recovery;
-  recovery.policy = fast_policy(2);
-  recovery.degrade = true;
-  ingest::IngestPipeline pipeline(src, recovery);
+  ingest::IngestPipeline pipeline(src, /*degrade=*/true);
   std::uint64_t bytes = 0;
   auto stats = pipeline.run_planned(*plan, [&](ingest::IngestChunk& chunk) {
     bytes += chunk.data.size();
@@ -444,6 +438,51 @@ TEST(PipelineRecovery, DegradeModeSkipsPoisonedChunkWithAccounting) {
   EXPECT_TRUE(stats->degraded());
   EXPECT_TRUE(stats->chunks[3].skipped);
   EXPECT_FALSE(stats->chunks[2].skipped);
+  EXPECT_EQ(retrying.retries(), 1u);  // 2 attempts on chunk 3, no more
+}
+
+// The one-seam property: a chunk whose read keeps failing is read exactly
+// max_attempts times, by the RetryingDevice alone. The permanent range sits
+// inside chunk 1's data, away from every record-boundary probe, so
+// planning reads the stack cleanly and only that chunk is lost.
+TEST(PipelineRecovery, FailingChunkIsReadMaxAttemptsTimes) {
+  std::string text;
+  for (int i = 0; i < 64; ++i) text += std::string(99, 'a' + i % 26) + "\n";
+  MemDevice base(text);  // 64 lines of 100 bytes
+  FaultPlan plan_spec;
+  plan_spec.permanent.emplace_back(1450, 1460);
+  FaultDevice fault(&base, plan_spec);
+  RetryingDevice retrying(&fault, fast_policy(3));
+  ingest::SingleDeviceSource src(
+      borrow(&retrying), std::make_shared<ingest::LineFormat>(), 1000);
+  auto plan = src.plan();
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  ASSERT_EQ(plan->size(), 7u);
+  ASSERT_EQ(fault.range_hits(), 0u);  // planning stayed clean
+  ASSERT_LE((*plan)[1].offset, 1450u);
+  ASSERT_GE((*plan)[1].offset + (*plan)[1].length, 1460u);
+
+  const std::uint64_t calls_before = fault.calls();
+  ingest::IngestPipeline pipeline(src, /*degrade=*/true);
+  std::string delivered;
+  auto stats = pipeline.run_planned(*plan, [&](ingest::IngestChunk& chunk) {
+    delivered.append(chunk.bytes().data(), chunk.size());
+    return Status::Ok();
+  });
+  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+  EXPECT_EQ(fault.range_hits(), 3u);  // max_attempts, not 3 x 3
+  EXPECT_EQ(retrying.retries(), 2u);
+  EXPECT_EQ(retrying.exhausted(), 1u);
+  // Range hits take no call index, so calls() counts the other six chunks'
+  // reads only: none of them was re-read.
+  EXPECT_EQ(fault.calls() - calls_before, 6u);
+  EXPECT_EQ(stats->chunks_skipped, 1u);
+  EXPECT_TRUE(stats->chunks[1].skipped);
+  EXPECT_EQ(stats->bytes_skipped, (*plan)[1].length);
+  // Every other chunk arrived whole and in order.
+  const std::uint64_t cut = (*plan)[1].offset;
+  const std::uint64_t resume = cut + (*plan)[1].length;
+  EXPECT_EQ(delivered, text.substr(0, cut) + text.substr(resume));
 }
 
 // --------------------------------------- unified run(ExecMode) + report
@@ -523,8 +562,7 @@ TEST(UnifiedRun, DegradedJobReportsSkippedChunksInJson) {
         borrow(&fault), std::make_shared<ingest::FixedFormat>(64), 512);
     apps::WordCountApp app;
     core::JobConfig config;
-    config.recovery.policy = fast_policy(2);
-    config.recovery.degrade = true;
+    config.degrade = true;
     config.num_map_threads = 2;
     config.num_reduce_threads = 2;
     core::MapReduceJob job(app, src, config);
@@ -540,8 +578,6 @@ TEST(UnifiedRun, DegradedJobReportsSkippedChunksInJson) {
     EXPECT_NE(json.find("\"chunks_skipped\""), std::string::npos);
     EXPECT_NE(json.find("\"bytes_skipped\""), std::string::npos);
     EXPECT_NE(json.find("\"degraded\":true"), std::string::npos);
-    EXPECT_NE(json.find("\"chunk_retries\""), std::string::npos);
-    EXPECT_NE(json.find("\"attempts\""), std::string::npos);
     EXPECT_NE(json.find("\"skipped\""), std::string::npos);
   }
 }

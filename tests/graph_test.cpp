@@ -1,8 +1,9 @@
 // JobGraph tests: DAG validation errors, memory-vs-file handoff
 // byte-equality, forced spill under a tiny budget, the chained apps
-// (pmi / tfidf / msort) against the sequential graph oracle, graph
-// scheduling through JobManager::submit_graph, and the graph routing in
-// ref::run_cell (including spill accounting surfaced in the outcome).
+// (pmi / tfidf / msort) against the sequential graph oracle, and the graph
+// routing in ref::run_cell (including spill accounting surfaced in the
+// outcome). Managed graph runs (ref::run_cell_managed, the path `supmr
+// serve` takes) are checked by tests/harness/managed_conformance_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,7 +20,6 @@
 #include "ingest/source.hpp"
 #include "ref/conformance.hpp"
 #include "ref/ref_graph.hpp"
-#include "runtime/job_manager.hpp"
 #include "storage/mem_device.hpp"
 #include "wload/teragen.hpp"
 #include "wload/text_corpus.hpp"
@@ -279,57 +279,6 @@ TEST(JobGraphRun, MultiRoundSortChainMatchesOracle) {
   ASSERT_TRUE(oracle.ok()) << oracle.status().to_string();
   EXPECT_EQ(sut->final_output.size(), data.size());
   EXPECT_EQ(sut->final_output, oracle->canonical);
-}
-
-// --------------------------------------------------- managed graph runs
-
-TEST(JobGraphManaged, SubmitGraphMatchesInlineRun) {
-  const std::string data = text_corpus(64 * 1024, 21);
-  ChainInputs inputs;
-  inputs.device = std::make_shared<MemDevice>(data, "corpus");
-  auto graph_or = make_chain(pmi_spec(), inputs);
-  ASSERT_TRUE(graph_or.ok()) << graph_or.status().to_string();
-
-  auto inline_result = run_graph(*graph_or);
-  ASSERT_TRUE(inline_result.ok()) << inline_result.status().to_string();
-
-  runtime::JobManager::Options opts;
-  opts.num_threads = 4;
-  runtime::JobManager manager(opts);
-  runtime::GraphRequest request;
-  request.graph = &*graph_or;
-  request.name = "pmi-managed";
-  auto handle_or = manager.submit_graph(request);
-  ASSERT_TRUE(handle_or.ok()) << handle_or.status().to_string();
-  auto managed = handle_or->wait();
-  ASSERT_TRUE(managed.ok()) << managed.status().to_string();
-  EXPECT_EQ(managed->final_output, inline_result->final_output);
-  EXPECT_EQ(managed->stages.size(), 3u);
-  manager.drain();
-  EXPECT_EQ(manager.running_graphs(), 0u);
-}
-
-TEST(JobGraphManaged, RejectsMalformedGraphAndDrainedManager) {
-  runtime::JobManager manager;
-  runtime::GraphRequest request;  // null graph
-  EXPECT_FALSE(manager.submit_graph(request).ok());
-
-  JobGraph cyclic;
-  const std::size_t a = cyclic.add_stage(wordcount_factory(), line_stage("a"));
-  const std::size_t b = cyclic.add_stage(wordcount_factory(), line_stage("b"));
-  ASSERT_TRUE(cyclic.add_edge(a, b).ok());
-  ASSERT_TRUE(cyclic.add_edge(b, a).ok());
-  request.graph = &cyclic;
-  EXPECT_FALSE(manager.submit_graph(request).ok());
-
-  const std::string data = text_corpus(16 * 1024, 2);
-  ChainInputs inputs;
-  inputs.device = std::make_shared<MemDevice>(data, "corpus");
-  auto graph_or = make_chain(pmi_spec(), inputs);
-  ASSERT_TRUE(graph_or.ok());
-  manager.drain();
-  request.graph = &*graph_or;
-  EXPECT_FALSE(manager.submit_graph(request).ok());
 }
 
 // ------------------------------------------------- conformance routing

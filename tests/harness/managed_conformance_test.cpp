@@ -2,8 +2,8 @@
 // submitted through the JobManager — shared thread pool, shared chunk
 // buffers, lease-rewritten thread counts — must stay byte-identical to the
 // sequential reference runtime, both alone and while at least three other
-// jobs race it on the same manager. A diverging cell writes the standard
-// replayable repro spec.
+// jobs race it on the same manager. A graph spec runs each stage as one
+// such job. A diverging cell writes the standard replayable repro spec.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -59,7 +59,10 @@ TEST(ManagedConformance, ManagedJobAloneMatchesReference) {
   std::mutex mu;
   std::vector<std::string> failures;
   std::size_t salt = 0;
-  for (auto make : {spec_wordcount, spec_grep, spec_histogram, spec_sort}) {
+  // pmi is a graph spec: run_cell_managed submits each of its three stages
+  // through JobManager::submit, the path `supmr serve` runs graphs on.
+  for (auto make :
+       {spec_wordcount, spec_grep, spec_histogram, spec_sort, spec_pmi}) {
     core::ReplaySpec spec = make(salt++);
     check_managed_cell(spec, manager,
                        "managed-alone-" + spec.app, /*priority=*/0, mu,

@@ -331,7 +331,7 @@ TEST(IngestPipeline, SharedBufferPoolIsUsedAndRecycles) {
 
   for (int run = 0; run < 2; ++run) {
     ingest::SingleDeviceSource src(dev, format, 8 * 1024);
-    ingest::IngestPipeline pipeline(src, {}, &shared);
+    ingest::IngestPipeline pipeline(src, /*degrade=*/false, &shared);
     ASSERT_EQ(&pipeline.buffer_pool(), &shared);
     auto stats = pipeline.run([](ingest::IngestChunk&) {
       return Status::Ok();

@@ -1,16 +1,18 @@
-// Fault-injection stress: the pipeline's chunk-recovery paths, over planned
-// and controller-sized extents, under seeded probabilistic faults. The hang
-// risks hunted here: a permanent fault must surface as a clean Status with
-// the producer joined (not a wedged double buffer), backoff sleeps must
-// honor pipeline cancellation, and degrade-mode skips must keep the stream
-// advancing. Each TEST_P runs per seed in kStressSeeds; sanitizer builds run
-// this suite under TSan/ASan.
+// Fault-injection stress: the pipeline over a RetryingDevice (the one
+// seam that retries a read), over planned and controller-sized extents,
+// under seeded probabilistic faults. The hang risks hunted here: a
+// permanent fault must surface as a clean Status with the producer joined
+// (not a wedged double buffer), a consumer error must tear down within the
+// in-flight read's deadline, and degrade-mode skips must keep the stream
+// advancing. Each TEST_P runs per seed in kStressSeeds; sanitizer builds
+// run this suite under TSan/ASan.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "fault/fault_plan.hpp"
 #include "fault/retry_policy.hpp"
@@ -36,14 +38,14 @@ std::string make_text(int lines) {
   return text;
 }
 
-fault::Recovery fast_recovery(std::uint32_t attempts, bool degrade = false) {
-  fault::Recovery r;
-  r.policy.max_attempts = attempts;
-  r.policy.backoff_base_s = 1e-5;
-  r.policy.backoff_max_s = 1e-4;
-  r.policy.jitter = 0.5;
-  r.degrade = degrade;
-  return r;
+fault::RetryPolicy fast_policy(std::uint32_t attempts, std::uint64_t seed) {
+  fault::RetryPolicy p;
+  p.max_attempts = attempts;
+  p.backoff_base_s = 1e-5;
+  p.backoff_max_s = 1e-4;
+  p.jitter = 0.5;
+  p.seed = seed;
+  return p;
 }
 
 std::shared_ptr<const storage::Device> borrow(const storage::Device* dev) {
@@ -60,8 +62,7 @@ TEST_P(FaultStress, TransientFaultsRecoverLosslessly) {
   test::SchedFuzz::Stream sched(fuzz, 0);
   const std::string text = make_text(400);
   MemDevice base(text);
-  // Plan over the clean device — planning probes are fail-fast by design,
-  // so faults target only the data path.
+  // Plan over the clean device, so faults target only the data path.
   ingest::SingleDeviceSource clean(
       borrow(&base), std::make_shared<ingest::LineFormat>(), 256);
   auto extents = clean.plan();
@@ -71,11 +72,12 @@ TEST_P(FaultStress, TransientFaultsRecoverLosslessly) {
   plan.seed = GetParam();
   plan.transient_p = 0.25;
   storage::FaultDevice fault(&base, plan);
-  ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::LineFormat>(), 256);
-
   // 8 attempts: P(8 consecutive transients) = 0.25^8 ~ 1.5e-5 per chunk.
-  ingest::IngestPipeline pipeline(src, fast_recovery(8));
+  fault::RetryingDevice retrying(&fault, fast_policy(8, GetParam()));
+  ingest::SingleDeviceSource src(
+      borrow(&retrying), std::make_shared<ingest::LineFormat>(), 256);
+
+  ingest::IngestPipeline pipeline(src);
   std::uint64_t bytes = 0;
   auto stats = pipeline.run_planned(*extents, [&](IngestChunk& chunk) {
     sched.yield_point();
@@ -85,6 +87,9 @@ TEST_P(FaultStress, TransientFaultsRecoverLosslessly) {
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
   EXPECT_EQ(bytes, text.size());
   EXPECT_EQ(stats->chunks_skipped, 0u);
+  // Every injected transient was absorbed by exactly one device retry.
+  EXPECT_EQ(retrying.retries(), fault.transients_injected());
+  EXPECT_EQ(retrying.exhausted(), 0u);
 }
 
 // A permanent fault mid-stream: the job fails with a clean, annotated
@@ -106,10 +111,11 @@ TEST_P(FaultStress, PermanentFaultSurfacesCleanStatus) {
   fault::FaultPlan fplan;
   fplan.permanent.emplace_back(victim.offset, victim.offset + victim.length);
   storage::FaultDevice fault(&base, fplan);
+  fault::RetryingDevice retrying(&fault, fast_policy(3, GetParam()));
   ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::LineFormat>(), 256);
+      borrow(&retrying), std::make_shared<ingest::LineFormat>(), 256);
 
-  ingest::IngestPipeline pipeline(src, fast_recovery(3));
+  ingest::IngestPipeline pipeline(src);
   auto stats = pipeline.run_planned(*extents, [&](IngestChunk&) {
     sched.yield_point();
     return Status::Ok();
@@ -117,6 +123,7 @@ TEST_P(FaultStress, PermanentFaultSurfacesCleanStatus) {
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kIoError);
   EXPECT_NE(stats.status().message().find("[fault:"), std::string::npos);
+  EXPECT_EQ(fault.range_hits(), 3u);  // one read, three attempts
 }
 
 // Degrade mode under probabilistic + permanent faults: the run completes,
@@ -140,10 +147,11 @@ TEST_P(FaultStress, DegradeModeAccountsForEveryChunk) {
                                  victim.offset + victim.length);
   }
   storage::FaultDevice fault(&base, fplan);
+  fault::RetryingDevice retrying(&fault, fast_policy(2, GetParam()));
   ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::LineFormat>(), 256);
+      borrow(&retrying), std::make_shared<ingest::LineFormat>(), 256);
 
-  ingest::IngestPipeline pipeline(src, fast_recovery(2, /*degrade=*/true));
+  ingest::IngestPipeline pipeline(src, /*degrade=*/true);
   std::uint64_t bytes = 0;
   std::uint64_t delivered = 0;
   auto stats = pipeline.run_planned(*extents, [&](IngestChunk& chunk) {
@@ -156,6 +164,9 @@ TEST_P(FaultStress, DegradeModeAccountsForEveryChunk) {
   EXPECT_GE(stats->chunks_skipped, 1u);
   EXPECT_EQ(delivered + stats->chunks_skipped, extents->size());
   EXPECT_EQ(bytes + stats->bytes_skipped, text.size());
+  // Each skipped chunk was read twice (one retry), each by the device alone.
+  EXPECT_EQ(retrying.retries(), stats->chunks_skipped);
+  EXPECT_EQ(fault.range_hits(), 2 * stats->chunks_skipped);
 }
 
 // Adaptive ingest: same degrade discipline with controller-driven chunk
@@ -164,21 +175,22 @@ TEST_P(FaultStress, AdaptiveDegradeAdvancesPastPoison) {
   test::SchedFuzz fuzz(GetParam());
   test::SchedFuzz::Stream sched(fuzz, 0);
   // FixedFormat: boundary adjustment is pure arithmetic, so the poisoned
-  // range hits only the data reads (adaptive planning probes are fail-fast).
+  // range hits only the data reads.
   const std::string text(40000, 'x');
   MemDevice base(text);
   fault::FaultPlan plan;
   const std::uint64_t lo = 2000 + sched.rand() % 4000;
   plan.permanent.emplace_back(lo, lo + 500);
   storage::FaultDevice fault(&base, plan);
+  fault::RetryingDevice retrying(&fault, fast_policy(2, GetParam()));
   ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::FixedFormat>(100), 0);
+      borrow(&retrying), std::make_shared<ingest::FixedFormat>(100), 0);
   ingest::RateMatchingController::Options copt;
   copt.initial_bytes = 1024;
   copt.min_bytes = 256;
   copt.max_bytes = 4096;
   ingest::RateMatchingController controller(copt);
-  ingest::IngestPipeline pipeline(src, fast_recovery(2, /*degrade=*/true));
+  ingest::IngestPipeline pipeline(src, /*degrade=*/true);
   std::uint64_t bytes = 0;
   auto stats = pipeline.run_adaptive(controller, [&](IngestChunk& chunk) {
     sched.yield_point();
@@ -188,11 +200,15 @@ TEST_P(FaultStress, AdaptiveDegradeAdvancesPastPoison) {
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
   EXPECT_GE(stats->chunks_skipped, 1u);
   EXPECT_EQ(bytes + stats->bytes_skipped, text.size());
+  EXPECT_EQ(retrying.retries(), stats->chunks_skipped);
 }
 
-// Consumer failure during a producer backoff wait: cancellation must cut the
-// sleep short and the pipeline must still join promptly.
-TEST_P(FaultStress, ConsumerErrorCancelsBackoffWait) {
+// Consumer failure while the producer sits in a retrying device read: no
+// backoff is cut short any more, so teardown waits out at most the
+// in-flight read's budget. With read_deadline_s set, the pipeline must
+// join within a small multiple of that deadline, however many attempts
+// the policy would allow.
+TEST_P(FaultStress, ConsumerErrorJoinsWithinReadDeadline) {
   test::SchedFuzz fuzz(GetParam());
   test::SchedFuzz::Stream sched(fuzz, 0);
   const std::string text = make_text(400);
@@ -201,31 +217,47 @@ TEST_P(FaultStress, ConsumerErrorCancelsBackoffWait) {
       borrow(&base), std::make_shared<ingest::LineFormat>(), 256);
   auto extents = clean.plan();
   ASSERT_TRUE(extents.ok());
+  ASSERT_GT(extents->size(), 2u);
 
+  // Chunk 0 reads cleanly; every later chunk's data is poisoned, so the
+  // producer is inside a backing-off read when the consumer bails.
   fault::FaultPlan plan;
-  plan.seed = GetParam();
-  plan.transient_p = 0.9;  // producer spends most of its time backing off
+  plan.permanent.emplace_back((*extents)[1].offset, text.size());
   storage::FaultDevice fault(&base, plan);
+  constexpr double kDeadline = 0.200;
+  fault::RetryPolicy policy = fast_policy(1000, GetParam());
+  policy.backoff_base_s = 0.020;
+  policy.backoff_max_s = 0.050;
+  policy.read_deadline_s = kDeadline;
+  fault::RetryingDevice retrying(&fault, policy);
   ingest::SingleDeviceSource src(
-      borrow(&fault), std::make_shared<ingest::LineFormat>(), 256);
+      borrow(&retrying), std::make_shared<ingest::LineFormat>(), 256);
 
-  fault::Recovery recovery = fast_recovery(1000);
-  recovery.policy.backoff_base_s = 0.050;  // long sleeps worth cancelling
-  recovery.policy.backoff_max_s = 0.100;
-  ingest::IngestPipeline pipeline(src, recovery);
-  const auto t0 = std::chrono::steady_clock::now();
+  ingest::IngestPipeline pipeline(src);
+  std::chrono::steady_clock::time_point bailed;
   auto stats = pipeline.run_planned(*extents, [&](IngestChunk&) -> Status {
+    // Bail only once the producer's read of chunk 1 has failed at least
+    // once, so it is backing off inside the device when the error lands.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fault.range_hits() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     sched.yield_point();
+    bailed = std::chrono::steady_clock::now();
     return Status::Internal("consumer bailed");
   });
-  const double took =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+  const double teardown =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - bailed)
           .count();
   ASSERT_FALSE(stats.ok());
-  // Either the consumer's error or — if the producer lost the race and the
-  // consumer never got a chunk — nothing at all; in both cases the teardown
-  // must be prompt, not 1000 x 50ms of backoff.
-  EXPECT_LT(took, 30.0);
+  EXPECT_EQ(stats.status().code(), StatusCode::kInternal);
+  ASSERT_GT(fault.range_hits(), 0u);
+  // 1000 attempts at 20-50 ms would take far longer; the deadline ends the
+  // in-flight read, and the producer reads no further chunk after cancel.
+  EXPECT_LT(teardown, 10 * kDeadline);
+  EXPECT_EQ(retrying.deadline_expired(), 1u);
 }
 
 // Deadline expiry under a permanently failing read: bounded give-up time.

@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include "fault/retrying_device.hpp"
 #include "ingest/adaptive.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/record_format.hpp"
@@ -262,17 +263,26 @@ constexpr std::uint64_t kChunks = 32;
 
 struct ProbedInput {
   std::shared_ptr<LiveChunkProbe> probe;
+  std::shared_ptr<fault::RetryingDevice> retrying;
   ingest::SingleDeviceSource source;
 };
 
-ProbedInput probed_input(const fault::FaultPlan& faults = {}) {
+// The probe sits on top of the device stack, so a chunk stays live through
+// every attempt the RetryingDevice under it makes (`attempts` per read).
+ProbedInput probed_input(const fault::FaultPlan& faults = {},
+                         std::uint32_t attempts = 1) {
   auto base = std::make_shared<MemDevice>(
       std::string(kChunks * kChunkBytes, 'r'), "m");
-  auto probe = std::make_shared<LiveChunkProbe>(
-      std::make_shared<storage::FaultDevice>(base, faults));
+  fault::RetryPolicy policy;
+  policy.max_attempts = attempts;
+  policy.backoff_base_s = 1e-5;
+  policy.backoff_max_s = 1e-4;
+  auto retrying = std::make_shared<fault::RetryingDevice>(
+      std::make_shared<storage::FaultDevice>(base, faults), policy);
+  auto probe = std::make_shared<LiveChunkProbe>(retrying);
   ingest::SingleDeviceSource source(
       probe, std::make_shared<ingest::FixedFormat>(kRecordBytes), kChunkBytes);
-  return {probe, std::move(source)};
+  return {probe, retrying, std::move(source)};
 }
 
 // A consumer slow enough that the producer reads ahead into the
@@ -287,15 +297,6 @@ std::function<Status(IngestChunk&)> slow_consumer(LiveChunkProbe& probe,
     probe.processed(chunk.offset);
     return Status::Ok();
   };
-}
-
-fault::Recovery retrying(std::uint32_t attempts, bool degrade) {
-  fault::Recovery recovery;
-  recovery.policy.max_attempts = attempts;
-  recovery.policy.backoff_base_s = 1e-5;
-  recovery.policy.backoff_max_s = 1e-4;
-  recovery.degrade = degrade;
-  return recovery;
 }
 
 TEST_P(PipelineStress, AtMostTwoChunksLive) {
@@ -319,13 +320,13 @@ TEST_P(PipelineStress, AtMostTwoChunksLive) {
     test::SchedFuzz::Stream sched(fuzz, 1);
     fault::FaultPlan faults;
     faults.fail_calls = {1, 2, 7, 20};
-    ProbedInput in = probed_input(faults);
-    ingest::IngestPipeline pipeline(in.source, retrying(3, false));
+    ProbedInput in = probed_input(faults, /*attempts=*/3);
+    ingest::IngestPipeline pipeline(in.source);
     std::uint64_t bytes = 0;
     auto result = pipeline.run(slow_consumer(*in.probe, sched, bytes));
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     EXPECT_EQ(bytes, total);
-    EXPECT_EQ(result->chunk_retries, faults.fail_calls.size());
+    EXPECT_EQ(in.retrying->retries(), faults.fail_calls.size());
     EXPECT_EQ(in.probe->max_live(), ingest::kMaxLiveChunks);
   }
   {
@@ -333,8 +334,8 @@ TEST_P(PipelineStress, AtMostTwoChunksLive) {
     test::SchedFuzz::Stream sched(fuzz, 2);
     fault::FaultPlan faults;
     faults.permanent.emplace_back(5 * kChunkBytes, 7 * kChunkBytes);
-    ProbedInput in = probed_input(faults);
-    ingest::IngestPipeline pipeline(in.source, retrying(2, true));
+    ProbedInput in = probed_input(faults, /*attempts=*/2);
+    ingest::IngestPipeline pipeline(in.source, /*degrade=*/true);
     std::uint64_t bytes = 0;
     auto result = pipeline.run(slow_consumer(*in.probe, sched, bytes));
     ASSERT_TRUE(result.ok()) << result.status().to_string();
@@ -351,11 +352,11 @@ TEST_P(PipelineStress, AtMostTwoChunksLive) {
     Status status_a;
     std::thread other([&] {
       test::SchedFuzz::Stream sched(fuzz, 3);
-      ingest::IngestPipeline pipeline(a.source, {}, &shared);
+      ingest::IngestPipeline pipeline(a.source, false, &shared);
       status_a = pipeline.run(slow_consumer(*a.probe, sched, bytes_a)).status();
     });
     test::SchedFuzz::Stream sched(fuzz, 4);
-    ingest::IngestPipeline pipeline(b.source, {}, &shared);
+    ingest::IngestPipeline pipeline(b.source, false, &shared);
     auto result = pipeline.run(slow_consumer(*b.probe, sched, bytes_b));
     other.join();
     ASSERT_TRUE(status_a.ok()) << status_a.to_string();

@@ -17,7 +17,9 @@
 #   fault-smoke — quickstart under a seeded transient FaultPlan must
 #               succeed with storage.retries > 0 in the metrics; under a
 #               permanent plan it must exit non-zero with a clean JSON
-#               error report on stdout
+#               error report on stdout; with --retry-attempts=3 --degrade
+#               over a range inside one chunk it must read that chunk
+#               exactly 3 times and skip it
 #   coverage  — --coverage build, every .gcda of an earlier run cleared,
 #               unit/stress-labeled ctest, then line
 #               coverage for the merge (src/merge/), container
@@ -208,6 +210,24 @@ run_stage() {
       validate_json_file "${out}/permanent.json"
       grep -q '"ok":false' "${out}/permanent.json" ||
         { echo "fault-smoke: error report lacks \"ok\":false" >&2; return 1; }
+      # 3. One retry seam: a chunk whose read keeps failing is read
+      #    --retry-attempts times by the RetryingDevice alone (not N x N),
+      #    then degrade mode skips it. The range sits inside the first 1 MB
+      #    chunk, away from every record-boundary probe.
+      "${ROOT}/build-check-plain/examples/quickstart" \
+        --fault-plan=permanent=1000-2000 --retry-attempts=3 --degrade \
+        "--metrics-json=${out}/degrade.json" > "${out}/degrade.out"
+      validate_json_file "${out}/degrade.json"
+      grep -q '"fault.injected_permanent":3[,}]' "${out}/degrade.json" ||
+        { echo "fault-smoke: the poisoned chunk was not read exactly 3" \
+            "times" >&2; return 1; }
+      grep -q '"ingest.chunks_skipped":1[,}]' "${out}/degrade.json" ||
+        { echo "fault-smoke: degrade did not skip exactly one chunk" >&2
+          return 1; }
+      if grep -q '"ingest.chunk_retries"' "${out}/degrade.json"; then
+        echo "fault-smoke: the pipeline still retries chunks" >&2
+        return 1
+      fi
       ;;
     coverage)
       # Line coverage for the merge-critical layers, the thread pool and

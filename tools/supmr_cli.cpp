@@ -94,24 +94,14 @@ void usage() {
 // spec does not hold.
 struct RunFlags {
   core::ReplaySpec spec;
-  // Backoff, deadline and jitter seed; spec.retry_attempts is the count.
+  // Backoff, deadline and jitter seed for apps::with_faults, which takes
+  // the attempt count from spec.retry_attempts.
   fault::RetryPolicy retry;
   // --metrics-json and --trace-out: written once, after the whole run.
   obs::OutputFiles obs;
   std::optional<double> throttle_bps;
   std::optional<std::string> trace_path;
   bool json = false;
-
-  // spec.job_config() plus the knobs a spec does not hold.
-  core::JobConfig job_config() const {
-    core::JobConfig cfg = spec.job_config();
-    fault::RetryPolicy& policy = cfg.recovery.policy;
-    policy.backoff_base_s = retry.backoff_base_s;
-    policy.backoff_max_s = retry.backoff_max_s;
-    policy.read_deadline_s = retry.read_deadline_s;
-    policy.seed = retry.seed;
-    return cfg;
-  }
 };
 
 // Parses a --flag whose value is a duration (e.g. 1ms, 2s) into seconds.
@@ -231,8 +221,7 @@ StatusOr<RunFlags> run_flags(const Flags& flags, std::string app) {
 // The fault and retry layers come from apps::with_faults, the stack the
 // conformance harness reads through too.
 StatusOr<std::shared_ptr<const storage::Device>> open_input(
-    const std::string& path, const RunFlags& run,
-    const fault::RetryPolicy& policy) {
+    const std::string& path, const RunFlags& run) {
   std::shared_ptr<const storage::Device> dev;
   if (run.spec.io == core::IoMode::kMmap) {
     // Zero-copy base device. Any wrapper stacked above refuses to lend
@@ -247,7 +236,7 @@ StatusOr<std::shared_ptr<const storage::Device>> open_input(
     auto limiter = std::make_shared<storage::RateLimiter>(*run.throttle_bps);
     dev = std::make_shared<storage::ThrottledDevice>(dev, limiter);
   }
-  return apps::with_faults(std::move(dev), run.spec, policy);
+  return apps::with_faults(std::move(dev), run.spec, run.retry);
 }
 
 // Where a subcommand's human-readable lines go: stderr under --json, so
@@ -342,7 +331,6 @@ StatusOr<RunOutput> run_cluster_spec(const RunFlags& run,
   StatusOr<cluster::ClusterJob> job =
       apps::make_cluster_job(run.spec, std::move(input));
   if (!job.ok()) return report_failure(run, job.status());
-  job->config = run.job_config();
   run.obs.begin();
   StatusOr<cluster::ClusterResult> result = cluster::run_cluster(*job);
   SUPMR_RETURN_IF_ERROR(end_run(run, result.status()));
@@ -379,13 +367,12 @@ StatusOr<RunOutput> run_spec(const RunFlags& run,
                        const std::vector<std::string>& paths) {
   const core::ReplaySpec& spec = run.spec;
   if (spec.is_cluster()) return run_cluster_spec(run, paths.front());
-  const core::JobConfig cfg = run.job_config();
+  const core::JobConfig cfg = spec.job_config();
   SUPMR_ASSIGN_OR_RETURN(std::unique_ptr<core::Application> app,
                          apps::make_app(spec));
   apps::ChainInputs inputs;
   for (const std::string& path : paths) {
-    SUPMR_ASSIGN_OR_RETURN(auto dev,
-                           open_input(path, run, cfg.recovery.policy));
+    SUPMR_ASSIGN_OR_RETURN(auto dev, open_input(path, run));
     inputs.files.push_back(std::move(dev));
   }
   inputs.device = inputs.files.front();
@@ -555,11 +542,10 @@ Status cmd_kmeans(const Flags& flags) {
     return Status::InvalidArgument("kmeans needs an input points file");
   }
   SUPMR_ASSIGN_OR_RETURN(RunFlags run, run_flags(flags, "kmeans"));
-  const core::JobConfig cfg = run.job_config();
+  const core::JobConfig cfg = run.spec.job_config();
   apps::ChainInputs inputs;
-  SUPMR_ASSIGN_OR_RETURN(
-      inputs.device,
-      open_input(flags.positional()[0], run, cfg.recovery.policy));
+  SUPMR_ASSIGN_OR_RETURN(inputs.device,
+                         open_input(flags.positional()[0], run));
   SUPMR_ASSIGN_OR_RETURN(std::size_t clusters,
                          flags.get_int<std::size_t>("clusters", 4));
   SUPMR_ASSIGN_OR_RETURN(std::size_t dim, flags.get_int<std::size_t>("dim", 2));
