@@ -96,11 +96,6 @@ Status MapReduceJob::finish(JobResult& result, PhaseClock& clock) {
   return Status::Ok();
 }
 
-void MapReduceJob::set_chunk_controller(
-    ingest::ChunkSizeController& controller) {
-  chunk_controller_ = &controller;
-}
-
 StatusOr<JobResult> MapReduceJob::run(ExecMode mode) {
   if (config_.num_map_threads == 0 || config_.num_reduce_threads == 0) {
     return Status::InvalidArgument(
@@ -123,10 +118,8 @@ StatusOr<JobResult> MapReduceJob::run(ExecMode mode) {
 
   clock.start(Phase::kSetup);
   app_.init(config_.num_map_threads);
-  std::vector<ingest::ChunkExtent> plan;
-  if (mode != ExecMode::kAdaptive) {
-    SUPMR_ASSIGN_OR_RETURN(plan, source_.plan());
-  }
+  SUPMR_ASSIGN_OR_RETURN(std::vector<ingest::ChunkExtent> plan,
+                         source_.plan());
   clock.stop(Phase::kSetup);
 
   // Every mode reads through the one ingest pipeline, so degrade applies to
@@ -147,16 +140,10 @@ StatusOr<JobResult> MapReduceJob::run(ExecMode mode) {
     SUPMR_TRACE_SCOPE("phase", original ? "read" : "readmap");
     ingest::IngestPipeline pipeline(source_, config_.degrade,
                                     shared_buffers_);
-    if (mode != ExecMode::kAdaptive) {
-      SUPMR_LOG_INFO("run(%s): %zu ingest chunks over %s",
-                     std::string(exec_mode_name(mode)).c_str(), plan.size(),
-                     format_bytes(source_.total_bytes()).c_str());
-      return pipeline.run_planned(plan, process);
-    }
-    ingest::RateMatchingController owned_controller;
-    return pipeline.run_adaptive(
-        chunk_controller_ != nullptr ? *chunk_controller_ : owned_controller,
-        process);
+    SUPMR_LOG_INFO("run(%s): %zu ingest chunks over %s",
+                   std::string(exec_mode_name(mode)).c_str(), plan.size(),
+                   format_bytes(source_.total_bytes()).c_str());
+    return pipeline.run_planned(plan, process);
   }();
   clock.stop(Phase::kRead);
   if (!pipeline_result.ok()) return pipeline_result.status();

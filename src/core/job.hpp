@@ -9,13 +9,9 @@
 //                               pipeline overlaps reading chunk c_{i+1} with
 //                               mapping c_i across n+1 rounds; read+map
 //                               become one combined phase.
-//   run(ExecMode::kAdaptive)  — SupMR with the adaptive chunk-size feedback
-//                               loop (paper future work, §VIII): the same
-//                               pipeline, with each chunk sized by a
-//                               RateMatchingController instead of a plan.
-//                               Needs a SingleDeviceSource.
 //
-// All modes share reduce/merge (JobConfig::merge_mode selects the merge
+// Both modes read the extents the source planned, through the one ingest
+// pipeline, and share reduce/merge (JobConfig::merge_mode selects the merge
 // algorithm) and degrade mode (JobConfig::degrade: skip a chunk whose read
 // failed, with accounting). Read retries happen below the source, in the
 // device stack (fault::RetryingDevice). See docs/fault-tolerance.md.
@@ -27,7 +23,6 @@
 #include "common/status.hpp"
 #include "core/application.hpp"
 #include "core/job_config.hpp"
-#include "ingest/adaptive.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/source.hpp"
 #include "obs/metrics.hpp"
@@ -82,10 +77,6 @@ class MapReduceJob {
   void attach_runtime(ThreadPool& pool,
                       ingest::ChunkBufferPool* buffers = nullptr);
 
-  // Adaptive mode sizes chunks with `controller` instead of an internally
-  // owned default RateMatchingController. `controller` must outlive the job.
-  void set_chunk_controller(ingest::ChunkSizeController& controller);
-
   const JobConfig& config() const { return config_; }
 
  private:
@@ -103,7 +94,6 @@ class MapReduceJob {
   ingest::ChunkBufferPool* shared_buffers_ = nullptr;
   std::uint64_t rounds_ = 0;
   merge::MergeStats merge_stats_;
-  ingest::ChunkSizeController* chunk_controller_ = nullptr;
 };
 
 }  // namespace supmr::core

@@ -25,7 +25,6 @@ struct MergePlan {
 enum class ExecMode {
   kOriginal,  // read ALL chunks, then map rounds (the paper's baseline)
   kIngestMR,  // SupMR: the ingest chunk pipeline (combined read+map phase)
-  kAdaptive,  // SupMR with controller-driven chunk sizing (§VIII)
 };
 
 // Shared name tables (common/enum_names.hpp): the CLI flags, the
@@ -34,7 +33,6 @@ enum class ExecMode {
 inline constexpr EnumName<ExecMode> kExecModeNames[] = {
     {ExecMode::kOriginal, "original"},
     {ExecMode::kIngestMR, "supmr"},
-    {ExecMode::kAdaptive, "adaptive"},
 };
 
 inline constexpr EnumName<MergeMode> kMergeModeNames[] = {

@@ -238,6 +238,7 @@ StatusOr<ReplaySpec> ReplaySpec::from_json(const JsonValue& doc) {
   SUPMR_RETURN_IF_ERROR(fields.take("cell.merge", merge));
   SUPMR_RETURN_IF_ERROR(fields.take_or("cell.io", io, "read"));
   SUPMR_RETURN_IF_ERROR(fields.take_or("cell.container", container, "default"));
+  if (mode == "adaptive") mode = "supmr";      // the removed adaptive mode
   if (merge == "partitioned") merge = "pway";  // the removed partitioned merge
   SUPMR_ASSIGN_OR_RETURN(spec.mode, exec_mode_from_name(mode));
   SUPMR_ASSIGN_OR_RETURN(spec.merge_mode, merge_mode_from_name(merge));

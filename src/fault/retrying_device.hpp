@@ -3,14 +3,13 @@
 // Wraps any storage::Device and re-issues failed positional reads under a
 // RetryPolicy: exponential seeded-jitter backoff between attempts, a
 // per-read wall-clock deadline, and fail-fast for non-retryable errors.
-// Ingest chunk reads and record boundary probes (SingleDeviceSource::plan,
-// adaptive extent_at) all go through the Device seam, so stacking this
-// wrapper gives every one of them transient-fault survival without
-// touching any reader (ARCHITECTURE §2). The ingest pipeline reads each
-// chunk once, so policy.max_attempts is the total number of reads a failing
-// chunk gets. The budgeted word count's spill runs
-// (containers/run_set.hpp) do not retry: they are the runtime's own
-// scratch, read back with stdio.
+// Ingest chunk reads and record boundary probes (SingleDeviceSource::plan)
+// all go through the Device seam, so stacking this wrapper gives every one
+// of them transient-fault survival without touching any reader
+// (ARCHITECTURE §2). The ingest pipeline reads each chunk once, so
+// policy.max_attempts is the total number of reads a failing chunk gets.
+// The budgeted word count's spill runs (containers/run_set.hpp) do not
+// retry: they are the runtime's own scratch, read back with stdio.
 //
 // A read's backoff sleeps cannot be cut short: a job torn down while its
 // producer sits in a read here waits out that read's budget, at most

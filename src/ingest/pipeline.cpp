@@ -1,15 +1,12 @@
 #include "ingest/pipeline.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <semaphore>
 #include <thread>
 
 #include "common/logging.hpp"
 #include "fault/retry_policy.hpp"
-#include "ingest/adaptive.hpp"
 #include "obs/macros.hpp"
 #include "threading/mpmc_queue.hpp"
 
@@ -59,48 +56,25 @@ StatusOr<PipelineStats> IngestPipeline::run(
 StatusOr<PipelineStats> IngestPipeline::run_planned(
     const std::vector<ChunkExtent>& plan,
     const std::function<Status(IngestChunk&)>& process) {
-  if (plan.empty()) return PipelineStats{};
-  std::size_t next = 0;
-  return run_extents(
-      [&](ChunkExtent& out) -> StatusOr<bool> {
-        if (next == plan.size()) return false;
-        out = plan[next++];
-        return true;
-      },
-      nullptr, process);
-}
-
-StatusOr<PipelineStats> IngestPipeline::run_adaptive(
-    ChunkSizeController& controller,
-    const std::function<Status(IngestChunk&)>& process) {
-  const auto* single = dynamic_cast<const SingleDeviceSource*>(&source_);
-  if (single == nullptr) {
-    return Status::InvalidArgument(
-        "adaptive mode requires a single-device input");
+  // Both threads address stats.chunks by extent index, so a plan numbered
+  // any other way would write past it.
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    if (plan[i].index != i) {
+      return Status::InvalidArgument(
+          "ingest plan: extent " + std::to_string(i) + " carries index " +
+          std::to_string(plan[i].index));
+    }
   }
-  std::uint64_t offset = 0;
-  std::uint64_t index = 0;
-  return run_extents(
-      [&](ChunkExtent& out) -> StatusOr<bool> {
-        if (offset >= single->total_bytes()) return false;
-        const std::uint64_t want = std::max<std::uint64_t>(
-            1, index == 0 ? controller.initial_chunk_bytes()
-                          : controller.next_chunk_bytes());
-        SUPMR_GAUGE_SET("ingest.adaptive.chunk_bytes", want);
-        SUPMR_ASSIGN_OR_RETURN(out, single->extent_at(index, offset, want));
-        offset += out.length;
-        ++index;
-        return true;
-      },
-      &controller, process);
-}
-
-StatusOr<PipelineStats> IngestPipeline::run_extents(
-    const NextExtent& next_extent, ChunkSizeController* controller,
-    const std::function<Status(IngestChunk&)>& process) {
+  if (plan.empty()) return PipelineStats{};
+  // One entry per extent, sized before the producer starts, so neither
+  // thread grows it: the producer fills in ingest_s/skipped, the consumer
+  // wait_s/process_s, and the queue's push/pop orders the two writes to an
+  // entry.
   PipelineStats stats;
-  std::mutex chunks_mu;  // stats.chunks: the producer appends, the consumer
-                         // fills in wait_s/process_s
+  stats.chunks.reserve(plan.size());
+  for (const ChunkExtent& extent : plan) {
+    stats.chunks.push_back(ChunkTiming{extent.index, extent.length});
+  }
   // Read chunks wait here for the consumer. The queue bounds nothing: the
   // live-chunk bound is the semaphore — the producer takes a slot before
   // each read, and the consumer gives it back after each map round, once
@@ -113,19 +87,12 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
 
   std::thread producer([&] {
     SUPMR_TRACE_THREAD_NAME("ingest.producer");
-    ChunkExtent extent;
-    while (true) {
-      // Find the end of input before waiting for a slot, so the producer
-      // exits as soon as it has read the last chunk.
-      StatusOr<bool> more = next_extent(extent);
-      if (!more.ok()) {
-        producer_status = more.status();
-        break;
-      }
-      if (!*more) break;
+    // The loop ends after the last extent without taking a slot, so the
+    // producer exits as soon as it has read the last chunk.
+    for (const ChunkExtent& extent : plan) {
       slots.acquire();
       if (cancel.load(std::memory_order_acquire)) break;
-      ChunkTiming timing{extent.index, extent.length};
+      ChunkTiming& timing = stats.chunks[extent.index];
       IngestChunk chunk;
       // Recycle a drained buffer so the copying path's resize() is
       // allocation-free once the pool is warm (the zero-copy path never
@@ -144,10 +111,6 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
       // Degrade mode: account for a poisoned chunk and move on. Any retry
       // already happened in the device stack under the source.
       timing.skipped = !st.ok() && degrade_ && fault::retryable(st);
-      {
-        std::lock_guard<std::mutex> lock(chunks_mu);
-        stats.chunks.push_back(timing);
-      }
       if (timing.skipped) {
         ++stats.chunks_skipped;
         stats.bytes_skipped += extent.length;
@@ -165,10 +128,6 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
       if (!st.ok()) {
         producer_status = std::move(st);
         break;
-      }
-      if (controller != nullptr) {
-        controller->observe(
-            ChunkFeedback{extent.index, chunk.size(), timing.ingest_s, 0.0});
       }
       SUPMR_COUNTER_ADD("ingest.chunks", 1);
       SUPMR_COUNTER_ADD("ingest.bytes", chunk.size());
@@ -216,14 +175,8 @@ StatusOr<PipelineStats> IngestPipeline::run_extents(
       stats.process_busy_s += processed;
       stats.total_bytes += bytes;
       SUPMR_HIST_OBSERVE("ingest.process_us", processed * 1e6);
-      {
-        std::lock_guard<std::mutex> lock(chunks_mu);
-        stats.chunks[index].wait_s = waited;
-        stats.chunks[index].process_s = processed;
-      }
-      if (controller != nullptr) {
-        controller->observe(ChunkFeedback{index, bytes, 0.0, processed});
-      }
+      stats.chunks[index].wait_s = waited;
+      stats.chunks[index].process_s = processed;
       if (!chunk.borrowed()) pool_->release(std::move(chunk.data));
       slots.release();
 

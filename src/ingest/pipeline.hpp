@@ -6,8 +6,8 @@
 // one being read, which is the paper's double-buffering scheme: the pipeline
 // never gets more than one chunk ahead. A counting semaphore of
 // kMaxLiveChunks slots is the bound; read chunks reach the consumer through
-// an MpmcQueue. Extents come either from a plan or, in adaptive mode, from a
-// ChunkSizeController (ingest/adaptive.hpp).
+// an MpmcQueue. The producer reads the extents of the source's plan, in
+// order (paper §III.A.2: each job fixes its chunk size).
 //
 // The run is the paper's n+1 rounds: the first chunk is ingested with no
 // compute overlapped (the consumer just waits), the middle rounds overlap
@@ -33,8 +33,6 @@
 #include "ingest/source.hpp"
 
 namespace supmr::ingest {
-
-class ChunkSizeController;
 
 struct ChunkTiming {
   std::uint64_t index = 0;
@@ -83,17 +81,11 @@ class IngestPipeline {
       const std::function<Status(IngestChunk&)>& process);
 
   // Runs with a precomputed plan (lets the runtime plan once and report
-  // chunk counts before execution).
+  // chunk counts before execution). Extent i of the plan must carry index
+  // i, as every source's plan() numbers them; any other plan is
+  // InvalidArgument before a chunk is read.
   StatusOr<PipelineStats> run_planned(
       const std::vector<ChunkExtent>& plan,
-      const std::function<Status(IngestChunk&)>& process);
-
-  // Runs with no plan (paper §VIII's feedback loop): each next chunk is
-  // `controller`'s byte target from the end of the last one, cut at a
-  // record boundary, and every read and map time is fed back to it. The
-  // source must be a SingleDeviceSource.
-  StatusOr<PipelineStats> run_adaptive(
-      ChunkSizeController& controller,
       const std::function<Status(IngestChunk&)>& process);
 
   // Owned-buffer recycling across rounds (see ChunkBufferPool): exposed so
@@ -102,13 +94,6 @@ class IngestPipeline {
   const ChunkBufferPool& buffer_pool() const { return *pool_; }
 
  private:
-  // Sets `out` to the next extent to read; false once the input is done.
-  using NextExtent = std::function<StatusOr<bool>(ChunkExtent& out)>;
-
-  StatusOr<PipelineStats> run_extents(
-      const NextExtent& next_extent, ChunkSizeController* controller,
-      const std::function<Status(IngestChunk&)>& process);
-
   const IngestSource& source_;
   bool degrade_;
   ChunkBufferPool owned_pool_;

@@ -20,27 +20,20 @@ StatusOr<std::vector<ChunkExtent>> SingleDeviceSource::plan() const {
   std::vector<ChunkExtent> extents;
   const std::uint64_t size = device_->size();
   const std::uint64_t step = chunk_bytes_ == 0 ? size : chunk_bytes_;
+  // Each chunk ends at the first record boundary at or after offset + step.
   for (std::uint64_t offset = 0; offset < size;) {
-    SUPMR_ASSIGN_OR_RETURN(ChunkExtent extent,
-                           extent_at(extents.size(), offset, step));
-    offset += extent.length;
-    extents.push_back(std::move(extent));
+    SUPMR_ASSIGN_OR_RETURN(std::uint64_t end,
+                           format_->adjust_split(*device_, offset + step));
+    // adjust_split moves forward only; a pathological record larger than
+    // the chunk still yields a strictly growing plan.
+    if (end <= offset) {
+      return Status::Internal("chunk plan did not advance at offset " +
+                              std::to_string(offset));
+    }
+    extents.push_back(ChunkExtent{extents.size(), offset, end - offset, {}});
+    offset = end;
   }
   return extents;
-}
-
-StatusOr<ChunkExtent> SingleDeviceSource::extent_at(std::uint64_t index,
-                                                    std::uint64_t offset,
-                                                    std::uint64_t bytes) const {
-  SUPMR_ASSIGN_OR_RETURN(std::uint64_t end,
-                         format_->adjust_split(*device_, offset + bytes));
-  // adjust_split moves forward only; a pathological record larger than the
-  // chunk still yields a strictly growing plan.
-  if (end <= offset) {
-    return Status::Internal("chunk plan did not advance at offset " +
-                            std::to_string(offset));
-  }
-  return ChunkExtent{index, offset, end - offset, {}};
 }
 
 Status SingleDeviceSource::read_chunk(const ChunkExtent& extent,

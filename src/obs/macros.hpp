@@ -12,7 +12,7 @@
 //
 //   SUPMR_COUNTER_ADD("ingest.bytes", n);
 //   SUPMR_HIST_OBSERVE("ingest.read_us", micros);
-//   SUPMR_GAUGE_SET("ingest.adaptive.chunk_bytes", want);
+//   SUPMR_GAUGE_SET("cluster.nodes", n);
 //   SUPMR_TRACE_SCOPE("merge", "merge.pway");           // span = this block
 //   SUPMR_TRACE_SCOPE_VAR(span, "ingest", "read_chunk");  // named handle
 //   SUPMR_TRACE_SET_ARG(span, "bytes", chunk.size());

@@ -192,10 +192,6 @@ StatusOr<ConformanceOutcome> run_graph_cell(const core::ReplaySpec& spec,
         "conformance: graph cells do not take fault plans (stage handoff "
         "devices are not faultable)");
   }
-  if (spec.mode == core::ExecMode::kAdaptive) {
-    return Status::InvalidArgument(
-        "conformance: graph stages run without an adaptive controller");
-  }
 
   SUPMR_ASSIGN_OR_RETURN(apps::ChainInputs inputs,
                          make_inputs(spec, corpus_override));

@@ -150,7 +150,11 @@ TEST(CliValidation, BadEnumValuesAreNamed) {
   // The shared enum-name tables (common/enum_names.hpp) name the bad value
   // AND list what would have been accepted.
   expect_rejected("wordcount whatever --mode=warp",
-                  "unknown exec mode: warp (want original|supmr|adaptive)");
+                  "unknown exec mode: warp (want original|supmr)");
+  // The removed adaptive mode is not a CLI mode; only old specs still
+  // name it (ReplaySpec.RemovedAdaptiveModeParsesAsSupmr).
+  expect_rejected("wordcount whatever --mode=adaptive",
+                  "unknown exec mode: adaptive (want original|supmr)");
   expect_rejected("wordcount whatever --merge=psychic",
                   "unknown merge mode: psychic (want pairwise|pway)");
   expect_rejected("wordcount whatever --io=psychic",
@@ -225,17 +229,6 @@ TEST(CliValidation, CombiningAcceptedForWordCount) {
     EXPECT_EQ(r.output.find("container"), std::string::npos) << r.output;
     std::remove(spec.c_str());
   }
-}
-
-TEST(CliValidation, AdaptiveModeRejectsMultiFileInput) {
-  // Adaptive chunk sizing cuts one device at record boundaries; a
-  // multi-file index job has no single device to cut.
-  const std::string a = write_temp_corpus("cli_adaptive_a.txt");
-  const std::string b = write_temp_corpus("cli_adaptive_b.txt");
-  expect_rejected("index " + a + " " + b + " --mode=adaptive",
-                  "adaptive mode requires a single-device input");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
 }
 
 TEST(CliValidation, ReplaySpecRejectsCombiningForCombinerlessApp) {
@@ -445,8 +438,8 @@ TEST(CliRunPaths, SortOutputIsIdenticalAcrossFlags) {
             0);
   const std::vector<std::string> variants = {
       "--merge=pway",    "--merge=pairwise", "--io=mmap",
-      "--mode=original", "--chunk=none",     "--mode=adaptive",
-      "--nodes=2",       "--nodes=2 --merge=pairwise"};
+      "--mode=original", "--chunk=none",     "--nodes=2",
+      "--nodes=2 --merge=pairwise"};
   std::string expected;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const std::string out = dir + "/cli_paths_sorted.dat";

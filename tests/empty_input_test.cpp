@@ -36,8 +36,7 @@ using core::JobConfig;
 using core::MapReduceJob;
 using core::MergeMode;
 
-constexpr ExecMode kModes[] = {ExecMode::kOriginal, ExecMode::kIngestMR,
-                               ExecMode::kAdaptive};
+constexpr ExecMode kModes[] = {ExecMode::kOriginal, ExecMode::kIngestMR};
 constexpr MergeMode kMergeModes[] = {MergeMode::kPairwise, MergeMode::kPWay};
 
 JobConfig empty_config(MergeMode merge, bool degrade) {

@@ -1,191 +1,25 @@
-// Tests for the paper's deferred features implemented here: the adaptive
-// chunk-size feedback loop, the dense fixed-key container, and the
-// histogram application.
+// Tests for the paper's deferred features implemented here: the dense
+// fixed-key container and the histogram application.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
 #include <limits>
 #include <map>
-#include <thread>
 
 #include "apps/histogram.hpp"
-#include "apps/word_count.hpp"
 #include "containers/fixed_kv_array.hpp"
 #include "core/job.hpp"
-#include "ingest/adaptive.hpp"
 #include "storage/mem_device.hpp"
-#include "storage/rate_limiter.hpp"
-#include "storage/throttled_device.hpp"
 #include "wload/numeric.hpp"
-#include "wload/text_corpus.hpp"
 
 namespace supmr {
 namespace {
 
-using ingest::ChunkFeedback;
-using ingest::IngestChunk;
-using ingest::IngestPipeline;
 using ingest::LineFormat;
-using ingest::RateMatchingController;
-using ingest::SingleDeviceSource;
 using storage::MemDevice;
 
 std::shared_ptr<const storage::Device> mem(std::string s,
                                            std::string name = "m") {
   return std::make_shared<MemDevice>(std::move(s), std::move(name));
-}
-
-// ------------------------------------------------------- adaptive ingest
-
-TEST(RateMatchingController, LearnsBandwidths) {
-  RateMatchingController ctl;
-  ctl.observe(ChunkFeedback{0, 1000000, 0.01, 0.0});   // 100 MB/s ingest
-  ctl.observe(ChunkFeedback{0, 1000000, 0.0, 0.002});  // 500 MB/s map
-  EXPECT_NEAR(ctl.ingest_bw_estimate(), 1e8, 1e6);
-  EXPECT_NEAR(ctl.process_bw_estimate(), 5e8, 5e6);
-}
-
-TEST(RateMatchingController, SizesChunkToPacingBandwidth) {
-  RateMatchingController::Options opt;
-  opt.round_floor_s = 0.1;
-  opt.min_bytes = 1;
-  opt.max_bytes = 1ULL << 40;
-  RateMatchingController ctl(opt);
-  // Ingest 100 MB/s, map 20 MB/s: map paces the round.
-  ctl.observe(ChunkFeedback{0, 10000000, 0.1, 0.0});
-  ctl.observe(ChunkFeedback{0, 10000000, 0.0, 0.5});
-  EXPECT_NEAR(double(ctl.next_chunk_bytes()), 0.1 * 20e6, 0.1 * 20e6 * 0.05);
-}
-
-TEST(RateMatchingController, ClampsToBounds) {
-  RateMatchingController::Options opt;
-  opt.round_floor_s = 10.0;
-  opt.min_bytes = 1000;
-  opt.max_bytes = 2000;
-  RateMatchingController ctl(opt);
-  ctl.observe(ChunkFeedback{0, 1 << 20, 0.001, 0.0});  // ~1 GB/s
-  EXPECT_EQ(ctl.next_chunk_bytes(), 2000u);  // clamped to max
-}
-
-TEST(RateMatchingController, IgnoresEmptyFeedback) {
-  RateMatchingController ctl;
-  ctl.observe(ChunkFeedback{0, 0, 0.5, 0.5});
-  EXPECT_EQ(ctl.ingest_bw_estimate(), 0.0);
-}
-
-// Adaptive mode ignores the source's chunk_bytes; 0 marks it unused.
-SingleDeviceSource adaptive_source(std::shared_ptr<const storage::Device> dev) {
-  return SingleDeviceSource(std::move(dev), std::make_shared<LineFormat>(), 0);
-}
-
-TEST(AdaptiveIngest, DeliversAllBytesInOrder) {
-  wload::TextCorpusConfig cfg;
-  cfg.total_bytes = 300 * 1024;
-  const std::string text = wload::generate_text(cfg);
-  const SingleDeviceSource src = adaptive_source(mem(text));
-  RateMatchingController::Options opt;
-  opt.initial_bytes = 8 * 1024;
-  opt.min_bytes = 1024;
-  opt.max_bytes = 64 * 1024;
-  opt.round_floor_s = 0.001;
-  RateMatchingController ctl(opt);
-  IngestPipeline pipeline(src);
-  std::string rebuilt;
-  std::uint64_t last_index = 0;
-  auto stats = pipeline.run_adaptive(ctl, [&](IngestChunk& c) {
-    EXPECT_GE(c.index, last_index);
-    last_index = c.index;
-    rebuilt.append(c.bytes().data(), c.size());
-    return Status::Ok();
-  });
-  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-  EXPECT_EQ(rebuilt, text);
-  EXPECT_EQ(stats->total_bytes, text.size());
-  EXPECT_GE(stats->chunks.size(), 4u);
-}
-
-TEST(AdaptiveIngest, ShrinksChunksWhenIngestSlow) {
-  // Throttled device (slow ingest) + instant processing: the controller
-  // should converge to small chunks (ingest paces the pipeline).
-  auto base = std::make_shared<MemDevice>(
-      wload::generate_text({.total_bytes = 1024 * 1024}), "slow");
-  auto limiter =
-      std::make_shared<storage::RateLimiter>(8.0e6, /*burst=*/16 * 1024);
-  const SingleDeviceSource src = adaptive_source(
-      std::make_shared<storage::ThrottledDevice>(base, limiter));
-  RateMatchingController::Options opt;
-  opt.initial_bytes = 256 * 1024;  // start far too big
-  opt.min_bytes = 4 * 1024;
-  opt.max_bytes = 1 << 20;
-  opt.round_floor_s = 0.002;  // 2 ms rounds at 8 MB/s -> ~16 KB chunks
-  RateMatchingController ctl(opt);
-  IngestPipeline pipeline(src);
-  auto stats =
-      pipeline.run_adaptive(ctl, [](IngestChunk&) { return Status::Ok(); });
-  ASSERT_TRUE(stats.ok());
-  ASSERT_GE(stats->chunks.size(), 3u);
-  // Later chunks must be much smaller than the oversized initial chunk.
-  // Use the median: individual chunks can ride burst credit after a
-  // scheduling hiccup, but the bulk must converge small.
-  auto chunks = stats->chunks;
-  std::sort(chunks.begin(), chunks.end(),
-            [](const auto& a, const auto& b) { return a.bytes < b.bytes; });
-  EXPECT_LT(chunks[chunks.size() / 2].bytes, 64u * 1024);
-  EXPECT_LT(chunks[chunks.size() / 2].bytes, stats->chunks[0].bytes);
-}
-
-TEST(AdaptiveIngest, ConsumerErrorCancels) {
-  const SingleDeviceSource src =
-      adaptive_source(mem(wload::generate_text({.total_bytes = 200 * 1024})));
-  ingest::FixedChunkController ctl(8 * 1024);
-  IngestPipeline pipeline(src);
-  int calls = 0;
-  auto stats = pipeline.run_adaptive(ctl, [&](IngestChunk&) {
-    return ++calls == 2 ? Status::Internal("stop") : Status::Ok();
-  });
-  EXPECT_FALSE(stats.ok());
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(AdaptiveIngest, EmptyDevice) {
-  const SingleDeviceSource src = adaptive_source(mem(""));
-  ingest::FixedChunkController ctl(1024);
-  IngestPipeline pipeline(src);
-  int calls = 0;
-  auto stats = pipeline.run_adaptive(ctl, [&](IngestChunk&) {
-    ++calls;
-    return Status::Ok();
-  });
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(MapReduceJob, AdaptiveRunMatchesFixedRun) {
-  wload::TextCorpusConfig cfg;
-  cfg.total_bytes = 128 * 1024;
-  const std::string text = wload::generate_text(cfg);
-  core::JobConfig jc;
-  jc.num_map_threads = 4;
-  jc.num_reduce_threads = 2;
-
-  apps::WordCountApp fixed_app;
-  ingest::SingleDeviceSource src(mem(text), std::make_shared<LineFormat>(),
-                                 16 * 1024);
-  core::MapReduceJob fixed_job(fixed_app, src, jc);
-  ASSERT_TRUE(fixed_job.run(core::ExecMode::kIngestMR).ok());
-
-  apps::WordCountApp adaptive_app;
-  RateMatchingController ctl;
-  // Adaptive mode plans over the same source, ignoring its chunk size.
-  core::MapReduceJob adaptive_job(adaptive_app, src, jc);
-  adaptive_job.set_chunk_controller(ctl);
-  auto r = adaptive_job.run(core::ExecMode::kAdaptive);
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_TRUE(r->phases.has_combined_readmap);
-  EXPECT_GE(r->chunks, 1u);
-
-  EXPECT_EQ(adaptive_app.results(), fixed_app.results());
 }
 
 // ---------------------------------------------------------- FixedKvArray

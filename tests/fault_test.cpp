@@ -490,7 +490,6 @@ TEST(PipelineRecovery, FailingChunkIsReadMaxAttemptsTimes) {
 TEST(ExecMode, NamesAreStable) {
   EXPECT_EQ(core::exec_mode_name(core::ExecMode::kOriginal), "original");
   EXPECT_EQ(core::exec_mode_name(core::ExecMode::kIngestMR), "supmr");
-  EXPECT_EQ(core::exec_mode_name(core::ExecMode::kAdaptive), "adaptive");
 }
 
 std::string corpus_text() {
@@ -504,8 +503,7 @@ TEST(UnifiedRun, AllModesAgreeOnWordCounts) {
   const std::string text = corpus_text();
   std::map<core::ExecMode, std::uint64_t> distinct;
   for (core::ExecMode mode :
-       {core::ExecMode::kOriginal, core::ExecMode::kIngestMR,
-        core::ExecMode::kAdaptive}) {
+       {core::ExecMode::kOriginal, core::ExecMode::kIngestMR}) {
     auto dev = std::make_shared<MemDevice>(text, "corpus");
     ingest::SingleDeviceSource src(
         dev, std::make_shared<ingest::LineFormat>(), 512);
@@ -515,8 +513,6 @@ TEST(UnifiedRun, AllModesAgreeOnWordCounts) {
     config.num_map_threads = 2;
     config.num_reduce_threads = 2;
     core::MapReduceJob job(app, src, config);
-    // kAdaptive with no set_chunk_controller(): the job's own
-    // RateMatchingController sizes the chunks.
     auto result = job.run(config.mode);
     ASSERT_TRUE(result.ok())
         << core::exec_mode_name(mode) << ": " << result.status().to_string();
@@ -526,23 +522,6 @@ TEST(UnifiedRun, AllModesAgreeOnWordCounts) {
   }
   EXPECT_EQ(distinct[core::ExecMode::kOriginal],
             distinct[core::ExecMode::kIngestMR]);
-  EXPECT_EQ(distinct[core::ExecMode::kOriginal],
-            distinct[core::ExecMode::kAdaptive]);
-}
-
-TEST(UnifiedRun, LegacyWrappersStillRun) {
-  const std::string text = corpus_text();
-  auto dev = std::make_shared<MemDevice>(text, "corpus");
-  ingest::SingleDeviceSource src(dev, std::make_shared<ingest::LineFormat>(),
-                                 512);
-  apps::WordCountApp app;
-  core::JobConfig config;
-  config.num_map_threads = 2;
-  config.num_reduce_threads = 2;
-  core::MapReduceJob job(app, src, config);
-  auto result = job.run(core::ExecMode::kIngestMR);  // deprecated wrapper
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_GT(result->result_count, 0u);
 }
 
 TEST(UnifiedRun, DegradedJobReportsSkippedChunksInJson) {

@@ -302,12 +302,9 @@ TEST(GraphConformance, ForcedSpillCellPassesAndReportsSpill) {
   EXPECT_GT(outcome->graph_spill_bytes, 0u);
 }
 
-TEST(GraphConformance, GraphCellsRejectFaultsAndAdaptive) {
+TEST(GraphConformance, GraphCellsRejectFaultsAndWrongCorpus) {
   core::ReplaySpec spec = pmi_spec();
   spec.fault_plan = "seed=7;transient=0.05";
-  EXPECT_FALSE(ref::run_cell(spec).ok());
-  spec = pmi_spec();
-  spec.mode = core::ExecMode::kAdaptive;
   EXPECT_FALSE(ref::run_cell(spec).ok());
   spec = pmi_spec();
   spec.app = "tfidf";  // but corpus kind still "text"

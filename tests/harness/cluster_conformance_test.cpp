@@ -6,10 +6,9 @@
 // self-contained repro spec replayable with `supmr cluster --spec=` (or
 // `supmr replay`).
 //
-// Dedicated rows beyond the cross: an adaptive-mode subset, an io=mmap
-// subset (nodes map borrowed views of the job's input), and a throttled
-// fabric (slow NICs + shared uplink — the limiters must delay, never
-// corrupt).
+// Dedicated rows beyond the cross: an io=mmap subset (nodes map borrowed
+// views of the job's input) and a throttled fabric (slow NICs + shared
+// uplink — the limiters must delay, never corrupt).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -90,15 +89,6 @@ void run_cluster_lattice(std::function<core::ReplaySpec(std::uint64_t)> base,
     if (axis.nodes == 1) {
       EXPECT_EQ(outcome.cluster_shuffle_bytes, 0u) << name;
     }
-  }
-  // Adaptive subset: the controller resizes chunks inside each node's
-  // ingest; routing and merge must be unaffected.
-  for (std::uint64_t nodes : {2, 4}) {
-    core::ReplaySpec spec = base(salt++);
-    spec.mode = core::ExecMode::kAdaptive;
-    spec.cluster_nodes = nodes;
-    const std::string name = app_label + "-adaptive-n" + std::to_string(nodes);
-    expect_conservation(run_cluster_cell_checked(spec, name), name);
   }
   // Zero-copy subset: each node's chunks borrow views of its slice, itself
   // a borrowed view of the job's input, so a node maps the input in place.

@@ -23,14 +23,10 @@ struct Axis {
 // copying reads and once over borrowed zero-copy views (MemDevice lends
 // views like MmapDevice, so io=mmap cells carry borrowed spans into the map
 // tasks).
-// The adaptive pipeline reads through the device directly and has no view
-// path, so its mmap cells still exercise the "configured but unavailable"
-// fallback.
 std::vector<Axis> mode_merge_cross() {
   std::vector<Axis> axes;
-  for (core::ExecMode mode : {core::ExecMode::kOriginal,
-                              core::ExecMode::kIngestMR,
-                              core::ExecMode::kAdaptive}) {
+  for (core::ExecMode mode :
+       {core::ExecMode::kOriginal, core::ExecMode::kIngestMR}) {
     for (core::MergeMode merge :
          {core::MergeMode::kPairwise, core::MergeMode::kPWay}) {
       for (core::IoMode io : {core::IoMode::kRead, core::IoMode::kMmap}) {
@@ -41,12 +37,8 @@ std::vector<Axis> mode_merge_cross() {
   return axes;
 }
 
-void run_lattice(core::ReplaySpec base, const std::string& app_label,
-                 bool single_device) {
+void run_lattice(core::ReplaySpec base, const std::string& app_label) {
   for (const Axis& axis : mode_merge_cross()) {
-    if (!single_device && axis.mode == core::ExecMode::kAdaptive) {
-      continue;  // adaptive pipeline drives one device end-to-end
-    }
     core::ReplaySpec spec = base;
     spec.mode = axis.mode;
     spec.merge_mode = axis.merge;
@@ -59,37 +51,37 @@ void run_lattice(core::ReplaySpec base, const std::string& app_label,
 }
 
 TEST(ConformanceLattice, WordCount) {
-  run_lattice(spec_wordcount(1), "wordcount", /*single_device=*/true);
+  run_lattice(spec_wordcount(1), "wordcount");
 }
 
 TEST(ConformanceLattice, ExternalWordCount) {
   // Spilling container: with a 16KB budget over a 160KB corpus every stripe
   // spills and re-merges, yet the bytes must match the in-memory oracle.
-  run_lattice(spec_xwordcount(2), "xwordcount", /*single_device=*/true);
+  run_lattice(spec_xwordcount(2), "xwordcount");
 }
 
 TEST(ConformanceLattice, Grep) {
-  run_lattice(spec_grep(3), "grep", /*single_device=*/true);
+  run_lattice(spec_grep(3), "grep");
 }
 
 TEST(ConformanceLattice, Histogram) {
-  run_lattice(spec_histogram(4), "histogram", /*single_device=*/true);
+  run_lattice(spec_histogram(4), "histogram");
 }
 
 TEST(ConformanceLattice, SortFlat) {
-  run_lattice(spec_sort(5), "sort-flat", /*single_device=*/true);
+  run_lattice(spec_sort(5), "sort-flat");
 }
 
 TEST(ConformanceLattice, InvertedIndex) {
-  run_lattice(spec_index(7), "index", /*single_device=*/false);
+  run_lattice(spec_index(7), "index");
 }
 
 TEST(ConformanceLattice, PairCount) {
-  run_lattice(spec_paircount(15), "paircount", /*single_device=*/true);
+  run_lattice(spec_paircount(15), "paircount");
 }
 
 TEST(ConformanceLattice, DocTermCount) {
-  run_lattice(spec_doctermcount(16), "doctermcount", /*single_device=*/false);
+  run_lattice(spec_doctermcount(16), "doctermcount");
 }
 
 // Axis sweeps beyond the mode × merge cross: thread count and chunk size

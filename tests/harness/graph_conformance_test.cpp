@@ -21,8 +21,6 @@ struct Axis {
   core::IoMode io;
 };
 
-// No adaptive rung: graph stages run without an adaptive controller (the
-// conformance router rejects such cells by design).
 std::vector<Axis> stage_cross() {
   std::vector<Axis> axes;
   for (core::ExecMode mode :

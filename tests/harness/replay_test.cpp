@@ -28,7 +28,7 @@ core::ReplaySpec non_default_spec() {
   s.hist_bins = 17;
   s.grep_patterns = "ab,cd";
   s.memory_budget = 4096;
-  s.mode = core::ExecMode::kAdaptive;
+  s.mode = core::ExecMode::kOriginal;
   s.merge_mode = core::MergeMode::kPairwise;
   s.threads = 7;
   s.chunk_bytes = 8192;
@@ -90,9 +90,8 @@ TEST(ReplaySpec, RoundTripDefaults) {
 }
 
 TEST(ReplaySpec, EnumNamesRoundTrip) {
-  for (core::ExecMode m : {core::ExecMode::kOriginal,
-                           core::ExecMode::kIngestMR,
-                           core::ExecMode::kAdaptive}) {
+  for (core::ExecMode m :
+       {core::ExecMode::kOriginal, core::ExecMode::kIngestMR}) {
     auto back = core::exec_mode_from_name(core::exec_mode_name(m));
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, m);
@@ -226,6 +225,20 @@ TEST(ReplaySpec, RemovedPartitionedMergeParsesAsPWay) {
   EXPECT_EQ(written.find("app_partitions"), std::string::npos) << written;
   EXPECT_EQ(written.find("merge_partitions"), std::string::npos) << written;
   EXPECT_EQ(written.find("partitioned"), std::string::npos) << written;
+}
+
+TEST(ReplaySpec, RemovedAdaptiveModeParsesAsSupmr) {
+  // Specs written while adaptive mode existed name it. They parse: the cell
+  // runs in SupMR mode over the spec's planned chunks (every mode gives the
+  // same bytes), and to_json writes supmr back.
+  std::string json = core::ReplaySpec().to_json();
+  json = replaced(json, "\"mode\":\"supmr\"", "\"mode\":\"adaptive\"");
+  auto parsed = core::ReplaySpec::from_json(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed->mode, core::ExecMode::kIngestMR);
+  expect_specs_equal(core::ReplaySpec(), *parsed);
+  const std::string written = parsed->to_json();
+  EXPECT_EQ(written.find("adaptive"), std::string::npos) << written;
 }
 
 TEST(ReplayPath, WrittenReproReRunsItsCell) {

@@ -306,6 +306,26 @@ TEST(IngestPipeline, ReassemblesExactInput) {
   EXPECT_EQ(rebuilt, text);
 }
 
+TEST(IngestPipeline, RejectsPlanNotNumberedFromZero) {
+  // The per-chunk stats are addressed by extent index, so a sub-plan that
+  // starts at chunk 1 must be refused before any chunk is read.
+  SingleDeviceSource src(mem("aa\nbb\ncc\ndd\n"),
+                         std::make_shared<LineFormat>(), 3);
+  auto plan = src.plan();
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->size(), 4u);
+  plan->erase(plan->begin());
+  IngestPipeline pipeline(src);
+  int calls = 0;
+  auto stats = pipeline.run_planned(*plan, [&](IngestChunk&) {
+    ++calls;
+    return Status::Ok();
+  });
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(calls, 0);
+}
+
 TEST(IngestPipeline, EmptyInputRunsZeroChunks) {
   SingleDeviceSource src(mem(""), std::make_shared<LineFormat>(), 4);
   IngestPipeline pipeline(src);

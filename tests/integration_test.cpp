@@ -157,30 +157,24 @@ TEST(Integration, FaultMidJobSurfacesCleanly) {
 }
 
 TEST(Integration, AllModesAgreeOnGrep) {
-  // original vs chunked vs adaptive over the same throttle-free input.
+  // original vs chunked over the same throttle-free input.
   wload::TextCorpusConfig tc;
   tc.total_bytes = 48 * 1024;
   const std::string text = wload::generate_text(tc);
   const std::vector<std::string> patterns = {"ab", "the", "zz"};
 
-  auto run_mode = [&](int mode) {
+  auto run_mode = [&](core::ExecMode mode) {
     apps::GrepApp app(patterns);
     auto dev = std::make_shared<MemDevice>(text, "g");
+    const bool original = mode == core::ExecMode::kOriginal;
     SingleDeviceSource src(dev, std::make_shared<LineFormat>(),
-                           mode == 0 ? 0 : 6000);
+                           original ? 0 : 6000);
     core::MapReduceJob job(app, src, small_config());
-    if (mode == 0) {
-      EXPECT_TRUE(job.run(core::ExecMode::kOriginal).ok());
-    } else if (mode == 1) {
-      EXPECT_TRUE(job.run(core::ExecMode::kIngestMR).ok());
-    } else {
-      EXPECT_TRUE(job.run(core::ExecMode::kAdaptive).ok());
-    }
+    EXPECT_TRUE(job.run(mode).ok());
     return app.results();
   };
-  const auto original = run_mode(0);
-  EXPECT_EQ(run_mode(1), original);
-  EXPECT_EQ(run_mode(2), original);
+  EXPECT_EQ(run_mode(core::ExecMode::kIngestMR),
+            run_mode(core::ExecMode::kOriginal));
 }
 
 TEST(Integration, PipelineStatsConservation) {

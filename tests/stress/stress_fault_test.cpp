@@ -17,7 +17,6 @@
 #include "fault/fault_plan.hpp"
 #include "fault/retry_policy.hpp"
 #include "fault/retrying_device.hpp"
-#include "ingest/adaptive.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
@@ -167,40 +166,6 @@ TEST_P(FaultStress, DegradeModeAccountsForEveryChunk) {
   // Each skipped chunk was read twice (one retry), each by the device alone.
   EXPECT_EQ(retrying.retries(), stats->chunks_skipped);
   EXPECT_EQ(fault.range_hits(), 2 * stats->chunks_skipped);
-}
-
-// Adaptive ingest: same degrade discipline with controller-driven chunk
-// sizing — skips must advance the stream, not stall or re-read forever.
-TEST_P(FaultStress, AdaptiveDegradeAdvancesPastPoison) {
-  test::SchedFuzz fuzz(GetParam());
-  test::SchedFuzz::Stream sched(fuzz, 0);
-  // FixedFormat: boundary adjustment is pure arithmetic, so the poisoned
-  // range hits only the data reads.
-  const std::string text(40000, 'x');
-  MemDevice base(text);
-  fault::FaultPlan plan;
-  const std::uint64_t lo = 2000 + sched.rand() % 4000;
-  plan.permanent.emplace_back(lo, lo + 500);
-  storage::FaultDevice fault(&base, plan);
-  fault::RetryingDevice retrying(&fault, fast_policy(2, GetParam()));
-  ingest::SingleDeviceSource src(
-      borrow(&retrying), std::make_shared<ingest::FixedFormat>(100), 0);
-  ingest::RateMatchingController::Options copt;
-  copt.initial_bytes = 1024;
-  copt.min_bytes = 256;
-  copt.max_bytes = 4096;
-  ingest::RateMatchingController controller(copt);
-  ingest::IngestPipeline pipeline(src, /*degrade=*/true);
-  std::uint64_t bytes = 0;
-  auto stats = pipeline.run_adaptive(controller, [&](IngestChunk& chunk) {
-    sched.yield_point();
-    bytes += chunk.size();
-    return Status::Ok();
-  });
-  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-  EXPECT_GE(stats->chunks_skipped, 1u);
-  EXPECT_EQ(bytes + stats->bytes_skipped, text.size());
-  EXPECT_EQ(retrying.retries(), stats->chunks_skipped);
 }
 
 // Consumer failure while the producer sits in a retrying device read: no

@@ -1,10 +1,9 @@
-// Ingest pipeline error-path and cancellation stress, over planned and
-// controller-sized (adaptive) extents. The key interleaving: when the
-// consumer fails (or throws) on an early chunk, the producer is usually
-// blocked waiting for a live-chunk slot — the run must wake it before
-// joining or it deadlocks (the ctest TIMEOUT turns that hang into a
-// failure). AtMostTwoChunksLive asserts the live-chunk bound itself. Each
-// TEST_P runs per seed in kStressSeeds.
+// Ingest pipeline error-path and cancellation stress. The key
+// interleaving: when the consumer fails (or throws) on an early chunk, the
+// producer is usually blocked waiting for a live-chunk slot — the run must
+// wake it before joining or it deadlocks (the ctest TIMEOUT turns that hang
+// into a failure). AtMostTwoChunksLive asserts the live-chunk bound itself.
+// Each TEST_P runs per seed in kStressSeeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include <thread>
 
 #include "fault/retrying_device.hpp"
-#include "ingest/adaptive.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/record_format.hpp"
 #include "ingest/source.hpp"
@@ -150,71 +148,11 @@ TEST_P(PipelineStress, HappyPathDeliversAllBytesInOrderUnderFuzz) {
   EXPECT_EQ(result->total_bytes, text.size());
 }
 
-// ------------------------------------------------------- adaptive ingest
-
-ingest::RateMatchingController::Options small_chunks() {
-  ingest::RateMatchingController::Options opt;
-  opt.initial_bytes = 512;
-  opt.min_bytes = 128;
-  opt.max_bytes = 2048;
-  opt.round_floor_s = 0.0001;
-  return opt;
-}
-
-TEST_P(PipelineStress, AdaptiveConsumerErrorOnChunk0DoesNotDeadlock) {
-  test::SchedFuzz fuzz(GetParam());
-  auto src = make_source(std::make_shared<MemDevice>(make_text(400), "m"));
-  ingest::RateMatchingController controller(small_chunks());
-  ingest::IngestPipeline pipeline(src);
-
-  auto result =
-      pipeline.run_adaptive(controller, [&](IngestChunk& chunk) -> Status {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_EQ(chunk.index, 0u);
-    return Status::Internal("chunk 0 processing failed");
-  });
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-}
-
-TEST_P(PipelineStress, AdaptiveProcessThrowingPropagatesWithoutTerminate) {
-  test::SchedFuzz fuzz(GetParam());
-  auto src = make_source(std::make_shared<MemDevice>(make_text(400), "m"));
-  ingest::RateMatchingController controller(small_chunks());
-  ingest::IngestPipeline pipeline(src);
-  EXPECT_THROW(
-      pipeline.run_adaptive(controller, [&](IngestChunk&) -> Status {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        throw std::runtime_error("mapper exploded");
-      }),
-      std::runtime_error);
-}
-
-TEST_P(PipelineStress, AdaptiveHappyPathReassemblesInput) {
-  test::SchedFuzz fuzz(GetParam());
-  test::SchedFuzz::Stream sched(fuzz, 0);
-  const std::string text = make_text(400);
-  auto src = make_source(std::make_shared<MemDevice>(text, "m"));
-  ingest::RateMatchingController controller(small_chunks());
-  ingest::IngestPipeline pipeline(src);
-
-  std::string reassembled;
-  auto result =
-      pipeline.run_adaptive(controller, [&](IngestChunk& chunk) -> Status {
-    reassembled.append(chunk.bytes().data(), chunk.size());
-    sched.yield_point();
-    return Status::Ok();
-  });
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(reassembled, text);
-}
-
 // ------------------------------------------------------ chunk residency
 
-// Counts the chunks one pipeline holds live, at the device seam (adaptive
-// runs need the SingleDeviceSource itself, so the probe cannot wrap the
-// source). A chunk is live from the start of its read until the process
-// callback for it, or for a later chunk, returns; a failed read ends it.
+// Counts the chunks one pipeline holds live, at the device seam. A chunk is
+// live from the start of its read until the process callback for it, or
+// for a later chunk, returns; a failed read ends it.
 // FixedFormat plans without reading the device, so every read is a chunk
 // read, keyed by its offset.
 class LiveChunkProbe final : public storage::Device {
@@ -365,19 +303,6 @@ TEST_P(PipelineStress, AtMostTwoChunksLive) {
     EXPECT_EQ(bytes_b, total);
     EXPECT_EQ(a.probe->max_live(), ingest::kMaxLiveChunks);
     EXPECT_EQ(b.probe->max_live(), ingest::kMaxLiveChunks);
-  }
-  {
-    SCOPED_TRACE("adaptive");
-    test::SchedFuzz::Stream sched(fuzz, 5);
-    ProbedInput in = probed_input();
-    ingest::FixedChunkController controller(kChunkBytes);
-    ingest::IngestPipeline pipeline(in.source);
-    std::uint64_t bytes = 0;
-    auto result = pipeline.run_adaptive(
-        controller, slow_consumer(*in.probe, sched, bytes));
-    ASSERT_TRUE(result.ok()) << result.status().to_string();
-    EXPECT_EQ(bytes, total);
-    EXPECT_EQ(in.probe->max_live(), ingest::kMaxLiveChunks);
   }
 }
 

@@ -9,7 +9,11 @@
 #               assertion fails in the change that adds it
 #   tsan      — -DSUPMR_SANITIZE=thread,           ctest -L sanitizer
 #   asan      — -DSUPMR_SANITIZE=address,undefined, ctest -L sanitizer
-#   obs-smoke — run the quickstart with --metrics-json/--trace-out and
+#   obs-smoke — check the metric catalogue (every name a SUPMR_COUNTER_ADD/
+#               GAUGE_SET/HIST_OBSERVE call under src/ emits has a row in
+#               docs/observability.md, and every row names an emitted
+#               metric: tools/check_metric_catalogue.py); run the
+#               quickstart with --metrics-json/--trace-out and
 #               validate both emitted files; run a 2-node CLI wordcount
 #               with --metrics-json and require cluster.shuffle_bytes in
 #               its one metrics file; then compile-check the
@@ -157,6 +161,8 @@ run_stage() {
         ctest -L sanitizer --output-on-failure -j "${JOBS}")
       ;;
     obs-smoke)
+      # The catalogue first: it reads only the source tree and the docs.
+      python3 "${ROOT}/tools/check_metric_catalogue.py" "${ROOT}"
       # End-to-end: the quickstart must emit valid metrics + trace JSON, and
       # a cluster run's metrics file must hold the shuffle accounting.
       configure_plain
